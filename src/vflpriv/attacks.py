@@ -1,8 +1,11 @@
 """White-box reconstruction estimators plus the gradient-inversion baseline.
 
-All attacks are pure functions of (system/model, config). When the system is
-determined (trivial nullspace) every estimator short-circuits to the unique
-solution A^+ b'.
+All attacks are pure functions of (system/model, config) and take a batch:
+a system of N predictions gives N x d estimates in one call, and a one-row
+system gives a d-vector. The closed forms are matrix operations over the
+batch; the iterative solvers run row by row on the shared factors of A.
+When the system is determined (trivial nullspace) every estimator
+short-circuits to the unique solution A^+ b'.
 """
 
 from __future__ import annotations
@@ -22,7 +25,12 @@ class AttackError(Exception):
 
 @dataclass
 class AttackEstimate:
-    """One reconstruction x_hat with its feasibility flag and solver diagnostics."""
+    """Reconstructions x_hat (d, or N x d) with solver diagnostics.
+
+    feasible is True iff every row lies in its solution space intersected
+    with the unit box. Per-row diagnostics have the batch shape (a scalar for
+    one row).
+    """
 
     x_hat: np.ndarray
     name: str
@@ -35,78 +43,87 @@ class AttackEstimate:
             raise AttackError(f"{self.name} produced non-finite estimates")
 
 
-def _feasible(sys_: LinearSystem, x: np.ndarray) -> bool:
-    return sys_.polytope().contains(x)
+def _estimate(sys_: LinearSystem, name: str, x: np.ndarray,
+              **diagnostics) -> AttackEstimate:
+    return AttackEstimate(x_hat=x, name=name,
+                          feasible=bool(np.all(sys_.contains(x))),
+                          diagnostics=diagnostics)
 
 
 def _determined(sys_: LinearSystem, name: str) -> AttackEstimate:
-    x = sys_.min_norm_solution
-    return AttackEstimate(x_hat=x, name=name, feasible=_feasible(sys_, x),
-                          diagnostics={"determined": True})
+    return _estimate(sys_, name, sys_.min_norm_solution, determined=True)
 
 
-def attack_half(d: int) -> AttackEstimate:
-    """Blind estimate: the center of the unit box."""
+def attack_half(d: int, batch: tuple = ()) -> AttackEstimate:
+    """Blind estimate: the center of the unit box, for each of batch rows."""
     if d < 1:
         raise ValueError("d must be at least 1")
-    return AttackEstimate(x_hat=np.full(d, 0.5), name="half", feasible=True)
+    return AttackEstimate(x_hat=np.full(batch + (d,), 0.5), name="half",
+                          feasible=True)
 
 
-def attack_zero(d: int) -> AttackEstimate:
+def attack_zero(d: int, batch: tuple = ()) -> AttackEstimate:
     """Baseline estimate of all zeros."""
-    return AttackEstimate(x_hat=np.zeros(d), name="zero", feasible=True)
+    return AttackEstimate(x_hat=np.zeros(batch + (d,)), name="zero", feasible=True)
 
 
-def attack_random(d: int, rng: np.random.Generator) -> AttackEstimate:
-    """Random-guess baseline: uniform over the unit box."""
-    return AttackEstimate(x_hat=rng.uniform(0.0, 1.0, size=d), name="rg", feasible=True)
+def attack_random(d: int, rng: np.random.Generator,
+                  batch: tuple = ()) -> AttackEstimate:
+    """Random-guess baseline: uniform over the unit box.
+
+    One draw of shape batch + (d,) yields the same numbers as drawing the
+    rows one after another from the same generator.
+    """
+    return AttackEstimate(x_hat=rng.uniform(0.0, 1.0, size=batch + (d,)),
+                          name="rg", feasible=True)
 
 
 def attack_ls(sys_: LinearSystem) -> AttackEstimate:
     """Minimum-norm solution A^+ b' (the equation-solving baseline)."""
-    x = sys_.min_norm_solution
-    return AttackEstimate(x_hat=x, name="ls", feasible=_feasible(sys_, x))
+    return _estimate(sys_, "ls", sys_.min_norm_solution)
 
 
 def attack_clamped_ls(sys_: LinearSystem) -> AttackEstimate:
     """attack_ls with entries clamped to [0, 1]."""
-    x = np.clip(sys_.min_norm_solution, 0.0, 1.0)
-    return AttackEstimate(x_hat=x, name="clamped_ls", feasible=_feasible(sys_, x))
+    return _estimate(sys_, "clamped_ls", np.clip(sys_.min_norm_solution, 0.0, 1.0))
 
 
 def attack_cls(sys_: LinearSystem, x_init=None) -> AttackEstimate:
-    """Box-constrained least squares; the output depends on the initial point."""
+    """Box-constrained least squares; the output depends on the initial point.
+
+    x_init (default: the box center) is the starting point of every row.
+    """
     if sys_.nullity == 0:
         return _determined(sys_, "cls")
-    x = numerics.box_least_squares(sys_.a, sys_.b, x_init=x_init)
-    resid = float(np.linalg.norm(sys_.a @ x - sys_.b))
-    return AttackEstimate(x_hat=x, name="cls", feasible=_feasible(sys_, x),
-                          diagnostics={"residual": resid})
+    x = np.empty(sys_.batch + (sys_.d,))
+    for i in np.ndindex(sys_.batch):
+        x[i] = numerics.box_least_squares(sys_.a, sys_.b[i], x_init=x_init)
+    return _estimate(sys_, "cls", x, residual=sys_.residual(x))
 
 
 def attack_half_star(sys_: LinearSystem) -> AttackEstimate:
     """Closest point of the solution space to the box center (closed form)."""
     x = sys_.min_norm_solution + 0.5 * (sys_.projector @ np.ones(sys_.d))
-    return AttackEstimate(x_hat=x, name="half_star", feasible=_feasible(sys_, x))
+    return _estimate(sys_, "half_star", x)
 
 
 def attack_rcc2(sys_: LinearSystem) -> AttackEstimate:
     """Objective-relaxed Chebyshev center: the feasible point closest to the box center.
 
     Computed as the Euclidean projection of the box center onto the feasible
-    set; unique and always feasible.
+    set; unique and always feasible. Where half_star is feasible it is that
+    projection; only the other rows run Dykstra.
     """
     if sys_.nullity == 0:
         return _determined(sys_, "rcc2")
-    poly = sys_.polytope()
-    half = attack_half_star(sys_)
-    if half.feasible:
-        # projection of the box center onto S_F coincides with half_star here
-        return AttackEstimate(x_hat=half.x_hat, name="rcc2", feasible=True,
-                              diagnostics={"projection": "closed_form"})
-    x = numerics.dykstra_project(np.full(sys_.d, 0.5), poly)
-    return AttackEstimate(x_hat=x, name="rcc2", feasible=poly.contains(x),
-                          diagnostics={"projection": "dykstra"})
+    x = attack_half_star(sys_).x_hat
+    closed = sys_.contains(x)
+    for i in np.ndindex(sys_.batch):
+        if not closed[i]:
+            x[i] = numerics.dykstra_project(np.full(sys_.d, 0.5),
+                                            sys_.row(i).polytope())
+    return _estimate(sys_, "rcc2", x,
+                     projection=np.where(closed, "closed_form", "dykstra")[()])
 
 
 # --- RCC1: search-space relaxation solved as a small SDP ------------------
@@ -191,7 +208,7 @@ def _rcc1_barrier_solve(rows, g, t, mu0=1.0, mu_factor=0.2, mu_min=1e-9,
 
 
 def attack_rcc1(sys_: LinearSystem) -> AttackEstimate:
-    """Search-space-relaxed Chebyshev center (SDP route).
+    """Search-space-relaxed Chebyshev center (SDP route), solved row by row.
 
     Works in the nullspace coordinates: each box constraint q_i <= x_i <= ...
     becomes a double-sided linear constraint on u, written in quadratic form
@@ -201,41 +218,25 @@ def attack_rcc1(sys_: LinearSystem) -> AttackEstimate:
     if sys_.nullity == 0:
         return _determined(sys_, "rcc1")
     w = sys_.nullspace                  # d x p, orthonormal columns
-    q = sys_.min_norm_solution
     rows = w                            # a_i^T are the rows of W
-    g = (q - 0.5)[:, None] * rows       # g_i stacked as rows
-    t = -q * (1.0 - q)
-    alpha = _rcc1_barrier_solve(rows, g, t)
-    val, m, u = _rcc1_objective(alpha, rows, g, t)
-    x = q - w @ u
-    radius = float(np.sqrt(max(val, 0.0)))
-    poly = sys_.polytope()
-    return AttackEstimate(x_hat=x, name="rcc1", feasible=poly.contains(x),
-                          diagnostics={"radius": radius, "alpha": alpha})
+    q_rows = sys_.min_norm_solution
+    x = np.empty_like(q_rows)
+    radius = np.empty(sys_.batch)
+    alphas = np.empty(sys_.batch + (sys_.d,))
+    for i in np.ndindex(sys_.batch):
+        q = q_rows[i]
+        g = (q - 0.5)[:, None] * rows   # g_i stacked as rows
+        t = -q * (1.0 - q)
+        alphas[i] = _rcc1_barrier_solve(rows, g, t)
+        val, m, u = _rcc1_objective(alphas[i], rows, g, t)
+        x[i] = q - w @ u
+        radius[i] = np.sqrt(max(val, 0.0))
+    return _estimate(sys_, "rcc1", x, radius=radius[()], alpha=alphas)
 
 
-def attack_gia(model: VflModel, y_act, c, init: str = "half",
-               step: float = 0.05, max_iter: int = 5000,
-               tol: float = 1e-12, rng: np.random.Generator | None = None
-               ) -> AttackEstimate:
-    """Gradient-inversion baseline: projected descent on D(c_hat || c) over the box.
-
-    init selects the starting point: "zeros", "half" or "random". Steps are
-    only accepted when they do not increase the objective.
-    """
-    c = np.asarray(c, dtype=float).ravel()
-    y_act = np.asarray(y_act, dtype=float).ravel()
-    d = model.w_pas.shape[1]
-    if init == "zeros":
-        x = np.zeros(d)
-    elif init == "half":
-        x = np.full(d, 0.5)
-    elif init == "random":
-        rng = np.random.default_rng(0) if rng is None else rng
-        x = rng.uniform(0.0, 1.0, size=d)
-    else:
-        raise ValueError(f"unknown init mode {init!r}")
-
+def _gia_row(model: VflModel, y_act, c, x, step: float, max_iter: int,
+             tol: float) -> tuple[np.ndarray, float, int]:
+    """Projected descent from x for one prediction; (x, KL bits, iterations)."""
     log_c = np.log(np.clip(c, 1e-300, None))
     ln2 = np.log(2.0)
 
@@ -262,27 +263,69 @@ def attack_gia(model: VflModel, y_act, c, init: str = "half",
             cur_step *= 0.5
             if cur_step < 1e-16:
                 break
+    return x, obj, iters
+
+
+def attack_gia(model: VflModel, y_act, c, init: str = "half",
+               step: float = 0.05, max_iter: int = 5000,
+               tol: float = 1e-12, rng: np.random.Generator | None = None
+               ) -> AttackEstimate:
+    """Gradient-inversion baseline: projected descent on D(c_hat || c) over the box.
+
+    y_act and c hold one prediction or N of them (N x (d_t - d), N x k);
+    the rows are solved one after another. init selects the starting point:
+    "zeros", "half" or "random" (drawn per row, in row order, from rng).
+    Steps are only accepted when they do not increase the objective.
+    diagnostics["iterations"] is the total over all rows.
+    """
+    if init not in ("zeros", "half", "random"):
+        raise ValueError(f"unknown init mode {init!r}")
+    c = np.asarray(c, dtype=float)
+    y_act = np.asarray(y_act, dtype=float)
+    d = model.w_pas.shape[1]
+    batch = c.shape[:-1]
+    if init == "random" and rng is None:
+        rng = np.random.default_rng(0)
+    x = np.empty(batch + (d,))
+    kl_bits = np.empty(batch)
+    iterations = 0
+    for i in np.ndindex(batch):
+        if init == "zeros":
+            x0 = np.zeros(d)
+        elif init == "half":
+            x0 = np.full(d, 0.5)
+        else:
+            x0 = rng.uniform(0.0, 1.0, size=d)
+        x[i], kl_bits[i], iters = _gia_row(model, y_act[i], c[i], x0, step,
+                                           max_iter, tol)
+        iterations += iters
     return AttackEstimate(
         x_hat=x, name="gia",
         feasible=bool(np.all(x >= 0.0) and np.all(x <= 1.0)),
-        diagnostics={"kl_bits": obj, "iterations": iters, "init": init})
+        diagnostics={"kl_bits": kl_bits[()], "iterations": iterations,
+                     "init": init})
 
 
 WHITEBOX_ATTACKS = ("half", "half_star", "ls", "clamped_ls", "cls", "rcc1", "rcc2")
+# every name run_attack accepts
+ATTACKS = WHITEBOX_ATTACKS + ("zero", "rg", "gia")
 
 
 def run_attack(name: str, sys_: LinearSystem, *, model: VflModel | None = None,
                y_act=None, c=None, init: str = "half",
                rng: np.random.Generator | None = None) -> AttackEstimate:
-    """Dispatch an attack by name; gia additionally needs (model, y_act, c)."""
+    """Dispatch an attack by name over every row of sys_.
+
+    gia additionally needs (model, y_act, c) for the same rows.
+    """
     if name == "half":
-        return attack_half(sys_.d)
+        return attack_half(sys_.d, sys_.batch)
     if name == "zero":
-        return attack_zero(sys_.d)
+        return attack_zero(sys_.d, sys_.batch)
     if name == "rg":
         if rng is None:
             raise ValueError("rg needs an RNG")
-        return attack_random(sys_.d, rng)
+        return attack_random(sys_.d, rng, sys_.batch)
     if name == "half_star":
         return attack_half_star(sys_)
     if name == "ls":

@@ -14,7 +14,7 @@ import sys
 import numpy as np
 
 from . import blackbox, defense, metrics, numerics
-from .attacks import AttackError, run_attack
+from .attacks import ATTACKS, AttackError, run_attack
 from .dataset import DataError, Dataset, SyntheticSpec, load_dataset, synthesize
 from .model import (TrainConfig, TrainingError, VflModel, VflSplit, accuracy,
                     predict, train)
@@ -45,13 +45,43 @@ def read_config(path) -> dict:
     return out
 
 
+def _int_range(text: str, flag: str) -> tuple[int, int]:
+    """Parse an inclusive I..J range with I <= J."""
+    try:
+        lo, hi = (int(s) for s in text.split(".."))
+    except ValueError:
+        raise DataError(f"{flag} must look like I..J, got {text!r}") from None
+    if hi < lo:
+        raise DataError(f"{flag} range must be non-decreasing, got {text!r}")
+    return lo, hi
+
+
 def _resolve_window(args) -> None:
     """Translate --passive-features I..J into the (start, d) window."""
     if getattr(args, "passive_features", None):
-        lo, hi = (int(s) for s in args.passive_features.split(".."))
-        if hi < lo:
-            raise DataError("--passive-features range must be non-decreasing")
+        lo, hi = _int_range(args.passive_features, "--passive-features")
         args.start, args.d = lo, hi - lo + 1
+
+
+def _check_d(d: int, d_t: int, flag: str = "--d") -> None:
+    if not 1 <= d <= d_t:
+        raise DataError(f"{flag} {d} is out of range: the passive window needs "
+                        f"1 to {d_t} features (the table has {d_t})")
+
+
+def _split(args, ds: Dataset) -> VflSplit:
+    """The passive window of --start/--d, checked against the table width."""
+    _check_d(args.d, ds.d_t)
+    return VflSplit.contiguous(ds.d_t, args.start, args.d)
+
+
+def _attack_names(text: str) -> list[str]:
+    """The comma list of --attacks, every name checked before any work."""
+    names = [name.strip() for name in text.split(",")]
+    unknown = [name for name in names if name not in ATTACKS]
+    if unknown:
+        raise DataError(f"unknown attacks {unknown}; choose from {list(ATTACKS)}")
+    return names
 
 
 def _load_data(args) -> Dataset:
@@ -73,9 +103,7 @@ def _emit(rows, header, out_path):
 
 def cmd_train(args) -> int:
     ds = _load_data(args)
-    split_cfg = VflSplit.contiguous(ds.d_t, args.start, args.d)
-    cfg = TrainConfig(lam=args.lam, seed=args.seed)
-    model = train(ds, split_cfg, cfg)
+    model = train(ds, _split(args, ds), TrainConfig(lam=args.lam, seed=args.seed))
     if args.out:
         model.save(args.out)
     print(f"accuracy={accuracy(model, ds):.6f}")
@@ -83,8 +111,9 @@ def cmd_train(args) -> int:
 
 
 def cmd_attack(args) -> int:
+    names = _attack_names(args.attacks)
     ds = _load_data(args)
-    split_cfg = VflSplit.contiguous(ds.d_t, args.start, args.d)
+    split_cfg = _split(args, ds)
     if args.model:
         model = VflModel.load(args.model)
     else:
@@ -92,10 +121,10 @@ def cmd_attack(args) -> int:
     rng = np.random.default_rng(args.seed)
     rows = np.flatnonzero(ds.test_mask)[:args.n]
     out = []
-    for name in args.attacks.split(","):
-        mse = metrics.attack_mse_on_rows(model, ds, rows, name.strip(),
+    for name in names:
+        mse = metrics.attack_mse_on_rows(model, ds, rows, name,
                                          rng=rng, init=args.init)
-        out.append([name.strip(), args.d, len(rows), repr(mse)])
+        out.append([name, args.d, len(rows), repr(mse)])
     _emit(out, ["attack", "d", "n", "mse"], args.out)
     return 0
 
@@ -115,7 +144,9 @@ def _blackbox_trial_mse(case: int, n: int, rng: np.random.Generator,
 
 def cmd_blackbox(args) -> int:
     rng = np.random.default_rng(args.seed)
-    lo, hi = (int(s) for s in args.n_grid.split(".."))
+    lo, hi = _int_range(args.n_grid, "--n-grid")
+    if lo < 1:
+        raise DataError(f"--n-grid sample counts start at 1, got {args.n_grid!r}")
     if case_params := {1: (1.0, 0.0), 2: (1.0, 1.0), 3: (1.0, -2.0)}.get(args.case):
         w, b = case_params
     else:
@@ -135,7 +166,7 @@ def cmd_blackbox(args) -> int:
 
 def cmd_defend(args) -> int:
     ds = _load_data(args)
-    split_cfg = VflSplit.contiguous(ds.d_t, args.start, args.d)
+    split_cfg = _split(args, ds)
     model = train(ds, split_cfg, TrainConfig(lam=args.lam, seed=args.seed))
     rows = np.flatnonzero(ds.test_mask)[:args.n]
     act, pas = list(split_cfg.active), list(split_cfg.passive)
@@ -181,7 +212,7 @@ def cmd_defend(args) -> int:
 
 def cmd_evaluate(args) -> int:
     ds = _load_data(args)
-    split_cfg = VflSplit.contiguous(ds.d_t, args.start, args.d)
+    split_cfg = _split(args, ds)
     model = train(ds, split_cfg, TrainConfig(lam=args.lam, seed=args.seed))
     pas = list(split_cfg.passive)
     act = list(split_cfg.active)
@@ -197,16 +228,18 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_figure1(args) -> int:
+    names = _attack_names(args.attacks)
     ds = _load_data(args)
     n_pred = FULL_N if args.full else args.n
     grid = [int(d) for d in args.d_grid.split(",")]
+    for d in grid:
+        _check_d(d, ds.d_t, "--d-grid")
     out = []
     for d in grid:
-        for name in args.attacks.split(","):
-            mse = metrics.average_over_space(ds, d, name.strip(), n_pred=n_pred,
-                                             train_cfg=TrainConfig(lam=args.lam),
-                                             seed=args.seed)
-            out.append([d, name.strip(), repr(mse)])
+        mse = metrics.average_over_space(ds, d, names, n_pred=n_pred,
+                                         train_cfg=TrainConfig(lam=args.lam),
+                                         seed=args.seed)
+        out.extend([d, name, repr(mse[name])] for name in names)
     _emit(out, ["d", "attack", "mse"], args.out)
     return 0
 
@@ -218,7 +251,7 @@ def cmd_figure12(args) -> int:
 
 def cmd_tradeoff(args) -> int:
     ds = _load_data(args)
-    split_cfg = VflSplit.contiguous(ds.d_t, args.start, args.d)
+    split_cfg = _split(args, ds)
     model = train(ds, split_cfg, TrainConfig(lam=args.lam, seed=args.seed))
     base_acc = accuracy(model, ds)
     rows = np.flatnonzero(ds.test_mask)[:args.n]

@@ -7,7 +7,7 @@ knowing the nullspace orientation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -139,45 +139,44 @@ def cross_entropy(p, q, eps_clip: float = EPS_CLIP) -> float:
 def attack_mse_on_rows(model: VflModel, ds: Dataset, rows, attack: str,
                        rng: np.random.Generator | None = None,
                        init: str = "half") -> float:
-    """Mean per-feature MSE of one attack over the given sample rows."""
-    act = list(model.split.active)
-    pas = list(model.split.passive)
-    truths, estimates = [], []
-    for i in rows:
-        y_act = ds.x[i, act]
-        x_pas = ds.x[i, pas]
-        c = predict(model, y_act, x_pas)
-        sys_ = build_system(model, y_act, c)
-        est = run_attack(attack, sys_, model=model, y_act=y_act, c=c,
-                         rng=rng, init=init)
-        truths.append(x_pas)
-        estimates.append(est.x_hat)
-    return empirical_mse(np.array(truths), np.array(estimates))
+    """Mean per-feature MSE of one attack over the given sample rows.
+
+    The rows go through predict, build_system and the attack as one batch.
+    """
+    rows = np.asarray(rows, dtype=int)
+    if rows.ndim != 1 or rows.size == 0:
+        raise MetricsError("need a non-empty list of sample rows")
+    y_act = ds.x[np.ix_(rows, model.split.active)]
+    x_pas = ds.x[np.ix_(rows, model.split.passive)]
+    c = predict(model, y_act, x_pas)
+    sys_ = build_system(model, y_act, c)
+    est = run_attack(attack, sys_, model=model, y_act=y_act, c=c,
+                     rng=rng, init=init)
+    return empirical_mse(x_pas, est.x_hat)
 
 
-def average_over_space(ds: Dataset, d: int, attack: str, n_pred: int = 1000,
-                       train_cfg: TrainConfig | None = None, seed: int = 0) -> float:
-    """Mean attack MSE over all d_t contiguous passive windows (mod d_t).
+def average_over_space(ds: Dataset, d: int, attacks, n_pred: int = 1000,
+                       train_cfg: TrainConfig | None = None,
+                       seed: int = 0) -> dict[str, float]:
+    """Mean MSE of each named attack over all d_t contiguous passive windows (mod d_t).
 
     Each window allocates features {s, ..., s+d-1 mod d_t} to the passive
-    party, retrains, runs the attack on up to n_pred test predictions and
-    averages the d_t resulting MSE values.
+    party and trains one model (seed + s), on which every attack runs over
+    up to n_pred test predictions; rg draws from a generator seeded with
+    seed + s. Returns {attack: mean of the d_t window MSE values}.
     """
     if d > ds.d_t:
         raise MetricsError("passive dimension exceeds the feature count")
     base = train_cfg or TrainConfig()
-    values = []
+    rows = np.flatnonzero(ds.test_mask)[:n_pred]
+    values: dict[str, list[float]] = {name: [] for name in attacks}
     for start in range(ds.d_t):
-        split_cfg = VflSplit.contiguous(ds.d_t, start, d)
-        cfg = TrainConfig(learning_rate=base.learning_rate, max_epochs=base.max_epochs,
-                          patience=base.patience, tol=base.tol, lam=base.lam,
-                          seed=seed + start, val_fraction=base.val_fraction)
-        model = train(ds, split_cfg, cfg)
-        rng = np.random.default_rng(seed + start)
-        test_rows = np.flatnonzero(ds.test_mask)
-        rows = test_rows[:n_pred]
-        values.append(attack_mse_on_rows(model, ds, rows, attack, rng=rng))
-    return float(np.mean(values))
+        model = train(ds, VflSplit.contiguous(ds.d_t, start, d),
+                      replace(base, seed=seed + start))
+        for name, window_values in values.items():
+            rng = np.random.default_rng(seed + start)
+            window_values.append(attack_mse_on_rows(model, ds, rows, name, rng=rng))
+    return {name: float(np.mean(v)) for name, v in values.items()}
 
 
 def write_csv(path, header: list[str], rows: list[list]) -> None:

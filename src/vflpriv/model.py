@@ -29,6 +29,9 @@ class VflSplit:
     def __post_init__(self):
         object.__setattr__(self, "passive", tuple(int(i) for i in self.passive))
         object.__setattr__(self, "active", tuple(int(i) for i in self.active))
+        for name, idx in (("passive", self.passive), ("active", self.active)):
+            if len(set(idx)) != len(idx):
+                raise ValueError(f"{name} features repeat an index: {list(idx)}")
         overlap = set(self.passive) & set(self.active)
         if overlap:
             raise ValueError(f"passive/active features overlap: {sorted(overlap)}")
@@ -43,7 +46,9 @@ class VflSplit:
 
     @staticmethod
     def contiguous(d_t: int, start: int, d: int) -> "VflSplit":
-        """Passive window {start, ..., start+d-1} modulo d_t."""
+        """Passive window {start, ..., start+d-1} modulo d_t; needs 1 <= d <= d_t."""
+        if not 1 <= d <= d_t:
+            raise ValueError(f"passive window size {d} must lie in [1, {d_t}]")
         passive = tuple((start + i) % d_t for i in range(d))
         active = tuple(i for i in range(d_t) if i not in set(passive))
         return VflSplit(passive=passive, active=active)
@@ -141,14 +146,23 @@ def _one_hot(y: np.ndarray, k: int) -> np.ndarray:
     return out
 
 
+def _scores_and_loss(w, b, x, y_onehot, lam):
+    scores = softmax(x @ w.T + b)
+    ce = -np.sum(y_onehot * np.log(scores + 1e-300)) / x.shape[0]
+    return scores, ce + lam * (np.sum(w * w) + np.sum(b * b))
+
+
+def loss_value(w: np.ndarray, b: np.ndarray, x: np.ndarray,
+               y_onehot: np.ndarray, lam: float) -> float:
+    """The loss of loss_and_grads alone, by the same floating-point operations."""
+    return _scores_and_loss(w, b, x, y_onehot, lam)[1]
+
+
 def loss_and_grads(w: np.ndarray, b: np.ndarray, x: np.ndarray,
                    y_onehot: np.ndarray, lam: float):
     """Average cross-entropy (nats) + lam (Tr(WW^T) + ||b||^2) and its gradients."""
     n = x.shape[0]
-    scores = softmax(x @ w.T + b)
-    eps = 1e-300
-    ce = -np.sum(y_onehot * np.log(scores + eps)) / n
-    loss = ce + lam * (np.sum(w * w) + np.sum(b * b))
+    scores, loss = _scores_and_loss(w, b, x, y_onehot, lam)
     delta = (scores - y_onehot) / n
     grad_w = delta.T @ x + 2.0 * lam * w
     grad_b = delta.sum(axis=0) + 2.0 * lam * b
@@ -204,7 +218,7 @@ def train(ds: Dataset, split_cfg: VflSplit, cfg: TrainConfig) -> VflModel:
         w -= cfg.learning_rate * (m_w / c1) / (np.sqrt(v_w / c2) + eps)
         b -= cfg.learning_rate * (m_b / c1) / (np.sqrt(v_b / c2) + eps)
 
-        val_loss, _, _ = loss_and_grads(w, b, x_val, y_val, cfg.lam)
+        val_loss = loss_value(w, b, x_val, y_val, cfg.lam)
         if val_loss < best[0] * (1.0 - cfg.tol):
             best = (val_loss, w.copy(), b.copy())
             stall = 0

@@ -70,6 +70,17 @@ class SvdFactors:
             return 0
         return int(np.count_nonzero(self.s > eps_rank * self.s[0]))
 
+    def pinv(self, eps_rank: float = EPS_RANK) -> np.ndarray:
+        """Moore-Penrose pseudoinverse V Sigma^+ U^T of the factored matrix."""
+        r = self.rank(eps_rank)
+        if r == 0:
+            return np.zeros((self.v.shape[0], self.u.shape[0]))
+        return (self.v[:, :r] / self.s[:r]) @ self.u[:, :r].T
+
+    def nullspace(self, eps_rank: float = EPS_RANK) -> np.ndarray:
+        """Orthonormal basis of the nullspace: the last d - rank right singular vectors."""
+        return self.v[:, self.rank(eps_rank):]
+
 
 def svd(a) -> SvdFactors:
     """Full SVD with singular values sorted non-increasing.
@@ -90,12 +101,7 @@ def pinv(a, eps_rank: float = EPS_RANK) -> np.ndarray:
 
     Singular values below eps_rank * sigma_1 are treated as exact zeros.
     """
-    a = as_matrix(a)
-    f = svd(a)
-    r = f.rank(eps_rank)
-    if r == 0:
-        return np.zeros((a.shape[1], a.shape[0]))
-    return (f.v[:, :r] / f.s[:r]) @ f.u[:, :r].T
+    return svd(a).pinv(eps_rank)
 
 
 def projector_null(a, eps_rank: float = EPS_RANK) -> np.ndarray:
@@ -110,9 +116,7 @@ def nullspace_basis(a, eps_rank: float = EPS_RANK) -> np.ndarray:
 
     Returns a d-by-0 matrix when the nullspace is trivial.
     """
-    a = as_matrix(a)
-    f = svd(a)
-    return f.v[:, f.rank(eps_rank):]
+    return svd(a).nullspace(eps_rank)
 
 
 def project_affine(x, a, b) -> np.ndarray:

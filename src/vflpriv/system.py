@@ -1,4 +1,4 @@
-"""Turning one prediction's confidence scores into the adversary's linear system.
+"""Turning predictions' confidence scores into the adversary's linear system.
 
 Given known parameters, consecutive log-ratios of the scores eliminate the
 softmax and leave A x = b' with A = J W_pas, where J takes consecutive
@@ -8,6 +8,7 @@ differences of the logits.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -34,58 +35,80 @@ def difference_matrix(k: int) -> np.ndarray:
 
 
 def log_ratio_scores(c, eps_clip: float = EPS_CLIP) -> np.ndarray:
-    """Consecutive log ratios ln(c_{m+1}/c_m) of a probability vector."""
+    """Consecutive log ratios ln(c_{m+1}/c_m) along the last axis of the scores."""
     c = np.asarray(c, dtype=float)
     logc = np.log(np.clip(c, eps_clip, None))
-    return logc[1:] - logc[:-1]
+    return logc[..., 1:] - logc[..., :-1]
+
+
+def _rowwise(m: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """m @ r for every row r of x; a 1-D x is one row.
+
+    Written as (m x^T)^T so that the one-row case stays a matrix-vector
+    product and gives the same bits as m @ x.
+    """
+    return (m @ x.T).T
 
 
 @dataclass
 class LinearSystem:
-    """A x = b' for one prediction, with cached SVD-derived quantities.
+    """A x = b' for one prediction (b of length k-1) or N of them (b N x (k-1)).
 
-    Immutable after construction by convention; the cached pseudoinverse,
-    nullspace projector and nullspace basis are consistent with (a, b).
+    Every row shares A, so the pseudoinverse, nullspace projector and
+    nullspace basis all come from one SVD of A, taken at construction (or
+    passed in by a caller that already holds it). A 1-D b is the one-row
+    case: per-row results then drop the row axis. Immutable after
+    construction by convention.
     """
 
     a: np.ndarray
     b: np.ndarray
     source: str = "clean"
     tau_feas: float = numerics.TAU_FEAS
-    _pinv: np.ndarray | None = field(default=None, repr=False)
-    _projector: np.ndarray | None = field(default=None, repr=False)
-    _nullspace: np.ndarray | None = field(default=None, repr=False)
+    svd: numerics.SvdFactors | None = field(default=None, repr=False,
+                                            compare=False)
 
     def __post_init__(self):
         self.a = numerics.as_matrix(self.a)
-        self.b = numerics.as_vector(self.b)
+        self.b = np.asarray(self.b, dtype=float)
+        if self.b.ndim not in (1, 2) or self.b.shape[-1] != self.a.shape[0]:
+            raise ValueError(f"b must have shape ({self.a.shape[0]},) or "
+                             f"(N, {self.a.shape[0]}), got {self.b.shape}")
+        if self.b.size == 0 or not np.all(np.isfinite(self.b)):
+            raise ValueError("b must be non-empty and finite")
+        if self.svd is None:
+            self.svd = numerics.svd(self.a)
 
     @property
     def d(self) -> int:
         return self.a.shape[1]
 
     @property
+    def batch(self) -> tuple:
+        """Leading shape of per-row results: () for one row, (N,) for N rows."""
+        return self.b.shape[:-1]
+
+    def row(self, i) -> "LinearSystem":
+        """Row i (an index into ``batch``) as a one-row system sharing the SVD."""
+        return LinearSystem(a=self.a, b=self.b[i], source=self.source,
+                            tau_feas=self.tau_feas, svd=self.svd)
+
+    @cached_property
     def pinv(self) -> np.ndarray:
-        if self._pinv is None:
-            self._pinv = numerics.pinv(self.a)
-        return self._pinv
+        return self.svd.pinv()
 
-    @property
+    @cached_property
     def projector(self) -> np.ndarray:
-        if self._projector is None:
-            p = np.eye(self.d) - self.pinv @ self.a
-            self._projector = 0.5 * (p + p.T)
-        return self._projector
+        p = np.eye(self.d) - self.pinv @ self.a
+        return 0.5 * (p + p.T)
 
-    @property
+    @cached_property
     def nullspace(self) -> np.ndarray:
-        if self._nullspace is None:
-            self._nullspace = numerics.nullspace_basis(self.a)
-        return self._nullspace
+        return self.svd.nullspace()
 
     @property
     def rank(self) -> int:
-        return self.d - self.nullspace.shape[1]
+        return self.d - self.nullity
 
     @property
     def nullity(self) -> int:
@@ -93,34 +116,58 @@ class LinearSystem:
 
     @property
     def min_norm_solution(self) -> np.ndarray:
-        return self.pinv @ self.b
+        return _rowwise(self.pinv, self.b)
+
+    def residual(self, x) -> np.ndarray:
+        """Per-row Euclidean residual ||A x - b'|| of estimates x (batch + (d,))."""
+        return np.linalg.norm(_rowwise(self.a, x) - self.b, axis=-1)
+
+    def contains(self, x, tau: float | None = None) -> np.ndarray:
+        """Per-row membership of x in {x in [0,1]^d : Ax = b'}, up to slack tau."""
+        tau = self.tau_feas if tau is None else tau
+        on_plane = np.max(np.abs(_rowwise(self.a, x) - self.b), axis=-1) <= tau
+        return on_plane & np.all((x >= -tau) & (x <= 1.0 + tau), axis=-1)
 
     def polytope(self) -> numerics.PolytopeAffineBox:
-        return numerics.PolytopeAffineBox(self.a, self.b, tau_feas=self.tau_feas)
+        """The feasible set of a one-row system (take ``row(i)`` of a batch)."""
+        return numerics.PolytopeAffineBox(self.a, self.b, tau_feas=self.tau_feas,
+                                          _pinv=self.pinv)
 
     def is_satisfiable(self, tol: float = 1e-6) -> bool:
-        return bool(np.linalg.norm(self.a @ self.min_norm_solution - self.b) <= tol)
+        """True when every row's min-norm solution solves its system within tol."""
+        return bool(np.all(self.residual(self.min_norm_solution) <= tol))
 
 
 def build_system(model: VflModel, y_act, c, source: str = "clean") -> LinearSystem:
-    """Assemble A = J W_pas and b' = c' - J W_act y - J b from one prediction.
+    """Assemble A = J W_pas and b' = c' - J W_act y - J b from predictions.
 
-    For clean scores the system must be satisfiable; a failed check indicates
-    a clipping or dimension bug and raises rather than returning silently.
+    y_act is one row of active features (d_t - d) or N rows (N x (d_t - d))
+    and c the matching scores (k or N x k); b' then has shape (k-1) or
+    N x (k-1). For clean scores every row must be satisfiable; a failed row
+    indicates a clipping or dimension bug and raises rather than returning
+    silently.
     """
-    y_act = np.asarray(y_act, dtype=float).ravel()
-    c = np.asarray(c, dtype=float).ravel()
-    if c.shape[0] != model.k:
+    y_act = np.asarray(y_act, dtype=float)
+    c = np.asarray(c, dtype=float)
+    if c.ndim not in (1, 2) or c.shape[-1] != model.k:
         raise ValueError("confidence vector length must equal the class count")
+    if y_act.shape != c.shape[:-1] + (model.w_act.shape[1],):
+        raise ValueError(f"active features of shape {y_act.shape} do not match "
+                         f"{c.shape[:-1]} predictions of this model")
     j = difference_matrix(model.k)
     a = j @ model.w_pas
-    bprime = log_ratio_scores(c) - j @ (model.w_act @ y_act) - j @ model.b
+    bprime = (log_ratio_scores(c) - _rowwise(j, _rowwise(model.w_act, y_act))
+              - j @ model.b)
     sys_ = LinearSystem(a=a, b=bprime, source=source)
-    if source == "clean" and not sys_.is_satisfiable(tol=1e-6):
-        resid = np.linalg.norm(a @ sys_.min_norm_solution - bprime)
-        raise SystemError_(
-            f"clean-score system is not satisfiable (residual {resid:.3e}); "
-            "check score clipping and dimensions")
+    if source == "clean":
+        resid = np.atleast_1d(sys_.residual(sys_.min_norm_solution))
+        bad = np.flatnonzero(resid > 1e-6)
+        if bad.size:
+            i = int(bad[0])
+            raise SystemError_(
+                f"clean-score system is not satisfiable at row {i} (residual "
+                f"{resid[i]:.3e}; {bad.size} of {resid.size} rows fail); "
+                "check score clipping and dimensions")
     return sys_
 
 
@@ -132,5 +179,5 @@ def transform_system(sys_: LinearSystem, r) -> LinearSystem:
         raise ValueError(f"R must be {m}x{m}")
     if np.linalg.cond(r) > 1e12:
         raise ValueError("R is singular or too ill-conditioned")
-    return LinearSystem(a=r @ sys_.a, b=r @ sys_.b, source=sys_.source,
+    return LinearSystem(a=r @ sys_.a, b=_rowwise(r, sys_.b), source=sys_.source,
                         tau_feas=sys_.tau_feas)

@@ -258,3 +258,88 @@ class TestDispatch:
         sys_, _ = _system_with_truth(12)
         with pytest.raises(ValueError):
             attacks.run_attack("gia", sys_)
+
+
+def _k4_model():
+    """Random k=4, d=6 model whose half_star leaves the box on some rows."""
+    from vflpriv.model import VflModel, VflSplit
+    rng = np.random.default_rng(28)
+    k, d, d_t = 4, 6, 10
+    return VflModel(w_act=3.0 * rng.standard_normal((k, d_t - d)),
+                    w_pas=3.0 * rng.standard_normal((k, d)),
+                    b=rng.standard_normal(k), k=k,
+                    split=VflSplit.contiguous(d_t, 0, d))
+
+
+def _predictions(model, n, seed):
+    rng = np.random.default_rng(seed)
+    y_act = rng.uniform(size=(n, model.split.d_t - model.split.d))
+    x_pas = rng.uniform(size=(n, model.split.d))
+    return y_act, predict(model, y_act, x_pas)
+
+
+# batched x_hat against the one-row path: closed forms to 1e-12, iterative
+# solvers to a tolerance above their stopping rules
+BATCH_TOL = {"ls": 1e-12, "clamped_ls": 1e-12, "half_star": 1e-12,
+             "rcc2": 1e-8, "cls": 1e-8, "rcc1": 1e-6, "gia": 1e-8}
+
+
+class TestBatch:
+    @pytest.fixture(params=["small_model", "k4"])
+    def batch(self, request):
+        model = (request.getfixturevalue("small_model")
+                 if request.param == "small_model" else _k4_model())
+        y_act, c = _predictions(model, 12, seed=4)
+        return model, y_act, c, build_system(model, y_act, c)
+
+    def test_estimators_match_one_row_path(self, batch):
+        model, y_act, c, sys_ = batch
+        assert sys_.b.shape == (12, model.k - 1)
+        for name, tol in BATCH_TOL.items():
+            est = attacks.run_attack(name, sys_, model=model, y_act=y_act, c=c)
+            assert est.x_hat.shape == (12, sys_.d)
+            rows_feasible = []
+            for i in range(12):
+                one = attacks.run_attack(name, build_system(model, y_act[i], c[i]),
+                                         model=model, y_act=y_act[i], c=c[i])
+                assert np.max(np.abs(est.x_hat[i] - one.x_hat)) <= tol, (name, i)
+                rows_feasible.append(one.feasible)
+            assert est.feasible is all(rows_feasible), name
+
+    def test_rcc2_same_branch_per_row(self, batch):
+        model, y_act, c, sys_ = batch
+        est = attacks.attack_rcc2(sys_)
+        branches = [attacks.attack_rcc2(build_system(model, y_act[i], c[i]))
+                    .diagnostics["projection"] for i in range(12)]
+        assert list(est.diagnostics["projection"]) == branches
+        if model.k == 4:
+            # the fixture reaches both branches
+            assert set(branches) == {"closed_form", "dykstra"}
+
+    def test_linear_systems_from_one_a(self):
+        rng = np.random.default_rng(30)
+        a, _, _ = oracles.random_satisfiable_system(rng, 5, 2)
+        truths = rng.uniform(0.05, 0.95, size=(7, 5))
+        sys_ = LinearSystem(a=a, b=truths @ a.T)
+        for name in ("ls", "clamped_ls", "half_star", "rcc2", "cls", "rcc1"):
+            est = attacks.run_attack(name, sys_)
+            for i in range(7):
+                one = attacks.run_attack(name, LinearSystem(a=a, b=a @ truths[i]))
+                assert np.max(np.abs(est.x_hat[i] - one.x_hat)) <= BATCH_TOL[name]
+
+    def test_rg_matches_row_by_row_draws(self):
+        sys_ = LinearSystem(a=np.ones((1, 3)), b=np.full((5, 1), 1.5))
+        batched = attacks.run_attack("rg", sys_, rng=np.random.default_rng(3))
+        rng = np.random.default_rng(3)
+        rows = [attacks.run_attack("rg", sys_.row(i), rng=rng).x_hat
+                for i in range(5)]
+        assert np.array_equal(batched.x_hat, np.array(rows))
+
+    def test_gia_iterations_stay_an_int(self, small_model):
+        y_act, c = _predictions(small_model, 3, seed=5)
+        est = attacks.attack_gia(small_model, y_act, c)
+        one = [attacks.attack_gia(small_model, y_act[i], c[i])
+               .diagnostics["iterations"] for i in range(3)]
+        assert type(est.diagnostics["iterations"]) is int
+        assert est.diagnostics["iterations"] == sum(one)
+        assert est.diagnostics["kl_bits"].shape == (3,)

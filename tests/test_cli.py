@@ -132,3 +132,54 @@ class TestSubcommands:
         accs = {row[4] for row in rows[1:]}
         assert len(accs) == 1          # constant accuracy column
         assert "nan" not in accs
+
+
+@pytest.fixture()
+def train_calls(monkeypatch):
+    """Count every train call made through the CLI or metrics."""
+    from vflpriv import metrics
+    calls = []
+    for mod in (cli, metrics):
+        real = mod.train
+        monkeypatch.setattr(mod, "train",
+                            lambda *a, real=real, **kw: calls.append(1) or real(*a, **kw))
+    return calls
+
+
+class TestBadArguments:
+    @pytest.mark.parametrize("d", ["0", "12"])
+    def test_window_size_out_of_range(self, d, capsys, train_calls):
+        assert _run(["train", "--synth-n", "100", "--synth-dt", "10",
+                     "--d", d]) == 2
+        assert "--d" in capsys.readouterr().err
+        assert not train_calls
+
+    def test_d_grid_out_of_range(self, capsys, train_calls):
+        assert _run(["figure1", "--synth-n", "100", "--synth-dt", "4",
+                     "--d-grid", "1,5", "--attacks", "half", "--n", "5"]) == 2
+        assert "--d-grid" in capsys.readouterr().err
+        assert not train_calls
+
+    @pytest.mark.parametrize("argv", [
+        ["attack", "--d", "2", "--attacks", "half,nope"],
+        ["figure1", "--d-grid", "1,2", "--attacks", "half,nope"],
+    ])
+    def test_unknown_attack_before_training(self, argv, capsys, train_calls):
+        assert _run(argv + ["--synth-n", "100", "--synth-dt", "4",
+                            "--n", "5"]) == 2
+        assert "nope" in capsys.readouterr().err
+        assert not train_calls
+
+    @pytest.mark.parametrize("command", ["blackbox", "figure12"])
+    @pytest.mark.parametrize("grid", ["5..1", "0..3", "1-4"])
+    def test_bad_n_grid(self, command, grid, capsys):
+        assert _run([command, "--n-grid", grid, "--trials", "1"]) == 2
+        assert "--n-grid" in capsys.readouterr().err
+
+
+def test_figure1_trains_each_window_once(tmp_path, train_calls):
+    # d_t = 4 windows per d, whatever the number of attacks
+    assert _run(["figure1", "--synth-n", "150", "--synth-dt", "4",
+                 "--d-grid", "1,2", "--attacks", "rg,half,ls,half_star",
+                 "--n", "5", "--out", str(tmp_path / "fig1.csv")]) == 0
+    assert len(train_calls) == 2 * 4

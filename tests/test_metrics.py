@@ -158,8 +158,8 @@ class TestAverageOverSpace:
 
     def test_full_width_single_window(self, tiny):
         cfg = TrainConfig(max_epochs=120)
-        avg = metrics.average_over_space(tiny, 3, "half", n_pred=10,
-                                         train_cfg=cfg, seed=0)
+        avg = metrics.average_over_space(tiny, 3, ["half"], n_pred=10,
+                                         train_cfg=cfg, seed=0)["half"]
         # half ignores the model, so every window gives the same numbers
         split = VflSplit.contiguous(3, 0, 3)
         model = train(tiny, split, TrainConfig(max_epochs=120, seed=0))
@@ -169,13 +169,13 @@ class TestAverageOverSpace:
 
     def test_dimension_guard(self, tiny):
         with pytest.raises(metrics.MetricsError):
-            metrics.average_over_space(tiny, 4, "half")
+            metrics.average_over_space(tiny, 4, ["half"])
 
     def test_windows_cover_all_starts(self, tiny):
         # d=1, d_t=3: each feature serves as the passive window exactly once
         cfg = TrainConfig(max_epochs=120)
-        avg = metrics.average_over_space(tiny, 1, "half", n_pred=8,
-                                         train_cfg=cfg, seed=0)
+        avg = metrics.average_over_space(tiny, 1, ["half"], n_pred=8,
+                                         train_cfg=cfg, seed=0)["half"]
         rows = np.flatnonzero(tiny.test_mask)[:8]
         per_window = []
         for start in range(3):

@@ -4,7 +4,8 @@ import pytest
 import oracles
 from vflpriv.dataset import SyntheticSpec, synthesize
 from vflpriv.model import (TrainConfig, TrainingError, VflModel, VflSplit,
-                           accuracy, loss_and_grads, predict, softmax, train)
+                           accuracy, loss_and_grads, loss_value, predict,
+                           softmax, train)
 
 
 class TestSplit:
@@ -21,6 +22,21 @@ class TestSplit:
     def test_covering(self):
         split = VflSplit.contiguous(6, 2, 3)
         assert sorted(split.passive + split.active) == list(range(6))
+
+    @pytest.mark.parametrize("d", [0, -1, 11, 12])
+    def test_contiguous_window_size_checked(self, d):
+        with pytest.raises(ValueError, match="window size"):
+            VflSplit.contiguous(10, 0, d)
+
+    def test_full_width_window(self):
+        split = VflSplit.contiguous(3, 1, 3)
+        assert split.passive == (1, 2, 0) and split.active == ()
+
+    def test_repeated_indices_rejected(self):
+        with pytest.raises(ValueError, match="repeat"):
+            VflSplit(passive=(0, 1, 0), active=(2,))
+        with pytest.raises(ValueError, match="repeat"):
+            VflSplit(passive=(0,), active=(1, 2, 2))
 
 
 class TestSoftmax:
@@ -68,6 +84,16 @@ class TestGradients:
         fd_b = oracles.finite_difference_grad(loss_of_b, b0)
         assert np.allclose(gw.ravel(), fd_w, atol=1e-5)
         assert np.allclose(gb, fd_b, atol=1e-5)
+
+    def test_loss_value_is_the_fit_loss(self):
+        # validation uses loss_value; it must equal the fit loss bit for bit
+        rng = np.random.default_rng(4)
+        x = rng.uniform(size=(30, 5))
+        y = np.zeros((30, 3))
+        y[np.arange(30), rng.integers(0, 3, 30)] = 1.0
+        w, b = rng.standard_normal((3, 5)), rng.standard_normal(3)
+        for lam in (0.0, 1e-3):
+            assert loss_value(w, b, x, y, lam) == loss_and_grads(w, b, x, y, lam)[0]
 
     def test_loss_decomposition(self):
         # zero regularization: loss equals plain cross-entropy

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -117,3 +119,57 @@ class TestTransformSystem:
         sys_ = build_system(small_model, y_act, c)
         with pytest.raises(ValueError):
             transform_system(sys_, np.eye(sys_.a.shape[0] + 1))
+
+
+class TestBatchSystem:
+    def _k4_rank_deficient(self):
+        # k=4 with two passive features: A is 3 x 2, so a wrong score row
+        # leaves the range of A and the clean-score check can fire
+        from vflpriv.model import VflModel, VflSplit
+        rng = np.random.default_rng(40)
+        return VflModel(w_act=rng.standard_normal((4, 3)),
+                        w_pas=rng.standard_normal((4, 2)),
+                        b=rng.standard_normal(4), k=4,
+                        split=VflSplit.contiguous(5, 0, 2))
+
+    def test_shapes_and_true_features(self, small_model):
+        rng = np.random.default_rng(41)
+        y_act, x_pas = rng.uniform(size=(9, 5)), rng.uniform(size=(9, 5))
+        sys_ = build_system(small_model, y_act, predict(small_model, y_act, x_pas))
+        assert sys_.b.shape == (9, 1) and sys_.batch == (9,)
+        assert np.allclose(sys_.residual(x_pas), 0.0, atol=1e-9)
+        assert np.all(sys_.contains(x_pas))
+        assert sys_.min_norm_solution.shape == (9, 5)
+        for i in range(9):
+            one = build_system(small_model, y_act[i], predict(small_model, y_act[i], x_pas[i]))
+            assert np.allclose(sys_.b[i], one.b, rtol=0.0, atol=1e-12)
+
+    def test_one_svd_per_batch(self, small_model, monkeypatch):
+        from vflpriv import numerics
+        calls = []
+        real = numerics.svd
+        monkeypatch.setattr(numerics, "svd", lambda a: calls.append(1) or real(a))
+        rng = np.random.default_rng(42)
+        y_act, x_pas = rng.uniform(size=(20, 5)), rng.uniform(size=(20, 5))
+        sys_ = build_system(small_model, y_act, predict(small_model, y_act, x_pas))
+        sys_.pinv, sys_.projector, sys_.nullspace, sys_.row(3).polytope()
+        assert len(calls) == 1
+
+    def test_corrupted_row_named(self):
+        model = self._k4_rank_deficient()
+        rng = np.random.default_rng(43)
+        y_act, x_pas = rng.uniform(size=(6, 3)), rng.uniform(size=(6, 2))
+        c = predict(model, y_act, x_pas)
+        c[4] = c[4][[2, 0, 3, 1]]
+        resid = build_system(model, y_act[4], c[4], source="noisy")
+        want = np.linalg.norm(resid.a @ resid.min_norm_solution - resid.b)
+        assert want > 1e-6
+        with pytest.raises(SystemError_,
+                           match=re.escape(f"row 4 (residual {want:.3e}")):
+            build_system(model, y_act, c)
+        # the same rows without the corrupted one build cleanly
+        build_system(model, np.delete(y_act, 4, axis=0), np.delete(c, 4, axis=0))
+
+    def test_mismatched_rows_rejected(self, small_model):
+        with pytest.raises(ValueError):
+            build_system(small_model, np.full((3, 5), 0.5), np.full((4, 2), 0.5))
