@@ -97,7 +97,8 @@ def attack_cls(sys_: LinearSystem, x_init=None) -> AttackEstimate:
         return _determined(sys_, "cls")
     x = np.empty(sys_.batch + (sys_.d,))
     for i in np.ndindex(sys_.batch):
-        x[i] = numerics.box_least_squares(sys_.a, sys_.b[i], x_init=x_init)
+        x[i] = numerics.box_least_squares(sys_.a, sys_.b[i], x_init=x_init,
+                                          s1=sys_.svd.s[0])
     return _estimate(sys_, "cls", x, residual=sys_.residual(x))
 
 
@@ -309,6 +310,10 @@ def attack_gia(model: VflModel, y_act, c, init: str = "half",
 WHITEBOX_ATTACKS = ("half", "half_star", "ls", "clamped_ls", "cls", "rcc1", "rcc2")
 # every name run_attack accepts
 ATTACKS = WHITEBOX_ATTACKS + ("zero", "rg", "gia")
+# the estimators that need nothing but the system
+_ON_SYSTEM = {"half_star": attack_half_star, "ls": attack_ls,
+              "clamped_ls": attack_clamped_ls, "cls": attack_cls,
+              "rcc1": attack_rcc1, "rcc2": attack_rcc2}
 
 
 def run_attack(name: str, sys_: LinearSystem, *, model: VflModel | None = None,
@@ -316,28 +321,16 @@ def run_attack(name: str, sys_: LinearSystem, *, model: VflModel | None = None,
                rng: np.random.Generator | None = None) -> AttackEstimate:
     """Dispatch an attack by name over every row of sys_.
 
-    gia additionally needs (model, y_act, c) for the same rows.
+    rg additionally needs rng, and gia (model, y_act, c) for the same rows.
     """
-    if name == "half":
-        return attack_half(sys_.d, sys_.batch)
-    if name == "zero":
-        return attack_zero(sys_.d, sys_.batch)
+    if name in _ON_SYSTEM:
+        return _ON_SYSTEM[name](sys_)
+    if name in ("half", "zero"):
+        return (attack_half if name == "half" else attack_zero)(sys_.d, sys_.batch)
     if name == "rg":
         if rng is None:
             raise ValueError("rg needs an RNG")
         return attack_random(sys_.d, rng, sys_.batch)
-    if name == "half_star":
-        return attack_half_star(sys_)
-    if name == "ls":
-        return attack_ls(sys_)
-    if name == "clamped_ls":
-        return attack_clamped_ls(sys_)
-    if name == "cls":
-        return attack_cls(sys_)
-    if name == "rcc1":
-        return attack_rcc1(sys_)
-    if name == "rcc2":
-        return attack_rcc2(sys_)
     if name == "gia":
         if model is None or y_act is None or c is None:
             raise ValueError("gia needs (model, y_act, c)")

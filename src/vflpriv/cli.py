@@ -164,48 +164,52 @@ def cmd_blackbox(args) -> int:
     return 0
 
 
-def cmd_defend(args) -> int:
-    ds = _load_data(args)
-    split_cfg = _split(args, ds)
-    model = train(ds, split_cfg, TrainConfig(lam=args.lam, seed=args.seed))
-    rows = np.flatnonzero(ds.test_mask)[:args.n]
-    act, pas = list(split_cfg.active), list(split_cfg.passive)
+def _defense_sweep(model: VflModel, ds: Dataset, rows, settings, attack: str,
+                   rng=None) -> list[tuple[float, float, bool]]:
+    """(MSE, mean KL bits, label kept) of one attack per (scheme, param) setting.
+
+    One predict and one clean build_system (checking every row) cover the batch;
+    the pps1 transform and the s1/s2 direction depend only on A and use it. Each
+    setting then makes one release, build_system, run_attack and kl_divergence
+    call over all rows; pps1 releases new weights and keeps the scores.
+    """
+    pas = list(model.split.passive)
+    y_act, x_pas = ds.x[np.ix_(rows, model.split.active)], ds.x[np.ix_(rows, pas)]
+    z = model.logits(y_act, x_pas)
+    c = predict(model, y_act, x_pas)
+    clean = build_system(model, y_act, c)
+    label = np.argmax(c, axis=-1)[:, None]
     out = []
-    if args.scheme == "pps1":
-        mom = metrics.moments(ds, pas)
-        probe = build_system(model, ds.x[rows[0], act],
-                             predict(model, ds.x[rows[0], act], ds.x[rows[0], pas]))
-        h = defense.pps1_optimal_h(probe, mom.k0)
-        revealed = defense.pps1_reveal_params(model, h)
-        truths, estimates = [], []
-        for i in rows:
-            y_act, x_pas = ds.x[i, act], ds.x[i, pas]
-            c = predict(model, y_act, x_pas)
-            sys_ = build_system(revealed, y_act, c, source="defended")
-            estimates.append(run_attack(args.attack, sys_).x_hat)
-            truths.append(x_pas)
-        mse = metrics.empirical_mse(np.array(truths), np.array(estimates))
-        out.append(["pps1", "", repr(mse), repr(0.0)])
-    else:
-        alphas = [float(a) for a in args.alpha.split(",")]
-        for alpha in alphas:
-            truths, estimates, kls = [], [], []
-            for i in rows:
-                y_act, x_pas = ds.x[i, act], ds.x[i, pas]
-                z = model.logits(y_act, x_pas)
-                c = predict(model, y_act, x_pas)
-                if args.scheme in ("s1", "s2"):
-                    probe = build_system(model, y_act, c)
-                    plan = defense.pps2_optimal_direction(probe, alpha, args.scheme)
-                    c_noisy = defense.apply_scheme(z, plan, args.scheme)
-                else:
-                    c_noisy = defense.apply_scheme(z, alpha, args.scheme)
-                sys_ = build_system(model, y_act, c_noisy, source="noisy")
-                estimates.append(run_attack(args.attack, sys_).x_hat)
-                truths.append(x_pas)
-                kls.append(metrics.kl_divergence(c, c_noisy))
-            mse = metrics.empirical_mse(np.array(truths), np.array(estimates))
-            out.append([args.scheme, alpha, repr(mse), repr(float(np.mean(kls)))])
+    for scheme, param in settings:
+        released, c_out, kl, source = model, c, 0.0, "noisy"
+        if scheme == "pps1":
+            h = defense.pps1_optimal_h(clean, metrics.moments(ds, pas).k0)
+            released, source = defense.pps1_reveal_params(model, h), "defended"
+        else:
+            if scheme in ("s1", "s2"):
+                param = defense.pps2_optimal_direction(clean, param, scheme)
+            c_out = defense.apply_scheme(z, param, scheme)
+            kl = float(np.mean(metrics.kl_divergence(c, c_out)))
+        sys_ = build_system(released, y_act, c_out, source=source)
+        est = run_attack(attack, sys_, model=released, y_act=y_act, c=c_out, rng=rng)
+        # the original label must attain the maximal released score
+        kept = np.take_along_axis(c_out, label, axis=-1)[:, 0] == c_out.max(axis=-1)
+        out.append((metrics.empirical_mse(x_pas, est.x_hat), kl, bool(kept.all())))
+    return out
+
+
+def cmd_defend(args) -> int:
+    attacks = _attack_names(args.attack)
+    if len(attacks) != 1:
+        raise DataError(f"--attack takes one name, got {args.attack!r}")
+    alphas = [""] if args.scheme == "pps1" else [float(a) for a in args.alpha.split(",")]
+    ds = _load_data(args)
+    model = train(ds, _split(args, ds), TrainConfig(lam=args.lam, seed=args.seed))
+    rows = np.flatnonzero(ds.test_mask)[:args.n]
+    results = _defense_sweep(model, ds, rows, [(args.scheme, a) for a in alphas],
+                             attacks[0], np.random.default_rng(args.seed))
+    out = [[args.scheme, alpha, repr(mse), repr(kl)]
+           for alpha, (mse, kl, _) in zip(alphas, results)]
     _emit(out, ["scheme", "alpha", "mse", "avg_kl_bits"], args.out)
     return 0
 
@@ -251,38 +255,17 @@ def cmd_figure12(args) -> int:
 
 def cmd_tradeoff(args) -> int:
     ds = _load_data(args)
-    split_cfg = _split(args, ds)
-    model = train(ds, split_cfg, TrainConfig(lam=args.lam, seed=args.seed))
+    model = train(ds, _split(args, ds), TrainConfig(lam=args.lam, seed=args.seed))
     base_acc = accuracy(model, ds)
     rows = np.flatnonzero(ds.test_mask)[:args.n]
-    act, pas = list(split_cfg.active), list(split_cfg.passive)
-    out = []
     sweep = ([("s1", a) for a in (0.1, 1.0, 10.0)]
              + [("s2", a) for a in (0.1, 1.0, 10.0)]
              + [("s3", a) for a in (0.1, 0.5, 0.9)]
              + [("class_label", e) for e in (0.01, 0.1)])
-    for scheme, param in sweep:
-        truths, estimates, kls, agree = [], [], [], []
-        for i in rows:
-            y_act, x_pas = ds.x[i, act], ds.x[i, pas]
-            z = model.logits(y_act, x_pas)
-            c = predict(model, y_act, x_pas)
-            if scheme in ("s1", "s2"):
-                probe = build_system(model, y_act, c)
-                plan = defense.pps2_optimal_direction(probe, param, scheme)
-                c_noisy = defense.apply_scheme(z, plan, scheme)
-            else:
-                c_noisy = defense.apply_scheme(z, param, scheme)
-            # the original label must attain the maximal noisy score
-            agree.append(c_noisy[int(np.argmax(c))] == c_noisy.max())
-            sys_ = build_system(model, y_act, c_noisy, source="noisy")
-            estimates.append(run_attack("half_star", sys_).x_hat)
-            truths.append(x_pas)
-            kls.append(metrics.kl_divergence(c, c_noisy))
-        mse = metrics.empirical_mse(np.array(truths), np.array(estimates))
-        acc = base_acc if all(agree) else float("nan")
-        out.append([scheme, param, repr(float(np.mean(kls))), repr(mse),
-                    repr(acc)])
+    results = _defense_sweep(model, ds, rows, sweep, "half_star")
+    out = [[scheme, param, repr(kl), repr(mse),
+            repr(base_acc if kept else float("nan"))]
+           for (scheme, param), (mse, kl, kept) in zip(sweep, results)]
     _emit(out, ["scheme", "param", "avg_kl_bits", "mse_half_star", "accuracy"],
           args.out)
     return 0

@@ -3,7 +3,9 @@
 PPS-1 retrains (or equivalently reveals transformed parameters) so the
 adversary reconstructs Hx instead of x, leaving confidence scores untouched.
 PPS-2 perturbs the logits before softmax in ways that never change the
-predicted label.
+predicted label. The score-release schemes and apply_scheme take the logits
+of one prediction (a k-vector) or of N predictions (N x k) and return scores
+of the same shape; the argmax tie set is taken per row.
 """
 
 from __future__ import annotations
@@ -163,8 +165,14 @@ def pps2_objective(sys_: LinearSystem, s) -> float:
     return float(np.trace(apj @ numerics.as_matrix(s) @ apj.T))
 
 
+def _as_logits(z) -> np.ndarray:
+    """Finite logits of one prediction (k) or N of them (N x k)."""
+    return numerics.as_matrix(z) if np.ndim(z) == 2 else numerics.as_vector(z)
+
+
 def _argmax_set(z: np.ndarray) -> np.ndarray:
-    return np.flatnonzero(z == z.max())
+    """Per-row mask of the entries that attain the row maximum."""
+    return z == z.max(axis=-1, keepdims=True)
 
 
 def pps2_scheme1(z, plan: NoisePlan) -> np.ndarray:
@@ -173,38 +181,36 @@ def pps2_scheme1(z, plan: NoisePlan) -> np.ndarray:
     The noise direction follows v1 except at the argmax indices of z, which
     receive max_j v1_j so the predicted label cannot change.
     """
-    z = numerics.as_vector(z)
-    n_tilde = plan.v1.copy()
-    n_tilde[_argmax_set(z)] = plan.v1.max()
-    n = np.sqrt(plan.alpha) * n_tilde / np.linalg.norm(n_tilde)
-    return softmax(z + n)
+    z = _as_logits(z)
+    n_tilde = np.where(_argmax_set(z), plan.v1.max(), plan.v1)
+    norm = np.linalg.norm(n_tilde, axis=-1, keepdims=True)
+    return softmax(z + np.sqrt(plan.alpha) * n_tilde / norm)
 
 
 def pps2_scheme2(z, plan: NoisePlan) -> np.ndarray:
     """Add sqrt(alpha) v1 to the logits, then lift the argmax entries to the new max."""
-    z = numerics.as_vector(z)
+    z = _as_logits(z)
     z_prime = z + np.sqrt(plan.alpha) * plan.v1
-    z_tilde = z_prime.copy()
-    z_tilde[_argmax_set(z)] = z_prime.max()
-    return softmax(z_tilde)
+    return softmax(np.where(_argmax_set(z), z_prime.max(axis=-1, keepdims=True),
+                            z_prime))
 
 
 def pps2_scheme3(z, alpha: float) -> np.ndarray:
     """Reveal sigma((1 - alpha) z + alpha 1): logits shrink toward uniform."""
     if not 0.0 <= alpha < 1.0:
         raise ValueError("scheme-3 alpha must be in [0, 1)")
-    z = numerics.as_vector(z)
-    return softmax((1.0 - alpha) * z + alpha)
+    return softmax((1.0 - alpha) * _as_logits(z) + alpha)
 
 
 def pps2_class_label(z, eps: float) -> np.ndarray:
     """Reveal (almost) the class label: argmax -> 1-(k-1) eps, the rest -> eps."""
-    z = numerics.as_vector(z)
-    k = z.size
+    z = _as_logits(z)
+    k = z.shape[-1]
     if not 0.0 < eps < 1.0 / k:
         raise ValueError("eps must be in (0, 1/k)")
-    out = np.full(k, eps)
-    out[int(np.argmax(z))] = 1.0 - (k - 1) * eps
+    out = np.full(z.shape, eps)
+    np.put_along_axis(out, np.argmax(z, axis=-1)[..., None], 1.0 - (k - 1) * eps,
+                      axis=-1)
     return out
 
 
@@ -214,17 +220,18 @@ def noise_realization(plan: NoisePlan, rng: np.random.Generator) -> np.ndarray:
     return sign * np.sqrt(plan.alpha) * plan.v1
 
 
+_SCHEMES = {"s1": pps2_scheme1, "s2": pps2_scheme2, "s3": pps2_scheme3,
+            "class_label": pps2_class_label}
+
+
 def apply_scheme(z, plan_or_param, scheme: str) -> np.ndarray:
-    """Dispatch one noisy-score scheme by name."""
-    if scheme == "s1":
-        return pps2_scheme1(z, plan_or_param)
-    if scheme == "s2":
-        return pps2_scheme2(z, plan_or_param)
-    if scheme == "s3":
-        return pps2_scheme3(z, plan_or_param)
-    if scheme == "class_label":
-        return pps2_class_label(z, plan_or_param)
-    raise ValueError(f"unknown scheme {scheme!r}")
+    """Dispatch one noisy-score scheme by name on k or N x k logits.
+
+    s1 and s2 take a NoisePlan, s3 its alpha and class_label its eps.
+    """
+    if scheme not in _SCHEMES:
+        raise ValueError(f"unknown scheme {scheme!r}")
+    return _SCHEMES[scheme](z, plan_or_param)
 
 
 def mse_under_noise(sys_: LinearSystem, s, k0) -> float:

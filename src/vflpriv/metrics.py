@@ -110,30 +110,44 @@ def closed_form_mse(sys_: LinearSystem, mom: MomentMatrices
 
 
 def _check_prob(p, name: str) -> np.ndarray:
-    p = np.asarray(p, dtype=float).ravel()
-    if p.size < 2 or np.any(p < -1e-9) or abs(p.sum() - 1.0) > 1e-6:
-        raise MetricsError(f"{name} is not a probability vector")
+    """p as one probability vector (k) or N of them (N x k), each row checked."""
+    p = np.asarray(p, dtype=float)
+    if p.ndim not in (1, 2) or p.shape[-1] < 2:
+        raise MetricsError(f"{name} must be k or N x k with k >= 2, got {p.shape}")
+    # written so that a NaN entry fails the row
+    bad = ~(np.all(p >= -1e-9, axis=-1) & (np.abs(p.sum(axis=-1) - 1.0) <= 1e-6))
+    if np.any(bad):
+        raise MetricsError(f"{name} is not a probability vector "
+                           f"(row {np.argmax(bad)})")
     return np.clip(p, 0.0, None)
 
 
-def kl_divergence(p, q, eps_clip: float = EPS_CLIP) -> float:
-    """D(p || q) in bits; q is clipped below at eps_clip."""
+def _per_row(values: np.ndarray) -> float | np.ndarray:
+    """A float for one pair of vectors, the length-N array for N pairs."""
+    return float(values) if values.ndim == 0 else values
+
+
+def kl_divergence(p, q, eps_clip: float = EPS_CLIP) -> float | np.ndarray:
+    """D(p || q) in bits, q clipped below at eps_clip: a float, or N for N x k rows."""
     p = _check_prob(p, "p")
     q = np.clip(_check_prob(q, "q"), eps_clip, None)
-    mask = p > 0.0
-    return float(np.sum(p[mask] * np.log2(p[mask] / q[mask])))
+    if p.shape != q.shape:
+        raise MetricsError(f"p {p.shape} and q {q.shape} differ in shape")
+    # terms with p = 0 contribute exactly 0
+    return _per_row(np.sum(p * np.log2(np.where(p > 0.0, p, 1.0) / q), axis=-1))
 
 
-def total_variation(p, q) -> float:
-    """Half the l1 distance between two probability vectors; lies in [0, 1]."""
-    return float(0.5 * np.sum(np.abs(_check_prob(p, "p") - _check_prob(q, "q"))))
+def total_variation(p, q) -> float | np.ndarray:
+    """Half the l1 distance between probability vectors (or row pairs); in [0, 1]."""
+    diff = np.abs(_check_prob(p, "p") - _check_prob(q, "q"))
+    return _per_row(0.5 * np.sum(diff, axis=-1))
 
 
-def cross_entropy(p, q, eps_clip: float = EPS_CLIP) -> float:
-    """H(p, q) = -sum p log2 q in bits, with q clipped below at eps_clip."""
+def cross_entropy(p, q, eps_clip: float = EPS_CLIP) -> float | np.ndarray:
+    """H(p, q) = -sum p log2 q in bits per row pair, q clipped below at eps_clip."""
     p = _check_prob(p, "p")
     q = np.clip(_check_prob(q, "q"), eps_clip, None)
-    return float(-np.sum(p * np.log2(q)))
+    return _per_row(-np.sum(p * np.log2(q), axis=-1))
 
 
 def attack_mse_on_rows(model: VflModel, ds: Dataset, rows, attack: str,

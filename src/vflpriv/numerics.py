@@ -199,19 +199,20 @@ def dykstra_project(x0, poly: PolytopeAffineBox,
     return x
 
 
-def box_least_squares(a, b, x_init=None,
-                      max_iter: int = 50_000, tol: float = 1e-12) -> np.ndarray:
+def box_least_squares(a, b, x_init=None, max_iter: int = 50_000,
+                      tol: float = 1e-12, s1: float | None = None) -> np.ndarray:
     """Minimize ||Ax - b|| over the unit box by accelerated projected gradient.
 
     The minimizer is not unique for underdetermined systems: the output
     depends on x_init (default: the box center). For satisfiable systems the
-    residual at the output is driven to ~0.
+    residual at the output is driven to ~0. s1 is the largest singular value
+    of A; a caller that holds A's SVD passes it to save a factorization.
     """
     a = as_matrix(a)
     b = as_vector(b)
     d = a.shape[1]
     x = np.full(d, 0.5) if x_init is None else np.clip(as_vector(x_init), 0.0, 1.0)
-    s1 = np.linalg.norm(a, 2)
+    s1 = np.linalg.norm(a, 2) if s1 is None else s1
     if s1 == 0.0:
         return x
     step = 1.0 / (s1 * s1)

@@ -11,6 +11,11 @@ from __future__ import annotations
 import numpy as np
 from scipy import optimize
 
+from vflpriv import defense, metrics
+from vflpriv.attacks import run_attack
+from vflpriv.model import predict
+from vflpriv.system import build_system
+
 
 def project_box_affine(x0, a, b):
     """Euclidean projection onto {x in [0,1]^d : Ax = b} via SLSQP."""
@@ -100,3 +105,44 @@ def random_satisfiable_system(rng, d, m, margin: float = 0.05):
     a = rng.standard_normal((m, d))
     x_true = rng.uniform(margin, 1.0 - margin, size=d)
     return a, a @ x_true, x_true
+
+
+def defense_sweep_rows(model, ds, rows, settings, attack="half_star"):
+    """Row-by-row reference for the CLI's defend and tradeoff sweeps.
+
+    Treats one prediction at a time: each row gets its own logits, scores,
+    clean system (for the s1/s2 direction) and released system, and the
+    attack, the KL divergence and the label check run on that row alone.
+    pps1 takes its transform from the first row's clean system, and its KL
+    is 0 because the scores are not touched. The attack sees only the system.
+    Returns (MSE, mean KL bits, label kept on every row) per setting.
+    """
+    act, pas = list(model.split.active), list(model.split.passive)
+    out = []
+    for scheme, param in settings:
+        if scheme == "pps1":
+            y0, x0 = ds.x[rows[0], act], ds.x[rows[0], pas]
+            probe = build_system(model, y0, predict(model, y0, x0))
+            h = defense.pps1_optimal_h(probe, metrics.moments(ds, pas).k0)
+            revealed = defense.pps1_reveal_params(model, h)
+        truths, estimates, kls, kept = [], [], [], []
+        for i in rows:
+            y_act, x_pas = ds.x[i, act], ds.x[i, pas]
+            c = predict(model, y_act, x_pas)
+            if scheme == "pps1":
+                c_out = c
+                sys_ = build_system(revealed, y_act, c, source="defended")
+            else:
+                plan = param
+                if scheme in ("s1", "s2"):
+                    plan = defense.pps2_optimal_direction(
+                        build_system(model, y_act, c), param, scheme)
+                c_out = defense.apply_scheme(model.logits(y_act, x_pas), plan, scheme)
+                sys_ = build_system(model, y_act, c_out, source="noisy")
+                kls.append(metrics.kl_divergence(c, c_out))
+            estimates.append(run_attack(attack, sys_).x_hat)
+            truths.append(x_pas)
+            kept.append(c_out[int(np.argmax(c))] == c_out.max())
+        mse = metrics.empirical_mse(np.array(truths), np.array(estimates))
+        out.append((mse, float(np.mean(kls)) if kls else 0.0, all(kept)))
+    return out

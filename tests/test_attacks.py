@@ -343,3 +343,21 @@ class TestBatch:
         assert type(est.diagnostics["iterations"]) is int
         assert est.diagnostics["iterations"] == sum(one)
         assert est.diagnostics["kl_bits"].shape == (3,)
+
+
+def test_cls_takes_the_spectral_norm_from_the_shared_svd(monkeypatch):
+    # np.linalg.norm(A, 2) is an SVD; a batch must not pay it once per row
+    model = _k4_model()
+    y_act, c = _predictions(model, 5, seed=6)
+    sys_ = build_system(model, y_act, c)
+    real = np.linalg.norm
+    spectral = []
+
+    def counting(x, ord=None, *args, **kwargs):
+        spectral.append(ord == 2 and np.ndim(x) == 2)
+        return real(x, ord, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "norm", counting)
+    est = attacks.run_attack("cls", sys_)
+    assert spectral and not any(spectral)
+    assert np.all(sys_.residual(est.x_hat) < 1e-6)

@@ -3,7 +3,10 @@ import csv
 import numpy as np
 import pytest
 
+import oracles
 from vflpriv import cli
+from vflpriv.dataset import SyntheticSpec, synthesize
+from vflpriv.model import TrainConfig, VflSplit, accuracy, train
 
 
 def _run(argv):
@@ -183,3 +186,75 @@ def test_figure1_trains_each_window_once(tmp_path, train_calls):
                  "--d-grid", "1,2", "--attacks", "rg,half,ls,half_star",
                  "--n", "5", "--out", str(tmp_path / "fig1.csv")]) == 0
     assert len(train_calls) == 2 * 4
+
+
+class TestDefendArguments:
+    BASE = ["defend", "--synth-n", "200", "--synth-dt", "6", "--d", "3",
+            "--n", "3"]
+
+    def test_unknown_attack_before_training(self, capsys, train_calls):
+        assert _run(self.BASE + ["--attack", "nosuch"]) == 2
+        assert "nosuch" in capsys.readouterr().err
+        assert not train_calls
+
+    def test_bad_alpha_before_training(self, capsys, train_calls):
+        assert _run(self.BASE + ["--alpha", "0.5,lots"]) == 2
+        assert "lots" in capsys.readouterr().err
+        assert not train_calls
+
+    @pytest.mark.parametrize("attack", ["rg", "gia"])
+    def test_every_attack_name_runs(self, attack, tmp_path, train_calls):
+        out_path = tmp_path / "defend.csv"
+        assert _run(self.BASE + ["--attack", attack, "--scheme", "s1",
+                                 "--alpha", "0.1,1", "--out", str(out_path)]) == 0
+        rows = _read_rows(out_path)
+        assert len(rows) == 3 and len(train_calls) == 1
+        assert all(float(r[2]) >= 0.0 for r in rows[1:])
+
+
+class TestMatchesRowByRowReference:
+    """The batched CLI sweeps against the one-row-at-a-time loop in oracles."""
+
+    SYNTH = dict(n=300, d_t=6, k=3, seed=5)
+    ARGS = ["--synth-n", "300", "--synth-dt", "6", "--synth-k", "3",
+            "--d", "3", "--start", "2", "--n", "25", "--seed", "5"]
+
+    @pytest.fixture(scope="class")
+    def setup(self):
+        ds = synthesize(SyntheticSpec(**self.SYNTH))
+        model = train(ds, VflSplit.contiguous(6, 2, 3), TrainConfig(seed=5))
+        return ds, model, np.flatnonzero(ds.test_mask)[:25]
+
+    @staticmethod
+    def _close(got: str, want: float):
+        assert float(got) == pytest.approx(want, rel=1e-12, abs=0.0)
+
+    def test_tradeoff(self, setup, tmp_path):
+        ds, model, rows = setup
+        out_path = tmp_path / "tradeoff.csv"
+        assert _run(["tradeoff", *self.ARGS, "--out", str(out_path)]) == 0
+        got = _read_rows(out_path)[1:]
+        settings = [(r[0], float(r[1])) for r in got]
+        assert len(settings) == 11
+        want = oracles.defense_sweep_rows(model, ds, rows, settings)
+        for row, (mse, kl, kept) in zip(got, want):
+            self._close(row[2], kl)
+            self._close(row[3], mse)
+            assert row[4] == repr(accuracy(model, ds) if kept else float("nan"))
+
+    @pytest.mark.parametrize("scheme, alpha", [
+        ("pps1", ""), ("s1", "0.1,1.0,10.0"), ("s3", "0.1,0.5,0.9")])
+    def test_defend(self, setup, tmp_path, scheme, alpha):
+        ds, model, rows = setup
+        out_path = tmp_path / "defend.csv"
+        argv = ["defend", *self.ARGS, "--scheme", scheme, "--attack", "ls",
+                "--out", str(out_path)]
+        assert _run(argv + (["--alpha", alpha] if alpha else [])) == 0
+        got = _read_rows(out_path)[1:]
+        params = [""] if scheme == "pps1" else [float(a) for a in alpha.split(",")]
+        want = oracles.defense_sweep_rows(model, ds, rows,
+                                          [(scheme, a) for a in params], "ls")
+        assert [r[1] for r in got] == [str(a) for a in params]
+        for row, (mse, kl, _) in zip(got, want):
+            self._close(row[2], mse)
+            self._close(row[3], kl)

@@ -264,3 +264,50 @@ class TestDegradationIdentity:
         for name in ("ls", "half_star"):
             got = float(np.mean(deltas[name])) / 5
             assert got == pytest.approx(want, abs=1e-3), name
+
+
+def _tied_logits():
+    """k=4 logits for 8 rows; rows 0-2 tie at the top, row 3 ties everywhere."""
+    rng = np.random.default_rng(31)
+    z = rng.standard_normal((8, 4))
+    z[:4] = [[1.5, 0.2, 1.5, -1.0],
+             [0.0, 2.0, 2.0, 2.0],
+             [-0.25, -1.0, -3.0, -0.25],
+             [0.7, 0.7, 0.7, 0.7]]
+    return z
+
+
+class TestBatchedSchemes:
+    @pytest.fixture()
+    def plans(self):
+        model = _random_model(32, d_t=10, d=6, k=4)
+        rng = np.random.default_rng(33)
+        sys_, _ = _system_of(model, rng.uniform(size=4), rng.uniform(size=6))
+        return {"s1": defense.pps2_optimal_direction(sys_, 1.0, "s1"),
+                "s2": defense.pps2_optimal_direction(sys_, 1.0, "s2"),
+                "s3": 0.5, "class_label": 0.05}
+
+    @pytest.mark.parametrize("scheme", ["s1", "s2", "s3", "class_label"])
+    def test_batch_equals_row_by_row(self, scheme, plans):
+        z = _tied_logits()
+        batched = defense.apply_scheme(z, plans[scheme], scheme)
+        rows = np.array([defense.apply_scheme(r, plans[scheme], scheme) for r in z])
+        assert batched.shape == z.shape
+        np.testing.assert_array_equal(batched, rows)
+        # every row keeps its label, ties included
+        label = np.argmax(z, axis=1)
+        assert np.all(batched[np.arange(len(z)), label] == batched.max(axis=1))
+
+    def test_ties_are_taken_per_row(self, plans):
+        z = _tied_logits()
+        out = defense.pps2_scheme2(z, plans["s2"])
+        for r in range(4):
+            tied = z[r] == z[r].max()
+            assert tied.sum() >= 2
+            assert np.all(out[r, tied] == out[r].max())
+
+    def test_rejects_non_finite_rows(self):
+        z = _tied_logits()
+        z[5, 1] = np.nan
+        with pytest.raises(ValueError):
+            defense.apply_scheme(z, 0.5, "s3")

@@ -151,6 +151,43 @@ class TestDivergences:
             metrics.kl_divergence([0.5, 0.9], [0.5, 0.5])
 
 
+class TestBatchedDivergences:
+    def _pairs(self):
+        rng = np.random.default_rng(41)
+        p = rng.dirichlet(np.ones(5), size=30)
+        p[::4, 2] = 0.0                      # zero terms contribute nothing
+        p /= p.sum(axis=1, keepdims=True)
+        return p, rng.dirichlet(np.ones(5), size=30)
+
+    def test_kl_rows_match_scalar_calls(self):
+        p, q = self._pairs()
+        batched = metrics.kl_divergence(p, q)
+        rows = np.array([metrics.kl_divergence(a, b) for a, b in zip(p, q)])
+        assert batched.shape == (30,)
+        np.testing.assert_allclose(batched, rows, rtol=1e-15, atol=0.0)
+
+    def test_one_pair_stays_a_float(self):
+        p, q = self._pairs()
+        for fn in (metrics.kl_divergence, metrics.total_variation,
+                   metrics.cross_entropy):
+            assert type(fn(p[0], q[0])) is float
+            np.testing.assert_allclose(fn(p, q)[3], fn(p[3], q[3]), rtol=1e-15)
+
+    @pytest.mark.parametrize("value", [1.2, np.nan])
+    def test_one_invalid_row_raises(self, value):
+        p, q = self._pairs()
+        q[7, 1] = value
+        with pytest.raises(metrics.MetricsError, match="row 7"):
+            metrics.kl_divergence(p, q)
+        with pytest.raises(metrics.MetricsError):
+            metrics.kl_divergence(q[7], p[7])
+
+    def test_shape_mismatch_raises(self):
+        p, q = self._pairs()
+        with pytest.raises(metrics.MetricsError):
+            metrics.kl_divergence(p, q[0])
+
+
 class TestAverageOverSpace:
     @pytest.fixture()
     def tiny(self):
