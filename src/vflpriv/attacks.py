@@ -121,8 +121,7 @@ def attack_rcc2(sys_: LinearSystem) -> AttackEstimate:
     closed = sys_.contains(x)
     for i in np.ndindex(sys_.batch):
         if not closed[i]:
-            x[i] = numerics.dykstra_project(np.full(sys_.d, 0.5),
-                                            sys_.row(i).polytope())
+            x[i] = numerics.dykstra_project(np.full(sys_.d, 0.5), sys_.row(i))
     return _estimate(sys_, "rcc2", x,
                      projection=np.where(closed, "closed_form", "dykstra")[()])
 

@@ -129,16 +129,16 @@ def cmd_attack(args) -> int:
     return 0
 
 
-def _blackbox_trial_mse(case: int, n: int, rng: np.random.Generator,
-                        w: float, b: float) -> float:
+# --case: the adversary's sign knowledge and the default (w, b) of v = w x + b
+_BLACKBOX_CASES = {1: (blackbox.SignKnowledge.B_ZERO, 1.0, 0.0),
+                   2: (blackbox.SignKnowledge.SAME_SIGN, 1.0, 1.0),
+                   3: (blackbox.SignKnowledge.OPPOSITE_SIGN_UNKNOWN, 1.0, -2.0)}
+
+
+def _blackbox_trial_mse(knowledge: blackbox.SignKnowledge, n: int,
+                        rng: np.random.Generator, w: float, b: float) -> float:
     x = rng.uniform(0.0, 1.0, size=n)
-    v = w * x + b
-    if case == 1:
-        est = blackbox.bb_case1(v)
-    elif case == 2:
-        est = blackbox.bb_case2(v)
-    else:
-        est = blackbox.bb_case3(v)
+    est = blackbox.run_blackbox(knowledge, w * x + b)
     return metrics.empirical_mse(x[None, :], est.x_hat[None, :])
 
 
@@ -147,18 +147,15 @@ def cmd_blackbox(args) -> int:
     lo, hi = _int_range(args.n_grid, "--n-grid")
     if lo < 1:
         raise DataError(f"--n-grid sample counts start at 1, got {args.n_grid!r}")
-    if case_params := {1: (1.0, 0.0), 2: (1.0, 1.0), 3: (1.0, -2.0)}.get(args.case):
-        w, b = case_params
-    else:
+    if args.case not in _BLACKBOX_CASES:
         raise DataError(f"unknown case {args.case}")
-    if args.w is not None:
-        w = args.w
-    if args.b is not None:
-        b = args.b
+    knowledge, w, b = _BLACKBOX_CASES[args.case]
+    w = w if args.w is None else args.w
+    b = b if args.b is None else args.b
+    trials = FULL_TRIALS if args.full else args.trials
     out = []
     for n in range(lo, hi + 1):
-        vals = [_blackbox_trial_mse(args.case, n, rng, w, b)
-                for _ in range(args.trials)]
+        vals = [_blackbox_trial_mse(knowledge, n, rng, w, b) for _ in range(trials)]
         out.append([n, repr(float(np.mean(vals)))])
     _emit(out, ["n", "mse"], args.out)
     return 0
@@ -204,6 +201,9 @@ def cmd_defend(args) -> int:
         raise DataError(f"--attack takes one name, got {args.attack!r}")
     alphas = [""] if args.scheme == "pps1" else [float(a) for a in args.alpha.split(",")]
     ds = _load_data(args)
+    if args.scheme != "pps1":
+        for alpha in alphas:  # class_label's range depends on the class count
+            defense.check_scheme_param(args.scheme, alpha, ds.k)
     model = train(ds, _split(args, ds), TrainConfig(lam=args.lam, seed=args.seed))
     rows = np.flatnonzero(ds.test_mask)[:args.n]
     results = _defense_sweep(model, ds, rows, [(args.scheme, a) for a in alphas],
@@ -248,11 +248,6 @@ def cmd_figure1(args) -> int:
     return 0
 
 
-def cmd_figure12(args) -> int:
-    args.trials = FULL_TRIALS if args.full else args.trials
-    return cmd_blackbox(args)
-
-
 def cmd_tradeoff(args) -> int:
     ds = _load_data(args)
     model = train(ds, _split(args, ds), TrainConfig(lam=args.lam, seed=args.seed))
@@ -290,90 +285,86 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", help="output CSV path (default: stdout)")
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser() -> tuple[argparse.ArgumentParser,
+                            dict[str, argparse.ArgumentParser]]:
+    """The vflpriv parser and each subcommand's parser under every name it takes."""
     parser = argparse.ArgumentParser(prog="vflpriv",
                                      description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
+    commands = {}
 
-    p = sub.add_parser("train", help="train the split logistic model")
-    _add_common(p)
-    p.set_defaults(func=cmd_train)
+    def add(name, func, summary, aliases=()):
+        p = sub.add_parser(name, help=summary, aliases=list(aliases))
+        _add_common(p)
+        p.set_defaults(func=func)
+        commands.update(dict.fromkeys((name, *aliases), p))
+        return p
 
-    p = sub.add_parser("attack", help="score-based reconstruction attacks")
-    _add_common(p)
+    add("train", cmd_train, "train the split logistic model")
+
+    p = add("attack", cmd_attack, "score-based reconstruction attacks")
     p.add_argument("--model", help="trained model JSON (skips training)")
     p.add_argument("--attacks", "--method", dest="attacks",
                    default="half,ls,half_star,rcc2")
     p.add_argument("--init", choices=("zeros", "half", "random"),
                    default="half")
-    p.set_defaults(func=cmd_attack)
 
-    p = sub.add_parser("blackbox", help="single-feature black-box attack sweep")
-    _add_common(p)
+    p = add("blackbox", cmd_blackbox, "single-feature black-box MSE vs sample count",
+            aliases=["figure12"])
     p.add_argument("--case", type=int, default=2, choices=(1, 2, 3))
     p.add_argument("--n-grid", default="1..100")
     p.add_argument("--trials", type=int, default=DESK_TRIALS)
     p.add_argument("--w", type=float, default=None)
     p.add_argument("--b", type=float, default=None)
-    p.set_defaults(func=cmd_blackbox)
 
-    p = sub.add_parser("defend", help="apply one defense and measure MSE/KL")
-    _add_common(p)
+    p = add("defend", cmd_defend, "apply one defense and measure MSE/KL")
     p.add_argument("--scheme", default="s3",
                    choices=("pps1", "s1", "s2", "s3", "class_label"))
     p.add_argument("--alpha", default="0.5", help="comma list of budgets")
     p.add_argument("--attack", default="half_star")
-    p.set_defaults(func=cmd_defend)
 
-    p = sub.add_parser("evaluate", help="closed-form MSE values and bounds")
-    _add_common(p)
-    p.set_defaults(func=cmd_evaluate)
+    add("evaluate", cmd_evaluate, "closed-form MSE values and bounds")
 
-    p = sub.add_parser("figure1", help="MSE-vs-d sweep over attacks")
-    _add_common(p)
+    p = add("figure1", cmd_figure1, "MSE-vs-d sweep over attacks")
     p.add_argument("--d-grid", default="1,2,4,6")
     p.add_argument("--attacks", default="rg,zero,half,ls,clamped_ls,half_star,rcc2")
-    p.set_defaults(func=cmd_figure1)
 
-    p = sub.add_parser("figure12", help="black-box MSE vs sample count")
-    _add_common(p)
-    p.add_argument("--case", type=int, default=2, choices=(1, 2, 3))
-    p.add_argument("--n-grid", default="1..100")
-    p.add_argument("--trials", type=int, default=DESK_TRIALS)
-    p.add_argument("--w", type=float, default=None)
-    p.add_argument("--b", type=float, default=None)
-    p.set_defaults(func=cmd_figure12)
+    add("tradeoff", cmd_tradeoff, "defense KL/MSE/accuracy sweep")
 
-    p = sub.add_parser("tradeoff", help="defense KL/MSE/accuracy sweep")
-    _add_common(p)
-    p.set_defaults(func=cmd_tradeoff)
+    return parser, commands
 
-    return parser
+
+_FLAG_VALUES = {"true": True, "false": False}
+
+
+def _seed_defaults(sub: argparse.ArgumentParser, cfg: dict, known: set) -> None:
+    """Make the config file's values the subcommand's defaults.
+
+    Every key must name an option of the subcommand (one of ``known``). A
+    flag's value must be true or false; any other value stays a string,
+    which argparse converts with the option's type when it fills a default.
+    """
+    bad = set(cfg) - known
+    if bad:
+        raise DataError(f"unknown config keys: {sorted(bad)}")
+    for key, value in cfg.items():
+        if isinstance(sub.get_default(key), bool):
+            if value not in _FLAG_VALUES:
+                raise DataError(f"config key {key} takes true or false, "
+                                f"got {value!r}")
+            cfg[key] = _FLAG_VALUES[value]
+    sub.set_defaults(**cfg)
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser, commands = build_parser()
     args, remaining = parser.parse_known_args(argv)
     try:
         if args.config:
-            cfg = read_config(args.config)
-            known = {a.dest for a in parser._actions}
-            for sp in parser._subparsers._group_actions[0].choices.values():
-                known |= {a.dest for a in sp._actions}
-            bad = set(cfg) - known
-            if bad:
-                raise DataError(f"unknown config keys: {sorted(bad)}")
-            # config seeds the defaults; explicit flags already won above,
-            # so re-parse with config-derived defaults underneath
-            sub = parser._subparsers._group_actions[0].choices[args.command]
-            typed = {}
-            for key, value in cfg.items():
-                for action in sub._actions:
-                    if action.dest == key:
-                        typed[key] = (action.type(value) if action.type
-                                      else value)
-            sub.set_defaults(**typed)
-            args = parser.parse_args(argv)
+            # config values become defaults, so re-parsing lets explicit flags win
+            _seed_defaults(commands[args.command], read_config(args.config),
+                           vars(args).keys() - {"command", "func"})
+            args, remaining = parser.parse_known_args(argv)
         if remaining:
             raise DataError(f"unrecognized arguments: {remaining}")
         _resolve_window(args)

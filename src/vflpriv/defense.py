@@ -42,6 +42,22 @@ class OrthonormalTransform:
         return OrthonormalTransform(h=-np.eye(d), provenance="neg_identity")
 
 
+def check_scheme_param(scheme: str, param: float, k: int) -> None:
+    """Raise ValueError unless param lies in the noisy-score scheme's range.
+
+    s1 and s2 take a noise budget alpha >= 0, s3 an alpha in [0, 1) and
+    class_label an eps in (0, 1/k) for k classes.
+    """
+    if scheme == "s3":
+        ok, rule = 0.0 <= param < 1.0, "scheme-3 alpha must be in [0, 1)"
+    elif scheme == "class_label":
+        ok, rule = 0.0 < param < 1.0 / k, "eps must be in (0, 1/k)"
+    else:
+        ok, rule = param >= 0.0, "noise budget must be non-negative"
+    if not ok:
+        raise ValueError(f"{rule}, got {param}")
+
+
 @dataclass(frozen=True)
 class NoisePlan:
     """Noise budget alpha with the scheme id and the optimal logit direction v1."""
@@ -51,9 +67,8 @@ class NoisePlan:
     v1: np.ndarray
 
     def __post_init__(self):
-        if self.alpha < 0.0:
-            raise ValueError("noise budget must be non-negative")
         v1 = numerics.as_vector(self.v1)
+        check_scheme_param(self.scheme, self.alpha, v1.size)
         if abs(np.linalg.norm(v1) - 1.0) > 1e-10:
             raise ValueError("v1 must be unit norm")
         object.__setattr__(self, "v1", v1)
@@ -197,17 +212,16 @@ def pps2_scheme2(z, plan: NoisePlan) -> np.ndarray:
 
 def pps2_scheme3(z, alpha: float) -> np.ndarray:
     """Reveal sigma((1 - alpha) z + alpha 1): logits shrink toward uniform."""
-    if not 0.0 <= alpha < 1.0:
-        raise ValueError("scheme-3 alpha must be in [0, 1)")
-    return softmax((1.0 - alpha) * _as_logits(z) + alpha)
+    z = _as_logits(z)
+    check_scheme_param("s3", alpha, z.shape[-1])
+    return softmax((1.0 - alpha) * z + alpha)
 
 
 def pps2_class_label(z, eps: float) -> np.ndarray:
     """Reveal (almost) the class label: argmax -> 1-(k-1) eps, the rest -> eps."""
     z = _as_logits(z)
     k = z.shape[-1]
-    if not 0.0 < eps < 1.0 / k:
-        raise ValueError("eps must be in (0, 1/k)")
+    check_scheme_param("class_label", eps, k)
     out = np.full(z.shape, eps)
     np.put_along_axis(out, np.argmax(z, axis=-1)[..., None], 1.0 - (k - 1) * eps,
                       axis=-1)

@@ -7,10 +7,13 @@ Matrices are plain float64 numpy arrays; vectors are 1-D arrays.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from itertools import combinations, product
+from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
+
+if TYPE_CHECKING:
+    from .system import LinearSystem
 
 # Relative cutoff under which singular values are treated as zero.
 EPS_RANK = 1e-10
@@ -96,86 +99,21 @@ def svd(a) -> SvdFactors:
     return SvdFactors(u=u, s=s, v=vt.T)
 
 
-def pinv(a, eps_rank: float = EPS_RANK) -> np.ndarray:
-    """Moore-Penrose pseudoinverse via V Sigma^+ U^T.
-
-    Singular values below eps_rank * sigma_1 are treated as exact zeros.
-    """
-    return svd(a).pinv(eps_rank)
-
-
-def projector_null(a, eps_rank: float = EPS_RANK) -> np.ndarray:
-    """Orthogonal projector I - A^+ A onto the nullspace of A."""
-    a = as_matrix(a)
-    p = np.eye(a.shape[1]) - pinv(a, eps_rank) @ a
-    return 0.5 * (p + p.T)  # symmetrize away roundoff
-
-
-def nullspace_basis(a, eps_rank: float = EPS_RANK) -> np.ndarray:
-    """Orthonormal basis of Null(A): the last d - rank(A) right singular vectors.
-
-    Returns a d-by-0 matrix when the nullspace is trivial.
-    """
-    return svd(a).nullspace(eps_rank)
-
-
-def project_affine(x, a, b) -> np.ndarray:
-    """Euclidean projection of x onto the affine set {z : Az = b}.
-
-    Assumes the system is satisfiable; the projection is x - A^+(Ax - b).
-    """
-    x = as_vector(x)
-    a = as_matrix(a)
-    b = as_vector(b)
-    return x - pinv(a) @ (a @ x - b)
-
-
-@dataclass
-class PolytopeAffineBox:
-    """The feasible set {x in [0,1]^d : Ax = b}, an affine slice of the unit box."""
-
-    a: np.ndarray
-    b: np.ndarray
-    tau_feas: float = TAU_FEAS
-    _pinv: np.ndarray | None = field(default=None, repr=False, compare=False)
-
-    def __post_init__(self):
-        self.a = as_matrix(self.a)
-        self.b = as_vector(self.b)
-        if self.b.size != self.a.shape[0]:
-            raise ValueError("b length must match the row count of A")
-
-    @property
-    def dim(self) -> int:
-        return self.a.shape[1]
-
-    @property
-    def pinv(self) -> np.ndarray:
-        if self._pinv is None:
-            self._pinv = pinv(self.a)
-        return self._pinv
-
-    def contains(self, x, tau: float | None = None) -> bool:
-        tau = self.tau_feas if tau is None else tau
-        x = as_vector(x)
-        if np.max(np.abs(self.a @ x - self.b)) > tau:
-            return False
-        return bool(np.all(x >= -tau) and np.all(x <= 1.0 + tau))
-
-
-def dykstra_project(x0, poly: PolytopeAffineBox,
+def dykstra_project(x0, sys_: LinearSystem,
                     max_iter: int = 10_000, tol: float = 1e-10) -> np.ndarray:
-    """Euclidean projection of x0 onto the (nonempty) affine-slice-of-box set.
+    """Euclidean projection of x0 onto {x in [0,1]^d : Ax = b} of a one-row system.
 
     Alternates the closed-form affine projection with box clamping, carrying
     Dykstra correction terms so the iterates converge to the true projection
-    (the target is strictly convex, hence unique).
+    (the target is strictly convex, hence unique). The set must be nonempty.
     """
+    if np.ndim(sys_.b) != 1:
+        raise ValueError("dykstra_project takes a one-row system; pass row(i)")
     x = as_vector(x0).copy()
-    if poly.contains(x, tau=0.0):
+    if sys_.contains(x, tau=0.0):
         return x
-    ap = poly.pinv
-    a, b = poly.a, poly.b
+    ap = sys_.pinv
+    a, b = sys_.a, sys_.b
     p = np.zeros_like(x)
     q = np.zeros_like(x)
     for _ in range(max_iter):
@@ -245,110 +183,6 @@ def box_least_squares(a, b, x_init=None, max_iter: int = 50_000,
         last_iterate=x,
         residuals={"residual": float(np.linalg.norm(a @ x - b))},
     )
-
-
-def _circumsphere(points: np.ndarray) -> tuple[np.ndarray, float]:
-    """Smallest sphere passing through all given points (<= d+1 of them).
-
-    Uses the min-norm solution relative to the first point, which handles
-    affinely dependent boundary sets gracefully.
-    """
-    p0 = points[0]
-    if len(points) == 1:
-        return p0.copy(), 0.0
-    q = points[1:] - p0
-    rhs = 0.5 * np.einsum("ij,ij->i", q, q)
-    c = p0 + np.linalg.lstsq(q, rhs, rcond=None)[0]
-    r = float(np.max(np.linalg.norm(points - c, axis=1)))
-    return c, r
-
-
-def _welzl(points: np.ndarray, seed: int = 0) -> tuple[np.ndarray, float]:
-    """Minimal enclosing ball of a point set (Welzl's algorithm, randomized)."""
-    rng = np.random.default_rng(seed)
-    pts = points[rng.permutation(len(points))]
-    d = pts.shape[1]
-
-    def ball_with_boundary(boundary: list[np.ndarray]):
-        if not boundary:
-            return None, -1.0
-        c, r = _circumsphere(np.array(boundary))
-        return c, r
-
-    # Iterative move-to-front formulation to avoid deep recursion.
-    def med(idx_limit: int, boundary: list[np.ndarray]):
-        c, r = ball_with_boundary(boundary)
-        if len(boundary) == d + 1:
-            return c, r
-        for i in range(idx_limit):
-            p = pts[i]
-            if c is None or np.linalg.norm(p - c) > r + 1e-12:
-                c, r = med(i, boundary + [p])
-        return c, r
-
-    import sys
-    old = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(old, 10 * len(pts) + 100))
-    try:
-        c, r = med(len(pts), [])
-    finally:
-        sys.setrecursionlimit(old)
-    if c is None:
-        raise NumericsError("minimal enclosing ball of an empty point set")
-    return c, float(np.max(np.linalg.norm(pts - c, axis=1)))
-
-
-def polytope_vertices(poly: PolytopeAffineBox, eps_rank: float = EPS_RANK) -> np.ndarray:
-    """Enumerate the vertices of the affine-slice-of-box polytope.
-
-    Fixes d - rank(A) coordinates at {0, 1} over all index subsets, solves the
-    reduced system, and keeps feasible unique solutions. Exponential in the
-    free-coordinate count; callers must keep d small.
-    """
-    a, b = poly.a, poly.b
-    d = a.shape[1]
-    r = svd(a).rank(eps_rank)
-    nfree = d - r
-    verts: list[np.ndarray] = []
-    tau = poly.tau_feas
-    if nfree == 0:
-        x = poly.pinv @ b
-        if poly.contains(x):
-            verts.append(np.clip(x, 0.0, 1.0))
-    else:
-        for fixed in combinations(range(d), nfree):
-            free = [i for i in range(d) if i not in fixed]
-            a_free = a[:, free]
-            if free and svd(a_free).rank(eps_rank) < len(free):
-                continue  # reduced system not uniquely solvable here
-            for vals in product((0.0, 1.0), repeat=nfree):
-                rhs = b - a[:, fixed] @ np.asarray(vals)
-                x = np.zeros(d)
-                x[list(fixed)] = vals
-                if free:
-                    sol, = (np.linalg.lstsq(a_free, rhs, rcond=None)[0],)
-                    x[free] = sol
-                if poly.contains(x):
-                    verts.append(np.clip(x, 0.0, 1.0))
-    if not verts:
-        raise NumericsError("polytope is empty (no feasible vertex found)")
-    # dedupe within tolerance
-    out: list[np.ndarray] = []
-    for v in verts:
-        if not any(np.linalg.norm(v - w) < 1e-9 for w in out):
-            out.append(v)
-    return np.array(out)
-
-
-def chebyshev_center_exact(poly: PolytopeAffineBox) -> tuple[np.ndarray, float]:
-    """Exact Chebyshev center and radius by vertex enumeration (test oracle).
-
-    Guarded to d <= 8: vertex enumeration is exponential in the dimension.
-    """
-    if poly.dim > 8:
-        raise ValueError("exact Chebyshev center is limited to d <= 8")
-    verts = polytope_vertices(poly)
-    return _welzl(verts)
 
 
 def von_neumann_bounds(m, p, tol: float = 1e-8) -> tuple[float, float]:

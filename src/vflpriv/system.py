@@ -128,15 +128,6 @@ class LinearSystem:
         on_plane = np.max(np.abs(_rowwise(self.a, x) - self.b), axis=-1) <= tau
         return on_plane & np.all((x >= -tau) & (x <= 1.0 + tau), axis=-1)
 
-    def polytope(self) -> numerics.PolytopeAffineBox:
-        """The feasible set of a one-row system (take ``row(i)`` of a batch)."""
-        return numerics.PolytopeAffineBox(self.a, self.b, tau_feas=self.tau_feas,
-                                          _pinv=self.pinv)
-
-    def is_satisfiable(self, tol: float = 1e-6) -> bool:
-        """True when every row's min-norm solution solves its system within tol."""
-        return bool(np.all(self.residual(self.min_norm_solution) <= tol))
-
 
 def build_system(model: VflModel, y_act, c, source: str = "clean") -> LinearSystem:
     """Assemble A = J W_pas and b' = c' - J W_act y - J b from predictions.

@@ -8,13 +8,17 @@ instead of analytic gradients.
 
 from __future__ import annotations
 
+import sys
+from itertools import combinations, product
+
 import numpy as np
 from scipy import optimize
 
 from vflpriv import defense, metrics
 from vflpriv.attacks import run_attack
 from vflpriv.model import predict
-from vflpriv.system import build_system
+from vflpriv.numerics import EPS_RANK, NumericsError, svd
+from vflpriv.system import LinearSystem, build_system
 
 
 def project_box_affine(x0, a, b):
@@ -54,6 +58,107 @@ def project_hull(x0, vertices, rho: float = 1e6):
     return v.T @ lam
 
 
+def _circumsphere(points: np.ndarray) -> tuple[np.ndarray, float]:
+    """Smallest sphere passing through all given points (<= d+1 of them).
+
+    Uses the min-norm solution relative to the first point, which handles
+    affinely dependent boundary sets gracefully.
+    """
+    p0 = points[0]
+    if len(points) == 1:
+        return p0.copy(), 0.0
+    q = points[1:] - p0
+    rhs = 0.5 * np.einsum("ij,ij->i", q, q)
+    c = p0 + np.linalg.lstsq(q, rhs, rcond=None)[0]
+    r = float(np.max(np.linalg.norm(points - c, axis=1)))
+    return c, r
+
+
+def _welzl(points: np.ndarray, seed: int = 0) -> tuple[np.ndarray, float]:
+    """Minimal enclosing ball of a point set (Welzl's algorithm, randomized)."""
+    rng = np.random.default_rng(seed)
+    pts = points[rng.permutation(len(points))]
+    d = pts.shape[1]
+
+    def ball_with_boundary(boundary: list[np.ndarray]):
+        if not boundary:
+            return None, -1.0
+        c, r = _circumsphere(np.array(boundary))
+        return c, r
+
+    # Iterative move-to-front formulation to avoid deep recursion.
+    def med(idx_limit: int, boundary: list[np.ndarray]):
+        c, r = ball_with_boundary(boundary)
+        if len(boundary) == d + 1:
+            return c, r
+        for i in range(idx_limit):
+            p = pts[i]
+            if c is None or np.linalg.norm(p - c) > r + 1e-12:
+                c, r = med(i, boundary + [p])
+        return c, r
+
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(max(old, 10 * len(pts) + 100))
+    try:
+        c, r = med(len(pts), [])
+    finally:
+        sys.setrecursionlimit(old)
+    if c is None:
+        raise NumericsError("minimal enclosing ball of an empty point set")
+    return c, float(np.max(np.linalg.norm(pts - c, axis=1)))
+
+
+def polytope_vertices(sys_: LinearSystem, eps_rank: float = EPS_RANK) -> np.ndarray:
+    """Enumerate the vertices of {x in [0,1]^d : Ax = b} of a one-row system.
+
+    Fixes d - rank(A) coordinates at {0, 1} over all index subsets, solves the
+    reduced system, and keeps feasible unique solutions. Exponential in the
+    free-coordinate count; callers must keep d small.
+    """
+    a, b = sys_.a, sys_.b
+    d = a.shape[1]
+    r = svd(a).rank(eps_rank)
+    nfree = d - r
+    verts: list[np.ndarray] = []
+    if nfree == 0:
+        x = sys_.pinv @ b
+        if sys_.contains(x):
+            verts.append(np.clip(x, 0.0, 1.0))
+    else:
+        for fixed in combinations(range(d), nfree):
+            free = [i for i in range(d) if i not in fixed]
+            a_free = a[:, free]
+            if free and svd(a_free).rank(eps_rank) < len(free):
+                continue  # reduced system not uniquely solvable here
+            for vals in product((0.0, 1.0), repeat=nfree):
+                rhs = b - a[:, fixed] @ np.asarray(vals)
+                x = np.zeros(d)
+                x[list(fixed)] = vals
+                if free:
+                    x[free] = np.linalg.lstsq(a_free, rhs, rcond=None)[0]
+                if sys_.contains(x):
+                    verts.append(np.clip(x, 0.0, 1.0))
+    if not verts:
+        raise NumericsError("polytope is empty (no feasible vertex found)")
+    # dedupe within tolerance
+    out: list[np.ndarray] = []
+    for v in verts:
+        if not any(np.linalg.norm(v - w) < 1e-9 for w in out):
+            out.append(v)
+    return np.array(out)
+
+
+def chebyshev_center_exact(sys_: LinearSystem) -> tuple[np.ndarray, float]:
+    """Exact Chebyshev center and radius of a one-row system's solution set.
+
+    Vertex enumeration followed by the minimal enclosing ball of the vertices.
+    Guarded to d <= 8: vertex enumeration is exponential in the dimension.
+    """
+    if sys_.d > 8:
+        raise ValueError("exact Chebyshev center is limited to d <= 8")
+    return _welzl(polytope_vertices(sys_))
+
+
 def box_least_squares_ref(a, b):
     """Box-constrained least squares via scipy's dedicated solver."""
     res = optimize.lsq_linear(a, b, bounds=(0.0, 1.0), tol=1e-14)
@@ -67,8 +172,6 @@ def minimal_ball_brute(points):
     boundary, computes its circumsphere, and keeps the smallest ball that
     encloses everything.
     """
-    from itertools import combinations
-
     pts = np.asarray(points, dtype=float)
     n, d = pts.shape
     best = None

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import oracles
-from vflpriv import attacks, defense, metrics, numerics
+from vflpriv import attacks, defense, metrics
 from vflpriv.attacks import run_attack
 from vflpriv.blackbox import bb_case1, bb_case2
 from vflpriv.dataset import Dataset, SyntheticSpec, synthesize
@@ -136,7 +136,7 @@ def test_criterion_5_oracle_agreement():
             # RCC1: feasible, radius never below the exact Chebyshev radius
             r1 = attacks.attack_rcc1(sys_)
             assert r1.feasible
-            _, rad_exact = numerics.chebyshev_center_exact(sys_.polytope())
+            _, rad_exact = oracles.chebyshev_center_exact(sys_)
             assert r1.diagnostics["radius"] >= rad_exact - 1e-6
         # symmetric segments: b = A (1/2 1) makes the feasible segment
         # symmetric about the box center, where the relaxation is tight
@@ -149,7 +149,7 @@ def test_criterion_5_oracle_agreement():
                 continue
             n_seg += 1
             r1 = attacks.attack_rcc1(sys_)
-            c_exact, _ = numerics.chebyshev_center_exact(sys_.polytope())
+            c_exact, _ = oracles.chebyshev_center_exact(sys_)
             assert np.max(np.abs(r1.x_hat - c_exact)) < 1e-3
 
 

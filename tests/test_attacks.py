@@ -152,33 +152,30 @@ class TestRcc2:
 
 class TestRcc1:
     def test_radius_upper_bounds_exact(self):
-        from vflpriv import numerics
         for seed in range(8):
             sys_, _ = _system_with_truth(seed + 200, d=3, m=1)
             est = attacks.attack_rcc1(sys_)
             assert est.feasible
-            _, r_exact = numerics.chebyshev_center_exact(sys_.polytope())
+            _, r_exact = oracles.chebyshev_center_exact(sys_)
             assert est.diagnostics["radius"] >= r_exact - 1e-6
 
     def test_symmetric_segment_center_exact(self):
         # b = A (1/2 1) gives a segment symmetric about the box center,
         # where the relaxed center coincides with the exact one
-        from vflpriv import numerics
         rng = np.random.default_rng(300)
         a = rng.standard_normal((2, 3))
         sys_ = LinearSystem(a=a, b=a @ np.full(3, 0.5))
         assert sys_.nullity == 1
         est = attacks.attack_rcc1(sys_)
-        c_exact, r_exact = numerics.chebyshev_center_exact(sys_.polytope())
+        c_exact, r_exact = oracles.chebyshev_center_exact(sys_)
         assert np.allclose(est.x_hat, c_exact, atol=1e-3)
         assert abs(est.diagnostics["radius"] - r_exact) < 1e-3
 
     def test_worst_case_guarantee(self):
         # every polytope vertex lies within the reported radius of the center
-        from vflpriv import numerics
         sys_, _ = _system_with_truth(301, d=3, m=1)
         est = attacks.attack_rcc1(sys_)
-        verts = numerics.polytope_vertices(sys_.polytope())
+        verts = oracles.polytope_vertices(sys_)
         dists = np.linalg.norm(verts - est.x_hat, axis=1)
         assert np.max(dists) <= est.diagnostics["radius"] + 1e-6
 

@@ -46,6 +46,33 @@ class TestConfigFile:
         cfg.write_text("bogus_key=1\n", encoding="utf-8")
         assert _run(["blackbox", "--config", str(cfg)]) == 2
 
+    def test_key_of_another_subcommand_exit_2(self, tmp_path, capsys, train_calls):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("trials=2\n", encoding="utf-8")
+        assert _run(["train", "--synth-n", "100", "--config", str(cfg)]) == 2
+        assert "trials" in capsys.readouterr().err
+        assert not train_calls
+
+    @pytest.mark.parametrize("command", ["blackbox", "figure12"])
+    @pytest.mark.parametrize("full, trials", [("false", cli.DESK_TRIALS),
+                                              ("true", cli.FULL_TRIALS)])
+    def test_full_flag_from_config(self, command, full, trials, tmp_path,
+                                   monkeypatch, capsys):
+        calls = []
+        real = cli._blackbox_trial_mse
+        monkeypatch.setattr(cli, "_blackbox_trial_mse",
+                            lambda *a: calls.append(1) or real(*a))
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"full={full}\nn-grid=1..1\n", encoding="utf-8")
+        assert _run([command, "--config", str(cfg)]) == 0
+        assert len(calls) == trials
+
+    def test_bad_boolean_exit_2(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("full=no\n", encoding="utf-8")
+        assert _run(["figure12", "--config", str(cfg)]) == 2
+        assert "full" in capsys.readouterr().err
+
 
 class TestExitCodes:
     def test_missing_data_file(self):
@@ -200,6 +227,14 @@ class TestDefendArguments:
     def test_bad_alpha_before_training(self, capsys, train_calls):
         assert _run(self.BASE + ["--alpha", "0.5,lots"]) == 2
         assert "lots" in capsys.readouterr().err
+        assert not train_calls
+
+    @pytest.mark.parametrize("scheme, alpha", [
+        ("s3", "1.5"), ("s1", "-1"), ("class_label", "0.9")])
+    def test_scheme_range_before_training(self, scheme, alpha, capsys, train_calls):
+        # synthetic data has k = 2 classes, so class_label needs eps < 1/2
+        assert _run(self.BASE + ["--scheme", scheme, "--alpha", f"0.1,{alpha}"]) == 2
+        assert alpha in capsys.readouterr().err
         assert not train_calls
 
     @pytest.mark.parametrize("attack", ["rg", "gia"])

@@ -4,7 +4,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from vflpriv import numerics
+from vflpriv import attacks, numerics
+from vflpriv.system import LinearSystem
+
+
+def _projector(a):
+    """Nullspace projector I - A^+ A of A, through a system with b = 0."""
+    return LinearSystem(a=a, b=np.zeros(len(a))).projector
 
 
 def _random_matrix(seed, m, d, rank=None):
@@ -21,7 +27,7 @@ class TestPinv:
     @settings(max_examples=40, deadline=None)
     def test_moore_penrose_properties(self, seed, m, d):
         a = _random_matrix(seed, m, d)
-        ap = numerics.pinv(a)
+        ap = numerics.svd(a).pinv()
         assert np.allclose(a @ ap @ a, a, atol=1e-9)
         assert np.allclose(ap @ a @ ap, ap, atol=1e-9)
         assert np.allclose((a @ ap).T, a @ ap, atol=1e-9)
@@ -30,10 +36,10 @@ class TestPinv:
     def test_matches_reference(self):
         for seed in range(10):
             a = _random_matrix(seed, 4, 7, rank=3)
-            assert np.allclose(numerics.pinv(a), np.linalg.pinv(a), atol=1e-9)
+            assert np.allclose(numerics.svd(a).pinv(), np.linalg.pinv(a), atol=1e-9)
 
     def test_zero_matrix(self):
-        assert np.array_equal(numerics.pinv(np.zeros((3, 5))), np.zeros((5, 3)))
+        assert np.array_equal(numerics.svd(np.zeros((3, 5))).pinv(), np.zeros((5, 3)))
 
     def test_rank_cutoff_is_relative(self):
         a = np.diag([1e3, 1e-6])   # well separated but both above the cutoff
@@ -43,68 +49,61 @@ class TestPinv:
 
     def test_rejects_nonfinite(self):
         with pytest.raises(ValueError):
-            numerics.pinv(np.array([[1.0, np.nan]]))
+            numerics.svd(np.array([[1.0, np.nan]])).pinv()
 
 
 class TestNullspace:
     def test_projector_idempotent_symmetric(self):
         a = _random_matrix(3, 2, 5)
-        p = numerics.projector_null(a)
+        p = _projector(a)
         assert np.allclose(p @ p, p, atol=1e-10)
         assert np.allclose(p, p.T)
         assert np.allclose(a @ p, 0.0, atol=1e-9)
 
     def test_basis_orthonormal_and_annihilated(self):
         a = _random_matrix(4, 3, 6, rank=2)
-        w = numerics.nullspace_basis(a)
+        w = numerics.svd(a).nullspace()
         assert w.shape == (6, 4)
         assert np.allclose(w.T @ w, np.eye(4), atol=1e-10)
         assert np.allclose(a @ w, 0.0, atol=1e-9)
 
     def test_projector_equals_wwt(self):
         a = _random_matrix(5, 2, 4)
-        w = numerics.nullspace_basis(a)
-        assert np.allclose(numerics.projector_null(a), w @ w.T, atol=1e-10)
+        w = numerics.svd(a).nullspace()
+        assert np.allclose(_projector(a), w @ w.T, atol=1e-10)
 
     def test_trivial_nullspace(self):
         a = np.eye(3)
-        assert numerics.nullspace_basis(a).shape == (3, 0)
+        assert numerics.svd(a).nullspace().shape == (3, 0)
 
 
 class TestProjections:
-    def test_affine_projection_optimality(self):
-        rng = np.random.default_rng(0)
-        for _ in range(5):
-            a, b, _ = oracles.random_satisfiable_system(rng, 5, 2)
-            x0 = rng.standard_normal(5)
-            y = numerics.project_affine(x0, a, b)
-            assert np.allclose(a @ y, b, atol=1e-9)
-            # optimality: the step is orthogonal to the nullspace of A
-            w = numerics.nullspace_basis(a)
-            assert np.allclose(w.T @ (x0 - y), 0.0, atol=1e-9)
-
     def test_dykstra_matches_slsqp_oracle(self):
         rng = np.random.default_rng(1)
         for _ in range(10):
             a, b, _ = oracles.random_satisfiable_system(rng, 4, 2)
-            poly = numerics.PolytopeAffineBox(a, b)
             x0 = rng.uniform(-0.5, 1.5, size=4)
-            got = numerics.dykstra_project(x0, poly)
+            got = numerics.dykstra_project(x0, LinearSystem(a=a, b=b))
             want = oracles.project_box_affine(x0, a, b)
             assert np.allclose(got, want, atol=1e-5)
 
     def test_dykstra_noop_inside(self):
         a = np.array([[1.0, 1.0]])
         x0 = np.array([0.3, 0.7])
-        poly = numerics.PolytopeAffineBox(a, np.array([1.0]))
-        assert np.array_equal(numerics.dykstra_project(x0, poly), x0)
+        sys_ = LinearSystem(a=a, b=np.array([1.0]))
+        assert np.array_equal(numerics.dykstra_project(x0, sys_), x0)
 
     def test_dykstra_iteration_cap(self):
         a = np.array([[1.0, 1.0]])
-        poly = numerics.PolytopeAffineBox(a, np.array([1.0]))
+        sys_ = LinearSystem(a=a, b=np.array([1.0]))
         with pytest.raises(numerics.ConvergenceError) as err:
-            numerics.dykstra_project(np.array([5.0, -5.0]), poly, max_iter=1)
+            numerics.dykstra_project(np.array([5.0, -5.0]), sys_, max_iter=1)
         assert err.value.last_iterate is not None
+
+    def test_dykstra_needs_one_row(self):
+        batch = LinearSystem(a=np.array([[1.0, 1.0]]), b=np.array([[0.4], [1.2]]))
+        with pytest.raises(ValueError, match="one-row"):
+            numerics.dykstra_project(np.full(2, 0.5), batch)
 
 
 class TestBoxLeastSquares:
@@ -136,44 +135,43 @@ class TestBoxLeastSquares:
 
 class TestVertices:
     def test_diagonal_slice_of_square(self):
-        poly = numerics.PolytopeAffineBox(np.array([[1.0, 1.0]]), np.array([1.0]))
-        verts = numerics.polytope_vertices(poly)
+        sys_ = LinearSystem(a=np.array([[1.0, 1.0]]), b=np.array([1.0]))
+        verts = oracles.polytope_vertices(sys_)
         want = {(0.0, 1.0), (1.0, 0.0)}
         got = {tuple(np.round(v, 9)) for v in verts}
         assert got == want
 
     def test_determined_single_vertex(self):
-        poly = numerics.PolytopeAffineBox(np.eye(2), np.array([0.25, 0.75]))
-        verts = numerics.polytope_vertices(poly)
+        sys_ = LinearSystem(a=np.eye(2), b=np.array([0.25, 0.75]))
+        verts = oracles.polytope_vertices(sys_)
         assert verts.shape == (1, 2)
         assert np.allclose(verts[0], [0.25, 0.75])
 
     def test_empty_polytope_raises(self):
-        poly = numerics.PolytopeAffineBox(np.array([[1.0, 1.0]]), np.array([5.0]))
+        sys_ = LinearSystem(a=np.array([[1.0, 1.0]]), b=np.array([5.0]))
         with pytest.raises(numerics.NumericsError):
-            numerics.polytope_vertices(poly)
+            oracles.polytope_vertices(sys_)
 
     def test_vertices_feasible(self):
         rng = np.random.default_rng(4)
         for _ in range(10):
             a, b, _ = oracles.random_satisfiable_system(rng, 3, 1)
-            poly = numerics.PolytopeAffineBox(a, b)
-            for v in numerics.polytope_vertices(poly):
-                assert poly.contains(v)
+            sys_ = LinearSystem(a=a, b=b)
+            for v in oracles.polytope_vertices(sys_):
+                assert sys_.contains(v)
 
 
 class TestChebyshevCenter:
     def test_segment_center_is_midpoint(self):
         # slice x + y = 1 of the unit square: segment from (1,0) to (0,1)
-        poly = numerics.PolytopeAffineBox(np.array([[1.0, 1.0]]), np.array([1.0]))
-        c, r = numerics.chebyshev_center_exact(poly)
+        sys_ = LinearSystem(a=np.array([[1.0, 1.0]]), b=np.array([1.0]))
+        c, r = oracles.chebyshev_center_exact(sys_)
         assert np.allclose(c, [0.5, 0.5], atol=1e-9)
         assert abs(r - np.sqrt(0.5)) < 1e-9
 
     def test_full_box(self):
         a = np.zeros((1, 3))
-        poly = numerics.PolytopeAffineBox(a, np.zeros(1))
-        c, r = numerics.chebyshev_center_exact(poly)
+        c, r = oracles.chebyshev_center_exact(LinearSystem(a=a, b=np.zeros(1)))
         assert np.allclose(c, 0.5, atol=1e-9)
         assert abs(r - np.sqrt(3) / 2) < 1e-9
 
@@ -181,15 +179,15 @@ class TestChebyshevCenter:
         rng = np.random.default_rng(5)
         for _ in range(10):
             pts = rng.uniform(0.0, 1.0, size=(7, 3))
-            c1, r1 = numerics._welzl(pts)
+            c1, r1 = oracles._welzl(pts)
             c2, r2 = oracles.minimal_ball_brute(pts)
             assert abs(r1 - r2) < 1e-7
             assert np.allclose(c1, c2, atol=1e-6)
 
     def test_dimension_guard(self):
-        poly = numerics.PolytopeAffineBox(np.zeros((1, 9)), np.zeros(1))
+        sys_ = LinearSystem(a=np.zeros((1, 9)), b=np.zeros(1))
         with pytest.raises(ValueError):
-            numerics.chebyshev_center_exact(poly)
+            oracles.chebyshev_center_exact(sys_)
 
 
 class TestWorkedExamples:
@@ -201,43 +199,36 @@ class TestWorkedExamples:
         assert np.allclose(numerics.svd([[3.0, 0.0], [0.0, 4.0]]).s, [4.0, 3.0])
 
     def test_pinv_values(self):
-        assert np.allclose(numerics.pinv([[1.0, 1.0]]), [[0.5], [0.5]])
-        assert np.allclose(numerics.pinv(np.eye(3)), np.eye(3))
-        assert np.allclose(numerics.pinv([[2.0, 0.0], [0.0, 0.0]]),
+        assert np.allclose(numerics.svd([[1.0, 1.0]]).pinv(), [[0.5], [0.5]])
+        assert np.allclose(numerics.svd(np.eye(3)).pinv(), np.eye(3))
+        assert np.allclose(numerics.svd([[2.0, 0.0], [0.0, 0.0]]).pinv(),
                            [[0.5, 0.0], [0.0, 0.0]])
 
     def test_projector_values(self):
-        assert np.allclose(numerics.projector_null([[1.0, 1.0]]),
-                           [[0.5, -0.5], [-0.5, 0.5]])
-        assert np.allclose(numerics.projector_null(np.eye(2)), np.zeros((2, 2)))
-        assert np.allclose(numerics.projector_null([[1.0, 0.0]]),
+        assert np.allclose(_projector([[1.0, 1.0]]), [[0.5, -0.5], [-0.5, 0.5]])
+        assert np.allclose(_projector(np.eye(2)), np.zeros((2, 2)))
+        assert np.allclose(_projector([[1.0, 0.0]]),
                            np.diag([0.0, 1.0]))
 
     def test_nullspace_values(self):
-        w = numerics.nullspace_basis([[1.0, 1.0]])
+        w = numerics.svd([[1.0, 1.0]]).nullspace()
         assert np.allclose(np.abs(w.ravel()), 1.0 / np.sqrt(2.0))
         assert w[0, 0] * w[1, 0] < 0.0
-        span = numerics.nullspace_basis([[1.0, 0.0, 0.0]])
+        span = numerics.svd([[1.0, 0.0, 0.0]]).nullspace()
         assert span.shape == (3, 2)
         assert np.allclose(span[0], 0.0, atol=1e-12)
 
-    def test_project_affine_values(self):
-        got = numerics.project_affine([0.5, 0.5], [[1.0, 1.0]], [0.4])
+    def test_box_center_projection_values(self):
+        # half_star is the projection of the box center onto Ax = b
+        got = attacks.attack_half_star(LinearSystem(a=[[1.0, 1.0]], b=[0.4])).x_hat
         assert np.allclose(got, [0.2, 0.2])
-        on_plane = numerics.project_affine(got, [[1.0, 1.0]], [0.4])
-        assert np.allclose(on_plane, got)
-        assert np.allclose(
-            numerics.project_affine([9.0, -9.0], np.eye(2), [0.3, 0.7]),
-            [0.3, 0.7])
 
     def test_dykstra_values(self):
-        poly = numerics.PolytopeAffineBox(np.array([[2.0, 1.0]]),
-                                          np.array([0.2]))
-        got = numerics.dykstra_project([0.5, 0.5], poly)
+        sys_ = LinearSystem(a=np.array([[2.0, 1.0]]), b=np.array([0.2]))
+        got = numerics.dykstra_project([0.5, 0.5], sys_)
         assert np.allclose(got, [0.0, 0.2], atol=1e-6)
-        poly2 = numerics.PolytopeAffineBox(np.array([[1.0, 1.0]]),
-                                           np.array([0.4]))
-        assert np.allclose(numerics.dykstra_project([0.5, 0.5], poly2),
+        sys2 = LinearSystem(a=np.array([[1.0, 1.0]]), b=np.array([0.4]))
+        assert np.allclose(numerics.dykstra_project([0.5, 0.5], sys2),
                            [0.2, 0.2], atol=1e-8)
 
     def test_box_least_squares_values(self):
@@ -247,12 +238,11 @@ class TestWorkedExamples:
                            [0.3, 0.7], atol=1e-8)
 
     def test_chebyshev_values(self):
-        poly = numerics.PolytopeAffineBox(np.eye(2), np.array([0.3, 0.7]))
-        c, r = numerics.chebyshev_center_exact(poly)
+        c, r = oracles.chebyshev_center_exact(
+            LinearSystem(a=np.eye(2), b=np.array([0.3, 0.7])))
         assert np.allclose(c, [0.3, 0.7]) and r == 0.0
-        poly2 = numerics.PolytopeAffineBox(np.array([[1.0, 0.0]]),
-                                           np.array([0.4]))
-        c2, r2 = numerics.chebyshev_center_exact(poly2)
+        c2, r2 = oracles.chebyshev_center_exact(
+            LinearSystem(a=np.array([[1.0, 0.0]]), b=np.array([0.4])))
         assert np.allclose(c2, [0.4, 0.5]) and abs(r2 - 0.5) < 1e-9
 
     def test_von_neumann_values(self):
@@ -268,8 +258,8 @@ class TestWorkedExamples:
         rng = np.random.default_rng(6)
         a = rng.standard_normal((2, 5))
         b = rng.standard_normal(2)
-        p = numerics.projector_null(a)
-        assert np.allclose(p @ (numerics.pinv(a) @ b), 0.0, atol=1e-8)
+        p = _projector(a)
+        assert np.allclose(p @ (numerics.svd(a).pinv() @ b), 0.0, atol=1e-8)
 
 
 class TestVonNeumannBounds:

@@ -43,7 +43,7 @@ class TestBuildSystem:
         c = predict(small_model, y_act, x_pas)
         sys_ = build_system(small_model, y_act, c)
         assert np.allclose(sys_.a @ x_pas, sys_.b, atol=1e-9)
-        assert sys_.polytope().contains(x_pas)
+        assert sys_.contains(x_pas)
 
     def test_dimensions(self, small_model):
         y_act = np.full(5, 0.5)
@@ -58,7 +58,7 @@ class TestBuildSystem:
         c = predict(small_model, y_act, np.full(5, 0.8))
         sys_ = build_system(small_model, y_act, c)
         assert np.allclose(sys_.a @ sys_.min_norm_solution, sys_.b, atol=1e-9)
-        assert sys_.is_satisfiable()
+        assert sys_.residual(sys_.min_norm_solution) <= 1e-6
 
     def test_wrong_score_length(self, small_model):
         with pytest.raises(ValueError):
@@ -152,7 +152,7 @@ class TestBatchSystem:
         rng = np.random.default_rng(42)
         y_act, x_pas = rng.uniform(size=(20, 5)), rng.uniform(size=(20, 5))
         sys_ = build_system(small_model, y_act, predict(small_model, y_act, x_pas))
-        sys_.pinv, sys_.projector, sys_.nullspace, sys_.row(3).polytope()
+        sys_.pinv, sys_.projector, sys_.nullspace, sys_.row(3).pinv
         assert len(calls) == 1
 
     def test_corrupted_row_named(self):
