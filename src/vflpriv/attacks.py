@@ -3,9 +3,11 @@
 All attacks are pure functions of (system/model, config) and take a batch:
 a system of N predictions gives N x d estimates in one call, and a one-row
 system gives a d-vector. The closed forms are matrix operations over the
-batch; the iterative solvers run row by row on the shared factors of A.
-When the system is determined (trivial nullspace) every estimator
-short-circuits to the unique solution A^+ b'.
+batch. The iterative solvers (Dykstra for rcc2, FISTA for cls, the rcc1
+log barrier) make one call per batch on the shared factors of A: each
+iteration is vectorized over the rows that have not yet converged; gia
+still descends one row at a time. When the system is determined (trivial
+nullspace) every estimator short-circuits to the unique solution A^+ b'.
 """
 
 from __future__ import annotations
@@ -95,10 +97,8 @@ def attack_cls(sys_: LinearSystem, x_init=None) -> AttackEstimate:
     """
     if sys_.nullity == 0:
         return _determined(sys_, "cls")
-    x = np.empty(sys_.batch + (sys_.d,))
-    for i in np.ndindex(sys_.batch):
-        x[i] = numerics.box_least_squares(sys_.a, sys_.b[i], x_init=x_init,
-                                          s1=sys_.svd.s[0])
+    x = numerics.box_least_squares(sys_.a, sys_.b, x_init=x_init,
+                                   s1=sys_.svd.s[0])
     return _estimate(sys_, "cls", x, residual=sys_.residual(x))
 
 
@@ -113,102 +113,145 @@ def attack_rcc2(sys_: LinearSystem) -> AttackEstimate:
 
     Computed as the Euclidean projection of the box center onto the feasible
     set; unique and always feasible. Where half_star is feasible it is that
-    projection; only the other rows run Dykstra.
+    projection; the other rows run Dykstra together in one call.
+    diagnostics["residual"] is each row's ||A x - b'||, and
+    diagnostics["iterations"] its Dykstra iterations (0 on closed-form rows).
     """
     if sys_.nullity == 0:
         return _determined(sys_, "rcc2")
     x = attack_half_star(sys_).x_hat
     closed = sys_.contains(x)
-    for i in np.ndindex(sys_.batch):
-        if not closed[i]:
-            x[i] = numerics.dykstra_project(np.full(sys_.d, 0.5), sys_.row(i))
+    flat = x.reshape(-1, sys_.d)
+    iterations = np.zeros(len(flat), dtype=int)
+    todo = np.flatnonzero(~closed)
+    if todo.size:
+        flat[todo], iterations[todo] = numerics.dykstra_project(
+            np.full(sys_.d, 0.5), sys_, rows=todo, return_iterations=True)
+    x = flat.reshape(x.shape)
     return _estimate(sys_, "rcc2", x,
-                     projection=np.where(closed, "closed_form", "dykstra")[()])
+                     projection=np.where(closed, "closed_form", "dykstra")[()],
+                     residual=sys_.residual(x),
+                     iterations=iterations.reshape(sys_.batch)[()])
 
 
 # --- RCC1: search-space relaxation solved as a small SDP ------------------
 
-def _rcc1_objective(alpha, rows, g, t):
-    """Dual objective g(a)^T M(a)^{-1} g(a) - a.t and helpers (M, u)."""
-    m = rows.T @ (alpha[:, None] * rows)
-    gs = g.T @ alpha
+def _rcc1_objective(alpha, w, g, t):
+    """Per row, the dual objective g(a)^T M(a)^{-1} g(a) - a.t, M(a) and u.
+
+    alpha and t are N x d, g is N x d x p; M(a) = sum_i a_i Q_i is N x p x p
+    and u = M(a)^{-1} g(a) is N x p.
+    """
+    m = w.T @ (alpha[..., None] * w)
+    gs = np.swapaxes(g, -1, -2) @ alpha[..., None]    # g(a), N x p x 1
     u = np.linalg.solve(m, gs)
-    return float(gs @ u - alpha @ t), m, u
+    val = (np.swapaxes(gs, -1, -2) @ u)[:, 0, 0] - np.sum(alpha * t, axis=-1)
+    return val, m, u[..., 0]
 
 
-def _rcc1_barrier_solve(rows, g, t, mu0=1.0, mu_factor=0.2, mu_min=1e-9,
+def _newton_steps(hess, grad):
+    """Solve hess @ step = -grad per row; a singular row steps along -grad."""
+    try:
+        return np.linalg.solve(hess, -grad[..., None])[..., 0]
+    except np.linalg.LinAlgError:
+        step = -grad
+        for i in range(len(hess)):
+            try:
+                step[i] = np.linalg.solve(hess[i], -grad[i])
+            except np.linalg.LinAlgError:
+                pass
+        return step
+
+
+def _rcc1_barrier_solve(w, g, t, mu0=1.0, mu_factor=0.2, mu_min=1e-9,
                         newton_tol=1e-9, max_newton=100):
     """Log-barrier interior point over the multipliers alpha >= 0, sum a_i Q_i >= I.
 
-    rows holds the d nullspace-basis rows a_i (in R^p); Q_i = a_i a_i^T and
-    g_i = (q_i - 1/2) a_i are passed via g. Returns the solved alpha.
+    Solves N rows at once. w holds the d nullspace-basis rows a_i (in R^p)
+    that every row shares; Q_i = a_i a_i^T, and each row's
+    g_i = (q_i - 1/2) a_i and t_i come in g (N x d x p) and t (N x d). All
+    rows follow one mu schedule. At each mu a row takes Newton steps until
+    its decrement test passes or no backtracked step is productive, and each
+    pass computes only the rows still stepping. Returns alpha, N x d.
     """
-    d, p = rows.shape
+    n, d, p = g.shape
+    eye_p = np.eye(p)
+    diag = np.arange(d)
     # smallest uniform alpha with sum a_i Q_i >= 1.1 I (eigenvalue scan)
-    gram = rows.T @ rows
-    lam_min = float(np.linalg.eigvalsh(gram)[0])
+    lam_min = float(np.linalg.eigvalsh(w.T @ w)[0])
     if lam_min <= 0.0:
         raise AttackError("nullspace rows do not span the reduced space")
-    alpha = np.full(d, 1.1 / lam_min)
+    alpha = np.full((n, d), 1.1 / lam_min)
 
     def strictly_feasible(a):
-        if np.any(a <= 0.0):
-            return False
-        m = rows.T @ (a[:, None] * rows)
-        return float(np.linalg.eigvalsh(m - np.eye(p))[0]) > 0.0
+        m = w.T @ (a[..., None] * w)
+        return np.all(a > 0.0, axis=-1) & (np.linalg.eigvalsh(m - eye_p)[:, 0] > 0.0)
 
-    def total(a, mu):
-        f, m, u = _rcc1_objective(a, rows, g, t)
-        m_shift = m - np.eye(p)
+    def total(a, g, t, mu):
+        f, m, u = _rcc1_objective(a, w, g, t)
+        m_shift = m - eye_p
         sign, logdet = np.linalg.slogdet(m_shift)
-        if sign <= 0:
-            return np.inf, None, None, None
-        return f + mu * (-logdet - np.sum(np.log(a))), m, m_shift, u
+        val = np.where(sign > 0, f + mu * (-logdet - np.sum(np.log(a), axis=-1)),
+                       np.inf)
+        return val, m, m_shift, u
 
     mu = mu0
     while mu >= mu_min:
+        act = np.arange(n)              # rows still stepping at this mu
         for _ in range(max_newton):
-            val, m, m_shift, u = total(alpha, mu)
+            a, ga, ta = alpha[act], g[act], t[act]
+            val, m, m_shift, u = total(a, ga, ta, mu)
             # gradient of f
-            r = g - rows * (rows @ u)[:, None]        # rows r_i = g_i - Q_i u
-            grad_f = 2.0 * (g @ u) - (rows @ u) ** 2 - t
-            minv_rt = np.linalg.solve(m, r.T)
+            wu = u @ w.T                                  # rows @ u, per row
+            r = ga - w * wu[..., None]                    # rows r_i = g_i - Q_i u
+            grad_f = 2.0 * (ga @ u[..., None])[..., 0] - wu ** 2 - ta
+            minv_rt = np.linalg.solve(m, np.swapaxes(r, -1, -2))
             hess_f = 2.0 * (r @ minv_rt)
             # gradient/hessian of the barrier
-            p_inv = np.linalg.inv(m_shift)
-            s = rows @ p_inv @ rows.T
-            grad_b = -np.diag(s) - 1.0 / alpha
-            hess_b = s * s + np.diag(1.0 / alpha ** 2)
+            s = w @ np.linalg.inv(m_shift) @ w.T
+            grad_b = -np.diagonal(s, axis1=-2, axis2=-1) - 1.0 / a
+            hess_b = s * s
+            hess_b[:, diag, diag] += 1.0 / a ** 2
             grad = grad_f + mu * grad_b
             hess = hess_f + mu * hess_b
-            try:
-                step = np.linalg.solve(hess + 1e-12 * np.eye(d), -grad)
-            except np.linalg.LinAlgError:
-                step = -grad
-            decrement = float(-grad @ step)
-            if decrement / 2.0 < newton_tol:
-                break
+            step = _newton_steps(hess + 1e-12 * np.eye(d), grad)
+            decrement = -np.sum(grad * step, axis=-1)
+            go = decrement / 2.0 >= newton_tol
+            act, a, ga, ta = act[go], a[go], ga[go], ta[go]
+            val, step, decrement = val[go], step[go], decrement[go]
             # backtracking line search keeping strict feasibility
-            tstep = 1.0
+            tstep = np.ones(act.size)
+            accepted = np.zeros(act.size, dtype=bool)
+            pending = np.arange(act.size)
             for _ in range(60):
-                cand = alpha + tstep * step
-                if strictly_feasible(cand):
-                    cand_val, *_ = total(cand, mu)
-                    if cand_val <= val - 1e-4 * tstep * decrement:
-                        break
-                tstep *= 0.5
-            else:
-                break  # no productive step at this barrier weight
-            alpha = alpha + tstep * step
+                if not pending.size:
+                    break
+                cand = a[pending] + tstep[pending, None] * step[pending]
+                feasible = strictly_feasible(cand)
+                ok = np.zeros(pending.size, dtype=bool)
+                if feasible.any():
+                    k = pending[feasible]
+                    cand_val = total(cand[feasible], ga[k], ta[k], mu)[0]
+                    ok[feasible] = cand_val <= val[k] - 1e-4 * tstep[k] * decrement[k]
+                accepted[pending[ok]] = True
+                pending = pending[~ok]
+                tstep[pending] *= 0.5
+            # a row with no productive step is done at this barrier weight
+            act = act[accepted]
+            alpha[act] = a[accepted] + tstep[accepted, None] * step[accepted]
+            if not act.size:
+                break
         mu *= mu_factor
-    if not strictly_feasible(alpha):
-        raise AttackError("barrier solve left the feasible region "
-                          f"(duality gap bound {mu / mu_factor * 2 * d:.3e})")
+    bad = np.flatnonzero(~strictly_feasible(alpha))
+    if bad.size:
+        raise AttackError(f"barrier solve left the feasible region on rows "
+                          f"{bad.tolist()} (duality gap bound "
+                          f"{mu / mu_factor * 2 * d:.3e})")
     return alpha
 
 
 def attack_rcc1(sys_: LinearSystem) -> AttackEstimate:
-    """Search-space-relaxed Chebyshev center (SDP route), solved row by row.
+    """Search-space-relaxed Chebyshev center (SDP route), one barrier solve per batch.
 
     Works in the nullspace coordinates: each box constraint q_i <= x_i <= ...
     becomes a double-sided linear constraint on u, written in quadratic form
@@ -217,21 +260,17 @@ def attack_rcc1(sys_: LinearSystem) -> AttackEstimate:
     """
     if sys_.nullity == 0:
         return _determined(sys_, "rcc1")
-    w = sys_.nullspace                  # d x p, orthonormal columns
-    rows = w                            # a_i^T are the rows of W
-    q_rows = sys_.min_norm_solution
-    x = np.empty_like(q_rows)
-    radius = np.empty(sys_.batch)
-    alphas = np.empty(sys_.batch + (sys_.d,))
-    for i in np.ndindex(sys_.batch):
-        q = q_rows[i]
-        g = (q - 0.5)[:, None] * rows   # g_i stacked as rows
-        t = -q * (1.0 - q)
-        alphas[i] = _rcc1_barrier_solve(rows, g, t)
-        val, m, u = _rcc1_objective(alphas[i], rows, g, t)
-        x[i] = q - w @ u
-        radius[i] = np.sqrt(max(val, 0.0))
-    return _estimate(sys_, "rcc1", x, radius=radius[()], alpha=alphas)
+    w = sys_.nullspace                  # d x p, orthonormal columns; a_i^T are its rows
+    q = sys_.min_norm_solution.reshape(-1, sys_.d)
+    g = (q - 0.5)[..., None] * w        # g_i stacked as rows, per row
+    t = -q * (1.0 - q)
+    alpha = _rcc1_barrier_solve(w, g, t)
+    val, _, u = _rcc1_objective(alpha, w, g, t)
+    x = q - u @ w.T
+    shape = sys_.batch + (sys_.d,)
+    radius = np.sqrt(np.maximum(val, 0.0)).reshape(sys_.batch)
+    return _estimate(sys_, "rcc1", x.reshape(shape), radius=radius[()],
+                     alpha=alpha.reshape(shape))
 
 
 def _gia_row(model: VflModel, y_act, c, x, step: float, max_iter: int,

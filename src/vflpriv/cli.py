@@ -356,6 +356,16 @@ def _seed_defaults(sub: argparse.ArgumentParser, cfg: dict, known: set) -> None:
     sub.set_defaults(**cfg)
 
 
+def _solver_failure(exc: Exception) -> str:
+    """The exit-3 stderr line; a solver that hit its cap adds each row's residuals."""
+    line = f"solver failure: {exc}"
+    if isinstance(exc, numerics.ConvergenceError):
+        line += f"; rows {exc.rows.tolist()}"
+        for name, values in exc.residuals.items():
+            line += f"; {name} " + " ".join(f"{v:.3e}" for v in values)
+    return line
+
+
 def main(argv=None) -> int:
     parser, commands = build_parser()
     args, remaining = parser.parse_known_args(argv)
@@ -370,7 +380,7 @@ def main(argv=None) -> int:
         _resolve_window(args)
         return args.func(args)
     except _SOLVER_ERRORS as exc:
-        print(f"solver failure: {exc}", file=sys.stderr)
+        print(_solver_failure(exc), file=sys.stderr)
         return 3
     except _CONFIG_ERRORS as exc:
         print(f"config error: {exc}", file=sys.stderr)

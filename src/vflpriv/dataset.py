@@ -20,7 +20,8 @@ class DataError(Exception):
 class RawTable:
     """A rectangular table of mixed numeric/categorical cells plus a label column."""
 
-    columns: list[list]          # column-major cells; label column excluded
+    columns: list                # per feature: a float array, or the raw
+                                 # strings if categorical; label excluded
     names: list[str]             # feature names (label column excluded)
     labels: list                 # raw label cells
     categorical: list[bool]      # per-feature flag
@@ -86,19 +87,21 @@ class SyntheticSpec:
             raise DataError("need at least one feature")
 
 
-def _is_number(cell: str) -> bool:
+def _parse_column(cells: list[str]) -> tuple[np.ndarray | list, bool]:
+    """(the cells as a float array, False), or (the cells, True) if one cell
+    is not a number."""
     try:
-        float(cell)
-        return True
+        return np.fromiter(map(float, cells), dtype=float, count=len(cells)), False
     except ValueError:
-        return False
+        return cells, True
 
 
 def load_csv(path, label_col: int = -1) -> RawTable:
     """Read a UTF-8 comma-delimited file with a header row into a RawTable.
 
-    label_col indexes the header (default: last column). Columns containing
-    any non-numeric cell are tagged categorical.
+    label_col indexes the header (default: last column). Each column is
+    parsed once into a float array; a column with any non-numeric cell keeps
+    its raw strings and is tagged categorical.
     """
     try:
         with open(path, newline="", encoding="utf-8") as fh:
@@ -119,10 +122,10 @@ def load_csv(path, label_col: int = -1) -> RawTable:
     if len(set(labels)) < 2:
         raise DataError("label column must have at least 2 distinct values")
     feat_idx = [j for j in range(width) if j != label_col]
-    columns = [[row[j] for row in data] for j in feat_idx]
-    names = [header[j] for j in feat_idx]
-    categorical = [not all(_is_number(c) for c in col) for col in columns]
-    return RawTable(columns=columns, names=names, labels=labels, categorical=categorical)
+    parsed = [_parse_column([row[j] for row in data]) for j in feat_idx]
+    return RawTable(columns=[col for col, _ in parsed],
+                    names=[header[j] for j in feat_idx], labels=labels,
+                    categorical=[cat for _, cat in parsed])
 
 
 def encode_labels(raw_labels) -> tuple[np.ndarray, int]:
@@ -148,7 +151,7 @@ def encode_categoricals(table: RawTable, train_mask=None) -> np.ndarray:
     global_mean = float(y_train.mean()) if y_train.size else 0.0
     for j, col in enumerate(table.columns):
         if not table.categorical[j]:
-            out[:, j] = [float(c) for c in col]
+            out[:, j] = col
             continue
         sums: dict[str, float] = {}
         counts: dict[str, int] = {}

@@ -27,12 +27,19 @@ class NumericsError(Exception):
 
 
 class ConvergenceError(NumericsError):
-    """An iterative solver hit its iteration cap without converging."""
+    """An iterative solver hit its iteration cap without converging.
 
-    def __init__(self, message, last_iterate=None, residuals=None):
+    rows holds the indices of the rows that hit the cap (in the system's
+    flattened batch for Dykstra, in b for box least squares), residuals maps
+    each residual's name to one value per such row, and last_iterate is the
+    solver's output with those rows left at their last iterate.
+    """
+
+    def __init__(self, message, last_iterate, residuals, rows):
         super().__init__(message)
         self.last_iterate = last_iterate
         self.residuals = residuals
+        self.rows = rows
 
 
 def as_matrix(a) -> np.ndarray:
@@ -99,90 +106,159 @@ def svd(a) -> SvdFactors:
     return SvdFactors(u=u, s=s, v=vt.T)
 
 
-def dykstra_project(x0, sys_: LinearSystem,
-                    max_iter: int = 10_000, tol: float = 1e-10) -> np.ndarray:
-    """Euclidean projection of x0 onto {x in [0,1]^d : Ax = b} of a one-row system.
+def _start(x0, shape) -> np.ndarray:
+    """A writable copy of x0 broadcast to shape, raising on NaN/Inf."""
+    x = np.array(np.broadcast_to(np.asarray(x0, dtype=float), shape))
+    if not np.all(np.isfinite(x)):
+        raise ValueError("starting point contains non-finite entries")
+    return x
+
+
+def _clip01(x: np.ndarray) -> np.ndarray:
+    """np.clip(x, 0, 1) without its per-call overhead, which dominates on few rows."""
+    return np.minimum(np.maximum(x, 0.0), 1.0)
+
+
+def _row_norms(x: np.ndarray) -> np.ndarray:
+    """np.linalg.norm(x, axis=1), the same bits without its per-call overhead."""
+    return np.sqrt(np.add.reduce(x * x, axis=1))
+
+
+def _cap_error(solver: str, x: np.ndarray, rows: np.ndarray, total: int,
+               residuals: dict) -> ConvergenceError:
+    return ConvergenceError(
+        f"{solver} hit the iteration cap on {rows.size} of {total} rows",
+        last_iterate=x, residuals=residuals, rows=rows)
+
+
+def dykstra_project(x0, sys_: LinearSystem, max_iter: int = 10_000,
+                    tol: float = 1e-10, *, rows=None,
+                    return_iterations: bool = False):
+    """Euclidean projection of x0 onto {x in [0,1]^d : Ax = b} for each row of sys_.
 
     Alternates the closed-form affine projection with box clamping, carrying
     Dykstra correction terms so the iterates converge to the true projection
-    (the target is strictly convex, hence unique). The set must be nonempty.
+    (the target is strictly convex, hence unique). Every set must be nonempty.
+    rows picks rows of the system's flattened batch (default: all); x0
+    broadcasts to the result, which has shape batch + (d,), or
+    (len(rows), d) when rows is given. One vectorized iteration runs over
+    the rows still moving: a row stops once an iteration moves it by less
+    than tol, and a row whose x0 already lies in its set is returned as is.
+    With return_iterations, each row's iteration count is returned as well.
+
+    Raises ConvergenceError naming, by their index in the flattened batch,
+    the rows still moving after max_iter iterations.
     """
-    if np.ndim(sys_.b) != 1:
-        raise ValueError("dykstra_project takes a one-row system; pass row(i)")
-    x = as_vector(x0).copy()
-    if sys_.contains(x, tau=0.0):
-        return x
-    ap = sys_.pinv
-    a, b = sys_.a, sys_.b
-    p = np.zeros_like(x)
-    q = np.zeros_like(x)
-    for _ in range(max_iter):
-        z = x + p
-        y = z - ap @ (a @ z - b)  # affine projection
+    a, ap = sys_.a, sys_.pinv
+    b = sys_.b.reshape(-1, a.shape[0])
+    if rows is None:
+        index, shape = np.arange(len(b)), sys_.batch + (sys_.d,)
+    else:
+        index = np.asarray(rows, dtype=int).ravel()
+        b, shape = b[index], (index.size, sys_.d)
+    x = _start(x0, shape)
+    flat = x.reshape(-1, sys_.d)
+    iterations = np.zeros(len(b), dtype=int)
+    inside = ((np.max(np.abs(flat @ a.T - b), axis=1) <= 0.0)
+              & np.all((flat >= 0.0) & (flat <= 1.0), axis=1))
+    live = np.flatnonzero(~inside)
+    xs, bs = flat[live], b[live]
+    p = np.zeros_like(xs)
+    q = np.zeros_like(xs)
+    for it in range(1, max_iter + 1):
+        if not live.size:
+            break
+        z = xs + p
+        y = z - (z @ a.T - bs) @ ap.T  # affine projection
         p = z - y
         w = y + q
-        x_new = np.clip(w, 0.0, 1.0)  # box projection
+        x_new = _clip01(w)  # box projection
         q = w - x_new
-        move = np.linalg.norm(x_new - x)
-        x = x_new
-        if move < tol:
-            break
-    else:
-        raise ConvergenceError(
-            "Dykstra projection hit the iteration cap",
-            last_iterate=x,
-            residuals={"affine": float(np.max(np.abs(a @ x - b))),
-                       "move": float(move)},
-        )
-    return x
+        move = _row_norms(x_new - xs)
+        xs = x_new
+        done = move < tol
+        if np.count_nonzero(done):
+            flat[live[done]] = xs[done]
+            iterations[live[done]] = it
+            keep = ~done
+            live, xs, bs, p, q, move = (live[keep], xs[keep], bs[keep],
+                                        p[keep], q[keep], move[keep])
+    if live.size:
+        flat[live] = xs
+        raise _cap_error("Dykstra projection", flat.reshape(shape), index[live],
+                         len(b), {"affine": np.max(np.abs(xs @ a.T - bs), axis=1),
+                                  "move": move})
+    x = flat.reshape(shape)
+    return (x, iterations.reshape(shape[:-1])) if return_iterations else x
 
 
 def box_least_squares(a, b, x_init=None, max_iter: int = 50_000,
                       tol: float = 1e-12, s1: float | None = None) -> np.ndarray:
     """Minimize ||Ax - b|| over the unit box by accelerated projected gradient.
 
-    The minimizer is not unique for underdetermined systems: the output
-    depends on x_init (default: the box center). For satisfiable systems the
-    residual at the output is driven to ~0. s1 is the largest singular value
-    of A; a caller that holds A's SVD passes it to save a factorization.
+    b is one right-hand side (m,) or N of them (N x m), and the result is
+    d or N x d. The minimizer is not unique for underdetermined systems: the
+    output depends on x_init (default: the box center), which broadcasts to
+    the result. For satisfiable systems the residual at the output is driven
+    to ~0. s1 is the largest singular value of A; a caller that holds A's
+    SVD passes it to save a factorization. One vectorized FISTA iteration
+    runs over the rows not yet stationary, with momentum restarted per row.
+
+    Raises ConvergenceError naming, by their row index in b, the rows not
+    stationary after max_iter iterations.
     """
     a = as_matrix(a)
-    b = as_vector(b)
-    d = a.shape[1]
-    x = np.full(d, 0.5) if x_init is None else np.clip(as_vector(x_init), 0.0, 1.0)
+    b = np.asarray(b, dtype=float)
+    if b.ndim not in (1, 2) or b.shape[-1] != a.shape[0]:
+        raise ValueError(f"b must have shape ({a.shape[0]},) or "
+                         f"(N, {a.shape[0]}), got {b.shape}")
+    if b.size == 0 or not np.all(np.isfinite(b)):
+        raise ValueError("b must be non-empty and finite")
+    shape = b.shape[:-1] + (a.shape[1],)
+    x = _start(0.5 if x_init is None else np.clip(x_init, 0.0, 1.0), shape)
     s1 = np.linalg.norm(a, 2) if s1 is None else s1
     if s1 == 0.0:
         return x
     step = 1.0 / (s1 * s1)
-    at = a.T
+    flat = x.reshape(-1, a.shape[1])
+    bs = b.reshape(-1, a.shape[0])
+    live = np.arange(len(bs))
 
     # FISTA with restart on non-monotone objective
-    y = x.copy()
-    t = 1.0
-    fx = 0.5 * np.linalg.norm(a @ x - b) ** 2
+    xs = flat.copy()
+    t = np.ones(len(bs))
+    r = xs @ a.T - bs
+    fx = 0.5 * _row_norms(r) ** 2
+    gx = r @ a  # gradient at x
+    y = xs
     for _ in range(max_iter):
-        grad = at @ (a @ y - b)
-        x_new = np.clip(y - step * grad, 0.0, 1.0)
-        f_new = 0.5 * np.linalg.norm(a @ x_new - b) ** 2
-        if f_new > fx:  # restart momentum
-            y = x.copy()
-            t = 1.0
-            grad = at @ (a @ y - b)
-            x_new = np.clip(y - step * grad, 0.0, 1.0)
-            f_new = 0.5 * np.linalg.norm(a @ x_new - b) ** 2
+        grad = (y @ a.T - bs) @ a
+        x_new = _clip01(y - step * grad)
+        r = x_new @ a.T - bs
+        f_new = 0.5 * _row_norms(r) ** 2
+        restart = f_new > fx  # restart momentum from x
+        if np.count_nonzero(restart):
+            t[restart] = 1.0
+            x_new[restart] = _clip01(xs[restart] - step * gx[restart])
+            r[restart] = x_new[restart] @ a.T - bs[restart]
+            f_new[restart] = 0.5 * _row_norms(r[restart]) ** 2
         t_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
-        y = x_new + ((t - 1.0) / t_new) * (x_new - x)
-        move = np.linalg.norm(x_new - x)
-        x, t, fx = x_new, t_new, f_new
+        y = x_new + ((t - 1.0) / t_new)[:, None] * (x_new - xs)
+        move = _row_norms(x_new - xs)
+        xs, t, fx, gx = x_new, t_new, f_new, r @ a
         # stationarity: projected gradient step does not move the iterate
-        pg = np.linalg.norm(x - np.clip(x - step * (at @ (a @ x - b)), 0.0, 1.0))
-        if pg < tol and move < tol:
-            return x
-    raise ConvergenceError(
-        "box least squares hit the iteration cap",
-        last_iterate=x,
-        residuals={"residual": float(np.linalg.norm(a @ x - b))},
-    )
+        pg = _row_norms(xs - _clip01(xs - step * gx))
+        done = (pg < tol) & (move < tol)
+        if np.count_nonzero(done):
+            flat[live[done]] = xs[done]
+            keep = ~done
+            live, xs, bs, t, fx, gx, y = (live[keep], xs[keep], bs[keep],
+                                          t[keep], fx[keep], gx[keep], y[keep])
+            if not live.size:
+                return flat.reshape(shape)
+    flat[live] = xs
+    raise _cap_error("box least squares", flat.reshape(shape), live, len(flat),
+                     {"residual": _row_norms(xs @ a.T - bs)})
 
 
 def von_neumann_bounds(m, p, tol: float = 1e-8) -> tuple[float, float]:

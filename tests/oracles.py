@@ -249,3 +249,128 @@ def defense_sweep_rows(model, ds, rows, settings, attack="half_star"):
         mse = metrics.empirical_mse(np.array(truths), np.array(estimates))
         out.append((mse, float(np.mean(kls)) if kls else 0.0, all(kept)))
     return out
+
+
+# --- the one-row solvers that the batched estimators replaced --------------
+# Kept as agreement oracles: each solves one prediction at a time, with the
+# same iteration as the package, so a batched call must agree with them up to
+# the solver's tolerance.
+
+def dykstra_row(x0, sys_: LinearSystem, max_iter: int = 10_000,
+                tol: float = 1e-10) -> np.ndarray:
+    """Dykstra's projection of x0 onto {x in [0,1]^d : Ax = b} of a one-row system."""
+    x = np.asarray(x0, dtype=float).copy()
+    if sys_.contains(x, tau=0.0):
+        return x
+    ap, a, b = sys_.pinv, sys_.a, sys_.b
+    p = np.zeros_like(x)
+    q = np.zeros_like(x)
+    for _ in range(max_iter):
+        z = x + p
+        y = z - ap @ (a @ z - b)
+        p = z - y
+        w = y + q
+        x_new = np.clip(w, 0.0, 1.0)
+        q = w - x_new
+        move = np.linalg.norm(x_new - x)
+        x = x_new
+        if move < tol:
+            return x
+    raise NumericsError("one-row Dykstra hit the iteration cap")
+
+
+def box_least_squares_row(a, b, x_init=None, max_iter: int = 50_000,
+                          tol: float = 1e-12) -> np.ndarray:
+    """FISTA with momentum restart for min ||Ax - b|| over the box, one row."""
+    d = a.shape[1]
+    x = np.full(d, 0.5) if x_init is None else np.clip(x_init, 0.0, 1.0)
+    step = 1.0 / np.linalg.norm(a, 2) ** 2
+    y = x.copy()
+    t = 1.0
+    fx = 0.5 * np.linalg.norm(a @ x - b) ** 2
+    for _ in range(max_iter):
+        x_new = np.clip(y - step * (a.T @ (a @ y - b)), 0.0, 1.0)
+        f_new = 0.5 * np.linalg.norm(a @ x_new - b) ** 2
+        if f_new > fx:
+            y = x.copy()
+            t = 1.0
+            x_new = np.clip(y - step * (a.T @ (a @ y - b)), 0.0, 1.0)
+            f_new = 0.5 * np.linalg.norm(a @ x_new - b) ** 2
+        t_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
+        y = x_new + ((t - 1.0) / t_new) * (x_new - x)
+        move = np.linalg.norm(x_new - x)
+        x, t, fx = x_new, t_new, f_new
+        pg = np.linalg.norm(x - np.clip(x - step * (a.T @ (a @ x - b)), 0.0, 1.0))
+        if pg < tol and move < tol:
+            return x
+    raise NumericsError("one-row box least squares hit the iteration cap")
+
+
+def _rcc1_objective_row(alpha, rows, g, t):
+    m = rows.T @ (alpha[:, None] * rows)
+    gs = g.T @ alpha
+    u = np.linalg.solve(m, gs)
+    return float(gs @ u - alpha @ t), m, u
+
+
+def rcc1_row(sys_: LinearSystem, mu0=1.0, mu_factor=0.2, mu_min=1e-9,
+             newton_tol=1e-9, max_newton=100) -> np.ndarray:
+    """The rcc1 center of a one-row system by its log-barrier Newton method."""
+    rows = sys_.nullspace
+    d, p = rows.shape
+    q = sys_.min_norm_solution
+    g = (q - 0.5)[:, None] * rows
+    t = -q * (1.0 - q)
+    alpha = np.full(d, 1.1 / float(np.linalg.eigvalsh(rows.T @ rows)[0]))
+
+    def strictly_feasible(a):
+        m = rows.T @ (a[:, None] * rows)
+        return np.all(a > 0.0) and np.linalg.eigvalsh(m - np.eye(p))[0] > 0.0
+
+    def total(a, mu):
+        f, m, u = _rcc1_objective_row(a, rows, g, t)
+        sign, logdet = np.linalg.slogdet(m - np.eye(p))
+        if sign <= 0:
+            return np.inf, m, u
+        return f + mu * (-logdet - np.sum(np.log(a))), m, u
+
+    mu = mu0
+    while mu >= mu_min:
+        for _ in range(max_newton):
+            val, m, u = total(alpha, mu)
+            r = g - rows * (rows @ u)[:, None]
+            grad_f = 2.0 * (g @ u) - (rows @ u) ** 2 - t
+            hess_f = 2.0 * (r @ np.linalg.solve(m, r.T))
+            s = rows @ np.linalg.inv(m - np.eye(p)) @ rows.T
+            grad = grad_f + mu * (-np.diag(s) - 1.0 / alpha)
+            hess = hess_f + mu * (s * s + np.diag(1.0 / alpha ** 2))
+            step = np.linalg.solve(hess + 1e-12 * np.eye(d), -grad)
+            decrement = float(-grad @ step)
+            if decrement / 2.0 < newton_tol:
+                break
+            tstep = 1.0
+            for _ in range(60):
+                cand = alpha + tstep * step
+                if (strictly_feasible(cand)
+                        and total(cand, mu)[0] <= val - 1e-4 * tstep * decrement):
+                    break
+                tstep *= 0.5
+            else:
+                break
+            alpha = alpha + tstep * step
+        mu *= mu_factor
+    _, _, u = _rcc1_objective_row(alpha, rows, g, t)
+    return q - rows @ u
+
+
+def rcc2_row(sys_: LinearSystem) -> np.ndarray:
+    """The rcc2 estimate of a one-row system: half_star, or Dykstra outside the box."""
+    x = sys_.min_norm_solution + 0.5 * (sys_.projector @ np.ones(sys_.d))
+    return x if sys_.contains(x) else dykstra_row(np.full(sys_.d, 0.5), sys_)
+
+
+def row_by_row(name: str, sys_: LinearSystem) -> np.ndarray:
+    """rcc2, cls or rcc1 of every row of a batched system, one row at a time."""
+    solve = {"rcc2": rcc2_row, "rcc1": rcc1_row,
+             "cls": lambda s: box_least_squares_row(s.a, s.b)}[name]
+    return np.array([solve(sys_.row(i)) for i in range(len(sys_.b))])

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from vflpriv import attacks
+from vflpriv import attacks, numerics
 from vflpriv.model import predict
 from vflpriv.system import LinearSystem, build_system
 
@@ -340,6 +340,65 @@ class TestBatch:
         assert type(est.diagnostics["iterations"]) is int
         assert est.diagnostics["iterations"] == sum(one)
         assert est.diagnostics["kl_bits"].shape == (3,)
+
+
+def _bimodal_predictions(model, n, seed):
+    """Features piled up near 0 and 1, where half_star often leaves the box."""
+    rng = np.random.default_rng(seed)
+
+    def draw(width):
+        jitter = np.abs(rng.normal(0.0, 0.05, size=(n, width)))
+        return np.where(rng.random((n, width)) < 0.5, 1.0 - jitter, jitter)
+
+    y_act = draw(model.split.d_t - model.split.d)
+    return y_act, predict(model, y_act, draw(model.split.d))
+
+
+class TestBatchedSolvers:
+    """One batched call of each iterative estimator against the one-row oracles."""
+
+    @pytest.fixture(params=["small_model", "k4", "bimodal"])
+    def sys_(self, request):
+        if request.param == "small_model":
+            model = request.getfixturevalue("small_model")
+            return build_system(model, *_predictions(model, 12, seed=4))
+        if request.param == "k4":
+            return build_system(_k4_model(), *_predictions(_k4_model(), 12, seed=4))
+        return build_system(_k4_model(), *_bimodal_predictions(_k4_model(), 12, 0))
+
+    @pytest.mark.parametrize("name", ["rcc2", "cls", "rcc1"])
+    def test_matches_one_row_oracle(self, sys_, name):
+        got = attacks.run_attack(name, sys_).x_hat
+        want = oracles.row_by_row(name, sys_)
+        assert got.shape == want.shape == (12, sys_.d)
+        assert np.max(np.abs(got - want)) <= BATCH_TOL[name]
+
+    def test_rcc2_diagnostics_per_row(self, sys_):
+        est = attacks.attack_rcc2(sys_)
+        dykstra = est.diagnostics["projection"] == "dykstra"
+        iterations = est.diagnostics["iterations"]
+        assert iterations.shape == est.diagnostics["residual"].shape == (12,)
+        assert np.all(iterations[~dykstra] == 0) and np.all(iterations[dykstra] > 0)
+        assert np.array_equal(est.diagnostics["residual"], sys_.residual(est.x_hat))
+
+    def test_bimodal_batch_reaches_dykstra(self):
+        sys_ = build_system(_k4_model(), *_bimodal_predictions(_k4_model(), 12, 0))
+        est = attacks.attack_rcc2(sys_)
+        assert np.count_nonzero(est.diagnostics["projection"] == "dykstra") >= 4
+
+    def test_rcc2_cap_names_the_batch_rows(self, monkeypatch):
+        sys_ = build_system(_k4_model(), *_bimodal_predictions(_k4_model(), 12, 0))
+        dykstra = np.flatnonzero(attacks.attack_rcc2(sys_).diagnostics["projection"]
+                                 == "dykstra")
+        real = numerics.dykstra_project
+        monkeypatch.setattr(numerics, "dykstra_project",
+                            lambda *args, **kw: real(*args, max_iter=1, **kw))
+        with pytest.raises(numerics.ConvergenceError) as err:
+            attacks.attack_rcc2(sys_)
+        # every Dykstra row hits a one-iteration cap; rows are named in the
+        # batch's numbering, not by position among the Dykstra rows
+        assert err.value.rows.tolist() == dykstra.tolist()
+        assert err.value.residuals["affine"].shape == (dykstra.size,)
 
 
 def test_cls_takes_the_spectral_norm_from_the_shared_svd(monkeypatch):

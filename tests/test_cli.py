@@ -1,12 +1,13 @@
 import csv
+import re
 
 import numpy as np
 import pytest
 
 import oracles
-from vflpriv import cli
+from vflpriv import cli, numerics
 from vflpriv.dataset import SyntheticSpec, synthesize
-from vflpriv.model import TrainConfig, VflSplit, accuracy, train
+from vflpriv.model import TrainConfig, VflModel, VflSplit, accuracy, train
 
 
 def _run(argv):
@@ -293,3 +294,39 @@ class TestMatchesRowByRowReference:
         for row, (mse, kl, _) in zip(got, want):
             self._close(row[2], mse)
             self._close(row[3], kl)
+
+
+def test_solver_cap_prints_rows_and_residuals(tmp_path, monkeypatch, capsys):
+    # a random k=4 model on features piled up near 0 and 1 sends rcc2 to
+    # Dykstra on some rows; a one-iteration cap then stops it there
+    rng = np.random.default_rng(28)
+    model = VflModel(w_act=3.0 * rng.standard_normal((4, 4)),
+                     w_pas=3.0 * rng.standard_normal((4, 6)),
+                     b=rng.standard_normal(4), k=4,
+                     split=VflSplit.contiguous(10, 4, 6))
+    model.save(tmp_path / "model.json")
+    jitter = np.abs(rng.normal(0.0, 0.05, size=(200, 10)))
+    x = np.where(rng.random((200, 10)) < 0.5, 1.0 - jitter, jitter)
+    x[:2] = [[0.0] * 10, [1.0] * 10]        # min-max scaling keeps the values
+    path = tmp_path / "bimodal.csv"
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow([f"f{j}" for j in range(10)] + ["label"])
+        writer.writerows([*map(repr, row), f"c{i % 4}"]
+                         for i, row in enumerate(x.tolist()))
+    real = numerics.dykstra_project
+    monkeypatch.setattr(numerics, "dykstra_project",
+                        lambda *args, **kw: real(*args, max_iter=1, **kw))
+    assert _run(["attack", "--data", str(path), "--model", str(tmp_path / "model.json"),
+                 "--d", "6", "--start", "4", "--attacks", "rcc2", "--n", "20"]) == 3
+    line = capsys.readouterr().err.strip()
+    found = re.fullmatch(r"solver failure: Dykstra projection hit the iteration "
+                         r"cap on (\d+) of \d+ rows; rows \[([\d, ]+)\]; "
+                         r"affine ([^;]+); move ([^;]+)", line)
+    assert found, line
+    capped = int(found[1])
+    rows = [int(r) for r in found[2].split(",")]
+    assert len(rows) == capped and all(0 <= r < 20 for r in rows)
+    for values in (found[3], found[4]):
+        assert len(values.split()) == capped
+        assert all(float(v) >= 0.0 for v in values.split())

@@ -18,6 +18,17 @@ class TestLoadCsv:
         assert table.labels == ["yes", "no"]
         assert table.categorical == [False, True]
 
+    def test_numeric_cells_parsed_once_to_exact_floats(self, tmp_path):
+        cells = ["0.1", "1e-320", " 2.5", "-0", "1.7976931348623157e308", "3"]
+        text = "a,b,label\n" + "".join(f"{c},{c if i else 'x'},{i % 2}\n"
+                                       for i, c in enumerate(cells))
+        table = dataset.load_csv(_write_csv(tmp_path, text))
+        assert table.categorical == [False, True]
+        assert table.columns[0].tolist() == [float(c) for c in cells]
+        assert table.columns[1] == ["x"] + cells[1:]   # raw strings, unparsed
+        out = dataset.encode_categoricals(table)
+        assert out[:, 0].tolist() == [float(c) for c in cells]
+
     def test_label_col_selection(self, tmp_path):
         path = _write_csv(tmp_path, "label,a\nyes,1\nno,2\n")
         table = dataset.load_csv(path, label_col=0)

@@ -83,9 +83,12 @@ class TestProjections:
         for _ in range(10):
             a, b, _ = oracles.random_satisfiable_system(rng, 4, 2)
             x0 = rng.uniform(-0.5, 1.5, size=4)
-            got = numerics.dykstra_project(x0, LinearSystem(a=a, b=b))
+            sys_ = LinearSystem(a=a, b=b)
+            got = numerics.dykstra_project(x0, sys_)
             want = oracles.project_box_affine(x0, a, b)
             assert np.allclose(got, want, atol=1e-5)
+            # the stop test looks only at the move; the point must also solve Ax = b
+            assert sys_.residual(got) < 1e-8
 
     def test_dykstra_noop_inside(self):
         a = np.array([[1.0, 1.0]])
@@ -100,10 +103,41 @@ class TestProjections:
             numerics.dykstra_project(np.array([5.0, -5.0]), sys_, max_iter=1)
         assert err.value.last_iterate is not None
 
-    def test_dykstra_needs_one_row(self):
-        batch = LinearSystem(a=np.array([[1.0, 1.0]]), b=np.array([[0.4], [1.2]]))
-        with pytest.raises(ValueError, match="one-row"):
-            numerics.dykstra_project(np.full(2, 0.5), batch)
+    def test_dykstra_n_rows_equal_n_one_row_calls(self):
+        rng = np.random.default_rng(11)
+        a, _, _ = oracles.random_satisfiable_system(rng, 5, 2)
+        truths = np.where(rng.random((6, 5)) < 0.5, 0.98, 0.02)
+        sys_ = LinearSystem(a=a, b=truths @ a.T)
+        x0 = rng.uniform(-0.5, 1.5, size=(6, 5))
+        got, iters = numerics.dykstra_project(x0, sys_, return_iterations=True)
+        assert got.shape == (6, 5) and iters.shape == (6,)
+        for i in range(6):
+            one, n_one = numerics.dykstra_project(x0[i], sys_.row(i),
+                                                  return_iterations=True)
+            oracle = oracles.dykstra_row(x0[i], sys_.row(i))
+            assert np.max(np.abs(got[i] - one)) <= 1e-9
+            assert np.max(np.abs(got[i] - oracle)) <= 1e-9
+            assert abs(int(iters[i]) - int(n_one)) <= 1
+        assert np.all(iters > 0)
+        # a sub-batch picked by rows gives the same projections
+        sub = numerics.dykstra_project(x0[[4, 1]], sys_, rows=[4, 1])
+        assert np.max(np.abs(sub - got[[4, 1]])) <= 1e-9
+
+    def test_dykstra_cap_names_rows_and_residuals(self):
+        sys_ = LinearSystem(a=np.array([[1.0, 1.0]]),
+                            b=np.array([[1.0], [0.4], [1.2]]))
+        x0 = np.array([[0.3, 0.7], [5.0, -5.0], [0.9, 0.9]])  # row 0 is inside
+        with pytest.raises(numerics.ConvergenceError) as err:
+            numerics.dykstra_project(x0, sys_, max_iter=1)
+        assert err.value.rows.tolist() == [1, 2]
+        assert set(err.value.residuals) == {"affine", "move"}
+        assert all(v.shape == (2,) for v in err.value.residuals.values())
+        assert np.all(err.value.residuals["affine"] > 0.0)
+        assert np.array_equal(err.value.last_iterate[0], x0[0])
+        # rows are named by their index in the system, not in the sub-batch
+        with pytest.raises(numerics.ConvergenceError) as err:
+            numerics.dykstra_project(x0[[2, 0]], sys_, rows=[2, 0], max_iter=1)
+        assert err.value.rows.tolist() == [2]
 
 
 class TestBoxLeastSquares:
@@ -121,6 +155,28 @@ class TestBoxLeastSquares:
         got = numerics.box_least_squares(a, b)
         want = oracles.box_least_squares_ref(a, b)
         assert np.allclose(got, want, atol=1e-6)
+
+    def test_n_rows_equal_n_one_row_calls(self):
+        rng = np.random.default_rng(12)
+        a, _, _ = oracles.random_satisfiable_system(rng, 5, 2)
+        b = rng.uniform(0.0, 1.0, size=(6, 5)) @ a.T
+        got = numerics.box_least_squares(a, b)
+        assert got.shape == (6, 5)
+        for i in range(6):
+            one = numerics.box_least_squares(a, b[i])
+            assert np.max(np.abs(got[i] - one)) <= 1e-9
+            assert np.max(np.abs(got[i] - oracles.box_least_squares_row(a, b[i]))) <= 1e-8
+
+    def test_cap_names_rows_and_residuals(self):
+        a = np.array([[1.0, 2.0, 0.5]])
+        b = np.array([[0.7], [4.0], [-0.4]])
+        with pytest.raises(numerics.ConvergenceError) as err:
+            numerics.box_least_squares(a, b, max_iter=1)
+        assert err.value.rows.tolist() == [0, 1, 2]
+        assert err.value.residuals["residual"].shape == (3,)
+        assert err.value.last_iterate.shape == (3, 3)
+        # rows 1 and 2 have no solution in the box: their residual stays positive
+        assert np.all(err.value.residuals["residual"][1:] > 0.1)
 
     def test_init_dependence(self):
         # one equation, two unknowns: minimizer set is a segment
