@@ -97,8 +97,7 @@ def attack_cls(sys_: LinearSystem, x_init=None) -> AttackEstimate:
     """
     if sys_.nullity == 0:
         return _determined(sys_, "cls")
-    x = numerics.box_least_squares(sys_.a, sys_.b, x_init=x_init,
-                                   s1=sys_.svd.s[0])
+    x = numerics.box_least_squares(sys_, x_init=x_init)
     return _estimate(sys_, "cls", x, residual=sys_.residual(x))
 
 
@@ -126,7 +125,7 @@ def attack_rcc2(sys_: LinearSystem) -> AttackEstimate:
     todo = np.flatnonzero(~closed)
     if todo.size:
         flat[todo], iterations[todo] = numerics.dykstra_project(
-            np.full(sys_.d, 0.5), sys_, rows=todo, return_iterations=True)
+            np.full(sys_.d, 0.5), sys_, rows=todo)
     x = flat.reshape(x.shape)
     return _estimate(sys_, "rcc2", x,
                      projection=np.where(closed, "closed_form", "dykstra")[()],

@@ -26,6 +26,11 @@ class RawTable:
     labels: list                 # raw label cells
     categorical: list[bool]      # per-feature flag
 
+    def __post_init__(self):
+        # numeric cells given as strings or numbers are parsed here, once
+        self.columns = [col if self.categorical[j] else _float_column(col)
+                        for j, col in enumerate(self.columns)]
+
     @property
     def n_rows(self) -> int:
         return len(self.labels)
@@ -87,11 +92,18 @@ class SyntheticSpec:
             raise DataError("need at least one feature")
 
 
+def _float_column(cells) -> np.ndarray:
+    """The cells parsed with float into a float array; a float array passes as is."""
+    if isinstance(cells, np.ndarray) and cells.dtype == float:
+        return cells
+    return np.fromiter(map(float, cells), dtype=float, count=len(cells))
+
+
 def _parse_column(cells: list[str]) -> tuple[np.ndarray | list, bool]:
     """(the cells as a float array, False), or (the cells, True) if one cell
     is not a number."""
     try:
-        return np.fromiter(map(float, cells), dtype=float, count=len(cells)), False
+        return _float_column(cells), False
     except ValueError:
         return cells, True
 

@@ -29,10 +29,10 @@ class NumericsError(Exception):
 class ConvergenceError(NumericsError):
     """An iterative solver hit its iteration cap without converging.
 
-    rows holds the indices of the rows that hit the cap (in the system's
-    flattened batch for Dykstra, in b for box least squares), residuals maps
-    each residual's name to one value per such row, and last_iterate is the
-    solver's output with those rows left at their last iterate.
+    rows holds the indices of the rows that hit the cap in the system's
+    flattened batch, residuals maps each residual's name to one value per
+    such row, and last_iterate is the solver's output with those rows left
+    at their last iterate.
     """
 
     def __init__(self, message, last_iterate, residuals, rows):
@@ -114,16 +114,6 @@ def _start(x0, shape) -> np.ndarray:
     return x
 
 
-def _clip01(x: np.ndarray) -> np.ndarray:
-    """np.clip(x, 0, 1) without its per-call overhead, which dominates on few rows."""
-    return np.minimum(np.maximum(x, 0.0), 1.0)
-
-
-def _row_norms(x: np.ndarray) -> np.ndarray:
-    """np.linalg.norm(x, axis=1), the same bits without its per-call overhead."""
-    return np.sqrt(np.add.reduce(x * x, axis=1))
-
-
 def _cap_error(solver: str, x: np.ndarray, rows: np.ndarray, total: int,
                residuals: dict) -> ConvergenceError:
     return ConvergenceError(
@@ -132,8 +122,8 @@ def _cap_error(solver: str, x: np.ndarray, rows: np.ndarray, total: int,
 
 
 def dykstra_project(x0, sys_: LinearSystem, max_iter: int = 10_000,
-                    tol: float = 1e-10, *, rows=None,
-                    return_iterations: bool = False):
+                    tol: float = 1e-10, *, rows=None
+                    ) -> tuple[np.ndarray, np.ndarray]:
     """Euclidean projection of x0 onto {x in [0,1]^d : Ax = b} for each row of sys_.
 
     Alternates the closed-form affine projection with box clamping, carrying
@@ -144,7 +134,8 @@ def dykstra_project(x0, sys_: LinearSystem, max_iter: int = 10_000,
     (len(rows), d) when rows is given. One vectorized iteration runs over
     the rows still moving: a row stops once an iteration moves it by less
     than tol, and a row whose x0 already lies in its set is returned as is.
-    With return_iterations, each row's iteration count is returned as well.
+    Returns the projections and each row's iteration count (0 for a row
+    returned as is), whose shape drops the last axis.
 
     Raises ConvergenceError naming, by their index in the flattened batch,
     the rows still moving after max_iter iterations.
@@ -172,9 +163,9 @@ def dykstra_project(x0, sys_: LinearSystem, max_iter: int = 10_000,
         y = z - (z @ a.T - bs) @ ap.T  # affine projection
         p = z - y
         w = y + q
-        x_new = _clip01(w)  # box projection
+        x_new = np.clip(w, 0.0, 1.0)  # box projection
         q = w - x_new
-        move = _row_norms(x_new - xs)
+        move = np.linalg.norm(x_new - xs, axis=1)
         xs = x_new
         done = move < tol
         if np.count_nonzero(done):
@@ -188,66 +179,59 @@ def dykstra_project(x0, sys_: LinearSystem, max_iter: int = 10_000,
         raise _cap_error("Dykstra projection", flat.reshape(shape), index[live],
                          len(b), {"affine": np.max(np.abs(xs @ a.T - bs), axis=1),
                                   "move": move})
-    x = flat.reshape(shape)
-    return (x, iterations.reshape(shape[:-1])) if return_iterations else x
+    return flat.reshape(shape), iterations.reshape(shape[:-1])
 
 
-def box_least_squares(a, b, x_init=None, max_iter: int = 50_000,
-                      tol: float = 1e-12, s1: float | None = None) -> np.ndarray:
+def box_least_squares(sys_: LinearSystem, x_init=None, max_iter: int = 50_000,
+                      tol: float = 1e-12) -> np.ndarray:
     """Minimize ||Ax - b|| over the unit box by accelerated projected gradient.
 
-    b is one right-hand side (m,) or N of them (N x m), and the result is
-    d or N x d. The minimizer is not unique for underdetermined systems: the
-    output depends on x_init (default: the box center), which broadcasts to
-    the result. For satisfiable systems the residual at the output is driven
-    to ~0. s1 is the largest singular value of A; a caller that holds A's
-    SVD passes it to save a factorization. One vectorized FISTA iteration
-    runs over the rows not yet stationary, with momentum restarted per row.
+    Solves every row of sys_: the result has shape batch + (d,). The
+    minimizer is not unique for underdetermined systems: the output depends
+    on x_init (default: the box center), which broadcasts to the result.
+    For satisfiable systems the residual at the output is driven to ~0.
+    The step comes from the largest singular value in sys_'s SVD. One
+    vectorized FISTA iteration runs over the rows not yet stationary, with
+    momentum restarted per row.
 
-    Raises ConvergenceError naming, by their row index in b, the rows not
-    stationary after max_iter iterations.
+    Raises ConvergenceError naming, by their index in the flattened batch,
+    the rows not stationary after max_iter iterations.
     """
-    a = as_matrix(a)
-    b = np.asarray(b, dtype=float)
-    if b.ndim not in (1, 2) or b.shape[-1] != a.shape[0]:
-        raise ValueError(f"b must have shape ({a.shape[0]},) or "
-                         f"(N, {a.shape[0]}), got {b.shape}")
-    if b.size == 0 or not np.all(np.isfinite(b)):
-        raise ValueError("b must be non-empty and finite")
-    shape = b.shape[:-1] + (a.shape[1],)
+    a = sys_.a
+    shape = sys_.batch + (sys_.d,)
     x = _start(0.5 if x_init is None else np.clip(x_init, 0.0, 1.0), shape)
-    s1 = np.linalg.norm(a, 2) if s1 is None else s1
+    s1 = sys_.svd.s[0]
     if s1 == 0.0:
         return x
     step = 1.0 / (s1 * s1)
-    flat = x.reshape(-1, a.shape[1])
-    bs = b.reshape(-1, a.shape[0])
+    flat = x.reshape(-1, sys_.d)
+    bs = sys_.b.reshape(-1, a.shape[0])
     live = np.arange(len(bs))
 
     # FISTA with restart on non-monotone objective
     xs = flat.copy()
     t = np.ones(len(bs))
     r = xs @ a.T - bs
-    fx = 0.5 * _row_norms(r) ** 2
+    fx = 0.5 * np.linalg.norm(r, axis=1) ** 2
     gx = r @ a  # gradient at x
     y = xs
     for _ in range(max_iter):
         grad = (y @ a.T - bs) @ a
-        x_new = _clip01(y - step * grad)
+        x_new = np.clip(y - step * grad, 0.0, 1.0)
         r = x_new @ a.T - bs
-        f_new = 0.5 * _row_norms(r) ** 2
+        f_new = 0.5 * np.linalg.norm(r, axis=1) ** 2
         restart = f_new > fx  # restart momentum from x
         if np.count_nonzero(restart):
             t[restart] = 1.0
-            x_new[restart] = _clip01(xs[restart] - step * gx[restart])
+            x_new[restart] = np.clip(xs[restart] - step * gx[restart], 0.0, 1.0)
             r[restart] = x_new[restart] @ a.T - bs[restart]
-            f_new[restart] = 0.5 * _row_norms(r[restart]) ** 2
+            f_new[restart] = 0.5 * np.linalg.norm(r[restart], axis=1) ** 2
         t_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
         y = x_new + ((t - 1.0) / t_new)[:, None] * (x_new - xs)
-        move = _row_norms(x_new - xs)
+        move = np.linalg.norm(x_new - xs, axis=1)
         xs, t, fx, gx = x_new, t_new, f_new, r @ a
         # stationarity: projected gradient step does not move the iterate
-        pg = _row_norms(xs - _clip01(xs - step * gx))
+        pg = np.linalg.norm(xs - np.clip(xs - step * gx, 0.0, 1.0), axis=1)
         done = (pg < tol) & (move < tol)
         if np.count_nonzero(done):
             flat[live[done]] = xs[done]
@@ -258,7 +242,7 @@ def box_least_squares(a, b, x_init=None, max_iter: int = 50_000,
                 return flat.reshape(shape)
     flat[live] = xs
     raise _cap_error("box least squares", flat.reshape(shape), live, len(flat),
-                     {"residual": _row_norms(xs @ a.T - bs)})
+                     {"residual": np.linalg.norm(xs @ a.T - bs, axis=1)})
 
 
 def von_neumann_bounds(m, p, tol: float = 1e-8) -> tuple[float, float]:

@@ -84,7 +84,7 @@ class TestProjections:
             a, b, _ = oracles.random_satisfiable_system(rng, 4, 2)
             x0 = rng.uniform(-0.5, 1.5, size=4)
             sys_ = LinearSystem(a=a, b=b)
-            got = numerics.dykstra_project(x0, sys_)
+            got, _ = numerics.dykstra_project(x0, sys_)
             want = oracles.project_box_affine(x0, a, b)
             assert np.allclose(got, want, atol=1e-5)
             # the stop test looks only at the move; the point must also solve Ax = b
@@ -94,7 +94,8 @@ class TestProjections:
         a = np.array([[1.0, 1.0]])
         x0 = np.array([0.3, 0.7])
         sys_ = LinearSystem(a=a, b=np.array([1.0]))
-        assert np.array_equal(numerics.dykstra_project(x0, sys_), x0)
+        got, iters = numerics.dykstra_project(x0, sys_)
+        assert np.array_equal(got, x0) and iters == 0
 
     def test_dykstra_iteration_cap(self):
         a = np.array([[1.0, 1.0]])
@@ -109,18 +110,17 @@ class TestProjections:
         truths = np.where(rng.random((6, 5)) < 0.5, 0.98, 0.02)
         sys_ = LinearSystem(a=a, b=truths @ a.T)
         x0 = rng.uniform(-0.5, 1.5, size=(6, 5))
-        got, iters = numerics.dykstra_project(x0, sys_, return_iterations=True)
+        got, iters = numerics.dykstra_project(x0, sys_)
         assert got.shape == (6, 5) and iters.shape == (6,)
         for i in range(6):
-            one, n_one = numerics.dykstra_project(x0[i], sys_.row(i),
-                                                  return_iterations=True)
+            one, n_one = numerics.dykstra_project(x0[i], sys_.row(i))
             oracle = oracles.dykstra_row(x0[i], sys_.row(i))
             assert np.max(np.abs(got[i] - one)) <= 1e-9
             assert np.max(np.abs(got[i] - oracle)) <= 1e-9
             assert abs(int(iters[i]) - int(n_one)) <= 1
         assert np.all(iters > 0)
         # a sub-batch picked by rows gives the same projections
-        sub = numerics.dykstra_project(x0[[4, 1]], sys_, rows=[4, 1])
+        sub, _ = numerics.dykstra_project(x0[[4, 1]], sys_, rows=[4, 1])
         assert np.max(np.abs(sub - got[[4, 1]])) <= 1e-9
 
     def test_dykstra_cap_names_rows_and_residuals(self):
@@ -144,7 +144,7 @@ class TestBoxLeastSquares:
     def test_satisfiable_residual_zero(self):
         rng = np.random.default_rng(2)
         a, b, _ = oracles.random_satisfiable_system(rng, 5, 3)
-        x = numerics.box_least_squares(a, b)
+        x = numerics.box_least_squares(LinearSystem(a=a, b=b))
         assert np.linalg.norm(a @ x - b) < 1e-8
         assert np.all(x >= 0.0) and np.all(x <= 1.0)
 
@@ -152,7 +152,7 @@ class TestBoxLeastSquares:
         rng = np.random.default_rng(3)
         a = rng.standard_normal((8, 4))
         b = rng.standard_normal(8)
-        got = numerics.box_least_squares(a, b)
+        got = numerics.box_least_squares(LinearSystem(a=a, b=b))
         want = oracles.box_least_squares_ref(a, b)
         assert np.allclose(got, want, atol=1e-6)
 
@@ -160,10 +160,11 @@ class TestBoxLeastSquares:
         rng = np.random.default_rng(12)
         a, _, _ = oracles.random_satisfiable_system(rng, 5, 2)
         b = rng.uniform(0.0, 1.0, size=(6, 5)) @ a.T
-        got = numerics.box_least_squares(a, b)
+        sys_ = LinearSystem(a=a, b=b)
+        got = numerics.box_least_squares(sys_)
         assert got.shape == (6, 5)
         for i in range(6):
-            one = numerics.box_least_squares(a, b[i])
+            one = numerics.box_least_squares(sys_.row(i))
             assert np.max(np.abs(got[i] - one)) <= 1e-9
             assert np.max(np.abs(got[i] - oracles.box_least_squares_row(a, b[i]))) <= 1e-8
 
@@ -171,7 +172,7 @@ class TestBoxLeastSquares:
         a = np.array([[1.0, 2.0, 0.5]])
         b = np.array([[0.7], [4.0], [-0.4]])
         with pytest.raises(numerics.ConvergenceError) as err:
-            numerics.box_least_squares(a, b, max_iter=1)
+            numerics.box_least_squares(LinearSystem(a=a, b=b), max_iter=1)
         assert err.value.rows.tolist() == [0, 1, 2]
         assert err.value.residuals["residual"].shape == (3,)
         assert err.value.last_iterate.shape == (3, 3)
@@ -182,8 +183,9 @@ class TestBoxLeastSquares:
         # one equation, two unknowns: minimizer set is a segment
         a = np.array([[1.0, 1.0]])
         b = np.array([1.0])
-        x_center = numerics.box_least_squares(a, b)
-        x_corner = numerics.box_least_squares(a, b, x_init=[1.0, 0.0])
+        sys_ = LinearSystem(a=a, b=b)
+        x_center = numerics.box_least_squares(sys_)
+        x_corner = numerics.box_least_squares(sys_, x_init=[1.0, 0.0])
         assert np.linalg.norm(a @ x_center - b) < 1e-9
         assert np.linalg.norm(a @ x_corner - b) < 1e-9
         assert not np.allclose(x_center, x_corner)
@@ -281,17 +283,17 @@ class TestWorkedExamples:
 
     def test_dykstra_values(self):
         sys_ = LinearSystem(a=np.array([[2.0, 1.0]]), b=np.array([0.2]))
-        got = numerics.dykstra_project([0.5, 0.5], sys_)
+        got, _ = numerics.dykstra_project([0.5, 0.5], sys_)
         assert np.allclose(got, [0.0, 0.2], atol=1e-6)
         sys2 = LinearSystem(a=np.array([[1.0, 1.0]]), b=np.array([0.4]))
-        assert np.allclose(numerics.dykstra_project([0.5, 0.5], sys2),
+        assert np.allclose(numerics.dykstra_project([0.5, 0.5], sys2)[0],
                            [0.2, 0.2], atol=1e-8)
 
     def test_box_least_squares_values(self):
-        got = numerics.box_least_squares([[1.0, -1.0]], [1.0])
+        got = numerics.box_least_squares(LinearSystem(a=[[1.0, -1.0]], b=[1.0]))
         assert np.allclose(got, [1.0, 0.0], atol=1e-6)
-        assert np.allclose(numerics.box_least_squares(np.eye(2), [0.3, 0.7]),
-                           [0.3, 0.7], atol=1e-8)
+        sys2 = LinearSystem(a=np.eye(2), b=[0.3, 0.7])
+        assert np.allclose(numerics.box_least_squares(sys2), [0.3, 0.7], atol=1e-8)
 
     def test_chebyshev_values(self):
         c, r = oracles.chebyshev_center_exact(
