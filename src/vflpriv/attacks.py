@@ -3,11 +3,12 @@
 All attacks are pure functions of (system/model, config) and take a batch:
 a system of N predictions gives N x d estimates in one call, and a one-row
 system gives a d-vector. The closed forms are matrix operations over the
-batch. The iterative solvers (Dykstra for rcc2, FISTA for cls, the rcc1
-log barrier) make one call per batch on the shared factors of A: each
-iteration is vectorized over the rows that have not yet converged; gia
-still descends one row at a time. When the system is determined (trivial
-nullspace) every estimator short-circuits to the unique solution A^+ b'.
+batch. The iterative solvers (the exact dual Newton projection for rcc2,
+FISTA for cls, the rcc1 log barrier) make one call per batch on the shared
+factors of A: each iteration is vectorized over the rows that have not yet
+converged; gia still descends one row at a time. When the system is
+determined (trivial nullspace) every estimator short-circuits to the unique
+solution A^+ b'.
 """
 
 from __future__ import annotations
@@ -110,16 +111,18 @@ def attack_half_star(sys_: LinearSystem) -> AttackEstimate:
 def attack_rcc2(sys_: LinearSystem) -> AttackEstimate:
     """Objective-relaxed Chebyshev center: the feasible point closest to the box center.
 
-    Computed as the Euclidean projection of the box center onto the feasible
-    set; unique and always feasible. Where half_star is feasible it is that
-    projection; the other rows run Dykstra together in one call.
-    diagnostics["residual"] is each row's ||A x - b'||, and
-    diagnostics["iterations"] its Dykstra iterations (0 on closed-form rows).
+    Computed as the exact Euclidean projection of the box center onto the
+    feasible set; unique, in the box and on the plane to rounding. Where
+    half_star lies in the box it is that projection; the other rows take
+    numerics.dykstra_project's dual Newton solve together in one call.
+    diagnostics["projection"] is "closed_form" or "newton" per row,
+    diagnostics["residual"] each row's ||A x - b'||, and
+    diagnostics["iterations"] its Newton steps (0 on closed-form rows).
     """
     if sys_.nullity == 0:
         return _determined(sys_, "rcc2")
     x = attack_half_star(sys_).x_hat
-    closed = sys_.contains(x)
+    closed = np.all((x >= 0.0) & (x <= 1.0), axis=-1)
     flat = x.reshape(-1, sys_.d)
     iterations = np.zeros(len(flat), dtype=int)
     todo = np.flatnonzero(~closed)
@@ -128,7 +131,7 @@ def attack_rcc2(sys_: LinearSystem) -> AttackEstimate:
             np.full(sys_.d, 0.5), sys_, rows=todo)
     x = flat.reshape(x.shape)
     return _estimate(sys_, "rcc2", x,
-                     projection=np.where(closed, "closed_form", "dykstra")[()],
+                     projection=np.where(closed, "closed_form", "newton")[()],
                      residual=sys_.residual(x),
                      iterations=iterations.reshape(sys_.batch)[()])
 
@@ -273,15 +276,21 @@ def attack_rcc1(sys_: LinearSystem) -> AttackEstimate:
 
 
 def _gia_row(model: VflModel, y_act, c, x, step: float, max_iter: int,
-             tol: float) -> tuple[np.ndarray, float, int]:
-    """Projected descent from x for one prediction; (x, KL bits, iterations)."""
-    log_c = np.log(np.clip(c, 1e-300, None))
+             tol: float) -> tuple[np.ndarray, float, int, bool]:
+    """Projected descent from x for one prediction.
+
+    Returns (x, KL bits, iterations, converged); converged is True when a
+    step moved x by less than tol, False at the iteration cap or once the
+    step size underflows.
+    """
+    log_c = np.log(np.maximum(c, 1e-300))
     ln2 = np.log(2.0)
+    u = model.w_act @ y_act         # the active party's logits stay fixed
 
     def objective_and_grad(x):
-        z = model.w_act @ y_act + model.w_pas @ x + model.b
+        z = u + model.w_pas @ x + model.b
         c_hat = softmax(z)
-        ell = np.log(np.clip(c_hat, 1e-300, None)) - log_c
+        ell = np.log(np.maximum(c_hat, 1e-300)) - log_c
         div = float(np.sum(c_hat * ell)) / ln2
         grad_z = c_hat * (ell - np.sum(c_hat * ell)) / ln2
         return div, model.w_pas.T @ grad_z
@@ -290,18 +299,18 @@ def _gia_row(model: VflModel, y_act, c, x, step: float, max_iter: int,
     cur_step = step
     iters = 0
     for iters in range(1, max_iter + 1):
-        cand = np.clip(x - cur_step * grad, 0.0, 1.0)
+        cand = np.minimum(np.maximum(x - cur_step * grad, 0.0), 1.0)
         cand_obj, cand_grad = objective_and_grad(cand)
         if cand_obj <= obj:
-            moved = np.linalg.norm(cand - x)
+            dx = cand - x
             x, obj, grad = cand, cand_obj, cand_grad
-            if moved < tol:
-                break
+            if np.sqrt(dx.dot(dx)) < tol:
+                return x, obj, iters, True
         else:
             cur_step *= 0.5
             if cur_step < 1e-16:
                 break
-    return x, obj, iters
+    return x, obj, iters, False
 
 
 def attack_gia(model: VflModel, y_act, c, init: str = "half",
@@ -314,7 +323,9 @@ def attack_gia(model: VflModel, y_act, c, init: str = "half",
     the rows are solved one after another. init selects the starting point:
     "zeros", "half" or "random" (drawn per row, in row order, from rng).
     Steps are only accepted when they do not increase the objective.
-    diagnostics["iterations"] is the total over all rows.
+    diagnostics["iterations"] is the total over all rows, and
+    diagnostics["converged"] says per row whether its last step moved it by
+    less than tol (False at the max_iter cap or on step underflow).
     """
     if init not in ("zeros", "half", "random"):
         raise ValueError(f"unknown init mode {init!r}")
@@ -326,6 +337,7 @@ def attack_gia(model: VflModel, y_act, c, init: str = "half",
         rng = np.random.default_rng(0)
     x = np.empty(batch + (d,))
     kl_bits = np.empty(batch)
+    converged = np.empty(batch, dtype=bool)
     iterations = 0
     for i in np.ndindex(batch):
         if init == "zeros":
@@ -334,14 +346,14 @@ def attack_gia(model: VflModel, y_act, c, init: str = "half",
             x0 = np.full(d, 0.5)
         else:
             x0 = rng.uniform(0.0, 1.0, size=d)
-        x[i], kl_bits[i], iters = _gia_row(model, y_act[i], c[i], x0, step,
-                                           max_iter, tol)
+        x[i], kl_bits[i], iters, converged[i] = _gia_row(
+            model, y_act[i], c[i], x0, step, max_iter, tol)
         iterations += iters
     return AttackEstimate(
         x_hat=x, name="gia",
         feasible=bool(np.all(x >= 0.0) and np.all(x <= 1.0)),
         diagnostics={"kl_bits": kl_bits[()], "iterations": iterations,
-                     "init": init})
+                     "converged": converged[()], "init": init})
 
 
 WHITEBOX_ATTACKS = ("half", "half_star", "ls", "clamped_ls", "cls", "rcc1", "rcc2")

@@ -228,12 +228,6 @@ def pps2_class_label(z, eps: float) -> np.ndarray:
     return out
 
 
-def noise_realization(plan: NoisePlan, rng: np.random.Generator) -> np.ndarray:
-    """Draw n = +-sqrt(alpha) v1 with a random sign: correlation exactly alpha v1 v1^T."""
-    sign = 1.0 if rng.random() < 0.5 else -1.0
-    return sign * np.sqrt(plan.alpha) * plan.v1
-
-
 _SCHEMES = {"s1": pps2_scheme1, "s2": pps2_scheme2, "s3": pps2_scheme3,
             "class_label": pps2_class_label}
 
@@ -246,15 +240,3 @@ def apply_scheme(z, plan_or_param, scheme: str) -> np.ndarray:
     if scheme not in _SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}")
     return _SCHEMES[scheme](z, plan_or_param)
-
-
-def mse_under_noise(sys_: LinearSystem, s, k0) -> float:
-    """Closed-form MSE of the min-norm attack under noise correlation S.
-
-    (1/d) Tr((I - A^+A) K0) + (1/d) Tr(A^+ J S J^T A^+T); the second term is
-    the non-negative degradation caused by the noisy scores.
-    """
-    k0 = numerics.as_matrix(k0)
-    d = sys_.d
-    clean = float(np.trace(sys_.projector @ k0)) / d
-    return clean + pps2_objective(sys_, s) / d

@@ -137,19 +137,6 @@ def kl_divergence(p, q, eps_clip: float = EPS_CLIP) -> float | np.ndarray:
     return _per_row(np.sum(p * np.log2(np.where(p > 0.0, p, 1.0) / q), axis=-1))
 
 
-def total_variation(p, q) -> float | np.ndarray:
-    """Half the l1 distance between probability vectors (or row pairs); in [0, 1]."""
-    diff = np.abs(_check_prob(p, "p") - _check_prob(q, "q"))
-    return _per_row(0.5 * np.sum(diff, axis=-1))
-
-
-def cross_entropy(p, q, eps_clip: float = EPS_CLIP) -> float | np.ndarray:
-    """H(p, q) = -sum p log2 q in bits per row pair, q clipped below at eps_clip."""
-    p = _check_prob(p, "p")
-    q = np.clip(_check_prob(q, "q"), eps_clip, None)
-    return _per_row(-np.sum(p * np.log2(q), axis=-1))
-
-
 def attack_mse_on_rows(model: VflModel, ds: Dataset, rows, attack: str,
                        rng: np.random.Generator | None = None,
                        init: str = "half") -> float:
@@ -202,10 +189,3 @@ def write_csv(path, header: list[str], rows: list[list]) -> None:
         writer.writerow(header)
         for row in rows:
             writer.writerow(row)
-
-
-def write_json(path, doc: dict) -> None:
-    import json
-
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)

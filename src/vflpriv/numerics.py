@@ -121,65 +121,100 @@ def _cap_error(solver: str, x: np.ndarray, rows: np.ndarray, total: int,
         last_iterate=x, residuals=residuals, rows=rows)
 
 
-def dykstra_project(x0, sys_: LinearSystem, max_iter: int = 10_000,
-                    tol: float = 1e-10, *, rows=None
+def dykstra_project(x0, sys_: LinearSystem, max_iter: int = 100,
+                    tol: float = 1e-12, *, rows=None
                     ) -> tuple[np.ndarray, np.ndarray]:
     """Euclidean projection of x0 onto {x in [0,1]^d : Ax = b} for each row of sys_.
 
-    Alternates the closed-form affine projection with box clamping, carrying
-    Dykstra correction terms so the iterates converge to the true projection
-    (the target is strictly convex, hence unique). Every set must be nonempty.
-    rows picks rows of the system's flattened batch (default: all); x0
-    broadcasts to the result, which has shape batch + (d,), or
-    (len(rows), d) when rows is given. One vectorized iteration runs over
-    the rows still moving: a row stops once an iteration moves it by less
-    than tol, and a row whose x0 already lies in its set is returned as is.
-    Returns the projections and each row's iteration count (0 for a row
-    returned as is), whose shape drops the last axis.
+    Returns the exact projection that Dykstra's alternating method only
+    approximates. On the r = rank(A) equations U_r^T A x = U_r^T b the dual
+    has r variables lam, and the projection is x(lam) = clip(x0 - A^T lam,
+    0, 1) at its maximizer. A semismooth Newton method (Qi & Sun, Math.
+    Programming 58, 1993) finds it: with lam scaled by the singular values
+    s, each step solves (V_r^T D V_r + mu I) delta = g, where D masks the
+    unclipped coordinates, g = diag(1/s) U_r^T (A x(lam) - b) and
+    mu = 1e-6 ||g|| + 1e-12, then halves until the dual value rises by an
+    Armijo fraction of the predicted rise. A row stops once
+    max|Ax - b| <= tol (1 + max|A| + max|b|), so a row that meets this at x0
+    returns clip(x0) after 0 steps. Every set must be nonempty. rows picks
+    rows of the system's flattened batch (default: all); x0 broadcasts to
+    the result, of shape batch + (d,), or (len(rows), d) when rows is given.
+    Each step is vectorized over the rows still live, and a row's result
+    does not depend on the batch. Returns the projections and each row's
+    Newton steps, whose shape drops the last axis.
 
     Raises ConvergenceError naming, by their index in the flattened batch,
-    the rows still moving after max_iter iterations.
+    the rows that fail the stop test after max_iter steps.
     """
-    a, ap = sys_.a, sys_.pinv
+    a, f = sys_.a, sys_.svd
+    r = f.rank()
+    # scaled by s, the Newton matrix V_r^T D V_r has its eigenvalues in
+    # [0, 1] whatever A's conditioning
+    vr, us = f.v[:, :r], f.u[:, :r] / f.s[:r]
     b = sys_.b.reshape(-1, a.shape[0])
     if rows is None:
         index, shape = np.arange(len(b)), sys_.batch + (sys_.d,)
     else:
         index = np.asarray(rows, dtype=int).ravel()
         b, shape = b[index], (index.size, sys_.d)
-    x = _start(x0, shape)
-    flat = x.reshape(-1, sys_.d)
-    iterations = np.zeros(len(b), dtype=int)
-    inside = ((np.max(np.abs(flat @ a.T - b), axis=1) <= 0.0)
-              & np.all((flat >= 0.0) & (flat <= 1.0), axis=1))
-    live = np.flatnonzero(~inside)
-    xs, bs = flat[live], b[live]
-    p = np.zeros_like(xs)
-    q = np.zeros_like(xs)
-    for it in range(1, max_iter + 1):
-        if not live.size:
-            break
-        z = xs + p
-        y = z - (z @ a.T - bs) @ ap.T  # affine projection
-        p = z - y
-        w = y + q
-        x_new = np.clip(w, 0.0, 1.0)  # box projection
-        q = w - x_new
-        move = np.linalg.norm(x_new - xs, axis=1)
-        xs = x_new
-        done = move < tol
+    flat = _start(x0, shape).reshape(-1, sys_.d)
+    steps = np.zeros(len(b), dtype=int)
+
+    # row products use einsum, not BLAS, whose kernel (and so its rounding)
+    # changes with the row count: a row gets the same bits in any batch
+    def point(u, b):
+        """x = clip(u, 0, 1) and its residual A x - b."""
+        x = np.minimum(np.maximum(u, 0.0), 1.0)
+        return x, np.einsum("nd,md->nm", x, a) - b
+
+    # per live row: b, stop bound, u = x0 - A^T lam, x(lam) and its residual
+    live, bs, u = np.arange(len(b)), b, flat.copy()
+    bound = tol * (1.0 + np.max(np.abs(a)) + np.max(np.abs(b), axis=1))
+    x, res = point(u, bs)
+    for it in range(max_iter + 1):
+        done = np.max(np.abs(res), axis=1) <= bound
         if np.count_nonzero(done):
-            flat[live[done]] = xs[done]
-            iterations[live[done]] = it
-            keep = ~done
-            live, xs, bs, p, q, move = (live[keep], xs[keep], bs[keep],
-                                        p[keep], q[keep], move[keep])
+            flat[live[done]] = x[done]
+            steps[live[done]] = it
+            live, bs, bound, u, x, res = (
+                arr[~done] for arr in (live, bs, bound, u, x, res))
+        if not live.size or it == max_iter:
+            break
+        g = np.einsum("nm,mr->nr", res, us)
+        free = (u > 0.0) & (u < 1.0)
+        w, v = np.linalg.eigh((vr.T * free[:, None, :]) @ vr)
+        gv = np.einsum("nji,nj->ni", v, g)
+        # In the null space of V_r^T D V_r the step is g/mu. Where g's part
+        # there stands for a residual under half the stop bound (s_1 times
+        # its norm bounds that residual) it is rounding, which would only
+        # knock the clipped coordinates about, so it is dropped.
+        null = w <= 1e-12
+        gv[null & (f.s[0] * np.linalg.norm(np.where(null, gv, 0.0), axis=1)
+                   <= 0.5 * bound)[:, None]] = 0.0
+        c = gv / (w + (1e-6 * np.linalg.norm(g, axis=1) + 1e-12)[:, None])
+        ascent = np.einsum("ij,ij->i", gv, c)
+        du = np.einsum("ni,di->nd", np.einsum("nij,nj->ni", v, c), vr)
+        t = np.ones(live.size)
+        p = np.arange(live.size)            # rows still backtracking
+        for _ in range(50):
+            cu = u[p] - t[p, None] * du[p]
+            cx, cres = point(cu, bs[p])
+            # the dual value's rise, summed from differences so that it
+            # stays exact to rounding near the optimum
+            rise = (np.einsum("ij,ij->i", cx - x[p], 0.5 * (cx + x[p]) - cu)
+                    + t[p] * ascent[p])
+            ok = rise >= 1e-4 * t[p] * ascent[p]
+            k = p[ok]
+            u[k], x[k], res[k] = cu[ok], cx[ok], cres[ok]
+            p = p[~ok]
+            if not p.size:
+                break
+            t[p] *= 0.5
     if live.size:
-        flat[live] = xs
-        raise _cap_error("Dykstra projection", flat.reshape(shape), index[live],
-                         len(b), {"affine": np.max(np.abs(xs @ a.T - bs), axis=1),
-                                  "move": move})
-    return flat.reshape(shape), iterations.reshape(shape[:-1])
+        flat[live] = x
+        raise _cap_error("box-affine projection", flat.reshape(shape), index[live],
+                         len(b), {"affine": np.max(np.abs(res), axis=1)})
+    return flat.reshape(shape), steps.reshape(shape[:-1])
 
 
 def box_least_squares(sys_: LinearSystem, x_init=None, max_iter: int = 50_000,

@@ -160,15 +160,3 @@ def build_system(model: VflModel, y_act, c, source: str = "clean") -> LinearSyst
                 f"{resid[i]:.3e}; {bad.size} of {resid.size} rows fail); "
                 "check score clipping and dimensions")
     return sys_
-
-
-def transform_system(sys_: LinearSystem, r) -> LinearSystem:
-    """Equivalent system (RA, Rb') for invertible R; the solution space is unchanged."""
-    r = numerics.as_matrix(r)
-    m = sys_.a.shape[0]
-    if r.shape != (m, m):
-        raise ValueError(f"R must be {m}x{m}")
-    if np.linalg.cond(r) > 1e12:
-        raise ValueError("R is singular or too ill-conditioned")
-    return LinearSystem(a=r @ sys_.a, b=_rowwise(r, sys_.b), source=sys_.source,
-                        tau_feas=sys_.tau_feas)

@@ -16,9 +16,10 @@ from scipy import optimize
 
 from vflpriv import defense, metrics
 from vflpriv.attacks import run_attack
+from vflpriv.metrics import _check_prob, _per_row
 from vflpriv.model import predict
-from vflpriv.numerics import EPS_RANK, NumericsError, svd
-from vflpriv.system import LinearSystem, build_system
+from vflpriv.numerics import EPS_RANK, NumericsError, as_matrix, svd
+from vflpriv.system import EPS_CLIP, LinearSystem, build_system
 
 
 def project_box_affine(x0, a, b):
@@ -257,8 +258,13 @@ def defense_sweep_rows(model, ds, rows, settings, attack="half_star"):
 # the solver's tolerance.
 
 def dykstra_row(x0, sys_: LinearSystem, max_iter: int = 10_000,
-                tol: float = 1e-10) -> np.ndarray:
-    """Dykstra's projection of x0 onto {x in [0,1]^d : Ax = b} of a one-row system."""
+                tol: float = 1e-10, affine_tol: float = 1e-8) -> np.ndarray:
+    """Dykstra's projection of x0 onto {x in [0,1]^d : Ax = b} of a one-row system.
+
+    Stops once an iteration moves x by less than tol. A stalled iterate can
+    pass that test far from the plane, so the result must also satisfy
+    max|Ax - b| <= affine_tol; otherwise NumericsError is raised.
+    """
     x = np.asarray(x0, dtype=float).copy()
     if sys_.contains(x, tau=0.0):
         return x
@@ -275,6 +281,10 @@ def dykstra_row(x0, sys_: LinearSystem, max_iter: int = 10_000,
         move = np.linalg.norm(x_new - x)
         x = x_new
         if move < tol:
+            affine = np.max(np.abs(a @ x - b))
+            if affine > affine_tol:
+                raise NumericsError(f"one-row Dykstra stopped moving off the "
+                                    f"plane (affine residual {affine:.3e})")
             return x
     raise NumericsError("one-row Dykstra hit the iteration cap")
 
@@ -364,9 +374,19 @@ def rcc1_row(sys_: LinearSystem, mu0=1.0, mu_factor=0.2, mu_min=1e-9,
 
 
 def rcc2_row(sys_: LinearSystem) -> np.ndarray:
-    """The rcc2 estimate of a one-row system: half_star, or Dykstra outside the box."""
+    """The rcc2 estimate of a one-row system: half_star, or its projection into the box.
+
+    The projection is Dykstra's where that converges onto the plane, and
+    the SLSQP projection where it does not.
+    """
     x = sys_.min_norm_solution + 0.5 * (sys_.projector @ np.ones(sys_.d))
-    return x if sys_.contains(x) else dykstra_row(np.full(sys_.d, 0.5), sys_)
+    if np.all((x >= 0.0) & (x <= 1.0)):
+        return x
+    center = np.full(sys_.d, 0.5)
+    try:
+        return dykstra_row(center, sys_)
+    except NumericsError:
+        return project_box_affine(center, sys_.a, sys_.b)
 
 
 def row_by_row(name: str, sys_: LinearSystem) -> np.ndarray:
@@ -374,3 +394,56 @@ def row_by_row(name: str, sys_: LinearSystem) -> np.ndarray:
     solve = {"rcc2": rcc2_row, "rcc1": rcc1_row,
              "cls": lambda s: box_least_squares_row(s.a, s.b)}[name]
     return np.array([solve(sys_.row(i)) for i in range(len(sys_.b))])
+
+
+# --- helpers that no program path uses ------------------------------------
+# The paper defines them; the tests keep them checked against the program.
+
+def total_variation(p, q) -> float | np.ndarray:
+    """Half the l1 distance between probability vectors (or row pairs); in [0, 1]."""
+    diff = np.abs(_check_prob(p, "p") - _check_prob(q, "q"))
+    return _per_row(0.5 * np.sum(diff, axis=-1))
+
+
+def cross_entropy(p, q, eps_clip: float = EPS_CLIP) -> float | np.ndarray:
+    """H(p, q) = -sum p log2 q in bits per row pair, q clipped below at eps_clip."""
+    p = _check_prob(p, "p")
+    q = np.clip(_check_prob(q, "q"), eps_clip, None)
+    return _per_row(-np.sum(p * np.log2(q), axis=-1))
+
+
+def write_json(path, doc: dict) -> None:
+    import json
+
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, indent=2, sort_keys=True)
+
+
+def transform_system(sys_: LinearSystem, r) -> LinearSystem:
+    """Equivalent system (RA, Rb') for invertible R; the solution space is unchanged."""
+    r = as_matrix(r)
+    m = sys_.a.shape[0]
+    if r.shape != (m, m):
+        raise ValueError(f"R must be {m}x{m}")
+    if np.linalg.cond(r) > 1e12:
+        raise ValueError("R is singular or too ill-conditioned")
+    return LinearSystem(a=r @ sys_.a, b=(r @ sys_.b.T).T, source=sys_.source,
+                        tau_feas=sys_.tau_feas)
+
+
+def noise_realization(plan: defense.NoisePlan, rng: np.random.Generator) -> np.ndarray:
+    """Draw n = +-sqrt(alpha) v1 with a random sign: correlation exactly alpha v1 v1^T."""
+    sign = 1.0 if rng.random() < 0.5 else -1.0
+    return sign * np.sqrt(plan.alpha) * plan.v1
+
+
+def mse_under_noise(sys_: LinearSystem, s, k0) -> float:
+    """Closed-form MSE of the min-norm attack under noise correlation S.
+
+    (1/d) Tr((I - A^+A) K0) + (1/d) Tr(A^+ J S J^T A^+T); the second term is
+    the non-negative degradation caused by the noisy scores.
+    """
+    k0 = as_matrix(k0)
+    d = sys_.d
+    clean = float(np.trace(sys_.projector @ k0)) / d
+    return clean + defense.pps2_objective(sys_, s) / d

@@ -226,6 +226,19 @@ class TestGia:
         est = attacks.attack_gia(small_model, y_act, c, init="half")
         assert est.diagnostics["kl_bits"] <= at_init + 1e-12
 
+    def test_reports_convergence(self, small_model):
+        y_act, c = _predictions(small_model, 3, seed=10)
+        est = attacks.attack_gia(small_model, y_act, c)
+        one = [attacks.attack_gia(small_model, y_act[i], c[i]).diagnostics
+               for i in range(3)]
+        # row 0 is still moving at the 5,000-iteration cap; 1 and 2 stop
+        assert est.diagnostics["converged"].tolist() == [False, True, True]
+        assert [d["converged"] for d in one] == [False, True, True]
+        assert one[0]["iterations"] == 5000 and one[1]["iterations"] < 5000
+        capped = attacks.attack_gia(small_model, y_act[1], c[1], max_iter=3)
+        assert capped.diagnostics["iterations"] == 3
+        assert not capped.diagnostics["converged"]
+
     def test_unknown_init_rejected(self, small_model):
         with pytest.raises(ValueError):
             attacks.attack_gia(small_model, np.full(5, 0.5),
@@ -311,7 +324,7 @@ class TestBatch:
         assert list(est.diagnostics["projection"]) == branches
         if model.k == 4:
             # the fixture reaches both branches
-            assert set(branches) == {"closed_form", "dykstra"}
+            assert set(branches) == {"closed_form", "newton"}
 
     def test_linear_systems_from_one_a(self):
         rng = np.random.default_rng(30)
@@ -375,30 +388,30 @@ class TestBatchedSolvers:
 
     def test_rcc2_diagnostics_per_row(self, sys_):
         est = attacks.attack_rcc2(sys_)
-        dykstra = est.diagnostics["projection"] == "dykstra"
+        newton = est.diagnostics["projection"] == "newton"
         iterations = est.diagnostics["iterations"]
         assert iterations.shape == est.diagnostics["residual"].shape == (12,)
-        assert np.all(iterations[~dykstra] == 0) and np.all(iterations[dykstra] > 0)
+        assert np.all(iterations[~newton] == 0) and np.all(iterations[newton] > 0)
         assert np.array_equal(est.diagnostics["residual"], sys_.residual(est.x_hat))
 
     def test_bimodal_batch_reaches_dykstra(self):
         sys_ = build_system(_k4_model(), *_bimodal_predictions(_k4_model(), 12, 0))
         est = attacks.attack_rcc2(sys_)
-        assert np.count_nonzero(est.diagnostics["projection"] == "dykstra") >= 4
+        assert np.count_nonzero(est.diagnostics["projection"] == "newton") >= 4
 
     def test_rcc2_cap_names_the_batch_rows(self, monkeypatch):
         sys_ = build_system(_k4_model(), *_bimodal_predictions(_k4_model(), 12, 0))
-        dykstra = np.flatnonzero(attacks.attack_rcc2(sys_).diagnostics["projection"]
-                                 == "dykstra")
+        newton = np.flatnonzero(attacks.attack_rcc2(sys_).diagnostics["projection"]
+                                == "newton")
         real = numerics.dykstra_project
         monkeypatch.setattr(numerics, "dykstra_project",
                             lambda *args, **kw: real(*args, max_iter=1, **kw))
         with pytest.raises(numerics.ConvergenceError) as err:
             attacks.attack_rcc2(sys_)
-        # every Dykstra row hits a one-iteration cap; rows are named in the
-        # batch's numbering, not by position among the Dykstra rows
-        assert err.value.rows.tolist() == dykstra.tolist()
-        assert err.value.residuals["affine"].shape == (dykstra.size,)
+        # every projected row hits a one-step cap; rows are named in the
+        # batch's numbering, not by position among the projected rows
+        assert err.value.rows.tolist() == newton.tolist()
+        assert err.value.residuals["affine"].shape == (newton.size,)
 
 
 def test_cls_takes_the_spectral_norm_from_the_shared_svd(monkeypatch):

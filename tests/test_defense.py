@@ -142,7 +142,7 @@ class TestPps2Direction:
         rng = np.random.default_rng(16)
         sys_, _ = _system_of(model, rng.uniform(size=4), rng.uniform(size=4))
         plan = defense.pps2_optimal_direction(sys_, 3.0)
-        n = defense.noise_realization(plan, rng)
+        n = oracles.noise_realization(plan, rng)
         assert np.linalg.norm(n) ** 2 == pytest.approx(3.0)
 
     def test_mse_under_noise_matches_row_identity(self):
@@ -152,7 +152,7 @@ class TestPps2Direction:
         x_pas = rng.uniform(size=4)
         sys_, c = _system_of(model, rng.uniform(size=4), x_pas)
         plan = defense.pps2_optimal_direction(sys_, 0.5)
-        n = defense.noise_realization(plan, rng)
+        n = oracles.noise_realization(plan, rng)
         y_act = rng.uniform(size=4)
         c = predict(model, y_act, x_pas)
         z = model.logits(y_act, x_pas)
@@ -164,8 +164,8 @@ class TestPps2Direction:
         assert np.allclose(shift, apj @ n, atol=1e-8)
         k0 = np.eye(4) / 3.0
         d = 4
-        base = defense.mse_under_noise(clean, np.zeros((model.k, model.k)), k0)
-        got = defense.mse_under_noise(clean, np.outer(n, n), k0)
+        base = oracles.mse_under_noise(clean, np.zeros((model.k, model.k)), k0)
+        got = oracles.mse_under_noise(clean, np.outer(n, n), k0)
         assert got - base == pytest.approx(np.sum((apj @ n) ** 2) / d, abs=1e-10)
 
 
