@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import numerics
-from .model import VflModel, softmax
+from .model import VflModel
 from .system import LinearSystem
 
 
@@ -286,20 +286,30 @@ def _gia_row(model: VflModel, y_act, c, x, step: float, max_iter: int,
     log_c = np.log(np.maximum(c, 1e-300))
     ln2 = np.log(2.0)
     u = model.w_act @ y_act         # the active party's logits stay fixed
+    w_pas, w_pas_t, b = model.w_pas, model.w_pas.T, model.b
 
+    # softmax(z) and c_hat * (ell - s) / ln2 written out in place, each float
+    # operation in its order there, so the iterates match them bit for bit
     def objective_and_grad(x):
-        z = u + model.w_pas @ x + model.b
-        c_hat = softmax(z)
+        z = u + w_pas @ x
+        z += b
+        z -= z.max()
+        c_hat = np.exp(z)
+        c_hat /= c_hat.sum()
         ell = np.log(np.maximum(c_hat, 1e-300)) - log_c
-        div = float(np.sum(c_hat * ell)) / ln2
-        grad_z = c_hat * (ell - np.sum(c_hat * ell)) / ln2
-        return div, model.w_pas.T @ grad_z
+        s = (c_hat * ell).sum()
+        ell -= s
+        ell *= c_hat
+        ell /= ln2
+        return s / ln2, w_pas_t @ ell
 
     obj, grad = objective_and_grad(x)
     cur_step = step
     iters = 0
     for iters in range(1, max_iter + 1):
-        cand = np.minimum(np.maximum(x - cur_step * grad, 0.0), 1.0)
+        cand = x - cur_step * grad
+        np.maximum(cand, 0.0, out=cand)
+        np.minimum(cand, 1.0, out=cand)
         cand_obj, cand_grad = objective_and_grad(cand)
         if cand_obj <= obj:
             dx = cand - x

@@ -292,10 +292,14 @@ def build_parser() -> tuple[argparse.ArgumentParser,
                                      description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
     commands = {}
+    # the subcommands share these options, so _seed_defaults changes a default
+    # for all of them; main builds a fresh parser per call, so none outlives it
+    common = argparse.ArgumentParser(add_help=False)
+    _add_common(common)
 
     def add(name, func, summary, aliases=()):
-        p = sub.add_parser(name, help=summary, aliases=list(aliases))
-        _add_common(p)
+        p = sub.add_parser(name, help=summary, aliases=list(aliases),
+                           parents=[common])
         p.set_defaults(func=func)
         commands.update(dict.fromkeys((name, *aliases), p))
         return p

@@ -7,6 +7,8 @@ Feature matrices live in [0, 1]; labels are integers in [0, k-1].
 from __future__ import annotations
 
 import csv
+import hashlib
+import io
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -103,9 +105,14 @@ def _parse_column(cells: list[str]) -> tuple[np.ndarray | list, bool]:
     """(the cells as a float array, False), or (the cells, True) if one cell
     is not a number."""
     try:
-        return _float_column(cells), False
+        col = _float_column(cells)
     except ValueError:
         return cells, True
+    col.flags.writeable = False
+    return col, False
+
+
+_last_parse: tuple = (None, None)   # (key, RawTable) of the last parse
 
 
 def load_csv(path, label_col: int = -1) -> RawTable:
@@ -113,13 +120,30 @@ def load_csv(path, label_col: int = -1) -> RawTable:
 
     label_col indexes the header (default: last column). Each column is
     parsed once into a float array; a column with any non-numeric cell keeps
-    its raw strings and is tagged categorical.
+    its raw strings and is tagged categorical. The last table parsed is kept,
+    keyed on a digest of its bytes and label_col: one process parses a given
+    table's bytes once, so repeated in-process ``vflpriv.cli.main`` calls on
+    one table share the parse. Calls get fresh lists and read-only float columns.
     """
+    global _last_parse
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            rows = list(csv.reader(fh))
+        with open(path, "rb") as fh:
+            raw = fh.read()
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
+    key = (hashlib.sha256(raw).digest(), label_col)
+    if _last_parse[0] != key:
+        _last_parse = key, _parse_csv(raw, label_col)
+    t = _last_parse[1]
+    columns = [list(c) if cat else c for c, cat in zip(t.columns, t.categorical)]
+    return RawTable(columns=columns, names=list(t.names), labels=list(t.labels),
+                    categorical=list(t.categorical))
+
+
+def _parse_csv(raw: bytes, label_col: int) -> RawTable:
+    """The RawTable of a CSV file's bytes; its float columns are read-only."""
+    rows = list(csv.reader(io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8",
+                                            newline="")))
     if not rows:
         raise DataError("empty file")
     header, data = rows[0], rows[1:]

@@ -144,18 +144,6 @@ def pps1_optimal_h(sys_: LinearSystem, k0) -> OrthonormalTransform:
     return OrthonormalTransform(h=h, provenance="optimal_ls")
 
 
-def pps1_h_objective(sys_: LinearSystem, k0, h) -> float:
-    """d * MSE of the min-norm attack after revealing W_pas H^{-1}.
-
-    Equals Tr((I + A^+A) K0) - 2 Tr(H A^+A K0); at the optimal H this is
-    Tr((I + A^+A) K0) + 2 ||A^+A K0||_*. Divide by d for MSE per feature.
-    """
-    k0 = numerics.as_matrix(k0)
-    proj = sys_.pinv @ sys_.a
-    h = numerics.as_matrix(h)
-    return float(np.trace((np.eye(sys_.d) + proj) @ k0) - 2.0 * np.trace(h @ proj @ k0))
-
-
 def pps2_optimal_direction(sys_: LinearSystem, alpha: float, scheme: str = "s1"
                            ) -> NoisePlan:
     """Noise plan along the top right singular vector of A^+ J.
@@ -171,13 +159,6 @@ def pps2_optimal_direction(sys_: LinearSystem, alpha: float, scheme: str = "s1"
     if v1[i_big] < 0:   # fix the SVD sign ambiguity
         v1 = -v1
     return NoisePlan(alpha=float(alpha), scheme=scheme, v1=v1)
-
-
-def pps2_objective(sys_: LinearSystem, s) -> float:
-    """Tr(A^+ J S J^T A^+T): the (unnormalized) MSE inflation for noise correlation S."""
-    k = sys_.a.shape[0] + 1
-    apj = sys_.pinv @ difference_matrix(k)
-    return float(np.trace(apj @ numerics.as_matrix(s) @ apj.T))
 
 
 def _as_logits(z) -> np.ndarray:

@@ -17,9 +17,9 @@ from scipy import optimize
 from vflpriv import defense, metrics
 from vflpriv.attacks import run_attack
 from vflpriv.metrics import _check_prob, _per_row
-from vflpriv.model import predict
+from vflpriv.model import predict, softmax
 from vflpriv.numerics import EPS_RANK, NumericsError, as_matrix, svd
-from vflpriv.system import EPS_CLIP, LinearSystem, build_system
+from vflpriv.system import EPS_CLIP, LinearSystem, build_system, difference_matrix
 
 
 def project_box_affine(x0, a, b):
@@ -396,6 +396,43 @@ def row_by_row(name: str, sys_: LinearSystem) -> np.ndarray:
     return np.array([solve(sys_.row(i)) for i in range(len(sys_.b))])
 
 
+def gia_row(model, y_act, c, x, step: float, max_iter: int,
+            tol: float) -> tuple[np.ndarray, float, int, bool]:
+    """gia's projected descent from x for one prediction, through softmax.
+
+    Returns (x, KL bits, iterations, converged) as the library's one-row
+    loop does, whose in-place arithmetic must match this bit for bit.
+    """
+    log_c = np.log(np.maximum(c, 1e-300))
+    ln2 = np.log(2.0)
+    u = model.w_act @ y_act
+
+    def objective_and_grad(x):
+        z = u + model.w_pas @ x + model.b
+        c_hat = softmax(z)
+        ell = np.log(np.maximum(c_hat, 1e-300)) - log_c
+        div = float(np.sum(c_hat * ell)) / ln2
+        grad_z = c_hat * (ell - np.sum(c_hat * ell)) / ln2
+        return div, model.w_pas.T @ grad_z
+
+    obj, grad = objective_and_grad(x)
+    cur_step = step
+    iters = 0
+    for iters in range(1, max_iter + 1):
+        cand = np.minimum(np.maximum(x - cur_step * grad, 0.0), 1.0)
+        cand_obj, cand_grad = objective_and_grad(cand)
+        if cand_obj <= obj:
+            dx = cand - x
+            x, obj, grad = cand, cand_obj, cand_grad
+            if np.sqrt(dx.dot(dx)) < tol:
+                return x, obj, iters, True
+        else:
+            cur_step *= 0.5
+            if cur_step < 1e-16:
+                break
+    return x, obj, iters, False
+
+
 # --- helpers that no program path uses ------------------------------------
 # The paper defines them; the tests keep them checked against the program.
 
@@ -437,6 +474,25 @@ def noise_realization(plan: defense.NoisePlan, rng: np.random.Generator) -> np.n
     return sign * np.sqrt(plan.alpha) * plan.v1
 
 
+def pps1_h_objective(sys_: LinearSystem, k0, h) -> float:
+    """d * MSE of the min-norm attack after revealing W_pas H^{-1}.
+
+    Equals Tr((I + A^+A) K0) - 2 Tr(H A^+A K0); at the optimal H this is
+    Tr((I + A^+A) K0) + 2 ||A^+A K0||_*. Divide by d for MSE per feature.
+    """
+    k0 = as_matrix(k0)
+    proj = sys_.pinv @ sys_.a
+    h = as_matrix(h)
+    return float(np.trace((np.eye(sys_.d) + proj) @ k0) - 2.0 * np.trace(h @ proj @ k0))
+
+
+def pps2_objective(sys_: LinearSystem, s) -> float:
+    """Tr(A^+ J S J^T A^+T): the (unnormalized) MSE inflation for noise correlation S."""
+    k = sys_.a.shape[0] + 1
+    apj = sys_.pinv @ difference_matrix(k)
+    return float(np.trace(apj @ as_matrix(s) @ apj.T))
+
+
 def mse_under_noise(sys_: LinearSystem, s, k0) -> float:
     """Closed-form MSE of the min-norm attack under noise correlation S.
 
@@ -446,4 +502,4 @@ def mse_under_noise(sys_: LinearSystem, s, k0) -> float:
     k0 = as_matrix(k0)
     d = sys_.d
     clean = float(np.trace(sys_.projector @ k0)) / d
-    return clean + defense.pps2_objective(sys_, s) / d
+    return clean + pps2_objective(sys_, s) / d

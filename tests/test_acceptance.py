@@ -230,14 +230,14 @@ def test_criterion_8_noise_direction_optimality():
         sigma1 = float(np.linalg.svd(apj, compute_uv=False)[0])
         best = sigma1 ** 2 * alpha
         plan = defense.pps2_optimal_direction(sys_, alpha)
-        attained = defense.pps2_objective(
+        attained = oracles.pps2_objective(
             sys_, alpha * np.outer(plan.v1, plan.v1))
         assert abs(attained - best) < 1e-8
         for _ in range(1000):
             bmat = rng.standard_normal((k, k))
             s = bmat @ bmat.T
             s *= alpha / np.trace(s)
-            assert defense.pps2_objective(sys_, s) <= best + 1e-8
+            assert oracles.pps2_objective(sys_, s) <= best + 1e-8
 
 
 def test_criterion_9_label_preservation():

@@ -239,6 +239,26 @@ class TestGia:
         assert capped.diagnostics["iterations"] == 3
         assert not capped.diagnostics["converged"]
 
+    @pytest.mark.parametrize("model_name", ["small_model", "k4"])
+    def test_matches_softmax_oracle_bit_for_bit(self, request, model_name):
+        model = (request.getfixturevalue("small_model")
+                 if model_name == "small_model" else _k4_model())
+        # with small_model, row 0 stops at the 5,000-iteration cap
+        y_act, c = _predictions(model, 3, seed=10)
+        d = model.split.d
+        starts = {"zeros": np.zeros(d), "half": np.full(d, 0.5),
+                  "random": np.random.default_rng(0).uniform(size=d)}
+        for init, x0 in starts.items():
+            for i in range(3):
+                for max_iter in (5000, 3):
+                    got = attacks._gia_row(model, y_act[i], c[i], x0, 0.05,
+                                           max_iter, 1e-12)
+                    want = oracles.gia_row(model, y_act[i], c[i], x0, 0.05,
+                                           max_iter, 1e-12)
+                    for g, w in zip(got, want):
+                        assert np.array_equal(g, w), (init, i, max_iter)
+                    assert type(got[1]) is type(want[1])
+
     def test_unknown_init_rejected(self, small_model):
         with pytest.raises(ValueError):
             attacks.attack_gia(small_model, np.full(5, 0.5),

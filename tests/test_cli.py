@@ -68,6 +68,21 @@ class TestConfigFile:
         assert _run([command, "--config", str(cfg)]) == 0
         assert len(calls) == trials
 
+    def test_config_defaults_end_with_the_call(self, tmp_path, monkeypatch):
+        # the subcommands share their common options, so a default set from
+        # a config file must not reach a later call, of any subcommand
+        seen = []
+        for name in ("cmd_evaluate", "cmd_train"):
+            monkeypatch.setattr(cli, name, lambda args: seen.append(
+                (args.command, args.seed, args.full)) or 0)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("seed=5\nfull=true\n", encoding="utf-8")
+        assert _run(["evaluate", "--config", str(cfg)]) == 0
+        assert _run(["evaluate"]) == 0
+        assert _run(["train"]) == 0
+        assert seen == [("evaluate", 5, True), ("evaluate", 0, False),
+                        ("train", 0, False)]
+
     def test_bad_boolean_exit_2(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("full=no\n", encoding="utf-8")

@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -54,6 +56,86 @@ class TestLoadCsv:
     def test_missing_file(self, tmp_path):
         with pytest.raises(dataset.DataError):
             dataset.load_csv(tmp_path / "nope.csv")
+
+
+class TestParseCache:
+    @pytest.fixture
+    def parses(self, monkeypatch):
+        """Start from an empty cache and count the calls to the parser."""
+        calls = []
+        parse = dataset._parse_csv
+
+        def counted(raw, label_col):
+            calls.append(label_col)
+            return parse(raw, label_col)
+
+        monkeypatch.setattr(dataset, "_last_parse", (None, None))
+        monkeypatch.setattr(dataset, "_parse_csv", counted)
+        return calls
+
+    def test_one_parse_for_many_loads(self, tmp_path, parses):
+        path = _write_csv(tmp_path, "a,b,label\n1,x,yes\n2,y,no\n")
+        tables = [dataset.load_csv(path) for _ in range(5)]
+        assert len(parses) == 1
+        for table in tables:
+            assert table.columns[0].tolist() == [1.0, 2.0]
+            assert table.columns[1] == ["x", "y"]
+            assert table.labels == ["yes", "no"]
+        # a copy of the file under another name has the same bytes
+        copy = _write_csv(tmp_path, path.read_text(encoding="utf-8"), "copy.csv")
+        assert dataset.load_csv(copy).labels == ["yes", "no"]
+        assert len(parses) == 1
+
+    def test_same_size_and_mtime_rewrite_is_seen(self, tmp_path, parses):
+        path = _write_csv(tmp_path, "a,label\n1,yes\n2,no\n")
+        stat = path.stat()
+        assert dataset.load_csv(path).columns[0].tolist() == [1.0, 2.0]
+        path.write_text("a,label\n3,yes\n4,no\n", encoding="utf-8")
+        os.utime(path, ns=(stat.st_atime_ns, stat.st_mtime_ns))
+        assert path.stat().st_size == stat.st_size
+        assert path.stat().st_mtime_ns == stat.st_mtime_ns
+        assert dataset.load_csv(path).columns[0].tolist() == [3.0, 4.0]
+        assert len(parses) == 2
+
+    def test_label_col_is_part_of_the_key(self, tmp_path, parses):
+        path = _write_csv(tmp_path, "a,b\nu,yes\nw,no\n")
+        last = dataset.load_csv(path)
+        first = dataset.load_csv(path, label_col=0)
+        assert (last.names, last.labels) == (["a"], ["yes", "no"])
+        assert (first.names, first.labels) == (["b"], ["u", "w"])
+        assert dataset.load_csv(path).labels == ["yes", "no"]
+        assert parses == [-1, 0, -1]
+
+    @pytest.mark.parametrize("text", [None, "", "a,label\n1,yes\n2\n",
+                                      "a,label\n1,yes\n2,yes\n"])
+    def test_errors_raise_on_every_call(self, tmp_path, parses, text):
+        path = (tmp_path / "missing.csv" if text is None
+                else _write_csv(tmp_path, text))
+        for _ in range(2):
+            with pytest.raises(dataset.DataError):
+                dataset.load_csv(path)
+        assert len(parses) == (0 if text is None else 2)
+
+    def test_callers_cannot_change_the_next_load(self, tmp_path, parses):
+        path = _write_csv(tmp_path, "a,b,label\n1,x,yes\n2,y,no\n")
+        table = dataset.load_csv(path)
+        with pytest.raises(ValueError):
+            table.columns[0][0] = 9.0
+        table.columns[1][0] = "z"
+        table.columns.pop()
+        table.labels[0] = "maybe"
+        table.names[0] = "c"
+        table.categorical[0] = True
+        again = dataset.load_csv(path)
+        assert len(parses) == 1
+        assert again.columns[0].tolist() == [1.0, 2.0]
+        assert again.columns[1] == ["x", "y"]
+        assert (again.names, again.labels) == (["a", "b"], ["yes", "no"])
+        assert again.categorical == [False, True]
+        # every Dataset owns fresh, writable arrays
+        ds = dataset.load_dataset(path)
+        ds.x[:] = 0.0
+        assert dataset.load_dataset(path).x.max() == 1.0
 
 
 class TestEncoding:

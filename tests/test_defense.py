@@ -83,10 +83,10 @@ class TestPps1:
         x = rng.uniform(size=(200, 4))
         k0 = x.T @ x / 200
         h_star = defense.pps1_optimal_h(sys_, k0)
-        f_star = defense.pps1_h_objective(sys_, k0, h_star.h)
+        f_star = oracles.pps1_h_objective(sys_, k0, h_star.h)
         for _ in range(20):
             h_rand = np.linalg.qr(rng.standard_normal((4, 4)))[0]
-            assert f_star >= defense.pps1_h_objective(sys_, k0, h_rand) - 1e-9
+            assert f_star >= oracles.pps1_h_objective(sys_, k0, h_rand) - 1e-9
 
     def test_optimal_h_closed_form_value(self):
         # objective at the optimum: Tr((I + A^+A) K0) + 2 ||A^+A K0||_*
@@ -99,7 +99,7 @@ class TestPps1:
         proj = sys_.pinv @ sys_.a
         want = (np.trace((np.eye(4) + proj) @ k0)
                 + 2.0 * np.sum(np.linalg.svd(proj @ k0, compute_uv=False)))
-        assert defense.pps1_h_objective(sys_, k0, h_star.h) == pytest.approx(want)
+        assert oracles.pps1_h_objective(sys_, k0, h_star.h) == pytest.approx(want)
 
     def test_optimal_h_collapses_to_neg_identity_when_determined(self):
         # more classes than passive features: A^+A = I and H* = -I
@@ -120,7 +120,7 @@ class TestPps2Direction:
         plan = defense.pps2_optimal_direction(sys_, 1.0)
         apj = sys_.pinv @ difference_matrix(model.k)
         sigma1 = np.linalg.svd(apj, compute_uv=False)[0]
-        val = defense.pps2_objective(sys_, np.outer(plan.v1, plan.v1))
+        val = oracles.pps2_objective(sys_, np.outer(plan.v1, plan.v1))
         assert val == pytest.approx(sigma1 ** 2, abs=1e-10)
 
     def test_dominates_random_psd(self):
@@ -129,13 +129,13 @@ class TestPps2Direction:
         sys_, _ = _system_of(model, rng.uniform(size=4), rng.uniform(size=4))
         alpha = 2.0
         plan = defense.pps2_optimal_direction(sys_, alpha)
-        best = defense.pps2_objective(sys_, alpha * np.outer(plan.v1, plan.v1))
+        best = oracles.pps2_objective(sys_, alpha * np.outer(plan.v1, plan.v1))
         k = model.k
         for _ in range(50):
             b = rng.standard_normal((k, k))
             s = b @ b.T
             s *= alpha / np.trace(s)
-            assert defense.pps2_objective(sys_, s) <= best + 1e-8
+            assert oracles.pps2_objective(sys_, s) <= best + 1e-8
 
     def test_noise_realization_budget(self):
         model = _random_model(15)
