@@ -132,9 +132,10 @@ def load_csv(path, label_col: int = -1) -> RawTable:
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
     key = (hashlib.sha256(raw).digest(), label_col)
-    if _last_parse[0] != key:
-        _last_parse = key, _parse_csv(raw, label_col)
-    t = _last_parse[1]
+    last_key, t = _last_parse       # one read, so a concurrent load cannot
+    if last_key != key:             # pair this key with another table
+        t = _parse_csv(raw, label_col)
+        _last_parse = key, t
     columns = [list(c) if cat else c for c, cat in zip(t.columns, t.categorical)]
     return RawTable(columns=columns, names=list(t.names), labels=list(t.labels),
                     categorical=list(t.categorical))
