@@ -165,16 +165,16 @@ def _newton_steps(hess, grad):
         return step
 
 
-def _rcc1_barrier_solve(w, g, t, mu0=1.0, mu_factor=0.2, mu_min=1e-9,
-                        newton_tol=1e-9, max_newton=100):
+def _rcc1_barrier_solve(w, g, t):
     """Log-barrier interior point over the multipliers alpha >= 0, sum a_i Q_i >= I.
 
     Solves N rows at once. w holds the d nullspace-basis rows a_i (in R^p)
     that every row shares; Q_i = a_i a_i^T, and each row's
     g_i = (q_i - 1/2) a_i and t_i come in g (N x d x p) and t (N x d). All
-    rows follow one mu schedule. At each mu a row takes Newton steps until
-    its decrement test passes or no backtracked step is productive, and each
-    pass computes only the rows still stepping. Returns alpha, N x d.
+    rows follow one mu schedule, 1, 0.2, 0.04, ... down to 1e-9. At each mu
+    a row takes up to 100 Newton steps, until half its decrement is under
+    1e-9 or no backtracked step is productive, and each pass computes only
+    the rows still stepping. Returns alpha, N x d.
     """
     n, d, p = g.shape
     eye_p = np.eye(p)
@@ -197,10 +197,10 @@ def _rcc1_barrier_solve(w, g, t, mu0=1.0, mu_factor=0.2, mu_min=1e-9,
                        np.inf)
         return val, m, m_shift, u
 
-    mu = mu0
-    while mu >= mu_min:
+    mu = 1.0
+    while mu >= 1e-9:
         act = np.arange(n)              # rows still stepping at this mu
-        for _ in range(max_newton):
+        for _ in range(100):
             a, ga, ta = alpha[act], g[act], t[act]
             val, m, m_shift, u = total(a, ga, ta, mu)
             # gradient of f
@@ -218,7 +218,7 @@ def _rcc1_barrier_solve(w, g, t, mu0=1.0, mu_factor=0.2, mu_min=1e-9,
             hess = hess_f + mu * hess_b
             step = _newton_steps(hess + 1e-12 * np.eye(d), grad)
             decrement = -np.sum(grad * step, axis=-1)
-            go = decrement / 2.0 >= newton_tol
+            go = decrement / 2.0 >= 1e-9
             act, a, ga, ta = act[go], a[go], ga[go], ta[go]
             val, step, decrement = val[go], step[go], decrement[go]
             # backtracking line search keeping strict feasibility
@@ -243,12 +243,12 @@ def _rcc1_barrier_solve(w, g, t, mu0=1.0, mu_factor=0.2, mu_min=1e-9,
             alpha[act] = a[accepted] + tstep[accepted, None] * step[accepted]
             if not act.size:
                 break
-        mu *= mu_factor
+        mu *= 0.2
     bad = np.flatnonzero(~strictly_feasible(alpha))
     if bad.size:
         raise AttackError(f"barrier solve left the feasible region on rows "
                           f"{bad.tolist()} (duality gap bound "
-                          f"{mu / mu_factor * 2 * d:.3e})")
+                          f"{mu / 0.2 * 2 * d:.3e})")
     return alpha
 
 
@@ -324,18 +324,17 @@ def _gia_row(model: VflModel, y_act, c, x, step: float, max_iter: int,
 
 
 def attack_gia(model: VflModel, y_act, c, init: str = "half",
-               step: float = 0.05, max_iter: int = 5000,
-               tol: float = 1e-12, rng: np.random.Generator | None = None
+               max_iter: int = 5000, rng: np.random.Generator | None = None
                ) -> AttackEstimate:
     """Gradient-inversion baseline: projected descent on D(c_hat || c) over the box.
 
     y_act and c hold one prediction or N of them (N x (d_t - d), N x k);
     the rows are solved one after another. init selects the starting point:
     "zeros", "half" or "random" (drawn per row, in row order, from rng).
-    Steps are only accepted when they do not increase the objective.
-    diagnostics["iterations"] is the total over all rows, and
+    Steps start at 0.05 and are only accepted when they do not increase the
+    objective. diagnostics["iterations"] is the total over all rows, and
     diagnostics["converged"] says per row whether its last step moved it by
-    less than tol (False at the max_iter cap or on step underflow).
+    less than 1e-12 (False at the max_iter cap or on step underflow).
     """
     if init not in ("zeros", "half", "random"):
         raise ValueError(f"unknown init mode {init!r}")
@@ -357,7 +356,7 @@ def attack_gia(model: VflModel, y_act, c, init: str = "half",
         else:
             x0 = rng.uniform(0.0, 1.0, size=d)
         x[i], kl_bits[i], iters, converged[i] = _gia_row(
-            model, y_act[i], c[i], x0, step, max_iter, tol)
+            model, y_act[i], c[i], x0, 0.05, max_iter, 1e-12)
         iterations += iters
     return AttackEstimate(
         x_hat=x, name="gia",

@@ -22,7 +22,6 @@ class SignKnowledge(Enum):
 
     B_ZERO = "b_zero"
     SAME_SIGN = "same_sign"
-    OPPOSITE_SIGN_KNOWN = "opposite_sign_known"
     OPPOSITE_SIGN_UNKNOWN = "opposite_sign_unknown"
 
 

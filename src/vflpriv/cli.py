@@ -69,10 +69,19 @@ def _check_d(d: int, d_t: int, flag: str = "--d") -> None:
                         f"1 to {d_t} features (the table has {d_t})")
 
 
-def _split(args, ds: Dataset) -> VflSplit:
-    """The passive window of --start/--d, checked against the table width."""
+def _model(args, ds: Dataset) -> VflModel:
+    """The --start/--d window's model: trained, or loaded from --model and checked."""
     _check_d(args.d, ds.d_t)
-    return VflSplit.contiguous(ds.d_t, args.start, args.d)
+    split_cfg = VflSplit.contiguous(ds.d_t, args.start, args.d)
+    if not getattr(args, "model", None):
+        return train(ds, split_cfg, TrainConfig(lam=args.lam, seed=args.seed))
+    model = VflModel.load(args.model)
+    if model.split != split_cfg:
+        raise DataError(f"--model {args.model} holds passive features "
+                        f"{list(model.split.passive)} of {model.split.d_t}; --start "
+                        f"{args.start} --d {args.d} on this {ds.d_t}-feature table "
+                        f"is {list(split_cfg.passive)} of {ds.d_t}")
+    return model
 
 
 def _attack_names(text: str) -> list[str]:
@@ -81,6 +90,8 @@ def _attack_names(text: str) -> list[str]:
     unknown = [name for name in names if name not in ATTACKS]
     if unknown:
         raise DataError(f"unknown attacks {unknown}; choose from {list(ATTACKS)}")
+    if len(set(names)) != len(names):
+        raise DataError(f"attack names repeat in {text!r}")
     return names
 
 
@@ -103,7 +114,7 @@ def _emit(rows, header, out_path):
 
 def cmd_train(args) -> int:
     ds = _load_data(args)
-    model = train(ds, _split(args, ds), TrainConfig(lam=args.lam, seed=args.seed))
+    model = _model(args, ds)
     if args.out:
         model.save(args.out)
     print(f"accuracy={accuracy(model, ds):.6f}")
@@ -113,18 +124,11 @@ def cmd_train(args) -> int:
 def cmd_attack(args) -> int:
     names = _attack_names(args.attacks)
     ds = _load_data(args)
-    split_cfg = _split(args, ds)
-    if args.model:
-        model = VflModel.load(args.model)
-    else:
-        model = train(ds, split_cfg, TrainConfig(lam=args.lam, seed=args.seed))
-    rng = np.random.default_rng(args.seed)
+    model = _model(args, ds)
     rows = np.flatnonzero(ds.test_mask)[:args.n]
-    out = []
-    for name in names:
-        mse = metrics.attack_mse_on_rows(model, ds, rows, name,
-                                         rng=rng, init=args.init)
-        out.append([name, args.d, len(rows), repr(mse)])
+    mse = metrics.attack_mse_on_rows(model, ds, rows, names, init=args.init,
+                                     rng=np.random.default_rng(args.seed))
+    out = [[name, args.d, len(rows), repr(mse[name])] for name in names]
     _emit(out, ["attack", "d", "n", "mse"], args.out)
     return 0
 
@@ -204,7 +208,7 @@ def cmd_defend(args) -> int:
     if args.scheme != "pps1":
         for alpha in alphas:  # class_label's range depends on the class count
             defense.check_scheme_param(args.scheme, alpha, ds.k)
-    model = train(ds, _split(args, ds), TrainConfig(lam=args.lam, seed=args.seed))
+    model = _model(args, ds)
     rows = np.flatnonzero(ds.test_mask)[:args.n]
     results = _defense_sweep(model, ds, rows, [(args.scheme, a) for a in alphas],
                              attacks[0], np.random.default_rng(args.seed))
@@ -216,10 +220,8 @@ def cmd_defend(args) -> int:
 
 def cmd_evaluate(args) -> int:
     ds = _load_data(args)
-    split_cfg = _split(args, ds)
-    model = train(ds, split_cfg, TrainConfig(lam=args.lam, seed=args.seed))
-    pas = list(split_cfg.passive)
-    act = list(split_cfg.active)
+    model = _model(args, ds)
+    pas, act = list(model.split.passive), list(model.split.active)
     mom = metrics.moments(ds, pas)
     i0 = int(np.flatnonzero(ds.test_mask)[0])
     sys_ = build_system(model, ds.x[i0, act],
@@ -250,7 +252,7 @@ def cmd_figure1(args) -> int:
 
 def cmd_tradeoff(args) -> int:
     ds = _load_data(args)
-    model = train(ds, _split(args, ds), TrainConfig(lam=args.lam, seed=args.seed))
+    model = _model(args, ds)
     base_acc = accuracy(model, ds)
     rows = np.flatnonzero(ds.test_mask)[:args.n]
     sweep = ([("s1", a) for a in (0.1, 1.0, 10.0)]

@@ -172,13 +172,13 @@ def encode_labels(raw_labels) -> tuple[np.ndarray, int]:
     return np.array([lut[str(v)] for v in raw_labels]), len(values)
 
 
-def encode_categoricals(table: RawTable, train_mask=None) -> np.ndarray:
+def encode_categoricals(table: RawTable, y, train_mask=None) -> np.ndarray:
     """Replace categorical values by the training-set mean label of the category.
 
-    Categories never seen in training fall back to the global training mean.
-    Numeric columns pass through unchanged. Returns an n x d float matrix.
+    y holds the table's encoded labels (see encode_labels). Categories never
+    seen in training fall back to the global training mean. Numeric columns
+    pass through unchanged. Returns an n x d float matrix.
     """
-    y, _ = encode_labels(table.labels)
     n = table.n_rows
     if train_mask is None:
         train_mask = np.ones(n, dtype=bool)
@@ -224,17 +224,21 @@ def normalize(values: np.ndarray, labels, k: int | None = None,
     return Dataset(x=x, y=y, k=k, feature_names=names)
 
 
-def split(ds: Dataset, fraction: float = 0.8, seed: int = 0) -> Dataset:
-    """Deterministic shuffled train/test split; masks are disjoint and exhaustive."""
+def _train_mask(n: int, fraction: float, seed: int) -> np.ndarray:
+    """The first round(fraction n) rows of a seeded shuffle of n rows."""
     if not 0.0 < fraction < 1.0:
-        raise DataError("train fraction must be in (0, 1)")
-    n = ds.n
-    n_train = int(round(fraction * n))
-    if n_train < 1 or n - n_train < 1:
-        raise DataError("split leaves fewer than one sample on a side")
+        raise DataError(f"train fraction must be in (0, 1), got {fraction}")
     perm = np.random.default_rng(seed).permutation(n)
     train_mask = np.zeros(n, dtype=bool)
-    train_mask[perm[:n_train]] = True
+    train_mask[perm[:int(round(fraction * n))]] = True
+    return train_mask
+
+
+def split(ds: Dataset, fraction: float = 0.8, seed: int = 0) -> Dataset:
+    """Deterministic shuffled train/test split; masks are disjoint and exhaustive."""
+    train_mask = _train_mask(ds.n, fraction, seed)
+    if train_mask.all() or not train_mask.any():
+        raise DataError("split leaves fewer than one sample on a side")
     return Dataset(x=ds.x, y=ds.y, k=ds.k, feature_names=ds.feature_names,
                    train_mask=train_mask, test_mask=~train_mask)
 
@@ -257,18 +261,13 @@ def synthesize(spec: SyntheticSpec) -> Dataset:
 
 
 def load_dataset(path, label_col: int = -1, train_fraction: float = 0.8,
-                 seed: int = 0, normalize_train_only: bool = False) -> Dataset:
+                 seed: int = 0) -> Dataset:
     """Full pipeline: CSV -> categorical encoding -> normalize -> split."""
     table = load_csv(path, label_col=label_col)
     y, k = encode_labels(table.labels)
     # the split must be fixed before target-mean encoding (training rows only)
-    n = table.n_rows
-    n_train = int(round(train_fraction * n))
-    perm = np.random.default_rng(seed).permutation(n)
-    train_mask = np.zeros(n, dtype=bool)
-    train_mask[perm[:n_train]] = True
-    values = encode_categoricals(table, train_mask)
-    ds = normalize(values, y, k=k, feature_names=table.names,
-                   train_mask=train_mask if normalize_train_only else None)
+    train_mask = _train_mask(table.n_rows, train_fraction, seed)
+    values = encode_categoricals(table, y, train_mask)
+    ds = normalize(values, y, k=k, feature_names=table.names)
     return Dataset(x=ds.x, y=ds.y, k=k, feature_names=ds.feature_names,
                    train_mask=train_mask, test_mask=~train_mask)

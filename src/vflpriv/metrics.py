@@ -32,7 +32,6 @@ class MomentMatrices:
     k_half: np.ndarray   # E[(X - 1/2)(X - 1/2)^T]
     k_mu: np.ndarray     # covariance about mu
     mu: np.ndarray
-    n: int
 
     def __post_init__(self):
         for name in ("k0", "k_half", "k_mu"):
@@ -53,8 +52,6 @@ class MseReport:
     lower: float
     upper: float
     mu_lower: float
-    empirical: float | None = None
-    n: int | None = None
 
     def __post_init__(self):
         if not (self.lower - 1e-9 <= self.closed_form <= self.upper + 1e-9):
@@ -63,15 +60,13 @@ class MseReport:
                 f"[{self.lower}, {self.upper}]")
 
 
-def empirical_mse(truths, estimates, d: int | None = None) -> float:
+def empirical_mse(truths, estimates) -> float:
     """(1/(N d)) sum_i ||x_i - x_hat_i||^2 over paired rows."""
     truths = np.atleast_2d(np.asarray(truths, dtype=float))
     estimates = np.atleast_2d(np.asarray(estimates, dtype=float))
     if truths.shape != estimates.shape:
         raise MetricsError("truths and estimates disagree in shape")
-    if d is None:
-        d = truths.shape[1]
-    return float(np.sum((truths - estimates) ** 2) / (truths.shape[0] * d))
+    return float(np.sum((truths - estimates) ** 2) / truths.size)
 
 
 def moments(ds: Dataset, feature_subset=None) -> MomentMatrices:
@@ -85,7 +80,7 @@ def moments(ds: Dataset, feature_subset=None) -> MomentMatrices:
     xc = x - 0.5
     xm = x - mu
     return MomentMatrices(k0=x.T @ x / n, k_half=xc.T @ xc / n,
-                          k_mu=xm.T @ xm / n, mu=mu, n=n)
+                          k_mu=xm.T @ xm / n, mu=mu)
 
 
 def closed_form_mse(sys_: LinearSystem, mom: MomentMatrices
@@ -105,7 +100,7 @@ def closed_form_mse(sys_: LinearSystem, mom: MomentMatrices
         lower, upper = numerics.von_neumann_bounds(proj, km)
         out[attack] = MseReport(attack=attack, d=d, closed_form=closed,
                                 lower=lower / d, upper=upper / d,
-                                mu_lower=mu_lower, n=mom.n)
+                                mu_lower=mu_lower)
     return out
 
 
@@ -127,33 +122,40 @@ def _per_row(values: np.ndarray) -> float | np.ndarray:
     return float(values) if values.ndim == 0 else values
 
 
-def kl_divergence(p, q, eps_clip: float = EPS_CLIP) -> float | np.ndarray:
-    """D(p || q) in bits, q clipped below at eps_clip: a float, or N for N x k rows."""
+def kl_divergence(p, q) -> float | np.ndarray:
+    """D(p || q) in bits, q clipped below at EPS_CLIP: a float, or N for N x k rows."""
     p = _check_prob(p, "p")
-    q = np.clip(_check_prob(q, "q"), eps_clip, None)
+    q = np.clip(_check_prob(q, "q"), EPS_CLIP, None)
     if p.shape != q.shape:
         raise MetricsError(f"p {p.shape} and q {q.shape} differ in shape")
     # terms with p = 0 contribute exactly 0
     return _per_row(np.sum(p * np.log2(np.where(p > 0.0, p, 1.0) / q), axis=-1))
 
 
-def attack_mse_on_rows(model: VflModel, ds: Dataset, rows, attack: str,
+def attack_mse_on_rows(model: VflModel, ds: Dataset, rows, attacks,
                        rng: np.random.Generator | None = None,
-                       init: str = "half") -> float:
-    """Mean per-feature MSE of one attack over the given sample rows.
+                       init: str = "half") -> dict[str, float]:
+    """Mean per-feature MSE of each named attack over the given sample rows.
 
-    The rows go through predict, build_system and the attack as one batch.
+    The rows go through predict and build_system once, as one batch; the
+    attacks then run on that system in the given order, all drawing from rng.
+    Returns {attack: MSE}.
     """
     rows = np.asarray(rows, dtype=int)
     if rows.ndim != 1 or rows.size == 0:
         raise MetricsError("need a non-empty list of sample rows")
+    if len(set(attacks)) != len(attacks):
+        raise MetricsError(f"attack names repeat: {list(attacks)}")
     y_act = ds.x[np.ix_(rows, model.split.active)]
     x_pas = ds.x[np.ix_(rows, model.split.passive)]
     c = predict(model, y_act, x_pas)
     sys_ = build_system(model, y_act, c)
-    est = run_attack(attack, sys_, model=model, y_act=y_act, c=c,
-                     rng=rng, init=init)
-    return empirical_mse(x_pas, est.x_hat)
+    out = {}
+    for name in attacks:
+        est = run_attack(name, sys_, model=model, y_act=y_act, c=c, rng=rng,
+                         init=init)
+        out[name] = empirical_mse(x_pas, est.x_hat)
+    return out
 
 
 def average_over_space(ds: Dataset, d: int, attacks, n_pred: int = 1000,
@@ -163,21 +165,20 @@ def average_over_space(ds: Dataset, d: int, attacks, n_pred: int = 1000,
 
     Each window allocates features {s, ..., s+d-1 mod d_t} to the passive
     party and trains one model (seed + s), on which every attack runs over
-    up to n_pred test predictions; rg draws from a generator seeded with
+    up to n_pred test predictions, drawing from one generator seeded with
     seed + s. Returns {attack: mean of the d_t window MSE values}.
     """
     if d > ds.d_t:
         raise MetricsError("passive dimension exceeds the feature count")
     base = train_cfg or TrainConfig()
     rows = np.flatnonzero(ds.test_mask)[:n_pred]
-    values: dict[str, list[float]] = {name: [] for name in attacks}
+    windows = []
     for start in range(ds.d_t):
         model = train(ds, VflSplit.contiguous(ds.d_t, start, d),
                       replace(base, seed=seed + start))
-        for name, window_values in values.items():
-            rng = np.random.default_rng(seed + start)
-            window_values.append(attack_mse_on_rows(model, ds, rows, name, rng=rng))
-    return {name: float(np.mean(v)) for name, v in values.items()}
+        windows.append(attack_mse_on_rows(model, ds, rows, attacks,
+                                          rng=np.random.default_rng(seed + start)))
+    return {name: float(np.mean([w[name] for w in windows])) for name in attacks}
 
 
 def write_csv(path, header: list[str], rows: list[list]) -> None:

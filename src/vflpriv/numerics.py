@@ -121,8 +121,7 @@ def _cap_error(solver: str, x: np.ndarray, rows: np.ndarray, total: int,
         last_iterate=x, residuals=residuals, rows=rows)
 
 
-def dykstra_project(x0, sys_: LinearSystem, max_iter: int = 100,
-                    tol: float = 1e-12, *, rows=None
+def dykstra_project(x0, sys_: LinearSystem, max_iter: int = 100, *, rows=None
                     ) -> tuple[np.ndarray, np.ndarray]:
     """Euclidean projection of x0 onto {x in [0,1]^d : Ax = b} for each row of sys_.
 
@@ -135,7 +134,7 @@ def dykstra_project(x0, sys_: LinearSystem, max_iter: int = 100,
     unclipped coordinates, g = diag(1/s) U_r^T (A x(lam) - b) and
     mu = 1e-6 ||g|| + 1e-12, then halves until the dual value rises by an
     Armijo fraction of the predicted rise. A row stops once
-    max|Ax - b| <= tol (1 + max|A| + max|b|), so a row that meets this at x0
+    max|Ax - b| <= 1e-12 (1 + max|A| + max|b|), so a row that meets this at x0
     returns clip(x0) after 0 steps. Every set must be nonempty. rows picks
     rows of the system's flattened batch (default: all); x0 broadcasts to
     the result, of shape batch + (d,), or (len(rows), d) when rows is given.
@@ -169,7 +168,7 @@ def dykstra_project(x0, sys_: LinearSystem, max_iter: int = 100,
 
     # per live row: b, stop bound, u = x0 - A^T lam, x(lam) and its residual
     live, bs, u = np.arange(len(b)), b, flat.copy()
-    bound = tol * (1.0 + np.max(np.abs(a)) + np.max(np.abs(b), axis=1))
+    bound = 1e-12 * (1.0 + np.max(np.abs(a)) + np.max(np.abs(b), axis=1))
     x, res = point(u, bs)
     for it in range(max_iter + 1):
         done = np.max(np.abs(res), axis=1) <= bound
@@ -217,8 +216,8 @@ def dykstra_project(x0, sys_: LinearSystem, max_iter: int = 100,
     return flat.reshape(shape), steps.reshape(shape[:-1])
 
 
-def box_least_squares(sys_: LinearSystem, x_init=None, max_iter: int = 50_000,
-                      tol: float = 1e-12) -> np.ndarray:
+def box_least_squares(sys_: LinearSystem, x_init=None, max_iter: int = 50_000
+                      ) -> np.ndarray:
     """Minimize ||Ax - b|| over the unit box by accelerated projected gradient.
 
     Solves every row of sys_: the result has shape batch + (d,). The
@@ -226,7 +225,8 @@ def box_least_squares(sys_: LinearSystem, x_init=None, max_iter: int = 50_000,
     on x_init (default: the box center), which broadcasts to the result.
     For satisfiable systems the residual at the output is driven to ~0.
     The step comes from the largest singular value in sys_'s SVD. One
-    vectorized FISTA iteration runs over the rows not yet stationary, with
+    vectorized FISTA iteration runs over the rows not yet stationary (a
+    projected gradient step and the last move both under 1e-12), with
     momentum restarted per row.
 
     Raises ConvergenceError naming, by their index in the flattened batch,
@@ -267,7 +267,7 @@ def box_least_squares(sys_: LinearSystem, x_init=None, max_iter: int = 50_000,
         xs, t, fx, gx = x_new, t_new, f_new, r @ a
         # stationarity: projected gradient step does not move the iterate
         pg = np.linalg.norm(xs - np.clip(xs - step * gx, 0.0, 1.0), axis=1)
-        done = (pg < tol) & (move < tol)
+        done = (pg < 1e-12) & (move < 1e-12)
         if np.count_nonzero(done):
             flat[live[done]] = xs[done]
             keep = ~done
@@ -280,12 +280,12 @@ def box_least_squares(sys_: LinearSystem, x_init=None, max_iter: int = 50_000,
                      {"residual": np.linalg.norm(xs @ a.T - bs, axis=1)})
 
 
-def von_neumann_bounds(m, p, tol: float = 1e-8) -> tuple[float, float]:
-    """Eigenvalue-product bounds bracketing Tr(MP) for symmetric PSD M, P."""
+def von_neumann_bounds(m, p) -> tuple[float, float]:
+    """Eigenvalue-product bounds bracketing Tr(MP) for symmetric (to 1e-8) PSD M, P."""
     m = as_matrix(m)
     p = as_matrix(p)
     for name, mat in (("M", m), ("P", p)):
-        if mat.shape[0] != mat.shape[1] or np.max(np.abs(mat - mat.T)) > tol:
+        if mat.shape[0] != mat.shape[1] or np.max(np.abs(mat - mat.T)) > 1e-8:
             raise ValueError(f"{name} must be symmetric")
     ev_m = np.sort(np.linalg.eigvalsh(m))[::-1]
     ev_p = np.sort(np.linalg.eigvalsh(p))[::-1]

@@ -34,10 +34,10 @@ def difference_matrix(k: int) -> np.ndarray:
     return j
 
 
-def log_ratio_scores(c, eps_clip: float = EPS_CLIP) -> np.ndarray:
+def log_ratio_scores(c) -> np.ndarray:
     """Consecutive log ratios ln(c_{m+1}/c_m) along the last axis of the scores."""
     c = np.asarray(c, dtype=float)
-    logc = np.log(np.clip(c, eps_clip, None))
+    logc = np.log(np.clip(c, EPS_CLIP, None))
     return logc[..., 1:] - logc[..., :-1]
 
 
@@ -64,7 +64,6 @@ class LinearSystem:
     a: np.ndarray
     b: np.ndarray
     source: str = "clean"
-    tau_feas: float = numerics.TAU_FEAS
     svd: numerics.SvdFactors | None = field(default=None, repr=False,
                                             compare=False)
 
@@ -91,7 +90,7 @@ class LinearSystem:
     def row(self, i) -> "LinearSystem":
         """Row i (an index into ``batch``) as a one-row system sharing the SVD."""
         return LinearSystem(a=self.a, b=self.b[i], source=self.source,
-                            tau_feas=self.tau_feas, svd=self.svd)
+                            svd=self.svd)
 
     @cached_property
     def pinv(self) -> np.ndarray:
@@ -124,7 +123,7 @@ class LinearSystem:
 
     def contains(self, x, tau: float | None = None) -> np.ndarray:
         """Per-row membership of x in {x in [0,1]^d : Ax = b'}, up to slack tau."""
-        tau = self.tau_feas if tau is None else tau
+        tau = numerics.TAU_FEAS if tau is None else tau
         on_plane = np.max(np.abs(_rowwise(self.a, x) - self.b), axis=-1) <= tau
         return on_plane & np.all((x >= -tau) & (x <= 1.0 + tau), axis=-1)
 

@@ -464,8 +464,7 @@ def transform_system(sys_: LinearSystem, r) -> LinearSystem:
         raise ValueError(f"R must be {m}x{m}")
     if np.linalg.cond(r) > 1e12:
         raise ValueError("R is singular or too ill-conditioned")
-    return LinearSystem(a=r @ sys_.a, b=(r @ sys_.b.T).T, source=sys_.source,
-                        tau_feas=sys_.tau_feas)
+    return LinearSystem(a=r @ sys_.a, b=(r @ sys_.b.T).T, source=sys_.source)
 
 
 def noise_realization(plan: defense.NoisePlan, rng: np.random.Generator) -> np.ndarray:

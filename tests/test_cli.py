@@ -216,6 +216,29 @@ class TestBadArguments:
         assert "nope" in capsys.readouterr().err
         assert not train_calls
 
+    @pytest.mark.parametrize("argv", [
+        ["attack", "--d", "2", "--attacks", "half,ls,half"],
+        ["figure1", "--d-grid", "1,2", "--attacks", "rg, rg"],
+    ])
+    def test_repeated_attack_before_training(self, argv, capsys, train_calls):
+        assert _run(argv + ["--synth-n", "100", "--synth-dt", "4",
+                            "--n", "5"]) == 2
+        assert "repeat" in capsys.readouterr().err
+        assert not train_calls
+
+    @pytest.mark.parametrize("frac", ["0", "-0.5", "1", "1.5"])
+    def test_train_frac_outside_0_1_before_training(self, frac, tmp_path, capsys,
+                                                     train_calls):
+        rng = np.random.default_rng(3)
+        path = tmp_path / "t.csv"
+        path.write_text("a,b,c,label\n" + "".join(
+            f"{r[0]!r},{r[1]!r},{r[2]!r},{i % 2}\n"
+            for i, r in enumerate(rng.uniform(size=(200, 3)).tolist())))
+        assert _run(["train", "--data", str(path), "--d", "1",
+                     "--train-frac", frac]) == 2
+        assert "train fraction must be in (0, 1)" in capsys.readouterr().err
+        assert not train_calls
+
     @pytest.mark.parametrize("command", ["blackbox", "figure12"])
     @pytest.mark.parametrize("grid", ["5..1", "0..3", "1-4"])
     def test_bad_n_grid(self, command, grid, capsys):
@@ -223,12 +246,55 @@ class TestBadArguments:
         assert "--n-grid" in capsys.readouterr().err
 
 
-def test_figure1_trains_each_window_once(tmp_path, train_calls):
-    # d_t = 4 windows per d, whatever the number of attacks
-    assert _run(["figure1", "--synth-n", "150", "--synth-dt", "4",
-                 "--d-grid", "1,2", "--attacks", "rg,half,ls,half_star",
-                 "--n", "5", "--out", str(tmp_path / "fig1.csv")]) == 0
-    assert len(train_calls) == 2 * 4
+@pytest.fixture()
+def metrics_calls(monkeypatch):
+    """The first argument of every build_system and run_attack call in metrics."""
+    from vflpriv import metrics
+    calls = {"build_system": [], "run_attack": []}
+    for name, seen in calls.items():
+        real = getattr(metrics, name)
+        monkeypatch.setattr(metrics, name, lambda *a, real=real, seen=seen, **kw:
+                            seen.append(a[0]) or real(*a, **kw))
+    return calls
+
+
+def test_figure1_trains_each_window_once(tmp_path, train_calls, metrics_calls):
+    # d_t = 4 windows per d, each with one model and one system, whatever
+    # the number of attacks
+    for attacks in ("rg,half,ls,half_star", "half"):
+        assert _run(["figure1", "--synth-n", "150", "--synth-dt", "4",
+                     "--d-grid", "1,2", "--attacks", attacks,
+                     "--n", "5", "--out", str(tmp_path / "fig1.csv")]) == 0
+        assert len(train_calls) == 2 * 4
+        assert len(metrics_calls["build_system"]) == 2 * 4
+        train_calls.clear()
+        metrics_calls["build_system"].clear()
+
+
+class TestModelMustMatchWindow:
+    @pytest.fixture()
+    def model_path(self, tmp_path):
+        path = tmp_path / "model.json"
+        assert _run(["train", "--synth-n", "150", "--synth-dt", "10",
+                     "--d", "3", "--start", "0", "--out", str(path)]) == 0
+        return path
+
+    def test_matching_window_runs(self, model_path, capsys, metrics_calls):
+        assert _run(["attack", "--synth-n", "150", "--synth-dt", "10", "--d", "3",
+                     "--model", str(model_path), "--attacks", "half,ls",
+                     "--n", "5"]) == 0
+        assert metrics_calls["run_attack"] == ["half", "ls"]
+
+    @pytest.mark.parametrize("window, dt", [
+        (["--d", "5", "--start", "2"], "10"), (["--d", "3", "--start", "2"], "10"),
+        (["--d", "3", "--start", "0"], "12")])
+    def test_other_window_or_width_exit_2(self, model_path, window, dt, capsys,
+                                          metrics_calls):
+        assert _run(["attack", "--synth-n", "150", "--synth-dt", dt, *window,
+                     "--model", str(model_path), "--n", "5"]) == 2
+        err = capsys.readouterr().err
+        assert "[0, 1, 2] of 10" in err and f"{dt}-feature table" in err
+        assert not metrics_calls["run_attack"]
 
 
 class TestDefendArguments:

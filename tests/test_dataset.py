@@ -28,7 +28,8 @@ class TestLoadCsv:
         assert table.categorical == [False, True]
         assert table.columns[0].tolist() == [float(c) for c in cells]
         assert table.columns[1] == ["x"] + cells[1:]   # raw strings, unparsed
-        out = dataset.encode_categoricals(table)
+        out = dataset.encode_categoricals(
+            table, dataset.encode_labels(table.labels)[0])
         assert out[:, 0].tolist() == [float(c) for c in cells]
 
     def test_label_col_selection(self, tmp_path):
@@ -151,7 +152,8 @@ class TestEncoding:
             labels=["1", "0", "1", "1"],
             categorical=[True],
         )
-        out = dataset.encode_categoricals(table)
+        out = dataset.encode_categoricals(
+            table, dataset.encode_labels(table.labels)[0])
         assert np.allclose(out[:, 0], [0.5, 0.5, 1.0, 1.0])
 
     def test_unseen_category_falls_back_to_global_mean(self):
@@ -162,13 +164,15 @@ class TestEncoding:
             categorical=[True],
         )
         train_mask = np.array([True, True, True, False])
-        out = dataset.encode_categoricals(table, train_mask)
+        out = dataset.encode_categoricals(
+            table, dataset.encode_labels(table.labels)[0], train_mask)
         assert out[3, 0] == pytest.approx(2.0 / 3.0)  # mean label of train rows
 
     def test_numeric_passthrough(self):
         table = dataset.RawTable(columns=[["1.5", "2.5"]], names=["n"],
                                  labels=["a", "b"], categorical=[False])
-        out = dataset.encode_categoricals(table)
+        out = dataset.encode_categoricals(
+            table, dataset.encode_labels(table.labels)[0])
         assert np.allclose(out[:, 0], [1.5, 2.5])
 
 
@@ -200,6 +204,30 @@ class TestSplit:
         assert not np.any(s1.train_mask & s1.test_mask)
         assert np.all(s1.train_mask | s1.test_mask)
         assert s1.train_mask.sum() == 16
+
+    @pytest.mark.parametrize("fraction, seed", [(0.8, 0), (0.5, 3), (0.2, 7),
+                                                (0.01, 1), (0.99, 2)])
+    def test_masks_are_a_seeded_shuffle_prefix(self, tmp_path, fraction, seed):
+        x = np.random.default_rng(0).uniform(size=(37, 2))
+        path = _write_csv(tmp_path, "a,b,label\n" + "".join(
+            f"{a!r},{b!r},{i % 3}\n" for i, (a, b) in enumerate(x.tolist())))
+        want = np.zeros(37, dtype=bool)
+        want[np.random.default_rng(seed).permutation(37)[:round(fraction * 37)]] = True
+        loaded = dataset.load_dataset(path, train_fraction=fraction, seed=seed)
+        assert np.array_equal(loaded.train_mask, want)
+        assert np.array_equal(loaded.test_mask, ~want)
+        ds = dataset.normalize(x, np.arange(37) % 3)
+        if 0 < want.sum() < 37:
+            assert np.array_equal(dataset.split(ds, fraction, seed).train_mask, want)
+        else:   # split needs a sample on each side; load_dataset does not
+            with pytest.raises(dataset.DataError, match="side"):
+                dataset.split(ds, fraction, seed)
+
+    @pytest.mark.parametrize("fraction", [0.0, -0.5, 1.0, 1.5, float("nan")])
+    def test_fraction_outside_0_1(self, tmp_path, fraction):
+        path = _write_csv(tmp_path, "a,label\n0.1,x\n0.2,y\n0.3,x\n")
+        with pytest.raises(dataset.DataError, match="train fraction"):
+            dataset.load_dataset(path, train_fraction=fraction)
 
     def test_degenerate_fraction(self):
         ds = dataset.normalize(np.zeros((3, 1)), [0, 1, 0])

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 import oracles
 from vflpriv import metrics
+from vflpriv.attacks import run_attack
 from vflpriv.dataset import Dataset, SyntheticSpec, synthesize
 from vflpriv.model import TrainConfig, VflSplit, predict, train
 from vflpriv.system import LinearSystem, build_system
@@ -202,7 +203,7 @@ class TestAverageOverSpace:
         split = VflSplit.contiguous(3, 0, 3)
         model = train(tiny, split, TrainConfig(max_epochs=120, seed=0))
         rows = np.flatnonzero(tiny.test_mask)[:10]
-        direct = metrics.attack_mse_on_rows(model, tiny, rows, "half")
+        direct = metrics.attack_mse_on_rows(model, tiny, rows, ["half"])["half"]
         assert avg == pytest.approx(direct, abs=1e-12)
 
     def test_dimension_guard(self, tiny):
@@ -220,8 +221,47 @@ class TestAverageOverSpace:
             split = VflSplit.contiguous(3, start, 1)
             model = train(tiny, split, TrainConfig(max_epochs=120, seed=start))
             per_window.append(
-                metrics.attack_mse_on_rows(model, tiny, rows, "half"))
+                metrics.attack_mse_on_rows(model, tiny, rows, ["half"])["half"])
         assert avg == pytest.approx(np.mean(per_window), abs=1e-12)
+
+
+class TestAttackMseOnRows:
+    NAMES = ["rg", "half", "ls", "half_star", "rcc2", "gia"]
+
+    @pytest.fixture(scope="class")
+    def setup(self):
+        ds = synthesize(SyntheticSpec(n=200, d_t=6, k=3, seed=4))
+        model = train(ds, VflSplit.contiguous(6, 1, 3), TrainConfig(seed=4))
+        return ds, model, np.flatnonzero(ds.test_mask)[:4]
+
+    def test_one_system_for_every_attack(self, setup, monkeypatch):
+        ds, model, rows = setup
+        calls = {"predict": [], "build_system": []}
+        for name, seen in calls.items():
+            real = getattr(metrics, name)
+            monkeypatch.setattr(metrics, name, lambda *a, real=real, seen=seen, **kw:
+                                seen.append(1) or real(*a, **kw))
+        # gia starts from random draws, so it must follow rg on one generator
+        got = metrics.attack_mse_on_rows(model, ds, rows, self.NAMES,
+                                         rng=np.random.default_rng(7), init="random")
+        assert {name: len(seen) for name, seen in calls.items()} == {
+            "predict": 1, "build_system": 1}
+        assert list(got) == self.NAMES
+
+        y_act = ds.x[np.ix_(rows, model.split.active)]
+        x_pas = ds.x[np.ix_(rows, model.split.passive)]
+        c = predict(model, y_act, x_pas)
+        sys_ = build_system(model, y_act, c)
+        rng = np.random.default_rng(7)
+        for name in self.NAMES:
+            est = run_attack(name, sys_, model=model, y_act=y_act, c=c, rng=rng,
+                             init="random")
+            assert got[name] == metrics.empirical_mse(x_pas, est.x_hat), name
+
+    def test_repeated_name_rejected(self, setup):
+        ds, model, rows = setup
+        with pytest.raises(metrics.MetricsError, match="repeat"):
+            metrics.attack_mse_on_rows(model, ds, rows, ["half", "ls", "half"])
 
 
 class TestEmission:
