@@ -6,9 +6,10 @@ system gives a d-vector. The closed forms are matrix operations over the
 batch. The iterative solvers (the exact dual Newton projection for rcc2,
 FISTA for cls, the rcc1 log barrier) make one call per batch on the shared
 factors of A: each iteration is vectorized over the rows that have not yet
-converged; gia still descends one row at a time. When the system is
-determined (trivial nullspace) every estimator short-circuits to the unique
-solution A^+ b'.
+converged; gia still descends one row at a time, with Barzilai-Borwein
+step sizes (the secant step s.s / s.y after each accepted step). When the
+system is determined (trivial nullspace) every estimator short-circuits to
+the unique solution A^+ b'.
 """
 
 from __future__ import annotations
@@ -275,9 +276,14 @@ def attack_rcc1(sys_: LinearSystem) -> AttackEstimate:
                      alpha=alpha.reshape(shape))
 
 
+# the largest step gia takes, so that x - step * grad never forms inf * 0
+_GIA_MAX_STEP = 1e30
+
+
 def _gia_row(model: VflModel, y_act, c, x, step: float, max_iter: int,
              tol: float) -> tuple[np.ndarray, float, int, bool]:
-    """Projected descent from x for one prediction.
+    """Projected descent from x for one prediction, with the step rule of
+    attack_gia.
 
     Returns (x, KL bits, iterations, converged); converged is True when a
     step moved x by less than tol, False at the iteration cap or once the
@@ -313,9 +319,18 @@ def _gia_row(model: VflModel, y_act, c, x, step: float, max_iter: int,
         cand_obj, cand_grad = objective_and_grad(cand)
         if cand_obj <= obj:
             dx = cand - x
+            dg = cand_grad - grad
             x, obj, grad = cand, cand_obj, cand_grad
-            if np.sqrt(dx.dot(dx)) < tol:
+            ss = dx.dot(dx)
+            if np.sqrt(ss) < tol:
                 return x, obj, iters, True
+            # Barzilai-Borwein: the secant step s.s / s.y, or twice the last
+            # step where the curvature along s is not positive
+            sy = dx.dot(dg)
+            if sy <= 0.0:
+                cur_step = min(2.0 * cur_step, _GIA_MAX_STEP)
+            else:   # the cap is tested first, so a tiny s.y cannot overflow
+                cur_step = ss / sy if ss < _GIA_MAX_STEP * sy else _GIA_MAX_STEP
         else:
             cur_step *= 0.5
             if cur_step < 1e-16:
@@ -332,9 +347,15 @@ def attack_gia(model: VflModel, y_act, c, init: str = "half",
     the rows are solved one after another. init selects the starting point:
     "zeros", "half" or "random" (drawn per row, in row order, from rng).
     Steps start at 0.05 and are only accepted when they do not increase the
-    objective. diagnostics["iterations"] is the total over all rows, and
-    diagnostics["converged"] says per row whether its last step moved it by
-    less than 1e-12 (False at the max_iter cap or on step underflow).
+    objective; a rejected step halves the step size. After an accepted step
+    s, with gradient change y, the next step size is the Barzilai-Borwein
+    value s.s / s.y (Barzilai & Borwein 1988; with the projection, the
+    spectral projected gradient of Birgin, Martinez & Raydan 2000), or
+    twice the last one where s.y <= 0, never above 1e30. A row stops when
+    the step size falls below 1e-16. diagnostics["iterations"] is the total
+    over all rows, and diagnostics["converged"] says per row whether its
+    last step moved it by less than 1e-12 (False at the max_iter cap or on
+    step underflow).
     """
     if init not in ("zeros", "half", "random"):
         raise ValueError(f"unknown init mode {init!r}")

@@ -13,7 +13,7 @@ import sys
 
 import numpy as np
 
-from . import blackbox, defense, metrics, numerics
+from . import blackbox, dataset, defense, metrics, numerics
 from .attacks import ATTACKS, AttackError, run_attack
 from .dataset import DataError, Dataset, SyntheticSpec, load_dataset, synthesize
 from .model import (TrainConfig, TrainingError, VflModel, VflSplit, accuracy,
@@ -84,6 +84,13 @@ def _model(args, ds: Dataset) -> VflModel:
     return model
 
 
+def _check_n(n: int) -> int:
+    """--n, the number of test predictions, checked before any load or training."""
+    if n < 1:
+        raise DataError(f"--n must be at least 1, got {n}")
+    return n
+
+
 def _attack_names(text: str) -> list[str]:
     """The comma list of --attacks, every name checked before any work."""
     names = [name.strip() for name in text.split(",")]
@@ -99,8 +106,10 @@ def _load_data(args) -> Dataset:
     if args.data:
         return load_dataset(args.data, label_col=args.label_col,
                             train_fraction=args.train_frac, seed=args.seed)
-    return synthesize(SyntheticSpec(n=args.synth_n, d_t=args.synth_dt,
-                                    k=args.synth_k, seed=args.seed))
+    # synthesize splits 0.8 with the same seed, so the default keeps its masks
+    ds = synthesize(SyntheticSpec(n=args.synth_n, d_t=args.synth_dt,
+                                  k=args.synth_k, seed=args.seed))
+    return dataset.split(ds, args.train_frac, args.seed)
 
 
 def _emit(rows, header, out_path):
@@ -123,9 +132,10 @@ def cmd_train(args) -> int:
 
 def cmd_attack(args) -> int:
     names = _attack_names(args.attacks)
+    n = _check_n(args.n)
     ds = _load_data(args)
     model = _model(args, ds)
-    rows = np.flatnonzero(ds.test_mask)[:args.n]
+    rows = np.flatnonzero(ds.test_mask)[:n]
     mse = metrics.attack_mse_on_rows(model, ds, rows, names, init=args.init,
                                      rng=np.random.default_rng(args.seed))
     out = [[name, args.d, len(rows), repr(mse[name])] for name in names]
@@ -204,12 +214,13 @@ def cmd_defend(args) -> int:
     if len(attacks) != 1:
         raise DataError(f"--attack takes one name, got {args.attack!r}")
     alphas = [""] if args.scheme == "pps1" else [float(a) for a in args.alpha.split(",")]
+    n = _check_n(args.n)
     ds = _load_data(args)
     if args.scheme != "pps1":
         for alpha in alphas:  # class_label's range depends on the class count
             defense.check_scheme_param(args.scheme, alpha, ds.k)
     model = _model(args, ds)
-    rows = np.flatnonzero(ds.test_mask)[:args.n]
+    rows = np.flatnonzero(ds.test_mask)[:n]
     results = _defense_sweep(model, ds, rows, [(args.scheme, a) for a in alphas],
                              attacks[0], np.random.default_rng(args.seed))
     out = [[args.scheme, alpha, repr(mse), repr(kl)]
@@ -235,8 +246,8 @@ def cmd_evaluate(args) -> int:
 
 def cmd_figure1(args) -> int:
     names = _attack_names(args.attacks)
+    n_pred = FULL_N if args.full else _check_n(args.n)
     ds = _load_data(args)
-    n_pred = FULL_N if args.full else args.n
     grid = [int(d) for d in args.d_grid.split(",")]
     for d in grid:
         _check_d(d, ds.d_t, "--d-grid")
@@ -251,10 +262,11 @@ def cmd_figure1(args) -> int:
 
 
 def cmd_tradeoff(args) -> int:
+    n = _check_n(args.n)
     ds = _load_data(args)
     model = _model(args, ds)
     base_acc = accuracy(model, ds)
-    rows = np.flatnonzero(ds.test_mask)[:args.n]
+    rows = np.flatnonzero(ds.test_mask)[:n]
     sweep = ([("s1", a) for a in (0.1, 1.0, 10.0)]
              + [("s2", a) for a in (0.1, 1.0, 10.0)]
              + [("s3", a) for a in (0.1, 0.5, 0.9)]

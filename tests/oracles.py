@@ -400,9 +400,32 @@ def gia_row(model, y_act, c, x, step: float, max_iter: int,
             tol: float) -> tuple[np.ndarray, float, int, bool]:
     """gia's projected descent from x for one prediction, through softmax.
 
-    Returns (x, KL bits, iterations, converged) as the library's one-row
-    loop does, whose in-place arithmetic must match this bit for bit.
+    After each accepted step s (gradient change y) the next step is the
+    Barzilai-Borwein value s.s / s.y, or twice the last one where s.y <= 0,
+    at most 1e30. Returns (x, KL bits, iterations, converged) as the
+    library's one-row loop does, whose in-place arithmetic must match this
+    bit for bit.
     """
+    def bb_step(s, y, cur_step):
+        ss, sy = np.dot(s, s), np.dot(s, y)
+        if sy <= 0.0:
+            return min(2.0 * cur_step, 1e30)
+        # the cap is tested before dividing, so a tiny s.y cannot overflow
+        return ss / sy if ss < 1e30 * sy else 1e30
+    return _gia_descent(model, y_act, c, x, step, max_iter, tol, bb_step)
+
+
+def gia_row_halving(model, y_act, c, x, step: float, max_iter: int,
+                    tol: float) -> tuple[np.ndarray, float, int, bool]:
+    """gia's earlier descent: the step only ever halves, on each rejection."""
+    return _gia_descent(model, y_act, c, x, step, max_iter, tol,
+                        lambda s, y, cur_step: cur_step)
+
+
+def _gia_descent(model, y_act, c, x, step, max_iter, tol, next_step):
+    """Projected descent on D(c_hat || c) over the box; a step is accepted
+    when it does not raise the objective, next_step(s, y, step) then sets the
+    step size, and a rejection halves it."""
     log_c = np.log(np.maximum(c, 1e-300))
     ln2 = np.log(2.0)
     u = model.w_act @ y_act
@@ -422,10 +445,11 @@ def gia_row(model, y_act, c, x, step: float, max_iter: int,
         cand = np.minimum(np.maximum(x - cur_step * grad, 0.0), 1.0)
         cand_obj, cand_grad = objective_and_grad(cand)
         if cand_obj <= obj:
-            dx = cand - x
+            dx, dg = cand - x, cand_grad - grad
             x, obj, grad = cand, cand_obj, cand_grad
             if np.sqrt(dx.dot(dx)) < tol:
                 return x, obj, iters, True
+            cur_step = next_step(dx, dg, cur_step)
         else:
             cur_step *= 0.5
             if cur_step < 1e-16:

@@ -228,13 +228,14 @@ class TestGia:
 
     def test_reports_convergence(self, small_model):
         y_act, c = _predictions(small_model, 3, seed=10)
-        est = attacks.attack_gia(small_model, y_act, c)
-        one = [attacks.attack_gia(small_model, y_act[i], c[i]).diagnostics
-               for i in range(3)]
-        # row 0 is still moving at the 5,000-iteration cap; 1 and 2 stop
-        assert est.diagnostics["converged"].tolist() == [False, True, True]
-        assert [d["converged"] for d in one] == [False, True, True]
-        assert one[0]["iterations"] == 5000 and one[1]["iterations"] < 5000
+        # from the half start the rows stop after 21, 10 and 39 steps, so a
+        # 30-step cap stops row 2 only
+        est = attacks.attack_gia(small_model, y_act, c, max_iter=30)
+        one = [attacks.attack_gia(small_model, y_act[i], c[i],
+                                  max_iter=30).diagnostics for i in range(3)]
+        assert est.diagnostics["converged"].tolist() == [True, True, False]
+        assert [d["converged"] for d in one] == [True, True, False]
+        assert one[2]["iterations"] == 30 and one[0]["iterations"] < 30
         capped = attacks.attack_gia(small_model, y_act[1], c[1], max_iter=3)
         assert capped.diagnostics["iterations"] == 3
         assert not capped.diagnostics["converged"]
@@ -243,12 +244,9 @@ class TestGia:
     def test_matches_softmax_oracle_bit_for_bit(self, request, model_name):
         model = (request.getfixturevalue("small_model")
                  if model_name == "small_model" else _k4_model())
-        # with small_model, row 0 stops at the 5,000-iteration cap
+        # with k4, row 0 stops at the 5,000-iteration cap from zeros and random
         y_act, c = _predictions(model, 3, seed=10)
-        d = model.split.d
-        starts = {"zeros": np.zeros(d), "half": np.full(d, 0.5),
-                  "random": np.random.default_rng(0).uniform(size=d)}
-        for init, x0 in starts.items():
+        for init, x0 in _gia_starts(model.split.d).items():
             for i in range(3):
                 for max_iter in (5000, 3):
                     got = attacks._gia_row(model, y_act[i], c[i], x0, 0.05,
@@ -258,6 +256,48 @@ class TestGia:
                     for g, w in zip(got, want):
                         assert np.array_equal(g, w), (init, i, max_iter)
                     assert type(got[1]) is type(want[1])
+
+    @pytest.mark.parametrize("model_name", ["small_model", "k4"])
+    def test_fewer_iterations_than_halving(self, request, model_name):
+        model = (request.getfixturevalue("small_model")
+                 if model_name == "small_model" else _k4_model())
+        y_act, c = _predictions(model, 3, seed=10)
+        for init, x0 in _gia_starts(model.split.d).items():
+            iters = {"bb": 0, "halving": 0}
+            for i in range(3):
+                got = attacks._gia_row(model, y_act[i], c[i], x0, 0.05, 5000, 1e-12)
+                old = oracles.gia_row_halving(model, y_act[i], c[i], x0, 0.05,
+                                              5000, 1e-12)
+                assert got[1] <= old[1] + 1e-12, (init, i)
+                # with k4, row 0 caps from zeros and random under both rules
+                if model_name == "small_model" or init == "half" or i > 0:
+                    assert got[3], (init, i)
+                iters["bb"] += got[2]
+                iters["halving"] += old[2]
+            assert iters["bb"] < iters["halving"], init
+
+    @given(seed=st.integers(0, 2**32 - 1), k=st.integers(2, 6),
+           d=st.integers(1, 8), scale=st.floats(0.1, 50.0),
+           init=st.sampled_from(["zeros", "half", "random"]))
+    @settings(max_examples=30, deadline=None)
+    def test_stays_in_box_and_never_rises(self, seed, k, d, scale, init):
+        from vflpriv.model import VflModel, VflSplit
+        rng = np.random.default_rng(seed)
+        d_t = d + 3
+        model = VflModel(w_act=scale * rng.standard_normal((k, d_t - d)),
+                         w_pas=scale * rng.standard_normal((k, d)),
+                         b=rng.standard_normal(k), k=k,
+                         split=VflSplit.contiguous(d_t, 0, d))
+        y_act = rng.uniform(size=d_t - d)
+        c = predict(model, y_act, rng.uniform(size=d))
+        x0 = _gia_starts(d, seed)[init]
+        at_start = oracles.gia_row(model, y_act, c, x0, 0.05, 0, 1e-12)[1]
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            est = attacks.attack_gia(model, y_act, c, init=init,
+                                     rng=np.random.default_rng(seed))
+        assert np.all(np.isfinite(est.x_hat))
+        assert np.all((est.x_hat >= 0.0) & (est.x_hat <= 1.0))
+        assert est.diagnostics["kl_bits"] <= at_start
 
     def test_unknown_init_rejected(self, small_model):
         with pytest.raises(ValueError):
@@ -299,6 +339,12 @@ def _k4_model():
                     w_pas=3.0 * rng.standard_normal((k, d)),
                     b=rng.standard_normal(k), k=k,
                     split=VflSplit.contiguous(d_t, 0, d))
+
+
+def _gia_starts(d, seed=0):
+    """gia's three starting points; random is attack_gia's first draw from seed."""
+    return {"zeros": np.zeros(d), "half": np.full(d, 0.5),
+            "random": np.random.default_rng(seed).uniform(size=d)}
 
 
 def _predictions(model, n, seed):

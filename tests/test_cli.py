@@ -170,6 +170,29 @@ class TestSubcommands:
         names = {r[1] for r in rows[1:]}
         assert names == {"half", "ls"}
 
+    def test_synthetic_data_takes_train_frac(self):
+        from vflpriv.dataset import SyntheticSpec, synthesize
+        parse = cli.build_parser()[0].parse_args
+        half = cli._load_data(parse(["train", "--synth-n", "200",
+                                     "--train-frac", "0.5"]))
+        assert half.train_mask.sum() == 100 and half.test_mask.sum() == 100
+        # the default fraction keeps synthesize's own 0.8 split
+        default = cli._load_data(parse(["train", "--synth-n", "200"]))
+        want = synthesize(SyntheticSpec(n=200, d_t=10, k=2, seed=0))
+        assert np.array_equal(default.train_mask, want.train_mask)
+        assert np.array_equal(default.x, want.x)
+
+    def test_figure1_full_ignores_n(self, monkeypatch, capsys):
+        from vflpriv import metrics
+        seen = []
+        monkeypatch.setattr(metrics, "average_over_space",
+                            lambda ds, d, names, n_pred, **kw:
+                            seen.append(n_pred) or dict.fromkeys(names, 0.0))
+        assert _run(["figure1", "--synth-n", "100", "--synth-dt", "4",
+                     "--d-grid", "1", "--attacks", "half", "--full",
+                     "--n", "-3"]) == 0
+        assert seen == [cli.FULL_N]
+
     def test_tradeoff_accuracy_preserved(self, tmp_path):
         out_path = tmp_path / "tradeoff.csv"
         assert _run(["tradeoff", "--synth-n", "200", "--synth-dt", "5",
@@ -238,6 +261,28 @@ class TestBadArguments:
                      "--train-frac", frac]) == 2
         assert "train fraction must be in (0, 1)" in capsys.readouterr().err
         assert not train_calls
+
+    @pytest.mark.parametrize("frac", ["0", "1", "1.5"])
+    def test_train_frac_on_synthetic_data(self, frac, capsys, train_calls):
+        assert _run(["train", "--synth-n", "200", "--d", "2",
+                     "--train-frac", frac]) == 2
+        assert "train fraction must be in (0, 1)" in capsys.readouterr().err
+        assert not train_calls
+
+    @pytest.mark.parametrize("n", ["0", "-3"])
+    @pytest.mark.parametrize("argv", [
+        ["attack", "--d", "2", "--attacks", "half"],
+        ["defend", "--d", "2"],
+        ["figure1", "--d-grid", "1,2", "--attacks", "half"],
+        ["tradeoff", "--d", "2"],
+    ])
+    def test_n_below_1_before_loading(self, argv, n, capsys, monkeypatch,
+                                      train_calls):
+        loads = []
+        monkeypatch.setattr(cli, "_load_data", lambda args: loads.append(1))
+        assert _run(argv + ["--synth-n", "100", "--synth-dt", "4", "--n", n]) == 2
+        assert f"--n must be at least 1, got {n}" in capsys.readouterr().err
+        assert not loads and not train_calls
 
     @pytest.mark.parametrize("command", ["blackbox", "figure12"])
     @pytest.mark.parametrize("grid", ["5..1", "0..3", "1-4"])
