@@ -104,12 +104,16 @@ def _attack_names(text: str) -> list[str]:
 
 def _load_data(args) -> Dataset:
     if args.data:
-        return load_dataset(args.data, label_col=args.label_col,
-                            train_fraction=args.train_frac, seed=args.seed)
-    # synthesize splits 0.8 with the same seed, so the default keeps its masks
-    ds = synthesize(SyntheticSpec(n=args.synth_n, d_t=args.synth_dt,
-                                  k=args.synth_k, seed=args.seed))
-    return dataset.split(ds, args.train_frac, args.seed)
+        ds = load_dataset(args.data, label_col=args.label_col,
+                          train_fraction=args.train_frac, seed=args.seed)
+    else:  # synthesize splits 0.8 with the same seed, so the default keeps its masks
+        ds = dataset.split(synthesize(SyntheticSpec(
+            n=args.synth_n, d_t=args.synth_dt, k=args.synth_k, seed=args.seed)),
+            args.train_frac, args.seed)
+    if not 2 <= ds.train_mask.sum() < ds.n:
+        raise DataError(f"--train-frac {args.train_frac} leaves {ds.train_mask.sum()} "
+                        f"of {ds.n} rows for training; training needs 2, testing 1")
+    return ds
 
 
 def _emit(rows, header, out_path):
@@ -280,25 +284,6 @@ def cmd_tradeoff(args) -> int:
     return 0
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", help="key=value config file; flags override")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--data", help="CSV path; omitted means synthetic data")
-    p.add_argument("--label-col", type=int, default=-1)
-    p.add_argument("--train-frac", type=float, default=0.8)
-    p.add_argument("--synth-n", type=int, default=2000)
-    p.add_argument("--synth-dt", type=int, default=10)
-    p.add_argument("--synth-k", type=int, default=2)
-    p.add_argument("--d", type=int, default=4, help="passive feature count")
-    p.add_argument("--start", type=int, default=0, help="passive window start")
-    p.add_argument("--passive-features", metavar="I..J",
-                   help="inclusive index range; overrides --start/--d")
-    p.add_argument("--lam", "--lambda", dest="lam", type=float, default=0.0)
-    p.add_argument("--n", type=int, default=DESK_N, help="prediction count")
-    p.add_argument("--full", action="store_true", help="full-scale run sizes")
-    p.add_argument("--out", help="output CSV path (default: stdout)")
-
-
 def build_parser() -> tuple[argparse.ArgumentParser,
                             dict[str, argparse.ArgumentParser]]:
     """The vflpriv parser and each subcommand's parser under every name it takes."""
@@ -306,21 +291,38 @@ def build_parser() -> tuple[argparse.ArgumentParser,
                                      description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
     commands = {}
-    # the subcommands share these options, so _seed_defaults changes a default
-    # for all of them; main builds a fresh parser per call, so none outlives it
-    common = argparse.ArgumentParser(add_help=False)
-    _add_common(common)
+    # each subcommand takes only the options it reads, unabbreviated (figure1's
+    # --d is no --d-grid), from these parents; _seed_defaults changes a parent's
+    # default for all its subcommands, but main builds a fresh parser per call
+    every, data, window, n, full = (argparse.ArgumentParser(add_help=False)
+                                    for _ in range(5))
+    every.add_argument("--config", help="key=value config file; flags override")
+    every.add_argument("--seed", type=int, default=0)
+    every.add_argument("--out", help="output CSV path (default: stdout)")
+    data.add_argument("--data", help="CSV path; omitted means synthetic data")
+    data.add_argument("--label-col", type=int, default=-1)
+    data.add_argument("--train-frac", type=float, default=0.8)
+    data.add_argument("--synth-n", type=int, default=2000)
+    data.add_argument("--synth-dt", type=int, default=10)
+    data.add_argument("--synth-k", type=int, default=2)
+    data.add_argument("--lam", "--lambda", dest="lam", type=float, default=0.0)
+    window.add_argument("--d", type=int, default=4, help="passive feature count")
+    window.add_argument("--start", type=int, default=0, help="passive window start")
+    window.add_argument("--passive-features", metavar="I..J",
+                        help="inclusive index range; overrides --start/--d")
+    n.add_argument("--n", type=int, default=DESK_N, help="prediction count")
+    full.add_argument("--full", action="store_true", help="full-scale run sizes")
 
-    def add(name, func, summary, aliases=()):
+    def add(name, func, summary, *parents, aliases=()):
         p = sub.add_parser(name, help=summary, aliases=list(aliases),
-                           parents=[common])
+                           parents=[every, *parents], allow_abbrev=False)
         p.set_defaults(func=func)
         commands.update(dict.fromkeys((name, *aliases), p))
         return p
 
-    add("train", cmd_train, "train the split logistic model")
+    add("train", cmd_train, "train the split logistic model", data, window)
 
-    p = add("attack", cmd_attack, "score-based reconstruction attacks")
+    p = add("attack", cmd_attack, "score-based reconstruction attacks", data, window, n)
     p.add_argument("--model", help="trained model JSON (skips training)")
     p.add_argument("--attacks", "--method", dest="attacks",
                    default="half,ls,half_star,rcc2")
@@ -328,26 +330,26 @@ def build_parser() -> tuple[argparse.ArgumentParser,
                    default="half")
 
     p = add("blackbox", cmd_blackbox, "single-feature black-box MSE vs sample count",
-            aliases=["figure12"])
+            full, aliases=["figure12"])
     p.add_argument("--case", type=int, default=2, choices=(1, 2, 3))
     p.add_argument("--n-grid", default="1..100")
     p.add_argument("--trials", type=int, default=DESK_TRIALS)
     p.add_argument("--w", type=float, default=None)
     p.add_argument("--b", type=float, default=None)
 
-    p = add("defend", cmd_defend, "apply one defense and measure MSE/KL")
+    p = add("defend", cmd_defend, "apply one defense and measure MSE/KL", data, window, n)
     p.add_argument("--scheme", default="s3",
                    choices=("pps1", "s1", "s2", "s3", "class_label"))
     p.add_argument("--alpha", default="0.5", help="comma list of budgets")
     p.add_argument("--attack", default="half_star")
 
-    add("evaluate", cmd_evaluate, "closed-form MSE values and bounds")
+    add("evaluate", cmd_evaluate, "closed-form MSE values and bounds", data, window)
 
-    p = add("figure1", cmd_figure1, "MSE-vs-d sweep over attacks")
+    p = add("figure1", cmd_figure1, "MSE-vs-d sweep over attacks", data, n, full)
     p.add_argument("--d-grid", default="1,2,4,6")
     p.add_argument("--attacks", default="rg,zero,half,ls,clamped_ls,half_star,rcc2")
 
-    add("tradeoff", cmd_tradeoff, "defense KL/MSE/accuracy sweep")
+    add("tradeoff", cmd_tradeoff, "defense KL/MSE/accuracy sweep", data, window, n)
 
     return parser, commands
 

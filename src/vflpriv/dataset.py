@@ -51,7 +51,6 @@ class Dataset:
     k: int
     feature_names: list[str]
     train_mask: np.ndarray = field(default=None)
-    test_mask: np.ndarray = field(default=None)
 
     def __post_init__(self):
         self.x = np.asarray(self.x, dtype=float)
@@ -64,8 +63,10 @@ class Dataset:
             raise DataError("labels must lie in [0, k-1]")
         if self.train_mask is None:
             self.train_mask = np.ones(self.n, dtype=bool)
-        if self.test_mask is None:
-            self.test_mask = ~self.train_mask
+
+    @property
+    def test_mask(self) -> np.ndarray:
+        return ~self.train_mask
 
     @property
     def n(self) -> int:
@@ -240,7 +241,7 @@ def split(ds: Dataset, fraction: float = 0.8, seed: int = 0) -> Dataset:
     if train_mask.all() or not train_mask.any():
         raise DataError("split leaves fewer than one sample on a side")
     return Dataset(x=ds.x, y=ds.y, k=ds.k, feature_names=ds.feature_names,
-                   train_mask=train_mask, test_mask=~train_mask)
+                   train_mask=train_mask)
 
 
 def synthesize(spec: SyntheticSpec) -> Dataset:
@@ -270,4 +271,4 @@ def load_dataset(path, label_col: int = -1, train_fraction: float = 0.8,
     values = encode_categoricals(table, y, train_mask)
     ds = normalize(values, y, k=k, feature_names=table.names)
     return Dataset(x=ds.x, y=ds.y, k=k, feature_names=ds.feature_names,
-                   train_mask=train_mask, test_mask=~train_mask)
+                   train_mask=train_mask)

@@ -105,7 +105,7 @@ def pps1_transform(ds: Dataset, transform: OrthonormalTransform,
     x_new = ds.x.copy()
     x_new[:, cols] = (block - lo) / span
     out = Dataset(x=x_new, y=ds.y, k=ds.k, feature_names=ds.feature_names,
-                  train_mask=ds.train_mask, test_mask=ds.test_mask)
+                  train_mask=ds.train_mask)
     return Pps1Result(dataset=out, transform=transform, scale=span, offset=lo)
 
 

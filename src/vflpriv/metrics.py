@@ -14,10 +14,11 @@ import numpy as np
 from . import numerics
 from .dataset import Dataset
 from .model import TrainConfig, VflModel, VflSplit, predict, train
-from .system import EPS_CLIP, LinearSystem, build_system
+from .system import LinearSystem, build_system
 from .attacks import run_attack
 
 _PSD_SLACK = -1e-8
+EPS_CLIP = 1e-12
 
 
 class MetricsError(Exception):

@@ -8,7 +8,7 @@ plateau. Trained models are immutable and safe to share across threads.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -112,17 +112,11 @@ class VflModel:
 
 @dataclass(frozen=True)
 class TrainConfig:
-    learning_rate: float = 0.05
     max_epochs: int = 3000
-    patience: int = 20
-    tol: float = 1e-6
     lam: float = 0.0
     seed: int = 0
-    val_fraction: float = 0.1
 
     def __post_init__(self):
-        if self.learning_rate <= 0.0:
-            raise ValueError("learning rate must be positive")
         if self.lam < 0.0:
             raise ValueError("regularization weight must be non-negative")
 
@@ -170,11 +164,13 @@ def loss_and_grads(w: np.ndarray, b: np.ndarray, x: np.ndarray,
 
 
 def train(ds: Dataset, split_cfg: VflSplit, cfg: TrainConfig) -> VflModel:
-    """Full-batch Adam with early stopping on the validation-loss plateau.
+    """Full-batch Adam (step lr) with early stopping on the validation-loss plateau.
 
-    Deterministic under (dataset, split, config). The returned parameters are
-    the best-validation snapshot, partitioned by the feature split.
+    val_fraction of the training rows validate, and patience epochs without a
+    relative gain of tol stop it. Deterministic under (dataset, split, config);
+    returns the best-validation snapshot, partitioned by the feature split.
     """
+    lr, patience, tol, val_fraction = 0.05, 20, 1e-6, 0.1
     if ds.n == 0:
         raise TrainingError("empty dataset")
     rng = np.random.default_rng(cfg.seed)
@@ -183,7 +179,7 @@ def train(ds: Dataset, split_cfg: VflSplit, cfg: TrainConfig) -> VflModel:
         raise TrainingError("need at least two training samples")
     # carve a validation slice out of the training rows
     perm = rng.permutation(train_idx.size)
-    n_val = max(1, int(round(cfg.val_fraction * train_idx.size)))
+    n_val = max(1, int(round(val_fraction * train_idx.size)))
     val_idx = train_idx[perm[:n_val]]
     fit_idx = train_idx[perm[n_val:]]
     if fit_idx.size == 0:
@@ -215,18 +211,18 @@ def train(ds: Dataset, split_cfg: VflSplit, cfg: TrainConfig) -> VflModel:
         v_b = beta2 * v_b + (1 - beta2) * gb * gb
         c1 = 1 - beta1 ** epoch
         c2 = 1 - beta2 ** epoch
-        w -= cfg.learning_rate * (m_w / c1) / (np.sqrt(v_w / c2) + eps)
-        b -= cfg.learning_rate * (m_b / c1) / (np.sqrt(v_b / c2) + eps)
+        w -= lr * (m_w / c1) / (np.sqrt(v_w / c2) + eps)
+        b -= lr * (m_b / c1) / (np.sqrt(v_b / c2) + eps)
 
         val_loss = loss_value(w, b, x_val, y_val, cfg.lam)
-        if val_loss < best[0] * (1.0 - cfg.tol):
+        if val_loss < best[0] * (1.0 - tol):
             best = (val_loss, w.copy(), b.copy())
             stall = 0
         else:
             if val_loss < best[0]:
                 best = (val_loss, w.copy(), b.copy())
             stall += 1
-            if stall >= cfg.patience:
+            if stall >= patience:
                 break
 
     _, w, b = best

@@ -75,21 +75,21 @@ class SvdFactors:
     s: np.ndarray
     v: np.ndarray
 
-    def rank(self, eps_rank: float = EPS_RANK) -> int:
+    def rank(self) -> int:
         if self.s.size == 0 or self.s[0] <= 0.0:
             return 0
-        return int(np.count_nonzero(self.s > eps_rank * self.s[0]))
+        return int(np.count_nonzero(self.s > EPS_RANK * self.s[0]))
 
-    def pinv(self, eps_rank: float = EPS_RANK) -> np.ndarray:
+    def pinv(self) -> np.ndarray:
         """Moore-Penrose pseudoinverse V Sigma^+ U^T of the factored matrix."""
-        r = self.rank(eps_rank)
+        r = self.rank()
         if r == 0:
             return np.zeros((self.v.shape[0], self.u.shape[0]))
         return (self.v[:, :r] / self.s[:r]) @ self.u[:, :r].T
 
-    def nullspace(self, eps_rank: float = EPS_RANK) -> np.ndarray:
+    def nullspace(self) -> np.ndarray:
         """Orthonormal basis of the nullspace: the last d - rank right singular vectors."""
-        return self.v[:, self.rank(eps_rank):]
+        return self.v[:, self.rank():]
 
 
 def svd(a) -> SvdFactors:

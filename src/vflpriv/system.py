@@ -15,12 +15,9 @@ import numpy as np
 from . import numerics
 from .model import VflModel
 
-# Scores are clipped below at this value before taking logs.
-EPS_CLIP = 1e-12
-
 
 class SystemError_(Exception):
-    """Raised when a constructed system fails its internal consistency checks."""
+    """Raised for a zero or subnormal score or a system that fails its checks."""
 
 
 def difference_matrix(k: int) -> np.ndarray:
@@ -36,9 +33,7 @@ def difference_matrix(k: int) -> np.ndarray:
 
 def log_ratio_scores(c) -> np.ndarray:
     """Consecutive log ratios ln(c_{m+1}/c_m) along the last axis of the scores."""
-    c = np.asarray(c, dtype=float)
-    logc = np.log(np.clip(c, EPS_CLIP, None))
-    return logc[..., 1:] - logc[..., :-1]
+    return np.diff(np.log(np.asarray(c, dtype=float)), axis=-1)
 
 
 def _rowwise(m: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -133,9 +128,10 @@ def build_system(model: VflModel, y_act, c, source: str = "clean") -> LinearSyst
 
     y_act is one row of active features (d_t - d) or N rows (N x (d_t - d))
     and c the matching scores (k or N x k); b' then has shape (k-1) or
-    N x (k-1). For clean scores every row must be satisfiable; a failed row
-    indicates a clipping or dimension bug and raises rather than returning
-    silently.
+    N x (k-1). Logs are taken of the scores as they are, so a score below
+    np.finfo(float).tiny (zero or subnormal) raises SystemError_ naming its
+    row, clean or noisy. Every row of clean scores must also be satisfiable;
+    a failed row indicates a dimension bug and raises.
     """
     y_act = np.asarray(y_act, dtype=float)
     c = np.asarray(c, dtype=float)
@@ -144,6 +140,10 @@ def build_system(model: VflModel, y_act, c, source: str = "clean") -> LinearSyst
     if y_act.shape != c.shape[:-1] + (model.w_act.shape[1],):
         raise ValueError(f"active features of shape {y_act.shape} do not match "
                          f"{c.shape[:-1]} predictions of this model")
+    low = np.argwhere(np.atleast_2d(c) < np.finfo(float).tiny)
+    if low.size:
+        raise SystemError_(f"row {low[0, 0]} has score {np.atleast_2d(c)[tuple(low[0])]},"
+                           " below the smallest normal float, so its log is not exact")
     j = difference_matrix(model.k)
     a = j @ model.w_pas
     bprime = (log_ratio_scores(c) - _rowwise(j, _rowwise(model.w_act, y_act))
@@ -157,5 +157,5 @@ def build_system(model: VflModel, y_act, c, source: str = "clean") -> LinearSyst
             raise SystemError_(
                 f"clean-score system is not satisfiable at row {i} (residual "
                 f"{resid[i]:.3e}; {bad.size} of {resid.size} rows fail); "
-                "check score clipping and dimensions")
+                "check dimensions")
     return sys_

@@ -16,10 +16,10 @@ from scipy import optimize
 
 from vflpriv import defense, metrics
 from vflpriv.attacks import run_attack
-from vflpriv.metrics import _check_prob, _per_row
+from vflpriv.metrics import EPS_CLIP, _check_prob, _per_row
 from vflpriv.model import predict, softmax
-from vflpriv.numerics import EPS_RANK, NumericsError, as_matrix, svd
-from vflpriv.system import EPS_CLIP, LinearSystem, build_system, difference_matrix
+from vflpriv.numerics import NumericsError, as_matrix, svd
+from vflpriv.system import LinearSystem, build_system, difference_matrix
 
 
 def project_box_affine(x0, a, b):
@@ -109,7 +109,7 @@ def _welzl(points: np.ndarray, seed: int = 0) -> tuple[np.ndarray, float]:
     return c, float(np.max(np.linalg.norm(pts - c, axis=1)))
 
 
-def polytope_vertices(sys_: LinearSystem, eps_rank: float = EPS_RANK) -> np.ndarray:
+def polytope_vertices(sys_: LinearSystem) -> np.ndarray:
     """Enumerate the vertices of {x in [0,1]^d : Ax = b} of a one-row system.
 
     Fixes d - rank(A) coordinates at {0, 1} over all index subsets, solves the
@@ -118,7 +118,7 @@ def polytope_vertices(sys_: LinearSystem, eps_rank: float = EPS_RANK) -> np.ndar
     """
     a, b = sys_.a, sys_.b
     d = a.shape[1]
-    r = svd(a).rank(eps_rank)
+    r = svd(a).rank()
     nfree = d - r
     verts: list[np.ndarray] = []
     if nfree == 0:
@@ -129,7 +129,7 @@ def polytope_vertices(sys_: LinearSystem, eps_rank: float = EPS_RANK) -> np.ndar
         for fixed in combinations(range(d), nfree):
             free = [i for i in range(d) if i not in fixed]
             a_free = a[:, free]
-            if free and svd(a_free).rank(eps_rank) < len(free):
+            if free and svd(a_free).rank() < len(free):
                 continue  # reduced system not uniquely solvable here
             for vals in product((0.0, 1.0), repeat=nfree):
                 rhs = b - a[:, fixed] @ np.asarray(vals)

@@ -69,19 +69,20 @@ class TestConfigFile:
         assert len(calls) == trials
 
     def test_config_defaults_end_with_the_call(self, tmp_path, monkeypatch):
-        # the subcommands share their common options, so a default set from
-        # a config file must not reach a later call, of any subcommand
+        # figure1 and blackbox share the options of their parent parsers, so a
+        # default set from a config file must not reach a later call, of
+        # either subcommand
         seen = []
-        for name in ("cmd_evaluate", "cmd_train"):
+        for name in ("cmd_figure1", "cmd_blackbox"):
             monkeypatch.setattr(cli, name, lambda args: seen.append(
                 (args.command, args.seed, args.full)) or 0)
         cfg = tmp_path / "run.cfg"
         cfg.write_text("seed=5\nfull=true\n", encoding="utf-8")
-        assert _run(["evaluate", "--config", str(cfg)]) == 0
-        assert _run(["evaluate"]) == 0
-        assert _run(["train"]) == 0
-        assert seen == [("evaluate", 5, True), ("evaluate", 0, False),
-                        ("train", 0, False)]
+        assert _run(["figure1", "--config", str(cfg)]) == 0
+        assert _run(["figure1"]) == 0
+        assert _run(["blackbox"]) == 0
+        assert seen == [("figure1", 5, True), ("figure1", 0, False),
+                        ("blackbox", 0, False)]
 
     def test_bad_boolean_exit_2(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
@@ -262,6 +263,30 @@ class TestBadArguments:
         assert "train fraction must be in (0, 1)" in capsys.readouterr().err
         assert not train_calls
 
+    @pytest.mark.parametrize("frac", ["0.001", "0.005", "0.999"])
+    def test_train_frac_leaving_too_few_rows_before_training(self, frac, tmp_path,
+                                                             capsys, train_calls):
+        # on 200 rows: 0, 1 and 200 training rows
+        rng = np.random.default_rng(4)
+        path = tmp_path / "t.csv"
+        path.write_text("a,b,label\n" + "".join(
+            f"{r[0]!r},{r[1]!r},{i % 2}\n"
+            for i, r in enumerate(rng.uniform(size=(200, 2)).tolist())))
+        assert _run(["train", "--data", str(path), "--d", "1",
+                     "--train-frac", frac]) == 2
+        assert f"--train-frac {frac} leaves" in capsys.readouterr().err
+        assert not train_calls
+
+    @pytest.mark.parametrize("frac, message", [
+        ("0.005", "--train-frac 0.005 leaves 1 of 200"),
+        ("0.999", "split leaves fewer than one sample on a side")])
+    def test_train_frac_leaving_too_few_synthetic_rows(self, frac, message, capsys,
+                                                       train_calls):
+        assert _run(["train", "--synth-n", "200", "--d", "2",
+                     "--train-frac", frac]) == 2
+        assert message in capsys.readouterr().err
+        assert not train_calls
+
     @pytest.mark.parametrize("frac", ["0", "1", "1.5"])
     def test_train_frac_on_synthetic_data(self, frac, capsys, train_calls):
         assert _run(["train", "--synth-n", "200", "--d", "2",
@@ -289,6 +314,93 @@ class TestBadArguments:
     def test_bad_n_grid(self, command, grid, capsys):
         assert _run([command, "--n-grid", grid, "--trials", "1"]) == 2
         assert "--n-grid" in capsys.readouterr().err
+
+
+# the options that every subcommand took when they all shared one parent
+FORMERLY_SHARED = ["config", "seed", "data", "label_col", "train_frac", "synth_n",
+                   "synth_dt", "synth_k", "d", "start", "passive_features", "lam",
+                   "n", "full", "out"]
+_EVERY = {"config", "seed", "out"}
+_DATA = {"data", "label_col", "train_frac", "synth_n", "synth_dt", "synth_k", "lam"}
+_WINDOW = {"d", "start", "passive_features"}
+# the options each subcommand reads, through its own code or the helpers it calls
+READS = {
+    "train": _EVERY | _DATA | _WINDOW,
+    "attack": _EVERY | _DATA | _WINDOW | {"n", "model", "attacks", "init"},
+    "blackbox": _EVERY | {"full", "case", "n_grid", "trials", "w", "b"},
+    "defend": _EVERY | _DATA | _WINDOW | {"n", "scheme", "alpha", "attack"},
+    "evaluate": _EVERY | _DATA | _WINDOW,
+    "figure1": _EVERY | _DATA | {"n", "full", "d_grid", "attacks"},
+    "tradeoff": _EVERY | _DATA | _WINDOW | {"n"},
+}
+# (flag and value, parsed value) of every option
+SAMPLES = {
+    "config": (["--config", "run.cfg"], "run.cfg"), "seed": (["--seed", "3"], 3),
+    "out": (["--out", "o.csv"], "o.csv"), "data": (["--data", "t.csv"], "t.csv"),
+    "label_col": (["--label-col", "0"], 0), "train_frac": (["--train-frac", "0.5"], 0.5),
+    "synth_n": (["--synth-n", "300"], 300), "synth_dt": (["--synth-dt", "7"], 7),
+    "synth_k": (["--synth-k", "3"], 3), "lam": (["--lambda", "0.1"], 0.1),
+    "d": (["--d", "3"], 3), "start": (["--start", "2"], 2),
+    "passive_features": (["--passive-features", "2..4"], "2..4"),
+    "n": (["--n", "5"], 5), "full": (["--full"], True),
+    "model": (["--model", "m.json"], "m.json"), "attacks": (["--attacks", "ls"], "ls"),
+    "init": (["--init", "zeros"], "zeros"), "case": (["--case", "3"], 3),
+    "n_grid": (["--n-grid", "1..5"], "1..5"), "trials": (["--trials", "4"], 4),
+    "w": (["--w", "2.5"], 2.5), "b": (["--b", "-1.5"], -1.5),
+    "scheme": (["--scheme", "s1"], "s1"), "alpha": (["--alpha", "0.1,1"], "0.1,1"),
+    "attack": (["--attack", "ls"], "ls"), "d_grid": (["--d-grid", "1,2"], "1,2"),
+}
+
+
+def _options(command: str) -> set:
+    """The options a subcommand takes, by the names of the values it parses."""
+    return set(vars(cli.build_parser()[1][command].parse_args([]))) - {"func"}
+
+
+UNREAD = [(command, name) for command in READS for name in FORMERLY_SHARED
+          if name not in _options(command)]
+
+
+class TestOptionsPerSubcommand:
+    @pytest.mark.parametrize("command", [*READS, "figure12"])
+    def test_takes_exactly_what_it_reads(self, command):
+        assert _options(command) == READS[command.replace("figure12", "blackbox")]
+
+    def test_pair_counts(self):
+        assert sum(len(_options(c)) for c in READS) == 97
+        assert len(UNREAD) == 21
+
+    @pytest.mark.parametrize("command, name",
+                             [(c, n) for c in READS for n in sorted(READS[c])])
+    def test_every_read_option_parses(self, command, name):
+        argv, want = SAMPLES[name]
+        parser, commands = cli.build_parser()
+        args, remaining = parser.parse_known_args([command, *argv])
+        assert remaining == [] and getattr(args, name) == want
+        if name != "config":      # the same value as a config file key
+            raw = "true" if want is True else argv[-1]
+            cli._seed_defaults(commands[command], {name: raw}, _options(command))
+            assert getattr(parser.parse_args([command]), name) == want
+
+    @pytest.mark.parametrize("given", ["flag", "config"])
+    @pytest.mark.parametrize("command, name", UNREAD)
+    def test_unread_option_exit_2_before_any_work(self, command, name, given, tmp_path,
+                                                  capsys, monkeypatch, train_calls):
+        work = []
+        monkeypatch.setattr(cli, "_load_data", lambda args: work.append("load"))
+        monkeypatch.setattr(cli, "_blackbox_trial_mse", lambda *a: work.append("trial"))
+        if given == "flag":
+            flag = "--" + name.replace("_", "-")
+            argv, named = [command, flag, "1"], f"unrecognized arguments: ['{flag}'"
+        else:
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text(f"{name.replace('_', '-')}={'true' if name == 'full' else '1'}\n",
+                           encoding="utf-8")
+            argv, named = [command, "--config", str(cfg)], f"config keys: [{name!r}]"
+        assert _run(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and named in err
+        assert not work and not train_calls
 
 
 @pytest.fixture()

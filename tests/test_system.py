@@ -2,6 +2,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from vflpriv.model import predict, softmax
@@ -31,9 +33,6 @@ class TestLogRatios:
         c = softmax(z)
         assert np.allclose(log_ratio_scores(c), np.diff(z), atol=1e-12)
 
-    def test_clipping_keeps_finite(self):
-        out = log_ratio_scores(np.array([0.0, 1.0]))
-        assert np.all(np.isfinite(out))
 
 
 class TestBuildSystem:
@@ -170,6 +169,46 @@ class TestBatchSystem:
             build_system(model, y_act, c)
         # the same rows without the corrupted one build cleanly
         build_system(model, np.delete(y_act, 4, axis=0), np.delete(c, 4, axis=0))
+
+    @pytest.mark.parametrize("source", ["clean", "noisy"])
+    @pytest.mark.parametrize("score", [0.0, 5e-324, np.finfo(float).tiny / 2])
+    def test_score_below_tiny_raises(self, small_model, score, source):
+        # a zero or subnormal score has no exact log, so no row may use it
+        rng = np.random.default_rng(44)
+        y_act, x_pas = rng.uniform(size=(3, 5)), rng.uniform(size=(3, 5))
+        c = predict(small_model, y_act, x_pas)
+        c[2] = [1.0 - score, score]
+        with pytest.raises(SystemError_, match=re.escape(f"row 2 has score {score},")):
+            build_system(small_model, y_act, c, source=source)
+        with pytest.raises(SystemError_, match="row 0 "):
+            build_system(small_model, y_act[2], c[2], source=source)
+        # the smallest normal float is still exact
+        c[2] = [1.0 - np.finfo(float).tiny, np.finfo(float).tiny]
+        build_system(small_model, y_act, c, source="noisy")
+
+    @given(seed=st.integers(0, 2**32 - 1), k=st.integers(2, 6),
+           scale=st.floats(0.1, 50.0))
+    @settings(max_examples=40, deadline=None)
+    def test_true_features_satisfy_or_row_named(self, seed, k, scale):
+        # exact scores either give a system that the true features satisfy,
+        # or hold a score below the smallest normal float, whose row is named
+        from vflpriv.model import VflModel, VflSplit
+        rng = np.random.default_rng(seed)
+        model = VflModel(w_act=scale * rng.standard_normal((k, 4)),
+                         w_pas=scale * rng.standard_normal((k, 6)),
+                         b=scale * rng.standard_normal(k), k=k,
+                         split=VflSplit.contiguous(10, 0, 6))
+        y_act, x_pas = rng.uniform(size=(50, 4)), rng.uniform(size=(50, 6))
+        c = predict(model, y_act, x_pas)
+        tiny_rows = np.flatnonzero(np.min(c, axis=1) < np.finfo(float).tiny)
+        try:
+            sys_ = build_system(model, y_act, c)
+        except SystemError_ as exc:
+            assert tiny_rows.size, exc
+            assert f"row {tiny_rows[0]} has score" in str(exc)
+        else:
+            assert not tiny_rows.size
+            assert np.max(sys_.residual(x_pas)) <= 1e-6
 
     def test_mismatched_rows_rejected(self, small_model):
         with pytest.raises(ValueError):
