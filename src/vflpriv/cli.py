@@ -1,9 +1,10 @@
 """Command-line experiment runner.
 
 Subcommands cover model training, the score-based and black-box attacks, the
-two defenses, closed-form evaluation and the three plot-ready sweeps. A
-key=value config file can seed any flag; explicit flags win. Exit codes:
-0 success, 2 bad configuration or input, 3 solver failure.
+two defenses, closed-form evaluation and the three plot-ready sweeps. Each
+key=value line of a config file is parsed as a flag --key=value placed before
+the command line's own, so explicit flags win. Exit codes: 0 success, 2 bad
+configuration or input, 3 solver failure.
 """
 
 from __future__ import annotations
@@ -107,9 +108,9 @@ def _load_data(args) -> Dataset:
         ds = load_dataset(args.data, label_col=args.label_col,
                           train_fraction=args.train_frac, seed=args.seed)
     else:  # synthesize splits 0.8 with the same seed, so the default keeps its masks
-        ds = dataset.split(synthesize(SyntheticSpec(
-            n=args.synth_n, d_t=args.synth_dt, k=args.synth_k, seed=args.seed)),
-            args.train_frac, args.seed)
+        ds = synthesize(SyntheticSpec(n=args.synth_n, d_t=args.synth_dt,
+                                      k=args.synth_k, seed=args.seed))
+        ds.train_mask = dataset.split_mask(ds.n, args.train_frac, args.seed)
     if not 2 <= ds.train_mask.sum() < ds.n:
         raise DataError(f"--train-frac {args.train_frac} leaves {ds.train_mask.sum()} "
                         f"of {ds.n} rows for training; training needs 2, testing 1")
@@ -165,8 +166,6 @@ def cmd_blackbox(args) -> int:
     lo, hi = _int_range(args.n_grid, "--n-grid")
     if lo < 1:
         raise DataError(f"--n-grid sample counts start at 1, got {args.n_grid!r}")
-    if args.case not in _BLACKBOX_CASES:
-        raise DataError(f"unknown case {args.case}")
     knowledge, w, b = _BLACKBOX_CASES[args.case]
     w = w if args.w is None else args.w
     b = b if args.b is None else args.b
@@ -284,16 +283,13 @@ def cmd_tradeoff(args) -> int:
     return 0
 
 
-def build_parser() -> tuple[argparse.ArgumentParser,
-                            dict[str, argparse.ArgumentParser]]:
-    """The vflpriv parser and each subcommand's parser under every name it takes."""
+def build_parser() -> argparse.ArgumentParser:
+    """The vflpriv parser: one subparser per subcommand."""
     parser = argparse.ArgumentParser(prog="vflpriv",
                                      description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
-    commands = {}
     # each subcommand takes only the options it reads, unabbreviated (figure1's
-    # --d is no --d-grid), from these parents; _seed_defaults changes a parent's
-    # default for all its subcommands, but main builds a fresh parser per call
+    # --d is no --d-grid), from these parents
     every, data, window, n, full = (argparse.ArgumentParser(add_help=False)
                                     for _ in range(5))
     every.add_argument("--config", help="key=value config file; flags override")
@@ -317,7 +313,6 @@ def build_parser() -> tuple[argparse.ArgumentParser,
         p = sub.add_parser(name, help=summary, aliases=list(aliases),
                            parents=[every, *parents], allow_abbrev=False)
         p.set_defaults(func=func)
-        commands.update(dict.fromkeys((name, *aliases), p))
         return p
 
     add("train", cmd_train, "train the split logistic model", data, window)
@@ -351,29 +346,34 @@ def build_parser() -> tuple[argparse.ArgumentParser,
 
     add("tradeoff", cmd_tradeoff, "defense KL/MSE/accuracy sweep", data, window, n)
 
-    return parser, commands
+    return parser
 
 
-_FLAG_VALUES = {"true": True, "false": False}
+def _with_config(parser: argparse.ArgumentParser, argv: list) -> tuple[list, dict]:
+    """argv with each --config line as a --key=value token before the user's own.
 
-
-def _seed_defaults(sub: argparse.ArgumentParser, cfg: dict, known: set) -> None:
-    """Make the config file's values the subcommand's defaults.
-
-    Every key must name an option of the subcommand (one of ``known``). A
-    flag's value must be true or false; any other value stays a string,
-    which argparse converts with the option's type when it fills a default.
+    A flag (a bool default) takes true, the bare --key, or false, no token.
+    Returns the new argv and the config key of each token.
     """
-    bad = set(cfg) - known
-    if bad:
-        raise DataError(f"unknown config keys: {sorted(bad)}")
-    for key, value in cfg.items():
-        if isinstance(sub.get_default(key), bool):
-            if value not in _FLAG_VALUES:
-                raise DataError(f"config key {key} takes true or false, "
-                                f"got {value!r}")
-            cfg[key] = _FLAG_VALUES[value]
-    sub.set_defaults(**cfg)
+    path = None
+    for token, after in zip(argv[1:], argv[2:] + [None]):   # the last one wins
+        if token == "--config":
+            path = after
+        elif token.startswith("--config="):
+            path = token.partition("=")[2]
+    if path is None:
+        return argv, {}
+    defaults = vars(parser.parse_args(argv[:1]))
+    tokens = {}
+    for key, value in read_config(path).items():
+        option = "--" + key.replace("_", "-")
+        if not isinstance(defaults.get(key), bool):
+            tokens[f"{option}={value}"] = key
+        elif value not in ("true", "false"):
+            raise DataError(f"config key {key} takes true or false, got {value!r}")
+        elif value == "true":
+            tokens[option] = key
+    return [argv[0], *tokens, *argv[1:]], tokens
 
 
 def _solver_failure(exc: Exception) -> str:
@@ -387,18 +387,20 @@ def _solver_failure(exc: Exception) -> str:
 
 
 def main(argv=None) -> int:
-    parser, commands = build_parser()
-    args, remaining = parser.parse_known_args(argv)
+    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        if args.config:
-            # config values become defaults, so re-parsing lets explicit flags win
-            _seed_defaults(commands[args.command], read_config(args.config),
-                           vars(args).keys() - {"command", "func"})
-            args, remaining = parser.parse_known_args(argv)
+        argv, from_config = _with_config(parser, argv)
+        args, remaining = parser.parse_known_args(argv)
+        unknown = sorted({from_config[t] for t in remaining if t in from_config})
+        if unknown:
+            raise DataError(f"unknown config keys: {unknown}")
         if remaining:
             raise DataError(f"unrecognized arguments: {remaining}")
         _resolve_window(args)
         return args.func(args)
+    except SystemExit as exc:   # argparse's own exit: 2 for a bad value, 0 for --help
+        return exc.code
     except _SOLVER_ERRORS as exc:
         print(_solver_failure(exc), file=sys.stderr)
         return 3

@@ -225,7 +225,7 @@ def normalize(values: np.ndarray, labels, k: int | None = None,
     return Dataset(x=x, y=y, k=k, feature_names=names)
 
 
-def _train_mask(n: int, fraction: float, seed: int) -> np.ndarray:
+def split_mask(n: int, fraction: float, seed: int) -> np.ndarray:
     """The first round(fraction n) rows of a seeded shuffle of n rows."""
     if not 0.0 < fraction < 1.0:
         raise DataError(f"train fraction must be in (0, 1), got {fraction}")
@@ -237,7 +237,7 @@ def _train_mask(n: int, fraction: float, seed: int) -> np.ndarray:
 
 def split(ds: Dataset, fraction: float = 0.8, seed: int = 0) -> Dataset:
     """Deterministic shuffled train/test split; masks are disjoint and exhaustive."""
-    train_mask = _train_mask(ds.n, fraction, seed)
+    train_mask = split_mask(ds.n, fraction, seed)
     if train_mask.all() or not train_mask.any():
         raise DataError("split leaves fewer than one sample on a side")
     return Dataset(x=ds.x, y=ds.y, k=ds.k, feature_names=ds.feature_names,
@@ -267,7 +267,7 @@ def load_dataset(path, label_col: int = -1, train_fraction: float = 0.8,
     table = load_csv(path, label_col=label_col)
     y, k = encode_labels(table.labels)
     # the split must be fixed before target-mean encoding (training rows only)
-    train_mask = _train_mask(table.n_rows, train_fraction, seed)
+    train_mask = split_mask(table.n_rows, train_fraction, seed)
     values = encode_categoricals(table, y, train_mask)
     ds = normalize(values, y, k=k, feature_names=table.names)
     return Dataset(x=ds.x, y=ds.y, k=k, feature_names=ds.feature_names,

@@ -24,10 +24,9 @@ _ORTHO_TOL = 1e-8
 
 @dataclass(frozen=True)
 class OrthonormalTransform:
-    """A d x d orthonormal matrix with its provenance tag."""
+    """A d x d orthonormal matrix."""
 
     h: np.ndarray
-    provenance: str = "user"   # neg_identity | optimal_ls | user
 
     def __post_init__(self):
         h = numerics.as_matrix(self.h)
@@ -39,7 +38,7 @@ class OrthonormalTransform:
 
     @staticmethod
     def neg_identity(d: int) -> "OrthonormalTransform":
-        return OrthonormalTransform(h=-np.eye(d), provenance="neg_identity")
+        return OrthonormalTransform(h=-np.eye(d))
 
 
 def check_scheme_param(scheme: str, param: float, k: int) -> None:
@@ -140,8 +139,7 @@ def pps1_optimal_h(sys_: LinearSystem, k0) -> OrthonormalTransform:
     k0 = numerics.as_matrix(k0)
     proj = sys_.pinv @ sys_.a
     f = numerics.svd(proj @ k0)
-    h = -f.v @ f.u.T
-    return OrthonormalTransform(h=h, provenance="optimal_ls")
+    return OrthonormalTransform(h=-f.v @ f.u.T)
 
 
 def pps2_optimal_direction(sys_: LinearSystem, alpha: float, scheme: str = "s1"

@@ -13,7 +13,7 @@ from functools import cached_property
 import numpy as np
 
 from . import numerics
-from .model import VflModel
+from .model import VflModel, predict
 
 
 class SystemError_(Exception):
@@ -101,10 +101,6 @@ class LinearSystem:
         return self.svd.nullspace()
 
     @property
-    def rank(self) -> int:
-        return self.d - self.nullity
-
-    @property
     def nullity(self) -> int:
         return self.nullspace.shape[1]
 
@@ -130,8 +126,9 @@ def build_system(model: VflModel, y_act, c, source: str = "clean") -> LinearSyst
     and c the matching scores (k or N x k); b' then has shape (k-1) or
     N x (k-1). Logs are taken of the scores as they are, so a score below
     np.finfo(float).tiny (zero or subnormal) raises SystemError_ naming its
-    row, clean or noisy. Every row of clean scores must also be satisfiable;
-    a failed row indicates a dimension bug and raises.
+    row, clean or noisy. For clean scores, the min-norm solution of each row
+    must predict that row's scores to 1e-6 relative; a failed row indicates
+    a dimension bug and raises.
     """
     y_act = np.asarray(y_act, dtype=float)
     c = np.asarray(c, dtype=float)
@@ -150,12 +147,13 @@ def build_system(model: VflModel, y_act, c, source: str = "clean") -> LinearSyst
               - j @ model.b)
     sys_ = LinearSystem(a=a, b=bprime, source=source)
     if source == "clean":
-        resid = np.atleast_1d(sys_.residual(sys_.min_norm_solution))
-        bad = np.flatnonzero(resid > 1e-6)
+        # A x = b' alone cannot fail where A has full row rank
+        c_ls = predict(model, y_act, sys_.min_norm_solution)
+        err = np.atleast_1d(np.max(np.abs(c_ls - c) / c, axis=-1))
+        bad = np.flatnonzero(err > 1e-6)
         if bad.size:
-            i = int(bad[0])
             raise SystemError_(
-                f"clean-score system is not satisfiable at row {i} (residual "
-                f"{resid[i]:.3e}; {bad.size} of {resid.size} rows fail); "
-                "check dimensions")
+                f"clean-score system is not satisfiable at row {bad[0]} (its min-norm "
+                f"solution predicts scores off by {err[bad[0]]:.3e} relative; "
+                f"{bad.size} of {err.size} rows fail); check dimensions")
     return sys_

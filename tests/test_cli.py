@@ -19,6 +19,9 @@ def _read_rows(path):
         return list(csv.reader(fh))
 
 
+SYNTH = ["--synth-n", "100", "--synth-dt", "4"]
+
+
 class TestConfigFile:
     def test_key_value_parsing(self, tmp_path):
         path = tmp_path / "run.cfg"
@@ -89,6 +92,54 @@ class TestConfigFile:
         cfg.write_text("full=no\n", encoding="utf-8")
         assert _run(["figure12", "--config", str(cfg)]) == 2
         assert "full" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, line, named", [
+        (["defend", "--d", "2", "--n", "5", *SYNTH], "scheme=bogus", "--scheme"),
+        (["attack", "--d", "2", "--n", "5", "--attacks", "half,gia", *SYNTH],
+         "init=bogus", "--init"),
+        (["train", "--d", "2", *SYNTH], "seed=abc", "--seed"),
+        (["blackbox", "--n-grid", "1..2"], "case=4", "--case"),
+    ])
+    def test_bad_value_exit_2_before_training(self, argv, line, named, tmp_path,
+                                              capsys, train_calls):
+        # argparse checks a config value's type and choices as it does a flag's
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(line + "\n", encoding="utf-8")
+        assert _run([*argv, "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert f"argument {named}: invalid" in err and line.split("=")[1] in err
+        assert not train_calls
+
+    @pytest.mark.parametrize("command, line, name, want", [
+        ("attack", "method=ls", "attacks", "ls"),
+        ("train", "lambda=0.01", "lam", 0.01),
+    ])
+    def test_alias_keys(self, command, line, name, want, tmp_path, monkeypatch):
+        seen = []
+        monkeypatch.setattr(cli, f"cmd_{command}", lambda args: seen.append(args) or 0)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(line + "\n", encoding="utf-8")
+        assert _run([command, "--config", str(cfg)]) == 0
+        assert getattr(seen[0], name) == want
+
+    def test_option_value_false_is_text(self, tmp_path, monkeypatch):
+        # only a flag reads true/false; out=false names the file "false"
+        monkeypatch.chdir(tmp_path)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("out=false\nn-grid=1..2\ntrials=1\n", encoding="utf-8")
+        assert _run(["blackbox", "--config", str(cfg)]) == 0
+        assert len(_read_rows(tmp_path / "false")) == 3
+
+    def test_flag_before_config_wins(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("trials=1\nn-grid=1..2\n", encoding="utf-8")
+        assert _run(["blackbox", "--n-grid", "1..3", "--config", str(cfg)]) == 0
+        assert len(capsys.readouterr().out.strip().splitlines()) == 4
+
+    def test_argparse_exit_is_returned(self, capsys):
+        assert _run(["defend", "--scheme", "bogus"]) == 2
+        assert _run(["blackbox", "--help"]) == 0
+        assert _run([]) == 2
 
 
 class TestExitCodes:
@@ -173,7 +224,7 @@ class TestSubcommands:
 
     def test_synthetic_data_takes_train_frac(self):
         from vflpriv.dataset import SyntheticSpec, synthesize
-        parse = cli.build_parser()[0].parse_args
+        parse = cli.build_parser().parse_args
         half = cli._load_data(parse(["train", "--synth-n", "200",
                                      "--train-frac", "0.5"]))
         assert half.train_mask.sum() == 100 and half.test_mask.sum() == 100
@@ -279,7 +330,7 @@ class TestBadArguments:
 
     @pytest.mark.parametrize("frac, message", [
         ("0.005", "--train-frac 0.005 leaves 1 of 200"),
-        ("0.999", "split leaves fewer than one sample on a side")])
+        ("0.999", "--train-frac 0.999 leaves 200 of 200")])
     def test_train_frac_leaving_too_few_synthetic_rows(self, frac, message, capsys,
                                                        train_calls):
         assert _run(["train", "--synth-n", "200", "--d", "2",
@@ -354,7 +405,7 @@ SAMPLES = {
 
 def _options(command: str) -> set:
     """The options a subcommand takes, by the names of the values it parses."""
-    return set(vars(cli.build_parser()[1][command].parse_args([]))) - {"func"}
+    return set(vars(cli.build_parser().parse_args([command]))) - {"command", "func"}
 
 
 UNREAD = [(command, name) for command in READS for name in FORMERLY_SHARED
@@ -372,15 +423,18 @@ class TestOptionsPerSubcommand:
 
     @pytest.mark.parametrize("command, name",
                              [(c, n) for c in READS for n in sorted(READS[c])])
-    def test_every_read_option_parses(self, command, name):
+    def test_every_read_option_parses(self, command, name, tmp_path, monkeypatch):
         argv, want = SAMPLES[name]
-        parser, commands = cli.build_parser()
-        args, remaining = parser.parse_known_args([command, *argv])
+        args, remaining = cli.build_parser().parse_known_args([command, *argv])
         assert remaining == [] and getattr(args, name) == want
         if name != "config":      # the same value as a config file key
-            raw = "true" if want is True else argv[-1]
-            cli._seed_defaults(commands[command], {name: raw}, _options(command))
-            assert getattr(parser.parse_args([command]), name) == want
+            seen = []
+            monkeypatch.setattr(cli, f"cmd_{command}", lambda args: seen.append(args) or 0)
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text(f"{name}={'true' if want is True else argv[-1]}\n",
+                           encoding="utf-8")
+            assert _run([command, "--config", str(cfg)]) == 0
+            assert getattr(seen[0], name) == want
 
     @pytest.mark.parametrize("given", ["flag", "config"])
     @pytest.mark.parametrize("command, name", UNREAD)

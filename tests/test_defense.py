@@ -32,7 +32,8 @@ class TestOrthonormalTransform:
     def test_neg_identity(self):
         t = defense.OrthonormalTransform.neg_identity(3)
         assert np.array_equal(t.h, -np.eye(3))
-        assert t.provenance == "neg_identity"
+        x = np.array([0.2, 0.5, 0.9])
+        assert np.array_equal(t.h @ x, -x)
 
 
 class TestPps1:

@@ -1,3 +1,4 @@
+import inspect
 import re
 
 import numpy as np
@@ -51,7 +52,7 @@ class TestBuildSystem:
         sys_ = build_system(small_model, y_act, c)
         assert sys_.a.shape == (small_model.k - 1, 5)
         assert sys_.d == 5
-        assert sys_.rank + sys_.nullity == 5
+        assert sys_.svd.rank() + sys_.nullity == 5
 
     def test_min_norm_solution_solves(self, small_model):
         y_act = np.full(5, 0.2)
@@ -161,14 +162,41 @@ class TestBatchSystem:
         y_act, x_pas = rng.uniform(size=(6, 3)), rng.uniform(size=(6, 2))
         c = predict(model, y_act, x_pas)
         c[4] = c[4][[2, 0, 3, 1]]
-        resid = build_system(model, y_act[4], c[4], source="noisy")
-        want = np.linalg.norm(resid.a @ resid.min_norm_solution - resid.b)
+        one = build_system(model, y_act[4], c[4], source="noisy")
+        want = np.max(np.abs(predict(model, y_act[4], one.min_norm_solution) - c[4])
+                      / c[4])
         assert want > 1e-6
         with pytest.raises(SystemError_,
-                           match=re.escape(f"row 4 (residual {want:.3e}")):
+                           match=re.escape(f"row 4 (its min-norm solution predicts "
+                                           f"scores off by {want:.3e} relative")):
             build_system(model, y_act, c)
         # the same rows without the corrupted one build cleanly
         build_system(model, np.delete(y_act, 4, axis=0), np.delete(c, 4, axis=0))
+
+    @pytest.mark.parametrize("old, new", [
+        ("- j @ model.b", ""),                                       # no bias
+        ("j = difference_matrix", "j = -difference_matrix"),         # sign of J
+        ("- _rowwise(j, _rowwise(model.w_act, y_act))", ""),         # no active term
+    ])
+    def test_mutated_build_raises_on_full_rank_model(self, old, new):
+        # k=4, d=6: A has full row rank, so every b' is satisfiable and only
+        # the rebuilt scores can show a wrong b'
+        from vflpriv import system
+        from vflpriv.model import VflModel, VflSplit
+        rng = np.random.default_rng(45)
+        model = VflModel(w_act=rng.standard_normal((4, 4)),
+                         w_pas=rng.standard_normal((4, 6)),
+                         b=rng.standard_normal(4), k=4,
+                         split=VflSplit.contiguous(10, 0, 6))
+        y_act, x_pas = rng.uniform(size=(200, 4)), rng.uniform(size=(200, 6))
+        c = predict(model, y_act, x_pas)
+        assert build_system(model, y_act, c).svd.rank() == 3
+        source = inspect.getsource(system.build_system)
+        assert source.count(old) == 1
+        namespace = dict(vars(system))
+        exec(source.replace(old, new), namespace)
+        with pytest.raises(SystemError_, match="not satisfiable at row 0 "):
+            namespace["build_system"](model, y_act, c)
 
     @pytest.mark.parametrize("source", ["clean", "noisy"])
     @pytest.mark.parametrize("score", [0.0, 5e-324, np.finfo(float).tiny / 2])
