@@ -92,14 +92,12 @@ def attack_clamped_ls(sys_: LinearSystem) -> AttackEstimate:
     return _estimate(sys_, "clamped_ls", np.clip(sys_.min_norm_solution, 0.0, 1.0))
 
 
-def attack_cls(sys_: LinearSystem, x_init=None) -> AttackEstimate:
-    """Box-constrained least squares; the output depends on the initial point.
-
-    x_init (default: the box center) is the starting point of every row.
-    """
+def attack_cls(sys_: LinearSystem) -> AttackEstimate:
+    """Box-constrained least squares from the box center; the output depends
+    on that starting point."""
     if sys_.nullity == 0:
         return _determined(sys_, "cls")
-    x = numerics.box_least_squares(sys_, x_init=x_init)
+    x = numerics.box_least_squares(sys_)
     return _estimate(sys_, "cls", x, residual=sys_.residual(x))
 
 
@@ -364,7 +362,7 @@ def attack_gia(model: VflModel, y_act, c, init: str = "half",
     d = model.w_pas.shape[1]
     batch = c.shape[:-1]
     if init == "random" and rng is None:
-        rng = np.random.default_rng(0)
+        raise ValueError("gia's random init needs an RNG")
     x = np.empty(batch + (d,))
     kl_bits = np.empty(batch)
     converged = np.empty(batch, dtype=bool)

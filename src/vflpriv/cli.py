@@ -21,7 +21,8 @@ from .model import (TrainConfig, TrainingError, VflModel, VflSplit, accuracy,
                     predict, train)
 from .system import SystemError_, build_system
 
-_CONFIG_ERRORS = (DataError, metrics.MetricsError, ValueError, OSError, KeyError)
+_CONFIG_ERRORS = (DataError, metrics.MetricsError, blackbox.BlackboxError,
+                  ValueError, OSError, KeyError)
 _SOLVER_ERRORS = (AttackError, TrainingError, SystemError_,
                   numerics.NumericsError, np.linalg.LinAlgError)
 
@@ -85,10 +86,10 @@ def _model(args, ds: Dataset) -> VflModel:
     return model
 
 
-def _check_n(n: int) -> int:
-    """--n, the number of test predictions, checked before any load or training."""
+def _check_n(n: int, flag: str) -> int:
+    """A count (--n predictions, --trials), checked before any load, training or trial."""
     if n < 1:
-        raise DataError(f"--n must be at least 1, got {n}")
+        raise DataError(f"{flag} must be at least 1, got {n}")
     return n
 
 
@@ -137,7 +138,7 @@ def cmd_train(args) -> int:
 
 def cmd_attack(args) -> int:
     names = _attack_names(args.attacks)
-    n = _check_n(args.n)
+    n = _check_n(args.n, "--n")
     ds = _load_data(args)
     model = _model(args, ds)
     rows = np.flatnonzero(ds.test_mask)[:n]
@@ -162,6 +163,7 @@ def _blackbox_trial_mse(knowledge: blackbox.SignKnowledge, n: int,
 
 
 def cmd_blackbox(args) -> int:
+    trials = FULL_TRIALS if args.full else _check_n(args.trials, "--trials")
     rng = np.random.default_rng(args.seed)
     lo, hi = _int_range(args.n_grid, "--n-grid")
     if lo < 1:
@@ -169,7 +171,8 @@ def cmd_blackbox(args) -> int:
     knowledge, w, b = _BLACKBOX_CASES[args.case]
     w = w if args.w is None else args.w
     b = b if args.b is None else args.b
-    trials = FULL_TRIALS if args.full else args.trials
+    # the map at x = 0 and x = 1: a (w, b) that the estimator rejects fails here
+    blackbox.run_blackbox(knowledge, [b, w + b])
     out = []
     for n in range(lo, hi + 1):
         vals = [_blackbox_trial_mse(knowledge, n, rng, w, b) for _ in range(trials)]
@@ -201,7 +204,7 @@ def _defense_sweep(model: VflModel, ds: Dataset, rows, settings, attack: str,
             released, source = defense.pps1_reveal_params(model, h), "defended"
         else:
             if scheme in ("s1", "s2"):
-                param = defense.pps2_optimal_direction(clean, param, scheme)
+                param = defense.pps2_optimal_direction(clean, param)
             c_out = defense.apply_scheme(z, param, scheme)
             kl = float(np.mean(metrics.kl_divergence(c, c_out)))
         sys_ = build_system(released, y_act, c_out, source=source)
@@ -217,7 +220,7 @@ def cmd_defend(args) -> int:
     if len(attacks) != 1:
         raise DataError(f"--attack takes one name, got {args.attack!r}")
     alphas = [""] if args.scheme == "pps1" else [float(a) for a in args.alpha.split(",")]
-    n = _check_n(args.n)
+    n = _check_n(args.n, "--n")
     ds = _load_data(args)
     if args.scheme != "pps1":
         for alpha in alphas:  # class_label's range depends on the class count
@@ -249,7 +252,7 @@ def cmd_evaluate(args) -> int:
 
 def cmd_figure1(args) -> int:
     names = _attack_names(args.attacks)
-    n_pred = FULL_N if args.full else _check_n(args.n)
+    n_pred = FULL_N if args.full else _check_n(args.n, "--n")
     ds = _load_data(args)
     grid = [int(d) for d in args.d_grid.split(",")]
     for d in grid:
@@ -257,15 +260,14 @@ def cmd_figure1(args) -> int:
     out = []
     for d in grid:
         mse = metrics.average_over_space(ds, d, names, n_pred=n_pred,
-                                         train_cfg=TrainConfig(lam=args.lam),
-                                         seed=args.seed)
+                                         lam=args.lam, seed=args.seed)
         out.extend([d, name, repr(mse[name])] for name in names)
     _emit(out, ["d", "attack", "mse"], args.out)
     return 0
 
 
 def cmd_tradeoff(args) -> int:
-    n = _check_n(args.n)
+    n = _check_n(args.n, "--n")
     ds = _load_data(args)
     model = _model(args, ds)
     base_acc = accuracy(model, ds)
@@ -352,7 +354,8 @@ def build_parser() -> argparse.ArgumentParser:
 def _with_config(parser: argparse.ArgumentParser, argv: list) -> tuple[list, dict]:
     """argv with each --config line as a --key=value token before the user's own.
 
-    A flag (a bool default) takes true, the bare --key, or false, no token.
+    A flag (a bool default) takes true, the bare --key, or false, no token;
+    a config= line is an error.
     Returns the new argv and the config key of each token.
     """
     path = None
@@ -366,6 +369,8 @@ def _with_config(parser: argparse.ArgumentParser, argv: list) -> tuple[list, dic
     defaults = vars(parser.parse_args(argv[:1]))
     tokens = {}
     for key, value in read_config(path).items():
+        if key == "config":
+            raise DataError(f"{path}: a config file cannot name another (config={value})")
         option = "--" + key.replace("_", "-")
         if not isinstance(defaults.get(key), bool):
             tokens[f"{option}={value}"] = key

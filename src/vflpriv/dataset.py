@@ -84,8 +84,6 @@ class SyntheticSpec:
     n: int = 50_000
     d_t: int = 10
     k: int = 2
-    separation: float = 1.0
-    cov_scale: float = 1.0
     seed: int = 0
 
     def __post_init__(self):
@@ -173,18 +171,16 @@ def encode_labels(raw_labels) -> tuple[np.ndarray, int]:
     return np.array([lut[str(v)] for v in raw_labels]), len(values)
 
 
-def encode_categoricals(table: RawTable, y, train_mask=None) -> np.ndarray:
-    """Replace categorical values by the training-set mean label of the category.
+def encode_categoricals(table: RawTable, y, train_mask) -> np.ndarray:
+    """Replace categorical values by the mean label of the category over the
+    training rows, those where train_mask is true.
 
     y holds the table's encoded labels (see encode_labels). Categories never
     seen in training fall back to the global training mean. Numeric columns
     pass through unchanged. Returns an n x d float matrix.
     """
-    n = table.n_rows
-    if train_mask is None:
-        train_mask = np.ones(n, dtype=bool)
     train_mask = np.asarray(train_mask, dtype=bool)
-    out = np.empty((n, table.n_features))
+    out = np.empty((table.n_rows, table.n_features))
     y_train = y[train_mask].astype(float)
     global_mean = float(y_train.mean()) if y_train.size else 0.0
     for j, col in enumerate(table.columns):
@@ -202,27 +198,22 @@ def encode_categoricals(table: RawTable, y, train_mask=None) -> np.ndarray:
     return out
 
 
-def normalize(values: np.ndarray, labels, k: int | None = None,
-              feature_names=None, train_mask=None) -> Dataset:
+def normalize(values: np.ndarray, labels, k: int, feature_names=None) -> Dataset:
     """Per-feature min-max scaling into [0, 1], computed over the whole table.
 
-    Constant features map to 0. Pass train_mask to restrict the min/max
-    statistics to training rows (off by default: the reference procedure
-    scales the entire table; resulting test values are clipped to [0, 1]).
+    The reference procedure scales the entire table, train and test rows
+    alike, so every value lands in [0, 1] without clipping. Constant
+    features map to 0.
     """
     values = np.asarray(values, dtype=float)
-    y = np.asarray(labels, dtype=int)
-    if k is None:
-        k = int(y.max()) + 1
-    ref = values if train_mask is None else values[np.asarray(train_mask, dtype=bool)]
-    lo = ref.min(axis=0)
-    hi = ref.max(axis=0)
+    lo = values.min(axis=0)
+    hi = values.max(axis=0)
     span = hi - lo
     span[span == 0.0] = 1.0  # constant features map to 0
-    x = np.clip((values - lo) / span, 0.0, 1.0)
+    x = (values - lo) / span
     names = list(feature_names) if feature_names is not None else [
         f"f{j}" for j in range(values.shape[1])]
-    return Dataset(x=x, y=y, k=k, feature_names=names)
+    return Dataset(x=x, y=labels, k=k, feature_names=names)
 
 
 def split_mask(n: int, fraction: float, seed: int) -> np.ndarray:
@@ -247,16 +238,15 @@ def split(ds: Dataset, fraction: float = 0.8, seed: int = 0) -> Dataset:
 def synthesize(spec: SyntheticSpec) -> Dataset:
     """Class-conditional Gaussian clusters, min-max normalized to [0, 1].
 
-    Per-class means sit on a hypercube scaled by the separation scalar with
-    isotropic covariance before normalization. Labels are balanced.
+    Per-class means sit on random corners of the hypercube {-1, 1}^d_t, with
+    unit isotropic covariance before normalization. Labels are balanced.
     """
     rng = np.random.default_rng(spec.seed)
     # balanced labels: round-robin assignment, then shuffled
     y = np.arange(spec.n) % spec.k
     rng.shuffle(y)
     signs = rng.choice([-1.0, 1.0], size=(spec.k, spec.d_t))
-    means = spec.separation * signs
-    x = means[y] + spec.cov_scale * rng.standard_normal((spec.n, spec.d_t))
+    x = signs[y] + rng.standard_normal((spec.n, spec.d_t))
     ds = normalize(x, y, k=spec.k)
     return split(ds, fraction=0.8, seed=spec.seed)
 

@@ -44,30 +44,29 @@ class OrthonormalTransform:
 def check_scheme_param(scheme: str, param: float, k: int) -> None:
     """Raise ValueError unless param lies in the noisy-score scheme's range.
 
-    s1 and s2 take a noise budget alpha >= 0, s3 an alpha in [0, 1) and
-    class_label an eps in (0, 1/k) for k classes.
+    s1 and s2 take a finite noise budget alpha >= 0, s3 an alpha in [0, 1)
+    and class_label an eps in (0, 1/k) for k classes.
     """
     if scheme == "s3":
         ok, rule = 0.0 <= param < 1.0, "scheme-3 alpha must be in [0, 1)"
     elif scheme == "class_label":
         ok, rule = 0.0 < param < 1.0 / k, "eps must be in (0, 1/k)"
     else:
-        ok, rule = param >= 0.0, "noise budget must be non-negative"
+        ok, rule = 0.0 <= param < np.inf, "noise budget must be finite and non-negative"
     if not ok:
         raise ValueError(f"{rule}, got {param}")
 
 
 @dataclass(frozen=True)
 class NoisePlan:
-    """Noise budget alpha with the scheme id and the optimal logit direction v1."""
+    """Noise budget alpha of scheme s1 or s2 with the optimal logit direction v1."""
 
     alpha: float
-    scheme: str                # s1 | s2 | s3 | class_label
     v1: np.ndarray
 
     def __post_init__(self):
         v1 = numerics.as_vector(self.v1)
-        check_scheme_param(self.scheme, self.alpha, v1.size)
+        check_scheme_param("s1", self.alpha, v1.size)   # s2 shares s1's range
         if abs(np.linalg.norm(v1) - 1.0) > 1e-10:
             raise ValueError("v1 must be unit norm")
         object.__setattr__(self, "v1", v1)
@@ -142,8 +141,7 @@ def pps1_optimal_h(sys_: LinearSystem, k0) -> OrthonormalTransform:
     return OrthonormalTransform(h=-f.v @ f.u.T)
 
 
-def pps2_optimal_direction(sys_: LinearSystem, alpha: float, scheme: str = "s1"
-                           ) -> NoisePlan:
+def pps2_optimal_direction(sys_: LinearSystem, alpha: float) -> NoisePlan:
     """Noise plan along the top right singular vector of A^+ J.
 
     The achievable MSE inflation under trace budget alpha is sigma_1^2 alpha,
@@ -156,7 +154,7 @@ def pps2_optimal_direction(sys_: LinearSystem, alpha: float, scheme: str = "s1"
     i_big = int(np.argmax(np.abs(v1)))
     if v1[i_big] < 0:   # fix the SVD sign ambiguity
         v1 = -v1
-    return NoisePlan(alpha=float(alpha), scheme=scheme, v1=v1)
+    return NoisePlan(alpha=float(alpha), v1=v1)
 
 
 def _as_logits(z) -> np.ndarray:

@@ -7,7 +7,7 @@ knowing the nullspace orientation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -160,23 +160,22 @@ def attack_mse_on_rows(model: VflModel, ds: Dataset, rows, attacks,
 
 
 def average_over_space(ds: Dataset, d: int, attacks, n_pred: int = 1000,
-                       train_cfg: TrainConfig | None = None,
-                       seed: int = 0) -> dict[str, float]:
+                       lam: float = 0.0, seed: int = 0) -> dict[str, float]:
     """Mean MSE of each named attack over all d_t contiguous passive windows (mod d_t).
 
     Each window allocates features {s, ..., s+d-1 mod d_t} to the passive
-    party and trains one model (seed + s), on which every attack runs over
-    up to n_pred test predictions, drawing from one generator seeded with
-    seed + s. Returns {attack: mean of the d_t window MSE values}.
+    party and trains one model (regularization weight lam, seed seed + s),
+    on which every attack runs over up to n_pred test predictions, drawing
+    from one generator seeded with seed + s. Returns {attack: mean of the
+    d_t window MSE values}.
     """
     if d > ds.d_t:
         raise MetricsError("passive dimension exceeds the feature count")
-    base = train_cfg or TrainConfig()
     rows = np.flatnonzero(ds.test_mask)[:n_pred]
     windows = []
     for start in range(ds.d_t):
         model = train(ds, VflSplit.contiguous(ds.d_t, start, d),
-                      replace(base, seed=seed + start))
+                      TrainConfig(lam=lam, seed=seed + start))
         windows.append(attack_mse_on_rows(model, ds, rows, attacks,
                                           rng=np.random.default_rng(seed + start)))
     return {name: float(np.mean([w[name] for w in windows])) for name in attacks}

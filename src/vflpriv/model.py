@@ -231,9 +231,9 @@ def train(ds: Dataset, split_cfg: VflSplit, cfg: TrainConfig) -> VflModel:
                     k=k, split=split_cfg, lam=cfg.lam)
 
 
-def accuracy(model: VflModel, ds: Dataset, mask=None) -> float:
-    """Fraction of argmax-correct predictions; ties resolve to the lowest index."""
-    mask = ds.test_mask if mask is None else np.asarray(mask, dtype=bool)
+def accuracy(model: VflModel, ds: Dataset) -> float:
+    """Fraction of argmax-correct test predictions; ties resolve to the lowest index."""
+    mask = ds.test_mask
     if not mask.any():
         raise ValueError("empty evaluation mask")
     x = ds.x[mask]

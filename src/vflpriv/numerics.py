@@ -216,13 +216,12 @@ def dykstra_project(x0, sys_: LinearSystem, max_iter: int = 100, *, rows=None
     return flat.reshape(shape), steps.reshape(shape[:-1])
 
 
-def box_least_squares(sys_: LinearSystem, x_init=None, max_iter: int = 50_000
-                      ) -> np.ndarray:
+def box_least_squares(sys_: LinearSystem, max_iter: int = 50_000) -> np.ndarray:
     """Minimize ||Ax - b|| over the unit box by accelerated projected gradient.
 
     Solves every row of sys_: the result has shape batch + (d,). The
-    minimizer is not unique for underdetermined systems: the output depends
-    on x_init (default: the box center), which broadcasts to the result.
+    minimizer is not unique for underdetermined systems: every row starts
+    at the box center, and the output depends on that starting point.
     For satisfiable systems the residual at the output is driven to ~0.
     The step comes from the largest singular value in sys_'s SVD. One
     vectorized FISTA iteration runs over the rows not yet stationary (a
@@ -234,7 +233,7 @@ def box_least_squares(sys_: LinearSystem, x_init=None, max_iter: int = 50_000
     """
     a = sys_.a
     shape = sys_.batch + (sys_.d,)
-    x = _start(0.5 if x_init is None else np.clip(x_init, 0.0, 1.0), shape)
+    x = np.full(shape, 0.5)
     s1 = sys_.svd.s[0]
     if s1 == 0.0:
         return x

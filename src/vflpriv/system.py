@@ -7,7 +7,7 @@ differences of the logits.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -50,17 +50,13 @@ class LinearSystem:
     """A x = b' for one prediction (b of length k-1) or N of them (b N x (k-1)).
 
     Every row shares A, so the pseudoinverse, nullspace projector and
-    nullspace basis all come from one SVD of A, taken at construction (or
-    passed in by a caller that already holds it). A 1-D b is the one-row
-    case: per-row results then drop the row axis. Immutable after
-    construction by convention.
+    nullspace basis all come from one SVD of A, taken at construction and
+    kept as the attribute svd. A 1-D b is the one-row case: per-row results
+    then drop the row axis. Immutable after construction by convention.
     """
 
     a: np.ndarray
     b: np.ndarray
-    source: str = "clean"
-    svd: numerics.SvdFactors | None = field(default=None, repr=False,
-                                            compare=False)
 
     def __post_init__(self):
         self.a = numerics.as_matrix(self.a)
@@ -70,8 +66,7 @@ class LinearSystem:
                              f"(N, {self.a.shape[0]}), got {self.b.shape}")
         if self.b.size == 0 or not np.all(np.isfinite(self.b)):
             raise ValueError("b must be non-empty and finite")
-        if self.svd is None:
-            self.svd = numerics.svd(self.a)
+        self.svd = numerics.svd(self.a)
 
     @property
     def d(self) -> int:
@@ -81,11 +76,6 @@ class LinearSystem:
     def batch(self) -> tuple:
         """Leading shape of per-row results: () for one row, (N,) for N rows."""
         return self.b.shape[:-1]
-
-    def row(self, i) -> "LinearSystem":
-        """Row i (an index into ``batch``) as a one-row system sharing the SVD."""
-        return LinearSystem(a=self.a, b=self.b[i], source=self.source,
-                            svd=self.svd)
 
     @cached_property
     def pinv(self) -> np.ndarray:
@@ -145,7 +135,7 @@ def build_system(model: VflModel, y_act, c, source: str = "clean") -> LinearSyst
     a = j @ model.w_pas
     bprime = (log_ratio_scores(c) - _rowwise(j, _rowwise(model.w_act, y_act))
               - j @ model.b)
-    sys_ = LinearSystem(a=a, b=bprime, source=source)
+    sys_ = LinearSystem(a=a, b=bprime)
     if source == "clean":
         # A x = b' alone cannot fail where A has full row rank
         c_ls = predict(model, y_act, sys_.min_norm_solution)

@@ -240,7 +240,7 @@ def defense_sweep_rows(model, ds, rows, settings, attack="half_star"):
                 plan = param
                 if scheme in ("s1", "s2"):
                     plan = defense.pps2_optimal_direction(
-                        build_system(model, y_act, c), param, scheme)
+                        build_system(model, y_act, c), param)
                 c_out = defense.apply_scheme(model.logits(y_act, x_pas), plan, scheme)
                 sys_ = build_system(model, y_act, c_out, source="noisy")
                 kls.append(metrics.kl_divergence(c, c_out))
@@ -289,11 +289,11 @@ def dykstra_row(x0, sys_: LinearSystem, max_iter: int = 10_000,
     raise NumericsError("one-row Dykstra hit the iteration cap")
 
 
-def box_least_squares_row(a, b, x_init=None, max_iter: int = 50_000,
+def box_least_squares_row(a, b, max_iter: int = 50_000,
                           tol: float = 1e-12) -> np.ndarray:
-    """FISTA with momentum restart for min ||Ax - b|| over the box, one row."""
-    d = a.shape[1]
-    x = np.full(d, 0.5) if x_init is None else np.clip(x_init, 0.0, 1.0)
+    """FISTA with momentum restart for min ||Ax - b|| over the box, one row,
+    from the box center."""
+    x = np.full(a.shape[1], 0.5)
     step = 1.0 / np.linalg.norm(a, 2) ** 2
     y = x.copy()
     t = 1.0
@@ -393,7 +393,7 @@ def row_by_row(name: str, sys_: LinearSystem) -> np.ndarray:
     """rcc2, cls or rcc1 of every row of a batched system, one row at a time."""
     solve = {"rcc2": rcc2_row, "rcc1": rcc1_row,
              "cls": lambda s: box_least_squares_row(s.a, s.b)}[name]
-    return np.array([solve(sys_.row(i)) for i in range(len(sys_.b))])
+    return np.array([solve(LinearSystem(a=sys_.a, b=b)) for b in sys_.b])
 
 
 def gia_row(model, y_act, c, x, step: float, max_iter: int,
@@ -488,7 +488,7 @@ def transform_system(sys_: LinearSystem, r) -> LinearSystem:
         raise ValueError(f"R must be {m}x{m}")
     if np.linalg.cond(r) > 1e12:
         raise ValueError("R is singular or too ill-conditioned")
-    return LinearSystem(a=r @ sys_.a, b=(r @ sys_.b.T).T, source=sys_.source)
+    return LinearSystem(a=r @ sys_.a, b=(r @ sys_.b.T).T)
 
 
 def noise_realization(plan: defense.NoisePlan, rng: np.random.Generator) -> np.ndarray:

@@ -181,13 +181,9 @@ class TestRcc1:
 
 
 class TestCls:
-    def test_residual_zero_and_init_dependence(self):
+    def test_residual_zero(self):
         sys_, _ = _system_with_truth(6, d=5, m=2)
-        center = attacks.attack_cls(sys_)
-        corner = attacks.attack_cls(sys_, x_init=np.zeros(5))
-        assert center.diagnostics["residual"] < 1e-8
-        assert corner.diagnostics["residual"] < 1e-8
-        assert not np.allclose(center.x_hat, corner.x_hat, atol=1e-6)
+        assert attacks.attack_cls(sys_).diagnostics["residual"] < 1e-8
 
 
 class TestGia:
@@ -210,6 +206,15 @@ class TestGia:
         sys_ = build_system(small_model, y_act, c)
         est = attacks.attack_gia(small_model, y_act, c)
         assert np.linalg.norm(sys_.a @ est.x_hat - sys_.b) < 1e-4
+
+    def test_random_init_needs_rng(self, small_model):
+        c = predict(small_model, np.full(5, 0.4), np.full(5, 0.6))
+        with pytest.raises(ValueError, match="needs an RNG"):
+            attacks.attack_gia(small_model, np.full(5, 0.4), c, init="random")
+        with pytest.raises(ValueError, match="needs an RNG"):
+            attacks.run_attack("gia", build_system(small_model, np.full(5, 0.4), c),
+                               model=small_model, y_act=np.full(5, 0.4), c=c,
+                               init="random")
 
     def test_zero_truth_zero_init_immediate(self, small_model):
         c = predict(small_model, np.full(5, 0.4), np.zeros(5))
@@ -407,8 +412,8 @@ class TestBatch:
         sys_ = LinearSystem(a=np.ones((1, 3)), b=np.full((5, 1), 1.5))
         batched = attacks.run_attack("rg", sys_, rng=np.random.default_rng(3))
         rng = np.random.default_rng(3)
-        rows = [attacks.run_attack("rg", sys_.row(i), rng=rng).x_hat
-                for i in range(5)]
+        rows = [attacks.run_attack("rg", LinearSystem(a=sys_.a, b=b), rng=rng).x_hat
+                for b in sys_.b]
         assert np.array_equal(batched.x_hat, np.array(rows))
 
     def test_gia_iterations_stay_an_int(self, small_model):

@@ -136,6 +136,17 @@ class TestConfigFile:
         assert _run(["blackbox", "--n-grid", "1..3", "--config", str(cfg)]) == 0
         assert len(capsys.readouterr().out.strip().splitlines()) == 4
 
+    @pytest.mark.parametrize("command", ["blackbox", "train"])
+    def test_config_key_in_config_exit_2(self, command, tmp_path, capsys, monkeypatch,
+                                         train_calls):
+        trials = []
+        monkeypatch.setattr(cli, "_blackbox_trial_mse", lambda *a: trials.append(1))
+        cfg = tmp_path / "nested.cfg"
+        cfg.write_text("config=/nonexistent.cfg\n", encoding="utf-8")
+        assert _run([command, "--config", str(cfg)]) == 2
+        assert "config=/nonexistent.cfg" in capsys.readouterr().err
+        assert not trials and not train_calls
+
     def test_argparse_exit_is_returned(self, capsys):
         assert _run(["defend", "--scheme", "bogus"]) == 2
         assert _run(["blackbox", "--help"]) == 0
@@ -366,6 +377,27 @@ class TestBadArguments:
         assert _run([command, "--n-grid", grid, "--trials", "1"]) == 2
         assert "--n-grid" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, message", [
+        (["--case", "1", "--w", "0", "--n-grid", "1..3", "--trials", "2"],
+         "all observations are zero"),
+        (["--case", "2", "--b", "nan"], "observations must be finite"),
+        (["--case", "2", "--w", "inf"], "observations must be finite"),
+        (["--trials", "0"], "--trials must be at least 1, got 0"),
+        (["--trials", "-1"], "--trials must be at least 1, got -1"),
+    ])
+    def test_blackbox_bad_input_exit_2_before_any_trial(self, argv, message, capsys,
+                                                        monkeypatch):
+        trials = []
+        monkeypatch.setattr(cli, "_blackbox_trial_mse", lambda *a: trials.append(1))
+        assert _run(["blackbox", *argv]) == 2
+        out, err = capsys.readouterr()
+        assert message in err and "Traceback" not in err
+        assert out == "" and not trials
+
+    def test_full_ignores_trials(self, capsys):
+        assert _run(["blackbox", "--full", "--trials", "0", "--n-grid", "1..1"]) == 0
+        assert len(capsys.readouterr().out.strip().splitlines()) == 2
+
 
 # the options that every subcommand took when they all shared one parent
 FORMERLY_SHARED = ["config", "seed", "data", "label_col", "train_frac", "synth_n",
@@ -523,7 +555,8 @@ class TestDefendArguments:
         assert not train_calls
 
     @pytest.mark.parametrize("scheme, alpha", [
-        ("s3", "1.5"), ("s1", "-1"), ("class_label", "0.9")])
+        ("s3", "1.5"), ("s1", "-1"), ("class_label", "0.9"), ("s1", "inf"),
+        ("s2", "inf")])
     def test_scheme_range_before_training(self, scheme, alpha, capsys, train_calls):
         # synthetic data has k = 2 classes, so class_label needs eps < 1/2
         assert _run(self.BASE + ["--scheme", scheme, "--alpha", f"0.1,{alpha}"]) == 2

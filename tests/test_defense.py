@@ -284,9 +284,8 @@ class TestBatchedSchemes:
         model = _random_model(32, d_t=10, d=6, k=4)
         rng = np.random.default_rng(33)
         sys_, _ = _system_of(model, rng.uniform(size=4), rng.uniform(size=6))
-        return {"s1": defense.pps2_optimal_direction(sys_, 1.0, "s1"),
-                "s2": defense.pps2_optimal_direction(sys_, 1.0, "s2"),
-                "s3": 0.5, "class_label": 0.05}
+        plan = defense.pps2_optimal_direction(sys_, 1.0)
+        return {"s1": plan, "s2": plan, "s3": 0.5, "class_label": 0.05}
 
     @pytest.mark.parametrize("scheme", ["s1", "s2", "s3", "class_label"])
     def test_batch_equals_row_by_row(self, scheme, plans):

@@ -196,12 +196,11 @@ class TestAverageOverSpace:
         return synthesize(SyntheticSpec(n=120, d_t=3, k=2, seed=9))
 
     def test_full_width_single_window(self, tiny):
-        cfg = TrainConfig(max_epochs=120)
         avg = metrics.average_over_space(tiny, 3, ["half"], n_pred=10,
-                                         train_cfg=cfg, seed=0)["half"]
+                                         seed=0)["half"]
         # half ignores the model, so every window gives the same numbers
         split = VflSplit.contiguous(3, 0, 3)
-        model = train(tiny, split, TrainConfig(max_epochs=120, seed=0))
+        model = train(tiny, split, TrainConfig(seed=0))
         rows = np.flatnonzero(tiny.test_mask)[:10]
         direct = metrics.attack_mse_on_rows(model, tiny, rows, ["half"])["half"]
         assert avg == pytest.approx(direct, abs=1e-12)
@@ -210,16 +209,23 @@ class TestAverageOverSpace:
         with pytest.raises(metrics.MetricsError):
             metrics.average_over_space(tiny, 4, ["half"])
 
-    def test_windows_cover_all_starts(self, tiny):
-        # d=1, d_t=3: each feature serves as the passive window exactly once
-        cfg = TrainConfig(max_epochs=120)
+    def test_windows_cover_all_starts(self, tiny, monkeypatch):
+        # d=1, d_t=3: each feature serves as the passive window exactly once,
+        # on a model trained with lam and the window's seed
+        trained = []
+
+        def recording_train(ds, split, cfg):
+            trained.append((split.passive, cfg))
+            return train(ds, split, cfg)
+        monkeypatch.setattr(metrics, "train", recording_train)
         avg = metrics.average_over_space(tiny, 1, ["half"], n_pred=8,
-                                         train_cfg=cfg, seed=0)["half"]
+                                         lam=0.1, seed=0)["half"]
+        assert trained == [((s,), TrainConfig(lam=0.1, seed=s)) for s in range(3)]
         rows = np.flatnonzero(tiny.test_mask)[:8]
         per_window = []
         for start in range(3):
             split = VflSplit.contiguous(3, start, 1)
-            model = train(tiny, split, TrainConfig(max_epochs=120, seed=start))
+            model = train(tiny, split, TrainConfig(lam=0.1, seed=start))
             per_window.append(
                 metrics.attack_mse_on_rows(model, tiny, rows, ["half"])["half"])
         assert avg == pytest.approx(np.mean(per_window), abs=1e-12)

@@ -113,11 +113,12 @@ class TestProjections:
         got, iters = numerics.dykstra_project(x0, sys_)
         assert got.shape == (6, 5) and iters.shape == (6,)
         for i in range(6):
-            one, n_one = numerics.dykstra_project(x0[i], sys_.row(i))
+            row = LinearSystem(a=a, b=sys_.b[i])
+            one, n_one = numerics.dykstra_project(x0[i], row)
             try:
                 # a tight move test: at the default 1e-10, row 4 stops 1.4e-9
                 # short of the projection that SLSQP and Newton agree on
-                oracle = oracles.dykstra_row(x0[i], sys_.row(i), tol=1e-12)
+                oracle = oracles.dykstra_row(x0[i], row, tol=1e-12)
             except numerics.NumericsError:  # row 3: Dykstra stalls off the plane
                 oracle = oracles.project_box_affine(x0[i], a, sys_.b[i])
             assert np.max(np.abs(got[i] - one)) <= 1e-12
@@ -163,7 +164,7 @@ class TestProjections:
         sys_ = LinearSystem(a=a, b=b)
         got, steps = numerics.dykstra_project(np.full(6, 0.5), sys_)
         for i in range(3):
-            one, n_one = numerics.dykstra_project(np.full(6, 0.5), sys_.row(i))
+            one, n_one = numerics.dykstra_project(np.full(6, 0.5), LinearSystem(a=a, b=b[i]))
             assert np.max(np.abs(got[i] - one)) <= 1e-12 and steps[i] == n_one
         assert np.all(np.max(np.abs(got @ a.T - b), axis=1) <= 1e-10)
 
@@ -218,7 +219,8 @@ class TestProjections:
             assert np.all((x >= 0.0) & (x <= 1.0))
             assert np.all(np.abs(x @ sys_.a.T - sys_.b[todo]) <= 1e-10)
             for xi, i in zip(x, todo):
-                one, _ = numerics.dykstra_project(np.full(6, 0.5), sys_.row(i))
+                row = LinearSystem(a=sys_.a, b=sys_.b[i])
+                one, _ = numerics.dykstra_project(np.full(6, 0.5), row)
                 assert np.max(np.abs(one - xi)) <= 1e-12
             projected += todo.size
         assert projected >= 2000
@@ -248,7 +250,7 @@ class TestBoxLeastSquares:
         got = numerics.box_least_squares(sys_)
         assert got.shape == (6, 5)
         for i in range(6):
-            one = numerics.box_least_squares(sys_.row(i))
+            one = numerics.box_least_squares(LinearSystem(a=a, b=b[i]))
             assert np.max(np.abs(got[i] - one)) <= 1e-9
             assert np.max(np.abs(got[i] - oracles.box_least_squares_row(a, b[i]))) <= 1e-8
 
@@ -262,17 +264,6 @@ class TestBoxLeastSquares:
         assert err.value.last_iterate.shape == (3, 3)
         # rows 1 and 2 have no solution in the box: their residual stays positive
         assert np.all(err.value.residuals["residual"][1:] > 0.1)
-
-    def test_init_dependence(self):
-        # one equation, two unknowns: minimizer set is a segment
-        a = np.array([[1.0, 1.0]])
-        b = np.array([1.0])
-        sys_ = LinearSystem(a=a, b=b)
-        x_center = numerics.box_least_squares(sys_)
-        x_corner = numerics.box_least_squares(sys_, x_init=[1.0, 0.0])
-        assert np.linalg.norm(a @ x_center - b) < 1e-9
-        assert np.linalg.norm(a @ x_corner - b) < 1e-9
-        assert not np.allclose(x_center, x_corner)
 
 
 class TestVertices:
