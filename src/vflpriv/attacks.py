@@ -4,12 +4,12 @@ All attacks are pure functions of (system/model, config) and take a batch:
 a system of N predictions gives N x d estimates in one call, and a one-row
 system gives a d-vector. The closed forms are matrix operations over the
 batch. The iterative solvers (the exact dual Newton projection for rcc2,
-FISTA for cls, the rcc1 log barrier) make one call per batch on the shared
-factors of A: each iteration is vectorized over the rows that have not yet
-converged; gia still descends one row at a time, with Barzilai-Borwein
-step sizes (the secant step s.s / s.y after each accepted step). When the
-system is determined (trivial nullspace) every estimator short-circuits to
-the unique solution A^+ b'.
+FISTA for cls, a primal-dual interior point on rcc1's dual as a linear SDP)
+make one call per batch on the shared factors of A: each iteration is
+vectorized over the rows that have not yet converged; gia still descends
+one row at a time, with Barzilai-Borwein step sizes (the secant step
+s.s / s.y after each accepted step). When the system is determined (trivial
+nullspace) every estimator short-circuits to the unique solution A^+ b'.
 """
 
 from __future__ import annotations
@@ -138,126 +138,151 @@ def attack_rcc2(sys_: LinearSystem) -> AttackEstimate:
 # --- RCC1: search-space relaxation solved as a small SDP ------------------
 
 def _rcc1_objective(alpha, w, g, t):
-    """Per row, the dual objective g(a)^T M(a)^{-1} g(a) - a.t, M(a) and u.
-
-    alpha and t are N x d, g is N x d x p; M(a) = sum_i a_i Q_i is N x p x p
-    and u = M(a)^{-1} g(a) is N x p.
-    """
-    m = w.T @ (alpha[..., None] * w)
+    """Per row (alpha and t N x d, g N x d x p), the dual objective
+    g(a)^T M(a)^{-1} g(a) - a.t and u = M(a)^{-1} g(a), M(a) = sum_i a_i Q_i."""
     gs = np.swapaxes(g, -1, -2) @ alpha[..., None]    # g(a), N x p x 1
-    u = np.linalg.solve(m, gs)
+    u = np.linalg.solve(w.T @ (alpha[..., None] * w), gs)
     val = (np.swapaxes(gs, -1, -2) @ u)[:, 0, 0] - np.sum(alpha * t, axis=-1)
-    return val, m, u[..., 0]
+    return val, u[..., 0]
 
 
-def _newton_steps(hess, grad):
-    """Solve hess @ step = -grad per row; a singular row steps along -grad."""
-    try:
-        return np.linalg.solve(hess, -grad[..., None])[..., 0]
-    except np.linalg.LinAlgError:
-        step = -grad
-        for i in range(len(hess)):
-            try:
-                step[i] = np.linalg.solve(hess[i], -grad[i])
-            except np.linalg.LinAlgError:
-                pass
-        return step
+_RCC1_GAP, _RCC1_FLOOR = 1e-9, 1e-8
 
 
-def _rcc1_barrier_solve(w, g, t):
-    """Log-barrier interior point over the multipliers alpha >= 0, sum a_i Q_i >= I.
+def _rcc1_pd_solve(w, c, max_iter=50):
+    """Primal-dual interior point on each row's rcc1 dual, written as a linear SDP.
 
-    Solves N rows at once. w holds the d nullspace-basis rows a_i (in R^p)
-    that every row shares; Q_i = a_i a_i^T, and each row's
-    g_i = (q_i - 1/2) a_i and t_i come in g (N x d x p) and t (N x d). All
-    rows follow one mu schedule, 1, 0.2, 0.04, ... down to 1e-9. At each mu
-    a row takes up to 100 Newton steps, until half its decrement is under
-    1e-9 or no backtracked step is productive, and each pass computes only
-    the rows still stepping. Returns alpha, N x d.
+    w (d x p, orthonormal columns) holds the nullspace-basis rows a_i shared
+    by every row, c (N x d) each row's c_i = q_i - 1/2. With V = [W, c] and
+    e the last unit vector, the dual of attack_rcc1 is
+
+        min sigma + sum(alpha) / 4  s.t.  V^T diag(alpha) V + sigma e e^T >= 0,
+                                          W^T diag(alpha) W >= I,  alpha >= 0.
+
+    Each constraint matrix is rank one per block, so an HKM step (Helmberg,
+    Rendl, Vanderbei & Wolkowicz 1996) solves a (d+1) x (d+1) Schur system
+    per row. Mehrotra's steps, 0.95 of the way to the boundary, center by at
+    least 0.1 (x is accurate to the gap on the central path, to its square
+    root off it); a row stops at <X, S> <= _RCC1_GAP, or once a step fails
+    to halve an <X, S> <= _RCC1_FLOOR, and two Newton steps to the central
+    point at _RCC1_GAP / 10 end the solve. X = F F^T and S = G G^T are kept
+    as factors: with (lam, Q) the eigenpairs of F^-1 dX F^-T that give the
+    step t, F becomes F Q (1 + t lam)^(1/2), so no iterate is factored.
+    Returns alpha (N x d) and each row's <X, S> and Mehrotra steps;
+    AttackError names the rows above _RCC1_FLOOR after max_iter steps.
     """
-    n, d, p = g.shape
-    eye_p = np.eye(p)
-    diag = np.arange(d)
-    # smallest uniform alpha with sum a_i Q_i >= 1.1 I (eigenvalue scan)
-    lam_min = float(np.linalg.eigvalsh(w.T @ w)[0])
-    if lam_min <= 0.0:
-        raise AttackError("nullspace rows do not span the reduced space")
-    alpha = np.full((n, d), 1.1 / lam_min)
+    (n, d), p = c.shape, w.shape[1]
+    k = 2 * p + 1                       # X and S hold the V block, then the W block
+    # A_j sums u u^T over row j of both blocks of u, plus e_j e_j^T for alpha_j
+    u = np.zeros((n, 2 * d + 2, k))
+    u[:, :d, :p], u[:, :d, p], u[:, d, p] = w, c, 1.0
+    u[:, d + 1:-1, p + 1:] = w
+    of_row = np.tile(np.arange(d + 1), 2)       # the j of each row of u
+    cmat = np.diag(np.repeat([0.0, 1.0], [p + 1, p]))
+    b, diag = np.append(np.full(d, 0.25), 1.0), np.arange(d)
 
-    def strictly_feasible(a):
-        m = w.T @ (a[..., None] * w)
-        return np.all(a > 0.0, axis=-1) & (np.linalg.eigvalsh(m - eye_p)[:, 0] > 0.0)
+    def tr(z):
+        return np.swapaxes(z, -1, -2)
 
-    def total(a, g, t, mu):
-        f, m, u = _rcc1_objective(a, w, g, t)
-        m_shift = m - eye_p
-        sign, logdet = np.linalg.slogdet(m_shift)
-        val = np.where(sign > 0, f + mu * (-logdet - np.sum(np.log(a), axis=-1)),
-                       np.inf)
-        return val, m, m_shift, u
+    def slack(ur, y):                   # S = sum_j y_j A_j - C, less alpha's block
+        return tr(ur) @ (y[:, of_row, None] * ur) - cmat
 
-    mu = 1.0
-    while mu >= 1e-9:
-        act = np.arange(n)              # rows still stepping at this mu
-        for _ in range(100):
-            a, ga, ta = alpha[act], g[act], t[act]
-            val, m, m_shift, u = total(a, ga, ta, mu)
-            # gradient of f
-            wu = u @ w.T                                  # rows @ u, per row
-            r = ga - w * wu[..., None]                    # rows r_i = g_i - Q_i u
-            grad_f = 2.0 * (ga @ u[..., None])[..., 0] - wu ** 2 - ta
-            minv_rt = np.linalg.solve(m, np.swapaxes(r, -1, -2))
-            hess_f = 2.0 * (r @ minv_rt)
-            # gradient/hessian of the barrier
-            s = w @ np.linalg.inv(m_shift) @ w.T
-            grad_b = -np.diagonal(s, axis1=-2, axis2=-1) - 1.0 / a
-            hess_b = s * s
-            hess_b[:, diag, diag] += 1.0 / a ** 2
-            grad = grad_f + mu * grad_b
-            hess = hess_f + mu * hess_b
-            step = _newton_steps(hess + 1e-12 * np.eye(d), grad)
-            decrement = -np.sum(grad * step, axis=-1)
-            go = decrement / 2.0 >= 1e-9
-            act, a, ga, ta = act[go], a[go], ga[go], ta[go]
-            val, step, decrement = val[go], step[go], decrement[go]
-            # backtracking line search keeping strict feasibility
-            tstep = np.ones(act.size)
-            accepted = np.zeros(act.size, dtype=bool)
-            pending = np.arange(act.size)
-            for _ in range(60):
-                if not pending.size:
-                    break
-                cand = a[pending] + tstep[pending, None] * step[pending]
-                feasible = strictly_feasible(cand)
-                ok = np.zeros(pending.size, dtype=bool)
-                if feasible.any():
-                    k = pending[feasible]
-                    cand_val = total(cand[feasible], ga[k], ta[k], mu)[0]
-                    ok[feasible] = cand_val <= val[k] - 1e-4 * tstep[k] * decrement[k]
-                accepted[pending[ok]] = True
-                pending = pending[~ok]
-                tstep[pending] *= 0.5
-            # a row with no productive step is done at this barrier weight
-            act = act[accepted]
-            alpha[act] = a[accepted] + tstep[accepted, None] * step[accepted]
-            if not act.size:
-                break
-        mu *= 0.2
-    bad = np.flatnonzero(~strictly_feasible(alpha))
+    def inner(x, xl, s, y):             # <X, S> per row, alpha's block included
+        return (x * s).sum((1, 2)) + (xl * y[:, :d]).sum(-1)
+
+    # alpha = 1.5 and sigma put M(alpha) - I and the lifted block's Schur
+    # complement at I / 2: the one S ever factored is well inside the cone
+    wc = c @ w
+    y = np.column_stack([np.full((n, d), 1.5),
+                         0.5 + 1.5 * ((wc * wc).sum(-1) - (c * c).sum(-1))])
+    s, x, xl = slack(u, y), np.tile(np.eye(k) / 2, (n, 1, 1)), np.full((n, d), 0.5)
+    fac = np.stack([np.sqrt(x), np.linalg.cholesky(s)], axis=1)
+    # per row: the factors of X and S, their inverses, X, S, alpha's slack, y, <X, S>
+    state = [fac, np.linalg.inv(fac), x, s, xl, y, inner(x, xl, s, y)]
+
+    def step(rows, mu):
+        """Mehrotra's step of rows, or Newton's to X S = mu I; ok: finite rows."""
+        fr, fir, x, s, xl, y, gap = (v[rows] for v in state)
+        ur, al = u[rows], y[:, :d]
+        urt, s_inv = tr(ur), tr(fir[:, 1]) @ fir[:, 1]
+        ux, us = np.moveaxis(ur[:, None] @ np.stack([x, s_inv], 1) @ urt[:, None], 1, 0)
+        schur = (ux * us).reshape(rows.size, 2, d + 1, 2, d + 1).sum(axis=(1, 3))
+        schur[:, diag, diag] += xl / al
+        a_s = us.diagonal(0, 1, 2).reshape(-1, 2, d + 1).sum(1)     # A(S^-1)
+
+        def direction(target, corr, corr_l):
+            """The HKM direction plus a correction; ok is False where not finite."""
+            target = np.reshape(target, (-1, 1))
+            rhs = target * a_s - b      # A(X + dX) + xl + dxl = b; A(X) cancels
+            rhs[:, :d] += target / al - corr_l
+            if np.ndim(corr):
+                rhs -= ((ur @ corr) * ur).sum(-1).reshape(-1, 2, d + 1).sum(1)
+            dy = np.linalg.solve(schur, rhs[..., None])[..., 0]
+            ok = np.isfinite(dy).all(-1)
+            dy[~ok] = 0.0
+            ds = urt @ (dy[:, of_row, None] * ur)
+            h = x @ ds @ s_inv + corr
+            dx = target[..., None] * s_inv - x - 0.5 * (h + tr(h))
+            dxl = target / al - xl - xl * dy[:, :d] / al - corr_l
+            return dx, dxl, dy, ds, fir @ np.stack([dx, ds], axis=1) @ tr(fir), ok
+
+        def length(lam, dxl, dy):       # primal and dual steps 0.95 of the way
+            low = np.minimum(lam[..., 0], np.stack([(dxl / xl).min(-1),
+                                                    (dy[:, :d] / al).min(-1)], -1))
+            return -0.95 / np.minimum(low, -0.95)
+
+        corr = corr_l = 0.0
+        if mu is None:
+            dx, dxl, dy, ds, scaled, _ = direction(0.0, 0.0, 0.0)
+            tp, td = np.split(length(np.linalg.eigvalsh(scaled), dxl, dy), 2, axis=1)
+            mu = gap / (k + d)
+            mu_aff = inner(x + tp[..., None] * dx, xl + tp * dxl,
+                           s + td[..., None] * ds, y + td * dy) / (k + d)
+            mu *= np.maximum((mu_aff / mu) ** 3, 0.1)
+            corr, corr_l = dx @ ds @ s_inv, dxl * dy[:, :d] / al
+        dx, dxl, dy, ds, scaled, ok = direction(mu, corr, corr_l)
+        lam, vec = np.linalg.eigh(scaled)
+        t = length(lam, dxl, dy)
+        root = np.sqrt(1.0 + t[..., None] * lam)
+        fr, fir = fr @ vec * root[..., None, :], tr(vec) @ fir / root[..., None]
+        xl, y = xl + t[:, :1] * dxl, y + t[:, 1:] * dy
+        x, s = fr[:, 0] @ tr(fr[:, 0]), slack(ur, y)
+        return [fr, fir, x, s, xl, y, inner(x, xl, s, y)], ok
+
+    def take(rows, new, go):
+        for v, nv in zip(state, new):
+            v[rows[go]] = nv[go]
+        return rows[go]
+
+    gap, steps = state[-1], np.zeros(n, dtype=int)
+    live = every = np.arange(n)
+    for _ in range(max_iter):
+        if not live.size:
+            break
+        new, ok = step(live, None)
+        stalled = (gap[live] <= _RCC1_FLOOR) & ~(new[-1] <= 0.5 * gap[live])
+        moved = take(live, new, ok & ~stalled)
+        steps[moved] += 1
+        live = moved[gap[moved] > _RCC1_GAP]
+    for _ in range(2):
+        new, ok = step(every, 0.1 * _RCC1_GAP / (k + d))
+        take(every, new, ok & (new[-1] <= _RCC1_FLOOR))
+    bad = np.flatnonzero(~(gap <= _RCC1_FLOOR))
     if bad.size:
-        raise AttackError(f"barrier solve left the feasible region on rows "
-                          f"{bad.tolist()} (duality gap bound "
-                          f"{mu / 0.2 * 2 * d:.3e})")
-    return alpha
+        raise AttackError(f"rcc1 rows {bad.tolist()} end with gaps {gap[bad]} above "
+                          f"{_RCC1_FLOOR:g} in at most {max_iter} steps")
+    return state[5][:, :d], gap, steps
 
 
 def attack_rcc1(sys_: LinearSystem) -> AttackEstimate:
-    """Search-space-relaxed Chebyshev center (SDP route), one barrier solve per batch.
+    """Search-space-relaxed Chebyshev center (SDP route), one SDP solve per batch.
 
     Works in the nullspace coordinates: each box constraint q_i <= x_i <= ...
     becomes a double-sided linear constraint on u, written in quadratic form
-    with Q_i = a_i a_i^T, g_i = (q_i - 1/2) a_i, t_i = -q_i (1 - q_i). The
-    reported radius upper-bounds the exact Chebyshev radius.
+    with Q_i = a_i a_i^T, g_i = (q_i - 1/2) a_i, t_i = -q_i (1 - q_i). Its
+    dual over alpha, a linear SDP, is solved to a gap <X, S> (diagnostics
+    ["gap"]; ["iterations"] counts steps) of 1e-10, or 1e-8 where rounding
+    stalls; x and the radius (above the exact one) come from alpha.
     """
     if sys_.nullity == 0:
         return _determined(sys_, "rcc1")
@@ -265,13 +290,14 @@ def attack_rcc1(sys_: LinearSystem) -> AttackEstimate:
     q = sys_.min_norm_solution.reshape(-1, sys_.d)
     g = (q - 0.5)[..., None] * w        # g_i stacked as rows, per row
     t = -q * (1.0 - q)
-    alpha = _rcc1_barrier_solve(w, g, t)
-    val, _, u = _rcc1_objective(alpha, w, g, t)
+    alpha, gap, steps = _rcc1_pd_solve(w, q - 0.5)
+    val, u = _rcc1_objective(alpha, w, g, t)
     x = q - u @ w.T
     shape = sys_.batch + (sys_.d,)
     radius = np.sqrt(np.maximum(val, 0.0)).reshape(sys_.batch)
     return _estimate(sys_, "rcc1", x.reshape(shape), radius=radius[()],
-                     alpha=alpha.reshape(shape))
+                     alpha=alpha.reshape(shape), gap=gap.reshape(sys_.batch)[()],
+                     iterations=steps.reshape(sys_.batch)[()])
 
 
 # the largest step gia takes, so that x - step * grad never forms inf * 0

@@ -100,13 +100,16 @@ def _float_column(cells) -> np.ndarray:
     return np.fromiter(map(float, cells), dtype=float, count=len(cells))
 
 
-def _parse_column(cells: list[str]) -> tuple[np.ndarray | list, bool]:
+def _parse_column(cells: list[str], name: str) -> tuple[np.ndarray | list, bool]:
     """(the cells as a float array, False), or (the cells, True) if one cell
-    is not a number."""
+    is not a number; a numeric column with an inf or nan cell raises."""
     try:
         col = _float_column(cells)
     except ValueError:
         return cells, True
+    if not np.isfinite(col).all():
+        i = int(np.isfinite(col).argmin())
+        raise DataError(f"column {name!r}, row {i + 2}: {cells[i]!r} is not finite")
     col.flags.writeable = False
     return col, False
 
@@ -119,7 +122,8 @@ def load_csv(path, label_col: int = -1) -> RawTable:
 
     label_col indexes the header (default: last column). Each column is
     parsed once into a float array; a column with any non-numeric cell keeps
-    its raw strings and is tagged categorical. The last table parsed is kept,
+    its raw strings and is tagged categorical, and an inf or nan cell in a
+    numeric column raises DataError. The last table parsed is kept,
     keyed on a digest of its bytes and label_col: one process parses a given
     table's bytes once, so repeated in-process ``vflpriv.cli.main`` calls on
     one table share the parse. Calls get fresh lists and read-only float columns.
@@ -158,7 +162,7 @@ def _parse_csv(raw: bytes, label_col: int) -> RawTable:
     if len(set(labels)) < 2:
         raise DataError("label column must have at least 2 distinct values")
     feat_idx = [j for j in range(width) if j != label_col]
-    parsed = [_parse_column([row[j] for row in data]) for j in feat_idx]
+    parsed = [_parse_column([row[j] for row in data], header[j]) for j in feat_idx]
     return RawTable(columns=[col for col, _ in parsed],
                     names=[header[j] for j in feat_idx], labels=labels,
                     categorical=[cat for _, cat in parsed])

@@ -324,8 +324,12 @@ def _rcc1_objective_row(alpha, rows, g, t):
 
 
 def rcc1_row(sys_: LinearSystem, mu0=1.0, mu_factor=0.2, mu_min=1e-9,
-             newton_tol=1e-9, max_newton=100) -> np.ndarray:
-    """The rcc1 center of a one-row system by its log-barrier Newton method."""
+             newton_tol=1e-9, max_newton=100, value=False):
+    """The rcc1 center of a one-row system by its log-barrier Newton method.
+
+    With value=True, also the dual objective at the barrier's multipliers
+    (its squared radius).
+    """
     rows = sys_.nullspace
     d, p = rows.shape
     q = sys_.min_norm_solution
@@ -369,8 +373,8 @@ def rcc1_row(sys_: LinearSystem, mu0=1.0, mu_factor=0.2, mu_min=1e-9,
                 break
             alpha = alpha + tstep * step
         mu *= mu_factor
-    _, _, u = _rcc1_objective_row(alpha, rows, g, t)
-    return q - rows @ u
+    val, _, u = _rcc1_objective_row(alpha, rows, g, t)
+    return (q - rows @ u, val) if value else q - rows @ u
 
 
 def rcc2_row(sys_: LinearSystem) -> np.ndarray:

@@ -485,6 +485,105 @@ class TestBatchedSolvers:
         assert err.value.residuals["affine"].shape == (newton.size,)
 
 
+# the first 5 test rows of a benchmark attack table (datagen seed [105, 1],
+# passive window 3..8 of a k=4, d_t=12 model), as build_system gives them.
+# Solved together, row 0 can stall at <X, S> ~ 1.6e-9 while its X nears
+# singularity: a solver that factors every row's X in one stacked call fails
+RCC1_STALL_A = np.array([
+    [-0.8220631356168173, 0.644280869514529, 0.12141748455740575,
+     -0.45231168442231046, 1.352891273220431, 0.43520359405971715],
+    [-0.1795405333995383, -0.5064213553711034, -1.3042025803219541,
+     -0.3020875973421783, -0.644050553243121, 0.7438260472971192],
+    [1.1476178689590262, 1.2354041703959506, 0.11800667203344217,
+     1.3093766055995575, -0.5421788526802978, -1.3894837188996778]])
+RCC1_STALL_B = np.array([
+    [-0.19863357731721543, -0.3741521595005208, 2.3353143413382886],
+    [-0.3547387144808092, -0.28602948493243396, 1.2267595283342767],
+    [0.49898254041020507, -0.3729654066412895, 0.5236627855336097],
+    [0.6119034317365669, -1.6606640666328705, 0.6628062197733534],
+    [0.5432062029899409, 0.5451036443584751, -1.3029225409169958]])
+
+
+def _capped_rcc1(monkeypatch, max_iter):
+    real = attacks._rcc1_pd_solve
+    monkeypatch.setattr(attacks, "_rcc1_pd_solve",
+                        lambda *args, **kw: real(*args, max_iter=max_iter, **kw))
+
+
+def _regime_model(k, d, d_t, scale, seed):
+    from vflpriv.model import VflModel, VflSplit
+    rng = np.random.default_rng(seed)
+    return VflModel(w_act=scale * rng.standard_normal((k, d_t - d)),
+                    w_pas=scale * rng.standard_normal((k, d)),
+                    b=rng.standard_normal(k), k=k, split=VflSplit.contiguous(d_t, 0, d))
+
+
+class TestRcc1PrimalDual:
+    """rcc1's interior point: a certified gap per row, never a batch-wide abort."""
+
+    def test_stalled_batch_converges_row_by_row(self):
+        sys_ = LinearSystem(a=RCC1_STALL_A, b=RCC1_STALL_B)
+        est = attacks.attack_rcc1(sys_)
+        assert est.feasible
+        assert est.diagnostics["gap"].shape == est.diagnostics["iterations"].shape == (5,)
+        assert np.all(est.diagnostics["gap"] <= 1e-8)
+        for i, b in enumerate(RCC1_STALL_B):
+            one = attacks.attack_rcc1(LinearSystem(a=RCC1_STALL_A, b=b))
+            assert np.max(np.abs(est.x_hat[i] - one.x_hat)) <= 1e-6
+
+    def test_cap_names_the_batch_rows(self, monkeypatch):
+        _capped_rcc1(monkeypatch, 2)
+        with pytest.raises(attacks.AttackError) as err:
+            attacks.attack_rcc1(LinearSystem(a=RCC1_STALL_A, b=RCC1_STALL_B))
+        assert str(err.value).startswith("rcc1 rows [0, 1, 2, 3, 4] end with gaps")
+
+    def test_non_finite_step_ends_only_its_row(self, monkeypatch):
+        real = np.linalg.solve
+
+        def solve(a, b):                # row 2's Schur solve fails while all 5 step
+            x = real(a, b)
+            if a.shape == (5, 7, 7):
+                x[2] = np.nan
+            return x
+
+        monkeypatch.setattr(np.linalg, "solve", solve)
+        with pytest.raises(attacks.AttackError) as err:
+            attacks.attack_rcc1(LinearSystem(a=RCC1_STALL_A, b=RCC1_STALL_B))
+        assert str(err.value).startswith("rcc1 rows [2] end with gaps")
+
+    def test_cap_exits_3_through_the_cli(self, monkeypatch, capsys):
+        from vflpriv import cli
+        _capped_rcc1(monkeypatch, 2)
+        assert cli.main(["attack", "--synth-n", "400", "--synth-dt", "12", "--synth-k",
+                         "4", "--d", "6", "--start", "3", "--attacks", "rcc1",
+                         "--n", "5"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("solver failure: rcc1 rows [0, 1, 2, 3, 4] end with gaps")
+
+    @pytest.mark.parametrize("k, d, scale, bimodal", [
+        (2, 4, 3.0, False),         # p = 3
+        (6, 6, 3.0, False),         # p = 1
+        (2, 3, 30.0, True),         # saturated scores, p = 2
+    ], ids=["k2_d4", "k6_d6", "saturated"])
+    def test_regime(self, k, d, scale, bimodal):
+        model = _regime_model(k, d, 10, scale, seed=40 + k)
+        y_act, c = (_bimodal_predictions if bimodal else _predictions)(model, 8, 41)
+        if bimodal:
+            assert np.min(c) < 1e-9         # the softmax saturates
+        sys_ = build_system(model, y_act, c)
+        assert sys_.nullity == d - (k - 1)
+        est = attacks.attack_rcc1(sys_)
+        assert np.all(est.diagnostics["gap"] <= 1e-8)
+        assert np.all(sys_.contains(est.x_hat))
+        for i, b in enumerate(sys_.b):
+            one = LinearSystem(a=sys_.a, b=b)
+            _, val = oracles.rcc1_row(one, value=True)
+            assert est.diagnostics["radius"][i] ** 2 <= val + 1e-9
+            if d <= 3:
+                _, r_exact = oracles.chebyshev_center_exact(one)
+                assert est.diagnostics["radius"][i] >= r_exact - 1e-6
+
+
 def test_cls_takes_the_spectral_norm_from_the_shared_svd(monkeypatch):
     # np.linalg.norm(A, 2) is an SVD; a batch must not pay it once per row
     model = _k4_model()

@@ -325,6 +325,19 @@ class TestBadArguments:
         assert "train fraction must be in (0, 1)" in capsys.readouterr().err
         assert not train_calls
 
+    @pytest.mark.parametrize("cell", ["inf", "nan"])
+    def test_non_finite_cell_before_training(self, cell, tmp_path, capsys, train_calls):
+        # without the check, such a cell reaches training as NaN features
+        rows = [[0.1, 0.9], [0.8, 0.2], [0.3, 0.7], [0.9, 0.1], [0.2, 0.6], [0.7, 0.4]]
+        cells = [[repr(v) for v in row] for row in rows]
+        cells[3][1] = cell
+        path = tmp_path / "t.csv"
+        path.write_text("a,b,label\n" + "".join(f"{r[0]},{r[1]},{i % 2}\n"
+                                                for i, r in enumerate(cells)))
+        assert _run(["train", "--data", str(path), "--d", "1", "--train-frac", "0.5"]) == 2
+        assert f"column 'b', row 5: '{cell}' is not finite" in capsys.readouterr().err
+        assert not train_calls
+
     @pytest.mark.parametrize("frac", ["0.001", "0.005", "0.999"])
     def test_train_frac_leaving_too_few_rows_before_training(self, frac, tmp_path,
                                                              capsys, train_calls):

@@ -43,6 +43,12 @@ class TestLoadCsv:
         with pytest.raises(dataset.DataError, match="ragged"):
             dataset.load_csv(path)
 
+    @pytest.mark.parametrize("cell", ["inf", "-inf", "nan", "Infinity"])
+    def test_non_finite_cell_names_column_and_row(self, tmp_path, cell):
+        path = _write_csv(tmp_path, f"a,b,label\n1,2,yes\n3,{cell},no\n")
+        with pytest.raises(dataset.DataError, match=f"column 'b', row 3: '{cell}'"):
+            dataset.load_csv(path)
+
     def test_empty_and_headerless(self, tmp_path):
         with pytest.raises(dataset.DataError):
             dataset.load_csv(_write_csv(tmp_path, ""))
