@@ -2,14 +2,14 @@
 
 All attacks are pure functions of (system/model, config) and take a batch:
 a system of N predictions gives N x d estimates in one call, and a one-row
-system gives a d-vector. The closed forms are matrix operations over the
-batch. The iterative solvers (the exact dual Newton projection for rcc2,
-FISTA for cls, a primal-dual interior point on rcc1's dual as a linear SDP)
-make one call per batch on the shared factors of A: each iteration is
-vectorized over the rows that have not yet converged; gia still descends
-one row at a time, with Barzilai-Borwein step sizes (the secant step
-s.s / s.y after each accepted step). When the system is determined (trivial
-nullspace) every estimator short-circuits to the unique solution A^+ b'.
+system gives a d-vector; every estimator given a system reports through
+_estimate. The iterative solvers (the exact dual Newton projection for
+rcc2, FISTA for cls, a primal-dual interior point on rcc1's relaxation as a
+linear SDP) make one call per batch on the shared factors of A, vectorized
+over the rows not yet converged; gia descends one row at a time, with
+Barzilai-Borwein step sizes (the secant step s.s / s.y after each accepted
+step). When the system is determined (trivial nullspace) every estimator
+but half, zero and rg short-circuits to the unique solution A^+ b'.
 """
 
 from __future__ import annotations
@@ -32,8 +32,8 @@ class AttackEstimate:
     """Reconstructions x_hat (d, or N x d) with solver diagnostics.
 
     feasible is True iff every row lies in its solution space intersected
-    with the unit box. Per-row diagnostics have the batch shape (a scalar for
-    one row).
+    with the unit box; gia, which is given no system, checks the box only.
+    Per-row diagnostics have the batch shape (a scalar for one row).
     """
 
     x_hat: np.ndarray
@@ -58,28 +58,23 @@ def _determined(sys_: LinearSystem, name: str) -> AttackEstimate:
     return _estimate(sys_, name, sys_.min_norm_solution, determined=True)
 
 
-def attack_half(d: int, batch: tuple = ()) -> AttackEstimate:
-    """Blind estimate: the center of the unit box, for each of batch rows."""
-    if d < 1:
-        raise ValueError("d must be at least 1")
-    return AttackEstimate(x_hat=np.full(batch + (d,), 0.5), name="half",
-                          feasible=True)
+def attack_half(sys_: LinearSystem) -> AttackEstimate:
+    """Blind estimate: the center of the unit box, for every row."""
+    return _estimate(sys_, "half", np.full(sys_.batch + (sys_.d,), 0.5))
 
 
-def attack_zero(d: int, batch: tuple = ()) -> AttackEstimate:
+def attack_zero(sys_: LinearSystem) -> AttackEstimate:
     """Baseline estimate of all zeros."""
-    return AttackEstimate(x_hat=np.zeros(batch + (d,)), name="zero", feasible=True)
+    return _estimate(sys_, "zero", np.zeros(sys_.batch + (sys_.d,)))
 
 
-def attack_random(d: int, rng: np.random.Generator,
-                  batch: tuple = ()) -> AttackEstimate:
+def attack_random(sys_: LinearSystem, rng: np.random.Generator) -> AttackEstimate:
     """Random-guess baseline: uniform over the unit box.
 
     One draw of shape batch + (d,) yields the same numbers as drawing the
     rows one after another from the same generator.
     """
-    return AttackEstimate(x_hat=rng.uniform(0.0, 1.0, size=batch + (d,)),
-                          name="rg", feasible=True)
+    return _estimate(sys_, "rg", rng.uniform(size=sys_.batch + (sys_.d,)))
 
 
 def attack_ls(sys_: LinearSystem) -> AttackEstimate:
@@ -137,24 +132,18 @@ def attack_rcc2(sys_: LinearSystem) -> AttackEstimate:
 
 # --- RCC1: search-space relaxation solved as a small SDP ------------------
 
-def _rcc1_objective(alpha, w, g, t):
-    """Per row (alpha and t N x d, g N x d x p), the dual objective
-    g(a)^T M(a)^{-1} g(a) - a.t and u = M(a)^{-1} g(a), M(a) = sum_i a_i Q_i."""
-    gs = np.swapaxes(g, -1, -2) @ alpha[..., None]    # g(a), N x p x 1
-    u = np.linalg.solve(w.T @ (alpha[..., None] * w), gs)
-    val = (np.swapaxes(gs, -1, -2) @ u)[:, 0, 0] - np.sum(alpha * t, axis=-1)
-    return val, u[..., 0]
-
-
 _RCC1_GAP, _RCC1_FLOOR = 1e-9, 1e-8
 
 
 def _rcc1_pd_solve(w, c, max_iter=50):
-    """Primal-dual interior point on each row's rcc1 dual, written as a linear SDP.
+    """Primal-dual interior point on each row's rcc1 relaxation, a linear SDP.
 
     w (d x p, orthonormal columns) holds the nullspace-basis rows a_i shared
-    by every row, c (N x d) each row's c_i = q_i - 1/2. With V = [W, c] and
-    e the last unit vector, the dual of attack_rcc1 is
+    by every row, c (N x d) each row's c_i = q_i - 1/2. The primal, with X =
+    diag([[Z, z], [z^T, 1]], X_W), is attack_rcc1's relaxation in Delta =
+    Z + X_W (Z = z z^T at the optimum): max tr(X_W) s.t. a_i^T Delta a_i +
+    2 c_i a_i^T z + c_i^2 <= 1/4. With V = [W, c] and e the last unit vector,
+    its dual is
 
         min sigma + sum(alpha) / 4  s.t.  V^T diag(alpha) V + sigma e e^T >= 0,
                                           W^T diag(alpha) W >= I,  alpha >= 0.
@@ -168,7 +157,7 @@ def _rcc1_pd_solve(w, c, max_iter=50):
     point at _RCC1_GAP / 10 end the solve. X = F F^T and S = G G^T are kept
     as factors: with (lam, Q) the eigenpairs of F^-1 dX F^-T that give the
     step t, F becomes F Q (1 + t lam)^(1/2), so no iterate is factored.
-    Returns alpha (N x d) and each row's <X, S> and Mehrotra steps;
+    Returns per row z (N x p), the dual value, <X, S> and Mehrotra steps;
     AttackError names the rows above _RCC1_FLOOR after max_iter steps.
     """
     (n, d), p = c.shape, w.shape[1]
@@ -271,32 +260,25 @@ def _rcc1_pd_solve(w, c, max_iter=50):
     if bad.size:
         raise AttackError(f"rcc1 rows {bad.tolist()} end with gaps {gap[bad]} above "
                           f"{_RCC1_FLOOR:g} in at most {max_iter} steps")
-    return state[5][:, :d], gap, steps
+    return state[2][:, :p, p], state[5] @ b, gap, steps
 
 
 def attack_rcc1(sys_: LinearSystem) -> AttackEstimate:
     """Search-space-relaxed Chebyshev center (SDP route), one SDP solve per batch.
 
-    Works in the nullspace coordinates: each box constraint q_i <= x_i <= ...
-    becomes a double-sided linear constraint on u, written in quadratic form
-    with Q_i = a_i a_i^T, g_i = (q_i - 1/2) a_i, t_i = -q_i (1 - q_i). Its
-    dual over alpha, a linear SDP, is solved to a gap <X, S> (diagnostics
-    ["gap"]; ["iterations"] counts steps) of 1e-10, or 1e-8 where rounding
-    stalls; x and the radius (above the exact one) come from alpha.
+    In nullspace coordinates x = q + W z, _rcc1_pd_solve solves Beck & Eldar's
+    relaxation to a gap <X, S> (diagnostics["gap"]; ["iterations"] counts
+    steps) of 1e-10, or 1e-8 where rounding stalls. x comes from its primal
+    iterate's z, the radius (above the exact one) from its dual value.
     """
     if sys_.nullity == 0:
         return _determined(sys_, "rcc1")
     w = sys_.nullspace                  # d x p, orthonormal columns; a_i^T are its rows
     q = sys_.min_norm_solution.reshape(-1, sys_.d)
-    g = (q - 0.5)[..., None] * w        # g_i stacked as rows, per row
-    t = -q * (1.0 - q)
-    alpha, gap, steps = _rcc1_pd_solve(w, q - 0.5)
-    val, u = _rcc1_objective(alpha, w, g, t)
-    x = q - u @ w.T
-    shape = sys_.batch + (sys_.d,)
-    radius = np.sqrt(np.maximum(val, 0.0)).reshape(sys_.batch)
-    return _estimate(sys_, "rcc1", x.reshape(shape), radius=radius[()],
-                     alpha=alpha.reshape(shape), gap=gap.reshape(sys_.batch)[()],
+    z, value, gap, steps = _rcc1_pd_solve(w, q - 0.5)
+    x = (q + z @ w.T).reshape(sys_.batch + (sys_.d,))
+    return _estimate(sys_, "rcc1", x, radius=np.sqrt(value).reshape(sys_.batch)[()],
+                     gap=gap.reshape(sys_.batch)[()],
                      iterations=steps.reshape(sys_.batch)[()])
 
 
@@ -414,7 +396,8 @@ WHITEBOX_ATTACKS = ("half", "half_star", "ls", "clamped_ls", "cls", "rcc1", "rcc
 # every name run_attack accepts
 ATTACKS = WHITEBOX_ATTACKS + ("zero", "rg", "gia")
 # the estimators that need nothing but the system
-_ON_SYSTEM = {"half_star": attack_half_star, "ls": attack_ls,
+_ON_SYSTEM = {"half": attack_half, "zero": attack_zero,
+              "half_star": attack_half_star, "ls": attack_ls,
               "clamped_ls": attack_clamped_ls, "cls": attack_cls,
               "rcc1": attack_rcc1, "rcc2": attack_rcc2}
 
@@ -428,12 +411,10 @@ def run_attack(name: str, sys_: LinearSystem, *, model: VflModel | None = None,
     """
     if name in _ON_SYSTEM:
         return _ON_SYSTEM[name](sys_)
-    if name in ("half", "zero"):
-        return (attack_half if name == "half" else attack_zero)(sys_.d, sys_.batch)
     if name == "rg":
         if rng is None:
             raise ValueError("rg needs an RNG")
-        return attack_random(sys_.d, rng, sys_.batch)
+        return attack_random(sys_, rng)
     if name == "gia":
         if model is None or y_act is None or c is None:
             raise ValueError("gia needs (model, y_act, c)")

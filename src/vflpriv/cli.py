@@ -73,6 +73,10 @@ def _check_d(d: int, d_t: int, flag: str = "--d") -> None:
 
 def _model(args, ds: Dataset) -> VflModel:
     """The --start/--d window's model: trained, or loaded from --model and checked."""
+    flag = args.passive_features and f"--passive-features {args.passive_features}"
+    if not 0 <= args.start < ds.d_t or flag and args.start + args.d > ds.d_t:
+        raise DataError(f"{flag or f'--start {args.start}'} is out of range: the "
+                        f"table has features 0 to {ds.d_t - 1}")
     _check_d(args.d, ds.d_t)
     split_cfg = VflSplit.contiguous(ds.d_t, args.start, args.d)
     if not getattr(args, "model", None):

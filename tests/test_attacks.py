@@ -18,9 +18,10 @@ def _system_with_truth(seed, d=4, m=2):
 class TestBaselines:
     def test_half_zero_rg(self):
         rng = np.random.default_rng(0)
-        assert np.array_equal(attacks.attack_half(3).x_hat, [0.5, 0.5, 0.5])
-        assert np.array_equal(attacks.attack_zero(3).x_hat, [0.0, 0.0, 0.0])
-        r = attacks.attack_random(3, rng).x_hat
+        sys_ = LinearSystem(a=np.ones((1, 3)), b=[1.5])
+        assert np.array_equal(attacks.attack_half(sys_).x_hat, [0.5, 0.5, 0.5])
+        assert np.array_equal(attacks.attack_zero(sys_).x_hat, [0.0, 0.0, 0.0])
+        r = attacks.attack_random(sys_, rng).x_hat
         assert np.all(r >= 0.0) and np.all(r <= 1.0)
 
     def test_ls_min_norm(self):
@@ -36,11 +37,34 @@ class TestBaselines:
         assert np.all(est.x_hat >= 0.0) and np.all(est.x_hat <= 1.0)
 
 
+class TestBaselineFeasibility:
+    """half, zero and rg report whether each row lies in its solution space."""
+
+    A = np.array([[1.0, -2.0, 0.5], [0.0, 1.0, 1.0]])
+    POINTS = {"half": np.full(3, 0.5), "zero": np.zeros(3),
+              "rg": np.random.default_rng(5).uniform(size=3)}
+
+    @pytest.mark.parametrize("name", ["half", "zero", "rg"])
+    @pytest.mark.parametrize("shift, feasible", [(0.0, True), (0.5, False)],
+                             ids=["meets", "misses"])
+    def test_feasible_iff_the_plane_meets_the_point(self, name, shift, feasible):
+        sys_ = LinearSystem(a=self.A, b=self.A @ self.POINTS[name] + shift)
+        est = attacks.run_attack(name, sys_, rng=np.random.default_rng(5))
+        assert np.array_equal(est.x_hat, self.POINTS[name])
+        assert est.feasible is feasible
+
+    @pytest.mark.parametrize("name", ["half", "zero"])
+    def test_one_missed_row_makes_the_batch_infeasible(self, name):
+        b = self.A @ self.POINTS[name]
+        assert attacks.run_attack(name, LinearSystem(a=self.A, b=[b, b])).feasible
+        assert not attacks.run_attack(name, LinearSystem(a=self.A, b=[b, b + 0.5])).feasible
+
+
 class TestWorkedExamples:
     def test_half_worst_case(self):
         # a box corner is the farthest truth from the center: error d/4
         for d in (1, 3, 6):
-            half = attacks.attack_half(d).x_hat
+            half = attacks.attack_half(LinearSystem(a=np.ones((1, d)), b=[0.5 * d])).x_hat
             assert np.sum((np.ones(d) - half) ** 2) == pytest.approx(d / 4)
 
     def test_ls_values(self):
@@ -362,7 +386,7 @@ def _predictions(model, n, seed):
 # batched x_hat against the one-row path: closed forms to 1e-12, iterative
 # solvers to a tolerance above their stopping rules
 BATCH_TOL = {"ls": 1e-12, "clamped_ls": 1e-12, "half_star": 1e-12,
-             "rcc2": 1e-8, "cls": 1e-8, "rcc1": 1e-6, "gia": 1e-8}
+             "rcc2": 1e-8, "cls": 1e-8, "rcc1": 1e-8, "gia": 1e-8}
 
 
 class TestBatch:
@@ -600,3 +624,21 @@ def test_cls_takes_the_spectral_norm_from_the_shared_svd(monkeypatch):
     est = attacks.run_attack("cls", sys_)
     assert spectral and not any(spectral)
     assert np.all(sys_.residual(est.x_hat) < 1e-6)
+
+
+def test_rcc1_reads_center_and_radius_off_its_iterate(monkeypatch):
+    # the interior point's own iterate gives x and the radius: no stacked
+    # p x p solve per row for M(alpha)^-1 g(alpha) after it
+    sys_ = LinearSystem(a=RCC1_STALL_A, b=RCC1_STALL_B)
+    p = sys_.nullity
+    real = np.linalg.solve
+    shapes = []
+
+    def counting(a, b, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return real(a, b, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "solve", counting)
+    est = attacks.attack_rcc1(sys_)
+    assert shapes and (len(RCC1_STALL_B), p, p) not in shapes
+    assert est.feasible and est.diagnostics["radius"].shape == (len(RCC1_STALL_B),)

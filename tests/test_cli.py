@@ -286,6 +286,30 @@ class TestBadArguments:
         assert "--d" in capsys.readouterr().err
         assert not train_calls
 
+    @pytest.mark.parametrize("window, flag", [
+        (["--d", "3", "--start", "7"], "--start 7"),
+        (["--d", "3", "--start", "-5"], "--start -5"),
+        (["--passive-features", "7..9"], "--passive-features 7..9"),
+        (["--passive-features=-1..1"], "--passive-features -1..1"),
+        (["--passive-features", "4..6"], "--passive-features 4..6"),
+        (["--passive-features", "0..6"], "--passive-features 0..6"),
+    ])
+    @pytest.mark.parametrize("command", [["train"], ["attack", "--model", "missing.json"]],
+                             ids=["train", "attack_model"])
+    def test_window_outside_the_table(self, command, window, flag, capsys, train_calls):
+        # start 7 and -5 are start 1 modulo 6: the same rows, had they run
+        assert _run(command + ["--synth-n", "100", "--synth-dt", "6", *window]) == 2
+        err = capsys.readouterr().err
+        assert flag in err and "missing.json" not in err
+        assert not train_calls
+
+    @pytest.mark.parametrize("window", [["--d", "6", "--start", "9"],
+                                        ["--passive-features", "9..11"]])
+    def test_window_inside_the_table_runs(self, window, train_calls):
+        # a window may wrap past the last feature when --start names it
+        assert _run(["train", "--synth-n", "100", "--synth-dt", "12", *window]) == 0
+        assert len(train_calls) == 1
+
     def test_d_grid_out_of_range(self, capsys, train_calls):
         assert _run(["figure1", "--synth-n", "100", "--synth-dt", "4",
                      "--d-grid", "1,5", "--attacks", "half", "--n", "5"]) == 2
