@@ -14,6 +14,7 @@ but half, zero and rg short-circuits to the unique solution A^+ b'.
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -157,8 +158,10 @@ def _rcc1_pd_solve(w, c, max_iter=50):
     point at _RCC1_GAP / 10 end the solve. X = F F^T and S = G G^T are kept
     as factors: with (lam, Q) the eigenpairs of F^-1 dX F^-T that give the
     step t, F becomes F Q (1 + t lam)^(1/2), so no iterate is factored.
-    Returns per row z (N x p), the dual value, <X, S> and Mehrotra steps;
-    AttackError names the rows above _RCC1_FLOOR after max_iter steps.
+    A row whose step is not finite, or whose Schur matrix is singular,
+    stops where it is. Returns per row z (N x p), the dual value, <X, S>
+    and Mehrotra steps; AttackError names the rows above _RCC1_FLOOR at
+    the end.
     """
     (n, d), p = c.shape, w.shape[1]
     k = 2 * p + 1                       # X and S hold the V block, then the W block
@@ -189,6 +192,8 @@ def _rcc1_pd_solve(w, c, max_iter=50):
     # per row: the factors of X and S, their inverses, X, S, alpha's slack, y, <X, S>
     state = [fac, np.linalg.inv(fac), x, s, xl, y, inner(x, xl, s, y)]
 
+    # a row that overflows fails ok and stops; numpy need not warn of it
+    @np.errstate(over="ignore", invalid="ignore")
     def step(rows, mu):
         """Mehrotra's step of rows, or Newton's to X S = mu I; ok: finite rows."""
         fr, fir, x, s, xl, y, gap = (v[rows] for v in state)
@@ -206,14 +211,24 @@ def _rcc1_pd_solve(w, c, max_iter=50):
             rhs[:, :d] += target / al - corr_l
             if np.ndim(corr):
                 rhs -= ((ur @ corr) * ur).sum(-1).reshape(-1, 2, d + 1).sum(1)
-            dy = np.linalg.solve(schur, rhs[..., None])[..., 0]
+            try:
+                dy = np.linalg.solve(schur, rhs[..., None])[..., 0]
+            except np.linalg.LinAlgError:   # row by row: a singular row gets NaN
+                dy = np.full(rhs.shape, np.nan)
+                for i in range(len(rhs)):
+                    with contextlib.suppress(np.linalg.LinAlgError):
+                        dy[i] = np.linalg.solve(schur[i], rhs[i])
             ok = np.isfinite(dy).all(-1)
             dy[~ok] = 0.0
             ds = urt @ (dy[:, of_row, None] * ur)
             h = x @ ds @ s_inv + corr
             dx = target[..., None] * s_inv - x - 0.5 * (h + tr(h))
             dxl = target / al - xl - xl * dy[:, :d] / al - corr_l
-            return dx, dxl, dy, ds, fir @ np.stack([dx, ds], axis=1) @ tr(fir), ok
+            scaled = fir @ np.stack([dx, ds], axis=1) @ tr(fir)
+            # a non-finite correction (an overflowing row) ends its row too
+            ok &= np.isfinite(scaled).all((1, 2, 3)) & np.isfinite(dxl).all(-1)
+            scaled[~ok] = 0.0
+            return dx, dxl, dy, ds, scaled, ok
 
         def length(lam, dxl, dy):       # primal and dual steps 0.95 of the way
             low = np.minimum(lam[..., 0], np.stack([(dxl / xl).min(-1),

@@ -5,6 +5,11 @@ two defenses, closed-form evaluation and the three plot-ready sweeps. Each
 key=value line of a config file is parsed as a flag --key=value placed before
 the command line's own, so explicit flags win. Exit codes: 0 success, 2 bad
 configuration or input, 3 solver failure.
+
+main builds its parser at its first call and keeps it, so repeated
+in-process calls (a sweep) parse without rebuilding it. The parser holds
+each subcommand's handler by name, cmd_<name>, and main looks it up when it
+runs, so a handler replaced after the parser was built still runs.
 """
 
 from __future__ import annotations
@@ -290,7 +295,7 @@ def cmd_tradeoff(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    """The vflpriv parser: one subparser per subcommand."""
+    """A new vflpriv parser: one subparser per subcommand."""
     parser = argparse.ArgumentParser(prog="vflpriv",
                                      description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -315,22 +320,22 @@ def build_parser() -> argparse.ArgumentParser:
     n.add_argument("--n", type=int, default=DESK_N, help="prediction count")
     full.add_argument("--full", action="store_true", help="full-scale run sizes")
 
-    def add(name, func, summary, *parents, aliases=()):
+    def add(name, summary, *parents, aliases=()):
         p = sub.add_parser(name, help=summary, aliases=list(aliases),
                            parents=[every, *parents], allow_abbrev=False)
-        p.set_defaults(func=func)
+        p.set_defaults(func=f"cmd_{name}")
         return p
 
-    add("train", cmd_train, "train the split logistic model", data, window)
+    add("train", "train the split logistic model", data, window)
 
-    p = add("attack", cmd_attack, "score-based reconstruction attacks", data, window, n)
+    p = add("attack", "score-based reconstruction attacks", data, window, n)
     p.add_argument("--model", help="trained model JSON (skips training)")
     p.add_argument("--attacks", "--method", dest="attacks",
                    default="half,ls,half_star,rcc2")
     p.add_argument("--init", choices=("zeros", "half", "random"),
                    default="half")
 
-    p = add("blackbox", cmd_blackbox, "single-feature black-box MSE vs sample count",
+    p = add("blackbox", "single-feature black-box MSE vs sample count",
             full, aliases=["figure12"])
     p.add_argument("--case", type=int, default=2, choices=(1, 2, 3))
     p.add_argument("--n-grid", default="1..100")
@@ -338,19 +343,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--w", type=float, default=None)
     p.add_argument("--b", type=float, default=None)
 
-    p = add("defend", cmd_defend, "apply one defense and measure MSE/KL", data, window, n)
+    p = add("defend", "apply one defense and measure MSE/KL", data, window, n)
     p.add_argument("--scheme", default="s3",
                    choices=("pps1", "s1", "s2", "s3", "class_label"))
     p.add_argument("--alpha", default="0.5", help="comma list of budgets")
     p.add_argument("--attack", default="half_star")
 
-    add("evaluate", cmd_evaluate, "closed-form MSE values and bounds", data, window)
+    add("evaluate", "closed-form MSE values and bounds", data, window)
 
-    p = add("figure1", cmd_figure1, "MSE-vs-d sweep over attacks", data, n, full)
+    p = add("figure1", "MSE-vs-d sweep over attacks", data, n, full)
     p.add_argument("--d-grid", default="1,2,4,6")
     p.add_argument("--attacks", default="rg,zero,half,ls,clamped_ls,half_star,rcc2")
 
-    add("tradeoff", cmd_tradeoff, "defense KL/MSE/accuracy sweep", data, window, n)
+    add("tradeoff", "defense KL/MSE/accuracy sweep", data, window, n)
 
     return parser
 
@@ -395,8 +400,14 @@ def _solver_failure(exc: Exception) -> str:
     return line
 
 
+_parser = None     # built at the first main call, then kept for the process
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    parser = _parser
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
         argv, from_config = _with_config(parser, argv)
@@ -407,7 +418,7 @@ def main(argv=None) -> int:
         if remaining:
             raise DataError(f"unrecognized arguments: {remaining}")
         _resolve_window(args)
-        return args.func(args)
+        return globals()[args.func](args)
     except SystemExit as exc:   # argparse's own exit: 2 for a bad value, 0 for --help
         return exc.code
     except _SOLVER_ERRORS as exc:

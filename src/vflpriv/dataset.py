@@ -115,6 +115,30 @@ def _parse_column(cells: list[str], name: str) -> tuple[np.ndarray | list, bool]
 
 
 _last_parse: tuple = (None, None)   # (key, RawTable) of the last parse
+_last_load: tuple = (None, None)    # (key, Dataset) of the last load_dataset
+
+
+def _read(path) -> tuple[bytes, bytes]:
+    """A file's bytes and their sha256 digest."""
+    try:
+        with open(path, "rb") as fh:
+            raw = fh.read()
+    except OSError as exc:
+        raise DataError(f"cannot read {path}: {exc}") from exc
+    return raw, hashlib.sha256(raw).digest()
+
+
+def _parsed(raw: bytes, digest: bytes, label_col: int) -> RawTable:
+    """The kept RawTable of these bytes and label_col, parsed if not kept.
+
+    The table is shared with the next caller: it must not be changed."""
+    global _last_parse
+    key = (digest, label_col)
+    last_key, t = _last_parse       # one read, so a concurrent load cannot
+    if last_key != key:             # pair this key with another table
+        t = _parse_csv(raw, label_col)
+        _last_parse = key, t
+    return t
 
 
 def load_csv(path, label_col: int = -1) -> RawTable:
@@ -128,17 +152,7 @@ def load_csv(path, label_col: int = -1) -> RawTable:
     table's bytes once, so repeated in-process ``vflpriv.cli.main`` calls on
     one table share the parse. Calls get fresh lists and read-only float columns.
     """
-    global _last_parse
-    try:
-        with open(path, "rb") as fh:
-            raw = fh.read()
-    except OSError as exc:
-        raise DataError(f"cannot read {path}: {exc}") from exc
-    key = (hashlib.sha256(raw).digest(), label_col)
-    last_key, t = _last_parse       # one read, so a concurrent load cannot
-    if last_key != key:             # pair this key with another table
-        t = _parse_csv(raw, label_col)
-        _last_parse = key, t
+    t = _parsed(*_read(path), label_col)
     columns = [list(c) if cat else c for c, cat in zip(t.columns, t.categorical)]
     return RawTable(columns=columns, names=list(t.names), labels=list(t.labels),
                     categorical=list(t.categorical))
@@ -257,12 +271,25 @@ def synthesize(spec: SyntheticSpec) -> Dataset:
 
 def load_dataset(path, label_col: int = -1, train_fraction: float = 0.8,
                  seed: int = 0) -> Dataset:
-    """Full pipeline: CSV -> categorical encoding -> normalize -> split."""
-    table = load_csv(path, label_col=label_col)
-    y, k = encode_labels(table.labels)
-    # the split must be fixed before target-mean encoding (training rows only)
-    train_mask = split_mask(table.n_rows, train_fraction, seed)
-    values = encode_categoricals(table, y, train_mask)
-    ds = normalize(values, y, k=k, feature_names=table.names)
-    return Dataset(x=ds.x, y=ds.y, k=k, feature_names=ds.feature_names,
-                   train_mask=train_mask)
+    """Full pipeline: CSV -> categorical encoding -> normalize -> split.
+
+    The last Dataset built is kept, keyed on a digest of the file's bytes,
+    label_col, train_fraction and seed, so repeated in-process
+    ``vflpriv.cli.main`` calls on one table and split encode it once. Each
+    call gets a Dataset with its own writable arrays.
+    """
+    global _last_load
+    raw, digest = _read(path)
+    key = (digest, label_col, train_fraction, seed)
+    last_key, ds = _last_load
+    if last_key != key:
+        table = _parsed(raw, digest, label_col)
+        y, k = encode_labels(table.labels)
+        # the split must be fixed before target-mean encoding (training rows only)
+        train_mask = split_mask(table.n_rows, train_fraction, seed)
+        values = encode_categoricals(table, y, train_mask)
+        ds = normalize(values, y, k=k, feature_names=table.names)
+        ds.train_mask = train_mask
+        _last_load = key, ds
+    return Dataset(x=ds.x.copy(), y=ds.y.copy(), k=ds.k,
+                   feature_names=list(ds.feature_names), train_mask=ds.train_mask.copy())

@@ -7,6 +7,7 @@ Matrices are plain float64 numpy arrays; vectors are 1-D arrays.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -231,7 +232,7 @@ def box_least_squares(sys_: LinearSystem, max_iter: int = 50_000) -> np.ndarray:
     Raises ConvergenceError naming, by their index in the flattened batch,
     the rows not stationary after max_iter iterations.
     """
-    a = sys_.a
+    a, at = sys_.a, sys_.a.T
     shape = sys_.batch + (sys_.d,)
     x = np.full(shape, 0.5)
     s1 = sys_.svd.s[0]
@@ -242,41 +243,59 @@ def box_least_squares(sys_: LinearSystem, max_iter: int = 50_000) -> np.ndarray:
     bs = sys_.b.reshape(-1, a.shape[0])
     live = np.arange(len(bs))
 
-    # FISTA with restart on non-monotone objective
+    # np.clip(u, 0, 1), in place on a temporary, and np.linalg.norm(r, axis=1):
+    # the same float operations in fewer numpy calls, so the same bits
+    def clip(u):
+        return np.minimum(np.maximum(u, 0.0, out=u), 1.0, out=u)
+
+    def norm(r):
+        return np.sqrt((r * r).sum(1))
+
+    # FISTA with restart on non-monotone objective. A row's momentum weight
+    # depends only on its steps since the last restart, j: t_0 = 1,
+    # t_j+1 = (1 + sqrt(1 + 4 t_j^2)) / 2 and weight[j] = (t_j - 1) / t_j+1,
+    # filled in at iteration j, the first at which a row can reach j
     xs = flat.copy()
-    t = np.ones(len(bs))
-    r = xs @ a.T - bs
-    fx = 0.5 * np.linalg.norm(r, axis=1) ** 2
+    since = np.zeros(len(bs), dtype=int)
+    weight, t = np.empty(max_iter), 1.0
+    r = xs @ at - bs
+    fx = 0.5 * norm(r) ** 2
     gx = r @ a  # gradient at x
     y = xs
-    for _ in range(max_iter):
-        grad = (y @ a.T - bs) @ a
-        x_new = np.clip(y - step * grad, 0.0, 1.0)
-        r = x_new @ a.T - bs
-        f_new = 0.5 * np.linalg.norm(r, axis=1) ** 2
+    for it in range(max_iter):
+        x_new = clip(y - step * ((y @ at - bs) @ a))
+        r = x_new @ at - bs
+        f_new = 0.5 * norm(r) ** 2
         restart = f_new > fx  # restart momentum from x
         if np.count_nonzero(restart):
-            t[restart] = 1.0
-            x_new[restart] = np.clip(xs[restart] - step * gx[restart], 0.0, 1.0)
-            r[restart] = x_new[restart] @ a.T - bs[restart]
-            f_new[restart] = 0.5 * np.linalg.norm(r[restart], axis=1) ** 2
-        t_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
-        y = x_new + ((t - 1.0) / t_new)[:, None] * (x_new - xs)
-        move = np.linalg.norm(x_new - xs, axis=1)
-        xs, t, fx, gx = x_new, t_new, f_new, r @ a
-        # stationarity: projected gradient step does not move the iterate
-        pg = np.linalg.norm(xs - np.clip(xs - step * gx, 0.0, 1.0), axis=1)
-        done = (pg < 1e-12) & (move < 1e-12)
-        if np.count_nonzero(done):
-            flat[live[done]] = xs[done]
-            keep = ~done
-            live, xs, bs, t, fx, gx, y = (live[keep], xs[keep], bs[keep],
-                                          t[keep], fx[keep], gx[keep], y[keep])
-            if not live.size:
-                return flat.reshape(shape)
+            since[restart] = 0
+            x_new[restart] = clip(xs[restart] - step * gx[restart])
+            r[restart] = x_new[restart] @ at - bs[restart]
+            f_new[restart] = 0.5 * norm(r[restart]) ** 2
+        t_new = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
+        weight[it], t = (t - 1.0) / t_new, t_new
+        dx = x_new - xs
+        y = x_new + weight[since, None] * dx
+        since += 1
+        xs, fx, gx = x_new, f_new, r @ a
+        # stationarity: the last move and a projected gradient step both
+        # under 1e-12; the step is taken only on rows whose move passed
+        near = norm(dx) < 1e-12
+        if np.count_nonzero(near):
+            near = np.flatnonzero(near)
+            u = xs[near]
+            done = near[norm(u - clip(u - step * gx[near])) < 1e-12]
+            if done.size:
+                flat[live[done]] = xs[done]
+                keep = np.ones(live.size, dtype=bool)
+                keep[done] = False
+                live, xs, bs, since, fx, gx, y = (
+                    v[keep] for v in (live, xs, bs, since, fx, gx, y))
+                if not live.size:
+                    return flat.reshape(shape)
     flat[live] = xs
     raise _cap_error("box least squares", flat.reshape(shape), live, len(flat),
-                     {"residual": np.linalg.norm(xs @ a.T - bs, axis=1)})
+                     {"residual": norm(xs @ at - bs)})
 
 
 def von_neumann_bounds(m, p) -> tuple[float, float]:

@@ -18,7 +18,7 @@ from vflpriv import defense, metrics
 from vflpriv.attacks import run_attack
 from vflpriv.metrics import EPS_CLIP, _check_prob, _per_row
 from vflpriv.model import predict, softmax
-from vflpriv.numerics import NumericsError, as_matrix, svd
+from vflpriv.numerics import NumericsError, _cap_error, as_matrix, svd
 from vflpriv.system import LinearSystem, build_system, difference_matrix
 
 
@@ -290,9 +290,10 @@ def dykstra_row(x0, sys_: LinearSystem, max_iter: int = 10_000,
 
 
 def box_least_squares_row(a, b, max_iter: int = 50_000,
-                          tol: float = 1e-12) -> np.ndarray:
+                          tol: float = 1e-12, restarts=None) -> np.ndarray:
     """FISTA with momentum restart for min ||Ax - b|| over the box, one row,
-    from the box center."""
+    from the box center. A list given as restarts gets one entry per
+    iteration: whether it restarted the momentum."""
     x = np.full(a.shape[1], 0.5)
     step = 1.0 / np.linalg.norm(a, 2) ** 2
     y = x.copy()
@@ -301,6 +302,8 @@ def box_least_squares_row(a, b, max_iter: int = 50_000,
     for _ in range(max_iter):
         x_new = np.clip(y - step * (a.T @ (a @ y - b)), 0.0, 1.0)
         f_new = 0.5 * np.linalg.norm(a @ x_new - b) ** 2
+        if restarts is not None:
+            restarts.append(bool(f_new > fx))
         if f_new > fx:
             y = x.copy()
             t = 1.0
@@ -314,6 +317,58 @@ def box_least_squares_row(a, b, max_iter: int = 50_000,
         if pg < tol and move < tol:
             return x
     raise NumericsError("one-row box least squares hit the iteration cap")
+
+
+def box_least_squares_batch(sys_: LinearSystem, max_iter: int = 50_000) -> np.ndarray:
+    """numerics.box_least_squares as it was before its iteration was cut to
+    fewer numpy calls, kept verbatim: the package must match it bit for bit,
+    ConvergenceError included."""
+    a = sys_.a
+    shape = sys_.batch + (sys_.d,)
+    x = np.full(shape, 0.5)
+    s1 = sys_.svd.s[0]
+    if s1 == 0.0:
+        return x
+    step = 1.0 / (s1 * s1)
+    flat = x.reshape(-1, sys_.d)
+    bs = sys_.b.reshape(-1, a.shape[0])
+    live = np.arange(len(bs))
+
+    # FISTA with restart on non-monotone objective
+    xs = flat.copy()
+    t = np.ones(len(bs))
+    r = xs @ a.T - bs
+    fx = 0.5 * np.linalg.norm(r, axis=1) ** 2
+    gx = r @ a  # gradient at x
+    y = xs
+    for _ in range(max_iter):
+        grad = (y @ a.T - bs) @ a
+        x_new = np.clip(y - step * grad, 0.0, 1.0)
+        r = x_new @ a.T - bs
+        f_new = 0.5 * np.linalg.norm(r, axis=1) ** 2
+        restart = f_new > fx  # restart momentum from x
+        if np.count_nonzero(restart):
+            t[restart] = 1.0
+            x_new[restart] = np.clip(xs[restart] - step * gx[restart], 0.0, 1.0)
+            r[restart] = x_new[restart] @ a.T - bs[restart]
+            f_new[restart] = 0.5 * np.linalg.norm(r[restart], axis=1) ** 2
+        t_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
+        y = x_new + ((t - 1.0) / t_new)[:, None] * (x_new - xs)
+        move = np.linalg.norm(x_new - xs, axis=1)
+        xs, t, fx, gx = x_new, t_new, f_new, r @ a
+        # stationarity: projected gradient step does not move the iterate
+        pg = np.linalg.norm(xs - np.clip(xs - step * gx, 0.0, 1.0), axis=1)
+        done = (pg < 1e-12) & (move < 1e-12)
+        if np.count_nonzero(done):
+            flat[live[done]] = xs[done]
+            keep = ~done
+            live, xs, bs, t, fx, gx, y = (live[keep], xs[keep], bs[keep],
+                                          t[keep], fx[keep], gx[keep], y[keep])
+            if not live.size:
+                return flat.reshape(shape)
+    flat[live] = xs
+    raise _cap_error("box least squares", flat.reshape(shape), live, len(flat),
+                     {"residual": np.linalg.norm(xs @ a.T - bs, axis=1)})
 
 
 def _rcc1_objective_row(alpha, rows, g, t):

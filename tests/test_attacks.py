@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -481,6 +483,10 @@ class TestBatchedSolvers:
         assert got.shape == want.shape == (12, sys_.d)
         assert np.max(np.abs(got - want)) <= BATCH_TOL[name]
 
+    def test_cls_matches_the_earlier_iteration_bit_for_bit(self, sys_):
+        assert np.array_equal(numerics.box_least_squares(sys_),
+                              oracles.box_least_squares_batch(sys_))
+
     def test_rcc2_diagnostics_per_row(self, sys_):
         est = attacks.attack_rcc2(sys_)
         newton = est.diagnostics["projection"] == "newton"
@@ -575,6 +581,47 @@ class TestRcc1PrimalDual:
             attacks.attack_rcc1(LinearSystem(a=RCC1_STALL_A, b=RCC1_STALL_B))
         assert str(err.value).startswith("rcc1 rows [2] end with gaps")
 
+    def test_overflowing_step_ends_only_its_row(self, monkeypatch):
+        real = np.linalg.solve
+
+        def solve(a, b):                # row 2's dy is finite, its step overflows
+            x = real(a, b)
+            if a.shape == (5, 7, 7):
+                x[2] = 1e300
+            return x
+
+        monkeypatch.setattr(np.linalg, "solve", solve)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(attacks.AttackError) as err:
+                attacks.attack_rcc1(LinearSystem(a=RCC1_STALL_A, b=RCC1_STALL_B))
+        assert str(err.value).startswith("rcc1 rows [2] end with gaps")
+
+    def test_singular_schur_row_ends_only_its_row(self, monkeypatch):
+        real = np.linalg.solve
+        calls = []      # each failed stacked solve: its (matrices, rhs, row solves)
+
+        def solve(a, b):                # row 2's Schur matrix is singular
+            if a.shape == (5, 7, 7):
+                calls.append((a, b, []))
+                raise np.linalg.LinAlgError("Singular matrix")
+            if a.ndim == 2 and calls and np.array_equal(a, calls[-1][0][2]):
+                raise np.linalg.LinAlgError("Singular matrix")
+            x = real(a, b)
+            if a.ndim == 2 and calls:
+                calls[-1][2].append(x)
+            return x
+
+        monkeypatch.setattr(np.linalg, "solve", solve)
+        with pytest.raises(attacks.AttackError) as err:
+            attacks.attack_rcc1(LinearSystem(a=RCC1_STALL_A, b=RCC1_STALL_B))
+        assert str(err.value).startswith("rcc1 rows [2] end with gaps")
+        # the other rows solve alone to the bits the stacked solve gives them
+        assert calls
+        others = [0, 1, 3, 4]
+        for a, b, rows in calls:
+            assert np.array_equal(np.array(rows), real(a[others], b[others])[..., 0])
+
     def test_cap_exits_3_through_the_cli(self, monkeypatch, capsys):
         from vflpriv import cli
         _capped_rcc1(monkeypatch, 2)
@@ -583,6 +630,20 @@ class TestRcc1PrimalDual:
                          "--n", "5"]) == 3
         err = capsys.readouterr().err
         assert err.startswith("solver failure: rcc1 rows [0, 1, 2, 3, 4] end with gaps")
+
+    @pytest.mark.parametrize("scheme", [["pps1"], ["s1", "--alpha", "10"]],
+                             ids=["pps1", "s1"])
+    def test_planes_off_the_box_name_their_rows(self, scheme, capsys):
+        # these releases move planes off the box: under pps1 every row's
+        # steps overflow, under s1 some rows' Schur systems turn singular;
+        # neither aborts the batch, and numpy does not warn
+        from vflpriv import cli
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert cli.main(["defend", "--synth-n", "2000", "--synth-dt", "10",
+                             "--synth-k", "4", "--d", "6", "--scheme", *scheme,
+                             "--attack", "rcc1", "--n", "100"]) == 3
+        assert capsys.readouterr().err.startswith("solver failure: rcc1 rows [")
 
     @pytest.mark.parametrize("k, d, scale, bimodal", [
         (2, 4, 3.0, False),         # p = 3

@@ -164,6 +164,34 @@ class TestExitCodes:
         assert out.splitlines()[0] == "n,mse"
 
 
+class TestParserKept:
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        """Start with no parser kept and count the parsers built."""
+        calls = []
+        build = cli.build_parser
+        monkeypatch.setattr(cli, "_parser", None, raising=False)
+        monkeypatch.setattr(cli, "build_parser", lambda: calls.append(1) or build())
+        return calls
+
+    def test_many_calls_build_one_parser(self, builds, capsys):
+        for case in ("1", "2", "3", "2"):
+            assert _run(["blackbox", "--case", case, "--n-grid", "1..2",
+                         "--trials", "1"]) == 0
+        assert _run(["figure12", "--n-grid", "1..2", "--trials", "1"]) == 0
+        assert _run(["blackbox", "--bogus"]) == 2
+        assert len(builds) == 1
+
+    def test_handler_replaced_after_the_first_call_runs(self, builds, monkeypatch,
+                                                         capsys):
+        assert _run(["attack", *SYNTH, "--d", "2", "--n", "2", "--attacks", "half"]) == 0
+        assert capsys.readouterr().out.startswith("attack,d,n,mse\nhalf,2,2,")
+        seen = []
+        monkeypatch.setattr(cli, "cmd_attack", lambda args: seen.append(args.n) or 0)
+        assert _run(["attack", *SYNTH, "--n", "3"]) == 0
+        assert seen == [3] and len(builds) == 1
+
+
 class TestSubcommands:
     def test_train_and_attack(self, tmp_path, capsys):
         model_path = tmp_path / "model.json"

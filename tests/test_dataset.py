@@ -142,7 +142,62 @@ class TestParseCache:
         # every Dataset owns fresh, writable arrays
         ds = dataset.load_dataset(path)
         ds.x[:] = 0.0
-        assert dataset.load_dataset(path).x.max() == 1.0
+        ds.y[:] = 0
+        ds.train_mask[:] = ~ds.train_mask
+        again = dataset.load_dataset(path)
+        assert again.x.max() == 1.0
+        assert again.y.tolist() == [1, 0]
+        assert np.array_equal(again.train_mask, dataset.split_mask(2, 0.8, 0))
+
+
+class TestLoadCache:
+    TABLE = "".join(f"{i},{'xy'[i % 2]},{'yes' if i % 3 else 'no'}\n" for i in range(10))
+
+    @pytest.fixture
+    def encodes(self, monkeypatch):
+        """Start from an empty cache and count the encodings."""
+        calls = []
+        encode = dataset.encode_categoricals
+
+        def counted(table, y, train_mask):
+            calls.append(1)
+            return encode(table, y, train_mask)
+
+        monkeypatch.setattr(dataset, "_last_load", (None, None), raising=False)
+        monkeypatch.setattr(dataset, "encode_categoricals", counted)
+        return calls
+
+    @staticmethod
+    def _same(a, b):
+        return (np.array_equal(a.x, b.x) and np.array_equal(a.y, b.y) and a.k == b.k
+                and np.array_equal(a.train_mask, b.train_mask)
+                and a.feature_names == b.feature_names)
+
+    def test_one_encoding_for_many_loads(self, tmp_path, encodes):
+        path = _write_csv(tmp_path, "a,b,label\n" + self.TABLE)
+        first = dataset.load_dataset(path, train_fraction=0.5, seed=3)
+        for _ in range(3):
+            assert self._same(dataset.load_dataset(path, train_fraction=0.5, seed=3),
+                              first)
+        assert len(encodes) == 1
+
+    @pytest.mark.parametrize("change", ["bytes", "label_col", "train_fraction", "seed"])
+    def test_a_changed_key_encodes_again(self, tmp_path, encodes, monkeypatch, change):
+        path = _write_csv(tmp_path, "a,b,label\n" + self.TABLE)
+        kw = dict(label_col=-1, train_fraction=0.5, seed=0)
+        before = dataset.load_dataset(path, **kw)
+        assert self._same(dataset.load_dataset(path, **kw), before)
+        assert len(encodes) == 1
+        if change == "bytes":
+            _write_csv(tmp_path, "a,b,label\n" + self.TABLE.replace("9,", "7,"))
+        else:
+            kw[change] = {"label_col": 1, "train_fraction": 0.6, "seed": 1}[change]
+        got = dataset.load_dataset(path, **kw)
+        assert len(encodes) == 2
+        assert not self._same(got, before)
+        # the same as a load that finds nothing kept
+        monkeypatch.setattr(dataset, "_last_load", (None, None))
+        assert self._same(got, dataset.load_dataset(path, **kw))
 
 
 class TestEncoding:

@@ -254,6 +254,44 @@ class TestBoxLeastSquares:
             assert np.max(np.abs(got[i] - one)) <= 1e-9
             assert np.max(np.abs(got[i] - oracles.box_least_squares_row(a, b[i]))) <= 1e-8
 
+    @staticmethod
+    def _staggered():
+        """Six rows of one 3 x 6 system, three with a solution in the box and
+        three without. Every row restarts its momentum and the rows stop
+        apart: a cap of 1 names all six rows, 40 three and 100 one."""
+        rng = np.random.default_rng(15)
+        a = rng.standard_normal((3, 6))
+        b = np.vstack([rng.uniform(0.0, 1.0, (3, 6)) @ a.T,
+                       2.0 * rng.standard_normal((3, 3))])
+        return LinearSystem(a=a, b=b)
+
+    def test_staggered_rows_match_the_earlier_iteration_bit_for_bit(self):
+        sys_ = self._staggered()
+        iterations = []
+        for b in sys_.b:
+            restarts = []
+            oracles.box_least_squares_row(sys_.a, b, restarts=restarts)
+            assert any(restarts)
+            iterations.append(len(restarts))
+        assert len(set(iterations)) == len(sys_.b)
+        assert np.array_equal(numerics.box_least_squares(sys_),
+                              oracles.box_least_squares_batch(sys_))
+
+    @pytest.mark.parametrize("max_iter", [1, 40, 100])
+    def test_cap_matches_the_earlier_iteration_bit_for_bit(self, max_iter):
+        sys_ = self._staggered()
+        with pytest.raises(numerics.ConvergenceError) as got:
+            numerics.box_least_squares(sys_, max_iter=max_iter)
+        with pytest.raises(numerics.ConvergenceError) as want:
+            oracles.box_least_squares_batch(sys_, max_iter=max_iter)
+        got, want = got.value, want.value
+        assert got.rows.size == {1: 6, 40: 3, 100: 1}[max_iter]
+        assert str(got) == str(want)
+        assert np.array_equal(got.rows, want.rows)
+        assert np.array_equal(got.last_iterate, want.last_iterate)
+        assert got.residuals.keys() == want.residuals.keys() == {"residual"}
+        assert np.array_equal(got.residuals["residual"], want.residuals["residual"])
+
     def test_cap_names_rows_and_residuals(self):
         a = np.array([[1.0, 2.0, 0.5]])
         b = np.array([[0.7], [4.0], [-0.4]])
