@@ -273,7 +273,8 @@ def _rcc1_pd_solve(w, c, max_iter=50):
         take(every, new, ok & (new[-1] <= _RCC1_FLOOR))
     bad = np.flatnonzero(~(gap <= _RCC1_FLOOR))
     if bad.size:
-        raise AttackError(f"rcc1 rows {bad.tolist()} end with gaps {gap[bad]} above "
+        gaps = " ".join(f"{v:.3e}" for v in gap[bad])
+        raise AttackError(f"rcc1 rows {bad.tolist()} end with gaps {gaps} above "
                           f"{_RCC1_FLOOR:g} in at most {max_iter} steps")
     return state[2][:, :p, p], state[5] @ b, gap, steps
 

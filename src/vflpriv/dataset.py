@@ -244,20 +244,12 @@ def split_mask(n: int, fraction: float, seed: int) -> np.ndarray:
     return train_mask
 
 
-def split(ds: Dataset, fraction: float = 0.8, seed: int = 0) -> Dataset:
-    """Deterministic shuffled train/test split; masks are disjoint and exhaustive."""
-    train_mask = split_mask(ds.n, fraction, seed)
-    if train_mask.all() or not train_mask.any():
-        raise DataError("split leaves fewer than one sample on a side")
-    return Dataset(x=ds.x, y=ds.y, k=ds.k, feature_names=ds.feature_names,
-                   train_mask=train_mask)
-
-
 def synthesize(spec: SyntheticSpec) -> Dataset:
     """Class-conditional Gaussian clusters, min-max normalized to [0, 1].
 
     Per-class means sit on random corners of the hypercube {-1, 1}^d_t, with
-    unit isotropic covariance before normalization. Labels are balanced.
+    unit isotropic covariance before normalization. Labels are balanced, and
+    split_mask(n, 0.8, seed) picks the training rows.
     """
     rng = np.random.default_rng(spec.seed)
     # balanced labels: round-robin assignment, then shuffled
@@ -266,7 +258,10 @@ def synthesize(spec: SyntheticSpec) -> Dataset:
     signs = rng.choice([-1.0, 1.0], size=(spec.k, spec.d_t))
     x = signs[y] + rng.standard_normal((spec.n, spec.d_t))
     ds = normalize(x, y, k=spec.k)
-    return split(ds, fraction=0.8, seed=spec.seed)
+    ds.train_mask = split_mask(spec.n, 0.8, spec.seed)
+    if ds.train_mask.all():     # 0.8 of n >= 1 rows always trains on one
+        raise DataError("the 0.8 split leaves fewer than one sample on a side")
+    return ds
 
 
 def load_dataset(path, label_col: int = -1, train_fraction: float = 0.8,

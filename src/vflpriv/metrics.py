@@ -164,20 +164,19 @@ def average_over_space(ds: Dataset, d: int, attacks, n_pred: int = 1000,
     """Mean MSE of each named attack over all d_t contiguous passive windows (mod d_t).
 
     Each window allocates features {s, ..., s+d-1 mod d_t} to the passive
-    party and trains one model (regularization weight lam, seed seed + s),
-    on which every attack runs over up to n_pred test predictions, drawing
-    from one generator seeded with seed + s. Returns {attack: mean of the
-    d_t window MSE values}.
+    party and gets one model (regularization weight lam, seed seed + s); the
+    d_t models come from one batched train call. Every attack runs on each
+    model over up to n_pred test predictions, drawing from one generator
+    seeded with seed + s. Returns {attack: mean of the d_t window MSE values}.
     """
     if d > ds.d_t:
         raise MetricsError("passive dimension exceeds the feature count")
     rows = np.flatnonzero(ds.test_mask)[:n_pred]
-    windows = []
-    for start in range(ds.d_t):
-        model = train(ds, VflSplit.contiguous(ds.d_t, start, d),
-                      TrainConfig(lam=lam, seed=seed + start))
-        windows.append(attack_mse_on_rows(model, ds, rows, attacks,
-                                          rng=np.random.default_rng(seed + start)))
+    models = train(ds, [VflSplit.contiguous(ds.d_t, start, d) for start in range(ds.d_t)],
+                   [TrainConfig(lam=lam, seed=seed + start) for start in range(ds.d_t)])
+    windows = [attack_mse_on_rows(model, ds, rows, attacks,
+                                  rng=np.random.default_rng(seed + start))
+               for start, model in enumerate(models)]
     return {name: float(np.mean([w[name] for w in windows])) for name in attacks}
 
 

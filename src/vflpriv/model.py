@@ -2,13 +2,15 @@
 
 Training runs full-batch Adam on the average cross-entropy plus the
 regularizer lam * (Tr(WW^T) + ||b||^2), with early stopping on a validation
-plateau. Trained models are immutable and safe to share across threads.
+plateau, for one feature split or a batch of them in one loop. Trained
+models are immutable and safe to share across threads.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -122,11 +124,39 @@ class TrainConfig:
 
 
 def softmax(z) -> np.ndarray:
-    """Shift-invariant softmax along the last axis."""
+    """Shift-invariant softmax along the last axis.
+
+    The max and the sum run over columns, a few whole-column numpy calls in
+    place of one short reduction per row, and the sum adds the columns in
+    numpy's pairwise order, so the bits equal z.max(-1) and e.sum(-1).
+    """
     z = np.asarray(z, dtype=float)
-    shifted = z - z.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
+    rows = z.reshape(-1, z.shape[-1])
+    e = np.exp(rows - _pairwise(np.maximum, rows.T)[:, None])
+    e /= _pairwise(np.add, e.T)[:, None]
+    return e.reshape(z.shape)
+
+
+def _pairwise(op, cols):
+    """op over the leading axis in the order of numpy's contiguous add.reduce.
+
+    Fewer than 8 terms go in sequence; up to 128 go to 8 accumulators that
+    combine as a tree, the rest in sequence; longer runs split in two at a
+    multiple of 8. The max does not depend on the order; the sum does.
+    """
+    n = len(cols)
+    if n < 8:
+        return reduce(op, cols)
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return op(_pairwise(op, cols[:half]), _pairwise(op, cols[half:]))
+    blocks = n - n % 8
+    acc = cols[:8].copy()
+    for i in range(8, blocks, 8):
+        op(acc, cols[i:i + 8], out=acc)
+    acc = op(acc[0::2], acc[1::2])
+    acc = op(acc[0::2], acc[1::2])
+    return reduce(op, cols[blocks:], op(acc[0], acc[1]))
 
 
 def predict(model: VflModel, y_act, x_pas) -> np.ndarray:
@@ -134,101 +164,132 @@ def predict(model: VflModel, y_act, x_pas) -> np.ndarray:
     return softmax(model.logits(y_act, x_pas))
 
 
-def _one_hot(y: np.ndarray, k: int) -> np.ndarray:
-    out = np.zeros((y.shape[0], k))
-    out[np.arange(y.shape[0]), y] = 1.0
-    return out
-
-
 def _scores_and_loss(w, b, x, y_onehot, lam):
-    scores = softmax(x @ w.T + b)
-    ce = -np.sum(y_onehot * np.log(scores + 1e-300)) / x.shape[0]
-    return scores, ce + lam * (np.sum(w * w) + np.sum(b * b))
+    logits = x @ w.swapaxes(-1, -2)
+    logits += b[..., None, :]
+    scores = softmax(logits)
+    terms = np.log(scores + 1e-300)
+    terms *= y_onehot
+    # a / -n has the bits of -a / n
+    ce = terms.sum(axis=(-2, -1)) / -x.shape[-2]
+    return scores, ce + lam * ((w * w).sum(axis=(-2, -1)) + (b * b).sum(axis=-1))
 
 
 def loss_value(w: np.ndarray, b: np.ndarray, x: np.ndarray,
-               y_onehot: np.ndarray, lam: float) -> float:
+               y_onehot: np.ndarray, lam) -> float | np.ndarray:
     """The loss of loss_and_grads alone, by the same floating-point operations."""
     return _scores_and_loss(w, b, x, y_onehot, lam)[1]
 
 
 def loss_and_grads(w: np.ndarray, b: np.ndarray, x: np.ndarray,
-                   y_onehot: np.ndarray, lam: float):
-    """Average cross-entropy (nats) + lam (Tr(WW^T) + ||b||^2) and its gradients."""
-    n = x.shape[0]
+                   y_onehot: np.ndarray, lam):
+    """Average cross-entropy (nats) + lam (Tr(WW^T) + ||b||^2) and its gradients.
+
+    w is k x d, b k, x n x d, y_onehot n x k and lam a number; or each
+    carries a leading window axis (lam then one weight per window), and every
+    window gets the bits it would get alone.
+    """
     scores, loss = _scores_and_loss(w, b, x, y_onehot, lam)
-    delta = (scores - y_onehot) / n
-    grad_w = delta.T @ x + 2.0 * lam * w
-    grad_b = delta.sum(axis=0) + 2.0 * lam * b
+    delta = scores - y_onehot
+    delta /= x.shape[-2]
+    two_lam = 2.0 * np.asarray(lam)
+    grad_w = delta.swapaxes(-1, -2) @ x + two_lam[..., None, None] * w
+    grad_b = delta.sum(axis=-2) + two_lam[..., None] * b
     return loss, grad_w, grad_b
 
 
-def train(ds: Dataset, split_cfg: VflSplit, cfg: TrainConfig) -> VflModel:
+def train(ds: Dataset, split_cfg: VflSplit | list[VflSplit],
+          cfg: TrainConfig | list[TrainConfig]) -> VflModel | list[VflModel]:
     """Full-batch Adam (step lr) with early stopping on the validation-loss plateau.
 
     val_fraction of the training rows validate, and patience epochs without a
     relative gain of tol stop it. Deterministic under (dataset, split, config);
     returns the best-validation snapshot, partitioned by the feature split.
+
+    split_cfg and cfg may instead be equal-length sequences, one window each
+    with its own split, seed, lam and max_epochs; the models come back as a
+    list in that order. All windows run in one epoch loop on arrays with a
+    leading window axis, and a window leaves the arrays when it stops, so
+    each window's weights are bit-identical to its own train call. A
+    divergence names the window and the epoch.
     """
+    if isinstance(split_cfg, VflSplit):
+        return train(ds, [split_cfg], [cfg])[0]
+    splits, cfgs = list(split_cfg), list(cfg)
+    if len(splits) != len(cfgs):
+        raise TrainingError(f"{len(splits)} splits but {len(cfgs)} configs")
+    if not splits:
+        return []
     lr, patience, tol, val_fraction = 0.05, 20, 1e-6, 0.1
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
     if ds.n == 0:
         raise TrainingError("empty dataset")
-    rng = np.random.default_rng(cfg.seed)
     train_idx = np.flatnonzero(ds.train_mask)
     if train_idx.size < 2:
         raise TrainingError("need at least two training samples")
-    # carve a validation slice out of the training rows
-    perm = rng.permutation(train_idx.size)
+    # carve a validation slice out of the training rows; the fit keeps at least one
     n_val = max(1, int(round(val_fraction * train_idx.size)))
-    val_idx = train_idx[perm[:n_val]]
-    fit_idx = train_idx[perm[n_val:]]
-    if fit_idx.size == 0:
-        fit_idx = val_idx
-
-    order = list(split_cfg.active) + list(split_cfg.passive)
-    x_fit = ds.x[fit_idx][:, order]
-    x_val = ds.x[val_idx][:, order]
-    y_fit = _one_hot(ds.y[fit_idx], ds.k)
-    y_val = _one_hot(ds.y[val_idx], ds.k)
-
-    k, d_t = ds.k, ds.d_t
-    w = 0.01 * rng.standard_normal((k, d_t))
-    b = np.zeros(k)
-
-    m_w = np.zeros_like(w); v_w = np.zeros_like(w)
-    m_b = np.zeros_like(b); v_b = np.zeros_like(b)
-    beta1, beta2, eps = 0.9, 0.999, 1e-8
-
-    best = (np.inf, w.copy(), b.copy())
-    stall = 0
-    for epoch in range(1, cfg.max_epochs + 1):
-        loss, gw, gb = loss_and_grads(w, b, x_fit, y_fit, cfg.lam)
-        if not np.isfinite(loss):
-            raise TrainingError(f"training diverged at epoch {epoch} (loss={loss})")
-        m_w = beta1 * m_w + (1 - beta1) * gw
-        v_w = beta2 * v_w + (1 - beta2) * gw * gw
-        m_b = beta1 * m_b + (1 - beta1) * gb
-        v_b = beta2 * v_b + (1 - beta2) * gb * gb
+    # one entry per live window along the leading axis of every array; each
+    # window's parameters are [W b], so one Adam step covers both
+    n_w = ds.k * ds.d_t
+    x = np.empty((len(splits), train_idx.size, ds.d_t))
+    labels = np.empty((len(splits), train_idx.size), dtype=int)
+    theta = np.zeros((len(splits), n_w + ds.k))
+    for i, (split, c) in enumerate(zip(splits, cfgs)):
+        rng = np.random.default_rng(c.seed)
+        rows = train_idx[rng.permutation(train_idx.size)]
+        x[i], labels[i] = ds.x[rows][:, split.active + split.passive], ds.y[rows]
+        theta[i, :n_w] = 0.01 * rng.standard_normal(n_w)
+    x_val, x_fit = np.split(x, [n_val], axis=1)
+    y_val, y_fit = np.split(np.eye(ds.k)[labels], [n_val], axis=1)
+    del x, labels       # the stacked rows go once the first stopped window is compacted out
+    live = np.arange(len(splits))
+    lam = np.array([c.lam for c in cfgs])
+    max_epochs = np.array([c.max_epochs for c in cfgs])
+    m, v, best = np.zeros_like(theta), np.zeros_like(theta), theta.copy()
+    best_loss = np.full(len(splits), np.inf)
+    last_gain = np.zeros(len(splits), dtype=int)    # epoch of the last relative gain
+    models = [None] * len(splits)
+    epoch, next_check = 0, min(patience, *(c.max_epochs for c in cfgs))
+    w, b = theta[:, :n_w].reshape(-1, ds.k, ds.d_t), theta[:, n_w:]
+    while True:
+        # no window stops before its cap or patience epochs after its last gain
+        if epoch >= next_check:
+            done = (epoch - last_gain >= patience) | (max_epochs <= epoch)
+            for i in np.flatnonzero(done):
+                split, best_w = splits[live[i]], best[i, :n_w].reshape(ds.k, ds.d_t)
+                n_act = split.d_t - split.d
+                models[live[i]] = VflModel(
+                    w_act=best_w[:, :n_act], w_pas=best_w[:, n_act:], b=best[i, n_w:],
+                    k=ds.k, split=split, lam=cfgs[live[i]].lam)
+            if done.all():
+                return models
+            if done.any():
+                keep = ~done
+                (live, lam, max_epochs, x_fit, x_val, y_fit, y_val, theta, m, v, best,
+                 best_loss, last_gain) = (
+                    a[keep] for a in (live, lam, max_epochs, x_fit, x_val, y_fit, y_val,
+                                      theta, m, v, best, best_loss, last_gain))
+            next_check = int(min(max_epochs.min(), last_gain.min() + patience))
+            w, b = theta[:, :n_w].reshape(-1, ds.k, ds.d_t), theta[:, n_w:]
+        epoch += 1
+        loss, gw, gb = loss_and_grads(w, b, x_fit, y_fit, lam)
+        finite = np.isfinite(loss)
+        if not finite.all():
+            i = np.argmin(finite)
+            raise TrainingError(f"training of window {live[i]} diverged at epoch "
+                                f"{epoch} (loss={loss[i]})")
+        g = np.concatenate((gw.reshape(len(live), -1), gb), axis=-1)
+        m = beta1 * m + (1 - beta1) * g
+        v = beta2 * v + (1 - beta2) * g * g
         c1 = 1 - beta1 ** epoch
         c2 = 1 - beta2 ** epoch
-        w -= lr * (m_w / c1) / (np.sqrt(v_w / c2) + eps)
-        b -= lr * (m_b / c1) / (np.sqrt(v_b / c2) + eps)
+        theta -= lr * (m / c1) / (np.sqrt(v / c2) + eps)
 
-        val_loss = loss_value(w, b, x_val, y_val, cfg.lam)
-        if val_loss < best[0] * (1.0 - tol):
-            best = (val_loss, w.copy(), b.copy())
-            stall = 0
-        else:
-            if val_loss < best[0]:
-                best = (val_loss, w.copy(), b.copy())
-            stall += 1
-            if stall >= patience:
-                break
-
-    _, w, b = best
-    n_act = split_cfg.d_t - split_cfg.d
-    return VflModel(w_act=w[:, :n_act], w_pas=w[:, n_act:], b=b,
-                    k=k, split=split_cfg, lam=cfg.lam)
+        val_loss = loss_value(w, b, x_val, y_val, lam)
+        np.copyto(last_gain, epoch, where=val_loss < best_loss * (1.0 - tol))
+        np.copyto(best, theta, where=(val_loss < best_loss)[:, None])
+        best_loss = np.fmin(best_loss, val_loss)    # a NaN loss keeps the best
 
 
 def accuracy(model: VflModel, ds: Dataset) -> float:

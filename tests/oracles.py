@@ -17,7 +17,7 @@ from scipy import optimize
 from vflpriv import defense, metrics
 from vflpriv.attacks import run_attack
 from vflpriv.metrics import EPS_CLIP, _check_prob, _per_row
-from vflpriv.model import predict, softmax
+from vflpriv.model import TrainingError, VflModel, predict, softmax
 from vflpriv.numerics import NumericsError, _cap_error, as_matrix, svd
 from vflpriv.system import LinearSystem, build_system, difference_matrix
 
@@ -202,6 +202,72 @@ def finite_difference_grad(fun, x, h: float = 1e-6):
         e[i] = h
         g[i] = (fun(x + e) - fun(x - e)) / (2.0 * h)
     return g
+
+
+def softmax_rows(z) -> np.ndarray:
+    """Softmax by np.max and np.sum along the last axis, one short reduction per row."""
+    z = np.asarray(z, dtype=float)
+    e = np.exp(z - np.max(z, axis=-1, keepdims=True))
+    return e / np.sum(e, axis=-1, keepdims=True)
+
+
+def _window_loss(w, b, x, y_onehot, lam):
+    scores = softmax_rows(x @ w.T + b)
+    ce = -np.sum(y_onehot * np.log(scores + 1e-300)) / x.shape[0]
+    return scores, ce + lam * (np.sum(w * w) + np.sum(b * b))
+
+
+def train_window(ds, split_cfg, cfg):
+    """One window's model by its own Adam loop: the rule train applies to a batch.
+
+    Full-batch Adam on 2-D arrays, one window and one epoch at a time, with
+    the loss, its gradients and the early stop written out. Returns the model
+    and the number of epochs run.
+    """
+    lr, patience, tol, val_fraction = 0.05, 20, 1e-6, 0.1
+    rng = np.random.default_rng(cfg.seed)
+    train_idx = np.flatnonzero(ds.train_mask)
+    perm = rng.permutation(train_idx.size)
+    n_val = max(1, int(round(val_fraction * train_idx.size)))
+    order = list(split_cfg.active) + list(split_cfg.passive)
+    fit_idx, val_idx = train_idx[perm[n_val:]], train_idx[perm[:n_val]]
+    x_fit, x_val = ds.x[fit_idx][:, order], ds.x[val_idx][:, order]
+    y_fit, y_val = np.eye(ds.k)[ds.y[fit_idx]], np.eye(ds.k)[ds.y[val_idx]]
+    w = 0.01 * rng.standard_normal((ds.k, ds.d_t))
+    b = np.zeros(ds.k)
+    m_w, v_w, m_b, v_b = np.zeros_like(w), np.zeros_like(w), np.zeros_like(b), np.zeros_like(b)
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+    best, stall, epoch = (np.inf, w.copy(), b.copy()), 0, 0
+    for epoch in range(1, cfg.max_epochs + 1):
+        scores, loss = _window_loss(w, b, x_fit, y_fit, cfg.lam)
+        if not np.isfinite(loss):
+            raise TrainingError(f"training diverged at epoch {epoch} (loss={loss})")
+        delta = (scores - y_fit) / x_fit.shape[0]
+        gw = delta.T @ x_fit + 2.0 * cfg.lam * w
+        gb = delta.sum(axis=0) + 2.0 * cfg.lam * b
+        m_w = beta1 * m_w + (1 - beta1) * gw
+        v_w = beta2 * v_w + (1 - beta2) * gw * gw
+        m_b = beta1 * m_b + (1 - beta1) * gb
+        v_b = beta2 * v_b + (1 - beta2) * gb * gb
+        c1 = 1 - beta1 ** epoch
+        c2 = 1 - beta2 ** epoch
+        w -= lr * (m_w / c1) / (np.sqrt(v_w / c2) + eps)
+        b -= lr * (m_b / c1) / (np.sqrt(v_b / c2) + eps)
+
+        val_loss = _window_loss(w, b, x_val, y_val, cfg.lam)[1]
+        if val_loss < best[0] * (1.0 - tol):
+            best = (val_loss, w.copy(), b.copy())
+            stall = 0
+        else:
+            if val_loss < best[0]:
+                best = (val_loss, w.copy(), b.copy())
+            stall += 1
+            if stall >= patience:
+                break
+    _, w, b = best
+    n_act = split_cfg.d_t - split_cfg.d
+    return VflModel(w_act=w[:, :n_act], w_pas=w[:, n_act:], b=b, k=ds.k,
+                    split=split_cfg, lam=cfg.lam), epoch
 
 
 def random_satisfiable_system(rng, d, m, margin: float = 0.05):

@@ -567,6 +567,17 @@ class TestRcc1PrimalDual:
             attacks.attack_rcc1(LinearSystem(a=RCC1_STALL_A, b=RCC1_STALL_B))
         assert str(err.value).startswith("rcc1 rows [0, 1, 2, 3, 4] end with gaps")
 
+    def test_cap_message_is_one_line(self, monkeypatch):
+        # 40 failed rows: an array repr of their gaps would wrap
+        _capped_rcc1(monkeypatch, 2)
+        with pytest.raises(attacks.AttackError) as err:
+            attacks.attack_rcc1(LinearSystem(a=RCC1_STALL_A, b=np.tile(RCC1_STALL_B, (8, 1))))
+        message = str(err.value)
+        assert "\n" not in message
+        gaps = message.split(" end with gaps ")[1].split(" above ")[0].split(" ")
+        assert len(gaps) == 40
+        assert all(float(g) > 0.0 and g == f"{float(g):.3e}" for g in gaps)
+
     def test_non_finite_step_ends_only_its_row(self, monkeypatch):
         real = np.linalg.solve
 

@@ -296,13 +296,14 @@ class TestSubcommands:
 
 @pytest.fixture()
 def train_calls(monkeypatch):
-    """Count every train call made through the CLI or metrics."""
+    """The windows of every train call made through the CLI or metrics, one entry a call."""
     from vflpriv import metrics
     calls = []
     for mod in (cli, metrics):
         real = mod.train
-        monkeypatch.setattr(mod, "train",
-                            lambda *a, real=real, **kw: calls.append(1) or real(*a, **kw))
+        monkeypatch.setattr(mod, "train", lambda ds, splits, *a, real=real, **kw:
+                            calls.append(len(splits) if isinstance(splits, list) else 1)
+                            or real(ds, splits, *a, **kw))
     return calls
 
 
@@ -568,12 +569,12 @@ def metrics_calls(monkeypatch):
 
 def test_figure1_trains_each_window_once(tmp_path, train_calls, metrics_calls):
     # d_t = 4 windows per d, each with one model and one system, whatever
-    # the number of attacks
+    # the number of attacks; one train call per d fits its 4 windows
     for attacks in ("rg,half,ls,half_star", "half"):
         assert _run(["figure1", "--synth-n", "150", "--synth-dt", "4",
                      "--d-grid", "1,2", "--attacks", attacks,
                      "--n", "5", "--out", str(tmp_path / "fig1.csv")]) == 0
-        assert len(train_calls) == 2 * 4
+        assert train_calls == [4, 4]
         assert len(metrics_calls["build_system"]) == 2 * 4
         train_calls.clear()
         metrics_calls["build_system"].clear()

@@ -259,11 +259,10 @@ class TestNormalize:
 
 class TestSplit:
     def test_deterministic_and_disjoint(self):
-        ds = dataset.normalize(np.random.default_rng(0).uniform(size=(20, 3)),
-                               np.arange(20) % 2, k=2)
-        s1 = dataset.split(ds, fraction=0.8, seed=5)
-        s2 = dataset.split(ds, fraction=0.8, seed=5)
+        spec = dataset.SyntheticSpec(n=20, d_t=3, k=2, seed=5)
+        s1, s2 = dataset.synthesize(spec), dataset.synthesize(spec)
         assert np.array_equal(s1.train_mask, s2.train_mask)
+        assert np.array_equal(s1.train_mask, dataset.split_mask(20, 0.8, 5))
         assert not np.any(s1.train_mask & s1.test_mask)
         assert np.all(s1.train_mask | s1.test_mask)
         assert s1.train_mask.sum() == 16
@@ -279,12 +278,10 @@ class TestSplit:
         loaded = dataset.load_dataset(path, train_fraction=fraction, seed=seed)
         assert np.array_equal(loaded.train_mask, want)
         assert np.array_equal(loaded.test_mask, ~want)
-        ds = dataset.normalize(x, np.arange(37) % 3, k=3)
-        if 0 < want.sum() < 37:
-            assert np.array_equal(dataset.split(ds, fraction, seed).train_mask, want)
-        else:   # split needs a sample on each side; load_dataset does not
-            with pytest.raises(dataset.DataError, match="side"):
-                dataset.split(ds, fraction, seed)
+        assert np.array_equal(dataset.split_mask(37, fraction, seed), want)
+        if fraction == 0.8:     # synthesize draws its 0.8 split the same way
+            spec = dataset.SyntheticSpec(n=37, d_t=2, k=3, seed=seed)
+            assert np.array_equal(dataset.synthesize(spec).train_mask, want)
 
     @pytest.mark.parametrize("fraction", [0.0, -0.5, 1.0, 1.5, float("nan")])
     def test_fraction_outside_0_1(self, tmp_path, fraction):
@@ -293,9 +290,11 @@ class TestSplit:
             dataset.load_dataset(path, train_fraction=fraction)
 
     def test_degenerate_fraction(self):
-        ds = dataset.normalize(np.zeros((3, 1)), [0, 1, 0], k=2)
-        with pytest.raises(dataset.DataError):
-            dataset.split(ds, fraction=0.99)
+        # 0.8 of 2 rows rounds to 2: no test row
+        with pytest.raises(dataset.DataError, match="side"):
+            dataset.synthesize(dataset.SyntheticSpec(n=2, d_t=1, k=2, seed=0))
+        assert dataset.synthesize(dataset.SyntheticSpec(n=3, d_t=1, k=2, seed=0)
+                                  ).train_mask.sum() == 2
 
 
 class TestSynthesize:

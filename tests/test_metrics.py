@@ -211,16 +211,16 @@ class TestAverageOverSpace:
 
     def test_windows_cover_all_starts(self, tiny, monkeypatch):
         # d=1, d_t=3: each feature serves as the passive window exactly once,
-        # on a model trained with lam and the window's seed
+        # on a model trained with lam and the window's seed, all in one batch
         trained = []
 
-        def recording_train(ds, split, cfg):
-            trained.append((split.passive, cfg))
-            return train(ds, split, cfg)
+        def recording_train(ds, splits, cfgs):
+            trained.append([(split.passive, cfg) for split, cfg in zip(splits, cfgs)])
+            return train(ds, splits, cfgs)
         monkeypatch.setattr(metrics, "train", recording_train)
         avg = metrics.average_over_space(tiny, 1, ["half"], n_pred=8,
                                          lam=0.1, seed=0)["half"]
-        assert trained == [((s,), TrainConfig(lam=0.1, seed=s)) for s in range(3)]
+        assert trained == [[((s,), TrainConfig(lam=0.1, seed=s)) for s in range(3)]]
         rows = np.flatnonzero(tiny.test_mask)[:8]
         per_window = []
         for start in range(3):

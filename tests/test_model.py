@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from vflpriv.dataset import SyntheticSpec, synthesize
@@ -61,6 +63,22 @@ class TestSoftmax:
         assert np.allclose(softmax([np.log(3.0), 0.0]), [0.75, 0.25])
 
 
+    @settings(max_examples=150, deadline=None)
+    @given(k=st.integers(2, 130), rows=st.one_of(st.none(), st.integers(1, 40)),
+           scale=st.sampled_from([1e-3, 1.0, 30.0, 800.0]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_matches_row_reduction_oracle_bit_for_bit(self, k, rows, scale, seed):
+        # k >= 8 takes numpy's 8-accumulator sum, k > 128 its recursive split
+        shape = (k,) if rows is None else (rows, k)
+        z = scale * np.random.default_rng(seed).standard_normal(shape)
+        assert np.array_equal(softmax(z), oracles.softmax_rows(z))
+
+    @pytest.mark.parametrize("shape", [(3, 7, 9), (8, 136), (2, 129), (1000,), (3, 1001)])
+    def test_stacked_rows_and_long_sums_match_the_oracle(self, shape):
+        z = 20.0 * np.random.default_rng(8).standard_normal(shape)
+        assert np.array_equal(softmax(z), oracles.softmax_rows(z))
+
+
 class TestGradients:
     def test_finite_difference_check(self):
         rng = np.random.default_rng(3)
@@ -94,6 +112,20 @@ class TestGradients:
         w, b = rng.standard_normal((3, 5)), rng.standard_normal(3)
         for lam in (0.0, 1e-3):
             assert loss_value(w, b, x, y, lam) == loss_and_grads(w, b, x, y, lam)[0]
+
+    def test_window_axis_gives_each_window_its_own_bits(self):
+        rng = np.random.default_rng(6)
+        n, d, k = 40, 5, 4
+        x = rng.uniform(size=(3, n, d))
+        y = np.eye(k)[rng.integers(0, k, (3, n))]
+        w, b = rng.standard_normal((3, k, d)), rng.standard_normal((3, k))
+        lam = np.array([0.0, 1e-3, 0.5])
+        loss, gw, gb = loss_and_grads(w, b, x, y, lam)
+        val = loss_value(w, b, x, y, lam)
+        for i in range(3):
+            one = loss_and_grads(w[i], b[i], x[i], y[i], float(lam[i]))
+            assert loss[i] == one[0] == val[i]
+            assert np.array_equal(gw[i], one[1]) and np.array_equal(gb[i], one[2])
 
     def test_loss_decomposition(self):
         # zero regularization: loss equals plain cross-entropy
@@ -203,3 +235,75 @@ class TestModelObject:
             VflModel(w_act=np.zeros((2, 2)),
                      w_pas=np.array([[np.inf, 0.0], [0.0, 0.0]]),
                      b=np.zeros(2), k=2, split=split)
+
+
+def _same_model(got, want):
+    return (np.array_equal(got.w_act, want.w_act) and np.array_equal(got.w_pas, want.w_pas)
+            and np.array_equal(got.b, want.b) and got.split == want.split
+            and got.lam == want.lam)
+
+
+class TestBatchedTraining:
+    """train on a batch of windows against one oracle loop per window, bit for bit."""
+
+    @staticmethod
+    def _check(ds, splits, cfgs):
+        models = train(ds, splits, cfgs)
+        assert len(models) == len(splits)
+        epochs = []
+        for got, split, cfg in zip(models, splits, cfgs):
+            want, ran = oracles.train_window(ds, split, cfg)
+            assert _same_model(got, want)
+            epochs.append(ran)
+        return epochs
+
+    @pytest.mark.parametrize("k", [2, 4, 9])
+    @pytest.mark.parametrize("lam", [0.0, 1e-3])
+    def test_every_window_matches_its_own_loop(self, k, lam):
+        # d_t = 6, d = 3: starts 4 and 5 wrap around
+        ds = synthesize(SyntheticSpec(n=60 * k, d_t=6, k=k, seed=k))
+        splits = [VflSplit.contiguous(6, s, 3) for s in range(6)]
+        assert splits[5].passive == (5, 0, 1)
+        epochs = self._check(ds, splits, [TrainConfig(lam=lam, seed=s) for s in range(6)])
+        assert len(set(epochs)) > 1      # windows leave the batch at different epochs
+
+    def test_mixed_caps_seeds_and_weights(self, small_dataset):
+        # window 1 stops at its cap of 15 epochs, window 3 runs none; the
+        # others stop on the plateau, each at its own epoch
+        splits = [VflSplit.contiguous(10, s, d) for s, d in ((0, 4), (9, 4), (3, 1), (5, 10))]
+        cfgs = [TrainConfig(seed=3), TrainConfig(seed=4, max_epochs=15),
+                TrainConfig(seed=5, lam=0.01), TrainConfig(seed=6, max_epochs=0)]
+        epochs = self._check(small_dataset, splits, cfgs)
+        assert epochs[1] == 15 and epochs[3] == 0
+        assert 15 < min(epochs[0], epochs[2]) and epochs[0] != epochs[2]
+        assert max(epochs[0], epochs[2]) < 3000
+
+    def test_one_window_is_a_batch_of_one(self, small_dataset):
+        split, cfg = VflSplit.contiguous(10, 7, 5), TrainConfig(seed=2, lam=1e-3)
+        alone = train(small_dataset, split, cfg)
+        assert _same_model(alone, oracles.train_window(small_dataset, split, cfg)[0])
+        assert _same_model(alone, train(small_dataset, [split], [cfg])[0])
+
+    def test_empty_batch(self, small_dataset):
+        assert train(small_dataset, [], []) == []
+
+    def test_lengths_must_agree(self, small_dataset):
+        with pytest.raises(TrainingError, match="2 splits but 1 configs"):
+            train(small_dataset, [VflSplit.contiguous(10, 0, 2)] * 2, [TrainConfig()])
+
+    def test_divergence_names_the_window_and_epoch(self, small_dataset, monkeypatch):
+        from vflpriv import model as model_mod
+        real, calls = model_mod.loss_and_grads, []
+
+        def poisoned(*args):
+            loss, gw, gb = real(*args)
+            calls.append(None)
+            if len(calls) == 3:
+                loss = loss.copy()
+                loss[1] = np.nan
+            return loss, gw, gb
+
+        monkeypatch.setattr(model_mod, "loss_and_grads", poisoned)
+        splits = [VflSplit.contiguous(10, s, 3) for s in range(3)]
+        with pytest.raises(TrainingError, match="window 1 diverged at epoch 3"):
+            train(small_dataset, splits, [TrainConfig(seed=s) for s in range(3)])
