@@ -2,7 +2,10 @@
 
 Training runs full-batch Adam on the average cross-entropy plus the
 regularizer lam * (Tr(WW^T) + ||b||^2), with early stopping on a validation
-plateau, for one feature split or a batch of them in one loop. Trained
+plateau, for one feature split or a batch of them in one loop. Each epoch is
+one forward pass over the validation and fit rows together. Its softmax runs
+on (window, class, row) scores; its products and sums keep the row-major
+(window, row, class) order whose bits the reference loop fixes. Trained
 models are immutable and safe to share across threads.
 """
 
@@ -164,38 +167,53 @@ def predict(model: VflModel, y_act, x_pas) -> np.ndarray:
     return softmax(model.logits(y_act, x_pas))
 
 
-def _scores_and_loss(w, b, x, y_onehot, lam):
-    logits = x @ w.swapaxes(-1, -2)
-    logits += b[..., None, :]
-    scores = softmax(logits)
-    terms = np.log(scores + 1e-300)
-    terms *= y_onehot
-    # a / -n has the bits of -a / n
-    ce = terms.sum(axis=(-2, -1)) / -x.shape[-2]
-    return scores, ce + lam * ((w * w).sum(axis=(-2, -1)) + (b * b).sum(axis=-1))
-
-
-def loss_value(w: np.ndarray, b: np.ndarray, x: np.ndarray,
-               y_onehot: np.ndarray, lam) -> float | np.ndarray:
-    """The loss of loss_and_grads alone, by the same floating-point operations."""
-    return _scores_and_loss(w, b, x, y_onehot, lam)[1]
-
-
 def loss_and_grads(w: np.ndarray, b: np.ndarray, x: np.ndarray,
-                   y_onehot: np.ndarray, lam):
+                   y_onehot: np.ndarray, lam, n_val: int):
     """Average cross-entropy (nats) + lam (Tr(WW^T) + ||b||^2) and its gradients.
 
     w is k x d, b k, x n x d, y_onehot n x k and lam a number; or each
     carries a leading window axis (lam then one weight per window), and every
-    window gets the bits it would get alone.
+    window gets the bits it would get alone. The first n_val rows validate
+    and the rest fit: one forward pass returns (validation loss, fit loss,
+    grad_w, grad_b), the gradients of the fit loss alone.
+
+    The softmax runs class-major, k x n: the bias, the shift and the divide
+    each take one numpy call whose inner loop runs along the rows, and the
+    max and the sum over the classes take numpy's order through _pairwise.
+    Everything else keeps the row-major n x k layout, whose bits the
+    reference fixes: the product x W^T (BLAS gives others for W x^T at some
+    k), the cross-entropy, summed pairwise over each window's n x k terms,
+    and delta^T x. The bias gradient is the last row of a running sum down
+    the rows, the sequence in which numpy sums over that axis.
     """
-    scores, loss = _scores_and_loss(w, b, x, y_onehot, lam)
-    delta = scores - y_onehot
-    delta /= x.shape[-2]
+    n_fit = x.shape[-2] - n_val
+    rows = x @ w.swapaxes(-1, -2)
+    scores = np.ascontiguousarray(rows.swapaxes(-1, -2))
+    scores += b[..., None]
+    classes = np.moveaxis(scores, -2, 0)     # one contiguous slice per class
+    top = _pairwise(np.maximum, classes)
+    classes -= top
+    del top
+    np.exp(scores, out=scores)
+    total = _pairwise(np.add, classes)
+    classes /= total
+    np.copyto(rows, scores.swapaxes(-1, -2))
+    del scores, classes, total
+    terms = rows + 1e-300
+    np.log(terms, out=terms)
+    terms *= y_onehot
+    reg = lam * ((w * w).sum(axis=(-2, -1)) + (b * b).sum(axis=-1))
+    # a / -n has the bits of -a / n
+    val_loss = terms[..., :n_val, :].sum(axis=(-2, -1)) / -n_val + reg
+    fit_loss = terms[..., n_val:, :].sum(axis=(-2, -1)) / -n_fit + reg
+    rows -= y_onehot
+    rows /= n_fit
+    delta = rows[..., n_val:, :]
     two_lam = 2.0 * np.asarray(lam)
-    grad_w = delta.swapaxes(-1, -2) @ x + two_lam[..., None, None] * w
-    grad_b = delta.sum(axis=-2) + two_lam[..., None] * b
-    return loss, grad_w, grad_b
+    grad_w = delta.swapaxes(-1, -2) @ x[..., n_val:, :] + two_lam[..., None, None] * w
+    # in place; numpy's sum over the rows has the same bits, with an inner loop of k
+    grad_b = np.add.accumulate(delta, axis=-2, out=delta)[..., -1, :] + two_lam[..., None] * b
+    return val_loss, fit_loss, grad_w, grad_b
 
 
 def train(ds: Dataset, split_cfg: VflSplit | list[VflSplit],
@@ -212,6 +230,14 @@ def train(ds: Dataset, split_cfg: VflSplit | list[VflSplit],
     leading window axis, and a window leaves the arrays when it stops, so
     each window's weights are bit-identical to its own train call. A
     divergence names the window and the epoch.
+
+    Each epoch is one loss_and_grads call on the validation and fit rows
+    together at the current parameters: its validation loss scores the last
+    step and its fit gradient makes the next, so E epochs take E + 1 calls.
+    In an epoch the validation bookkeeping comes first, then the stop check,
+    which compacts stopped windows out in place along with their forward's
+    loss and gradient, then the divergence check on the windows still
+    running, then the Adam step.
     """
     if isinstance(split_cfg, VflSplit):
         return train(ds, [split_cfg], [cfg])[0]
@@ -233,16 +259,14 @@ def train(ds: Dataset, split_cfg: VflSplit | list[VflSplit],
     # window's parameters are [W b], so one Adam step covers both
     n_w = ds.k * ds.d_t
     x = np.empty((len(splits), train_idx.size, ds.d_t))
-    labels = np.empty((len(splits), train_idx.size), dtype=int)
+    y = np.zeros((len(splits), train_idx.size, ds.k))     # one-hot labels
     theta = np.zeros((len(splits), n_w + ds.k))
     for i, (split, c) in enumerate(zip(splits, cfgs)):
         rng = np.random.default_rng(c.seed)
         rows = train_idx[rng.permutation(train_idx.size)]
-        x[i], labels[i] = ds.x[rows][:, split.active + split.passive], ds.y[rows]
+        x[i] = ds.x[rows][:, split.active + split.passive]
+        np.put_along_axis(y[i], ds.y[rows, None], 1.0, axis=-1)
         theta[i, :n_w] = 0.01 * rng.standard_normal(n_w)
-    x_val, x_fit = np.split(x, [n_val], axis=1)
-    y_val, y_fit = np.split(np.eye(ds.k)[labels], [n_val], axis=1)
-    del x, labels       # the stacked rows go once the first stopped window is compacted out
     live = np.arange(len(splits))
     lam = np.array([c.lam for c in cfgs])
     max_epochs = np.array([c.max_epochs for c in cfgs])
@@ -253,43 +277,53 @@ def train(ds: Dataset, split_cfg: VflSplit | list[VflSplit],
     epoch, next_check = 0, min(patience, *(c.max_epochs for c in cfgs))
     w, b = theta[:, :n_w].reshape(-1, ds.k, ds.d_t), theta[:, n_w:]
     while True:
+        # at the parameters after `epoch` steps
+        val_loss, loss, gw, gb = loss_and_grads(w, b, x, y, lam, n_val)
+        g = np.concatenate((gw.reshape(len(live), -1), gb), axis=-1)
+        if epoch:
+            np.copyto(last_gain, epoch, where=val_loss < best_loss * (1.0 - tol))
+            np.copyto(best, theta, where=(val_loss < best_loss)[:, None])
+            best_loss = np.fmin(best_loss, val_loss)    # a NaN loss keeps the best
         # no window stops before its cap or patience epochs after its last gain
         if epoch >= next_check:
             done = (epoch - last_gain >= patience) | (max_epochs <= epoch)
             for i in np.flatnonzero(done):
-                split, best_w = splits[live[i]], best[i, :n_w].reshape(ds.k, ds.d_t)
+                # a copy: compaction overwrites the rows of best in place
+                split, params = splits[live[i]], best[i].copy()
+                best_w = params[:n_w].reshape(ds.k, ds.d_t)
                 n_act = split.d_t - split.d
                 models[live[i]] = VflModel(
-                    w_act=best_w[:, :n_act], w_pas=best_w[:, n_act:], b=best[i, n_w:],
+                    w_act=best_w[:, :n_act], w_pas=best_w[:, n_act:], b=params[n_w:],
                     k=ds.k, split=split, lam=cfgs[live[i]].lam)
             if done.all():
                 return models
             if done.any():
                 keep = ~done
-                (live, lam, max_epochs, x_fit, x_val, y_fit, y_val, theta, m, v, best,
-                 best_loss, last_gain) = (
-                    a[keep] for a in (live, lam, max_epochs, x_fit, x_val, y_fit, y_val,
-                                      theta, m, v, best, best_loss, last_gain))
+                (live, lam, max_epochs, x, y, theta, m, v, best, best_loss, last_gain,
+                 loss, g) = (
+                    _compact(a, keep) for a in (live, lam, max_epochs, x, y, theta, m, v,
+                                                best, best_loss, last_gain, loss, g))
             next_check = int(min(max_epochs.min(), last_gain.min() + patience))
             w, b = theta[:, :n_w].reshape(-1, ds.k, ds.d_t), theta[:, n_w:]
         epoch += 1
-        loss, gw, gb = loss_and_grads(w, b, x_fit, y_fit, lam)
         finite = np.isfinite(loss)
         if not finite.all():
             i = np.argmin(finite)
             raise TrainingError(f"training of window {live[i]} diverged at epoch "
                                 f"{epoch} (loss={loss[i]})")
-        g = np.concatenate((gw.reshape(len(live), -1), gb), axis=-1)
         m = beta1 * m + (1 - beta1) * g
         v = beta2 * v + (1 - beta2) * g * g
         c1 = 1 - beta1 ** epoch
         c2 = 1 - beta2 ** epoch
         theta -= lr * (m / c1) / (np.sqrt(v / c2) + eps)
 
-        val_loss = loss_value(w, b, x_val, y_val, lam)
-        np.copyto(last_gain, epoch, where=val_loss < best_loss * (1.0 - tol))
-        np.copyto(best, theta, where=(val_loss < best_loss)[:, None])
-        best_loss = np.fmin(best_loss, val_loss)    # a NaN loss keeps the best
+
+def _compact(a, keep):
+    """a[keep], moved into the leading entries of a itself; a view of them."""
+    kept = np.flatnonzero(keep)
+    for j, i in enumerate(kept):
+        a[j] = a[i]
+    return a[:kept.size]
 
 
 def accuracy(model: VflModel, ds: Dataset) -> float:

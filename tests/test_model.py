@@ -1,13 +1,14 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from vflpriv.dataset import SyntheticSpec, synthesize
+from vflpriv.dataset import SyntheticSpec, split_mask, synthesize
 from vflpriv.model import (TrainConfig, TrainingError, VflModel, VflSplit,
-                           accuracy, loss_and_grads, loss_value, predict,
-                           softmax, train)
+                           accuracy, loss_and_grads, predict, softmax, train)
 
 
 class TestSplit:
@@ -81,37 +82,38 @@ class TestSoftmax:
 
 class TestGradients:
     def test_finite_difference_check(self):
+        # three validation rows ahead of twelve fit rows; the gradients are the fit loss's
         rng = np.random.default_rng(3)
-        n, d, k = 12, 4, 3
-        x = rng.uniform(size=(n, d))
-        y = np.zeros((n, k))
-        y[np.arange(n), rng.integers(0, k, n)] = 1.0
+        n_val, n, d, k = 3, 12, 4, 3
+        x = rng.uniform(size=(n_val + n, d))
+        y = np.eye(k)[rng.integers(0, k, n_val + n)]
         w0 = rng.standard_normal((k, d))
         b0 = rng.standard_normal(k)
         lam = 1e-3
 
-        _, gw, gb = loss_and_grads(w0, b0, x, y, lam)
+        _, _, gw, gb = loss_and_grads(w0, b0, x, y, lam, n_val)
 
         def loss_of_w(wflat):
-            return loss_and_grads(wflat.reshape(k, d), b0, x, y, lam)[0]
+            return loss_and_grads(wflat.reshape(k, d), b0, x, y, lam, n_val)[1]
 
         def loss_of_b(b):
-            return loss_and_grads(w0, b, x, y, lam)[0]
+            return loss_and_grads(w0, b, x, y, lam, n_val)[1]
 
         fd_w = oracles.finite_difference_grad(loss_of_w, w0.ravel())
         fd_b = oracles.finite_difference_grad(loss_of_b, b0)
         assert np.allclose(gw.ravel(), fd_w, atol=1e-5)
         assert np.allclose(gb, fd_b, atol=1e-5)
 
-    def test_loss_value_is_the_fit_loss(self):
-        # validation uses loss_value; it must equal the fit loss bit for bit
+    def test_validation_loss_is_the_fit_loss(self):
+        # the same rows as validation and as fit give the same loss, bit for bit
         rng = np.random.default_rng(4)
         x = rng.uniform(size=(30, 5))
-        y = np.zeros((30, 3))
-        y[np.arange(30), rng.integers(0, 3, 30)] = 1.0
+        y = np.eye(3)[rng.integers(0, 3, 30)]
         w, b = rng.standard_normal((3, 5)), rng.standard_normal(3)
+        twice, y2 = np.concatenate((x, x)), np.concatenate((y, y))
         for lam in (0.0, 1e-3):
-            assert loss_value(w, b, x, y, lam) == loss_and_grads(w, b, x, y, lam)[0]
+            val, fit, _, _ = loss_and_grads(w, b, twice, y2, lam, 30)
+            assert val == fit
 
     def test_window_axis_gives_each_window_its_own_bits(self):
         rng = np.random.default_rng(6)
@@ -120,21 +122,39 @@ class TestGradients:
         y = np.eye(k)[rng.integers(0, k, (3, n))]
         w, b = rng.standard_normal((3, k, d)), rng.standard_normal((3, k))
         lam = np.array([0.0, 1e-3, 0.5])
-        loss, gw, gb = loss_and_grads(w, b, x, y, lam)
-        val = loss_value(w, b, x, y, lam)
+        got = loss_and_grads(w, b, x, y, lam, 7)
         for i in range(3):
-            one = loss_and_grads(w[i], b[i], x[i], y[i], float(lam[i]))
-            assert loss[i] == one[0] == val[i]
-            assert np.array_equal(gw[i], one[1]) and np.array_equal(gb[i], one[2])
+            one = loss_and_grads(w[i], b[i], x[i], y[i], float(lam[i]), 7)
+            assert got[0][i] == one[0] and got[1][i] == one[1]
+            assert np.array_equal(got[2][i], one[2]) and np.array_equal(got[3][i], one[3])
+
+    @pytest.mark.parametrize("n, d, k", [(40, 5, 4), (800, 8, 2), (300, 6, 130), (50, 1, 3)])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_row_major_oracle_bits(self, n, d, k, seed):
+        # the losses and gradients of the oracle's row-major formulas, bit for
+        # bit; 800 x 2 and 300 x 130 make sums past numpy's 128-term block
+        rng = np.random.default_rng([n, seed])
+        n_val = n // 10
+        x = rng.uniform(size=(n, d))
+        labels = rng.integers(0, k, n)
+        w, b, lam = rng.standard_normal((k, d)), rng.standard_normal(k), 1e-3
+        val, fit, gw, gb = loss_and_grads(w, b, x, np.eye(k)[labels], lam, n_val)
+        assert val == oracles._window_loss(w, b, x[:n_val], np.eye(k)[labels[:n_val]], lam)[1]
+        y_fit = np.eye(k)[labels[n_val:]]
+        scores, want = oracles._window_loss(w, b, x[n_val:], y_fit, lam)
+        assert fit == want
+        delta = (scores - y_fit) / (n - n_val)
+        assert np.array_equal(gw, delta.T @ x[n_val:] + 2.0 * lam * w)
+        assert np.array_equal(gb, delta.sum(axis=0) + 2.0 * lam * b)
 
     def test_loss_decomposition(self):
         # zero regularization: loss equals plain cross-entropy
-        x = np.array([[0.5, 0.5]])
-        y = np.array([[1.0, 0.0]])
+        x = np.array([[0.5, 0.5], [0.5, 0.5]])
+        y = np.array([[1.0, 0.0], [0.0, 1.0]])
         w = np.zeros((2, 2))
         b = np.zeros(2)
-        loss, _, _ = loss_and_grads(w, b, x, y, 0.0)
-        assert loss == pytest.approx(np.log(2.0))
+        val, fit, _, _ = loss_and_grads(w, b, x, y, 0.0, 1)
+        assert val == pytest.approx(np.log(2.0)) and fit == pytest.approx(np.log(2.0))
 
 
 class TestTraining:
@@ -267,6 +287,33 @@ class TestBatchedTraining:
         epochs = self._check(ds, splits, [TrainConfig(lam=lam, seed=s) for s in range(6)])
         assert len(set(epochs)) > 1      # windows leave the batch at different epochs
 
+    @pytest.mark.parametrize("n, d_t, k, train_frac, d, windows", [
+        (1000, 8, 2, 0.8, 2, 8),    # figure1's shape: 720 fit rows, 1,440-term sums
+        (1000, 8, 2, 0.8, 4, 8),
+        (1000, 12, 4, 0.2, 6, 1),   # tradeoff's shape: 180 fit rows
+        (700, 6, 130, 0.8, 3, 2),   # k > 128 splits the class axis in two
+    ])
+    def test_bench_shapes_and_long_sums(self, n, d_t, k, train_frac, d, windows):
+        ds = synthesize(SyntheticSpec(n=n, d_t=d_t, k=k, seed=k))
+        ds = dataclasses.replace(ds, train_mask=split_mask(n, train_frac, k))
+        splits = [VflSplit.contiguous(d_t, s, d) for s in range(windows)]
+        self._check(ds, splits, [TrainConfig(seed=1 + s) for s in range(windows)])
+
+    def test_a_first_step_that_raises_the_validation_loss_is_kept(self):
+        # the forward at the initial parameters scores no step, so it never
+        # enters the best-loss bookkeeping. Zero features and balanced labels
+        # on the validation rows make the initial scores (b = 0) optimal
+        # there, so the one step raises the validation loss; the model is
+        # still the stepped one
+        ds = synthesize(SyntheticSpec(n=200, d_t=4, k=2, seed=3))
+        train_idx = np.flatnonzero(ds.train_mask)
+        n_val = round(0.1 * train_idx.size)
+        val_rows = train_idx[np.random.default_rng(0).permutation(train_idx.size)[:n_val]]
+        x, y = ds.x.copy(), ds.y.copy()
+        x[val_rows], y[val_rows] = 0.0, np.arange(n_val) % 2
+        ds = dataclasses.replace(ds, x=x, y=y)
+        assert self._check(ds, [VflSplit.contiguous(4, 0, 2)], [TrainConfig(max_epochs=1)]) == [1]
+
     def test_mixed_caps_seeds_and_weights(self, small_dataset):
         # window 1 stops at its cap of 15 epochs, window 3 runs none; the
         # others stop on the plateau, each at its own epoch
@@ -296,14 +343,35 @@ class TestBatchedTraining:
         real, calls = model_mod.loss_and_grads, []
 
         def poisoned(*args):
-            loss, gw, gb = real(*args)
+            val, loss, gw, gb = real(*args)
             calls.append(None)
             if len(calls) == 3:
                 loss = loss.copy()
                 loss[1] = np.nan
-            return loss, gw, gb
+            return val, loss, gw, gb
 
         monkeypatch.setattr(model_mod, "loss_and_grads", poisoned)
         splits = [VflSplit.contiguous(10, s, 3) for s in range(3)]
         with pytest.raises(TrainingError, match="window 1 diverged at epoch 3"):
             train(small_dataset, splits, [TrainConfig(seed=s) for s in range(3)])
+
+    def test_stop_check_runs_before_the_divergence_check(self, small_dataset, monkeypatch):
+        # the fourth forward is at window 0's parameters after its third and
+        # last step; the loop never steps on its fit loss there, so a NaN in
+        # it must neither raise nor reach window 1 through the compaction
+        from vflpriv import model as model_mod
+        real, calls = model_mod.loss_and_grads, []
+
+        def poisoned(*args):
+            val, loss, gw, gb = real(*args)
+            calls.append(len(loss))
+            if len(calls) == 4:
+                loss = loss.copy()
+                loss[0] = np.nan
+            return val, loss, gw, gb
+
+        monkeypatch.setattr(model_mod, "loss_and_grads", poisoned)
+        splits = [VflSplit.contiguous(10, s, 3) for s in range(2)]
+        cfgs = [TrainConfig(seed=0, max_epochs=3), TrainConfig(seed=1)]
+        epochs = self._check(small_dataset, splits, cfgs)
+        assert epochs[0] == 3 and calls[:5] == [2, 2, 2, 2, 1]
