@@ -15,6 +15,7 @@ runs, so a handler replaced after the parser was built still runs.
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 
 import numpy as np
@@ -194,34 +195,52 @@ def _defense_sweep(model: VflModel, ds: Dataset, rows, settings, attack: str,
                    rng=None) -> list[tuple[float, float, bool]]:
     """(MSE, mean KL bits, label kept) of one attack per (scheme, param) setting.
 
-    One predict and one clean build_system (checking every row) cover the batch;
-    the pps1 transform and the s1/s2 direction depend only on A and use it. Each
-    setting then makes one release, build_system, run_attack and kl_divergence
-    call over all rows; pps1 releases new weights and keeps the scores.
+    One predict and one clean build_system (checking every row) cover the N
+    rows, and the pps1 transform or the one s1/s2 direction comes from it.
+    pps1 comes alone and releases new weights with the scores. The S noisy
+    settings release one S*N x k batch: one build_system, run_attack and
+    kl_divergence call, so rng draws setting by setting, in row order. A
+    failure there is raised again with each row named by setting and row (a
+    ConvergenceError as a NumericsError, its rows and residuals in the text).
     """
     pas = list(model.split.passive)
     y_act, x_pas = ds.x[np.ix_(rows, model.split.active)], ds.x[np.ix_(rows, pas)]
-    z = model.logits(y_act, x_pas)
     c = predict(model, y_act, x_pas)
     clean = build_system(model, y_act, c)
-    label = np.argmax(c, axis=-1)[:, None]
-    out = []
+    if [scheme for scheme, _ in settings] == ["pps1"]:
+        h = defense.pps1_optimal_h(clean, metrics.moments(ds, pas).k0)
+        released = defense.pps1_reveal_params(model, h)
+        sys_ = build_system(released, y_act, c, source="defended")
+        est = run_attack(attack, sys_, model=released, y_act=y_act, c=c, rng=rng)
+        return [(metrics.empirical_mse(x_pas, est.x_hat), 0.0, True)]
+    z, v1, c_out = model.logits(y_act, x_pas), None, []
     for scheme, param in settings:
-        released, c_out, kl, source = model, c, 0.0, "noisy"
-        if scheme == "pps1":
-            h = defense.pps1_optimal_h(clean, metrics.moments(ds, pas).k0)
-            released, source = defense.pps1_reveal_params(model, h), "defended"
-        else:
-            if scheme in ("s1", "s2"):
-                param = defense.pps2_optimal_direction(clean, param)
-            c_out = defense.apply_scheme(z, param, scheme)
-            kl = float(np.mean(metrics.kl_divergence(c, c_out)))
-        sys_ = build_system(released, y_act, c_out, source=source)
-        est = run_attack(attack, sys_, model=released, y_act=y_act, c=c_out, rng=rng)
-        # the original label must attain the maximal released score
-        kept = np.take_along_axis(c_out, label, axis=-1)[:, 0] == c_out.max(axis=-1)
-        out.append((metrics.empirical_mse(x_pas, est.x_hat), kl, bool(kept.all())))
-    return out
+        if scheme in ("s1", "s2"):
+            v1 = defense.pps2_optimal_direction(clean, param).v1 if v1 is None else v1
+            param = defense.NoisePlan(float(param), v1)
+        c_out.append(defense.apply_scheme(z, param, scheme))
+    c_out, s, n = np.stack(c_out), len(settings), len(rows)     # c_out: S x N x k
+    flat, y_all = c_out.reshape(s * n, -1), np.tile(y_act, (s, 1))
+    try:
+        sys_ = build_system(model, y_all, flat, source="noisy")
+        est = run_attack(attack, sys_, model=model, y_act=y_all, c=flat, rng=rng)
+    except (SystemError_, AttackError, numerics.ConvergenceError) as exc:
+        def name(match):            # stacked row i is row i % n of setting i // n
+            at = {}
+            for i in map(int, re.findall(r"\d+", match[2])):
+                at.setdefault("{} alpha={}".format(*settings[i // n]), []).append(i % n)
+            return match[1] + ", ".join(f"{r if '[' in match[2] else r[0]} of {label}"
+                                        for label, r in at.items())
+        line = _solver_failure(exc).removeprefix("solver failure: ")
+        kind = type(exc)            # a ConvergenceError's rows go into the text
+        kind = numerics.NumericsError if kind is numerics.ConvergenceError else kind
+        raise kind(re.sub(r"\b(rows? )(\d+|\[[\d, ]*\])", name, line)) from exc
+    kl = metrics.kl_divergence(np.tile(c, (s, 1)), flat).reshape(s, n)
+    # the original label must attain the maximal released score
+    top = np.take_along_axis(c_out, np.argmax(c, axis=-1)[None, :, None], axis=-1)
+    kept = (top == c_out.max(axis=-1, keepdims=True)).all(axis=(1, 2))
+    return [(metrics.empirical_mse(x_pas, x), float(np.mean(k)), bool(ok))
+            for x, k, ok in zip(est.x_hat.reshape(s, n, -1), kl, kept)]
 
 
 def cmd_defend(args) -> int:

@@ -669,22 +669,136 @@ class TestMatchesRowByRowReference:
             self._close(row[3], mse)
             assert row[4] == repr(accuracy(model, ds) if kept else float("nan"))
 
-    @pytest.mark.parametrize("scheme, alpha", [
-        ("pps1", ""), ("s1", "0.1,1.0,10.0"), ("s3", "0.1,0.5,0.9")])
-    def test_defend(self, setup, tmp_path, scheme, alpha):
+    # the iterative estimators run on every row of the stacked release; cls's
+    # FISTA products go through BLAS, whose rounding may follow the row count
+    @pytest.mark.parametrize("scheme, alpha, attack", [
+        pytest.param("pps1", "", "ls", id="pps1-"),
+        pytest.param("s1", "0.1,1.0,10.0", "ls", id="s1-0.1,1.0,10.0"),
+        pytest.param("s3", "0.1,0.5,0.9", "ls", id="s3-0.1,0.5,0.9"),
+        *[(scheme, alpha, attack) for attack in ("cls", "rcc2", "rcc1")
+          for scheme, alpha in (("s3", "0.1,0.5,0.9"), ("class_label", "0.01,0.1"))]])
+    def test_defend(self, setup, tmp_path, scheme, alpha, attack):
         ds, model, rows = setup
         out_path = tmp_path / "defend.csv"
-        argv = ["defend", *self.ARGS, "--scheme", scheme, "--attack", "ls",
+        argv = ["defend", *self.ARGS, "--scheme", scheme, "--attack", attack,
                 "--out", str(out_path)]
         assert _run(argv + (["--alpha", alpha] if alpha else [])) == 0
         got = _read_rows(out_path)[1:]
         params = [""] if scheme == "pps1" else [float(a) for a in alpha.split(",")]
         want = oracles.defense_sweep_rows(model, ds, rows,
-                                          [(scheme, a) for a in params], "ls")
+                                          [(scheme, a) for a in params], attack)
         assert [r[1] for r in got] == [str(a) for a in params]
         for row, (mse, kl, _) in zip(got, want):
             self._close(row[2], mse)
             self._close(row[3], kl)
+
+    def test_defend_rg_draws_setting_by_setting(self, setup, tmp_path):
+        # the stacked release draws one (S*N) x d block: the same stream as
+        # one N x d draw per setting, in setting order, from one generator
+        ds, model, rows = setup
+        out_path = tmp_path / "defend.csv"
+        assert _run(["defend", *self.ARGS, "--scheme", "s3", "--alpha", "0.1,0.5,0.9",
+                     "--attack", "rg", "--out", str(out_path)]) == 0
+        x_pas = ds.x[np.ix_(rows, model.split.passive)]
+        rng = np.random.default_rng(5)
+        want = [cli.metrics.empirical_mse(x_pas, rng.uniform(size=x_pas.shape))
+                for _ in range(3)]
+        assert [float(r[2]) for r in _read_rows(out_path)[1:]] == want
+        assert len(set(want)) == 3
+
+
+@pytest.fixture()
+def sweep_calls(monkeypatch):
+    """Calls per layer that a defense sweep reaches through cli's own bindings."""
+    calls = {}
+    for owner, name in ((cli, "build_system"), (cli, "run_attack"),
+                        (cli.metrics, "kl_divergence"),
+                        (cli.defense, "pps2_optimal_direction"),
+                        (cli.defense, "apply_scheme")):
+        real = getattr(owner, name)
+        monkeypatch.setattr(owner, name, lambda *a, real=real, name=name, **kw: (
+            calls.update({name: calls.get(name, 0) + 1}) or real(*a, **kw)))
+    return calls
+
+
+class TestOneReleaseBatch:
+    """defend and tradeoff release every noisy setting as one stacked batch."""
+
+    ARGS = TestMatchesRowByRowReference.ARGS
+
+    @pytest.fixture(scope="class")
+    def setup(self):
+        ds = synthesize(SyntheticSpec(**TestMatchesRowByRowReference.SYNTH))
+        model = train(ds, VflSplit.contiguous(6, 2, 3), TrainConfig(seed=5))
+        return ds, model, np.flatnonzero(ds.test_mask)[:25]
+
+    def test_tradeoff_calls_each_layer_once(self, tmp_path, sweep_calls):
+        # the clean check and the release batch; one direction for s1 and s2
+        assert _run(["tradeoff", *self.ARGS, "--out", str(tmp_path / "t.csv")]) == 0
+        assert sweep_calls == {"build_system": 2, "run_attack": 1, "kl_divergence": 1,
+                               "pps2_optimal_direction": 1, "apply_scheme": 11}
+
+    def test_pps1_builds_two_systems(self, tmp_path, sweep_calls):
+        assert _run(["defend", *self.ARGS, "--scheme", "pps1",
+                     "--out", str(tmp_path / "d.csv")]) == 0
+        assert sweep_calls == {"build_system": 2, "run_attack": 1}
+
+    def _fail(self, capsys, *argv):
+        assert _run(["defend", *self.ARGS, *argv]) == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("solver failure: ")
+        return err.strip()
+
+    def test_underflow_names_setting_and_row(self, setup, capsys):
+        # alpha = 1e6 pushes some released scores below the smallest normal
+        # float; the failure names the first such row of that setting
+        ds, model, rows = setup
+        y_act = ds.x[np.ix_(rows, model.split.active)]
+        x_pas = ds.x[np.ix_(rows, model.split.passive)]
+        clean = cli.build_system(model, y_act, cli.predict(model, y_act, x_pas))
+        released = cli.defense.apply_scheme(
+            model.logits(y_act, x_pas),
+            cli.defense.pps2_optimal_direction(clean, 1e6), "s1")
+        low = np.flatnonzero((released < np.finfo(float).tiny).any(axis=-1))
+        line = self._fail(capsys, "--scheme", "s1", "--alpha", "0.1,1e6")
+        assert f"row {low[0]} of s1 alpha=1000000.0 has score 0.0" in line
+        assert "alpha=0.1" not in line
+
+    @pytest.mark.parametrize("attack", ["rcc2", "rcc1"])
+    def test_solver_failure_names_setting_and_rows(self, attack, capsys):
+        # at alpha = 10 five planes miss the box: rcc2's projection caps and
+        # rcc1 diverges on them; the stacked batch holds them at 53 to 74
+        line = self._fail(capsys, "--scheme", "s1", "--alpha", "0.1,1.0,10.0",
+                          "--attack", attack)
+        assert "rows [3, 6, 19, 23, 24] of s1 alpha=10.0" in line
+        assert "alpha=0.1" not in line and "alpha=1.0" not in line
+        assert "[53" not in line
+
+    @pytest.mark.parametrize("attack", ["rcc2", "rcc1"])
+    def test_rows_of_several_settings(self, attack, capsys):
+        # each setting's rows are the rows that setting fails on alone
+        alone = {}
+        for alpha in ("10.0", "20.0"):
+            line = self._fail(capsys, "--scheme", "s1", "--alpha", alpha, "--attack", attack)
+            alone[alpha] = re.search(rf"(\[[\d, ]+\]) of s1 alpha={alpha}", line)[1]
+        line = self._fail(capsys, "--scheme", "s1", "--alpha", "10,20", "--attack", attack)
+        assert (f"rows {alone['10.0']} of s1 alpha=10.0, {alone['20.0']} of s1 alpha=20.0"
+                in line)
+
+    def test_failure_keeps_its_kind(self, setup):
+        # a capped solve's rows and residuals go into the text of a NumericsError
+        ds, model, rows = setup
+        settings = [("s1", 0.1), ("s1", 10.0)]
+        with pytest.raises(cli.AttackError,
+                           match=re.escape("rcc1 rows [3, 6, 19, 23, 24] of s1 alpha=10.0")):
+            cli._defense_sweep(model, ds, rows, settings, "rcc1")
+        with pytest.raises(numerics.NumericsError,
+                           match=re.escape("; rows [3, 6, 19, 23, 24] of s1 alpha=10.0; affine ")
+                           ) as err:
+            cli._defense_sweep(model, ds, rows, settings, "rcc2")
+        assert not isinstance(err.value, numerics.ConvergenceError)
+        with pytest.raises(cli.SystemError_, match="^row 0 of s1 alpha=1000000.0 has score"):
+            cli._defense_sweep(model, ds, rows, [("s1", 1e6)], "half_star")
 
 
 def test_solver_cap_prints_rows_and_residuals(tmp_path, monkeypatch, capsys):
