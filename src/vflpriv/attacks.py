@@ -133,7 +133,7 @@ def attack_rcc2(sys_: LinearSystem) -> AttackEstimate:
 
 # --- RCC1: search-space relaxation solved as a small SDP ------------------
 
-_RCC1_GAP, _RCC1_FLOOR = 1e-9, 1e-8
+_RCC1_GAP, _RCC1_FLOOR, _RCC1_DIVERGE = 1e-9, 1e-8, 1e3
 
 
 def _rcc1_pd_solve(w, c, max_iter=50):
@@ -154,14 +154,17 @@ def _rcc1_pd_solve(w, c, max_iter=50):
     per row. Mehrotra's steps, 0.95 of the way to the boundary, center by at
     least 0.1 (x is accurate to the gap on the central path, to its square
     root off it); a row stops at <X, S> <= _RCC1_GAP, or once a step fails
-    to halve an <X, S> <= _RCC1_FLOOR, and two Newton steps to the central
-    point at _RCC1_GAP / 10 end the solve. X = F F^T and S = G G^T are kept
-    as factors: with (lam, Q) the eigenpairs of F^-1 dX F^-T that give the
-    step t, F becomes F Q (1 + t lam)^(1/2), so no iterate is factored.
-    A row whose step is not finite, or whose Schur matrix is singular,
-    stops where it is. Returns per row z (N x p), the dual value, <X, S>
-    and Mehrotra steps; AttackError names the rows above _RCC1_FLOOR at
-    the end.
+    to halve an <X, S> <= _RCC1_FLOOR, or once <X, S> passes _RCC1_DIVERGE
+    times its first value (a plane off the box: the set is empty and the
+    gap only grows); two Newton steps to the central point at _RCC1_GAP / 10
+    of every row end the solve. X = F F^T and S = G G^T are kept as factors:
+    with (lam, Q) the eigenpairs of F^-1 dX F^-T that give the step t, F
+    becomes F Q (1 + t lam)^(1/2), so no iterate is factored. A row whose
+    step is not finite, or whose Schur matrix is singular, stops where it
+    is. Steps run on a working set that holds only the live rows: a row goes
+    back to the full state when it stops, and the set is gathered anew only
+    when it shrinks. Returns per row z (N x p), the dual value, <X, S> and
+    Mehrotra steps; AttackError names the rows above _RCC1_FLOOR at the end.
     """
     (n, d), p = c.shape, w.shape[1]
     k = 2 * p + 1                       # X and S hold the V block, then the W block
@@ -169,114 +172,135 @@ def _rcc1_pd_solve(w, c, max_iter=50):
     u = np.zeros((n, 2 * d + 2, k))
     u[:, :d, :p], u[:, :d, p], u[:, d, p] = w, c, 1.0
     u[:, d + 1:-1, p + 1:] = w
-    of_row = np.tile(np.arange(d + 1), 2)       # the j of each row of u
     cmat = np.diag(np.repeat([0.0, 1.0], [p + 1, p]))
-    b, diag = np.append(np.full(d, 0.25), 1.0), np.arange(d)
+    b = np.append(np.full(d, 0.25), 1.0)
 
     def tr(z):
-        return np.swapaxes(z, -1, -2)
+        return z.swapaxes(-1, -2)
 
-    def slack(ur, y):                   # S = sum_j y_j A_j - C, less alpha's block
-        return tr(ur) @ (y[:, of_row, None] * ur) - cmat
+    def weigh(y, ur):                   # y_j times both rows j of ur
+        return (y[:, None, :, None] * ur.reshape(len(ur), 2, d + 1, k)).reshape(ur.shape)
 
-    def inner(x, xl, s, y):             # <X, S> per row, alpha's block included
-        return (x * s).sum((1, 2)) + (xl * y[:, :d]).sum(-1)
+    def slack(ur, v):                   # S = sum_j y_j A_j - C, less alpha's block
+        return tr(ur) @ weigh(v[:, 1], ur) - cmat
 
-    # alpha = 1.5 and sigma put M(alpha) - I and the lifted block's Schur
-    # complement at I / 2: the one S ever factored is well inside the cone
-    wc = c @ w
-    y = np.column_stack([np.full((n, d), 1.5),
-                         0.5 + 1.5 * ((wc * wc).sum(-1) - (c * c).sum(-1))])
-    s, x, xl = slack(u, y), np.tile(np.eye(k) / 2, (n, 1, 1)), np.full((n, d), 0.5)
-    fac = np.stack([np.sqrt(x), np.linalg.cholesky(s)], axis=1)
-    # per row: the factors of X and S, their inverses, X, S, alpha's slack, y, <X, S>
-    state = [fac, np.linalg.inv(fac), x, s, xl, y, inner(x, xl, s, y)]
+    def inner(x, s, la):                # <X, S> per row, alpha's block included
+        return (x * s).sum((1, 2)) + (la[:, 0] * la[:, 1]).sum(-1)
+
+    # v = [[xl, 0], [alpha, sigma]] per row: alpha's slack beside alpha (la =
+    # v[:, :, :d]) and y = v[:, 1]. alpha = 1.5 and sigma put M(alpha) - I and
+    # the lifted block's Schur complement at I / 2: the one S ever factored
+    # is well inside the cone
+    wc, v = c @ w, np.zeros((n, 2, d + 1))
+    v[:, 0, :d], v[:, 1, :d] = 0.5, 1.5
+    v[:, 1, d] = 0.5 + 1.5 * ((wc * wc).sum(-1) - (c * c).sum(-1))
+    xs = np.zeros((n, 2, k, k))         # X, then S^-1 (rewritten by every step)
+    xs[:, 0] = np.eye(k) / 2
+    s = slack(u, v)
+    fac = np.stack([np.sqrt(xs[:, 0]), np.linalg.cholesky(s)], axis=1)
+    # per row: the factors of X and S, their inverses, [X, S^-1], S, v, <X, S>
+    state = [fac, np.linalg.inv(fac), xs, s, v, inner(xs[:, 0], s, v[:, :, :d])]
 
     # a row that overflows fails ok and stops; numpy need not warn of it
     @np.errstate(over="ignore", invalid="ignore")
-    def step(rows, mu):
+    def step(ur, cur, mu):
         """Mehrotra's step of rows, or Newton's to X S = mu I; ok: finite rows."""
-        fr, fir, x, s, xl, y, gap = (v[rows] for v in state)
-        ur, al = u[rows], y[:, :d]
-        urt, s_inv = tr(ur), tr(fir[:, 1]) @ fir[:, 1]
-        ux, us = np.moveaxis(ur[:, None] @ np.stack([x, s_inv], 1) @ urt[:, None], 1, 0)
-        schur = (ux * us).reshape(rows.size, 2, d + 1, 2, d + 1).sum(axis=(1, 3))
-        schur[:, diag, diag] += xl / al
+        fr, fir, xs, s, v, gap = cur
+        x, s_inv, urt, firt = xs[:, 0], xs[:, 1], tr(ur), tr(fir)
+        la, xl, al = v[:, :, :d], v[:, 0, :d], v[:, 1, :d]
+        np.matmul(firt[:, 1], fir[:, 1], out=s_inv)
+        ux, us = (ur[:, None] @ xs @ urt[:, None]).swapaxes(0, 1)
+        schur = (ux * us).reshape(-1, 2, d + 1, 2, d + 1).sum(axis=(1, 3))
+        schur.reshape(len(v), -1)[:, :d * (d + 2):d + 2] += xl / al  # alpha's diagonal
         a_s = us.diagonal(0, 1, 2).reshape(-1, 2, d + 1).sum(1)     # A(S^-1)
+        dxs, dv = np.empty_like(xs), np.zeros_like(v)   # [dX, dS], [[dxl, 0], dy]
+        dla, dy = dv[:, :, :d], dv[:, 1]
 
         def direction(target, corr, corr_l):
-            """The HKM direction plus a correction; ok is False where not finite."""
-            target = np.reshape(target, (-1, 1))
+            """The HKM direction plus a correction, written to dxs and dv; ok is
+            False where not finite. target has one row, or one per row."""
+            t_al = target / al
             rhs = target * a_s - b      # A(X + dX) + xl + dxl = b; A(X) cancels
-            rhs[:, :d] += target / al - corr_l
+            rhs[:, :d] += t_al - corr_l
             if np.ndim(corr):
                 rhs -= ((ur @ corr) * ur).sum(-1).reshape(-1, 2, d + 1).sum(1)
             try:
-                dy = np.linalg.solve(schur, rhs[..., None])[..., 0]
+                dy[:] = np.linalg.solve(schur, rhs[..., None])[..., 0]
             except np.linalg.LinAlgError:   # row by row: a singular row gets NaN
-                dy = np.full(rhs.shape, np.nan)
-                for i in range(len(rhs)):
+                dy[:] = np.nan
+                for i in range(len(v)):
                     with contextlib.suppress(np.linalg.LinAlgError):
                         dy[i] = np.linalg.solve(schur[i], rhs[i])
             ok = np.isfinite(dy).all(-1)
-            dy[~ok] = 0.0
-            ds = urt @ (dy[:, of_row, None] * ur)
+            if not ok.all():
+                dy[~ok] = 0.0
+            ds = np.matmul(urt, weigh(dy, ur), out=dxs[:, 1])
             h = x @ ds @ s_inv + corr
-            dx = target[..., None] * s_inv - x - 0.5 * (h + tr(h))
-            dxl = target / al - xl - xl * dy[:, :d] / al - corr_l
-            scaled = fir @ np.stack([dx, ds], axis=1) @ tr(fir)
+            np.subtract(target[..., None] * s_inv - x, 0.5 * (h + tr(h)), out=dxs[:, 0])
+            np.subtract(t_al - xl - xl * dy[:, :d] / al, corr_l, out=dla[:, 0])
+            scaled = fir @ dxs @ firt
             # a non-finite correction (an overflowing row) ends its row too
-            ok &= np.isfinite(scaled).all((1, 2, 3)) & np.isfinite(dxl).all(-1)
-            scaled[~ok] = 0.0
-            return dx, dxl, dy, ds, scaled, ok
+            ok &= np.isfinite(scaled).all((1, 2, 3)) & np.isfinite(dla[:, 0]).all(-1)
+            if not ok.all():
+                scaled[~ok] = 0.0
+            return scaled, ok
 
-        def length(lam, dxl, dy):       # primal and dual steps 0.95 of the way
-            low = np.minimum(lam[..., 0], np.stack([(dxl / xl).min(-1),
-                                                    (dy[:, :d] / al).min(-1)], -1))
+        def length(lam):                # primal and dual steps 0.95 of the way
+            low = np.minimum(lam[..., 0], (dla / la).min(-1))
             return -0.95 / np.minimum(low, -0.95)
 
         corr = corr_l = 0.0
         if mu is None:
-            dx, dxl, dy, ds, scaled, _ = direction(0.0, 0.0, 0.0)
-            tp, td = np.split(length(np.linalg.eigvalsh(scaled), dxl, dy), 2, axis=1)
-            mu = gap / (k + d)
-            mu_aff = inner(x + tp[..., None] * dx, xl + tp * dxl,
-                           s + td[..., None] * ds, y + td * dy) / (k + d)
+            t = length(np.linalg.eigvalsh(direction(np.zeros((1, 1)), 0.0, 0.0)[0]))
+            mu = gap[:, None] / (k + d)
+            mu_aff = inner(x + t[:, :1, None] * dxs[:, 0], s + t[:, 1:, None] * dxs[:, 1],
+                           la + t[..., None] * dla)[:, None] / (k + d)
             mu *= np.maximum((mu_aff / mu) ** 3, 0.1)
-            corr, corr_l = dx @ ds @ s_inv, dxl * dy[:, :d] / al
-        dx, dxl, dy, ds, scaled, ok = direction(mu, corr, corr_l)
+            corr, corr_l = dxs[:, 0] @ dxs[:, 1] @ s_inv, dla[:, 0] * dla[:, 1] / al
+        scaled, ok = direction(mu, corr, corr_l)
         lam, vec = np.linalg.eigh(scaled)
-        t = length(lam, dxl, dy)
+        t = length(lam)
         root = np.sqrt(1.0 + t[..., None] * lam)
         fr, fir = fr @ vec * root[..., None, :], tr(vec) @ fir / root[..., None]
-        xl, y = xl + t[:, :1] * dxl, y + t[:, 1:] * dy
-        x, s = fr[:, 0] @ tr(fr[:, 0]), slack(ur, y)
-        return [fr, fir, x, s, xl, y, inner(x, xl, s, y)], ok
+        v, xs = v + t[..., None] * dv, np.empty_like(xs)
+        x, s = np.matmul(fr[:, 0], tr(fr[:, 0]), out=xs[:, 0]), slack(ur, v)
+        return [fr, fir, xs, s, v, inner(x, s, v[:, :, :d])], ok
 
-    def take(rows, new, go):
-        for v, nv in zip(state, new):
-            v[rows[go]] = nv[go]
-        return rows[go]
-
-    gap, steps = state[-1], np.zeros(n, dtype=int)
-    live = every = np.arange(n)
-    for _ in range(max_iter):
+    # live rows step on their own arrays (cur); a row that stops, or fails
+    # to step, goes back to the full state, and cur shrinks to the rest
+    gap, steps = state[-1], np.full(n, max_iter)
+    live, cur, ur, limit = np.arange(n), state, u, _RCC1_DIVERGE * gap
+    for i in range(max_iter):
         if not live.size:
             break
-        new, ok = step(live, None)
-        stalled = (gap[live] <= _RCC1_FLOOR) & ~(new[-1] <= 0.5 * gap[live])
-        moved = take(live, new, ok & ~stalled)
-        steps[moved] += 1
-        live = moved[gap[moved] > _RCC1_GAP]
+        new, ok = step(ur, cur, None)
+        moved = ok & ~((cur[-1] <= _RCC1_FLOOR) & ~(new[-1] <= 0.5 * cur[-1]))
+        keep = moved & (new[-1] > _RCC1_GAP) & ~(new[-1] > limit)
+        if not keep.all():              # a row that failed to step keeps its iterate
+            for sel, src, took in ((~moved, cur, i), (moved & ~keep, new, i + 1)):
+                if sel.any():
+                    steps[live[sel]] = took
+                    for a, sv in zip(state, src):
+                        a[live[sel]] = sv[sel]
+            new, ur, limit, live = [nv[keep] for nv in new], ur[keep], limit[keep], live[keep]
+        cur = new
+    for a, nv in zip(state, cur):       # rows at the step cap
+        a[live] = nv
     for _ in range(2):
-        new, ok = step(every, 0.1 * _RCC1_GAP / (k + d))
-        take(every, new, ok & (new[-1] <= _RCC1_FLOOR))
+        new, ok = step(u, state, np.full((1, 1), 0.1 * _RCC1_GAP / (k + d)))
+        go = ok & (new[-1] <= _RCC1_FLOOR)
+        if go.all():
+            state = new
+        else:
+            for a, nv in zip(state, new):
+                a[go] = nv[go]
+    gap = state[-1]
     bad = np.flatnonzero(~(gap <= _RCC1_FLOOR))
     if bad.size:
         gaps = " ".join(f"{v:.3e}" for v in gap[bad])
         raise AttackError(f"rcc1 rows {bad.tolist()} end with gaps {gaps} above "
                           f"{_RCC1_FLOOR:g} in at most {max_iter} steps")
-    return state[2][:, :p, p], state[5] @ b, gap, steps
+    return state[2][:, 0, :p, p], state[4][:, 1] @ b, gap, steps
 
 
 def attack_rcc1(sys_: LinearSystem) -> AttackEstimate:

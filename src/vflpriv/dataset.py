@@ -7,7 +7,6 @@ Feature matrices live in [0, 1]; labels are integers in [0, k-1].
 from __future__ import annotations
 
 import csv
-import hashlib
 import io
 from dataclasses import dataclass, field
 
@@ -118,22 +117,22 @@ _last_parse: tuple = (None, None)   # (key, RawTable) of the last parse
 _last_load: tuple = (None, None)    # (key, Dataset) of the last load_dataset
 
 
-def _read(path) -> tuple[bytes, bytes]:
-    """A file's bytes and their sha256 digest."""
+def _read(path) -> bytes:
+    """A file's bytes: the caches key on them, so a kept table is reused
+    only for the very bytes it came from (a byte comparison, no digest)."""
     try:
         with open(path, "rb") as fh:
-            raw = fh.read()
+            return fh.read()
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
-    return raw, hashlib.sha256(raw).digest()
 
 
-def _parsed(raw: bytes, digest: bytes, label_col: int) -> RawTable:
+def _parsed(raw: bytes, label_col: int) -> RawTable:
     """The kept RawTable of these bytes and label_col, parsed if not kept.
 
     The table is shared with the next caller: it must not be changed."""
     global _last_parse
-    key = (digest, label_col)
+    key = (raw, label_col)
     last_key, t = _last_parse       # one read, so a concurrent load cannot
     if last_key != key:             # pair this key with another table
         t = _parse_csv(raw, label_col)
@@ -148,11 +147,11 @@ def load_csv(path, label_col: int = -1) -> RawTable:
     parsed once into a float array; a column with any non-numeric cell keeps
     its raw strings and is tagged categorical, and an inf or nan cell in a
     numeric column raises DataError. The last table parsed is kept,
-    keyed on a digest of its bytes and label_col: one process parses a given
+    keyed on its bytes themselves and label_col: one process parses a given
     table's bytes once, so repeated in-process ``vflpriv.cli.main`` calls on
     one table share the parse. Calls get fresh lists and read-only float columns.
     """
-    t = _parsed(*_read(path), label_col)
+    t = _parsed(_read(path), label_col)
     columns = [list(c) if cat else c for c, cat in zip(t.columns, t.categorical)]
     return RawTable(columns=columns, names=list(t.names), labels=list(t.labels),
                     categorical=list(t.categorical))
@@ -268,17 +267,17 @@ def load_dataset(path, label_col: int = -1, train_fraction: float = 0.8,
                  seed: int = 0) -> Dataset:
     """Full pipeline: CSV -> categorical encoding -> normalize -> split.
 
-    The last Dataset built is kept, keyed on a digest of the file's bytes,
+    The last Dataset built is kept, keyed on the file's bytes themselves,
     label_col, train_fraction and seed, so repeated in-process
     ``vflpriv.cli.main`` calls on one table and split encode it once. Each
     call gets a Dataset with its own writable arrays.
     """
     global _last_load
-    raw, digest = _read(path)
-    key = (digest, label_col, train_fraction, seed)
+    raw = _read(path)
+    key = (raw, label_col, train_fraction, seed)
     last_key, ds = _last_load
     if last_key != key:
-        table = _parsed(raw, digest, label_col)
+        table = _parsed(raw, label_col)
         y, k = encode_labels(table.labels)
         # the split must be fixed before target-mean encoding (training rows only)
         train_mask = split_mask(table.n_rows, train_fraction, seed)

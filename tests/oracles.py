@@ -8,6 +8,7 @@ instead of analytic gradients.
 
 from __future__ import annotations
 
+import contextlib
 import sys
 from itertools import combinations, product
 
@@ -15,7 +16,7 @@ import numpy as np
 from scipy import optimize
 
 from vflpriv import defense, metrics
-from vflpriv.attacks import run_attack
+from vflpriv.attacks import _RCC1_FLOOR, _RCC1_GAP, AttackError, run_attack
 from vflpriv.metrics import EPS_CLIP, _check_prob, _per_row
 from vflpriv.model import TrainingError, VflModel, predict, softmax
 from vflpriv.numerics import NumericsError, _cap_error, as_matrix, svd
@@ -435,6 +436,126 @@ def box_least_squares_batch(sys_: LinearSystem, max_iter: int = 50_000) -> np.nd
     flat[live] = xs
     raise _cap_error("box least squares", flat.reshape(shape), live, len(flat),
                      {"residual": np.linalg.norm(xs @ a.T - bs, axis=1)})
+
+
+def rcc1_pd_solve_batch(w, c, max_iter=50):
+    """attacks._rcc1_pd_solve as it was before its steps ran on a working
+    set of live rows, kept verbatim: the package must match it bit for bit
+    on every row that does not diverge, its failures included."""
+    (n, d), p = c.shape, w.shape[1]
+    k = 2 * p + 1                       # X and S hold the V block, then the W block
+    # A_j sums u u^T over row j of both blocks of u, plus e_j e_j^T for alpha_j
+    u = np.zeros((n, 2 * d + 2, k))
+    u[:, :d, :p], u[:, :d, p], u[:, d, p] = w, c, 1.0
+    u[:, d + 1:-1, p + 1:] = w
+    of_row = np.tile(np.arange(d + 1), 2)       # the j of each row of u
+    cmat = np.diag(np.repeat([0.0, 1.0], [p + 1, p]))
+    b, diag = np.append(np.full(d, 0.25), 1.0), np.arange(d)
+
+    def tr(z):
+        return np.swapaxes(z, -1, -2)
+
+    def slack(ur, y):                   # S = sum_j y_j A_j - C, less alpha's block
+        return tr(ur) @ (y[:, of_row, None] * ur) - cmat
+
+    def inner(x, xl, s, y):             # <X, S> per row, alpha's block included
+        return (x * s).sum((1, 2)) + (xl * y[:, :d]).sum(-1)
+
+    # alpha = 1.5 and sigma put M(alpha) - I and the lifted block's Schur
+    # complement at I / 2: the one S ever factored is well inside the cone
+    wc = c @ w
+    y = np.column_stack([np.full((n, d), 1.5),
+                         0.5 + 1.5 * ((wc * wc).sum(-1) - (c * c).sum(-1))])
+    s, x, xl = slack(u, y), np.tile(np.eye(k) / 2, (n, 1, 1)), np.full((n, d), 0.5)
+    fac = np.stack([np.sqrt(x), np.linalg.cholesky(s)], axis=1)
+    # per row: the factors of X and S, their inverses, X, S, alpha's slack, y, <X, S>
+    state = [fac, np.linalg.inv(fac), x, s, xl, y, inner(x, xl, s, y)]
+
+    # a row that overflows fails ok and stops; numpy need not warn of it
+    @np.errstate(over="ignore", invalid="ignore")
+    def step(rows, mu):
+        """Mehrotra's step of rows, or Newton's to X S = mu I; ok: finite rows."""
+        fr, fir, x, s, xl, y, gap = (v[rows] for v in state)
+        ur, al = u[rows], y[:, :d]
+        urt, s_inv = tr(ur), tr(fir[:, 1]) @ fir[:, 1]
+        ux, us = np.moveaxis(ur[:, None] @ np.stack([x, s_inv], 1) @ urt[:, None], 1, 0)
+        schur = (ux * us).reshape(rows.size, 2, d + 1, 2, d + 1).sum(axis=(1, 3))
+        schur[:, diag, diag] += xl / al
+        a_s = us.diagonal(0, 1, 2).reshape(-1, 2, d + 1).sum(1)     # A(S^-1)
+
+        def direction(target, corr, corr_l):
+            """The HKM direction plus a correction; ok is False where not finite."""
+            target = np.reshape(target, (-1, 1))
+            rhs = target * a_s - b      # A(X + dX) + xl + dxl = b; A(X) cancels
+            rhs[:, :d] += target / al - corr_l
+            if np.ndim(corr):
+                rhs -= ((ur @ corr) * ur).sum(-1).reshape(-1, 2, d + 1).sum(1)
+            try:
+                dy = np.linalg.solve(schur, rhs[..., None])[..., 0]
+            except np.linalg.LinAlgError:   # row by row: a singular row gets NaN
+                dy = np.full(rhs.shape, np.nan)
+                for i in range(len(rhs)):
+                    with contextlib.suppress(np.linalg.LinAlgError):
+                        dy[i] = np.linalg.solve(schur[i], rhs[i])
+            ok = np.isfinite(dy).all(-1)
+            dy[~ok] = 0.0
+            ds = urt @ (dy[:, of_row, None] * ur)
+            h = x @ ds @ s_inv + corr
+            dx = target[..., None] * s_inv - x - 0.5 * (h + tr(h))
+            dxl = target / al - xl - xl * dy[:, :d] / al - corr_l
+            scaled = fir @ np.stack([dx, ds], axis=1) @ tr(fir)
+            # a non-finite correction (an overflowing row) ends its row too
+            ok &= np.isfinite(scaled).all((1, 2, 3)) & np.isfinite(dxl).all(-1)
+            scaled[~ok] = 0.0
+            return dx, dxl, dy, ds, scaled, ok
+
+        def length(lam, dxl, dy):       # primal and dual steps 0.95 of the way
+            low = np.minimum(lam[..., 0], np.stack([(dxl / xl).min(-1),
+                                                    (dy[:, :d] / al).min(-1)], -1))
+            return -0.95 / np.minimum(low, -0.95)
+
+        corr = corr_l = 0.0
+        if mu is None:
+            dx, dxl, dy, ds, scaled, _ = direction(0.0, 0.0, 0.0)
+            tp, td = np.split(length(np.linalg.eigvalsh(scaled), dxl, dy), 2, axis=1)
+            mu = gap / (k + d)
+            mu_aff = inner(x + tp[..., None] * dx, xl + tp * dxl,
+                           s + td[..., None] * ds, y + td * dy) / (k + d)
+            mu *= np.maximum((mu_aff / mu) ** 3, 0.1)
+            corr, corr_l = dx @ ds @ s_inv, dxl * dy[:, :d] / al
+        dx, dxl, dy, ds, scaled, ok = direction(mu, corr, corr_l)
+        lam, vec = np.linalg.eigh(scaled)
+        t = length(lam, dxl, dy)
+        root = np.sqrt(1.0 + t[..., None] * lam)
+        fr, fir = fr @ vec * root[..., None, :], tr(vec) @ fir / root[..., None]
+        xl, y = xl + t[:, :1] * dxl, y + t[:, 1:] * dy
+        x, s = fr[:, 0] @ tr(fr[:, 0]), slack(ur, y)
+        return [fr, fir, x, s, xl, y, inner(x, xl, s, y)], ok
+
+    def take(rows, new, go):
+        for v, nv in zip(state, new):
+            v[rows[go]] = nv[go]
+        return rows[go]
+
+    gap, steps = state[-1], np.zeros(n, dtype=int)
+    live = every = np.arange(n)
+    for _ in range(max_iter):
+        if not live.size:
+            break
+        new, ok = step(live, None)
+        stalled = (gap[live] <= _RCC1_FLOOR) & ~(new[-1] <= 0.5 * gap[live])
+        moved = take(live, new, ok & ~stalled)
+        steps[moved] += 1
+        live = moved[gap[moved] > _RCC1_GAP]
+    for _ in range(2):
+        new, ok = step(every, 0.1 * _RCC1_GAP / (k + d))
+        take(every, new, ok & (new[-1] <= _RCC1_FLOOR))
+    bad = np.flatnonzero(~(gap <= _RCC1_FLOOR))
+    if bad.size:
+        gaps = " ".join(f"{v:.3e}" for v in gap[bad])
+        raise AttackError(f"rcc1 rows {bad.tolist()} end with gaps {gaps} above "
+                          f"{_RCC1_FLOOR:g} in at most {max_iter} steps")
+    return state[2][:, :p, p], state[5] @ b, gap, steps
 
 
 def _rcc1_objective_row(alpha, rows, g, t):

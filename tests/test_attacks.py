@@ -540,6 +540,57 @@ def _capped_rcc1(monkeypatch, max_iter):
                         lambda *args, **kw: real(*args, max_iter=max_iter, **kw))
 
 
+def _rcc1_outcomes(sys_, before=lambda: None):
+    """_rcc1_pd_solve and the loop it replaced (oracles.rcc1_pd_solve_batch)
+    on one system, each after a call of before: each gives (z, value, gap,
+    steps) or its AttackError text."""
+    w, c = sys_.nullspace, sys_.min_norm_solution.reshape(-1, sys_.d) - 0.5
+    out = []
+    for solve in (attacks._rcc1_pd_solve, oracles.rcc1_pd_solve_batch):
+        before()
+        try:
+            out.append(solve(w, c))
+        except attacks.AttackError as err:
+            out.append(str(err))
+    return out
+
+
+def _assert_same_bits(got, want):
+    assert type(got) is type(want)
+    if isinstance(got, str):
+        assert got == want
+        return
+    for a, b in zip(got, want, strict=True):
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+_SOLVE = np.linalg.solve
+
+
+def _spoiled_solve(monkeypatch, fault):
+    """np.linalg.solve with row 2 of each 5-row stacked Schur solve spoiled:
+    singular, overflowing (a finite dy whose step overflows), or NaN in the
+    closing Newton steps only (the 5-row solves after the batch shrank)."""
+    spoiled, shrunk = [], []
+
+    def solve(a, b):
+        if a.ndim == 3 and len(a) < 5:
+            shrunk.append(len(a))
+        if a.shape == (5, 7, 7) and (fault != "closing" or shrunk):
+            spoiled.append(a[2])
+            if fault == "singular":
+                raise np.linalg.LinAlgError("Singular matrix")
+            x = _SOLVE(a, b)
+            x[2] = 1e300 if fault == "overflow" else np.nan
+            return x
+        if a.ndim == 2 and spoiled and np.array_equal(a, spoiled[-1]):
+            raise np.linalg.LinAlgError("Singular matrix")     # row 2 alone
+        return _SOLVE(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", solve)
+    return spoiled
+
+
 def _regime_model(k, d, d_t, scale, seed):
     from vflpriv.model import VflModel, VflSplit
     rng = np.random.default_rng(seed)
@@ -633,6 +684,45 @@ class TestRcc1PrimalDual:
         for a, b, rows in calls:
             assert np.array_equal(np.array(rows), real(a[others], b[others])[..., 0])
 
+    @staticmethod
+    def _bench_batch():
+        """5 bench-shaped rows (k = 4, d = 6: 7 x 7 blocks) that stop at steps
+        11 and 12, so the last step runs on a shrunk working set."""
+        model = _k4_model()
+        return build_system(model, *_predictions(model, 5, 6))
+
+    @pytest.mark.parametrize("batch", ["bench", "staggered", "stall"])
+    def test_working_set_keeps_every_bit(self, batch):
+        # staggered: 30 rows leaving the working set at four different steps
+        model = _k4_model()
+        sys_ = {"bench": self._bench_batch,
+                "staggered": lambda: build_system(model, *_bimodal_predictions(model, 30, 3)),
+                "stall": lambda: LinearSystem(a=RCC1_STALL_A, b=RCC1_STALL_B)}[batch]()
+        got, want = _rcc1_outcomes(sys_)
+        _assert_same_bits(got, want)
+        assert np.all(got[2] <= attacks._RCC1_FLOOR)
+        if batch == "staggered":
+            assert len(np.unique(got[3])) >= 3
+
+    @pytest.mark.parametrize("fault", ["singular", "overflow", "closing"])
+    @pytest.mark.parametrize("floor", ["kept", "lifted"])
+    def test_failed_rows_keep_every_bit(self, monkeypatch, fault, floor):
+        # with the floor lifted no row is named, so the solves return their
+        # iterates, the spoiled row's frozen one included; "closing" spoils
+        # row 2 in the closing Newton steps only, which it then skips
+        if floor == "lifted":
+            monkeypatch.setattr(attacks, "_RCC1_FLOOR", np.inf)
+            monkeypatch.setattr(oracles, "_RCC1_FLOOR", np.inf)
+        spoiled = []
+        got, want = _rcc1_outcomes(
+            self._bench_batch(), lambda: spoiled.append(_spoiled_solve(monkeypatch, fault)))
+        assert all(spoiled)
+        _assert_same_bits(got, want)
+        if floor == "kept" and fault != "closing":
+            assert got.startswith("rcc1 rows [2] end with gaps")
+        else:
+            assert isinstance(got, tuple)
+
     def test_cap_exits_3_through_the_cli(self, monkeypatch, capsys):
         from vflpriv import cli
         _capped_rcc1(monkeypatch, 2)
@@ -645,9 +735,9 @@ class TestRcc1PrimalDual:
     @pytest.mark.parametrize("scheme", [["pps1"], ["s1", "--alpha", "10"]],
                              ids=["pps1", "s1"])
     def test_planes_off_the_box_name_their_rows(self, scheme, capsys):
-        # these releases move planes off the box: under pps1 every row's
-        # steps overflow, under s1 some rows' Schur systems turn singular;
-        # neither aborts the batch, and numpy does not warn
+        # these releases move planes off the box (every row under pps1, five
+        # under s1); those rows' gaps diverge and each stops on its own,
+        # without aborting the batch, and numpy does not warn
         from vflpriv import cli
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
@@ -655,6 +745,26 @@ class TestRcc1PrimalDual:
                              "--synth-k", "4", "--d", "6", "--scheme", *scheme,
                              "--attack", "rcc1", "--n", "100"]) == 3
         assert capsys.readouterr().err.startswith("solver failure: rcc1 rows [")
+
+    def test_diverging_rows_stop_early(self, monkeypatch, capsys):
+        # pps1 moves every plane off the box and each row's gap grows without
+        # bound; a row stops once its gap passes 1e3 times its first one, so
+        # none takes more than 10 of its 50 Mehrotra steps
+        from vflpriv import cli
+        real, batches = np.linalg.eigh, []
+
+        def counting(a, *args, **kwargs):   # one eigh per step, over its rows
+            batches.append(len(a))
+            return real(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting)
+        assert cli.main(["defend", "--synth-n", "2000", "--synth-dt", "10", "--synth-k", "4",
+                         "--d", "6", "--scheme", "pps1", "--attack", "rcc1", "--n", "100",
+                         "--seed", "0"]) == 3
+        assert capsys.readouterr().err.startswith(
+            f"solver failure: rcc1 rows {list(range(100))} end with gaps")
+        assert batches[0] == 100 and batches[-2:] == [100, 100]     # the two closing steps
+        assert len(batches) - 2 <= 10
 
     @pytest.mark.parametrize("k, d, scale, bimodal", [
         (2, 4, 3.0, False),         # p = 3

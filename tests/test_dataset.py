@@ -200,6 +200,21 @@ class TestLoadCache:
         assert self._same(got, dataset.load_dataset(path, **kw))
 
 
+    def test_an_equal_length_edit_misses_both_caches(self, tmp_path, encodes):
+        # the caches key on the table's bytes themselves: one changed byte
+        # that keeps the length is a new table to parse and to encode
+        text = "a,b,label\n" + self.TABLE
+        path = _write_csv(tmp_path, text)
+        before = dataset.load_dataset(path)
+        parsed = dataset._last_parse[1]
+        edited = text.replace("4,x", "5,x")
+        assert len(edited) == len(text) and edited != text
+        path.write_text(edited, encoding="utf-8")
+        after = dataset.load_dataset(path)
+        assert len(encodes) == 2 and dataset._last_parse[1] is not parsed
+        assert (before.x[4, 0], after.x[4, 0]) == (4 / 9, 5 / 9)
+
+
 class TestEncoding:
     def test_labels_sorted_dense(self):
         y, k = dataset.encode_labels(["c", "a", "b", "a"])
