@@ -278,17 +278,31 @@ def cmd_evaluate(args) -> int:
     return 0
 
 
+def _d_grid(text: str) -> list[int]:
+    """The comma list of --d-grid, checked before any load."""
+    try:
+        grid = [int(d) for d in text.split(",")]
+    except ValueError:
+        raise DataError(f"--d-grid must be a comma list of integers, got {text!r}") from None
+    if len(set(grid)) != len(grid):
+        raise DataError(f"window sizes repeat in --d-grid {text!r}")
+    return grid
+
+
 def cmd_figure1(args) -> int:
     names = _attack_names(args.attacks)
     n_pred = FULL_N if args.full else _check_n(args.n, "--n")
+    grid = _d_grid(args.d_grid)
     ds = _load_data(args)
-    grid = [int(d) for d in args.d_grid.split(",")]
     for d in grid:
         _check_d(d, ds.d_t, "--d-grid")
+    # one model over all features, in the table's column order, viewed per window
+    model = train(ds, VflSplit.contiguous(ds.d_t, 0, ds.d_t),
+                  TrainConfig(lam=args.lam, seed=args.seed))
     out = []
     for d in grid:
-        mse = metrics.average_over_space(ds, d, names, n_pred=n_pred,
-                                         lam=args.lam, seed=args.seed)
+        mse = metrics.average_over_space(model, ds, d, names, n_pred=n_pred,
+                                         seed=args.seed)
         out.extend([d, name, repr(mse[name])] for name in names)
     _emit(out, ["d", "attack", "mse"], args.out)
     return 0

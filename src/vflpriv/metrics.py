@@ -13,7 +13,7 @@ import numpy as np
 
 from . import numerics
 from .dataset import Dataset
-from .model import TrainConfig, VflModel, VflSplit, predict, train
+from .model import VflModel, VflSplit, predict
 from .system import LinearSystem, build_system
 from .attacks import run_attack
 
@@ -159,24 +159,22 @@ def attack_mse_on_rows(model: VflModel, ds: Dataset, rows, attacks,
     return out
 
 
-def average_over_space(ds: Dataset, d: int, attacks, n_pred: int = 1000,
-                       lam: float = 0.0, seed: int = 0) -> dict[str, float]:
+def average_over_space(model: VflModel, ds: Dataset, d: int, attacks,
+                       n_pred: int = 1000, seed: int = 0) -> dict[str, float]:
     """Mean MSE of each named attack over all d_t contiguous passive windows (mod d_t).
 
-    Each window allocates features {s, ..., s+d-1 mod d_t} to the passive
-    party and gets one model (regularization weight lam, seed seed + s); the
-    d_t models come from one batched train call. Every attack runs on each
-    model over up to n_pred test predictions, drawing from one generator
-    seeded with seed + s. Returns {attack: mean of the d_t window MSE values}.
+    Window s gives features {s, ..., s+d-1 mod d_t} to the passive party and
+    is scored on model.window of that split, one model viewed d_t ways.
+    Every attack runs on each window over up to n_pred test predictions,
+    drawing from one generator seeded with seed + s. Returns {attack: mean
+    of the d_t window MSE values}.
     """
     if d > ds.d_t:
         raise MetricsError("passive dimension exceeds the feature count")
     rows = np.flatnonzero(ds.test_mask)[:n_pred]
-    models = train(ds, [VflSplit.contiguous(ds.d_t, start, d) for start in range(ds.d_t)],
-                   [TrainConfig(lam=lam, seed=seed + start) for start in range(ds.d_t)])
-    windows = [attack_mse_on_rows(model, ds, rows, attacks,
-                                  rng=np.random.default_rng(seed + start))
-               for start, model in enumerate(models)]
+    windows = [attack_mse_on_rows(model.window(VflSplit.contiguous(ds.d_t, start, d)),
+                                  ds, rows, attacks, rng=np.random.default_rng(seed + start))
+               for start in range(ds.d_t)]
     return {name: float(np.mean([w[name] for w in windows])) for name in attacks}
 
 

@@ -2,11 +2,12 @@
 
 Training runs full-batch Adam on the average cross-entropy plus the
 regularizer lam * (Tr(WW^T) + ||b||^2), with early stopping on a validation
-plateau, for one feature split or a batch of them in one loop. Each epoch is
-one forward pass over the validation and fit rows together. Its softmax runs
-on (window, class, row) scores; its products and sums keep the row-major
-(window, row, class) order whose bits the reference loop fixes. Trained
-models are immutable and safe to share across threads.
+plateau. Each epoch is one forward pass over the validation and fit rows
+together. Its softmax runs on class-major (class, row) scores; its products
+and sums keep the row-major (row, class) order whose bits the reference loop
+fixes. The objective does not depend on which party holds which feature, so
+one trained model serves every passive window through VflModel.window.
+Trained models are immutable and safe to share across threads.
 """
 
 from __future__ import annotations
@@ -88,6 +89,16 @@ class VflModel:
             raise ValueError("feature dimensions do not match the model")
         return y_act @ self.w_act.T + x_pas @ self.w_pas.T + self.b
 
+    def window(self, split: VflSplit) -> "VflModel":
+        """The same weights and bias, their columns regrouped into split's two parties."""
+        if split.d_t != self.split.d_t:
+            raise ValueError(f"a split of {split.d_t} features cannot view a model "
+                             f"of {self.split.d_t}")
+        w = np.empty((self.k, split.d_t))
+        w[:, list(self.split.active)], w[:, list(self.split.passive)] = self.w_act, self.w_pas
+        return VflModel(w_act=w[:, list(split.active)], w_pas=w[:, list(split.passive)],
+                        b=self.b, k=self.k, split=split, lam=self.lam)
+
     def save(self, path) -> None:
         doc = {
             "k": self.k,
@@ -168,84 +179,60 @@ def predict(model: VflModel, y_act, x_pas) -> np.ndarray:
 
 
 def loss_and_grads(w: np.ndarray, b: np.ndarray, x: np.ndarray,
-                   y_onehot: np.ndarray, lam, n_val: int):
+                   y_onehot: np.ndarray, lam: float, n_val: int):
     """Average cross-entropy (nats) + lam (Tr(WW^T) + ||b||^2) and its gradients.
 
-    w is k x d, b k, x n x d, y_onehot n x k and lam a number; or each
-    carries a leading window axis (lam then one weight per window), and every
-    window gets the bits it would get alone. The first n_val rows validate
-    and the rest fit: one forward pass returns (validation loss, fit loss,
-    grad_w, grad_b), the gradients of the fit loss alone.
+    w is k x d, b k, x n x d and y_onehot n x k. The first n_val rows
+    validate and the rest fit: one forward pass returns (validation loss,
+    fit loss, grad_w, grad_b), the gradients of the fit loss alone.
 
     The softmax runs class-major, k x n: the bias, the shift and the divide
     each take one numpy call whose inner loop runs along the rows, and the
     max and the sum over the classes take numpy's order through _pairwise.
     Everything else keeps the row-major n x k layout, whose bits the
     reference fixes: the product x W^T (BLAS gives others for W x^T at some
-    k), the cross-entropy, summed pairwise over each window's n x k terms,
-    and delta^T x. The bias gradient is the last row of a running sum down
-    the rows, the sequence in which numpy sums over that axis.
+    k), the cross-entropy, summed pairwise over the n x k terms, and
+    delta^T x. The bias gradient is the last row of a running sum down the
+    rows, the sequence in which numpy sums over that axis.
     """
-    n_fit = x.shape[-2] - n_val
-    rows = x @ w.swapaxes(-1, -2)
-    scores = np.ascontiguousarray(rows.swapaxes(-1, -2))
-    scores += b[..., None]
-    classes = np.moveaxis(scores, -2, 0)     # one contiguous slice per class
-    top = _pairwise(np.maximum, classes)
-    classes -= top
-    del top
+    n_fit = x.shape[0] - n_val
+    rows = x @ w.T
+    scores = np.ascontiguousarray(rows.T)   # one contiguous row per class
+    scores += b[:, None]
+    scores -= _pairwise(np.maximum, scores)
     np.exp(scores, out=scores)
-    total = _pairwise(np.add, classes)
-    classes /= total
-    np.copyto(rows, scores.swapaxes(-1, -2))
-    del scores, classes, total
+    scores /= _pairwise(np.add, scores)
+    np.copyto(rows, scores.T)
+    del scores
     terms = rows + 1e-300
     np.log(terms, out=terms)
     terms *= y_onehot
-    reg = lam * ((w * w).sum(axis=(-2, -1)) + (b * b).sum(axis=-1))
+    reg = lam * ((w * w).sum() + (b * b).sum())
     # a / -n has the bits of -a / n
-    val_loss = terms[..., :n_val, :].sum(axis=(-2, -1)) / -n_val + reg
-    fit_loss = terms[..., n_val:, :].sum(axis=(-2, -1)) / -n_fit + reg
+    val_loss = terms[:n_val].sum() / -n_val + reg
+    fit_loss = terms[n_val:].sum() / -n_fit + reg
     rows -= y_onehot
     rows /= n_fit
-    delta = rows[..., n_val:, :]
-    two_lam = 2.0 * np.asarray(lam)
-    grad_w = delta.swapaxes(-1, -2) @ x[..., n_val:, :] + two_lam[..., None, None] * w
+    delta = rows[n_val:]
+    grad_w = delta.T @ x[n_val:] + 2.0 * lam * w
     # in place; numpy's sum over the rows has the same bits, with an inner loop of k
-    grad_b = np.add.accumulate(delta, axis=-2, out=delta)[..., -1, :] + two_lam[..., None] * b
+    grad_b = np.add.accumulate(delta, axis=0, out=delta)[-1] + 2.0 * lam * b
     return val_loss, fit_loss, grad_w, grad_b
 
 
-def train(ds: Dataset, split_cfg: VflSplit | list[VflSplit],
-          cfg: TrainConfig | list[TrainConfig]) -> VflModel | list[VflModel]:
+def train(ds: Dataset, split_cfg: VflSplit, cfg: TrainConfig) -> VflModel:
     """Full-batch Adam (step lr) with early stopping on the validation-loss plateau.
 
     val_fraction of the training rows validate, and patience epochs without a
     relative gain of tol stop it. Deterministic under (dataset, split, config);
     returns the best-validation snapshot, partitioned by the feature split.
 
-    split_cfg and cfg may instead be equal-length sequences, one window each
-    with its own split, seed, lam and max_epochs; the models come back as a
-    list in that order. All windows run in one epoch loop on arrays with a
-    leading window axis, and a window leaves the arrays when it stops, so
-    each window's weights are bit-identical to its own train call. A
-    divergence names the window and the epoch.
-
     Each epoch is one loss_and_grads call on the validation and fit rows
     together at the current parameters: its validation loss scores the last
     step and its fit gradient makes the next, so E epochs take E + 1 calls.
     In an epoch the validation bookkeeping comes first, then the stop check,
-    which compacts stopped windows out in place along with their forward's
-    loss and gradient, then the divergence check on the windows still
-    running, then the Adam step.
+    then the divergence check, then the Adam step.
     """
-    if isinstance(split_cfg, VflSplit):
-        return train(ds, [split_cfg], [cfg])[0]
-    splits, cfgs = list(split_cfg), list(cfg)
-    if len(splits) != len(cfgs):
-        raise TrainingError(f"{len(splits)} splits but {len(cfgs)} configs")
-    if not splits:
-        return []
     lr, patience, tol, val_fraction = 0.05, 20, 1e-6, 0.1
     beta1, beta2, eps = 0.9, 0.999, 1e-8
     if ds.n == 0:
@@ -255,75 +242,41 @@ def train(ds: Dataset, split_cfg: VflSplit | list[VflSplit],
         raise TrainingError("need at least two training samples")
     # carve a validation slice out of the training rows; the fit keeps at least one
     n_val = max(1, int(round(val_fraction * train_idx.size)))
-    # one entry per live window along the leading axis of every array; each
-    # window's parameters are [W b], so one Adam step covers both
+    rng = np.random.default_rng(cfg.seed)
+    rows = train_idx[rng.permutation(train_idx.size)]
+    x = ds.x[rows][:, split_cfg.active + split_cfg.passive]
+    y = np.zeros((train_idx.size, ds.k))        # one-hot labels
+    np.put_along_axis(y, ds.y[rows, None], 1.0, axis=-1)
+    # the parameters are [W b], so one Adam step covers both
     n_w = ds.k * ds.d_t
-    x = np.empty((len(splits), train_idx.size, ds.d_t))
-    y = np.zeros((len(splits), train_idx.size, ds.k))     # one-hot labels
-    theta = np.zeros((len(splits), n_w + ds.k))
-    for i, (split, c) in enumerate(zip(splits, cfgs)):
-        rng = np.random.default_rng(c.seed)
-        rows = train_idx[rng.permutation(train_idx.size)]
-        x[i] = ds.x[rows][:, split.active + split.passive]
-        np.put_along_axis(y[i], ds.y[rows, None], 1.0, axis=-1)
-        theta[i, :n_w] = 0.01 * rng.standard_normal(n_w)
-    live = np.arange(len(splits))
-    lam = np.array([c.lam for c in cfgs])
-    max_epochs = np.array([c.max_epochs for c in cfgs])
+    theta = np.zeros(n_w + ds.k)
+    theta[:n_w] = 0.01 * rng.standard_normal(n_w)
+    w, b = theta[:n_w].reshape(ds.k, ds.d_t), theta[n_w:]
     m, v, best = np.zeros_like(theta), np.zeros_like(theta), theta.copy()
-    best_loss = np.full(len(splits), np.inf)
-    last_gain = np.zeros(len(splits), dtype=int)    # epoch of the last relative gain
-    models = [None] * len(splits)
-    epoch, next_check = 0, min(patience, *(c.max_epochs for c in cfgs))
-    w, b = theta[:, :n_w].reshape(-1, ds.k, ds.d_t), theta[:, n_w:]
+    best_loss, last_gain, epoch = np.inf, 0, 0      # last_gain: epoch of the last relative gain
     while True:
         # at the parameters after `epoch` steps
-        val_loss, loss, gw, gb = loss_and_grads(w, b, x, y, lam, n_val)
-        g = np.concatenate((gw.reshape(len(live), -1), gb), axis=-1)
-        if epoch:
-            np.copyto(last_gain, epoch, where=val_loss < best_loss * (1.0 - tol))
-            np.copyto(best, theta, where=(val_loss < best_loss)[:, None])
-            best_loss = np.fmin(best_loss, val_loss)    # a NaN loss keeps the best
-        # no window stops before its cap or patience epochs after its last gain
-        if epoch >= next_check:
-            done = (epoch - last_gain >= patience) | (max_epochs <= epoch)
-            for i in np.flatnonzero(done):
-                # a copy: compaction overwrites the rows of best in place
-                split, params = splits[live[i]], best[i].copy()
-                best_w = params[:n_w].reshape(ds.k, ds.d_t)
-                n_act = split.d_t - split.d
-                models[live[i]] = VflModel(
-                    w_act=best_w[:, :n_act], w_pas=best_w[:, n_act:], b=params[n_w:],
-                    k=ds.k, split=split, lam=cfgs[live[i]].lam)
-            if done.all():
-                return models
-            if done.any():
-                keep = ~done
-                (live, lam, max_epochs, x, y, theta, m, v, best, best_loss, last_gain,
-                 loss, g) = (
-                    _compact(a, keep) for a in (live, lam, max_epochs, x, y, theta, m, v,
-                                                best, best_loss, last_gain, loss, g))
-            next_check = int(min(max_epochs.min(), last_gain.min() + patience))
-            w, b = theta[:, :n_w].reshape(-1, ds.k, ds.d_t), theta[:, n_w:]
+        val_loss, loss, gw, gb = loss_and_grads(w, b, x, y, cfg.lam, n_val)
+        if epoch:                                   # a NaN loss keeps the best
+            if val_loss < best_loss * (1.0 - tol):
+                last_gain = epoch
+            if val_loss < best_loss:
+                best, best_loss = theta.copy(), val_loss
+        if epoch - last_gain >= patience or epoch >= cfg.max_epochs:
+            break
         epoch += 1
-        finite = np.isfinite(loss)
-        if not finite.all():
-            i = np.argmin(finite)
-            raise TrainingError(f"training of window {live[i]} diverged at epoch "
-                                f"{epoch} (loss={loss[i]})")
+        if not np.isfinite(loss):
+            raise TrainingError(f"training diverged at epoch {epoch} (loss={loss})")
+        g = np.concatenate((gw.ravel(), gb))
         m = beta1 * m + (1 - beta1) * g
         v = beta2 * v + (1 - beta2) * g * g
         c1 = 1 - beta1 ** epoch
         c2 = 1 - beta2 ** epoch
         theta -= lr * (m / c1) / (np.sqrt(v / c2) + eps)
-
-
-def _compact(a, keep):
-    """a[keep], moved into the leading entries of a itself; a view of them."""
-    kept = np.flatnonzero(keep)
-    for j, i in enumerate(kept):
-        a[j] = a[i]
-    return a[:kept.size]
+    n_act = split_cfg.d_t - split_cfg.d
+    best_w = best[:n_w].reshape(ds.k, ds.d_t)
+    return VflModel(w_act=best_w[:, :n_act], w_pas=best_w[:, n_act:], b=best[n_w:],
+                    k=ds.k, split=split_cfg, lam=cfg.lam)
 
 
 def accuracy(model: VflModel, ds: Dataset) -> float:

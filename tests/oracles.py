@@ -219,10 +219,11 @@ def _window_loss(w, b, x, y_onehot, lam):
 
 
 def train_window(ds, split_cfg, cfg):
-    """One window's model by its own Adam loop: the rule train applies to a batch.
+    """One window's model by its own Adam loop: the rule train applies.
 
-    Full-batch Adam on 2-D arrays, one window and one epoch at a time, with
-    the loss, its gradients and the early stop written out. Returns the model
+    Full-batch Adam, one epoch at a time, with the row-major loss, its
+    gradients and the early stop written out: a separate forward on the fit
+    rows, then one on the validation rows after the step. Returns the model
     and the number of epochs run.
     """
     lr, patience, tol, val_fraction = 0.05, 20, 1e-6, 0.1

@@ -277,7 +277,7 @@ class TestSubcommands:
         from vflpriv import metrics
         seen = []
         monkeypatch.setattr(metrics, "average_over_space",
-                            lambda ds, d, names, n_pred, **kw:
+                            lambda model, ds, d, names, n_pred, **kw:
                             seen.append(n_pred) or dict.fromkeys(names, 0.0))
         assert _run(["figure1", "--synth-n", "100", "--synth-dt", "4",
                      "--d-grid", "1", "--attacks", "half", "--full",
@@ -296,14 +296,10 @@ class TestSubcommands:
 
 @pytest.fixture()
 def train_calls(monkeypatch):
-    """The windows of every train call made through the CLI or metrics, one entry a call."""
-    from vflpriv import metrics
-    calls = []
-    for mod in (cli, metrics):
-        real = mod.train
-        monkeypatch.setattr(mod, "train", lambda ds, splits, *a, real=real, **kw:
-                            calls.append(len(splits) if isinstance(splits, list) else 1)
-                            or real(ds, splits, *a, **kw))
+    """The split of every train call made through the CLI, one entry a call."""
+    real, calls = cli.train, []
+    monkeypatch.setattr(cli, "train", lambda ds, split, *a, **kw:
+                        calls.append(split) or real(ds, split, *a, **kw))
     return calls
 
 
@@ -344,6 +340,16 @@ class TestBadArguments:
                      "--d-grid", "1,5", "--attacks", "half", "--n", "5"]) == 2
         assert "--d-grid" in capsys.readouterr().err
         assert not train_calls
+
+    @pytest.mark.parametrize("grid", ["2,x", ",2", "2,", "2,2", "1,2,1"])
+    def test_bad_d_grid_before_loading(self, grid, capsys, monkeypatch, train_calls):
+        loads = []
+        monkeypatch.setattr(cli, "_load_data", lambda args: loads.append(1))
+        assert _run(["figure1", "--synth-n", "100", "--synth-dt", "4",
+                     "--d-grid", grid, "--attacks", "half", "--n", "5"]) == 2
+        err = capsys.readouterr().err
+        assert "--d-grid" in err and repr(grid) in err and "invalid literal" not in err
+        assert not loads and not train_calls
 
     @pytest.mark.parametrize("argv", [
         ["attack", "--d", "2", "--attacks", "half,nope"],
@@ -567,17 +573,29 @@ def metrics_calls(monkeypatch):
     return calls
 
 
-def test_figure1_trains_each_window_once(tmp_path, train_calls, metrics_calls):
-    # d_t = 4 windows per d, each with one model and one system, whatever
-    # the number of attacks; one train call per d fits its 4 windows
+def test_figure1_trains_once_and_builds_one_system_per_window(tmp_path, train_calls,
+                                                              metrics_calls):
+    # one train call on all 4 features for the whole grid, then d_t = 4
+    # windows per d, each one system, whatever the number of attacks
     for attacks in ("rg,half,ls,half_star", "half"):
         assert _run(["figure1", "--synth-n", "150", "--synth-dt", "4",
                      "--d-grid", "1,2", "--attacks", attacks,
                      "--n", "5", "--out", str(tmp_path / "fig1.csv")]) == 0
-        assert train_calls == [4, 4]
+        assert train_calls == [VflSplit.contiguous(4, 0, 4)]
         assert len(metrics_calls["build_system"]) == 2 * 4
         train_calls.clear()
         metrics_calls["build_system"].clear()
+
+
+def test_figure1_cells_do_not_depend_on_the_grid_order(tmp_path):
+    tables = {}
+    for grid in ("1,3", "3,1", "3"):
+        path = tmp_path / f"{grid}.csv"
+        assert _run(["figure1", "--synth-n", "150", "--synth-dt", "4", "--d-grid", grid,
+                     "--attacks", "rg,ls,half_star", "--n", "5", "--out", str(path)]) == 0
+        tables[grid] = sorted(map(tuple, _read_rows(path)[1:]))
+    assert tables["1,3"] == tables["3,1"]
+    assert set(tables["3"]) < set(tables["1,3"])
 
 
 class TestModelMustMatchWindow:

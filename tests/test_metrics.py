@@ -195,40 +195,43 @@ class TestAverageOverSpace:
     def tiny(self):
         return synthesize(SyntheticSpec(n=120, d_t=3, k=2, seed=9))
 
-    def test_full_width_single_window(self, tiny):
-        avg = metrics.average_over_space(tiny, 3, ["half"], n_pred=10,
+    @pytest.fixture()
+    def model(self, tiny):
+        return train(tiny, VflSplit.contiguous(3, 0, 3), TrainConfig(lam=0.1, seed=0))
+
+    def test_full_width_single_window(self, tiny, model):
+        avg = metrics.average_over_space(model, tiny, 3, ["half"], n_pred=10,
                                          seed=0)["half"]
         # half ignores the model, so every window gives the same numbers
-        split = VflSplit.contiguous(3, 0, 3)
-        model = train(tiny, split, TrainConfig(seed=0))
         rows = np.flatnonzero(tiny.test_mask)[:10]
         direct = metrics.attack_mse_on_rows(model, tiny, rows, ["half"])["half"]
         assert avg == pytest.approx(direct, abs=1e-12)
 
-    def test_dimension_guard(self, tiny):
+    def test_dimension_guard(self, tiny, model):
         with pytest.raises(metrics.MetricsError):
-            metrics.average_over_space(tiny, 4, ["half"])
+            metrics.average_over_space(model, tiny, 4, ["half"])
 
-    def test_windows_cover_all_starts(self, tiny, monkeypatch):
+    def test_windows_cover_all_starts(self, tiny, model, monkeypatch):
         # d=1, d_t=3: each feature serves as the passive window exactly once,
-        # on a model trained with lam and the window's seed, all in one batch
-        trained = []
+        # on a view of the one model, with the window's own generator
+        names, seen = ["rg", "ls", "half_star"], []
+        real = metrics.attack_mse_on_rows
 
-        def recording_train(ds, splits, cfgs):
-            trained.append([(split.passive, cfg) for split, cfg in zip(splits, cfgs)])
-            return train(ds, splits, cfgs)
-        monkeypatch.setattr(metrics, "train", recording_train)
-        avg = metrics.average_over_space(tiny, 1, ["half"], n_pred=8,
-                                         lam=0.1, seed=0)["half"]
-        assert trained == [[((s,), TrainConfig(lam=0.1, seed=s)) for s in range(3)]]
+        def recording(view, *args, **kw):
+            seen.append((view, real(view, *args, **kw)))
+            return seen[-1][1]
+        monkeypatch.setattr(metrics, "attack_mse_on_rows", recording)
+        avg = metrics.average_over_space(model, tiny, 1, names, n_pred=8, seed=4)
+        assert [view.split for view, _ in seen] == [VflSplit.contiguous(3, s, 1)
+                                                    for s in range(3)]
         rows = np.flatnonzero(tiny.test_mask)[:8]
-        per_window = []
-        for start in range(3):
-            split = VflSplit.contiguous(3, start, 1)
-            model = train(tiny, split, TrainConfig(lam=0.1, seed=start))
-            per_window.append(
-                metrics.attack_mse_on_rows(model, tiny, rows, ["half"])["half"])
-        assert avg == pytest.approx(np.mean(per_window), abs=1e-12)
+        for start, (view, got) in enumerate(seen):
+            assert view.lam == 0.1
+            want = real(model.window(view.split), tiny, rows, names,
+                        rng=np.random.default_rng(4 + start))
+            assert got == want          # bit for bit
+        assert avg == {name: float(np.mean([got[name] for _, got in seen]))
+                       for name in names}
 
 
 class TestAttackMseOnRows:

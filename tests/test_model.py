@@ -115,19 +115,6 @@ class TestGradients:
             val, fit, _, _ = loss_and_grads(w, b, twice, y2, lam, 30)
             assert val == fit
 
-    def test_window_axis_gives_each_window_its_own_bits(self):
-        rng = np.random.default_rng(6)
-        n, d, k = 40, 5, 4
-        x = rng.uniform(size=(3, n, d))
-        y = np.eye(k)[rng.integers(0, k, (3, n))]
-        w, b = rng.standard_normal((3, k, d)), rng.standard_normal((3, k))
-        lam = np.array([0.0, 1e-3, 0.5])
-        got = loss_and_grads(w, b, x, y, lam, 7)
-        for i in range(3):
-            one = loss_and_grads(w[i], b[i], x[i], y[i], float(lam[i]), 7)
-            assert got[0][i] == one[0] and got[1][i] == one[1]
-            assert np.array_equal(got[2][i], one[2]) and np.array_equal(got[3][i], one[3])
-
     @pytest.mark.parametrize("n, d, k", [(40, 5, 4), (800, 8, 2), (300, 6, 130), (50, 1, 3)])
     @pytest.mark.parametrize("seed", range(6))
     def test_row_major_oracle_bits(self, n, d, k, seed):
@@ -257,6 +244,39 @@ class TestModelObject:
                      b=np.zeros(2), k=2, split=split)
 
 
+class TestWindowView:
+    @pytest.fixture(scope="class")
+    def full(self, small_dataset):
+        return train(small_dataset, VflSplit.contiguous(10, 0, 10),
+                     TrainConfig(seed=3, lam=1e-3, max_epochs=100))
+
+    def test_viewing_back_gives_the_same_weights(self, small_model):
+        view = small_model.window(VflSplit.contiguous(10, 7, 6))
+        assert view.split.passive == (7, 8, 9, 0, 1, 2) and view.lam == small_model.lam
+        assert _same_model(view.window(small_model.split), small_model)
+
+    def test_every_view_gives_the_full_models_logits(self, full):
+        x = np.random.default_rng(2).uniform(size=(50, 10))
+        want = full.logits(np.empty((50, 0)), x)
+        for d in range(1, 11):
+            for start in range(10):
+                view = full.window(VflSplit.contiguous(10, start, d))
+                got = view.logits(x[:, list(view.split.active)], x[:, list(view.split.passive)])
+                assert np.allclose(got, want, rtol=0.0, atol=1e-12)
+
+    def test_full_width_view_has_an_empty_active_side(self, full, small_model):
+        view = small_model.window(VflSplit.contiguous(10, 3, 10))
+        assert view.w_act.shape == (2, 0) and view.w_pas.shape == (2, 10)
+        # features 3..9 then 0..2; the model holds 0..4 passive and 5..9 active
+        assert np.array_equal(view.w_pas[:, 2:7], small_model.w_act)
+        assert np.array_equal(view.w_pas[:, 7:], small_model.w_pas[:, :3])
+        assert _same_model(full.window(full.split), full)
+
+    def test_other_feature_count_rejected(self, small_model):
+        with pytest.raises(ValueError, match="9 features"):
+            small_model.window(VflSplit.contiguous(9, 0, 4))
+
+
 def _same_model(got, want):
     return (np.array_equal(got.w_act, want.w_act) and np.array_equal(got.w_pas, want.w_pas)
             and np.array_equal(got.b, want.b) and got.split == want.split
@@ -264,16 +284,14 @@ def _same_model(got, want):
 
 
 class TestBatchedTraining:
-    """train on a batch of windows against one oracle loop per window, bit for bit."""
+    """train's full-batch Adam loop against the oracle's own loop, bit for bit."""
 
     @staticmethod
     def _check(ds, splits, cfgs):
-        models = train(ds, splits, cfgs)
-        assert len(models) == len(splits)
         epochs = []
-        for got, split, cfg in zip(models, splits, cfgs):
+        for split, cfg in zip(splits, cfgs):
             want, ran = oracles.train_window(ds, split, cfg)
-            assert _same_model(got, want)
+            assert _same_model(train(ds, split, cfg), want)
             epochs.append(ran)
         return epochs
 
@@ -285,10 +303,11 @@ class TestBatchedTraining:
         splits = [VflSplit.contiguous(6, s, 3) for s in range(6)]
         assert splits[5].passive == (5, 0, 1)
         epochs = self._check(ds, splits, [TrainConfig(lam=lam, seed=s) for s in range(6)])
-        assert len(set(epochs)) > 1      # windows leave the batch at different epochs
+        assert len(set(epochs)) > 1      # the windows stop at different epochs
 
     @pytest.mark.parametrize("n, d_t, k, train_frac, d, windows", [
-        (1000, 8, 2, 0.8, 2, 8),    # figure1's shape: 720 fit rows, 1,440-term sums
+        (1000, 8, 2, 0.8, 8, 1),    # figure1's model: all 8 features, 720 fit rows
+        (1000, 8, 2, 0.8, 2, 8),    # 1,440-term sums
         (1000, 8, 2, 0.8, 4, 8),
         (1000, 12, 4, 0.2, 6, 1),   # tradeoff's shape: 180 fit rows
         (700, 6, 130, 0.8, 3, 2),   # k > 128 splits the class axis in two
@@ -325,53 +344,30 @@ class TestBatchedTraining:
         assert 15 < min(epochs[0], epochs[2]) and epochs[0] != epochs[2]
         assert max(epochs[0], epochs[2]) < 3000
 
-    def test_one_window_is_a_batch_of_one(self, small_dataset):
-        split, cfg = VflSplit.contiguous(10, 7, 5), TrainConfig(seed=2, lam=1e-3)
-        alone = train(small_dataset, split, cfg)
-        assert _same_model(alone, oracles.train_window(small_dataset, split, cfg)[0])
-        assert _same_model(alone, train(small_dataset, [split], [cfg])[0])
-
-    def test_empty_batch(self, small_dataset):
-        assert train(small_dataset, [], []) == []
-
-    def test_lengths_must_agree(self, small_dataset):
-        with pytest.raises(TrainingError, match="2 splits but 1 configs"):
-            train(small_dataset, [VflSplit.contiguous(10, 0, 2)] * 2, [TrainConfig()])
-
-    def test_divergence_names_the_window_and_epoch(self, small_dataset, monkeypatch):
+    @staticmethod
+    def _poison(monkeypatch, call):
+        """Make the fit loss of the given loss_and_grads call NaN; returns the call count."""
         from vflpriv import model as model_mod
         real, calls = model_mod.loss_and_grads, []
 
         def poisoned(*args):
             val, loss, gw, gb = real(*args)
             calls.append(None)
-            if len(calls) == 3:
-                loss = loss.copy()
-                loss[1] = np.nan
-            return val, loss, gw, gb
+            return val, np.nan if len(calls) == call else loss, gw, gb
 
         monkeypatch.setattr(model_mod, "loss_and_grads", poisoned)
-        splits = [VflSplit.contiguous(10, s, 3) for s in range(3)]
-        with pytest.raises(TrainingError, match="window 1 diverged at epoch 3"):
-            train(small_dataset, splits, [TrainConfig(seed=s) for s in range(3)])
+        return calls
+
+    def test_divergence_names_the_epoch(self, small_dataset, monkeypatch):
+        self._poison(monkeypatch, 3)
+        with pytest.raises(TrainingError, match="diverged at epoch 3"):
+            train(small_dataset, VflSplit.contiguous(10, 1, 3), TrainConfig(seed=1))
 
     def test_stop_check_runs_before_the_divergence_check(self, small_dataset, monkeypatch):
-        # the fourth forward is at window 0's parameters after its third and
-        # last step; the loop never steps on its fit loss there, so a NaN in
-        # it must neither raise nor reach window 1 through the compaction
-        from vflpriv import model as model_mod
-        real, calls = model_mod.loss_and_grads, []
-
-        def poisoned(*args):
-            val, loss, gw, gb = real(*args)
-            calls.append(len(loss))
-            if len(calls) == 4:
-                loss = loss.copy()
-                loss[0] = np.nan
-            return val, loss, gw, gb
-
-        monkeypatch.setattr(model_mod, "loss_and_grads", poisoned)
-        splits = [VflSplit.contiguous(10, s, 3) for s in range(2)]
-        cfgs = [TrainConfig(seed=0, max_epochs=3), TrainConfig(seed=1)]
-        epochs = self._check(small_dataset, splits, cfgs)
-        assert epochs[0] == 3 and calls[:5] == [2, 2, 2, 2, 1]
+        # the fourth forward is at the parameters after the third and last
+        # step; the loop never steps on its fit loss there, so a NaN in it
+        # must not raise
+        calls = self._poison(monkeypatch, 4)
+        epochs = self._check(small_dataset, [VflSplit.contiguous(10, 0, 3)],
+                             [TrainConfig(seed=0, max_epochs=3)])
+        assert epochs == [3] and len(calls) == 4
