@@ -1,15 +1,17 @@
 """White-box reconstruction estimators plus the gradient-inversion baseline.
 
-All attacks are pure functions of (system/model, config) and take a batch:
-a system of N predictions gives N x d estimates in one call, and a one-row
-system gives a d-vector; every estimator given a system reports through
-_estimate. The iterative solvers (the exact dual Newton projection for
-rcc2, FISTA for cls, a primal-dual interior point on rcc1's relaxation as a
-linear SDP) make one call per batch on the shared factors of A, vectorized
-over the rows not yet converged; gia descends one row at a time, with
-Barzilai-Borwein step sizes (the secant step s.s / s.y after each accepted
-step). When the system is determined (trivial nullspace) every estimator
-but half, zero and rg short-circuits to the unique solution A^+ b'.
+All attacks are pure functions of (system, config) and take a batch: a
+system of N predictions gives N x d estimates in one call, and a one-row
+system gives a d-vector. Every estimator reads only A, b' and, for gia, the
+released scores' logs that the system carries; none needs the model. The
+iterative solvers (the exact dual Newton projection for rcc2, FISTA for
+cls, a primal-dual interior point on rcc1's relaxation as a linear SDP)
+make one call per batch on the shared factors of A, vectorized over the
+rows not yet converged; gia descends on its KL objective one row at a time,
+with Barzilai-Borwein step sizes (the secant step s.s / s.y after each
+accepted step). When the system is determined (trivial nullspace) every
+estimator but half, zero, rg and gia short-circuits to the unique solution
+A^+ b'.
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import numerics
-from .model import VflModel
 from .system import LinearSystem
 
 
@@ -33,7 +34,8 @@ class AttackEstimate:
     """Reconstructions x_hat (d, or N x d) with solver diagnostics.
 
     feasible is True iff every row lies in its solution space intersected
-    with the unit box; gia, which is given no system, checks the box only.
+    with the unit box; gia, which minimizes a divergence and so does not
+    hold its rows to A x = b', checks the box only.
     Per-row diagnostics have the batch shape (a scalar for one row).
     """
 
@@ -326,25 +328,21 @@ def attack_rcc1(sys_: LinearSystem) -> AttackEstimate:
 _GIA_MAX_STEP = 1e30
 
 
-def _gia_row(model: VflModel, y_act, c, x, step: float, max_iter: int,
+def _gia_row(log_c, offset, m, x, step: float, max_iter: int,
              tol: float) -> tuple[np.ndarray, float, int, bool]:
-    """Projected descent from x for one prediction, with the step rule of
-    attack_gia.
+    """Projected descent from x on one row's D(c_hat || c), with the step
+    rule of attack_gia; the logits at x are offset + m @ x.
 
     Returns (x, KL bits, iterations, converged); converged is True when a
     step moved x by less than tol, False at the iteration cap or once the
     step size underflows.
     """
-    log_c = np.log(np.maximum(c, 1e-300))
-    ln2 = np.log(2.0)
-    u = model.w_act @ y_act         # the active party's logits stay fixed
-    w_pas, w_pas_t, b = model.w_pas, model.w_pas.T, model.b
+    ln2, m_t = np.log(2.0), m.T
 
     # softmax(z) and c_hat * (ell - s) / ln2 written out in place, each float
     # operation in its order there, so the iterates match them bit for bit
     def objective_and_grad(x):
-        z = u + w_pas @ x
-        z += b
+        z = offset + m @ x
         z -= z.max()
         c_hat = np.exp(z)
         c_hat /= c_hat.sum()
@@ -353,19 +351,17 @@ def _gia_row(model: VflModel, y_act, c, x, step: float, max_iter: int,
         ell -= s
         ell *= c_hat
         ell /= ln2
-        return s / ln2, w_pas_t @ ell
+        return s / ln2, m_t @ ell
 
     obj, grad = objective_and_grad(x)
-    cur_step = step
-    iters = 0
+    cur_step, iters = step, 0
     for iters in range(1, max_iter + 1):
         cand = x - cur_step * grad
         np.maximum(cand, 0.0, out=cand)
         np.minimum(cand, 1.0, out=cand)
         cand_obj, cand_grad = objective_and_grad(cand)
         if cand_obj <= obj:
-            dx = cand - x
-            dg = cand_grad - grad
+            dx, dg = cand - x, cand_grad - grad
             x, obj, grad = cand, cand_obj, cand_grad
             ss = dx.dot(dx)
             if np.sqrt(ss) < tol:
@@ -384,46 +380,44 @@ def _gia_row(model: VflModel, y_act, c, x, step: float, max_iter: int,
     return x, obj, iters, False
 
 
-def attack_gia(model: VflModel, y_act, c, init: str = "half",
-               max_iter: int = 5000, rng: np.random.Generator | None = None
-               ) -> AttackEstimate:
+def attack_gia(sys_: LinearSystem, init: str = "half", max_iter: int = 5000,
+               rng: np.random.Generator | None = None) -> AttackEstimate:
     """Gradient-inversion baseline: projected descent on D(c_hat || c) over the box.
 
-    y_act and c hold one prediction or N of them (N x (d_t - d), N x k);
-    the rows are solved one after another. init selects the starting point:
-    "zeros", "half" or "random" (drawn per row, in row order, from rng).
-    Steps start at 0.05 and are only accepted when they do not increase the
-    objective; a rejected step halves the step size. After an accepted step
-    s, with gradient change y, the next step size is the Barzilai-Borwein
-    value s.s / s.y (Barzilai & Borwein 1988; with the projection, the
-    spectral projected gradient of Birgin, Martinez & Raydan 2000), or
-    twice the last one where s.y <= 0, never above 1e30. A row stops when
-    the step size falls below 1e-16. diagnostics["iterations"] is the total
-    over all rows, and diagnostics["converged"] says per row whether its
-    last step moved it by less than 1e-12 (False at the max_iter cap or on
-    step underflow).
+    The model enters only through the system: with r = A x - b', the logits
+    at x are log c + [0, cumsum(r)] up to a constant that softmax ignores,
+    that is offset + M x with M = [0; cumsum(A)] shared by every row and
+    offset = log c - [0, cumsum(b')] per row. So gia needs the system's
+    log_c (ValueError without them); the rows are solved one after another.
+    init selects the starting point: "zeros", "half" or "random" (drawn per
+    row, in row order, from rng). Steps start at 0.05 and are only accepted
+    when they do not increase the objective; a rejected step halves the
+    step size. After an accepted step s, with gradient change y, the next
+    step size is the Barzilai-Borwein value s.s / s.y (Barzilai & Borwein
+    1988; with the projection, the spectral projected gradient of Birgin,
+    Martinez & Raydan 2000), or twice the last one where s.y <= 0, never
+    above 1e30. A row stops when the step size falls below 1e-16.
+    diagnostics["iterations"] is the total over all rows, and
+    diagnostics["converged"] says per row whether its last step moved it by
+    less than 1e-12 (False at the max_iter cap or on step underflow).
     """
     if init not in ("zeros", "half", "random"):
         raise ValueError(f"unknown init mode {init!r}")
-    c = np.asarray(c, dtype=float)
-    y_act = np.asarray(y_act, dtype=float)
-    d = model.w_pas.shape[1]
-    batch = c.shape[:-1]
+    if sys_.log_c is None:
+        raise ValueError("gia needs the released scores: this system has no log_c")
     if init == "random" and rng is None:
         raise ValueError("gia's random init needs an RNG")
-    x = np.empty(batch + (d,))
-    kl_bits = np.empty(batch)
-    converged = np.empty(batch, dtype=bool)
+    d, batch = sys_.d, sys_.batch
+    m = np.vstack([np.zeros(d), np.cumsum(sys_.a, axis=0)])
+    offset = sys_.log_c.copy()
+    offset[..., 1:] -= np.cumsum(sys_.b, axis=-1)
+    x, kl_bits, converged = np.empty(batch + (d,)), np.empty(batch), np.empty(batch, bool)
     iterations = 0
     for i in np.ndindex(batch):
-        if init == "zeros":
-            x0 = np.zeros(d)
-        elif init == "half":
-            x0 = np.full(d, 0.5)
-        else:
-            x0 = rng.uniform(0.0, 1.0, size=d)
+        x0 = (rng.uniform(0.0, 1.0, size=d) if init == "random"
+              else np.full(d, 0.5 if init == "half" else 0.0))
         x[i], kl_bits[i], iters, converged[i] = _gia_row(
-            model, y_act[i], c[i], x0, 0.05, max_iter, 1e-12)
+            sys_.log_c[i], offset[i], m, x0, 0.05, max_iter, 1e-12)
         iterations += iters
     return AttackEstimate(
         x_hat=x, name="gia",
@@ -435,19 +429,19 @@ def attack_gia(model: VflModel, y_act, c, init: str = "half",
 WHITEBOX_ATTACKS = ("half", "half_star", "ls", "clamped_ls", "cls", "rcc1", "rcc2")
 # every name run_attack accepts
 ATTACKS = WHITEBOX_ATTACKS + ("zero", "rg", "gia")
-# the estimators that need nothing but the system
+# the estimators that take nothing but the system
 _ON_SYSTEM = {"half": attack_half, "zero": attack_zero,
               "half_star": attack_half_star, "ls": attack_ls,
               "clamped_ls": attack_clamped_ls, "cls": attack_cls,
               "rcc1": attack_rcc1, "rcc2": attack_rcc2}
 
 
-def run_attack(name: str, sys_: LinearSystem, *, model: VflModel | None = None,
-               y_act=None, c=None, init: str = "half",
+def run_attack(name: str, sys_: LinearSystem, *, init: str = "half",
                rng: np.random.Generator | None = None) -> AttackEstimate:
     """Dispatch an attack by name over every row of sys_.
 
-    rg additionally needs rng, and gia (model, y_act, c) for the same rows.
+    rg additionally needs rng; gia takes init (rng for its random start) and
+    needs the system's log_c.
     """
     if name in _ON_SYSTEM:
         return _ON_SYSTEM[name](sys_)
@@ -456,7 +450,5 @@ def run_attack(name: str, sys_: LinearSystem, *, model: VflModel | None = None,
             raise ValueError("rg needs an RNG")
         return attack_random(sys_, rng)
     if name == "gia":
-        if model is None or y_act is None or c is None:
-            raise ValueError("gia needs (model, y_act, c)")
-        return attack_gia(model, y_act, c, init=init, rng=rng)
+        return attack_gia(sys_, init=init, rng=rng)
     raise ValueError(f"unknown attack {name!r}")

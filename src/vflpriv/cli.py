@@ -114,6 +114,19 @@ def _attack_names(text: str) -> list[str]:
     return names
 
 
+def _comma_list(text: str, flag: str, kind: type) -> list:
+    """A flag's comma list of distinct kind values (--d-grid, --alpha),
+    checked before any load."""
+    try:
+        values = [kind(v) for v in text.split(",")]
+    except ValueError:
+        raise DataError(f"{flag} must be a comma list of {kind.__name__} values, "
+                        f"got {text!r}") from None
+    if len(set(values)) != len(values):
+        raise DataError(f"values repeat in {flag} {text!r}")
+    return values
+
+
 def _load_data(args) -> Dataset:
     if args.data:
         ds = load_dataset(args.data, label_col=args.label_col,
@@ -197,7 +210,8 @@ def _defense_sweep(model: VflModel, ds: Dataset, rows, settings, attack: str,
 
     One predict and one clean build_system (checking every row) cover the N
     rows, and the pps1 transform or the one s1/s2 direction comes from it.
-    pps1 comes alone and releases new weights with the scores. The S noisy
+    pps1 comes alone and releases new weights with the scores; they go only
+    to build_system, as every estimator reads the system alone. The S noisy
     settings release one S*N x k batch: one build_system, run_attack and
     kl_divergence call, so rng draws setting by setting, in row order. A
     failure there is raised again with each row named by setting and row (a
@@ -210,8 +224,8 @@ def _defense_sweep(model: VflModel, ds: Dataset, rows, settings, attack: str,
     if [scheme for scheme, _ in settings] == ["pps1"]:
         h = defense.pps1_optimal_h(clean, metrics.moments(ds, pas).k0)
         released = defense.pps1_reveal_params(model, h)
-        sys_ = build_system(released, y_act, c, source="defended")
-        est = run_attack(attack, sys_, model=released, y_act=y_act, c=c, rng=rng)
+        est = run_attack(attack, build_system(released, y_act, c, source="defended"),
+                         rng=rng)
         return [(metrics.empirical_mse(x_pas, est.x_hat), 0.0, True)]
     z, v1, c_out = model.logits(y_act, x_pas), None, []
     for scheme, param in settings:
@@ -223,7 +237,7 @@ def _defense_sweep(model: VflModel, ds: Dataset, rows, settings, attack: str,
     flat, y_all = c_out.reshape(s * n, -1), np.tile(y_act, (s, 1))
     try:
         sys_ = build_system(model, y_all, flat, source="noisy")
-        est = run_attack(attack, sys_, model=model, y_act=y_all, c=flat, rng=rng)
+        est = run_attack(attack, sys_, rng=rng)
     except (SystemError_, AttackError, numerics.ConvergenceError) as exc:
         def name(match):            # stacked row i is row i % n of setting i // n
             at = {}
@@ -247,7 +261,7 @@ def cmd_defend(args) -> int:
     attacks = _attack_names(args.attack)
     if len(attacks) != 1:
         raise DataError(f"--attack takes one name, got {args.attack!r}")
-    alphas = [""] if args.scheme == "pps1" else [float(a) for a in args.alpha.split(",")]
+    alphas = [""] if args.scheme == "pps1" else _comma_list(args.alpha, "--alpha", float)
     n = _check_n(args.n, "--n")
     ds = _load_data(args)
     if args.scheme != "pps1":
@@ -278,21 +292,10 @@ def cmd_evaluate(args) -> int:
     return 0
 
 
-def _d_grid(text: str) -> list[int]:
-    """The comma list of --d-grid, checked before any load."""
-    try:
-        grid = [int(d) for d in text.split(",")]
-    except ValueError:
-        raise DataError(f"--d-grid must be a comma list of integers, got {text!r}") from None
-    if len(set(grid)) != len(grid):
-        raise DataError(f"window sizes repeat in --d-grid {text!r}")
-    return grid
-
-
 def cmd_figure1(args) -> int:
     names = _attack_names(args.attacks)
     n_pred = FULL_N if args.full else _check_n(args.n, "--n")
-    grid = _d_grid(args.d_grid)
+    grid = _comma_list(args.d_grid, "--d-grid", int)
     ds = _load_data(args)
     for d in grid:
         _check_d(d, ds.d_t, "--d-grid")

@@ -149,14 +149,9 @@ def attack_mse_on_rows(model: VflModel, ds: Dataset, rows, attacks,
         raise MetricsError(f"attack names repeat: {list(attacks)}")
     y_act = ds.x[np.ix_(rows, model.split.active)]
     x_pas = ds.x[np.ix_(rows, model.split.passive)]
-    c = predict(model, y_act, x_pas)
-    sys_ = build_system(model, y_act, c)
-    out = {}
-    for name in attacks:
-        est = run_attack(name, sys_, model=model, y_act=y_act, c=c, rng=rng,
-                         init=init)
-        out[name] = empirical_mse(x_pas, est.x_hat)
-    return out
+    sys_ = build_system(model, y_act, predict(model, y_act, x_pas))
+    return {name: empirical_mse(x_pas, run_attack(name, sys_, rng=rng, init=init).x_hat)
+            for name in attacks}
 
 
 def average_over_space(model: VflModel, ds: Dataset, d: int, attacks,

@@ -31,17 +31,14 @@ def difference_matrix(k: int) -> np.ndarray:
     return j
 
 
-def log_ratio_scores(c) -> np.ndarray:
-    """Consecutive log ratios ln(c_{m+1}/c_m) along the last axis of the scores."""
-    return np.diff(np.log(np.asarray(c, dtype=float)), axis=-1)
-
-
 def _rowwise(m: np.ndarray, x: np.ndarray) -> np.ndarray:
     """m @ r for every row r of x; a 1-D x is one row.
 
-    Written as (m x^T)^T so that the one-row case stays a matrix-vector
-    product and gives the same bits as m @ x.
+    Written as (m x^T)^T; a lone row goes in as the first of two copies, as
+    a matrix-vector product would give it other bits than it gets in a batch.
     """
+    if x.ndim == 1:
+        return (m @ np.stack([x, x], axis=1))[:, 0]
     return (m @ x.T).T
 
 
@@ -52,11 +49,15 @@ class LinearSystem:
     Every row shares A, so the pseudoinverse, nullspace projector and
     nullspace basis all come from one SVD of A, taken at construction and
     kept as the attribute svd. A 1-D b is the one-row case: per-row results
-    then drop the row axis. Immutable after construction by convention.
+    then drop the row axis. log_c holds the logs of the released scores
+    (batch + (k,)) that b' came from; gia needs them, the other estimators
+    read only (A, b'), and a system built by hand may leave them out.
+    Immutable after construction by convention.
     """
 
     a: np.ndarray
     b: np.ndarray
+    log_c: np.ndarray | None = None
 
     def __post_init__(self):
         self.a = numerics.as_matrix(self.a)
@@ -66,6 +67,13 @@ class LinearSystem:
                              f"(N, {self.a.shape[0]}), got {self.b.shape}")
         if self.b.size == 0 or not np.all(np.isfinite(self.b)):
             raise ValueError("b must be non-empty and finite")
+        if self.log_c is not None:
+            self.log_c = np.asarray(self.log_c, dtype=float)
+            shape = self.batch + (self.a.shape[0] + 1,)
+            if self.log_c.shape != shape:
+                raise ValueError(f"log_c must have shape {shape}, got {self.log_c.shape}")
+            if not np.all(np.isfinite(self.log_c)):
+                raise ValueError("log_c must be finite")
         self.svd = numerics.svd(self.a)
 
     @property
@@ -110,15 +118,15 @@ class LinearSystem:
 
 
 def build_system(model: VflModel, y_act, c, source: str = "clean") -> LinearSystem:
-    """Assemble A = J W_pas and b' = c' - J W_act y - J b from predictions.
+    """Assemble A = J W_pas and b' = J log c - J W_act y - J b from predictions.
 
     y_act is one row of active features (d_t - d) or N rows (N x (d_t - d))
     and c the matching scores (k or N x k); b' then has shape (k-1) or
-    N x (k-1). Logs are taken of the scores as they are, so a score below
-    np.finfo(float).tiny (zero or subnormal) raises SystemError_ naming its
-    row, clean or noisy. For clean scores, the min-norm solution of each row
-    must predict that row's scores to 1e-6 relative; a failed row indicates
-    a dimension bug and raises.
+    N x (k-1), and the system keeps log c as log_c. Logs are taken once, of
+    the scores as they are, so a score below np.finfo(float).tiny (zero or
+    subnormal) raises SystemError_ naming its row, clean or noisy. For clean
+    scores, the min-norm solution of each row must predict that row's scores
+    to 1e-6 relative; a failed row indicates a dimension bug and raises.
     """
     y_act = np.asarray(y_act, dtype=float)
     c = np.asarray(c, dtype=float)
@@ -132,10 +140,10 @@ def build_system(model: VflModel, y_act, c, source: str = "clean") -> LinearSyst
         raise SystemError_(f"row {low[0, 0]} has score {np.atleast_2d(c)[tuple(low[0])]},"
                            " below the smallest normal float, so its log is not exact")
     j = difference_matrix(model.k)
-    a = j @ model.w_pas
-    bprime = (log_ratio_scores(c) - _rowwise(j, _rowwise(model.w_act, y_act))
+    log_c = np.log(c)
+    bprime = (np.diff(log_c, axis=-1) - _rowwise(j, _rowwise(model.w_act, y_act))
               - j @ model.b)
-    sys_ = LinearSystem(a=a, b=bprime)
+    sys_ = LinearSystem(a=j @ model.w_pas, b=bprime, log_c=log_c)
     if source == "clean":
         # A x = b' alone cannot fail where A has full row rank
         c_ls = predict(model, y_act, sys_.min_norm_solution)

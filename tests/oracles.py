@@ -648,15 +648,44 @@ def row_by_row(name: str, sys_: LinearSystem) -> np.ndarray:
     return np.array([solve(LinearSystem(a=sys_.a, b=b)) for b in sys_.b])
 
 
-def gia_row(model, y_act, c, x, step: float, max_iter: int,
+def gia_model_objective(model, y_act, c):
+    """gia's KL objective and gradient for one prediction, through the
+    model: the logits at x are W_act y + W_pas x + b (the reference form)."""
+    u = model.w_act @ y_act
+    return _gia_objective(lambda x: u + model.w_pas @ x + model.b,
+                          np.log(np.maximum(c, 1e-300)), model.w_pas)
+
+
+def gia_system_objective(sys_: LinearSystem):
+    """The same objective read off a one-row system: the logits at x are
+    offset + M x, M = [0; cumsum(A)] and offset = log c - [0, cumsum(b')]."""
+    m = np.vstack([np.zeros(sys_.d), np.cumsum(sys_.a, axis=0)])
+    offset = sys_.log_c - np.concatenate([[0.0], np.cumsum(sys_.b)])
+    return _gia_objective(lambda x: offset + m @ x, sys_.log_c, m)
+
+
+def _gia_objective(logits, log_c, m):
+    """x -> (D(softmax(logits(x)) || c) in bits, its gradient m^T grad_z)."""
+    ln2 = np.log(2.0)
+
+    def objective_and_grad(x):
+        c_hat = softmax(logits(x))
+        ell = np.log(np.maximum(c_hat, 1e-300)) - log_c
+        div = float(np.sum(c_hat * ell)) / ln2
+        grad_z = c_hat * (ell - np.sum(c_hat * ell)) / ln2
+        return div, m.T @ grad_z
+    return objective_and_grad
+
+
+def gia_row(objective_and_grad, x, step: float, max_iter: int,
             tol: float) -> tuple[np.ndarray, float, int, bool]:
-    """gia's projected descent from x for one prediction, through softmax.
+    """gia's projected descent from x for one prediction, on either form.
 
     After each accepted step s (gradient change y) the next step is the
     Barzilai-Borwein value s.s / s.y, or twice the last one where s.y <= 0,
     at most 1e30. Returns (x, KL bits, iterations, converged) as the
-    library's one-row loop does, whose in-place arithmetic must match this
-    bit for bit.
+    library's one-row loop does, whose in-place arithmetic on the system
+    form must match this bit for bit.
     """
     def bb_step(s, y, cur_step):
         ss, sy = np.dot(s, s), np.dot(s, y)
@@ -664,32 +693,20 @@ def gia_row(model, y_act, c, x, step: float, max_iter: int,
             return min(2.0 * cur_step, 1e30)
         # the cap is tested before dividing, so a tiny s.y cannot overflow
         return ss / sy if ss < 1e30 * sy else 1e30
-    return _gia_descent(model, y_act, c, x, step, max_iter, tol, bb_step)
+    return _gia_descent(objective_and_grad, x, step, max_iter, tol, bb_step)
 
 
-def gia_row_halving(model, y_act, c, x, step: float, max_iter: int,
+def gia_row_halving(objective_and_grad, x, step: float, max_iter: int,
                     tol: float) -> tuple[np.ndarray, float, int, bool]:
     """gia's earlier descent: the step only ever halves, on each rejection."""
-    return _gia_descent(model, y_act, c, x, step, max_iter, tol,
+    return _gia_descent(objective_and_grad, x, step, max_iter, tol,
                         lambda s, y, cur_step: cur_step)
 
 
-def _gia_descent(model, y_act, c, x, step, max_iter, tol, next_step):
+def _gia_descent(objective_and_grad, x, step, max_iter, tol, next_step):
     """Projected descent on D(c_hat || c) over the box; a step is accepted
     when it does not raise the objective, next_step(s, y, step) then sets the
     step size, and a rejection halves it."""
-    log_c = np.log(np.maximum(c, 1e-300))
-    ln2 = np.log(2.0)
-    u = model.w_act @ y_act
-
-    def objective_and_grad(x):
-        z = u + model.w_pas @ x + model.b
-        c_hat = softmax(z)
-        ell = np.log(np.maximum(c_hat, 1e-300)) - log_c
-        div = float(np.sum(c_hat * ell)) / ln2
-        grad_z = c_hat * (ell - np.sum(c_hat * ell)) / ln2
-        return div, model.w_pas.T @ grad_z
-
     obj, grad = objective_and_grad(x)
     cur_step = step
     iters = 0
@@ -711,6 +728,11 @@ def _gia_descent(model, y_act, c, x, step, max_iter, tol, next_step):
 
 # --- helpers that no program path uses ------------------------------------
 # The paper defines them; the tests keep them checked against the program.
+
+def log_ratio_scores(c) -> np.ndarray:
+    """Consecutive log ratios ln(c_{m+1}/c_m) along the last axis of the scores."""
+    return np.diff(np.log(np.asarray(c, dtype=float)), axis=-1)
+
 
 def total_variation(p, q) -> float | np.ndarray:
     """Half the l1 distance between probability vectors (or row pairs); in [0, 1]."""

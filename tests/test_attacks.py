@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 import oracles
 from vflpriv import attacks, numerics
 from vflpriv.model import predict
-from vflpriv.system import LinearSystem, build_system
+from vflpriv.system import LinearSystem, SystemError_, build_system
 
 
 def _system_with_truth(seed, d=4, m=2):
@@ -217,10 +217,9 @@ class TestGia:
         rng = np.random.default_rng(7)
         y_act = rng.uniform(size=5)
         x_pas = rng.uniform(size=5)
-        c = predict(small_model, y_act, x_pas)
+        sys_ = build_system(small_model, y_act, predict(small_model, y_act, x_pas))
         for init in ("zeros", "half", "random"):
-            est = attacks.attack_gia(small_model, y_act, c, init=init,
-                                     rng=np.random.default_rng(0))
+            est = attacks.attack_gia(sys_, init=init, rng=np.random.default_rng(0))
             assert est.feasible
             assert est.diagnostics["kl_bits"] < 1e-8
 
@@ -228,23 +227,22 @@ class TestGia:
         rng = np.random.default_rng(8)
         y_act = rng.uniform(size=5)
         x_pas = rng.uniform(size=5)
-        c = predict(small_model, y_act, x_pas)
-        sys_ = build_system(small_model, y_act, c)
-        est = attacks.attack_gia(small_model, y_act, c)
+        sys_ = build_system(small_model, y_act, predict(small_model, y_act, x_pas))
+        est = attacks.attack_gia(sys_)
         assert np.linalg.norm(sys_.a @ est.x_hat - sys_.b) < 1e-4
 
     def test_random_init_needs_rng(self, small_model):
-        c = predict(small_model, np.full(5, 0.4), np.full(5, 0.6))
+        sys_ = build_system(small_model, np.full(5, 0.4),
+                            predict(small_model, np.full(5, 0.4), np.full(5, 0.6)))
         with pytest.raises(ValueError, match="needs an RNG"):
-            attacks.attack_gia(small_model, np.full(5, 0.4), c, init="random")
+            attacks.attack_gia(sys_, init="random")
         with pytest.raises(ValueError, match="needs an RNG"):
-            attacks.run_attack("gia", build_system(small_model, np.full(5, 0.4), c),
-                               model=small_model, y_act=np.full(5, 0.4), c=c,
-                               init="random")
+            attacks.run_attack("gia", sys_, init="random")
 
     def test_zero_truth_zero_init_immediate(self, small_model):
         c = predict(small_model, np.full(5, 0.4), np.zeros(5))
-        est = attacks.attack_gia(small_model, np.full(5, 0.4), c, init="zeros")
+        est = attacks.attack_gia(build_system(small_model, np.full(5, 0.4), c),
+                                 init="zeros")
         assert np.allclose(est.x_hat, 0.0, atol=1e-9)
         assert est.diagnostics["kl_bits"] < 1e-12
 
@@ -254,39 +252,83 @@ class TestGia:
         y_act = rng.uniform(size=5)
         c = predict(small_model, y_act, rng.uniform(size=5))
         at_init = kl_divergence(predict(small_model, y_act, np.full(5, 0.5)), c)
-        est = attacks.attack_gia(small_model, y_act, c, init="half")
+        est = attacks.attack_gia(build_system(small_model, y_act, c), init="half")
         assert est.diagnostics["kl_bits"] <= at_init + 1e-12
 
     def test_reports_convergence(self, small_model):
         y_act, c = _predictions(small_model, 3, seed=10)
-        # from the half start the rows stop after 21, 10 and 39 steps, so a
-        # 30-step cap stops row 2 only
-        est = attacks.attack_gia(small_model, y_act, c, max_iter=30)
-        one = [attacks.attack_gia(small_model, y_act[i], c[i],
+        # from the half start the rows stop after 21, 37 and 39 steps, so a
+        # 30-step cap stops rows 1 and 2
+        est = attacks.attack_gia(build_system(small_model, y_act, c), max_iter=30)
+        one = [attacks.attack_gia(build_system(small_model, y_act[i], c[i]),
                                   max_iter=30).diagnostics for i in range(3)]
-        assert est.diagnostics["converged"].tolist() == [True, True, False]
-        assert [d["converged"] for d in one] == [True, True, False]
+        assert est.diagnostics["converged"].tolist() == [True, False, False]
+        assert [d["converged"] for d in one] == [True, False, False]
         assert one[2]["iterations"] == 30 and one[0]["iterations"] < 30
-        capped = attacks.attack_gia(small_model, y_act[1], c[1], max_iter=3)
+        capped = attacks.attack_gia(build_system(small_model, y_act[1], c[1]), max_iter=3)
         assert capped.diagnostics["iterations"] == 3
         assert not capped.diagnostics["converged"]
 
     @pytest.mark.parametrize("model_name", ["small_model", "k4"])
     def test_matches_softmax_oracle_bit_for_bit(self, request, model_name):
+        # the library's in-place loop against the plainly written descent on
+        # softmax(offset + M x), every output of a one-row call
         model = (request.getfixturevalue("small_model")
                  if model_name == "small_model" else _k4_model())
         # with k4, row 0 stops at the 5,000-iteration cap from zeros and random
         y_act, c = _predictions(model, 3, seed=10)
-        for init, x0 in _gia_starts(model.split.d).items():
-            for i in range(3):
+        for i in range(3):
+            sys_ = build_system(model, y_act[i], c[i])
+            for init, x0 in _gia_starts(model.split.d).items():
                 for max_iter in (5000, 3):
-                    got = attacks._gia_row(model, y_act[i], c[i], x0, 0.05,
-                                           max_iter, 1e-12)
-                    want = oracles.gia_row(model, y_act[i], c[i], x0, 0.05,
-                                           max_iter, 1e-12)
+                    est = attacks.attack_gia(sys_, init=init, max_iter=max_iter,
+                                             rng=np.random.default_rng(0))
+                    got = (est.x_hat, est.diagnostics["kl_bits"],
+                           est.diagnostics["iterations"], est.diagnostics["converged"])
+                    want = oracles.gia_row(oracles.gia_system_objective(sys_), x0,
+                                           0.05, max_iter, 1e-12)
                     for g, w in zip(got, want):
                         assert np.array_equal(g, w), (init, i, max_iter)
-                    assert type(got[1]) is type(want[1])
+
+    @pytest.mark.parametrize("release", ["clean", "s1", "pps1"])
+    @pytest.mark.parametrize("model_name", ["small_model", "k4"])
+    def test_system_form_matches_model_form(self, request, model_name, release):
+        # the logits offset + M x differ from W_act y + W_pas x + b by a
+        # constant per row, which softmax ignores. With k4, row 2 stops at the
+        # 5,000-iteration cap in the model form from every start; where a
+        # row caps, its end point follows the path, so only the objective is
+        # compared there
+        from vflpriv import defense
+        model = (request.getfixturevalue("small_model")
+                 if model_name == "small_model" else _k4_model())
+        rng = np.random.default_rng(11)
+        y_act = rng.uniform(size=(4, model.split.d_t - model.split.d))
+        x_pas = rng.uniform(size=(4, model.split.d))
+        c = predict(model, y_act, x_pas)
+        clean = build_system(model, y_act, c)
+        if release == "s1":
+            plan = defense.NoisePlan(10.0, defense.pps2_optimal_direction(clean, 10.0).v1)
+            c = defense.apply_scheme(model.logits(y_act, x_pas), plan, "s1")
+        elif release == "pps1":
+            model = defense.pps1_reveal_params(
+                model, defense.pps1_optimal_h(clean, x_pas.T @ x_pas / len(x_pas)))
+        sys_ = build_system(model, y_act, c, source="noisy")
+        for init in ("zeros", "half", "random"):
+            start = attacks.attack_gia(sys_, init=init, max_iter=0,
+                                       rng=np.random.default_rng(0))
+            est = attacks.attack_gia(sys_, init=init, rng=np.random.default_rng(0))
+            for i in range(4):
+                # random starts: the row's own draw from the shared generator
+                x0 = start.x_hat[i]
+                objective = oracles.gia_model_objective(model, y_act[i], c[i])
+                want0 = oracles.gia_row(objective, x0, 0.05, 0, 1e-12)[1]
+                want = oracles.gia_row(objective, x0, 0.05, 5000, 1e-12)
+                got = est.diagnostics["kl_bits"][i]
+                assert abs(start.diagnostics["kl_bits"][i] - want0) <= 1e-12, (init, i)
+                assert abs(objective(est.x_hat[i])[0] - got) <= 1e-12, (init, i)
+                if want[3]:
+                    assert est.diagnostics["converged"][i], (init, i)
+                    assert got <= want[1] + 1e-12, (init, i)
 
     @pytest.mark.parametrize("model_name", ["small_model", "k4"])
     def test_fewer_iterations_than_halving(self, request, model_name):
@@ -296,14 +338,16 @@ class TestGia:
         for init, x0 in _gia_starts(model.split.d).items():
             iters = {"bb": 0, "halving": 0}
             for i in range(3):
-                got = attacks._gia_row(model, y_act[i], c[i], x0, 0.05, 5000, 1e-12)
-                old = oracles.gia_row_halving(model, y_act[i], c[i], x0, 0.05,
-                                              5000, 1e-12)
-                assert got[1] <= old[1] + 1e-12, (init, i)
+                sys_ = build_system(model, y_act[i], c[i])
+                got = attacks.attack_gia(sys_, init=init,
+                                         rng=np.random.default_rng(0)).diagnostics
+                old = oracles.gia_row_halving(oracles.gia_system_objective(sys_), x0,
+                                              0.05, 5000, 1e-12)
+                assert got["kl_bits"] <= old[1] + 1e-12, (init, i)
                 # with k4, row 0 caps from zeros and random under both rules
                 if model_name == "small_model" or init == "half" or i > 0:
-                    assert got[3], (init, i)
-                iters["bb"] += got[2]
+                    assert got["converged"], (init, i)
+                iters["bb"] += got["iterations"]
                 iters["halving"] += old[2]
             assert iters["bb"] < iters["halving"], init
 
@@ -321,19 +365,26 @@ class TestGia:
                          split=VflSplit.contiguous(d_t, 0, d))
         y_act = rng.uniform(size=d_t - d)
         c = predict(model, y_act, rng.uniform(size=d))
+        if np.min(c) < np.finfo(float).tiny:
+            # no system, so no gia: a score without an exact log is refused
+            with pytest.raises(SystemError_, match="below the smallest normal float"):
+                build_system(model, y_act, c)
+            return
+        sys_ = build_system(model, y_act, c)
         x0 = _gia_starts(d, seed)[init]
-        at_start = oracles.gia_row(model, y_act, c, x0, 0.05, 0, 1e-12)[1]
+        at_start = oracles.gia_row(oracles.gia_system_objective(sys_), x0, 0.05, 0,
+                                   1e-12)[1]
         with np.errstate(over="raise", invalid="raise", divide="raise"):
-            est = attacks.attack_gia(model, y_act, c, init=init,
-                                     rng=np.random.default_rng(seed))
+            est = attacks.attack_gia(sys_, init=init, rng=np.random.default_rng(seed))
         assert np.all(np.isfinite(est.x_hat))
         assert np.all((est.x_hat >= 0.0) & (est.x_hat <= 1.0))
         assert est.diagnostics["kl_bits"] <= at_start
 
     def test_unknown_init_rejected(self, small_model):
-        with pytest.raises(ValueError):
-            attacks.attack_gia(small_model, np.full(5, 0.5),
-                               np.array([0.5, 0.5]), init="bogus")
+        c = predict(small_model, np.full(5, 0.5), np.full(5, 0.5))
+        with pytest.raises(ValueError, match="unknown init"):
+            attacks.attack_gia(build_system(small_model, np.full(5, 0.5), c),
+                               init="bogus")
 
 
 class TestDispatch:
@@ -356,9 +407,13 @@ class TestDispatch:
             attacks.run_attack("rg", sys_)
 
     def test_gia_needs_context(self):
+        # a system built by hand carries no scores, and gia needs them
         sys_, _ = _system_with_truth(12)
-        with pytest.raises(ValueError):
+        assert sys_.log_c is None
+        with pytest.raises(ValueError, match="released scores"):
             attacks.run_attack("gia", sys_)
+        with pytest.raises(ValueError, match="released scores"):
+            attacks.attack_gia(sys_)
 
 
 def _k4_model():
@@ -403,12 +458,11 @@ class TestBatch:
         model, y_act, c, sys_ = batch
         assert sys_.b.shape == (12, model.k - 1)
         for name, tol in BATCH_TOL.items():
-            est = attacks.run_attack(name, sys_, model=model, y_act=y_act, c=c)
+            est = attacks.run_attack(name, sys_)
             assert est.x_hat.shape == (12, sys_.d)
             rows_feasible = []
             for i in range(12):
-                one = attacks.run_attack(name, build_system(model, y_act[i], c[i]),
-                                         model=model, y_act=y_act[i], c=c[i])
+                one = attacks.run_attack(name, build_system(model, y_act[i], c[i]))
                 assert np.max(np.abs(est.x_hat[i] - one.x_hat)) <= tol, (name, i)
                 rows_feasible.append(one.feasible)
             assert est.feasible is all(rows_feasible), name
@@ -444,8 +498,8 @@ class TestBatch:
 
     def test_gia_iterations_stay_an_int(self, small_model):
         y_act, c = _predictions(small_model, 3, seed=5)
-        est = attacks.attack_gia(small_model, y_act, c)
-        one = [attacks.attack_gia(small_model, y_act[i], c[i])
+        est = attacks.attack_gia(build_system(small_model, y_act, c))
+        one = [attacks.attack_gia(build_system(small_model, y_act[i], c[i]))
                .diagnostics["iterations"] for i in range(3)]
         assert type(est.diagnostics["iterations"]) is int
         assert est.diagnostics["iterations"] == sum(one)

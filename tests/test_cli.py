@@ -647,6 +647,16 @@ class TestDefendArguments:
         assert alpha in capsys.readouterr().err
         assert not train_calls
 
+    @pytest.mark.parametrize("alpha", ["0.1,x", ",0.1", "0.1,", "0.1,0.1", "0.1,1,0.10"])
+    def test_bad_alpha_list_before_loading(self, alpha, capsys, monkeypatch, train_calls):
+        # a budget that does not parse, or one that repeats (two equal rows)
+        loads = []
+        monkeypatch.setattr(cli, "_load_data", lambda args: loads.append(1))
+        assert _run(self.BASE + ["--scheme", "s1", "--alpha", alpha]) == 2
+        err = capsys.readouterr().err
+        assert "--alpha" in err and repr(alpha) in err and "could not convert" not in err
+        assert not loads and not train_calls
+
     @pytest.mark.parametrize("attack", ["rg", "gia"])
     def test_every_attack_name_runs(self, attack, tmp_path, train_calls):
         out_path = tmp_path / "defend.csv"

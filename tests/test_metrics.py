@@ -263,8 +263,7 @@ class TestAttackMseOnRows:
         sys_ = build_system(model, y_act, c)
         rng = np.random.default_rng(7)
         for name in self.NAMES:
-            est = run_attack(name, sys_, model=model, y_act=y_act, c=c, rng=rng,
-                             init="random")
+            est = run_attack(name, sys_, rng=rng, init="random")
             assert got[name] == metrics.empirical_mse(x_pas, est.x_hat), name
 
     def test_repeated_name_rejected(self, setup):

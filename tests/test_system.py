@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 
 import oracles
 from vflpriv.model import predict, softmax
-from vflpriv.system import (SystemError_, build_system, difference_matrix,
-                            log_ratio_scores)
+from vflpriv.system import (LinearSystem, SystemError_, build_system,
+                            difference_matrix)
 
 
 class TestDifferenceMatrix:
@@ -32,7 +32,7 @@ class TestLogRatios:
         # log ratios of softmax outputs equal consecutive logit differences
         z = np.array([0.5, -1.0, 2.0, 0.1])
         c = softmax(z)
-        assert np.allclose(log_ratio_scores(c), np.diff(z), atol=1e-12)
+        assert np.allclose(oracles.log_ratio_scores(c), np.diff(z), atol=1e-12)
 
 
 
@@ -79,6 +79,31 @@ class TestBuildSystem:
             c = predict(small_model, y_act, np.full(5, 0.9))
             sys_ = build_system(crippled, y_act, c)
         assert sys_ is None
+
+    def test_keeps_the_scores_logs(self, small_model):
+        rng = np.random.default_rng(3)
+        y_act, x_pas = rng.uniform(size=(20, 5)), rng.uniform(size=(20, 5))
+        c = predict(small_model, y_act, x_pas)
+        j = difference_matrix(small_model.k)
+        batch = build_system(small_model, y_act, c)
+        assert np.array_equal(batch.log_c, np.log(c))
+        # b' keeps the bits of the consecutive log ratios less the model's terms
+        assert np.array_equal(batch.b, oracles.log_ratio_scores(c)
+                              - (j @ (small_model.w_act @ y_act.T)).T - j @ small_model.b)
+        for i in range(20):     # a row alone gets the bits it gets in the batch
+            one = build_system(small_model, y_act[i], c[i])
+            assert np.array_equal(one.log_c, batch.log_c[i]), i
+            assert np.array_equal(one.b, batch.b[i]), i
+
+    @pytest.mark.parametrize("log_c, match", [
+        (np.zeros(3), "shape"), (np.zeros((2, 2)), "shape"), (np.zeros((3, 3)), "shape"),
+        (np.array([[0.0, 1.0, 2.0], [0.0, np.nan, 1.0]]), "finite"),
+        (np.array([[0.0, 1.0, -np.inf], [0.0, 0.0, 1.0]]), "finite")])
+    def test_bad_log_c_rejected(self, log_c, match):
+        a = np.array([[1.0, 0.0], [0.0, 1.0]])
+        with pytest.raises(ValueError, match=f"log_c must .*{match}"):
+            LinearSystem(a=a, b=np.zeros((2, 2)), log_c=log_c)
+        assert LinearSystem(a=a, b=np.zeros((2, 2))).log_c is None
 
     def test_noisy_source_skips_check(self, small_model):
         from vflpriv.model import VflModel
