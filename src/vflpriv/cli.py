@@ -6,6 +6,11 @@ key=value line of a config file is parsed as a flag --key=value placed before
 the command line's own, so explicit flags win. Exit codes: 0 success, 2 bad
 configuration or input, 3 solver failure.
 
+A subcommand that trains views one model per table and training config,
+trained on every feature in column order, per passive window
+(VflModel.window). The last such model is kept, so in-process calls on one
+table and config (a sweep) train it once.
+
 main builds its parser at its first call and keeps it, so repeated
 in-process calls (a sweep) parse without rebuilding it. The parser holds
 each subcommand's handler by name, cmd_<name>, and main looks it up when it
@@ -77,8 +82,29 @@ def _check_d(d: int, d_t: int, flag: str = "--d") -> None:
                         f"1 to {d_t} features (the table has {d_t})")
 
 
+_last_model: tuple = (None, None)   # (key, VflModel) of the last table model
+
+
+def _table_model(ds: Dataset, cfg: TrainConfig) -> VflModel:
+    """The model trained on all of ds's features in column order, kept for the process.
+
+    The key holds the trainer (so a wrapped cli.train trains its own), the
+    bytes themselves of ds.x, ds.y and ds.train_mask, ds.k and cfg. The kept
+    arrays are read-only; callers take a VflModel.window of it, which copies."""
+    global _last_model
+    key = (train, ds.x.tobytes(), ds.y.tobytes(), ds.train_mask.tobytes(), ds.k, cfg)
+    last_key, model = _last_model   # one read, so a concurrent call cannot pair
+    if last_key != key:             # this key with another model
+        model = train(ds, VflSplit.contiguous(ds.d_t, 0, ds.d_t), cfg)
+        for arr in (model.w_act, model.w_pas, model.b):
+            arr.flags.writeable = False
+        _last_model = key, model
+    return model
+
+
 def _model(args, ds: Dataset) -> VflModel:
-    """The --start/--d window's model: trained, or loaded from --model and checked."""
+    """The --start/--d window's view of the table model, or the --model file
+    that must hold that window."""
     flag = args.passive_features and f"--passive-features {args.passive_features}"
     if not 0 <= args.start < ds.d_t or flag and args.start + args.d > ds.d_t:
         raise DataError(f"{flag or f'--start {args.start}'} is out of range: the "
@@ -86,7 +112,7 @@ def _model(args, ds: Dataset) -> VflModel:
     _check_d(args.d, ds.d_t)
     split_cfg = VflSplit.contiguous(ds.d_t, args.start, args.d)
     if not getattr(args, "model", None):
-        return train(ds, split_cfg, TrainConfig(lam=args.lam, seed=args.seed))
+        return _table_model(ds, TrainConfig(lam=args.lam, seed=args.seed)).window(split_cfg)
     model = VflModel.load(args.model)
     if model.split != split_cfg:
         raise DataError(f"--model {args.model} holds passive features "
@@ -261,7 +287,11 @@ def cmd_defend(args) -> int:
     attacks = _attack_names(args.attack)
     if len(attacks) != 1:
         raise DataError(f"--attack takes one name, got {args.attack!r}")
-    alphas = [""] if args.scheme == "pps1" else _comma_list(args.alpha, "--alpha", float)
+    if args.scheme == "pps1" and args.alpha is not None:
+        raise DataError(f"--alpha {args.alpha!r} does not apply: --scheme pps1 takes "
+                        "no budget")
+    alphas = [""] if args.scheme == "pps1" else _comma_list(
+        "0.5" if args.alpha is None else args.alpha, "--alpha", float)
     n = _check_n(args.n, "--n")
     ds = _load_data(args)
     if args.scheme != "pps1":
@@ -299,9 +329,7 @@ def cmd_figure1(args) -> int:
     ds = _load_data(args)
     for d in grid:
         _check_d(d, ds.d_t, "--d-grid")
-    # one model over all features, in the table's column order, viewed per window
-    model = train(ds, VflSplit.contiguous(ds.d_t, 0, ds.d_t),
-                  TrainConfig(lam=args.lam, seed=args.seed))
+    model = _table_model(ds, TrainConfig(lam=args.lam, seed=args.seed))
     out = []
     for d in grid:
         mse = metrics.average_over_space(model, ds, d, names, n_pred=n_pred,
@@ -382,7 +410,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("defend", "apply one defense and measure MSE/KL", data, window, n)
     p.add_argument("--scheme", default="s3",
                    choices=("pps1", "s1", "s2", "s3", "class_label"))
-    p.add_argument("--alpha", default="0.5", help="comma list of budgets")
+    p.add_argument("--alpha", help="comma list of budgets (default 0.5; none for pps1)")
     p.add_argument("--attack", default="half_star")
 
     add("evaluate", "closed-form MSE values and bounds", data, window)

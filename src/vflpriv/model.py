@@ -90,14 +90,15 @@ class VflModel:
         return y_act @ self.w_act.T + x_pas @ self.w_pas.T + self.b
 
     def window(self, split: VflSplit) -> "VflModel":
-        """The same weights and bias, their columns regrouped into split's two parties."""
+        """The same weights and bias, their columns regrouped into split's two
+        parties; the view's arrays are new, so writing into them leaves self alone."""
         if split.d_t != self.split.d_t:
             raise ValueError(f"a split of {split.d_t} features cannot view a model "
                              f"of {self.split.d_t}")
         w = np.empty((self.k, split.d_t))
         w[:, list(self.split.active)], w[:, list(self.split.passive)] = self.w_act, self.w_pas
         return VflModel(w_act=w[:, list(split.active)], w_pas=w[:, list(split.passive)],
-                        b=self.b, k=self.k, split=split, lam=self.lam)
+                        b=self.b.copy(), k=self.k, split=split, lam=self.lam)
 
     def save(self, path) -> None:
         doc = {

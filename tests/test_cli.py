@@ -296,7 +296,10 @@ class TestSubcommands:
 
 @pytest.fixture()
 def train_calls(monkeypatch):
-    """The split of every train call made through the CLI, one entry a call."""
+    """The split of every train call made through the CLI, one entry a call.
+
+    No table model is kept at the start, so test order cannot matter."""
+    monkeypatch.setattr(cli, "_last_model", (None, None))
     real, calls = cli.train, []
     monkeypatch.setattr(cli, "train", lambda ds, split, *a, **kw:
                         calls.append(split) or real(ds, split, *a, **kw))
@@ -576,16 +579,97 @@ def metrics_calls(monkeypatch):
 def test_figure1_trains_once_and_builds_one_system_per_window(tmp_path, train_calls,
                                                               metrics_calls):
     # one train call on all 4 features for the whole grid, then d_t = 4
-    # windows per d, each one system, whatever the number of attacks
+    # windows per d, each one system, whatever the number of attacks; the
+    # second command on the same table and config reuses the kept model
     for attacks in ("rg,half,ls,half_star", "half"):
         assert _run(["figure1", "--synth-n", "150", "--synth-dt", "4",
                      "--d-grid", "1,2", "--attacks", attacks,
                      "--n", "5", "--out", str(tmp_path / "fig1.csv")]) == 0
         assert train_calls == [VflSplit.contiguous(4, 0, 4)]
         assert len(metrics_calls["build_system"]) == 2 * 4
-        train_calls.clear()
         metrics_calls["build_system"].clear()
 
+
+def _table(path, seed=6, n=300, d_t=8):
+    """A k=3 CSV table of n rows and d_t uniform features."""
+    rng = np.random.default_rng(seed)
+    path.write_text(",".join(f"f{j}" for j in range(d_t)) + ",label\n" + "".join(
+        ",".join(map(repr, row)) + f",{i % 3}\n"
+        for i, row in enumerate(rng.uniform(size=(n, d_t)).tolist())))
+    return path
+
+
+class TestOneModelPerTable:
+    """Every subcommand views the one kept model of its table and config."""
+
+    def _cmd(self, path, command, *argv):
+        return [command, "--data", str(path), "--seed", "2", *argv]
+
+    def test_subcommands_share_one_train_call(self, tmp_path, train_calls):
+        path = _table(tmp_path / "t.csv")
+        for argv in (["train", "--d", "3", "--start", "0"],
+                     ["tradeoff", "--d", "3", "--start", "6", "--n", "5"],
+                     ["figure1", "--d-grid", "2", "--attacks", "half", "--n", "5"],
+                     ["evaluate", "--d", "2", "--start", "5"],
+                     ["attack", "--d", "3", "--start", "1", "--attacks", "ls", "--n", "5"],
+                     ["defend", "--d", "3", "--start", "4", "--n", "5"]):
+            assert _run(self._cmd(path, *argv, "--out", str(tmp_path / "out"))) == 0
+        assert train_calls == [VflSplit.contiguous(8, 0, 8)]
+
+    @pytest.mark.parametrize("change", [[], ["--seed", "3"], ["--lam", "1e-3"],
+                                        ["--train-frac", "0.7"]],
+                             ids=["table", "seed", "lam", "train_frac"])
+    def test_a_changed_input_retrains(self, change, tmp_path, train_calls):
+        path = _table(tmp_path / "t.csv")
+        base = self._cmd(path, "train", "--d", "3")
+        assert _run(base) == 0 and _run(base) == 0
+        if not change:              # one cell of the table's bytes
+            lines = path.read_text().splitlines(keepends=True)
+            lines[1] = "0.5" + lines[1][lines[1].index(","):]
+            path.write_text("".join(lines))
+        assert _run(base + change) == 0 and _run(base + change) == 0
+        assert len(train_calls) == 2
+
+    def test_a_replaced_trainer_trains_its_own(self, tmp_path, monkeypatch):
+        # a counting or timing wrapper put in between two commands sees the
+        # second command's training
+        argv = self._cmd(_table(tmp_path / "t.csv"), "train", "--d", "3")
+        assert _run(argv) == 0
+        real, calls = cli.train, []
+        monkeypatch.setattr(cli, "train", lambda *a: calls.append(1) or real(*a))
+        assert _run(argv) == 0 and _run(argv) == 0
+        assert len(calls) == 1
+
+    def test_a_write_into_a_model_does_not_reach_the_next_command(self, tmp_path,
+                                                                  monkeypatch,
+                                                                  train_calls):
+        path = _table(tmp_path / "t.csv")
+        given, real = [], cli._model
+        monkeypatch.setattr(cli, "_model", lambda args, ds: given.append(real(args, ds))
+                            or given[-1])
+        outs = []
+        for i in range(2):
+            outs.append(tmp_path / f"a{i}.csv")
+            assert _run(self._cmd(path, "attack", "--d", "3", "--start", "2", "--n", "5",
+                                  "--attacks", "half,ls,rcc2", "--out", str(outs[-1]))) == 0
+            for arr in (given[-1].w_act, given[-1].w_pas, given[-1].b):
+                arr += 1.0
+        assert outs[0].read_bytes() == outs[1].read_bytes() and len(train_calls) == 1
+        kept = cli._last_model[1]
+        for arr in (kept.w_act, kept.w_pas, kept.b):
+            with pytest.raises(ValueError, match="read-only"):
+                arr += 1.0
+
+    def test_saved_windows_regroup_to_one_model(self, tmp_path):
+        models = []
+        for start in (0, 3):
+            out = tmp_path / f"w{start}.json"
+            assert _run(["train", "--synth-n", "300", "--synth-dt", "6", "--d", "3",
+                         "--start", str(start), "--out", str(out)]) == 0
+            models.append(VflModel.load(out))
+        assert [m.split.passive for m in models] == [(0, 1, 2), (3, 4, 5)]
+        a, b = (m.window(VflSplit.contiguous(6, 0, 6)) for m in models)
+        assert np.array_equal(a.w_pas, b.w_pas) and np.array_equal(a.b, b.b)
 
 def test_figure1_cells_do_not_depend_on_the_grid_order(tmp_path):
     tables = {}
@@ -657,6 +741,30 @@ class TestDefendArguments:
         assert "--alpha" in err and repr(alpha) in err and "could not convert" not in err
         assert not loads and not train_calls
 
+    @pytest.mark.parametrize("given", ["flag", "config"])
+    def test_pps1_rejects_alpha_before_loading(self, given, tmp_path, capsys, monkeypatch,
+                                               train_calls):
+        # pps1 has no budget: an --alpha there would be read by nothing
+        loads = []
+        monkeypatch.setattr(cli, "_load_data", lambda args: loads.append(1))
+        argv = self.BASE + ["--scheme", "pps1"]
+        if given == "flag":
+            argv += ["--alpha", "0.1"]
+        else:
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text("alpha=0.1\n", encoding="utf-8")
+            argv += ["--config", str(cfg)]
+        assert _run(argv) == 2
+        assert "--alpha '0.1' does not apply" in capsys.readouterr().err
+        assert not loads and not train_calls
+
+    def test_alpha_defaults_to_one_half(self, tmp_path):
+        outs = [tmp_path / "default.csv", tmp_path / "half.csv"]
+        assert _run(self.BASE + ["--out", str(outs[0])]) == 0
+        assert _run(self.BASE + ["--alpha", "0.5", "--out", str(outs[1])]) == 0
+        assert _read_rows(outs[0])[1][:2] == ["s3", "0.5"]
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+
     @pytest.mark.parametrize("attack", ["rg", "gia"])
     def test_every_attack_name_runs(self, attack, tmp_path, train_calls):
         out_path = tmp_path / "defend.csv"
@@ -665,6 +773,12 @@ class TestDefendArguments:
         rows = _read_rows(out_path)
         assert len(rows) == 3 and len(train_calls) == 1
         assert all(float(r[2]) >= 0.0 for r in rows[1:])
+
+
+def _window_model(ds):
+    """The model the CLI runs under --start 2 --d 3 --seed 5: a view of the table model."""
+    return train(ds, VflSplit.contiguous(6, 0, 6), TrainConfig(seed=5)).window(
+        VflSplit.contiguous(6, 2, 3))
 
 
 class TestMatchesRowByRowReference:
@@ -677,8 +791,7 @@ class TestMatchesRowByRowReference:
     @pytest.fixture(scope="class")
     def setup(self):
         ds = synthesize(SyntheticSpec(**self.SYNTH))
-        model = train(ds, VflSplit.contiguous(6, 2, 3), TrainConfig(seed=5))
-        return ds, model, np.flatnonzero(ds.test_mask)[:25]
+        return ds, _window_model(ds), np.flatnonzero(ds.test_mask)[:25]
 
     @staticmethod
     def _close(got: str, want: float):
@@ -757,8 +870,7 @@ class TestOneReleaseBatch:
     @pytest.fixture(scope="class")
     def setup(self):
         ds = synthesize(SyntheticSpec(**TestMatchesRowByRowReference.SYNTH))
-        model = train(ds, VflSplit.contiguous(6, 2, 3), TrainConfig(seed=5))
-        return ds, model, np.flatnonzero(ds.test_mask)[:25]
+        return ds, _window_model(ds), np.flatnonzero(ds.test_mask)[:25]
 
     def test_tradeoff_calls_each_layer_once(self, tmp_path, sweep_calls):
         # the clean check and the release batch; one direction for s1 and s2

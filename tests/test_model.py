@@ -276,6 +276,15 @@ class TestWindowView:
         with pytest.raises(ValueError, match="9 features"):
             small_model.window(VflSplit.contiguous(9, 0, 4))
 
+    def test_view_owns_its_arrays(self, small_model):
+        # a read-only model (one kept and shared) still gives writable views
+        model = small_model.window(small_model.split)
+        for arr in (model.w_act, model.w_pas, model.b):
+            arr.flags.writeable = False
+        view = model.window(VflSplit.contiguous(10, 0, 10))
+        view.w_pas[:] = view.b[:] = 7.0
+        assert _same_model(model, small_model)
+
 
 def _same_model(got, want):
     return (np.array_equal(got.w_act, want.w_act) and np.array_equal(got.w_pas, want.w_pas)
