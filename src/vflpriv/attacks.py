@@ -17,7 +17,9 @@ A^+ b'.
 from __future__ import annotations
 
 import contextlib
+import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -29,19 +31,23 @@ class AttackError(Exception):
     """Raised when an attack's solver fails to converge."""
 
 
+class GiaConvergenceWarning(UserWarning):
+    """gia left rows unconverged, at its iteration cap or on step underflow."""
+
+
 @dataclass
 class AttackEstimate:
     """Reconstructions x_hat (d, or N x d) with solver diagnostics.
 
-    feasible is True iff every row lies in its solution space intersected
-    with the unit box; gia, which minimizes a divergence and so does not
-    hold its rows to A x = b', checks the box only.
-    Per-row diagnostics have the batch shape (a scalar for one row).
+    system is the LinearSystem the estimate was computed on, left out of
+    repr and ==; feasible is computed from it on its first read, so an
+    estimate whose feasibility nobody reads never checks it. Per-row
+    diagnostics have the batch shape (a scalar for one row).
     """
 
     x_hat: np.ndarray
     name: str
-    feasible: bool
+    system: LinearSystem = field(repr=False, compare=False)
     diagnostics: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -49,12 +55,20 @@ class AttackEstimate:
         if not np.all(np.isfinite(self.x_hat)):
             raise AttackError(f"{self.name} produced non-finite estimates")
 
+    @cached_property
+    def feasible(self) -> bool:
+        """True iff every row lies in its solution space intersected with the
+        unit box; gia, which minimizes a divergence and so does not hold its
+        rows to A x = b', checks the box only. Computed on the first read."""
+        x = self.x_hat
+        if self.name == "gia":
+            return bool(np.all(x >= 0.0) and np.all(x <= 1.0))
+        return bool(np.all(self.system.contains(x)))
+
 
 def _estimate(sys_: LinearSystem, name: str, x: np.ndarray,
               **diagnostics) -> AttackEstimate:
-    return AttackEstimate(x_hat=x, name=name,
-                          feasible=bool(np.all(sys_.contains(x))),
-                          diagnostics=diagnostics)
+    return AttackEstimate(x_hat=x, name=name, system=sys_, diagnostics=diagnostics)
 
 
 def _determined(sys_: LinearSystem, name: str) -> AttackEstimate:
@@ -399,7 +413,9 @@ def attack_gia(sys_: LinearSystem, init: str = "half", max_iter: int = 5000,
     above 1e30. A row stops when the step size falls below 1e-16.
     diagnostics["iterations"] is the total over all rows, and
     diagnostics["converged"] says per row whether its last step moved it by
-    less than 1e-12 (False at the max_iter cap or on step underflow).
+    less than 1e-12 (False at the max_iter cap or on step underflow); if any
+    row is False, one GiaConvergenceWarning gives their count and their
+    largest final KL in bits.
     """
     if init not in ("zeros", "half", "random"):
         raise ValueError(f"unknown init mode {init!r}")
@@ -419,9 +435,14 @@ def attack_gia(sys_: LinearSystem, init: str = "half", max_iter: int = 5000,
         x[i], kl_bits[i], iters, converged[i] = _gia_row(
             sys_.log_c[i], offset[i], m, x0, 0.05, max_iter, 1e-12)
         iterations += iters
+    if not converged.all():
+        stuck = ~converged
+        warnings.warn(f"gia: {stuck.sum()} of {stuck.size} rows did not converge "
+                      f"({max_iter}-iteration cap or step underflow); the largest "
+                      f"final KL among them is {kl_bits[stuck].max():.3e} bits",
+                      GiaConvergenceWarning, stacklevel=2)
     return AttackEstimate(
-        x_hat=x, name="gia",
-        feasible=bool(np.all(x >= 0.0) and np.all(x <= 1.0)),
+        x_hat=x, name="gia", system=sys_,
         diagnostics={"kl_bits": kl_bits[()], "iterations": iterations,
                      "converged": converged[()], "init": init})
 

@@ -143,13 +143,15 @@ def _parsed(raw: bytes, label_col: int) -> RawTable:
 def load_csv(path, label_col: int = -1) -> RawTable:
     """Read a UTF-8 comma-delimited file with a header row into a RawTable.
 
-    label_col indexes the header (default: last column). Each column is
-    parsed once into a float array; a column with any non-numeric cell keeps
-    its raw strings and is tagged categorical, and an inf or nan cell in a
-    numeric column raises DataError. The last table parsed is kept,
-    keyed on its bytes themselves and label_col: one process parses a given
-    table's bytes once, so repeated in-process ``vflpriv.cli.main`` calls on
-    one table share the parse. Calls get fresh lists and read-only float columns.
+    label_col indexes the header (default: last column); a value outside
+    [-width, width) for a table of width columns raises DataError. Each
+    column is parsed once into a float array (see _parse_csv); a column with
+    any non-numeric cell keeps its raw strings and is tagged categorical,
+    and an inf or nan cell in a numeric column raises DataError. The last
+    table parsed is kept, keyed on its bytes themselves and label_col: one
+    process parses a given table's bytes once, so repeated in-process
+    ``vflpriv.cli.main`` calls on one table share the parse. Calls get fresh
+    lists and read-only float columns.
     """
     t = _parsed(_read(path), label_col)
     columns = [list(c) if cat else c for c, cat in zip(t.columns, t.categorical)]
@@ -157,8 +159,78 @@ def load_csv(path, label_col: int = -1) -> RawTable:
                     categorical=list(t.categorical))
 
 
+def _label_index(label_col: int, width: int) -> int:
+    """label_col as an index in [0, width); a value outside [-width, width) raises."""
+    if not -width <= label_col < width:
+        raise DataError(f"label column {label_col} is out of range for a table of "
+                        f"{width} columns (-{width} to {width - 1})")
+    return label_col % width
+
+
+def _parse_plain(raw: bytes, label_col: int) -> RawTable | None:
+    """The RawTable of a table whose feature cells numpy.loadtxt reads as
+    finite floats, or None where the csv module might read it otherwise.
+
+    loadtxt tokenizes in C and converts each cell with PyOS_string_to_double,
+    the routine float() uses, so the columns get float()'s bits; the label
+    column is read as text. Lines end in LF or CRLF. None for a quote or a
+    NUL, a CR or LF outside the line endings, text that is not UTF-8, no data rows, a
+    row without one cell per header column (a blank, whitespace-only or
+    ragged line), a line longer than csv.field_size_limit(), fewer than 2
+    distinct labels, a cell loadtxt rejects (such as "abc", "1_000" or an
+    empty cell) and a non-finite value.
+    """
+    if b'"' in raw or b"\0" in raw:    # a NUL fails the csv module before 3.11
+        return None
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError:
+        return None
+    eol = "\r\n" if "\r" in text else "\n"
+    lines = text.split(eol)
+    # a CR or LF outside the line endings would end a csv row as well
+    if text.count("\r") + text.count("\n") != len(eol) * (len(lines) - 1):
+        return None
+    if not lines[-1]:
+        lines.pop()
+    # loadtxt warns on an empty body; the csv module rejects a long cell
+    if len(lines) < 2 or max(map(len, lines)) > csv.field_size_limit():
+        return None
+    header, body = lines[0].split(","), lines[1:]
+    width = len(header)
+    if width < 2 or any(line.count(",") != width - 1 for line in body):
+        return None
+    j = _label_index(label_col, width)
+    labels = [line.rsplit(",", width - j)[j - width] for line in body]
+    if len(set(labels)) < 2:
+        return None
+    feat_idx = [i for i in range(width) if i != j]
+    try:
+        values = np.loadtxt(io.BytesIO(raw), delimiter=",", dtype=float, usecols=feat_idx,
+                            comments=None, skiprows=1, ndmin=2, encoding="utf-8")
+    except ValueError:
+        return None
+    if not np.isfinite(values).all():
+        return None
+    columns = np.ascontiguousarray(values.T)
+    columns.flags.writeable = False
+    return RawTable(columns=list(columns), names=[header[i] for i in feat_idx],
+                    labels=labels, categorical=[False] * len(feat_idx))
+
+
 def _parse_csv(raw: bytes, label_col: int) -> RawTable:
-    """The RawTable of a CSV file's bytes; its float columns are read-only."""
+    """The RawTable of a CSV file's bytes; its float columns are read-only.
+
+    A table of plain numbers takes _parse_plain's C reader; any other table
+    is read by the csv module, cell by cell with float(), and that path
+    raises every error. Both give the same names, labels and bits.
+    """
+    plain = _parse_plain(raw, label_col)
+    return plain if plain is not None else _parse_rows(raw, label_col)
+
+
+def _parse_rows(raw: bytes, label_col: int) -> RawTable:
+    """The csv module's RawTable of a CSV file's bytes, each cell read by float()."""
     rows = list(csv.reader(io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8",
                                             newline="")))
     if not rows:
@@ -170,7 +242,7 @@ def _parse_csv(raw: bytes, label_col: int) -> RawTable:
     for i, row in enumerate(data):
         if len(row) != width:
             raise DataError(f"ragged row {i + 2}: expected {width} cells, got {len(row)}")
-    label_col = label_col % width
+    label_col = _label_index(label_col, width)
     labels = [row[label_col] for row in data]
     if len(set(labels)) < 2:
         raise DataError("label column must have at least 2 distinct values")

@@ -18,7 +18,7 @@ from functools import reduce
 
 import numpy as np
 
-from .dataset import Dataset
+from .dataset import DataError, Dataset
 
 
 class TrainingError(Exception):
@@ -81,6 +81,8 @@ class VflModel:
             raise ValueError("w_pas shape disagrees with the split")
         if self.w_act.shape != (self.k, self.split.d_t - self.split.d):
             raise ValueError("w_act shape disagrees with the split")
+        if self.b.shape != (self.k,):
+            raise ValueError(f"b of shape {self.b.shape} disagrees with k={self.k}")
 
     def logits(self, y_act, x_pas) -> np.ndarray:
         y_act = np.asarray(y_act, dtype=float)
@@ -115,16 +117,45 @@ class VflModel:
 
     @staticmethod
     def load(path) -> "VflModel":
-        with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
-        split = VflSplit(passive=doc["passive"], active=doc["active"])
-        k = int(doc["k"])
-        return VflModel(
-            w_act=np.array(doc["w_act"], dtype=float).reshape(k, split.d_t - split.d),
-            w_pas=np.array(doc["w_pas"], dtype=float).reshape(k, split.d),
-            b=np.array(doc["b"], dtype=float),
-            k=k, split=split, lam=float(doc["lam"]),
-        )
+        """The model save wrote to path. A file that does not hold one, such
+        as a weight count that disagrees with k and the split, raises
+        DataError naming the file and the field."""
+        try:
+            with open(path, encoding="utf-8") as fh:
+                doc = json.load(fh)
+        except ValueError as exc:       # not JSON, or not UTF-8
+            raise DataError(f"{path}: not a JSON model: {exc}") from None
+        if not isinstance(doc, dict):
+            raise DataError(f"{path}: not a JSON model: expected an object")
+
+        def read(key, convert):
+            if key not in doc:
+                raise DataError(f"{path}: no {key} field")
+            try:
+                return convert(doc[key])
+            except (TypeError, ValueError) as exc:
+                raise DataError(f"{path}: {key}: {exc}") from None
+
+        def ints(v):
+            return [int(i) for i in v]
+
+        k, lam = read("k", int), read("lam", float)
+        try:
+            split = VflSplit(passive=read("passive", ints), active=read("active", ints))
+            d_act = split.d_t - split.d
+            w = {}
+            for key, cols, need in (("w_act", d_act, f"k={k}, d_t-d={d_act} need"),
+                                    ("w_pas", split.d, f"k={k}, d={split.d} need"),
+                                    ("b", 1, f"k={k} needs")):
+                w[key] = read(key, lambda v: np.array(v, dtype=float).ravel())
+                if w[key].size != k * cols:
+                    raise DataError(f"{path}: {key} holds {w[key].size} values; "
+                                    f"{need} {k * cols}")
+            return VflModel(w_act=w["w_act"].reshape(k, d_act),
+                            w_pas=w["w_pas"].reshape(k, split.d), b=w["b"],
+                            k=k, split=split, lam=lam)
+        except (ValueError, TrainingError) as exc:
+            raise DataError(f"{path}: {exc}") from None
 
 
 @dataclass(frozen=True)

@@ -387,6 +387,38 @@ class TestGia:
                                init="bogus")
 
 
+class TestGiaWarning:
+    """gia warns once per call when rows end unconverged, and only then."""
+
+    def test_unconverged_rows_warn_once(self):
+        sys_ = build_system(_k4_model(), *_predictions(_k4_model(), 5, seed=10))
+        with pytest.warns(attacks.GiaConvergenceWarning) as record:
+            est = attacks.attack_gia(sys_, max_iter=30)
+        stuck = ~est.diagnostics["converged"]
+        assert len(record) == 1 and stuck.any()
+        message = str(record[0].message)
+        assert f"gia: {stuck.sum()} of 5 rows did not converge" in message
+        assert f"{est.diagnostics['kl_bits'][stuck].max():.3e} bits" in message
+        # the numpy-only CI job turns RuntimeWarnings into errors
+        assert not issubclass(attacks.GiaConvergenceWarning, RuntimeWarning)
+
+    def test_converged_batch_is_silent(self, small_model):
+        sys_ = build_system(small_model, *_predictions(small_model, 3, seed=10))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            est = attacks.attack_gia(sys_)
+        assert est.diagnostics["converged"].all()
+
+    def test_command_still_exits_0(self, tmp_path, monkeypatch):
+        from vflpriv import cli
+        real = attacks._gia_row
+        monkeypatch.setattr(attacks, "_gia_row", lambda *a: real(*a[:5], 30, a[6]))
+        with pytest.warns(attacks.GiaConvergenceWarning, match="did not converge"):
+            assert cli.main(["attack", "--synth-n", "300", "--synth-dt", "6", "--d", "3",
+                             "--attacks", "gia", "--n", "5",
+                             "--out", str(tmp_path / "out.csv")]) == 0
+
+
 class TestDispatch:
     def test_all_names(self):
         sys_, _ = _system_with_truth(9)
@@ -516,6 +548,87 @@ def _bimodal_predictions(model, n, seed):
 
     y_act = draw(model.split.d_t - model.split.d)
     return y_act, predict(model, y_act, draw(model.split.d))
+
+
+def _eager_feasible(est, sys_):
+    """feasible as estimators computed it when each estimate was made."""
+    x = est.x_hat
+    if est.name == "gia":
+        return bool(np.all(x >= 0.0) and np.all(x <= 1.0))
+    return bool(np.all(sys_.contains(x)))
+
+
+@pytest.fixture
+def contains_calls(monkeypatch):
+    """The x of every LinearSystem.contains call."""
+    calls = []
+    real = LinearSystem.contains
+    monkeypatch.setattr(LinearSystem, "contains",
+                        lambda self, x, tau=None: calls.append(x) or real(self, x, tau))
+    return calls
+
+
+class TestLazyFeasible:
+    """feasible is computed on its first read, from the kept system."""
+
+    @staticmethod
+    def _systems():
+        from vflpriv import defense
+        model = _k4_model()
+        rng = np.random.default_rng(12)
+        y_act = rng.uniform(size=(8, model.split.d_t - model.split.d))
+        x_pas = rng.uniform(size=(8, model.split.d))
+        c = predict(model, y_act, x_pas)
+        clean = build_system(model, y_act, c)
+        plan = defense.NoisePlan(1.0, defense.pps2_optimal_direction(clean, 1.0).v1)
+        noisy = defense.apply_scheme(model.logits(y_act, x_pas), plan, "s1")
+        return {"clean": clean, "noisy": build_system(model, y_act, noisy, source="noisy"),
+                "clean-one-row": build_system(model, y_act[0], c[0]),
+                "noisy-one-row": build_system(model, y_act[3], noisy[3], source="noisy")}
+
+    def test_equals_the_eager_expression(self):
+        seen = []
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", attacks.GiaConvergenceWarning)
+            for kind, sys_ in self._systems().items():
+                for name in attacks.ATTACKS:
+                    try:
+                        est = attacks.run_attack(name, sys_, rng=np.random.default_rng(0))
+                    except (attacks.AttackError, numerics.NumericsError):
+                        continue            # an empty set under noise
+                    assert est.feasible is _eager_feasible(est, sys_), (kind, name)
+                    seen.append((kind, name, est.feasible))
+        assert len(seen) >= 36
+        assert {f for *_, f in seen} == {True, False}
+
+    @pytest.mark.parametrize("name", attacks.ATTACKS)
+    def test_read_twice_calls_contains_once(self, name, contains_calls):
+        sys_ = self._systems()["clean"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", attacks.GiaConvergenceWarning)
+            est = attacks.run_attack(name, sys_, rng=np.random.default_rng(0))
+        assert not contains_calls
+        assert est.feasible is est.feasible
+        assert len(contains_calls) == (0 if name == "gia" else 1)
+
+    def test_repr_and_eq_leave_the_system_out(self):
+        a = np.array([[1.0, -2.0, 0.5]])
+        x = np.full(3, 0.5)
+        meets, misses = LinearSystem(a=a, b=a @ x), LinearSystem(a=a, b=a @ x + 1.0)
+        one = attacks.AttackEstimate(x_hat=x, name="half", system=meets)
+        two = attacks.AttackEstimate(x_hat=x, name="half", system=misses)
+        assert one == two
+        assert repr(one) == repr(two) and "system" not in repr(one)
+        assert one.feasible and not two.feasible
+
+    @pytest.mark.parametrize("argv", [
+        ["figure1", "--synth-n", "150", "--synth-dt", "4", "--d-grid", "1,2"],
+        ["attack", "--synth-n", "150", "--synth-dt", "6", "--d", "3",
+         "--attacks", "half,ls,half_star"]], ids=["figure1", "attack"])
+    def test_commands_never_read_it(self, argv, tmp_path, contains_calls):
+        from vflpriv import cli
+        assert cli.main([*argv, "--n", "5", "--out", str(tmp_path / "out.csv")]) == 0
+        assert not contains_calls
 
 
 class TestBatchedSolvers:

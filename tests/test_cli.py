@@ -1,4 +1,5 @@
 import csv
+import json
 import re
 
 import numpy as np
@@ -387,6 +388,20 @@ class TestBadArguments:
         assert "train fraction must be in (0, 1)" in capsys.readouterr().err
         assert not train_calls
 
+    @pytest.mark.parametrize("label_col", ["5", "9", "-6", "-11"])
+    @pytest.mark.parametrize("cell", ["0.5", "u"], ids=["plain", "categorical"])
+    def test_label_col_out_of_range_before_training(self, label_col, cell, tmp_path,
+                                                    capsys, train_calls):
+        # a wrapped index would read feature column 0 as the labels
+        path = tmp_path / "t.csv"
+        path.write_text("a,b,c,d,label\n" + "".join(
+            f"{i / 10},{cell},0.{i},{i % 3},{i % 2}\n" for i in range(10)))
+        assert _run(["train", "--data", str(path), "--d", "1",
+                     "--label-col", label_col]) == 2
+        assert (f"label column {label_col} is out of range for a table of 5 columns"
+                in capsys.readouterr().err)
+        assert not train_calls
+
     @pytest.mark.parametrize("cell", ["inf", "nan"])
     def test_non_finite_cell_before_training(self, cell, tmp_path, capsys, train_calls):
         # without the check, such a cell reaches training as NaN features
@@ -705,6 +720,19 @@ class TestModelMustMatchWindow:
                      "--model", str(model_path), "--n", "5"]) == 2
         err = capsys.readouterr().err
         assert "[0, 1, 2] of 10" in err and f"{dt}-feature table" in err
+        assert not metrics_calls["run_attack"]
+
+
+    def test_bad_model_file_names_the_file_and_field(self, model_path, capsys,
+                                                     metrics_calls):
+        # an extra bias value once loaded and then failed inside predict
+        doc = json.loads(model_path.read_text())
+        doc["b"].append(0.0)
+        model_path.write_text(json.dumps(doc))
+        assert _run(["attack", "--synth-n", "150", "--synth-dt", "10", "--d", "3",
+                     "--model", str(model_path), "--n", "5"]) == 2
+        assert (f"config error: {model_path}: b holds 3 values; k=2 needs 2"
+                in capsys.readouterr().err)
         assert not metrics_calls["run_attack"]
 
 

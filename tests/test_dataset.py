@@ -1,7 +1,11 @@
+import csv
+import io
 import os
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from vflpriv import dataset
 
@@ -354,3 +358,159 @@ class TestLoadPipeline:
         assert ds.x.shape == (20, 2)
         assert ds.x.min() >= 0.0 and ds.x.max() <= 1.0
         assert ds.train_mask.sum() == 16
+
+
+# cells for the reader's differential test: plain numbers, and cells that
+# the C reader must leave to the csv path (quotes, non-finite values, cells
+# loadtxt rejects and float() may or may not accept)
+_NUMBERS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.integers(-10**20, 10**20).map(str),
+    st.sampled_from(["0.1", "1e-320", "-0", "+1.5", " 2.5", "3 ", "\t7", ".5",
+                     "5.", "1E+3", "4.9e-324", "1.7976931348623157e308"]))
+_ODD = st.sampled_from(["inf", "-inf", "nan", "NaN", "Infinity", "1e999", "1_000",
+                        "\u0661\u0662", "", " ", "abc", "0x10", '"1.5"', '"a,b"',
+                        '"x""y"', "1\x0b", "\xa01", "1\x00"])
+_LABELS = st.sampled_from(["a", "b", "c", "1", "2.0", " a", "b\x0b"])
+_ODD_LABELS = st.sampled_from(['"a"', '"c,d"', '"e""f"', "g\x00"])
+_SPOILERS = st.sampled_from(["", " ", "\t", ",", "1", "1,2,3,4,5,6,7", "\r"])
+
+
+# the ways _tables spoils a plain table
+_SPOILS = ["label_col", "category", "odd", "odd_labels", "line", "eol", "lone_eol",
+           "no_rows", "one_column"]
+
+
+@st.composite
+def _tables(draw):
+    """(bytes of a CSV table, label_col): a table of plain numbers with the
+    label column anywhere, spoiled in up to two of the _SPOILS ways."""
+    spoils = draw(st.sets(st.sampled_from(_SPOILS), max_size=2))
+    width = 1 if "one_column" in spoils else draw(st.integers(2, 5))
+    label_col = draw(st.integers(-width, width - 1))
+    if "label_col" in spoils:
+        label_col = draw(st.sampled_from([width, -width - 1, 2 * width]))
+    n = 0 if "no_rows" in spoils else draw(st.integers(1, 6))
+    rows = [[f"c{j}" for j in range(width)]]
+    rows += [[draw(_NUMBERS) for _ in range(width)] for _ in range(n)]
+    if n and "category" in spoils:
+        j = draw(st.integers(0, width - 1))
+        for row in rows[1:]:
+            row[j] = draw(_LABELS)
+    if n and "odd" in spoils:
+        rows[draw(st.integers(1, n))][draw(st.integers(0, width - 1))] = draw(_ODD)
+    labels = _LABELS
+    if "odd_labels" in spoils:
+        rows[0][0] = '"c0"'
+        labels = st.one_of(_LABELS, _ODD_LABELS)
+    if -width <= label_col < width:
+        for row in rows[1:]:
+            row[label_col] = draw(labels)
+    lines = [",".join(row) for row in rows]
+    if "line" in spoils:                        # blank, whitespace-only, ragged
+        lines.insert(draw(st.integers(0, len(lines))), draw(_SPOILERS))
+    eols = [draw(st.sampled_from(["\n", "\r\n"]))]
+    if "eol" in spoils:                         # mixed line ends, a lone CR
+        eols.append(draw(st.sampled_from(["\n", "\r\n", "\r"])))
+    text = "".join(line + eols[i % len(eols)] for i, line in enumerate(lines))
+    if draw(st.booleans()):                     # no trailing newline
+        text = text.rstrip("\r\n")
+    if "lone_eol" in spoils:                    # a CR or LF anywhere
+        i = draw(st.integers(0, len(text)))
+        text = text[:i] + draw(st.sampled_from(["\r", "\n"])) + text[i:]
+    return text.encode("utf-8"), label_col
+
+
+def _outcome(parse, raw, label_col):
+    """A table's names, labels, flags and column bits, or the exception it raised."""
+    try:
+        t = parse(raw, label_col)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return (t.names, t.labels, t.categorical,
+            [col if cat else (col.dtype, col.tobytes(), col.flags.writeable)
+             for col, cat in zip(t.columns, t.categorical)])
+
+
+def _bench_shaped(n=1000, d_t=12, k=4, seed=0) -> bytes:
+    """A table written as the benchmark writes its own: csv.writer's CRLF
+    lines, repr of each float and string labels."""
+    rng = np.random.default_rng(seed)
+    out = io.StringIO()
+    writer = csv.writer(out)
+    writer.writerow([f"f{j}" for j in range(d_t)] + ["label"])
+    for row, c in zip(rng.random((n, d_t)).tolist(), rng.integers(0, k, n).tolist()):
+        writer.writerow([repr(v) for v in row] + ["class_" + "abcd"[c]])
+    return out.getvalue().encode("utf-8")
+
+
+class TestPlainReader:
+    """_parse_csv reads plain numeric tables with numpy.loadtxt and must give
+    what the csv path (_parse_rows) gives on every input."""
+
+    @given(_tables())
+    @settings(max_examples=400, deadline=None)
+    @example((b"a,b,label\n1,2,x\n3,4,y\n", -1))
+    @example((b"a,b,label\r\n1,2,x\r\n3,4,y", 0))
+    @example((b"a,label\n1,x\n\n2,y\n", -1))
+    @example((b"a,label\n1,x\n2,y\n3\n", -1))
+    @example((b"a,b,label\n1,2,x\n3,4,y,5\n", -1))
+    @example((b"a,label\n", -1))
+    @example((b"\n\n", -1))
+    @example((b"a,label\n1,x\n2\xff,y\n", -1))
+    @example((b'"a",label\n1,x\n2,y\n', -1))
+    @example((b'a,label\n1,"x"\n2,y\n', -1))
+    @example((b"a,label\n1,x\x00\n2,y\n", -1))
+    @example((b"a,label\r\n1,x\r\r\n2,y\r\n", -1))
+    @example((b"c0,c\r1\r\n3,y\r\n2,y\r\n", -1))
+    @example((b"c0,c1,c2\r\n5,5,x\r\n9,7,y\r\n\n6,5,x\r\n", -1))
+    @example((b"a,label\n0." + b"1" * 131072 + b",x\n2,y\n", -1))
+    def test_matches_the_csv_path(self, table):
+        raw, label_col = table
+        assert (_outcome(dataset._parse_csv, raw, label_col)
+                == _outcome(dataset._parse_rows, raw, label_col))
+
+    @pytest.mark.parametrize("raw, label_col", [
+        (_bench_shaped(), -1),
+        (_bench_shaped(n=20, d_t=3, k=2).replace(b"\r\n", b"\n"), -1),
+        (b"label,a,b\n1,0.5,2\n0,1e-3,-4", 0),
+        (b"a,label,b\n1,x,2\n3,y,4\n", -2),
+        (b"a,label,b\n1,x,2\n3,y,4\n", 1),
+    ], ids=["bench", "lf", "first", "middle-negative", "middle"])
+    def test_plain_tables_take_the_c_reader(self, raw, label_col):
+        plain = dataset._parse_plain(raw, label_col)
+        assert plain is not None
+        assert _outcome(lambda *a: plain, raw, label_col) == _outcome(
+            dataset._parse_rows, raw, label_col)
+
+    @pytest.mark.parametrize("raw", [
+        b'a,label\n"1",x\n2,y\n', b"a,label\n1,x\r2,y\n", b"a,label\r\n1,x\n2,y\r\n",
+        b"a,label\n1,x\n\n2,y\n", b"a,label\n1,x\n \n2,y\n", b"a,b,label\n1,2,x\n3,4\n",
+        b"a,label\n1,x\nabc,y\n", b"a,label\n1,x\n1_000,y\n",
+        "a,label\n1,x\n\u0661\u0662,y\n".encode(), b"a,label\n1,x\n,y\n",
+        b"a,label\n1,x\ninf,y\n", b"a,label\n1,x\nnan,y\n", b"a,label\n",
+        b"a,label\n1,x\n2,x\n", b"a,label\n1,x\n2\xff,y\n", b"label\nx\ny\n",
+        b"a,label\n1,x\x00\n2,y\n", b"a,label\n0." + b"1" * 131072 + b",x\n2,y\n",
+    ])
+    def test_other_tables_take_the_csv_path(self, raw):
+        assert dataset._parse_plain(raw, -1) is None
+
+    @pytest.mark.parametrize("text", ["a,b,c,d,label\n1,2,3,4,x\n5,6,7,8,y\n",
+                                      "a,b,c,d,label\n1,u,3,4,x\n5,v,7,8,y\n"],
+                             ids=["plain", "categorical"])
+    @pytest.mark.parametrize("label_col", [5, 9, -6, -11])
+    def test_label_col_out_of_range_raises(self, tmp_path, text, label_col):
+        path = _write_csv(tmp_path, text)
+        match = f"label column {label_col} is out of range for a table of 5 columns"
+        with pytest.raises(dataset.DataError, match=match):
+            dataset.load_csv(path, label_col=label_col)
+        with pytest.raises(dataset.DataError, match=match):
+            dataset._parse_rows(path.read_bytes(), label_col)
+
+    @pytest.mark.parametrize("label_col", [4, -1, 0, -5])
+    def test_label_col_in_range_reads(self, tmp_path, label_col):
+        path = _write_csv(tmp_path, "a,b,c,d,e\n1,2,3,4,5\n6,7,8,9,0\n")
+        table = dataset.load_csv(path, label_col=label_col)
+        j = label_col % 5
+        assert table.labels == [str(1 + j), str((6 + j) % 10)]
+        assert table.names == [n for i, n in enumerate("abcde") if i != j]

@@ -1,4 +1,6 @@
 import dataclasses
+import json
+import re
 
 import numpy as np
 import pytest
@@ -6,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from vflpriv.dataset import SyntheticSpec, split_mask, synthesize
+from vflpriv.dataset import DataError, SyntheticSpec, split_mask, synthesize
 from vflpriv.model import (TrainConfig, TrainingError, VflModel, VflSplit,
                            accuracy, loss_and_grads, predict, softmax, train)
 
@@ -242,6 +244,56 @@ class TestModelObject:
             VflModel(w_act=np.zeros((2, 2)),
                      w_pas=np.array([[np.inf, 0.0], [0.0, 0.0]]),
                      b=np.zeros(2), k=2, split=split)
+
+
+class TestModelFile:
+    """VflModel.load checks a file against its k and split; DataError names
+    the file and the field."""
+
+    DOC = {"k": 2, "lam": 0.0, "passive": [0, 1, 2], "active": [3, 4],
+           "w_act": [0.1] * 4, "w_pas": [0.2] * 6, "b": [0.0, 1.0]}
+
+    @staticmethod
+    def _write(tmp_path, doc):
+        path = tmp_path / "m.json"
+        path.write_text(doc if isinstance(doc, str) else json.dumps(doc), encoding="utf-8")
+        return path
+
+    def test_saved_file_loads(self, tmp_path):
+        model = VflModel.load(self._write(tmp_path, self.DOC))
+        assert model.w_pas.shape == (2, 3) and model.w_act.shape == (2, 2)
+        assert model.b.tolist() == [0.0, 1.0]
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("w_pas", [0.2] * 5, "w_pas holds 5 values; k=2, d=3 need 6"),
+        ("w_act", [0.1] * 5, "w_act holds 5 values; k=2, d_t-d=2 need 4"),
+        ("b", [0.0, 1.0, 2.0], "b holds 3 values; k=2 needs 2"),
+        ("b", [], "b holds 0 values; k=2 needs 2"),
+        ("k", "two", "k: invalid literal"),
+        ("w_pas", ["x"] * 6, "w_pas: could not convert"),
+        ("w_pas", [None] * 6, "w_pas contains non-finite entries"),
+        ("passive", [0, 1, 3], "overlap"),
+        ("active", 3, "active: "),
+        ("lam", None, "lam: "),
+    ])
+    def test_bad_field(self, tmp_path, key, value, message):
+        path = self._write(tmp_path, {**self.DOC, key: value})
+        with pytest.raises(DataError) as info:
+            VflModel.load(path)
+        assert str(info.value).startswith(f"{path}: ") and message in str(info.value)
+
+    @pytest.mark.parametrize("text, message", [
+        ("{", "not a JSON model: "), ("[1, 2]", "not a JSON model: expected an object"),
+        (json.dumps({k: v for k, v in DOC.items() if k != "b"}), "no b field")])
+    def test_not_a_model(self, tmp_path, text, message):
+        path = self._write(tmp_path, text)
+        with pytest.raises(DataError, match=f"^{re.escape(str(path))}: {message}"):
+            VflModel.load(path)
+
+    def test_bias_shape_checked_on_construction(self):
+        with pytest.raises(ValueError, match=r"b of shape \(3,\) disagrees with k=2"):
+            VflModel(w_act=np.zeros((2, 2)), w_pas=np.zeros((2, 2)), b=np.zeros(3),
+                     k=2, split=VflSplit.contiguous(4, 0, 2))
 
 
 class TestWindowView:
