@@ -19,18 +19,14 @@ class DataError(Exception):
 
 @dataclass
 class RawTable:
-    """A rectangular table of mixed numeric/categorical cells plus a label column."""
+    """A rectangular table of mixed numeric/categorical cells plus a label
+    column, as the parsers make it: each caller owns the one it gets."""
 
     columns: list                # per feature: a float array, or the raw
                                  # strings if categorical; label excluded
     names: list[str]             # feature names (label column excluded)
     labels: list                 # raw label cells
     categorical: list[bool]      # per-feature flag
-
-    def __post_init__(self):
-        # numeric cells given as strings or numbers are parsed here, once
-        self.columns = [col if self.categorical[j] else _float_column(col)
-                        for j, col in enumerate(self.columns)]
 
     @property
     def n_rows(self) -> int:
@@ -92,52 +88,30 @@ class SyntheticSpec:
             raise DataError("need at least one feature")
 
 
-def _float_column(cells) -> np.ndarray:
-    """The cells parsed with float into a float array; a float array passes as is."""
-    if isinstance(cells, np.ndarray) and cells.dtype == float:
-        return cells
-    return np.fromiter(map(float, cells), dtype=float, count=len(cells))
-
-
 def _parse_column(cells: list[str], name: str) -> tuple[np.ndarray | list, bool]:
     """(the cells as a float array, False), or (the cells, True) if one cell
     is not a number; a numeric column with an inf or nan cell raises."""
     try:
-        col = _float_column(cells)
+        col = np.fromiter(map(float, cells), dtype=float, count=len(cells))
     except ValueError:
         return cells, True
     if not np.isfinite(col).all():
         i = int(np.isfinite(col).argmin())
         raise DataError(f"column {name!r}, row {i + 2}: {cells[i]!r} is not finite")
-    col.flags.writeable = False
     return col, False
 
 
-_last_parse: tuple = (None, None)   # (key, RawTable) of the last parse
 _last_load: tuple = (None, None)    # (key, Dataset) of the last load_dataset
 
 
 def _read(path) -> bytes:
-    """A file's bytes: the caches key on them, so a kept table is reused
-    only for the very bytes it came from (a byte comparison, no digest)."""
+    """A file's bytes: the load cache keys on them, so a kept Dataset is
+    reused only for the very bytes it came from (a byte comparison, no digest)."""
     try:
         with open(path, "rb") as fh:
             return fh.read()
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
-
-
-def _parsed(raw: bytes, label_col: int) -> RawTable:
-    """The kept RawTable of these bytes and label_col, parsed if not kept.
-
-    The table is shared with the next caller: it must not be changed."""
-    global _last_parse
-    key = (raw, label_col)
-    last_key, t = _last_parse       # one read, so a concurrent load cannot
-    if last_key != key:             # pair this key with another table
-        t = _parse_csv(raw, label_col)
-        _last_parse = key, t
-    return t
 
 
 def load_csv(path, label_col: int = -1) -> RawTable:
@@ -147,16 +121,10 @@ def load_csv(path, label_col: int = -1) -> RawTable:
     [-width, width) for a table of width columns raises DataError. Each
     column is parsed once into a float array (see _parse_csv); a column with
     any non-numeric cell keeps its raw strings and is tagged categorical,
-    and an inf or nan cell in a numeric column raises DataError. The last
-    table parsed is kept, keyed on its bytes themselves and label_col: one
-    process parses a given table's bytes once, so repeated in-process
-    ``vflpriv.cli.main`` calls on one table share the parse. Calls get fresh
-    lists and read-only float columns.
+    and an inf or nan cell in a numeric column raises DataError. Every call
+    reads and parses the file: nothing is kept, and the caller owns the table.
     """
-    t = _parsed(_read(path), label_col)
-    columns = [list(c) if cat else c for c, cat in zip(t.columns, t.categorical)]
-    return RawTable(columns=columns, names=list(t.names), labels=list(t.labels),
-                    categorical=list(t.categorical))
+    return _parse_csv(_read(path), label_col)
 
 
 def _label_index(label_col: int, width: int) -> int:
@@ -212,14 +180,13 @@ def _parse_plain(raw: bytes, label_col: int) -> RawTable | None:
         return None
     if not np.isfinite(values).all():
         return None
-    columns = np.ascontiguousarray(values.T)
-    columns.flags.writeable = False
-    return RawTable(columns=list(columns), names=[header[i] for i in feat_idx],
-                    labels=labels, categorical=[False] * len(feat_idx))
+    return RawTable(columns=list(np.ascontiguousarray(values.T)),
+                    names=[header[i] for i in feat_idx], labels=labels,
+                    categorical=[False] * len(feat_idx))
 
 
 def _parse_csv(raw: bytes, label_col: int) -> RawTable:
-    """The RawTable of a CSV file's bytes; its float columns are read-only.
+    """The RawTable of a CSV file's bytes.
 
     A table of plain numbers takes _parse_plain's C reader; any other table
     is read by the csv module, cell by cell with float(), and that path
@@ -231,8 +198,11 @@ def _parse_csv(raw: bytes, label_col: int) -> RawTable:
 
 def _parse_rows(raw: bytes, label_col: int) -> RawTable:
     """The csv module's RawTable of a CSV file's bytes, each cell read by float()."""
-    rows = list(csv.reader(io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8",
-                                            newline="")))
+    reader = csv.reader(io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8", newline=""))
+    try:
+        rows = list(reader)
+    except csv.Error as exc:    # such as a cell past csv.field_size_limit()
+        raise DataError(f"line {reader.line_num}: {exc}") from None
     if not rows:
         raise DataError("empty file")
     header, data = rows[0], rows[1:]
@@ -339,17 +309,18 @@ def load_dataset(path, label_col: int = -1, train_fraction: float = 0.8,
                  seed: int = 0) -> Dataset:
     """Full pipeline: CSV -> categorical encoding -> normalize -> split.
 
-    The last Dataset built is kept, keyed on the file's bytes themselves,
-    label_col, train_fraction and seed, so repeated in-process
-    ``vflpriv.cli.main`` calls on one table and split encode it once. Each
-    call gets a Dataset with its own writable arrays.
+    The last Dataset built is the one table a process keeps, keyed on the
+    file's bytes themselves, label_col, train_fraction and seed, so repeated
+    in-process ``vflpriv.cli.main`` calls on one table and split parse and
+    encode it once; another split parses the table again. Each call gets a
+    Dataset with its own writable arrays.
     """
     global _last_load
     raw = _read(path)
     key = (raw, label_col, train_fraction, seed)
     last_key, ds = _last_load
     if last_key != key:
-        table = _parsed(raw, label_col)
+        table = _parse_csv(raw, label_col)
         y, k = encode_labels(table.labels)
         # the split must be fixed before target-mean encoding (training rows only)
         train_mask = split_mask(table.n_rows, train_fraction, seed)

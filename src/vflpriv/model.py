@@ -165,8 +165,9 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.lam < 0.0:
-            raise ValueError("regularization weight must be non-negative")
+        if not 0.0 <= self.lam < np.inf:   # a nan fails both comparisons
+            raise ValueError(f"regularization weight must be finite and "
+                             f"non-negative, got lam={self.lam}")
 
 
 def softmax(z) -> np.ndarray:

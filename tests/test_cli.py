@@ -415,6 +415,31 @@ class TestBadArguments:
         assert f"column 'b', row 5: '{cell}' is not finite" in capsys.readouterr().err
         assert not train_calls
 
+    @pytest.mark.parametrize("cell", ["0.5", "u"], ids=["plain", "categorical"])
+    def test_cell_past_the_field_limit_before_training(self, cell, tmp_path, capsys,
+                                                       train_calls):
+        # a plain table with such a cell takes the csv path, as one with a
+        # category does: both name the line and the limit
+        rows = [f"{i / 20},{cell},{i % 2}\n" for i in range(20)]
+        rows[5] = "0." + "1" * 140_000 + rows[5][rows[5].index(","):]
+        path = tmp_path / "t.csv"
+        path.write_text("a,b,label\n" + "".join(rows))
+        assert _run(["train", "--data", str(path), "--d", "1"]) == 2
+        err = capsys.readouterr().err
+        assert f"line 7: field larger than field limit ({csv.field_size_limit()})" in err
+        assert not train_calls
+
+    @pytest.mark.parametrize("lam", ["nan", "inf", "-1"])
+    def test_lam_outside_0_inf_before_training(self, lam, capsys, train_calls):
+        assert _run(["train", *SYNTH, "--d", "2", f"--lam={lam}"]) == 2
+        assert f"non-negative, got lam={float(lam)}" in capsys.readouterr().err
+        assert not train_calls
+
+    @pytest.mark.parametrize("lam", ["0", "-0.0"])
+    def test_lam_zero_trains(self, lam, train_calls):
+        assert _run(["train", *SYNTH, "--d", "2", f"--lam={lam}"]) == 0
+        assert len(train_calls) == 1
+
     @pytest.mark.parametrize("frac", ["0.001", "0.005", "0.999"])
     def test_train_frac_leaving_too_few_rows_before_training(self, frac, tmp_path,
                                                              capsys, train_calls):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from vflpriv import dataset
+from vflpriv import cli, dataset
 
 
 def _write_csv(tmp_path, text, name="data.csv"):
@@ -69,52 +69,79 @@ class TestLoadCsv:
             dataset.load_csv(tmp_path / "nope.csv")
 
 
+@pytest.fixture
+def parses(monkeypatch):
+    """Start with no Dataset kept and count the calls to the parser."""
+    calls = []
+    parse = dataset._parse_csv
+
+    def counted(raw, label_col):
+        calls.append(label_col)
+        return parse(raw, label_col)
+
+    monkeypatch.setattr(dataset, "_last_load", (None, None))
+    monkeypatch.setattr(dataset, "_parse_csv", counted)
+    return calls
+
+
 class TestParseCache:
-    @pytest.fixture
-    def parses(self, monkeypatch):
-        """Start from an empty cache and count the calls to the parser."""
-        calls = []
-        parse = dataset._parse_csv
-
-        def counted(raw, label_col):
-            calls.append(label_col)
-            return parse(raw, label_col)
-
-        monkeypatch.setattr(dataset, "_last_parse", (None, None))
-        monkeypatch.setattr(dataset, "_parse_csv", counted)
-        return calls
+    """load_dataset's kept Dataset is the one parse a process keeps: a repeat
+    load of the same bytes and split parses nothing, and load_csv parses on
+    every call."""
 
     def test_one_parse_for_many_loads(self, tmp_path, parses):
         path = _write_csv(tmp_path, "a,b,label\n1,x,yes\n2,y,no\n")
-        tables = [dataset.load_csv(path) for _ in range(5)]
+        sets = [dataset.load_dataset(path) for _ in range(5)]
         assert len(parses) == 1
-        for table in tables:
-            assert table.columns[0].tolist() == [1.0, 2.0]
-            assert table.columns[1] == ["x", "y"]
-            assert table.labels == ["yes", "no"]
+        for ds in sets:
+            assert ds.x[:, 0].tolist() == [0.0, 1.0]
+            assert ds.y.tolist() == [1, 0]
         # a copy of the file under another name has the same bytes
         copy = _write_csv(tmp_path, path.read_text(encoding="utf-8"), "copy.csv")
-        assert dataset.load_csv(copy).labels == ["yes", "no"]
+        assert dataset.load_dataset(copy).y.tolist() == [1, 0]
+        assert len(parses) == 1
+        dataset.load_csv(path)
+        dataset.load_csv(path)
+        assert len(parses) == 3
+
+    def test_a_sweep_on_one_table_parses_once(self, tmp_path, parses, capsys):
+        rng = np.random.default_rng(4)
+        path = _write_csv(tmp_path, "a,b,c,d,label\n" + "".join(
+            ",".join(map(repr, row)) + f",{i % 2}\n"
+            for i, row in enumerate(rng.uniform(size=(60, 4)).tolist())))
+        data = ["--data", str(path), "--n", "5"]
+        assert cli.main(["figure1", *data, "--d-grid", "1,2", "--attacks", "half"]) == 0
+        for start in range(3):
+            assert cli.main(["attack", *data, "--d", "2", "--start", str(start),
+                             "--attacks", "half,ls"]) == 0
         assert len(parses) == 1
 
+    @pytest.mark.parametrize("change", [{"seed": 1}, {"train_fraction": 0.6}],
+                             ids=["seed", "train_fraction"])
+    def test_a_new_split_parses_again(self, tmp_path, parses, change):
+        path = _write_csv(tmp_path, "a,b,label\n" + TestLoadCache.TABLE)
+        dataset.load_dataset(path)
+        dataset.load_dataset(path, **change)
+        assert len(parses) == 2
+
     def test_same_size_and_mtime_rewrite_is_seen(self, tmp_path, parses):
-        path = _write_csv(tmp_path, "a,label\n1,yes\n2,no\n")
+        path = _write_csv(tmp_path, "a,label\n1,yes\n2,no\n4,yes\n")
         stat = path.stat()
-        assert dataset.load_csv(path).columns[0].tolist() == [1.0, 2.0]
-        path.write_text("a,label\n3,yes\n4,no\n", encoding="utf-8")
+        assert dataset.load_dataset(path).x[:, 0].tolist() == [0.0, 1 / 3, 1.0]
+        path.write_text("a,label\n1,yes\n3,no\n4,yes\n", encoding="utf-8")
         os.utime(path, ns=(stat.st_atime_ns, stat.st_mtime_ns))
         assert path.stat().st_size == stat.st_size
         assert path.stat().st_mtime_ns == stat.st_mtime_ns
-        assert dataset.load_csv(path).columns[0].tolist() == [3.0, 4.0]
+        assert dataset.load_dataset(path).x[:, 0].tolist() == [0.0, 2 / 3, 1.0]
         assert len(parses) == 2
 
     def test_label_col_is_part_of_the_key(self, tmp_path, parses):
         path = _write_csv(tmp_path, "a,b\nu,yes\nw,no\n")
-        last = dataset.load_csv(path)
-        first = dataset.load_csv(path, label_col=0)
-        assert (last.names, last.labels) == (["a"], ["yes", "no"])
-        assert (first.names, first.labels) == (["b"], ["u", "w"])
-        assert dataset.load_csv(path).labels == ["yes", "no"]
+        last = dataset.load_dataset(path)
+        first = dataset.load_dataset(path, label_col=0)
+        assert (last.feature_names, last.y.tolist()) == (["a"], [1, 0])
+        assert (first.feature_names, first.y.tolist()) == (["b"], [0, 1])
+        assert dataset.load_dataset(path).feature_names == ["a"]
         assert parses == [-1, 0, -1]
 
     @pytest.mark.parametrize("text", [None, "", "a,label\n1,yes\n2\n",
@@ -124,31 +151,28 @@ class TestParseCache:
                 else _write_csv(tmp_path, text))
         for _ in range(2):
             with pytest.raises(dataset.DataError):
-                dataset.load_csv(path)
+                dataset.load_dataset(path)
         assert len(parses) == (0 if text is None else 2)
 
     def test_callers_cannot_change_the_next_load(self, tmp_path, parses):
         path = _write_csv(tmp_path, "a,b,label\n1,x,yes\n2,y,no\n")
+        # every load_csv call parses a table of its own, writable throughout
         table = dataset.load_csv(path)
-        with pytest.raises(ValueError):
-            table.columns[0][0] = 9.0
+        table.columns[0][0] = 9.0
         table.columns[1][0] = "z"
-        table.columns.pop()
         table.labels[0] = "maybe"
-        table.names[0] = "c"
-        table.categorical[0] = True
         again = dataset.load_csv(path)
-        assert len(parses) == 1
+        assert len(parses) == 2
         assert again.columns[0].tolist() == [1.0, 2.0]
         assert again.columns[1] == ["x", "y"]
-        assert (again.names, again.labels) == (["a", "b"], ["yes", "no"])
-        assert again.categorical == [False, True]
+        assert again.labels == ["yes", "no"]
         # every Dataset owns fresh, writable arrays
         ds = dataset.load_dataset(path)
         ds.x[:] = 0.0
         ds.y[:] = 0
         ds.train_mask[:] = ~ds.train_mask
         again = dataset.load_dataset(path)
+        assert len(parses) == 3
         assert again.x.max() == 1.0
         assert again.y.tolist() == [1, 0]
         assert np.array_equal(again.train_mask, dataset.split_mask(2, 0.8, 0))
@@ -204,18 +228,17 @@ class TestLoadCache:
         assert self._same(got, dataset.load_dataset(path, **kw))
 
 
-    def test_an_equal_length_edit_misses_both_caches(self, tmp_path, encodes):
-        # the caches key on the table's bytes themselves: one changed byte
+    def test_an_equal_length_edit_misses_both_caches(self, tmp_path, encodes, parses):
+        # the cache keys on the table's bytes themselves: one changed byte
         # that keeps the length is a new table to parse and to encode
         text = "a,b,label\n" + self.TABLE
         path = _write_csv(tmp_path, text)
         before = dataset.load_dataset(path)
-        parsed = dataset._last_parse[1]
         edited = text.replace("4,x", "5,x")
         assert len(edited) == len(text) and edited != text
         path.write_text(edited, encoding="utf-8")
         after = dataset.load_dataset(path)
-        assert len(encodes) == 2 and dataset._last_parse[1] is not parsed
+        assert len(encodes) == 2 and len(parses) == 2
         assert (before.x[4, 0], after.x[4, 0]) == (4 / 9, 5 / 9)
 
 
@@ -249,7 +272,7 @@ class TestEncoding:
         assert out[3, 0] == pytest.approx(2.0 / 3.0)  # mean label of train rows
 
     def test_numeric_passthrough(self):
-        table = dataset.RawTable(columns=[["1.5", "2.5"]], names=["n"],
+        table = dataset.RawTable(columns=[np.array([1.5, 2.5])], names=["n"],
                                  labels=["a", "b"], categorical=[False])
         out = dataset.encode_categoricals(
             table, dataset.encode_labels(table.labels)[0], np.ones(2, dtype=bool))
