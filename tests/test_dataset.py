@@ -160,12 +160,16 @@ class TestParseCache:
         table = dataset.load_csv(path)
         table.columns[0][0] = 9.0
         table.columns[1][0] = "z"
+        table.columns.pop()
         table.labels[0] = "maybe"
+        table.names[0] = "c"
+        table.categorical[0] = True
         again = dataset.load_csv(path)
         assert len(parses) == 2
         assert again.columns[0].tolist() == [1.0, 2.0]
         assert again.columns[1] == ["x", "y"]
-        assert again.labels == ["yes", "no"]
+        assert (again.names, again.labels) == (["a", "b"], ["yes", "no"])
+        assert again.categorical == [False, True]
         # every Dataset owns fresh, writable arrays
         ds = dataset.load_dataset(path)
         ds.x[:] = 0.0
