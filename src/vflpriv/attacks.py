@@ -9,14 +9,17 @@ cls, a primal-dual interior point on rcc1's relaxation as a linear SDP)
 make one call per batch on the shared factors of A, vectorized over the
 rows not yet converged; gia descends on its KL objective one row at a time,
 with Barzilai-Borwein step sizes (the secant step s.s / s.y after each
-accepted step). When the system is determined (trivial nullspace) every
-estimator but half, zero, rg and gia short-circuits to the unique solution
-A^+ b'.
+accepted step) and the nonmonotone acceptance test of Grippo, Lampariello &
+Lucidi (1986) against the last 10 accepted objective values. When the
+system is determined (trivial nullspace) every estimator but half, zero, rg
+and gia short-circuits to the unique solution A^+ b'.
 """
 
 from __future__ import annotations
 
+import collections
 import contextlib
+import math
 import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -340,49 +343,61 @@ def attack_rcc1(sys_: LinearSystem) -> AttackEstimate:
 
 # the largest step gia takes, so that x - step * grad never forms inf * 0
 _GIA_MAX_STEP = 1e30
+# a step is accepted against the largest of the last _GIA_MEMORY accepted
+# objective values, the current one included; 1 is the monotone rule
+_GIA_MEMORY = 10
 
 
 def _gia_row(log_c, offset, m, x, step: float, max_iter: int,
              tol: float) -> tuple[np.ndarray, float, int, bool]:
     """Projected descent from x on one row's D(c_hat || c), with the step
-    rule of attack_gia; the logits at x are offset + m @ x.
+    and acceptance rules of attack_gia; the logits at x are offset + m x.
 
-    Returns (x, KL bits, iterations, converged); converged is True when a
-    step moved x by less than tol, False at the iteration cap or once the
-    step size underflows.
+    A candidate's gradient is formed only once the candidate is accepted.
+    Returns (x, KL bits, iterations, converged) at the last accepted point;
+    converged is True when a step moved x by less than tol, False at the
+    iteration cap or once the step size underflows.
     """
     ln2, m_t = np.log(2.0), m.T
 
     # softmax(z) and c_hat * (ell - s) / ln2 written out in place, each float
     # operation in its order there, so the iterates match them bit for bit
-    def objective_and_grad(x):
-        z = offset + m @ x
+    def objective(x):
+        z = offset + m.dot(x)
         z -= z.max()
         c_hat = np.exp(z)
         c_hat /= c_hat.sum()
         ell = np.log(np.maximum(c_hat, 1e-300)) - log_c
         s = (c_hat * ell).sum()
+        return float(s / ln2), c_hat, ell, s
+
+    def gradient(c_hat, ell, s):
         ell -= s
         ell *= c_hat
         ell /= ln2
-        return s / ln2, m_t @ ell
+        return m_t.dot(ell)
 
-    obj, grad = objective_and_grad(x)
-    cur_step, iters = step, 0
+    obj, c_hat, ell, s = objective(x)
+    grad = gradient(c_hat, ell, s)
+    recent = collections.deque([obj], maxlen=_GIA_MEMORY)
+    ref, cur_step, iters = obj, step, 0
     for iters in range(1, max_iter + 1):
         cand = x - cur_step * grad
         np.maximum(cand, 0.0, out=cand)
         np.minimum(cand, 1.0, out=cand)
-        cand_obj, cand_grad = objective_and_grad(cand)
-        if cand_obj <= obj:
+        cand_obj, c_hat, ell, s = objective(cand)
+        if cand_obj <= ref:
+            cand_grad = gradient(c_hat, ell, s)
             dx, dg = cand - x, cand_grad - grad
             x, obj, grad = cand, cand_obj, cand_grad
-            ss = dx.dot(dx)
-            if np.sqrt(ss) < tol:
+            recent.append(obj)
+            ref = max(recent)
+            ss = float(dx.dot(dx))
+            if math.sqrt(ss) < tol:
                 return x, obj, iters, True
             # Barzilai-Borwein: the secant step s.s / s.y, or twice the last
             # step where the curvature along s is not positive
-            sy = dx.dot(dg)
+            sy = float(dx.dot(dg))
             if sy <= 0.0:
                 cur_step = min(2.0 * cur_step, _GIA_MAX_STEP)
             else:   # the cap is tested first, so a tiny s.y cannot overflow
@@ -404,13 +419,17 @@ def attack_gia(sys_: LinearSystem, init: str = "half", max_iter: int = 5000,
     offset = log c - [0, cumsum(b')] per row. So gia needs the system's
     log_c (ValueError without them); the rows are solved one after another.
     init selects the starting point: "zeros", "half" or "random" (drawn per
-    row, in row order, from rng). Steps start at 0.05 and are only accepted
-    when they do not increase the objective; a rejected step halves the
-    step size. After an accepted step s, with gradient change y, the next
-    step size is the Barzilai-Borwein value s.s / s.y (Barzilai & Borwein
-    1988; with the projection, the spectral projected gradient of Birgin,
-    Martinez & Raydan 2000), or twice the last one where s.y <= 0, never
-    above 1e30. A row stops when the step size falls below 1e-16.
+    row, in row order, from rng). Steps start at 0.05. A step is accepted
+    when its objective is at most the largest of the last 10 accepted
+    objective values, the current one included (Grippo, Lampariello & Lucidi
+    1986), so the objective may rise for a while, but never above that
+    maximum; a rejected step halves the step size. After an accepted step
+    s, with gradient change y, the next step size is the Barzilai-Borwein
+    value s.s / s.y (Barzilai & Borwein 1988; with the projection and this
+    acceptance test, the spectral projected gradient of Birgin, Martinez &
+    Raydan 2000), or twice the last one where s.y <= 0, never above 1e30.
+    A row stops when the step size falls below 1e-16, and returns its last
+    accepted point.
     diagnostics["iterations"] is the total over all rows, and
     diagnostics["converged"] says per row whether its last step moved it by
     less than 1e-12 (False at the max_iter cap or on step underflow); if any

@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import re
 import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -67,6 +68,12 @@ def _int_range(text: str, flag: str) -> tuple[int, int]:
     if hi < lo:
         raise DataError(f"{flag} range must be non-decreasing, got {text!r}")
     return lo, hi
+
+
+def _check_out(path) -> None:
+    """--out's directory must exist, checked before any load, training or trial."""
+    if path and not Path(path).parent.is_dir():
+        raise DataError(f"--out {path}: directory {Path(path).parent} does not exist")
 
 
 def _resolve_window(args) -> None:
@@ -481,6 +488,7 @@ def main(argv=None) -> int:
             raise DataError(f"unknown config keys: {unknown}")
         if remaining:
             raise DataError(f"unrecognized arguments: {remaining}")
+        _check_out(args.out)
         _resolve_window(args)
         return globals()[args.func](args)
     except SystemExit as exc:   # argparse's own exit: 2 for a bad value, 0 for --help

@@ -114,19 +114,6 @@ def _read(path) -> bytes:
         raise DataError(f"cannot read {path}: {exc}") from exc
 
 
-def load_csv(path, label_col: int = -1) -> RawTable:
-    """Read a UTF-8 comma-delimited file with a header row into a RawTable.
-
-    label_col indexes the header (default: last column); a value outside
-    [-width, width) for a table of width columns raises DataError. Each
-    column is parsed once into a float array (see _parse_csv); a column with
-    any non-numeric cell keeps its raw strings and is tagged categorical,
-    and an inf or nan cell in a numeric column raises DataError. Every call
-    reads and parses the file: nothing is kept, and the caller owns the table.
-    """
-    return _parse_csv(_read(path), label_col)
-
-
 def _label_index(label_col: int, width: int) -> int:
     """label_col as an index in [0, width); a value outside [-width, width) raises."""
     if not -width <= label_col < width:
@@ -186,11 +173,16 @@ def _parse_plain(raw: bytes, label_col: int) -> RawTable | None:
 
 
 def _parse_csv(raw: bytes, label_col: int) -> RawTable:
-    """The RawTable of a CSV file's bytes.
+    """The RawTable of a UTF-8 comma-delimited file's bytes, header row first.
 
-    A table of plain numbers takes _parse_plain's C reader; any other table
-    is read by the csv module, cell by cell with float(), and that path
-    raises every error. Both give the same names, labels and bits.
+    label_col indexes the header (-1: the last column); a value outside
+    [-width, width) for a table of width columns raises DataError. A column
+    with any non-numeric cell keeps its raw strings and is tagged
+    categorical, and an inf or nan cell in a numeric column raises
+    DataError. A table of plain numbers takes _parse_plain's C reader; any
+    other table is read by the csv module, cell by cell with float(), and
+    that path raises every error. Both give the same names, labels and bits.
+    Nothing is kept: the caller owns the table.
     """
     plain = _parse_plain(raw, label_col)
     return plain if plain is not None else _parse_rows(raw, label_col)

@@ -258,26 +258,26 @@ def box_least_squares(sys_: LinearSystem, max_iter: int = 50_000) -> np.ndarray:
     xs = flat.copy()
     since = np.zeros(len(bs), dtype=int)
     weight, t = np.empty(max_iter), 1.0
-    r = xs @ at - bs
+    r = xs.dot(at) - bs
     fx = 0.5 * norm(r) ** 2
-    gx = r @ a  # gradient at x
+    gx = r.dot(a)  # gradient at x
     y = xs
     for it in range(max_iter):
-        x_new = clip(y - step * ((y @ at - bs) @ a))
-        r = x_new @ at - bs
+        x_new = clip(y - step * (y.dot(at) - bs).dot(a))
+        r = x_new.dot(at) - bs
         f_new = 0.5 * norm(r) ** 2
         restart = f_new > fx  # restart momentum from x
         if np.count_nonzero(restart):
             since[restart] = 0
             x_new[restart] = clip(xs[restart] - step * gx[restart])
-            r[restart] = x_new[restart] @ at - bs[restart]
+            r[restart] = x_new[restart].dot(at) - bs[restart]
             f_new[restart] = 0.5 * norm(r[restart]) ** 2
         t_new = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
         weight[it], t = (t - 1.0) / t_new, t_new
         dx = x_new - xs
         y = x_new + weight[since, None] * dx
         since += 1
-        xs, fx, gx = x_new, f_new, r @ a
+        xs, fx, gx = x_new, f_new, r.dot(a)
         # stationarity: the last move and a projected gradient step both
         # under 1e-12; the step is taken only on rows whose move passed
         near = norm(dx) < 1e-12
@@ -295,7 +295,7 @@ def box_least_squares(sys_: LinearSystem, max_iter: int = 50_000) -> np.ndarray:
                     return flat.reshape(shape)
     flat[live] = xs
     raise _cap_error("box least squares", flat.reshape(shape), live, len(flat),
-                     {"residual": norm(xs @ at - bs)})
+                     {"residual": norm(xs.dot(at) - bs)})
 
 
 def von_neumann_bounds(m, p) -> tuple[float, float]:

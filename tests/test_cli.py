@@ -584,6 +584,27 @@ class TestOptionsPerSubcommand:
             assert getattr(seen[0], name) == want
 
     @pytest.mark.parametrize("given", ["flag", "config"])
+    @pytest.mark.parametrize("command", [*READS, "figure12"])
+    def test_out_in_a_missing_directory_before_any_work(self, command, given, tmp_path,
+                                                        capsys, monkeypatch, train_calls):
+        work = []
+        monkeypatch.setattr(cli, "_load_data", lambda args: work.append("load"))
+        monkeypatch.setattr(cli, "_blackbox_trial_mse", lambda *a: work.append("trial"))
+        out = tmp_path / "missing" / "f.csv"
+        if given == "flag":
+            argv = [command, "--out", str(out)]
+        else:
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text(f"out={out}\n", encoding="utf-8")
+            argv = [command, "--config", str(cfg)]
+        assert _run(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: --out {out}: directory ")
+        assert str(tmp_path / "missing") in err
+        assert not work and not train_calls
+        assert not (tmp_path / "missing").exists()
+
+    @pytest.mark.parametrize("given", ["flag", "config"])
     @pytest.mark.parametrize("command, name", UNREAD)
     def test_unread_option_exit_2_before_any_work(self, command, name, given, tmp_path,
                                                   capsys, monkeypatch, train_calls):

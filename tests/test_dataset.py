@@ -19,7 +19,7 @@ def _write_csv(tmp_path, text, name="data.csv"):
 class TestLoadCsv:
     def test_happy_path(self, tmp_path):
         path = _write_csv(tmp_path, "a,b,label\n1,x,yes\n2,y,no\n")
-        table = dataset.load_csv(path)
+        table = dataset._parse_csv(dataset._read(path), -1)
         assert table.names == ["a", "b"]
         assert table.labels == ["yes", "no"]
         assert table.categorical == [False, True]
@@ -28,7 +28,7 @@ class TestLoadCsv:
         cells = ["0.1", "1e-320", " 2.5", "-0", "1.7976931348623157e308", "3"]
         text = "a,b,label\n" + "".join(f"{c},{c if i else 'x'},{i % 2}\n"
                                        for i, c in enumerate(cells))
-        table = dataset.load_csv(_write_csv(tmp_path, text))
+        table = dataset._parse_csv(dataset._read(_write_csv(tmp_path, text)), -1)
         assert table.categorical == [False, True]
         assert table.columns[0].tolist() == [float(c) for c in cells]
         assert table.columns[1] == ["x"] + cells[1:]   # raw strings, unparsed
@@ -38,35 +38,35 @@ class TestLoadCsv:
 
     def test_label_col_selection(self, tmp_path):
         path = _write_csv(tmp_path, "label,a\nyes,1\nno,2\n")
-        table = dataset.load_csv(path, label_col=0)
+        table = dataset._parse_csv(dataset._read(path), 0)
         assert table.names == ["a"]
         assert table.labels == ["yes", "no"]
 
     def test_ragged_row(self, tmp_path):
         path = _write_csv(tmp_path, "a,label\n1,yes\n2\n")
         with pytest.raises(dataset.DataError, match="ragged"):
-            dataset.load_csv(path)
+            dataset._parse_csv(dataset._read(path), -1)
 
     @pytest.mark.parametrize("cell", ["inf", "-inf", "nan", "Infinity"])
     def test_non_finite_cell_names_column_and_row(self, tmp_path, cell):
         path = _write_csv(tmp_path, f"a,b,label\n1,2,yes\n3,{cell},no\n")
         with pytest.raises(dataset.DataError, match=f"column 'b', row 3: '{cell}'"):
-            dataset.load_csv(path)
+            dataset._parse_csv(dataset._read(path), -1)
 
     def test_empty_and_headerless(self, tmp_path):
         with pytest.raises(dataset.DataError):
-            dataset.load_csv(_write_csv(tmp_path, ""))
+            dataset._parse_csv(dataset._read(_write_csv(tmp_path, "")), -1)
         with pytest.raises(dataset.DataError, match="no data rows"):
-            dataset.load_csv(_write_csv(tmp_path, "a,label\n"))
+            dataset._parse_csv(dataset._read(_write_csv(tmp_path, "a,label\n")), -1)
 
     def test_single_label_value(self, tmp_path):
         path = _write_csv(tmp_path, "a,label\n1,yes\n2,yes\n")
         with pytest.raises(dataset.DataError, match="distinct"):
-            dataset.load_csv(path)
+            dataset._parse_csv(dataset._read(path), -1)
 
     def test_missing_file(self, tmp_path):
-        with pytest.raises(dataset.DataError):
-            dataset.load_csv(tmp_path / "nope.csv")
+        with pytest.raises(dataset.DataError, match="cannot read"):
+            dataset.load_dataset(tmp_path / "nope.csv")
 
 
 @pytest.fixture
@@ -86,8 +86,7 @@ def parses(monkeypatch):
 
 class TestParseCache:
     """load_dataset's kept Dataset is the one parse a process keeps: a repeat
-    load of the same bytes and split parses nothing, and load_csv parses on
-    every call."""
+    load of the same bytes and split parses nothing."""
 
     def test_one_parse_for_many_loads(self, tmp_path, parses):
         path = _write_csv(tmp_path, "a,b,label\n1,x,yes\n2,y,no\n")
@@ -100,9 +99,6 @@ class TestParseCache:
         copy = _write_csv(tmp_path, path.read_text(encoding="utf-8"), "copy.csv")
         assert dataset.load_dataset(copy).y.tolist() == [1, 0]
         assert len(parses) == 1
-        dataset.load_csv(path)
-        dataset.load_csv(path)
-        assert len(parses) == 3
 
     def test_a_sweep_on_one_table_parses_once(self, tmp_path, parses, capsys):
         rng = np.random.default_rng(4)
@@ -156,15 +152,15 @@ class TestParseCache:
 
     def test_callers_cannot_change_the_next_load(self, tmp_path, parses):
         path = _write_csv(tmp_path, "a,b,label\n1,x,yes\n2,y,no\n")
-        # every load_csv call parses a table of its own, writable throughout
-        table = dataset.load_csv(path)
+        # every parse makes a table of its own, writable throughout
+        table = dataset._parse_csv(dataset._read(path), -1)
         table.columns[0][0] = 9.0
         table.columns[1][0] = "z"
         table.columns.pop()
         table.labels[0] = "maybe"
         table.names[0] = "c"
         table.categorical[0] = True
-        again = dataset.load_csv(path)
+        again = dataset._parse_csv(dataset._read(path), -1)
         assert len(parses) == 2
         assert again.columns[0].tolist() == [1.0, 2.0]
         assert again.columns[1] == ["x", "y"]
@@ -530,14 +526,14 @@ class TestPlainReader:
         path = _write_csv(tmp_path, text)
         match = f"label column {label_col} is out of range for a table of 5 columns"
         with pytest.raises(dataset.DataError, match=match):
-            dataset.load_csv(path, label_col=label_col)
+            dataset._parse_csv(dataset._read(path), label_col)
         with pytest.raises(dataset.DataError, match=match):
             dataset._parse_rows(path.read_bytes(), label_col)
 
     @pytest.mark.parametrize("label_col", [4, -1, 0, -5])
     def test_label_col_in_range_reads(self, tmp_path, label_col):
         path = _write_csv(tmp_path, "a,b,c,d,e\n1,2,3,4,5\n6,7,8,9,0\n")
-        table = dataset.load_csv(path, label_col=label_col)
+        table = dataset._parse_csv(dataset._read(path), label_col)
         j = label_col % 5
         assert table.labels == [str(1 + j), str((6 + j) % 10)]
         assert table.names == [n for i, n in enumerate("abcde") if i != j]
