@@ -2,7 +2,8 @@
 
 All attacks are pure functions of (system, config) and take a batch: a
 system of N predictions gives N x d estimates in one call, and a one-row
-system gives a d-vector. Every estimator reads only A, b' and, for gia, the
+system gives a d-vector. The closed forms in STACKED also take a stack of
+systems whole. Every estimator reads only A, b' and, for gia, the
 released scores' logs that the system carries; none needs the model. The
 iterative solvers (the exact dual Newton projection for rcc2, FISTA for
 cls, a primal-dual interior point on rcc1's relaxation as a linear SDP)
@@ -75,7 +76,7 @@ def _estimate(sys_: LinearSystem, name: str, x: np.ndarray,
 
 
 def _determined(sys_: LinearSystem, name: str) -> AttackEstimate:
-    return _estimate(sys_, name, sys_.min_norm_solution, determined=True)
+    return _estimate(sys_, name, sys_.min_norm_solution.copy(), determined=True)
 
 
 def attack_half(sys_: LinearSystem) -> AttackEstimate:
@@ -99,7 +100,7 @@ def attack_random(sys_: LinearSystem, rng: np.random.Generator) -> AttackEstimat
 
 def attack_ls(sys_: LinearSystem) -> AttackEstimate:
     """Minimum-norm solution A^+ b' (the equation-solving baseline)."""
-    return _estimate(sys_, "ls", sys_.min_norm_solution)
+    return _estimate(sys_, "ls", sys_.min_norm_solution.copy())
 
 
 def attack_clamped_ls(sys_: LinearSystem) -> AttackEstimate:
@@ -118,7 +119,10 @@ def attack_cls(sys_: LinearSystem) -> AttackEstimate:
 
 def attack_half_star(sys_: LinearSystem) -> AttackEstimate:
     """Closest point of the solution space to the box center (closed form)."""
-    x = sys_.min_norm_solution + 0.5 * (sys_.projector @ np.ones(sys_.d))
+    center = sys_.projector @ np.ones(sys_.d)       # one per system of a stack
+    if sys_.a.ndim > 2:
+        center = center[..., None, :]
+    x = sys_.min_norm_solution + 0.5 * center
     return _estimate(sys_, "half_star", x)
 
 
@@ -469,6 +473,10 @@ def attack_gia(sys_: LinearSystem, init: str = "half", max_iter: int = 5000,
 WHITEBOX_ATTACKS = ("half", "half_star", "ls", "clamped_ls", "cls", "rcc1", "rcc2")
 # every name run_attack accepts
 ATTACKS = WHITEBOX_ATTACKS + ("zero", "rg", "gia")
+# the closed forms, which take a stack of systems in one call; the others run
+# on one system at a time, as rg and gia draw from a generator and the
+# iterative solvers vectorize over rows that share one A
+STACKED = ("half", "zero", "ls", "clamped_ls", "half_star")
 # the estimators that take nothing but the system
 _ON_SYSTEM = {"half": attack_half, "zero": attack_zero,
               "half_star": attack_half_star, "ls": attack_ls,
@@ -481,14 +489,17 @@ def run_attack(name: str, sys_: LinearSystem, *, init: str = "half",
     """Dispatch an attack by name over every row of sys_.
 
     rg additionally needs rng; gia takes init (rng for its random start) and
-    needs the system's log_c.
+    needs the system's log_c. Only the names in STACKED take a stack of
+    systems.
     """
+    if name not in ATTACKS:
+        raise ValueError(f"unknown attack {name!r}")
+    if sys_.a.ndim > 2 and name not in STACKED:
+        raise ValueError(f"{name} takes one system, not a stack of {sys_.a.shape[:-2]}")
     if name in _ON_SYSTEM:
         return _ON_SYSTEM[name](sys_)
     if name == "rg":
         if rng is None:
             raise ValueError("rg needs an RNG")
         return attack_random(sys_, rng)
-    if name == "gia":
-        return attack_gia(sys_, init=init, rng=rng)
-    raise ValueError(f"unknown attack {name!r}")
+    return attack_gia(sys_, init=init, rng=rng)

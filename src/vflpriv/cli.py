@@ -20,7 +20,6 @@ runs, so a handler replaced after the parser was built still runs.
 from __future__ import annotations
 
 import argparse
-import re
 import sys
 from pathlib import Path
 
@@ -247,8 +246,8 @@ def _defense_sweep(model: VflModel, ds: Dataset, rows, settings, attack: str,
     to build_system, as every estimator reads the system alone. The S noisy
     settings release one S*N x k batch: one build_system, run_attack and
     kl_divergence call, so rng draws setting by setting, in row order. A
-    failure there is raised again with each row named by setting and row (a
-    ConvergenceError as a NumericsError, its rows and residuals in the text).
+    failure there is raised again by metrics.rows_named, each row named by
+    setting and row.
     """
     pas = list(model.split.passive)
     y_act, x_pas = ds.x[np.ix_(rows, model.split.active)], ds.x[np.ix_(rows, pas)]
@@ -268,26 +267,20 @@ def _defense_sweep(model: VflModel, ds: Dataset, rows, settings, attack: str,
         c_out.append(defense.apply_scheme(z, param, scheme))
     c_out, s, n = np.stack(c_out), len(settings), len(rows)     # c_out: S x N x k
     flat, y_all = c_out.reshape(s * n, -1), np.tile(y_act, (s, 1))
+    # the system and its estimate go with the call, so their arrays are freed
+    # before the KL's temporaries are made
     try:
-        sys_ = build_system(model, y_all, flat, source="noisy")
-        est = run_attack(attack, sys_, rng=rng)
+        x_hat = run_attack(attack, build_system(model, y_all, flat, source="noisy"),
+                           rng=rng).x_hat
     except (SystemError_, AttackError, numerics.ConvergenceError) as exc:
-        def name(match):            # stacked row i is row i % n of setting i // n
-            at = {}
-            for i in map(int, re.findall(r"\d+", match[2])):
-                at.setdefault("{} alpha={}".format(*settings[i // n]), []).append(i % n)
-            return match[1] + ", ".join(f"{r if '[' in match[2] else r[0]} of {label}"
-                                        for label, r in at.items())
-        line = _solver_failure(exc).removeprefix("solver failure: ")
-        kind = type(exc)            # a ConvergenceError's rows go into the text
-        kind = numerics.NumericsError if kind is numerics.ConvergenceError else kind
-        raise kind(re.sub(r"\b(rows? )(\d+|\[[\d, ]*\])", name, line)) from exc
+        raise metrics.rows_named(exc, ["{} alpha={}".format(*setting) for setting in settings],
+                                 n) from exc
     kl = metrics.kl_divergence(np.tile(c, (s, 1)), flat).reshape(s, n)
     # the original label must attain the maximal released score
     top = np.take_along_axis(c_out, np.argmax(c, axis=-1)[None, :, None], axis=-1)
     kept = (top == c_out.max(axis=-1, keepdims=True)).all(axis=(1, 2))
     return [(metrics.empirical_mse(x_pas, x), float(np.mean(k)), bool(ok))
-            for x, k, ok in zip(est.x_hat.reshape(s, n, -1), kl, kept)]
+            for x, k, ok in zip(x_hat.reshape(s, n, -1), kl, kept)]
 
 
 def cmd_defend(args) -> int:
@@ -461,16 +454,6 @@ def _with_config(parser: argparse.ArgumentParser, argv: list) -> tuple[list, dic
     return [argv[0], *tokens, *argv[1:]], tokens
 
 
-def _solver_failure(exc: Exception) -> str:
-    """The exit-3 stderr line; a solver that hit its cap adds each row's residuals."""
-    line = f"solver failure: {exc}"
-    if isinstance(exc, numerics.ConvergenceError):
-        line += f"; rows {exc.rows.tolist()}"
-        for name, values in exc.residuals.items():
-            line += f"; {name} " + " ".join(f"{v:.3e}" for v in values)
-    return line
-
-
 _parser = None     # built at the first main call, then kept for the process
 
 
@@ -494,7 +477,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:   # argparse's own exit: 2 for a bad value, 0 for --help
         return exc.code
     except _SOLVER_ERRORS as exc:
-        print(_solver_failure(exc), file=sys.stderr)
+        print(f"solver failure: {exc}", file=sys.stderr)
         return 3
     except _CONFIG_ERRORS as exc:
         print(f"config error: {exc}", file=sys.stderr)

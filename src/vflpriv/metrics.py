@@ -7,6 +7,7 @@ knowing the nullspace orientation.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -14,8 +15,8 @@ import numpy as np
 from . import numerics
 from .dataset import Dataset
 from .model import VflModel, VflSplit, predict
-from .system import LinearSystem, build_system
-from .attacks import run_attack
+from .system import LinearSystem, SystemError_, build_system
+from .attacks import STACKED, AttackError, run_attack
 
 _PSD_SLACK = -1e-8
 EPS_CLIP = 1e-12
@@ -133,25 +134,81 @@ def kl_divergence(p, q) -> float | np.ndarray:
     return _per_row(np.sum(p * np.log2(np.where(p > 0.0, p, 1.0) / q), axis=-1))
 
 
-def attack_mse_on_rows(model: VflModel, ds: Dataset, rows, attacks,
+def rows_named(exc: Exception, labels: list[str], n: int) -> Exception:
+    """exc again, of its kind, each row its text names put in its group.
+
+    The rows are those of a batch stacked from len(labels) groups of n rows:
+    row i becomes row i % n of labels[i // n], and a list of rows is split
+    by group. A ConvergenceError comes back a NumericsError, its rows and
+    residuals in the text.
+    """
+    def name(match):
+        at = {}
+        for i in map(int, re.findall(r"\d+", match[2])):
+            at.setdefault(labels[i // n], []).append(i % n)
+        return match[1] + ", ".join(f"{r if '[' in match[2] else r[0]} of {label}"
+                                    for label, r in at.items())
+    kind = numerics.NumericsError if type(exc) is numerics.ConvergenceError else type(exc)
+    return kind(re.sub(r"\b(rows? )(\d+|\[[\d, ]*\])", name, str(exc)))
+
+
+# the failures rows_named names by window
+_ROW_ERRORS = (SystemError_, AttackError, numerics.ConvergenceError)
+
+
+def attack_mse_on_rows(model, ds: Dataset, rows, attacks,
                        rng: np.random.Generator | None = None,
-                       init: str = "half") -> dict[str, float]:
+                       init: str = "half") -> dict:
     """Mean per-feature MSE of each named attack over the given sample rows.
 
     The rows go through predict and build_system once, as one batch; the
     attacks then run on that system in the given order, all drawing from rng.
     Returns {attack: MSE}.
+
+    model may instead be a list of S window views of one model (VflModel.
+    window) that share d, with rng a list of S generators. The inputs then
+    stack on a leading window axis (y_act S x N x (d_t - d), the weights
+    S x k x ., A S x (k-1) x d, b' S x N x (k-1)) for one predict and one
+    build_system. The estimators in STACKED run once on the stack, the
+    others view by view on its systems in the given order, each view
+    drawing from its own generator; every view gets the bits it gets alone.
+    Each MSE is then an array of S values, and a failure names its rows as
+    rows of "window start=<the view's first passive feature>".
     """
     rows = np.asarray(rows, dtype=int)
     if rows.ndim != 1 or rows.size == 0:
         raise MetricsError("need a non-empty list of sample rows")
     if len(set(attacks)) != len(attacks):
         raise MetricsError(f"attack names repeat: {list(attacks)}")
-    y_act = ds.x[np.ix_(rows, model.split.active)]
-    x_pas = ds.x[np.ix_(rows, model.split.passive)]
-    sys_ = build_system(model, y_act, predict(model, y_act, x_pas))
-    return {name: empirical_mse(x_pas, run_attack(name, sys_, rng=rng, init=init).x_hat)
-            for name in attacks}
+    if isinstance(model, VflModel):
+        y_act = ds.x[np.ix_(rows, model.split.active)]
+        x_pas = ds.x[np.ix_(rows, model.split.passive)]
+        sys_ = build_system(model, y_act, predict(model, y_act, x_pas))
+        return {name: empirical_mse(x_pas, run_attack(name, sys_, rng=rng, init=init).x_hat)
+                for name in attacks}
+    views, at = model, rows[None, :, None]
+    labels = [f"window start={view.split.passive[0]}" for view in views]
+    y_act = ds.x[at, np.array([view.split.active for view in views], dtype=int)[:, None]]
+    x_pas = ds.x[at, np.array([view.split.passive for view in views])[:, None]]
+    stack = VflModel(w_act=np.stack([view.w_act for view in views]),
+                     w_pas=np.stack([view.w_pas for view in views]), b=views[0].b,
+                     k=views[0].k, split=views[0].split, lam=views[0].lam)
+    try:
+        sys_ = build_system(stack, y_act, predict(stack, y_act, x_pas))
+    except _ROW_ERRORS as exc:
+        raise rows_named(exc, labels, rows.size) from exc
+    x_hat = {name: run_attack(name, sys_).x_hat for name in attacks if name in STACKED}
+    alone = [name for name in attacks if name not in STACKED]
+    for i, label in enumerate(labels):
+        window = sys_[i]
+        for name in alone:
+            try:
+                est = run_attack(name, window, rng=rng[i], init=init)
+            except _ROW_ERRORS as exc:
+                raise rows_named(exc, [label], rows.size) from exc
+            x_hat.setdefault(name, []).append(est.x_hat)
+    return {name: np.sum((x_pas - np.asarray(x_hat[name])) ** 2, axis=(-2, -1))
+            / x_pas[0].size for name in attacks}
 
 
 def average_over_space(model: VflModel, ds: Dataset, d: int, attacks,
@@ -161,16 +218,18 @@ def average_over_space(model: VflModel, ds: Dataset, d: int, attacks,
     Window s gives features {s, ..., s+d-1 mod d_t} to the passive party and
     is scored on model.window of that split, one model viewed d_t ways.
     Every attack runs on each window over up to n_pred test predictions,
-    drawing from one generator seeded with seed + s. Returns {attack: mean
-    of the d_t window MSE values}.
+    drawing from one generator seeded with seed + s. All d_t windows go
+    through one attack_mse_on_rows call, as one stacked system. Returns
+    {attack: mean of the d_t window MSE values}.
     """
     if d > ds.d_t:
         raise MetricsError("passive dimension exceeds the feature count")
     rows = np.flatnonzero(ds.test_mask)[:n_pred]
-    windows = [attack_mse_on_rows(model.window(VflSplit.contiguous(ds.d_t, start, d)),
-                                  ds, rows, attacks, rng=np.random.default_rng(seed + start))
-               for start in range(ds.d_t)]
-    return {name: float(np.mean([w[name] for w in windows])) for name in attacks}
+    starts = range(ds.d_t)
+    mse = attack_mse_on_rows([model.window(VflSplit.contiguous(ds.d_t, s, d)) for s in starts],
+                             ds, rows, attacks,
+                             rng=[np.random.default_rng(seed + s) for s in starts])
+    return {name: float(np.mean(mse[name])) for name in attacks}
 
 
 def write_csv(path, header: list[str], rows: list[list]) -> None:

@@ -62,7 +62,12 @@ class VflSplit:
 
 @dataclass(frozen=True)
 class VflModel:
-    """Trained LR parameters partitioned between the two parties."""
+    """Trained LR parameters partitioned between the two parties.
+
+    w_act and w_pas may carry matching leading axes: a stack of window views
+    of one model that share d, whose split is then the first view's. logits,
+    predict and system.build_system take it whole; window and save do not.
+    """
 
     w_act: np.ndarray   # k x (d_t - d)
     w_pas: np.ndarray   # k x d
@@ -77,19 +82,23 @@ class VflModel:
                 raise TrainingError(f"{name} contains non-finite entries")
         if self.k < 2:
             raise ValueError("need at least two classes")
-        if self.w_pas.shape != (self.k, self.split.d):
+        if self.w_pas.shape[-2:] != (self.k, self.split.d):
             raise ValueError("w_pas shape disagrees with the split")
-        if self.w_act.shape != (self.k, self.split.d_t - self.split.d):
+        if self.w_act.shape[-2:] != (self.k, self.split.d_t - self.split.d):
             raise ValueError("w_act shape disagrees with the split")
+        if self.w_act.shape[:-2] != self.w_pas.shape[:-2]:
+            raise ValueError(f"w_act stacks {self.w_act.shape[:-2]} views, "
+                             f"w_pas {self.w_pas.shape[:-2]}")
         if self.b.shape != (self.k,):
             raise ValueError(f"b of shape {self.b.shape} disagrees with k={self.k}")
 
     def logits(self, y_act, x_pas) -> np.ndarray:
         y_act = np.asarray(y_act, dtype=float)
         x_pas = np.asarray(x_pas, dtype=float)
-        if y_act.shape[-1] != self.w_act.shape[1] or x_pas.shape[-1] != self.w_pas.shape[1]:
+        if y_act.shape[-1] != self.w_act.shape[-1] or x_pas.shape[-1] != self.w_pas.shape[-1]:
             raise ValueError("feature dimensions do not match the model")
-        return y_act @ self.w_act.T + x_pas @ self.w_pas.T + self.b
+        return (y_act @ self.w_act.swapaxes(-1, -2) + x_pas @ self.w_pas.swapaxes(-1, -2)
+                + self.b)
 
     def window(self, split: VflSplit) -> "VflModel":
         """The same weights and bias, their columns regrouped into split's two

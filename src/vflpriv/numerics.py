@@ -42,6 +42,13 @@ class ConvergenceError(NumericsError):
         self.residuals = residuals
         self.rows = rows
 
+    def __str__(self):
+        """The message, then the rows and each residual's values per row."""
+        text = f"{super().__str__()}; rows {self.rows.tolist()}"
+        for name, values in self.residuals.items():
+            text += f"; {name} " + " ".join(f"{v:.3e}" for v in values)
+        return text
+
 
 def as_matrix(a) -> np.ndarray:
     """Coerce to a finite 2-D float64 array, raising on NaN/Inf."""
@@ -69,42 +76,61 @@ class SvdFactors:
 
     U is m-by-m orthonormal, V is d-by-d orthonormal (columns are right
     singular vectors), and s holds the min(m, d) singular values in
-    non-increasing order.
+    non-increasing order. The factors of a stack of matrices (A with leading
+    axes) carry the same leading axes, and factors[i] is matrix i's.
     """
 
     u: np.ndarray
     s: np.ndarray
     v: np.ndarray
 
-    def rank(self) -> int:
-        if self.s.size == 0 or self.s[0] <= 0.0:
-            return 0
-        return int(np.count_nonzero(self.s > EPS_RANK * self.s[0]))
+    def __getitem__(self, i) -> "SvdFactors":
+        return SvdFactors(u=self.u[i], s=self.s[i], v=self.v[i])
+
+    def rank(self):
+        """The rank, or for a stack an int array of each matrix's rank."""
+        if self.s.ndim == 1:
+            return int(np.count_nonzero(self.s > EPS_RANK * self.s[0]))
+        return np.count_nonzero(self.s > EPS_RANK * self.s[..., :1], axis=-1)
 
     def pinv(self) -> np.ndarray:
-        """Moore-Penrose pseudoinverse V Sigma^+ U^T of the factored matrix."""
+        """Moore-Penrose pseudoinverse V Sigma^+ U^T of the factored matrix.
+
+        A stack whose matrices share one rank takes one product; where the
+        ranks differ, each matrix is inverted alone. Either way every matrix
+        gets the bits it gets alone.
+        """
         r = self.rank()
+        if not isinstance(r, int):
+            if np.any(r != r.flat[0]):
+                return np.stack([self[i].pinv() for i in np.ndindex(r.shape)]).reshape(
+                    self.v.shape[:-1] + self.u.shape[-1:])
+            r = int(r.flat[0])
         if r == 0:
-            return np.zeros((self.v.shape[0], self.u.shape[0]))
-        return (self.v[:, :r] / self.s[:r]) @ self.u[:, :r].T
+            return np.zeros(self.v.shape[:-1] + self.u.shape[-1:])
+        return (self.v[..., :r] / self.s[..., None, :r]) @ self.u[..., :r].swapaxes(-1, -2)
 
     def nullspace(self) -> np.ndarray:
-        """Orthonormal basis of the nullspace: the last d - rank right singular vectors."""
+        """Orthonormal basis of the nullspace: the last d - rank right singular
+        vectors (of one matrix)."""
         return self.v[:, self.rank():]
 
 
 def svd(a) -> SvdFactors:
     """Full SVD with singular values sorted non-increasing.
 
+    a is one matrix, or a stack of them (leading axes), factored in one
+    np.linalg.svd call; each matrix of a stack gets the bits it gets alone.
     Raises NumericsError if the underlying iteration does not converge
     (never fails silently).
     """
-    a = as_matrix(a)
+    a = np.asarray(a, dtype=float)
+    a = as_matrix(a) if a.ndim < 3 else a
     try:
         u, s, vt = np.linalg.svd(a, full_matrices=True)
     except np.linalg.LinAlgError as exc:
         raise NumericsError(f"SVD did not converge: {exc}") from exc
-    return SvdFactors(u=u, s=s, v=vt.T)
+    return SvdFactors(u=u, s=s, v=vt.swapaxes(-1, -2))
 
 
 def _start(x0, shape) -> np.ndarray:

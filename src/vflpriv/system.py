@@ -32,14 +32,15 @@ def difference_matrix(k: int) -> np.ndarray:
 
 
 def _rowwise(m: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """m @ r for every row r of x; a 1-D x is one row.
+    """m @ r for every row r of x; a 1-D x is one row, and m and x may carry
+    matching leading axes (a stack).
 
     Written as (m x^T)^T; a lone row goes in as the first of two copies, as
     a matrix-vector product would give it other bits than it gets in a batch.
     """
     if x.ndim == 1:
         return (m @ np.stack([x, x], axis=1))[:, 0]
-    return (m @ x.T).T
+    return (m @ x.swapaxes(-1, -2)).swapaxes(-1, -2)
 
 
 @dataclass
@@ -52,6 +53,12 @@ class LinearSystem:
     then drop the row axis. log_c holds the logs of the released scores
     (batch + (k,)) that b' came from; gia needs them, the other estimators
     read only (A, b'), and a system built by hand may leave them out.
+
+    A stack of S systems has a of shape (S, k-1, d) and b of (S, N, k-1),
+    more leading axes allowed. One np.linalg.svd call factors every A, and
+    pinv, projector, min_norm_solution, contains and residual work on all
+    of them at once, each system getting the bits it gets alone; stack[i]
+    is system i, on its slice of the SVD, and alone has a nullspace.
     Immutable after construction by convention.
     """
 
@@ -60,29 +67,43 @@ class LinearSystem:
     log_c: np.ndarray | None = None
 
     def __post_init__(self):
-        self.a = numerics.as_matrix(self.a)
+        a = np.asarray(self.a, dtype=float)
+        # a stack is checked as one tall matrix
+        self.a = (numerics.as_matrix(a) if a.ndim < 3 else
+                  numerics.as_matrix(a.reshape(-1, a.shape[-1])).reshape(a.shape))
         self.b = np.asarray(self.b, dtype=float)
-        if self.b.ndim not in (1, 2) or self.b.shape[-1] != self.a.shape[0]:
-            raise ValueError(f"b must have shape ({self.a.shape[0]},) or "
-                             f"(N, {self.a.shape[0]}), got {self.b.shape}")
+        lead, m = self.a.shape[:-2], self.a.shape[-2]
+        if not lead and (self.b.ndim not in (1, 2) or self.b.shape[-1] != m):
+            raise ValueError(f"b must have shape ({m},) or (N, {m}), got {self.b.shape}")
+        if lead and self.b.shape[:-2] + self.b.shape[-1:] != lead + (m,):
+            raise ValueError(f"b of a stack of {lead} systems must have shape "
+                             f"{lead} + (N, {m}), got {self.b.shape}")
         if self.b.size == 0 or not np.all(np.isfinite(self.b)):
             raise ValueError("b must be non-empty and finite")
         if self.log_c is not None:
             self.log_c = np.asarray(self.log_c, dtype=float)
-            shape = self.batch + (self.a.shape[0] + 1,)
+            shape = self.batch + (m + 1,)
             if self.log_c.shape != shape:
                 raise ValueError(f"log_c must have shape {shape}, got {self.log_c.shape}")
             if not np.all(np.isfinite(self.log_c)):
                 raise ValueError("log_c must be finite")
         self.svd = numerics.svd(self.a)
 
+    def __getitem__(self, i) -> "LinearSystem":
+        """System i of a stack, on its slice of the stack's SVD (no new SVD)."""
+        sys_ = object.__new__(LinearSystem)
+        sys_.a, sys_.b, sys_.svd = self.a[i], self.b[i], self.svd[i]
+        sys_.log_c = None if self.log_c is None else self.log_c[i]
+        return sys_
+
     @property
     def d(self) -> int:
-        return self.a.shape[1]
+        return self.a.shape[-1]
 
     @property
     def batch(self) -> tuple:
-        """Leading shape of per-row results: () for one row, (N,) for N rows."""
+        """Leading shape of per-row results: () for one row, (N,) for N rows,
+        and a stack's leading axes before those."""
         return self.b.shape[:-1]
 
     @cached_property
@@ -92,7 +113,7 @@ class LinearSystem:
     @cached_property
     def projector(self) -> np.ndarray:
         p = np.eye(self.d) - self.pinv @ self.a
-        return 0.5 * (p + p.T)
+        return 0.5 * (p + p.swapaxes(-1, -2))
 
     @cached_property
     def nullspace(self) -> np.ndarray:
@@ -102,8 +123,9 @@ class LinearSystem:
     def nullity(self) -> int:
         return self.nullspace.shape[1]
 
-    @property
+    @cached_property
     def min_norm_solution(self) -> np.ndarray:
+        """A^+ b' per row, computed once; callers that return it copy it."""
         return _rowwise(self.pinv, self.b)
 
     def residual(self, x) -> np.ndarray:
@@ -122,22 +144,28 @@ def build_system(model: VflModel, y_act, c, source: str = "clean") -> LinearSyst
 
     y_act is one row of active features (d_t - d) or N rows (N x (d_t - d))
     and c the matching scores (k or N x k); b' then has shape (k-1) or
-    N x (k-1), and the system keeps log c as log_c. Logs are taken once, of
-    the scores as they are, so a score below np.finfo(float).tiny (zero or
-    subnormal) raises SystemError_ naming its row, clean or noisy. For clean
-    scores, the min-norm solution of each row must predict that row's scores
-    to 1e-6 relative; a failed row indicates a dimension bug and raises.
+    N x (k-1), and the system keeps log c as log_c. A model whose weights
+    carry leading axes (a stack of window views) takes N rows of y_act and c
+    with the same leading axes and gives the stack of their systems, with
+    one SVD. Logs are taken once, of the scores as they are, so a score
+    below np.finfo(float).tiny (zero or subnormal) raises SystemError_
+    naming its row, clean or noisy. For clean scores, the min-norm solution
+    of each row must predict that row's scores to 1e-6 relative; a failed
+    row indicates a dimension bug and raises. A row is named by its index
+    in the flattened batch, stack axes included.
     """
     y_act = np.asarray(y_act, dtype=float)
     c = np.asarray(c, dtype=float)
-    if c.ndim not in (1, 2) or c.shape[-1] != model.k:
+    if (c.ndim not in ((1, 2) if model.w_pas.ndim == 2 else (model.w_pas.ndim,))
+            or c.shape[-1] != model.k):
         raise ValueError("confidence vector length must equal the class count")
-    if y_act.shape != c.shape[:-1] + (model.w_act.shape[1],):
+    if y_act.shape != c.shape[:-1] + (model.w_act.shape[-1],):
         raise ValueError(f"active features of shape {y_act.shape} do not match "
                          f"{c.shape[:-1]} predictions of this model")
-    low = np.argwhere(np.atleast_2d(c) < np.finfo(float).tiny)
+    rows = c.reshape(-1, model.k)
+    low = np.argwhere(rows < np.finfo(float).tiny)
     if low.size:
-        raise SystemError_(f"row {low[0, 0]} has score {np.atleast_2d(c)[tuple(low[0])]},"
+        raise SystemError_(f"row {low[0, 0]} has score {rows[tuple(low[0])]},"
                            " below the smallest normal float, so its log is not exact")
     j = difference_matrix(model.k)
     log_c = np.log(c)
@@ -147,7 +175,7 @@ def build_system(model: VflModel, y_act, c, source: str = "clean") -> LinearSyst
     if source == "clean":
         # A x = b' alone cannot fail where A has full row rank
         c_ls = predict(model, y_act, sys_.min_norm_solution)
-        err = np.atleast_1d(np.max(np.abs(c_ls - c) / c, axis=-1))
+        err = np.max(np.abs(c_ls - c) / c, axis=-1).reshape(-1)
         bad = np.flatnonzero(err > 1e-6)
         if bad.size:
             raise SystemError_(

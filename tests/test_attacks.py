@@ -125,6 +125,34 @@ class TestDeterminedShortCircuit:
             assert np.allclose(est.x_hat, x_true, atol=1e-9), name
 
 
+class TestMinNormCache:
+    """The min-norm solution is computed once per system, and no estimate
+    hands out the cached array."""
+
+    def test_computed_once(self, monkeypatch):
+        from vflpriv import system
+        sys_, _ = _system_with_truth(4)
+        real, calls = system._rowwise, []
+        monkeypatch.setattr(system, "_rowwise", lambda m, x: calls.append(m is sys_.pinv)
+                            or real(m, x))
+        for name in ("ls", "clamped_ls", "half_star", "rcc1", "rcc2"):
+            attacks.run_attack(name, sys_)
+        assert calls.count(True) == 1
+
+    @pytest.mark.parametrize("name,a", [("ls", None), ("cls", "tall"), ("rcc1", "tall"),
+                                        ("rcc2", "tall")])
+    def test_writing_an_estimate_leaves_the_cache(self, name, a):
+        # a tall A is determined: cls, rcc1 and rcc2 return the min-norm solution
+        sys_ = (_system_with_truth(5)[0] if a is None else
+                LinearSystem(a=np.random.default_rng(6).standard_normal((5, 3)),
+                             b=np.ones(5)))
+        want = sys_.min_norm_solution.copy()
+        est = attacks.run_attack(name, sys_)
+        est.x_hat[...] = -7.0
+        assert np.array_equal(sys_.min_norm_solution, want)
+        assert np.array_equal(attacks.attack_ls(sys_).x_hat, want)
+
+
 class TestHalfStar:
     def test_closest_solution_to_center(self):
         sys_, _ = _system_with_truth(4)

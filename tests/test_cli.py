@@ -639,16 +639,69 @@ def metrics_calls(monkeypatch):
 
 def test_figure1_trains_once_and_builds_one_system_per_window(tmp_path, train_calls,
                                                               metrics_calls):
-    # one train call on all 4 features for the whole grid, then d_t = 4
-    # windows per d, each one system, whatever the number of attacks; the
-    # second command on the same table and config reuses the kept model
+    # one train call on all 4 features for the whole grid, then the d_t = 4
+    # windows of each d as one stacked system, whatever the number of
+    # attacks; the second command on the same table and config reuses the
+    # kept model
     for attacks in ("rg,half,ls,half_star", "half"):
         assert _run(["figure1", "--synth-n", "150", "--synth-dt", "4",
                      "--d-grid", "1,2", "--attacks", attacks,
                      "--n", "5", "--out", str(tmp_path / "fig1.csv")]) == 0
         assert train_calls == [VflSplit.contiguous(4, 0, 4)]
-        assert len(metrics_calls["build_system"]) == 2 * 4
+        assert [m.w_pas.shape[0] for m in metrics_calls["build_system"]] == [4, 4]
         metrics_calls["build_system"].clear()
+
+
+class TestFigure1Failures:
+    """A figure1 failure names the window start and the window's own rows."""
+
+    ARGS = ["figure1", "--synth-n", "300", "--synth-dt", "6", "--d-grid", "3",
+            "--n", "5", "--attacks", "half,rcc1"]
+
+    def _fail(self, capsys):
+        assert _run(self.ARGS) == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("solver failure: ")
+        return err.strip()
+
+    def test_capped_rcc1(self, monkeypatch, capsys):
+        from vflpriv import attacks
+        real = attacks._rcc1_pd_solve
+        monkeypatch.setattr(attacks, "_rcc1_pd_solve",
+                            lambda *a, **kw: real(*a, max_iter=2, **kw))
+        line = self._fail(capsys)
+        assert re.fullmatch(r"solver failure: rcc1 rows \[0, 1, 2, 3, 4\] of window "
+                            r"start=0 end with gaps( \S+){5} above 1e-08 in at most "
+                            r"2 steps", line), line
+
+    def test_capped_rcc2_projection(self, monkeypatch, capsys):
+        # one row of window 2 needs rcc2's Newton projection; a one-step cap
+        # stops it, and the capped rows and residuals keep their window
+        real = numerics.dykstra_project
+        monkeypatch.setattr(numerics, "dykstra_project",
+                            lambda *a, **kw: real(*a, max_iter=1, **kw))
+        assert _run(["figure1", "--synth-n", "600", "--synth-dt", "8", "--synth-k", "4",
+                     "--d-grid", "6", "--n", "60", "--attacks", "half,rcc2"]) == 3
+        line = capsys.readouterr().err.strip()
+        assert re.fullmatch(r"solver failure: box-affine projection hit the iteration "
+                            r"cap on 1 of 1 rows; rows \[5\] of window start=2; "
+                            r"affine \S+", line), line
+
+    def test_subnormal_score(self, monkeypatch, capsys):
+        # weights 1e4 times the trained ones put some scores at 0.0 in every
+        # window; the stacked build names the first of window 0
+        monkeypatch.setattr(cli, "_last_model", (None, None))
+        real = cli.train
+
+        def steep(*args, **kw):
+            m = real(*args, **kw)
+            return VflModel(w_act=1e4 * m.w_act, w_pas=1e4 * m.w_pas, b=m.b, k=m.k,
+                            split=m.split)
+        monkeypatch.setattr(cli, "train", steep)
+        line = self._fail(capsys)
+        assert re.fullmatch(r"solver failure: row \d of window start=0 has score 0\.0, "
+                            r"below the smallest normal float, so its log is not "
+                            r"exact", line), line
 
 
 def _table(path, seed=6, n=300, d_t=8):

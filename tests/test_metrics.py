@@ -4,11 +4,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from vflpriv import metrics
-from vflpriv.attacks import run_attack
+from vflpriv import metrics, numerics
+from vflpriv.attacks import ATTACKS, AttackError, run_attack
 from vflpriv.dataset import Dataset, SyntheticSpec, synthesize
-from vflpriv.model import TrainConfig, VflSplit, predict, train
-from vflpriv.system import LinearSystem, build_system
+from vflpriv.model import TrainConfig, VflModel, VflSplit, predict, train
+from vflpriv.system import LinearSystem, SystemError_, build_system
 
 
 class TestEmpiricalMse:
@@ -213,25 +213,153 @@ class TestAverageOverSpace:
 
     def test_windows_cover_all_starts(self, tiny, model, monkeypatch):
         # d=1, d_t=3: each feature serves as the passive window exactly once,
-        # on a view of the one model, with the window's own generator
+        # on a view of the one model, with the window's own generator; the
+        # three views go through one stacked call
         names, seen = ["rg", "ls", "half_star"], []
         real = metrics.attack_mse_on_rows
 
-        def recording(view, *args, **kw):
-            seen.append((view, real(view, *args, **kw)))
+        def recording(views, *args, **kw):
+            seen.append((views, real(views, *args, **kw)))
             return seen[-1][1]
         monkeypatch.setattr(metrics, "attack_mse_on_rows", recording)
         avg = metrics.average_over_space(model, tiny, 1, names, n_pred=8, seed=4)
-        assert [view.split for view, _ in seen] == [VflSplit.contiguous(3, s, 1)
-                                                    for s in range(3)]
+        [(views, got)] = seen
+        assert [view.split for view in views] == [VflSplit.contiguous(3, s, 1)
+                                                  for s in range(3)]
         rows = np.flatnonzero(tiny.test_mask)[:8]
-        for start, (view, got) in enumerate(seen):
+        for start, view in enumerate(views):
             assert view.lam == 0.1
             want = real(model.window(view.split), tiny, rows, names,
                         rng=np.random.default_rng(4 + start))
-            assert got == want          # bit for bit
-        assert avg == {name: float(np.mean([got[name] for _, got in seen]))
+            assert {name: got[name][start] for name in names} == want   # bit for bit
+        assert avg == {name: float(np.mean([got[name][s] for s in range(3)]))
                        for name in names}
+
+
+def _views(model, d):
+    return [model.window(VflSplit.contiguous(model.split.d_t, s, d))
+            for s in range(model.split.d_t)]
+
+
+def _random_model(k, d_t, seed, scale=2.0):
+    """A table model (every feature passive) with random weights."""
+    rng = np.random.default_rng(seed)
+    return VflModel(w_act=np.zeros((k, 0)), w_pas=scale * rng.standard_normal((k, d_t)),
+                    b=rng.standard_normal(k), k=k, split=VflSplit.contiguous(d_t, 0, d_t))
+
+
+class TestStackedSweep:
+    """All d_t windows as one stacked system give each window's MSE bit for
+    bit as the window gets it alone, with its own generator."""
+
+    def _check(self, model, ds, d, names, init="half", seed=3, n=6):
+        rows = np.flatnonzero(ds.test_mask)[:n]
+        views = _views(model, d)
+        got = metrics.attack_mse_on_rows(
+            views, ds, rows, names, init=init,
+            rng=[np.random.default_rng(seed + s) for s in range(len(views))])
+        for start, view in enumerate(views):
+            want = metrics.attack_mse_on_rows(view, ds, rows, names, init=init,
+                                              rng=np.random.default_rng(seed + start))
+            assert {name: got[name][start] for name in names} == want, (d, start)
+        if init == "half":          # average_over_space's init
+            avg = metrics.average_over_space(model, ds, d, names, n_pred=n, seed=seed)
+            assert avg == {name: float(np.mean(got[name])) for name in names}
+
+    # gia from its random start draws after rg, from the same generator
+    @pytest.mark.parametrize("init", ["half", "random"])
+    @pytest.mark.parametrize("k,d_t", [(2, 5), (4, 5), (9, 4)])
+    def test_every_attack_and_d(self, k, d_t, init):
+        ds = synthesize(SyntheticSpec(n=60, d_t=d_t, k=k, seed=k))
+        model = _random_model(k, d_t, seed=k)
+        for d in range(1, d_t + 1):
+            self._check(model, ds, d, list(ATTACKS), init=init)
+
+    def test_trained_model(self):
+        ds = synthesize(SyntheticSpec(n=200, d_t=5, k=2, seed=11))
+        model = train(ds, VflSplit.contiguous(5, 0, 5), TrainConfig(seed=11))
+        for d in (1, 2, 4, 5):
+            self._check(model, ds, d, list(ATTACKS), n=20)
+
+    def test_ranks_differ_across_windows(self):
+        # feature 2 weighs both classes alike, so at d = 1 its window has
+        # A = 0 (rank 0) and the other windows rank 1
+        ds = synthesize(SyntheticSpec(n=60, d_t=4, k=2, seed=7))
+        model = _random_model(2, 4, seed=7)
+        model.w_pas[1, 2] = model.w_pas[0, 2]
+        rows = np.flatnonzero(ds.test_mask)[:6]
+        views = _views(model, 1)
+        ranks = []
+        for view in views:
+            y_act = ds.x[np.ix_(rows, view.split.active)]
+            x_pas = ds.x[np.ix_(rows, view.split.passive)]
+            ranks.append(build_system(view, y_act, predict(view, y_act, x_pas)).svd.rank())
+        assert ranks == [1, 1, 0, 1]
+        self._check(model, ds, 1, list(ATTACKS))
+        self._check(model, ds, 2, list(ATTACKS))
+
+    def test_one_predict_and_build_system_per_d(self, monkeypatch):
+        ds = synthesize(SyntheticSpec(n=60, d_t=4, k=3, seed=2))
+        model = _random_model(3, 4, seed=2)
+        calls = {"predict": [], "build_system": [], "run_attack": []}
+        for name, seen in calls.items():
+            real = getattr(metrics, name)
+            monkeypatch.setattr(metrics, name, lambda *a, real=real, seen=seen, **kw:
+                                seen.append(a[0]) or real(*a, **kw))
+        metrics.average_over_space(model, ds, 2, ["half", "rg", "ls", "cls"], n_pred=5)
+        assert [m.w_pas.shape for m in calls["predict"]] == [(4, 3, 2)]
+        assert [m.w_pas.shape for m in calls["build_system"]] == [(4, 3, 2)]
+        # the closed forms once on the stack, rg and cls once per window
+        assert calls["run_attack"] == ["half", "ls"] + ["rg", "cls"] * 4
+
+
+class TestWindowFailures:
+    """A failure in a window, or in the stack, names the window and its rows."""
+
+    @pytest.fixture()
+    def setup(self):
+        ds = synthesize(SyntheticSpec(n=120, d_t=4, k=2, seed=9))
+        return ds, _random_model(2, 4, seed=9), np.flatnonzero(ds.test_mask)[:5]
+
+    def test_stack_names_the_window(self, setup):
+        # window 1 of a steep model underflows; window 0 of a mild one does not
+        ds, model, rows = setup
+        steep = VflModel(w_act=model.w_act, w_pas=1e4 * model.w_pas, b=model.b, k=2,
+                         split=model.split)
+        views = [model.window(VflSplit.contiguous(4, 0, 2)),
+                 steep.window(VflSplit.contiguous(4, 1, 2))]
+        y_act = ds.x[np.ix_(rows, views[1].split.active)]
+        x_pas = ds.x[np.ix_(rows, views[1].split.passive)]
+        low = np.flatnonzero((predict(views[1], y_act, x_pas)
+                              < np.finfo(float).tiny).any(axis=-1))
+        with pytest.raises(SystemError_, match=f"^row {low[0]} of window start=1 has "):
+            metrics.attack_mse_on_rows(views, ds, rows, ["half"],
+                                       rng=[np.random.default_rng(0)] * 2)
+
+    def test_per_window_attack_names_the_window(self, setup, monkeypatch):
+        # rcc1 capped at 2 steps in the third window only
+        from vflpriv import attacks
+        ds, model, rows = setup
+        real, calls = attacks._rcc1_pd_solve, []
+
+        def third_capped(*a, **kw):
+            calls.append(1)
+            return real(*a, **kw, **({"max_iter": 2} if len(calls) == 3 else {}))
+        monkeypatch.setattr(attacks, "_rcc1_pd_solve", third_capped)
+        with pytest.raises(AttackError,
+                           match=r"^rcc1 rows \[0, 1, 2, 3, 4\] of window start=2 end "):
+            metrics.average_over_space(model, ds, 2, ["half", "rcc1"], n_pred=5)
+
+    def test_rows_named(self):
+        exc = numerics.ConvergenceError("hit the cap on 3 of 12 rows", None,
+                                        {"affine": np.array([1.0, 2.0, 3.0])},
+                                        np.array([1, 5, 9]))
+        got = metrics.rows_named(exc, ["a", "b", "c"], 4)
+        assert type(got) is numerics.NumericsError
+        assert str(got) == ("hit the cap on 3 of 12 rows; rows [1] of a, [1] of b, "
+                            "[1] of c; affine 1.000e+00 2.000e+00 3.000e+00")
+        got = metrics.rows_named(SystemError_("row 6 has score 0.0"), ["a", "b"], 4)
+        assert type(got) is SystemError_ and str(got) == "row 2 of b has score 0.0"
 
 
 class TestAttackMseOnRows:

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from vflpriv.attacks import STACKED, run_attack
 from vflpriv.model import predict, softmax
 from vflpriv.system import (LinearSystem, SystemError_, build_system,
                             difference_matrix)
@@ -265,3 +266,54 @@ class TestBatchSystem:
     def test_mismatched_rows_rejected(self, small_model):
         with pytest.raises(ValueError):
             build_system(small_model, np.full((3, 5), 0.5), np.full((4, 2), 0.5))
+
+
+class TestStack:
+    """A stack of systems (a with a leading axis) gives each system the bits
+    it gets alone, from one SVD."""
+
+    def _stack(self, ranks, seed=0, m=3, d=5, n=4):
+        rng = np.random.default_rng(seed)
+        a = np.zeros((len(ranks), m, d))
+        for i, r in enumerate(ranks):
+            a[i] = rng.standard_normal((m, r)) @ rng.standard_normal((r, d))
+        x = rng.uniform(size=(len(ranks), n, d))
+        b = np.einsum("smd,snd->snm", a, x)
+        log_c = rng.standard_normal((len(ranks), n, m + 1))
+        return LinearSystem(a=a, b=b, log_c=log_c), x
+
+    @pytest.mark.parametrize("ranks", [[3, 3, 3], [2, 2], [3, 1, 0, 3], [0, 0]])
+    def test_each_system_as_alone(self, ranks):
+        stack, x = self._stack(ranks)
+        assert stack.svd.rank().tolist() == ranks
+        for i in range(len(ranks)):
+            alone = LinearSystem(a=stack.a[i], b=stack.b[i], log_c=stack.log_c[i])
+            part = stack[i]
+            for f in ("u", "s", "v"):
+                assert np.array_equal(getattr(part.svd, f), getattr(alone.svd, f))
+            for name in ("pinv", "projector", "min_norm_solution"):
+                assert np.array_equal(getattr(stack, name)[i], getattr(alone, name)), name
+                assert np.array_equal(getattr(part, name), getattr(alone, name)), name
+            assert np.array_equal(part.nullspace, alone.nullspace)
+            assert np.array_equal(part.log_c, alone.log_c)
+            assert np.array_equal(stack.residual(x)[i], alone.residual(x[i]))
+            assert np.array_equal(stack.contains(x)[i], alone.contains(x[i]))
+            for name in STACKED:
+                got = run_attack(name, stack).x_hat[i]
+                assert np.array_equal(got, run_attack(name, alone).x_hat), name
+
+    def test_bad_shapes_rejected(self):
+        stack, _ = self._stack([3, 3])
+        for b in (stack.b[0], stack.b[:, 0], stack.b[None]):
+            with pytest.raises(ValueError, match="b of a stack"):
+                LinearSystem(a=stack.a, b=b)
+        a = stack.a.copy()
+        a[1, 2, 0] = np.inf
+        with pytest.raises(ValueError, match="non-finite"):
+            LinearSystem(a=a, b=stack.b)
+
+    @pytest.mark.parametrize("name", ["rg", "cls", "rcc1", "rcc2", "gia"])
+    def test_one_system_estimators_reject_a_stack(self, name):
+        stack, _ = self._stack([3, 3])
+        with pytest.raises(ValueError, match=f"{name} takes one system"):
+            run_attack(name, stack, rng=np.random.default_rng(0))
