@@ -70,7 +70,9 @@ def _int_range(text: str, flag: str) -> tuple[int, int]:
 
 
 def _check_out(path) -> None:
-    """--out's directory must exist, checked before any load, training or trial."""
+    """--out names a file in an existing directory, checked before any work."""
+    if path and Path(path).is_dir():
+        raise DataError(f"--out {path} is a directory")
     if path and not Path(path).parent.is_dir():
         raise DataError(f"--out {path}: directory {Path(path).parent} does not exist")
 
@@ -197,9 +199,9 @@ def cmd_attack(args) -> int:
     ds = _load_data(args)
     model = _model(args, ds)
     rows = np.flatnonzero(ds.test_mask)[:n]
-    mse = metrics.attack_mse_on_rows(model, ds, rows, names, init=args.init,
-                                     rng=np.random.default_rng(args.seed))
-    out = [[name, args.d, len(rows), repr(mse[name])] for name in names]
+    mse = metrics.attack_mse_on_rows(model, [model.split], ds, rows, names,
+                                     [np.random.default_rng(args.seed)], init=args.init)
+    out = [[name, args.d, len(rows), repr(float(mse[name][0]))] for name in names]
     _emit(out, ["attack", "d", "n", "mse"], args.out)
     return 0
 
@@ -226,6 +228,9 @@ def cmd_blackbox(args) -> int:
     knowledge, w, b = _BLACKBOX_CASES[args.case]
     w = w if args.w is None else args.w
     b = b if args.b is None else args.b
+    for flag, value in (("--w", w), ("--b", b)):
+        if not np.isfinite(value):
+            raise DataError(f"{flag} must be finite, got {value}")
     # the map at x = 0 and x = 1: a (w, b) that the estimator rejects fails here
     blackbox.run_blackbox(knowledge, [b, w + b])
     out = []
@@ -472,6 +477,8 @@ def main(argv=None) -> int:
         if remaining:
             raise DataError(f"unrecognized arguments: {remaining}")
         _check_out(args.out)
+        if args.seed < 0:
+            raise DataError(f"--seed must be a non-negative integer, got {args.seed}")
         _resolve_window(args)
         return globals()[args.func](args)
     except SystemExit as exc:   # argparse's own exit: 2 for a bad value, 0 for --help

@@ -156,43 +156,36 @@ def rows_named(exc: Exception, labels: list[str], n: int) -> Exception:
 _ROW_ERRORS = (SystemError_, AttackError, numerics.ConvergenceError)
 
 
-def attack_mse_on_rows(model, ds: Dataset, rows, attacks,
-                       rng: np.random.Generator | None = None,
-                       init: str = "half") -> dict:
-    """Mean per-feature MSE of each named attack over the given sample rows.
+def attack_mse_on_rows(model: VflModel, splits, ds: Dataset, rows, attacks, rng,
+                       init: str = "half") -> dict[str, np.ndarray]:
+    """{attack: its mean per-feature MSE over the sample rows on each of S windows}.
 
-    The rows go through predict and build_system once, as one batch; the
-    attacks then run on that system in the given order, all drawing from rng.
-    Returns {attack: MSE}.
-
-    model may instead be a list of S window views of one model (VflModel.
-    window) that share d, with rng a list of S generators. The inputs then
-    stack on a leading window axis (y_act S x N x (d_t - d), the weights
-    S x k x ., A S x (k-1) x d, b' S x N x (k-1)) for one predict and one
+    splits are S >= 1 passive windows of one d over the model's d_t features,
+    rng a generator for each. The weights, put in column order by one
+    VflModel.window call, and the rows gather onto a leading window axis
+    (y_act S x N x (d_t - d), the weights S x k x .) for one predict and one
     build_system. The estimators in STACKED run once on the stack, the
-    others view by view on its systems in the given order, each view
-    drawing from its own generator; every view gets the bits it gets alone.
-    Each MSE is then an array of S values, and a failure names its rows as
-    rows of "window start=<the view's first passive feature>".
+    others window by window in the given order, each drawing from its
+    window's generator; every window gets the bits it gets alone. A failure
+    names its rows as rows of "window start=<its first passive feature>".
     """
     rows = np.asarray(rows, dtype=int)
     if rows.ndim != 1 or rows.size == 0:
         raise MetricsError("need a non-empty list of sample rows")
     if len(set(attacks)) != len(attacks):
         raise MetricsError(f"attack names repeat: {list(attacks)}")
-    if isinstance(model, VflModel):
-        y_act = ds.x[np.ix_(rows, model.split.active)]
-        x_pas = ds.x[np.ix_(rows, model.split.passive)]
-        sys_ = build_system(model, y_act, predict(model, y_act, x_pas))
-        return {name: empirical_mse(x_pas, run_attack(name, sys_, rng=rng, init=init).x_hat)
-                for name in attacks}
-    views, at = model, rows[None, :, None]
-    labels = [f"window start={view.split.passive[0]}" for view in views]
-    y_act = ds.x[at, np.array([view.split.active for view in views], dtype=int)[:, None]]
-    x_pas = ds.x[at, np.array([view.split.passive for view in views])[:, None]]
-    stack = VflModel(w_act=np.stack([view.w_act for view in views]),
-                     w_pas=np.stack([view.w_pas for view in views]), b=views[0].b,
-                     k=views[0].k, split=views[0].split, lam=views[0].lam)
+    d_t = model.split.d_t
+    if len({s.d for s in splits}) != 1 or {s.d_t for s in splits} != {d_t}:
+        named = "; ".join(f"{list(s.passive)} of {s.d_t}" for s in splits)
+        raise MetricsError(f"need window splits of one d over the model's {d_t} features, "
+                           f"got [{named}]")
+    w = model.window(VflSplit.contiguous(d_t, 0, d_t)).w_pas     # k x d_t
+    act = np.array([s.active for s in splits], dtype=int)[:, None]
+    pas = np.array([s.passive for s in splits])[:, None]
+    at, classes = rows[None, :, None], np.arange(model.k)[:, None]
+    y_act, x_pas = ds.x[at, act], ds.x[at, pas]
+    stack = VflModel(w[classes, act], w[classes, pas], model.b, model.k, splits[0])
+    labels = [f"window start={s.passive[0]}" for s in splits]
     try:
         sys_ = build_system(stack, y_act, predict(stack, y_act, x_pas))
     except _ROW_ERRORS as exc:
@@ -215,8 +208,7 @@ def average_over_space(model: VflModel, ds: Dataset, d: int, attacks,
                        n_pred: int = 1000, seed: int = 0) -> dict[str, float]:
     """Mean MSE of each named attack over all d_t contiguous passive windows (mod d_t).
 
-    Window s gives features {s, ..., s+d-1 mod d_t} to the passive party and
-    is scored on model.window of that split, one model viewed d_t ways.
+    Window s gives features {s, ..., s+d-1 mod d_t} to the passive party.
     Every attack runs on each window over up to n_pred test predictions,
     drawing from one generator seeded with seed + s. All d_t windows go
     through one attack_mse_on_rows call, as one stacked system. Returns
@@ -226,9 +218,9 @@ def average_over_space(model: VflModel, ds: Dataset, d: int, attacks,
         raise MetricsError("passive dimension exceeds the feature count")
     rows = np.flatnonzero(ds.test_mask)[:n_pred]
     starts = range(ds.d_t)
-    mse = attack_mse_on_rows([model.window(VflSplit.contiguous(ds.d_t, s, d)) for s in starts],
+    mse = attack_mse_on_rows(model, [VflSplit.contiguous(ds.d_t, s, d) for s in starts],
                              ds, rows, attacks,
-                             rng=[np.random.default_rng(seed + s) for s in starts])
+                             [np.random.default_rng(seed + s) for s in starts])
     return {name: float(np.mean(mse[name])) for name in attacks}
 
 

@@ -64,8 +64,8 @@ class VflSplit:
 class VflModel:
     """Trained LR parameters partitioned between the two parties.
 
-    w_act and w_pas may carry matching leading axes: a stack of window views
-    of one model that share d, whose split is then the first view's. logits,
+    w_act and w_pas may carry matching leading axes: a stack of windows of
+    one model that share d, whose split is then the first window's. logits,
     predict and system.build_system take it whole; window and save do not.
     """
 

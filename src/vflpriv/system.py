@@ -145,7 +145,7 @@ def build_system(model: VflModel, y_act, c, source: str = "clean") -> LinearSyst
     y_act is one row of active features (d_t - d) or N rows (N x (d_t - d))
     and c the matching scores (k or N x k); b' then has shape (k-1) or
     N x (k-1), and the system keeps log c as log_c. A model whose weights
-    carry leading axes (a stack of window views) takes N rows of y_act and c
+    carry leading axes (a stack of windows) takes N rows of y_act and c
     with the same leading axes and gives the stack of their systems, with
     one SVD. Logs are taken once, of the scores as they are, so a score
     below np.finfo(float).tiny (zero or subnormal) raises SystemError_

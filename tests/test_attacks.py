@@ -965,7 +965,8 @@ class TestRcc1PrimalDual:
                          "4", "--d", "6", "--start", "3", "--attacks", "rcc1",
                          "--n", "5"]) == 3
         err = capsys.readouterr().err
-        assert err.startswith("solver failure: rcc1 rows [0, 1, 2, 3, 4] end with gaps")
+        assert err.startswith("solver failure: rcc1 rows [0, 1, 2, 3, 4] of window start=3 "
+                              "end with gaps")
 
     @pytest.mark.parametrize("scheme", [["pps1"], ["s1", "--alpha", "10"]],
                              ids=["pps1", "s1"])

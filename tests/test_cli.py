@@ -7,6 +7,7 @@ import pytest
 
 import oracles
 from vflpriv import cli, numerics
+from vflpriv.attacks import ATTACKS
 from vflpriv.dataset import SyntheticSpec, synthesize
 from vflpriv.model import TrainConfig, VflModel, VflSplit, accuracy, train
 
@@ -495,10 +496,14 @@ class TestBadArguments:
     @pytest.mark.parametrize("argv, message", [
         (["--case", "1", "--w", "0", "--n-grid", "1..3", "--trials", "2"],
          "all observations are zero"),
-        (["--case", "2", "--b", "nan"], "observations must be finite"),
-        (["--case", "2", "--w", "inf"], "observations must be finite"),
+        # a finite w and b whose map at x = 1 overflows
+        (["--case", "2", "--w", "1e308", "--b", "1e308"], "observations must be finite"),
+        (["--case", "3", "--w=-1e308", "--b=-1e308"], "observations must be finite"),
         (["--trials", "0"], "--trials must be at least 1, got 0"),
         (["--trials", "-1"], "--trials must be at least 1, got -1"),
+        (["--case", "2", "--w", "nan"], "--w must be finite, got nan"),
+        (["--case", "2", "--b", "inf"], "--b must be finite, got inf"),
+        (["--case", "1", "--w=-inf"], "--w must be finite, got -inf"),
     ])
     def test_blackbox_bad_input_exit_2_before_any_trial(self, argv, message, capsys,
                                                         monkeypatch):
@@ -590,19 +595,38 @@ class TestOptionsPerSubcommand:
         work = []
         monkeypatch.setattr(cli, "_load_data", lambda args: work.append("load"))
         monkeypatch.setattr(cli, "_blackbox_trial_mse", lambda *a: work.append("trial"))
-        out = tmp_path / "missing" / "f.csv"
-        if given == "flag":
-            argv = [command, "--out", str(out)]
-        else:
-            cfg = tmp_path / "run.cfg"
-            cfg.write_text(f"out={out}\n", encoding="utf-8")
-            argv = [command, "--config", str(cfg)]
-        assert _run(argv) == 2
-        err = capsys.readouterr().err
-        assert err.startswith(f"config error: --out {out}: directory ")
-        assert str(tmp_path / "missing") in err
+        # a file in a missing directory, then a directory that exists
+        missing = tmp_path / "missing"
+        for out, named in ((missing / "f.csv", f": directory {missing} does not exist\n"),
+                           (tmp_path, " is a directory\n")):
+            if given == "flag":
+                argv = [command, "--out", str(out)]
+            else:
+                cfg = tmp_path / "run.cfg"
+                cfg.write_text(f"out={out}\n", encoding="utf-8")
+                argv = [command, "--config", str(cfg)]
+            assert _run(argv) == 2
+            assert capsys.readouterr().err.startswith(f"config error: --out {out}{named}")
         assert not work and not train_calls
         assert not (tmp_path / "missing").exists()
+
+    @pytest.mark.parametrize("given", ["flag", "config"])
+    @pytest.mark.parametrize("command", [*READS, "figure12"])
+    def test_negative_seed_before_any_work(self, command, given, tmp_path, capsys,
+                                           monkeypatch, train_calls):
+        work = []
+        monkeypatch.setattr(cli, "_load_data", lambda args: work.append("load"))
+        monkeypatch.setattr(cli, "_blackbox_trial_mse", lambda *a: work.append("trial"))
+        if given == "flag":
+            argv = [command, "--seed", "-1"]
+        else:
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text("seed=-1\n", encoding="utf-8")
+            argv = [command, "--config", str(cfg)]
+        assert _run(argv) == 2
+        assert capsys.readouterr().err == ("config error: --seed must be a non-negative "
+                                           "integer, got -1\n")
+        assert not work and not train_calls
 
     @pytest.mark.parametrize("given", ["flag", "config"])
     @pytest.mark.parametrize("command, name", UNREAD)
@@ -650,6 +674,31 @@ def test_figure1_trains_once_and_builds_one_system_per_window(tmp_path, train_ca
         assert train_calls == [VflSplit.contiguous(4, 0, 4)]
         assert [m.w_pas.shape[0] for m in metrics_calls["build_system"]] == [4, 4]
         metrics_calls["build_system"].clear()
+
+
+def test_every_mse_cell_is_a_plain_float(tmp_path, monkeypatch):
+    # the library's MSE values are numpy floats; each cell must read back
+    # through float() as the same value, bit for bit
+    from vflpriv import metrics
+    seen = {"attack_mse_on_rows": [], "average_over_space": []}
+    for name, got in seen.items():
+        real = getattr(metrics, name)
+        monkeypatch.setattr(metrics, name, lambda *a, real=real, got=got, **kw:
+                            got.append(real(*a, **kw)) or got[-1])
+    synth = ["--synth-n", "300", "--synth-dt", "6", "--n", "5", "--attacks", ",".join(ATTACKS)]
+    out = tmp_path / "out.csv"
+    assert _run(["attack", *synth, "--d", "3", "--out", str(out)]) == 0
+    [mse] = seen["attack_mse_on_rows"]
+    cells = {row[0]: row[3] for row in _read_rows(out)[1:]}
+    assert list(cells) == list(ATTACKS)
+    for name, cell in cells.items():
+        assert float(cell).hex() == float(mse[name][0]).hex(), (name, cell)
+    assert _run(["figure1", *synth, "--d-grid", "1,3,6", "--out", str(out)]) == 0
+    grid = dict(zip("136", seen["average_over_space"]))
+    cells = _read_rows(out)[1:]
+    assert len(cells) == 3 * len(ATTACKS)
+    for d, name, cell in cells:
+        assert float(cell).hex() == float(grid[d][name]).hex(), (d, name, cell)
 
 
 class TestFigure1Failures:
@@ -1094,7 +1143,7 @@ def test_solver_cap_prints_rows_and_residuals(tmp_path, monkeypatch, capsys):
     line = capsys.readouterr().err.strip()
     found = re.fullmatch(r"solver failure: box-affine projection hit the "
                          r"iteration cap on (\d+) of \d+ rows; rows "
-                         r"\[([\d, ]+)\]; affine ([^;]+)", line)
+                         r"\[([\d, ]+)\] of window start=4; affine ([^;]+)", line)
     assert found, line
     capped = int(found[1])
     rows = [int(r) for r in found[2].split(",")]
