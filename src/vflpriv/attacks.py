@@ -145,8 +145,7 @@ def attack_rcc2(sys_: LinearSystem) -> AttackEstimate:
     iterations = np.zeros(len(flat), dtype=int)
     todo = np.flatnonzero(~closed)
     if todo.size:
-        flat[todo], iterations[todo] = numerics.dykstra_project(
-            np.full(sys_.d, 0.5), sys_, rows=todo)
+        flat[todo], iterations[todo] = numerics.dykstra_project(sys_, todo)
     x = flat.reshape(x.shape)
     return _estimate(sys_, "rcc2", x,
                      projection=np.where(closed, "closed_form", "newton")[()],
@@ -350,17 +349,18 @@ _GIA_MAX_STEP = 1e30
 # a step is accepted against the largest of the last _GIA_MEMORY accepted
 # objective values, the current one included; 1 is the monotone rule
 _GIA_MEMORY = 10
+# gia's first step size, and the move under which a row has converged
+_GIA_STEP, _GIA_TOL = 0.05, 1e-12
 
 
-def _gia_row(log_c, offset, m, x, step: float, max_iter: int,
-             tol: float) -> tuple[np.ndarray, float, int, bool]:
+def _gia_row(log_c, offset, m, x, max_iter: int) -> tuple[np.ndarray, float, int, bool]:
     """Projected descent from x on one row's D(c_hat || c), with the step
     and acceptance rules of attack_gia; the logits at x are offset + m x.
 
     A candidate's gradient is formed only once the candidate is accepted.
     Returns (x, KL bits, iterations, converged) at the last accepted point;
-    converged is True when a step moved x by less than tol, False at the
-    iteration cap or once the step size underflows.
+    converged is True when a step moved x by less than _GIA_TOL, False at
+    the iteration cap or once the step size underflows.
     """
     ln2, m_t = np.log(2.0), m.T
 
@@ -384,7 +384,7 @@ def _gia_row(log_c, offset, m, x, step: float, max_iter: int,
     obj, c_hat, ell, s = objective(x)
     grad = gradient(c_hat, ell, s)
     recent = collections.deque([obj], maxlen=_GIA_MEMORY)
-    ref, cur_step, iters = obj, step, 0
+    ref, cur_step, iters = obj, _GIA_STEP, 0
     for iters in range(1, max_iter + 1):
         cand = x - cur_step * grad
         np.maximum(cand, 0.0, out=cand)
@@ -397,7 +397,7 @@ def _gia_row(log_c, offset, m, x, step: float, max_iter: int,
             recent.append(obj)
             ref = max(recent)
             ss = float(dx.dot(dx))
-            if math.sqrt(ss) < tol:
+            if math.sqrt(ss) < _GIA_TOL:
                 return x, obj, iters, True
             # Barzilai-Borwein: the secant step s.s / s.y, or twice the last
             # step where the curvature along s is not positive
@@ -456,7 +456,7 @@ def attack_gia(sys_: LinearSystem, init: str = "half", max_iter: int = 5000,
         x0 = (rng.uniform(0.0, 1.0, size=d) if init == "random"
               else np.full(d, 0.5 if init == "half" else 0.0))
         x[i], kl_bits[i], iters, converged[i] = _gia_row(
-            sys_.log_c[i], offset[i], m, x0, 0.05, max_iter, 1e-12)
+            sys_.log_c[i], offset[i], m, x0, max_iter)
         iterations += iters
     if not converged.all():
         stuck = ~converged

@@ -127,14 +127,11 @@ def bb_case3_population(v, population_mean: float) -> BlackboxEstimate:
                             flags={"w": w, "b": b, "orientation": orient})
 
 
-def run_blackbox(knowledge: SignKnowledge, v,
-                 population_mean: float | None = None) -> BlackboxEstimate:
-    """Dispatch the estimator matching the adversary's sign knowledge."""
-    if knowledge is SignKnowledge.B_ZERO:
-        return bb_case1(v)
-    if knowledge is SignKnowledge.SAME_SIGN:
-        return bb_case2(v)
-    est = bb_case3(v)
-    if est.case == "3b" and population_mean is not None:
-        return bb_case3_population(v, population_mean)
-    return est
+_BY_KNOWLEDGE = {SignKnowledge.B_ZERO: bb_case1, SignKnowledge.SAME_SIGN: bb_case2,
+                 SignKnowledge.OPPOSITE_SIGN_UNKNOWN: bb_case3}
+
+
+def run_blackbox(knowledge: SignKnowledge, v) -> BlackboxEstimate:
+    """Dispatch the estimator matching the adversary's sign knowledge (case 3's
+    refinement by a known population mean is bb_case3_population's alone)."""
+    return _BY_KNOWLEDGE[knowledge](v)

@@ -199,8 +199,8 @@ def cmd_attack(args) -> int:
     ds = _load_data(args)
     model = _model(args, ds)
     rows = np.flatnonzero(ds.test_mask)[:n]
-    mse = metrics.attack_mse_on_rows(model, [model.split], ds, rows, names,
-                                     [np.random.default_rng(args.seed)], init=args.init)
+    mse = metrics.attack_mse_on_rows(model, [model.split], ds, rows, names, args.seed,
+                                     init=args.init)
     out = [[name, args.d, len(rows), repr(float(mse[name][0]))] for name in names]
     _emit(out, ["attack", "d", "n", "mse"], args.out)
     return 0
@@ -241,8 +241,15 @@ def cmd_blackbox(args) -> int:
     return 0
 
 
+def _check_settings(settings, k: int) -> None:
+    """Each noisy (scheme, param) setting in its scheme's range on a k-class
+    table, checked after the table is read and before training."""
+    for scheme, param in settings:
+        defense.check_scheme_param(scheme, param, k)
+
+
 def _defense_sweep(model: VflModel, ds: Dataset, rows, settings, attack: str,
-                   rng=None) -> list[tuple[float, float, bool]]:
+                   seed: int) -> list[tuple[float, float, bool]]:
     """(MSE, mean KL bits, label kept) of one attack per (scheme, param) setting.
 
     One predict and one clean build_system (checking every row) cover the N
@@ -250,10 +257,11 @@ def _defense_sweep(model: VflModel, ds: Dataset, rows, settings, attack: str,
     pps1 comes alone and releases new weights with the scores; they go only
     to build_system, as every estimator reads the system alone. The S noisy
     settings release one S*N x k batch: one build_system, run_attack and
-    kl_divergence call, so rng draws setting by setting, in row order. A
-    failure there is raised again by metrics.rows_named, each row named by
-    setting and row.
+    kl_divergence call, so the one generator, np.random.default_rng(seed),
+    draws setting by setting, in row order. A failure there is raised again
+    by metrics.rows_named, each row named by setting and row.
     """
+    rng = np.random.default_rng(seed)
     pas = list(model.split.passive)
     y_act, x_pas = ds.x[np.ix_(rows, model.split.active)], ds.x[np.ix_(rows, pas)]
     c = predict(model, y_act, x_pas)
@@ -295,17 +303,19 @@ def cmd_defend(args) -> int:
     if args.scheme == "pps1" and args.alpha is not None:
         raise DataError(f"--alpha {args.alpha!r} does not apply: --scheme pps1 takes "
                         "no budget")
+    if args.scheme == "class_label" and args.alpha is None:
+        raise DataError("--scheme class_label needs --alpha: each eps in (0, 1/k) "
+                        "for a table of k classes")
     alphas = [""] if args.scheme == "pps1" else _comma_list(
         "0.5" if args.alpha is None else args.alpha, "--alpha", float)
+    settings = [(args.scheme, a) for a in alphas]
     n = _check_n(args.n, "--n")
     ds = _load_data(args)
-    if args.scheme != "pps1":
-        for alpha in alphas:  # class_label's range depends on the class count
-            defense.check_scheme_param(args.scheme, alpha, ds.k)
+    if args.scheme != "pps1":   # class_label's range depends on the class count
+        _check_settings(settings, ds.k)
     model = _model(args, ds)
     rows = np.flatnonzero(ds.test_mask)[:n]
-    results = _defense_sweep(model, ds, rows, [(args.scheme, a) for a in alphas],
-                             attacks[0], np.random.default_rng(args.seed))
+    results = _defense_sweep(model, ds, rows, settings, attacks[0], args.seed)
     out = [[args.scheme, alpha, repr(mse), repr(kl)]
            for alpha, (mse, kl, _) in zip(alphas, results)]
     _emit(out, ["scheme", "alpha", "mse", "avg_kl_bits"], args.out)
@@ -347,14 +357,16 @@ def cmd_figure1(args) -> int:
 def cmd_tradeoff(args) -> int:
     n = _check_n(args.n, "--n")
     ds = _load_data(args)
-    model = _model(args, ds)
-    base_acc = accuracy(model, ds)
-    rows = np.flatnonzero(ds.test_mask)[:n]
+    # class_label's eps 0.1 limits the table to 9 classes
     sweep = ([("s1", a) for a in (0.1, 1.0, 10.0)]
              + [("s2", a) for a in (0.1, 1.0, 10.0)]
              + [("s3", a) for a in (0.1, 0.5, 0.9)]
              + [("class_label", e) for e in (0.01, 0.1)])
-    results = _defense_sweep(model, ds, rows, sweep, "half_star")
+    _check_settings(sweep, ds.k)
+    model = _model(args, ds)
+    base_acc = accuracy(model, ds)
+    rows = np.flatnonzero(ds.test_mask)[:n]
+    results = _defense_sweep(model, ds, rows, sweep, "half_star", args.seed)
     out = [[scheme, param, repr(kl), repr(mse),
             repr(base_acc if kept else float("nan"))]
            for (scheme, param), (mse, kl, kept) in zip(sweep, results)]
@@ -415,7 +427,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("defend", "apply one defense and measure MSE/KL", data, window, n)
     p.add_argument("--scheme", default="s3",
                    choices=("pps1", "s1", "s2", "s3", "class_label"))
-    p.add_argument("--alpha", help="comma list of budgets (default 0.5; none for pps1)")
+    p.add_argument("--alpha", help="comma list of budgets (default 0.5 for s1, s2 and "
+                   "s3; class_label needs one; none for pps1)")
     p.add_argument("--attack", default="half_star")
 
     add("evaluate", "closed-form MSE values and bounds", data, window)

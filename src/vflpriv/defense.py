@@ -50,7 +50,8 @@ def check_scheme_param(scheme: str, param: float, k: int) -> None:
     if scheme == "s3":
         ok, rule = 0.0 <= param < 1.0, "scheme-3 alpha must be in [0, 1)"
     elif scheme == "class_label":
-        ok, rule = 0.0 < param < 1.0 / k, "eps must be in (0, 1/k)"
+        ok = 0.0 < param < 1.0 / k
+        rule = f"class_label eps must be in (0, 1/k) for k = {k} classes"
     else:
         ok, rule = 0.0 <= param < np.inf, "noise budget must be finite and non-negative"
     if not ok:

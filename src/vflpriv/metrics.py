@@ -156,18 +156,19 @@ def rows_named(exc: Exception, labels: list[str], n: int) -> Exception:
 _ROW_ERRORS = (SystemError_, AttackError, numerics.ConvergenceError)
 
 
-def attack_mse_on_rows(model: VflModel, splits, ds: Dataset, rows, attacks, rng,
+def attack_mse_on_rows(model: VflModel, splits, ds: Dataset, rows, attacks, seed: int,
                        init: str = "half") -> dict[str, np.ndarray]:
     """{attack: its mean per-feature MSE over the sample rows on each of S windows}.
 
-    splits are S >= 1 passive windows of one d over the model's d_t features,
-    rng a generator for each. The weights, put in column order by one
-    VflModel.window call, and the rows gather onto a leading window axis
-    (y_act S x N x (d_t - d), the weights S x k x .) for one predict and one
-    build_system. The estimators in STACKED run once on the stack, the
-    others window by window in the given order, each drawing from its
-    window's generator; every window gets the bits it gets alone. A failure
-    names its rows as rows of "window start=<its first passive feature>".
+    splits are S >= 1 passive windows of one d over the model's d_t features;
+    split i draws from its own generator, np.random.default_rng(seed + i).
+    The weights, put in column order by one VflModel.window call, and the
+    rows gather onto a leading window axis (y_act S x N x (d_t - d), the
+    weights S x k x .) for one predict and one build_system. The estimators
+    in STACKED run once on the stack, the others window by window in the
+    given order, each drawing from its window's generator; every window gets
+    the bits it gets alone. A failure names its rows as rows of
+    "window start=<its first passive feature>".
     """
     rows = np.asarray(rows, dtype=int)
     if rows.ndim != 1 or rows.size == 0:
@@ -193,10 +194,10 @@ def attack_mse_on_rows(model: VflModel, splits, ds: Dataset, rows, attacks, rng,
     x_hat = {name: run_attack(name, sys_).x_hat for name in attacks if name in STACKED}
     alone = [name for name in attacks if name not in STACKED]
     for i, label in enumerate(labels):
-        window = sys_[i]
+        window, rng = sys_[i], np.random.default_rng(seed + i)
         for name in alone:
             try:
-                est = run_attack(name, window, rng=rng[i], init=init)
+                est = run_attack(name, window, rng=rng, init=init)
             except _ROW_ERRORS as exc:
                 raise rows_named(exc, [label], rows.size) from exc
             x_hat.setdefault(name, []).append(est.x_hat)
@@ -209,18 +210,16 @@ def average_over_space(model: VflModel, ds: Dataset, d: int, attacks,
     """Mean MSE of each named attack over all d_t contiguous passive windows (mod d_t).
 
     Window s gives features {s, ..., s+d-1 mod d_t} to the passive party.
-    Every attack runs on each window over up to n_pred test predictions,
-    drawing from one generator seeded with seed + s. All d_t windows go
-    through one attack_mse_on_rows call, as one stacked system. Returns
-    {attack: mean of the d_t window MSE values}.
+    Every attack runs on each window over up to n_pred test predictions.
+    All d_t windows go through one attack_mse_on_rows call, as one stacked
+    system, in start order, so window s draws from the generator seeded
+    with seed + s. Returns {attack: mean of the d_t window MSE values}.
     """
     if d > ds.d_t:
         raise MetricsError("passive dimension exceeds the feature count")
     rows = np.flatnonzero(ds.test_mask)[:n_pred]
-    starts = range(ds.d_t)
-    mse = attack_mse_on_rows(model, [VflSplit.contiguous(ds.d_t, s, d) for s in starts],
-                             ds, rows, attacks,
-                             [np.random.default_rng(seed + s) for s in starts])
+    splits = [VflSplit.contiguous(ds.d_t, s, d) for s in range(ds.d_t)]
+    mse = attack_mse_on_rows(model, splits, ds, rows, attacks, seed)
     return {name: float(np.mean(mse[name])) for name in attacks}
 
 

@@ -19,7 +19,7 @@ if TYPE_CHECKING:
 # Relative cutoff under which singular values are treated as zero.
 EPS_RANK = 1e-10
 
-# Default slack for membership tests of the affine-slice-of-box polytope.
+# Slack for membership tests of the affine-slice-of-box polytope.
 TAU_FEAS = 1e-6
 
 
@@ -133,14 +133,6 @@ def svd(a) -> SvdFactors:
     return SvdFactors(u=u, s=s, v=vt.swapaxes(-1, -2))
 
 
-def _start(x0, shape) -> np.ndarray:
-    """A writable copy of x0 broadcast to shape, raising on NaN/Inf."""
-    x = np.array(np.broadcast_to(np.asarray(x0, dtype=float), shape))
-    if not np.all(np.isfinite(x)):
-        raise ValueError("starting point contains non-finite entries")
-    return x
-
-
 def _cap_error(solver: str, x: np.ndarray, rows: np.ndarray, total: int,
                residuals: dict) -> ConvergenceError:
     return ConvergenceError(
@@ -148,26 +140,25 @@ def _cap_error(solver: str, x: np.ndarray, rows: np.ndarray, total: int,
         last_iterate=x, residuals=residuals, rows=rows)
 
 
-def dykstra_project(x0, sys_: LinearSystem, max_iter: int = 100, *, rows=None
+def dykstra_project(sys_: LinearSystem, rows, max_iter: int = 100
                     ) -> tuple[np.ndarray, np.ndarray]:
-    """Euclidean projection of x0 onto {x in [0,1]^d : Ax = b} for each row of sys_.
+    """Euclidean projection of the box center c onto {x in [0,1]^d : Ax = b}, per row.
 
-    Returns the exact projection that Dykstra's alternating method only
-    approximates. On the r = rank(A) equations U_r^T A x = U_r^T b the dual
-    has r variables lam, and the projection is x(lam) = clip(x0 - A^T lam,
-    0, 1) at its maximizer. A semismooth Newton method (Qi & Sun, Math.
-    Programming 58, 1993) finds it: with lam scaled by the singular values
-    s, each step solves (V_r^T D V_r + mu I) delta = g, where D masks the
-    unclipped coordinates, g = diag(1/s) U_r^T (A x(lam) - b) and
-    mu = 1e-6 ||g|| + 1e-12, then halves until the dual value rises by an
-    Armijo fraction of the predicted rise. A row stops once
-    max|Ax - b| <= 1e-12 (1 + max|A| + max|b|), so a row that meets this at x0
-    returns clip(x0) after 0 steps. Every set must be nonempty. rows picks
-    rows of the system's flattened batch (default: all); x0 broadcasts to
-    the result, of shape batch + (d,), or (len(rows), d) when rows is given.
-    Each step is vectorized over the rows still live, and a row's result
-    does not depend on the batch. Returns the projections and each row's
-    Newton steps, whose shape drops the last axis.
+    c = (1/2, ..., 1/2) is the only point projected, as rcc2 needs; rows
+    picks rows of the system's flattened batch, and the result has shape
+    (len(rows), d). The projection is exact, where Dykstra's alternating
+    method only approximates it. On the r = rank(A) equations U_r^T A x =
+    U_r^T b the dual has r variables lam, and the projection is x(lam) =
+    clip(c - A^T lam, 0, 1) at its maximizer. A semismooth Newton method
+    (Qi & Sun, Math. Programming 58, 1993) finds it: with lam scaled by the
+    singular values s, each step solves (V_r^T D V_r + mu I) delta = g,
+    where D masks the unclipped coordinates, g = diag(1/s) U_r^T (A x(lam) -
+    b) and mu = 1e-6 ||g|| + 1e-12, then halves until the dual value rises
+    by an Armijo fraction of the predicted rise. A row stops once
+    max|Ax - b| <= 1e-12 (1 + max|A| + max|b|), so a row that meets this at
+    c returns c after 0 steps. Every set must be nonempty. Each step is
+    vectorized over the rows still live, and a row's result does not depend
+    on the batch. Returns the projections and each row's Newton steps.
 
     Raises ConvergenceError naming, by their index in the flattened batch,
     the rows that fail the stop test after max_iter steps.
@@ -177,14 +168,10 @@ def dykstra_project(x0, sys_: LinearSystem, max_iter: int = 100, *, rows=None
     # scaled by s, the Newton matrix V_r^T D V_r has its eigenvalues in
     # [0, 1] whatever A's conditioning
     vr, us = f.v[:, :r], f.u[:, :r] / f.s[:r]
-    b = sys_.b.reshape(-1, a.shape[0])
-    if rows is None:
-        index, shape = np.arange(len(b)), sys_.batch + (sys_.d,)
-    else:
-        index = np.asarray(rows, dtype=int).ravel()
-        b, shape = b[index], (index.size, sys_.d)
-    flat = _start(x0, shape).reshape(-1, sys_.d)
-    steps = np.zeros(len(b), dtype=int)
+    index = np.asarray(rows, dtype=int).ravel()
+    b = sys_.b.reshape(-1, a.shape[0])[index]
+    flat = np.full((index.size, sys_.d), 0.5)
+    steps = np.zeros(index.size, dtype=int)
 
     # row products use einsum, not BLAS, whose kernel (and so its rounding)
     # changes with the row count: a row gets the same bits in any batch
@@ -193,7 +180,7 @@ def dykstra_project(x0, sys_: LinearSystem, max_iter: int = 100, *, rows=None
         x = np.minimum(np.maximum(u, 0.0), 1.0)
         return x, np.einsum("nd,md->nm", x, a) - b
 
-    # per live row: b, stop bound, u = x0 - A^T lam, x(lam) and its residual
+    # per live row: b, stop bound, u = c - A^T lam, x(lam) and its residual
     live, bs, u = np.arange(len(b)), b, flat.copy()
     bound = 1e-12 * (1.0 + np.max(np.abs(a)) + np.max(np.abs(b), axis=1))
     x, res = point(u, bs)
@@ -238,9 +225,9 @@ def dykstra_project(x0, sys_: LinearSystem, max_iter: int = 100, *, rows=None
             t[p] *= 0.5
     if live.size:
         flat[live] = x
-        raise _cap_error("box-affine projection", flat.reshape(shape), index[live],
+        raise _cap_error("box-affine projection", flat, index[live],
                          len(b), {"affine": np.max(np.abs(res), axis=1)})
-    return flat.reshape(shape), steps.reshape(shape[:-1])
+    return flat, steps
 
 
 def box_least_squares(sys_: LinearSystem, max_iter: int = 50_000) -> np.ndarray:

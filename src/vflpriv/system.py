@@ -132,9 +132,9 @@ class LinearSystem:
         """Per-row Euclidean residual ||A x - b'|| of estimates x (batch + (d,))."""
         return np.linalg.norm(_rowwise(self.a, x) - self.b, axis=-1)
 
-    def contains(self, x, tau: float | None = None) -> np.ndarray:
-        """Per-row membership of x in {x in [0,1]^d : Ax = b'}, up to slack tau."""
-        tau = numerics.TAU_FEAS if tau is None else tau
+    def contains(self, x) -> np.ndarray:
+        """Per-row membership of x in {x in [0,1]^d : Ax = b'}, to slack TAU_FEAS."""
+        tau = numerics.TAU_FEAS
         on_plane = np.max(np.abs(_rowwise(self.a, x) - self.b), axis=-1) <= tau
         return on_plane & np.all((x >= -tau) & (x <= 1.0 + tau), axis=-1)
 

@@ -23,6 +23,14 @@ from vflpriv.numerics import NumericsError, _cap_error, as_matrix, svd
 from vflpriv.system import LinearSystem, build_system, difference_matrix
 
 
+def contains(sys_: LinearSystem, x, tau: float) -> np.ndarray:
+    """Per-row membership of x in {x in [0,1]^d : Ax = b'} up to slack tau,
+    written out: LinearSystem.contains holds its slack at numerics.TAU_FEAS."""
+    x = np.asarray(x, dtype=float)
+    on_plane = np.max(np.abs(x @ sys_.a.T - sys_.b), axis=-1) <= tau
+    return on_plane & np.all((x >= -tau) & (x <= 1.0 + tau), axis=-1)
+
+
 def project_box_affine(x0, a, b):
     """Euclidean projection onto {x in [0,1]^d : Ax = b} via SLSQP."""
     x0 = np.asarray(x0, dtype=float)
@@ -334,7 +342,7 @@ def dykstra_row(x0, sys_: LinearSystem, max_iter: int = 10_000,
     max|Ax - b| <= affine_tol; otherwise NumericsError is raised.
     """
     x = np.asarray(x0, dtype=float).copy()
-    if sys_.contains(x, tau=0.0):
+    if contains(sys_, x, 0.0):
         return x
     ap, a, b = sys_.pinv, sys_.a, sys_.b
     p = np.zeros_like(x)

@@ -462,7 +462,7 @@ class TestGiaWarning:
     def test_command_still_exits_0(self, tmp_path, monkeypatch):
         from vflpriv import cli
         real = attacks._gia_row
-        monkeypatch.setattr(attacks, "_gia_row", lambda *a: real(*a[:5], 30, a[6]))
+        monkeypatch.setattr(attacks, "_gia_row", lambda *a: real(*a[:4], 30))
         with pytest.warns(attacks.GiaConvergenceWarning, match="did not converge"):
             assert cli.main(["attack", "--synth-n", "300", "--synth-dt", "6", "--d", "3",
                              "--attacks", "gia", "--n", "5",
@@ -632,7 +632,7 @@ def contains_calls(monkeypatch):
     calls = []
     real = LinearSystem.contains
     monkeypatch.setattr(LinearSystem, "contains",
-                        lambda self, x, tau=None: calls.append(x) or real(self, x, tau))
+                        lambda self, x: calls.append(x) or real(self, x))
     return calls
 
 

@@ -514,6 +514,15 @@ class TestBadArguments:
         assert message in err and "Traceback" not in err
         assert out == "" and not trials
 
+    def test_tradeoff_on_ten_classes_before_training(self, capsys, train_calls):
+        # the fixed sweep's class_label eps 0.1 needs fewer than 10 classes
+        assert _run(["tradeoff", "--synth-n", "600", "--synth-dt", "12", "--synth-k", "10",
+                     "--d", "4", "--n", "5"]) == 2
+        out, err = capsys.readouterr()
+        assert err == ("config error: class_label eps must be in (0, 1/k) for k = 10 "
+                       "classes, got 0.1\n")
+        assert out == "" and not train_calls
+
     def test_full_ignores_trials(self, capsys):
         assert _run(["blackbox", "--full", "--trials", "0", "--n-grid", "1..1"]) == 0
         assert len(capsys.readouterr().out.strip().splitlines()) == 2
@@ -647,6 +656,41 @@ class TestOptionsPerSubcommand:
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and named in err
         assert not work and not train_calls
+
+
+class TestSeedingRule:
+    """rg's draws against numpy's generators, not through the library: the
+    window at start s of --seed S draws from default_rng(S + s) in attack's
+    one split and in figure1's stack of every start."""
+
+    @staticmethod
+    def _table(seed):
+        # the CLI's default synthetic table: 2000 rows, 10 features, 0.8 to train
+        from vflpriv.dataset import split_mask
+        ds = synthesize(SyntheticSpec(n=2000, d_t=10, k=2, seed=seed))
+        return ds.x[~split_mask(ds.n, 0.8, seed)]
+
+    def test_attack(self, tmp_path):
+        out = tmp_path / "attack.csv"
+        assert _run(["attack", "--start", "4", "--d", "3", "--attacks", "rg", "--seed", "7",
+                     "--n", "5", "--out", str(out)]) == 0
+        x_pas = self._table(7)[:5, 4:7]
+        want = np.mean((np.random.default_rng(7).uniform(size=(5, 3)) - x_pas) ** 2)
+        [row] = _read_rows(out)[1:]
+        assert row[:3] == ["rg", "3", "5"]
+        assert abs(float(row[3]) - want) <= 1e-15
+
+    def test_figure1(self, tmp_path):
+        out = tmp_path / "figure1.csv"
+        assert _run(["figure1", "--d-grid", "3", "--attacks", "rg", "--seed", "7",
+                     "--out", str(out)]) == 0
+        test = self._table(7)[:cli.DESK_N]
+        want = np.mean([np.mean((np.random.default_rng(7 + s).uniform(size=(len(test), 3))
+                                 - test[:, [s, (s + 1) % 10, (s + 2) % 10]]) ** 2)
+                        for s in range(10)])
+        [row] = _read_rows(out)[1:]
+        assert row[:2] == ["3", "rg"]
+        assert abs(float(row[2]) - want) <= 1e-15
 
 
 @pytest.fixture()
@@ -934,6 +978,25 @@ class TestDefendArguments:
         assert "--alpha '0.1' does not apply" in capsys.readouterr().err
         assert not loads and not train_calls
 
+    @pytest.mark.parametrize("given", ["flag", "config"])
+    def test_class_label_needs_alpha_before_loading(self, given, tmp_path, capsys,
+                                                    monkeypatch, train_calls):
+        # class_label's range (0, 1/k) holds no one default for every k, so
+        # a run without --alpha names the flag and the range
+        loads = []
+        monkeypatch.setattr(cli, "_load_data", lambda args: loads.append(1))
+        if given == "flag":
+            argv = self.BASE + ["--scheme", "class_label"]
+        else:
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text("scheme=class_label\n", encoding="utf-8")
+            argv = self.BASE + ["--config", str(cfg)]
+        assert _run(argv) == 2
+        assert capsys.readouterr().err == (
+            "config error: --scheme class_label needs --alpha: each eps in (0, 1/k) "
+            "for a table of k classes\n")
+        assert not loads and not train_calls
+
     def test_alpha_defaults_to_one_half(self, tmp_path):
         outs = [tmp_path / "default.csv", tmp_path / "half.csv"]
         assert _run(self.BASE + ["--out", str(outs[0])]) == 0
@@ -1107,14 +1170,14 @@ class TestOneReleaseBatch:
         settings = [("s1", 0.1), ("s1", 10.0)]
         with pytest.raises(cli.AttackError,
                            match=re.escape("rcc1 rows [3, 6, 19, 23, 24] of s1 alpha=10.0")):
-            cli._defense_sweep(model, ds, rows, settings, "rcc1")
+            cli._defense_sweep(model, ds, rows, settings, "rcc1", 0)
         with pytest.raises(numerics.NumericsError,
                            match=re.escape("; rows [3, 6, 19, 23, 24] of s1 alpha=10.0; affine ")
                            ) as err:
-            cli._defense_sweep(model, ds, rows, settings, "rcc2")
+            cli._defense_sweep(model, ds, rows, settings, "rcc2", 0)
         assert not isinstance(err.value, numerics.ConvergenceError)
         with pytest.raises(cli.SystemError_, match="^row 0 of s1 alpha=1000000.0 has score"):
-            cli._defense_sweep(model, ds, rows, [("s1", 1e6)], "half_star")
+            cli._defense_sweep(model, ds, rows, [("s1", 1e6)], "half_star", 0)
 
 
 def test_solver_cap_prints_rows_and_residuals(tmp_path, monkeypatch, capsys):

@@ -207,7 +207,7 @@ class TestAverageOverSpace:
         # half ignores the model, so every window gives the same numbers
         rows = np.flatnonzero(tiny.test_mask)[:10]
         [direct] = metrics.attack_mse_on_rows(model, [model.split], tiny, rows, ["half"],
-                                              [np.random.default_rng(0)])["half"]
+                                              0)["half"]
         assert avg == pytest.approx(direct, abs=1e-12)
 
     def test_dimension_guard(self, tiny, model):
@@ -231,7 +231,7 @@ class TestAverageOverSpace:
         assert splits == [VflSplit.contiguous(3, s, 1) for s in range(3)]
         rows = np.flatnonzero(tiny.test_mask)[:8]
         for start, split in enumerate(splits):
-            want = real(model, [split], tiny, rows, names, [np.random.default_rng(4 + start)])
+            want = real(model, [split], tiny, rows, names, 4 + start)
             assert {name: got[name][start] for name in names} == {
                 name: want[name][0] for name in names}      # bit for bit
         assert avg == {name: float(np.mean([got[name][s] for s in range(3)]))
@@ -256,12 +256,9 @@ class TestStackedSweep:
     def _check(self, model, ds, d, names, init="half", seed=3, n=6):
         rows = np.flatnonzero(ds.test_mask)[:n]
         splits = _splits(model, d)
-        got = metrics.attack_mse_on_rows(
-            model, splits, ds, rows, names,
-            [np.random.default_rng(seed + s) for s in range(len(splits))], init=init)
+        got = metrics.attack_mse_on_rows(model, splits, ds, rows, names, seed, init=init)
         for start, split in enumerate(splits):
-            want = metrics.attack_mse_on_rows(model, [split], ds, rows, names,
-                                              [np.random.default_rng(seed + start)],
+            want = metrics.attack_mse_on_rows(model, [split], ds, rows, names, seed + start,
                                               init=init)
             assert {name: got[name][start] for name in names} == {
                 name: want[name][0] for name in names}, (d, start)
@@ -324,8 +321,7 @@ class TestStackedSweep:
                             lambda self, split: seen.append(split) or real(self, split))
         metrics.average_over_space(model, ds, 2, ["half", "rg"], n_pred=5)
         metrics.attack_mse_on_rows(model, [VflSplit.contiguous(4, 1, 3)], ds,
-                                   np.flatnonzero(ds.test_mask)[:5], ["ls", "cls"],
-                                   [np.random.default_rng(0)])
+                                   np.flatnonzero(ds.test_mask)[:5], ["ls", "cls"], 0)
         assert seen == [VflSplit.contiguous(4, 0, 4)] * 2
 
 
@@ -349,8 +345,7 @@ class TestWindowFailures:
         assert 0 < low[0]
         splits = [VflSplit.contiguous(4, s, 2) for s in (2, 3, 0, 1)]
         with pytest.raises(SystemError_, match=f"^row {low[0]} of window start=2 has "):
-            metrics.attack_mse_on_rows(steep, splits, ds, rows, ["half"],
-                                       [np.random.default_rng(0)] * 4)
+            metrics.attack_mse_on_rows(steep, splits, ds, rows, ["half"], 0)
 
     def test_per_window_attack_names_the_window(self, setup, monkeypatch):
         # rcc1 capped at 2 steps in the third window only
@@ -380,7 +375,7 @@ class TestWindowFailures:
         rows = np.flatnonzero(ds.test_mask)
         assert rows.size == 12 and ds.x[rows[4], 1] == 0.0
         mse = metrics.attack_mse_on_rows(model, [VflSplit.contiguous(4, 1, 2)], ds, rows,
-                                         ["rcc1"], [np.random.default_rng(0)])
+                                         ["rcc1"], 0)
         assert np.isfinite(mse["rcc1"][0])
 
     def test_rows_named(self):
@@ -412,8 +407,8 @@ class TestAttackMseOnRows:
             monkeypatch.setattr(metrics, name, lambda *a, real=real, seen=seen, **kw:
                                 seen.append(1) or real(*a, **kw))
         # gia starts from random draws, so it must follow rg on one generator
-        got = metrics.attack_mse_on_rows(model, [model.split], ds, rows, self.NAMES,
-                                         [np.random.default_rng(7)], init="random")
+        got = metrics.attack_mse_on_rows(model, [model.split], ds, rows, self.NAMES, 7,
+                                         init="random")
         assert {name: len(seen) for name, seen in calls.items()} == {
             "predict": 1, "build_system": 1}
         assert list(got) == self.NAMES
@@ -439,14 +434,13 @@ class TestAttackMseOnRows:
         ds, model, rows = setup
         with pytest.raises(metrics.MetricsError, match=re.escape(
                 f"need window splits of one d over the model's 6 features, got {named}")):
-            metrics.attack_mse_on_rows(model, splits, ds, rows, ["half"],
-                                       [np.random.default_rng(0)] * len(splits))
+            metrics.attack_mse_on_rows(model, splits, ds, rows, ["half"], 0)
 
     def test_repeated_name_rejected(self, setup):
         ds, model, rows = setup
         with pytest.raises(metrics.MetricsError, match="repeat"):
             metrics.attack_mse_on_rows(model, [model.split], ds, rows, ["half", "ls", "half"],
-                                       [np.random.default_rng(0)])
+                                       0)
 
 
 class TestEmission:

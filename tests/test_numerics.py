@@ -77,31 +77,40 @@ class TestNullspace:
         assert numerics.svd(a).nullspace().shape == (3, 0)
 
 
+CENTER = 0.5     # dykstra_project projects the box center, and only it
+
+
 class TestProjections:
     def test_dykstra_matches_slsqp_oracle(self):
+        # planes at offsets from a vertex in to the center itself, their
+        # normals leaning toward that vertex, so that the center's
+        # projection is clipped on some and not on others
         rng = np.random.default_rng(1)
-        for _ in range(10):
-            a, b, _ = oracles.random_satisfiable_system(rng, 4, 2)
-            x0 = rng.uniform(-0.5, 1.5, size=4)
-            sys_ = LinearSystem(a=a, b=b)
-            got, _ = numerics.dykstra_project(x0, sys_)
-            want = oracles.project_box_affine(x0, a, b)
+        clipped = 0
+        for t in 0.5 * np.linspace(0.0, 1.0, 10) ** 2:
+            sign = rng.choice([-1.0, 1.0], size=4)
+            a = sign + 0.5 * rng.standard_normal((2, 4))
+            truth = 0.5 + (0.5 - t) * sign
+            sys_ = LinearSystem(a=a, b=a @ truth)
+            [got], _ = numerics.dykstra_project(sys_, [0])
+            want = oracles.project_box_affine(np.full(4, CENTER), a, a @ truth)
             assert np.allclose(got, want, atol=1e-5)
             # the point must also solve Ax = b
             assert sys_.residual(got) < 1e-8
+            clipped += bool(np.any((got == 0.0) | (got == 1.0)))
+        assert 3 <= clipped <= 7
 
     def test_dykstra_noop_inside(self):
-        a = np.array([[1.0, 1.0]])
-        x0 = np.array([0.3, 0.7])
-        sys_ = LinearSystem(a=a, b=np.array([1.0]))
-        got, iters = numerics.dykstra_project(x0, sys_)
-        assert np.array_equal(got, x0) and iters == 0
+        # the plane x1 + x2 = 1 passes through the center
+        sys_ = LinearSystem(a=np.array([[1.0, 1.0]]), b=np.array([1.0]))
+        got, iters = numerics.dykstra_project(sys_, [0])
+        assert np.array_equal(got, [[CENTER, CENTER]]) and iters.tolist() == [0]
 
     def test_dykstra_iteration_cap(self):
         a = np.array([[1.0, 1.0]])
-        sys_ = LinearSystem(a=a, b=np.array([0.4]))  # takes 5 Newton steps
+        sys_ = LinearSystem(a=a, b=np.array([0.4]))  # takes 2 Newton steps
         with pytest.raises(numerics.ConvergenceError) as err:
-            numerics.dykstra_project(np.array([5.0, -5.0]), sys_, max_iter=1)
+            numerics.dykstra_project(sys_, [0], max_iter=1)
         assert err.value.last_iterate is not None
 
     def test_dykstra_n_rows_equal_n_one_row_calls(self):
@@ -109,40 +118,40 @@ class TestProjections:
         a, _, _ = oracles.random_satisfiable_system(rng, 5, 2)
         truths = np.where(rng.random((6, 5)) < 0.5, 0.98, 0.02)
         sys_ = LinearSystem(a=a, b=truths @ a.T)
-        x0 = rng.uniform(-0.5, 1.5, size=(6, 5))
-        got, iters = numerics.dykstra_project(x0, sys_)
+        got, iters = numerics.dykstra_project(sys_, np.arange(6))
         assert got.shape == (6, 5) and iters.shape == (6,)
+        center = np.full(5, CENTER)
         for i in range(6):
             row = LinearSystem(a=a, b=sys_.b[i])
-            one, n_one = numerics.dykstra_project(x0[i], row)
+            [one], [n_one] = numerics.dykstra_project(row, [0])
             try:
-                # a tight move test: at the default 1e-10, row 4 stops 1.4e-9
+                # a tight move test: at the default 1e-10 Dykstra can stop
                 # short of the projection that SLSQP and Newton agree on
-                oracle = oracles.dykstra_row(x0[i], row, tol=1e-12)
-            except numerics.NumericsError:  # row 3: Dykstra stalls off the plane
-                oracle = oracles.project_box_affine(x0[i], a, sys_.b[i])
+                oracle = oracles.dykstra_row(center, row, tol=1e-12)
+            except numerics.NumericsError:  # Dykstra stalls off the plane
+                oracle = oracles.project_box_affine(center, a, sys_.b[i])
             assert np.max(np.abs(got[i] - one)) <= 1e-12
             assert np.max(np.abs(got[i] - oracle)) <= 1e-9
             assert int(iters[i]) == int(n_one)
         assert np.all(iters > 0)
         # a sub-batch picked by rows gives the same projections
-        sub, _ = numerics.dykstra_project(x0[[4, 1]], sys_, rows=[4, 1])
+        sub, _ = numerics.dykstra_project(sys_, [4, 1])
         assert np.max(np.abs(sub - got[[4, 1]])) <= 1e-12
 
     def test_dykstra_cap_names_rows_and_residuals(self):
+        # the center lies on row 0's plane; rows 1 and 2 take 2 steps
         sys_ = LinearSystem(a=np.array([[1.0, 1.0]]),
                             b=np.array([[1.0], [0.4], [1.2]]))
-        x0 = np.array([[0.3, 0.7], [5.0, -5.0], [0.9, 0.9]])  # row 0 is inside
         with pytest.raises(numerics.ConvergenceError) as err:
-            numerics.dykstra_project(x0, sys_, max_iter=1)
+            numerics.dykstra_project(sys_, [0, 1, 2], max_iter=1)
         assert err.value.rows.tolist() == [1, 2]
         assert set(err.value.residuals) == {"affine"}
         assert all(v.shape == (2,) for v in err.value.residuals.values())
         assert np.all(err.value.residuals["affine"] > 0.0)
-        assert np.array_equal(err.value.last_iterate[0], x0[0])
+        assert np.array_equal(err.value.last_iterate[0], [CENTER, CENTER])
         # rows are named by their index in the system, not in the sub-batch
         with pytest.raises(numerics.ConvergenceError) as err:
-            numerics.dykstra_project(x0[[2, 0]], sys_, rows=[2, 0], max_iter=1)
+            numerics.dykstra_project(sys_, [2, 0], max_iter=1)
         assert err.value.rows.tolist() == [2]
 
     def test_rows_alone_equal_rows_in_a_batch(self):
@@ -162,9 +171,9 @@ class TestProjections:
              [3.013626416697222, -0.5832166931724946, -0.9763400305325622],
              [1.74010758478151, -3.024588030280869, 3.5787607848706093]])
         sys_ = LinearSystem(a=a, b=b)
-        got, steps = numerics.dykstra_project(np.full(6, 0.5), sys_)
+        got, steps = numerics.dykstra_project(sys_, np.arange(3))
         for i in range(3):
-            one, n_one = numerics.dykstra_project(np.full(6, 0.5), LinearSystem(a=a, b=b[i]))
+            [one], [n_one] = numerics.dykstra_project(LinearSystem(a=a, b=b[i]), [0])
             assert np.max(np.abs(got[i] - one)) <= 1e-12 and steps[i] == n_one
         assert np.all(np.max(np.abs(got @ a.T - b), axis=1) <= 1e-10)
 
@@ -175,14 +184,13 @@ class TestProjections:
         rank = data.draw(st.integers(1, min(m, d)), label="rank")
         scale = data.draw(st.floats(0.01, 30.0), label="scale")
         binary = data.draw(st.booleans(), label="0/1 truths")
-        center = data.draw(st.booleans(), label="start at the box center")
         rng = np.random.default_rng(seed)
         a = scale * _random_matrix(seed, m, d, rank)
         truths = (rng.integers(0, 2, size=(4, d)).astype(float) if binary
                   else rng.uniform(0.0, 1.0, size=(4, d)))
         b = truths @ a.T
-        x0 = np.full(d, 0.5) if center else rng.uniform(-0.5, 1.5, size=(4, d))
-        x, _ = numerics.dykstra_project(x0, LinearSystem(a=a, b=b))
+        x0 = np.full(d, CENTER)
+        x, _ = numerics.dykstra_project(LinearSystem(a=a, b=b), np.arange(4))
         assert np.all((x >= 0.0) & (x <= 1.0))
         bound = 1e-12 * (1.0 + np.max(np.abs(a)) + np.max(np.abs(b), axis=1))
         assert np.all(np.max(np.abs(x @ a.T - b), axis=1) <= bound)
@@ -212,15 +220,14 @@ class TestProjections:
             half_star = attacks.attack_half_star(sys_).x_hat
             # rows whose clipped scores moved the system off the truth are
             # left out: their set can be empty
-            todo = np.flatnonzero(sys_.contains(truths, tau=1e-9)
+            todo = np.flatnonzero(oracles.contains(sys_, truths, 1e-9)
                                   & np.any((half_star < 0.0) | (half_star > 1.0),
                                            axis=1))
-            x, _ = numerics.dykstra_project(np.full(6, 0.5), sys_, rows=todo)
+            x, _ = numerics.dykstra_project(sys_, todo)
             assert np.all((x >= 0.0) & (x <= 1.0))
             assert np.all(np.abs(x @ sys_.a.T - sys_.b[todo]) <= 1e-10)
             for xi, i in zip(x, todo):
-                row = LinearSystem(a=sys_.a, b=sys_.b[i])
-                one, _ = numerics.dykstra_project(np.full(6, 0.5), row)
+                [one], _ = numerics.dykstra_project(LinearSystem(a=sys_.a, b=sys_.b[i]), [0])
                 assert np.max(np.abs(one - xi)) <= 1e-12
             projected += todo.size
         assert projected >= 2000
@@ -396,11 +403,11 @@ class TestWorkedExamples:
 
     def test_dykstra_values(self):
         sys_ = LinearSystem(a=np.array([[2.0, 1.0]]), b=np.array([0.2]))
-        got, _ = numerics.dykstra_project([0.5, 0.5], sys_)
+        [got], _ = numerics.dykstra_project(sys_, [0])
         assert np.allclose(got, [0.0, 0.2], atol=1e-6)
         sys2 = LinearSystem(a=np.array([[1.0, 1.0]]), b=np.array([0.4]))
-        assert np.allclose(numerics.dykstra_project([0.5, 0.5], sys2)[0],
-                           [0.2, 0.2], atol=1e-8)
+        assert np.allclose(numerics.dykstra_project(sys2, [0])[0],
+                           [[0.2, 0.2]], atol=1e-8)
 
     def test_box_least_squares_values(self):
         got = numerics.box_least_squares(LinearSystem(a=[[1.0, -1.0]], b=[1.0]))
