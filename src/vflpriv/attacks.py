@@ -2,8 +2,11 @@
 
 All attacks are pure functions of (system, config) and take a batch: a
 system of N predictions gives N x d estimates in one call, and a one-row
-system gives a d-vector. The closed forms in STACKED also take a stack of
-systems whole. Every estimator reads only A, b' and, for gia, the
+system gives a d-vector. All but the solvers in PER_SYSTEM also take a
+stack of systems whole. rg and gia's random start draw from a seed: system
+i of a stack (its flat index over the leading axes) draws its rows in
+order from np.random.default_rng(seed + i), one system from
+default_rng(seed). Every estimator reads only A, b' and, for gia, the
 released scores' logs that the system carries; none needs the model. The
 iterative solvers (the exact dual Newton projection for rcc2, FISTA for
 cls, a primal-dual interior point on rcc1's relaxation as a linear SDP)
@@ -89,13 +92,14 @@ def attack_zero(sys_: LinearSystem) -> AttackEstimate:
     return _estimate(sys_, "zero", np.zeros(sys_.batch + (sys_.d,)))
 
 
-def attack_random(sys_: LinearSystem, rng: np.random.Generator) -> AttackEstimate:
-    """Random-guess baseline: uniform over the unit box.
-
-    One draw of shape batch + (d,) yields the same numbers as drawing the
-    rows one after another from the same generator.
-    """
-    return _estimate(sys_, "rg", rng.uniform(size=sys_.batch + (sys_.d,)))
+def attack_random(sys_: LinearSystem, seed: int) -> AttackEstimate:
+    """Random-guess baseline: uniform over the unit box, drawn from seed by
+    the module's rule. One draw of a system's N x d rows yields the numbers
+    that drawing them one after another would."""
+    lead = sys_.a.shape[:-2]
+    size = sys_.batch[len(lead):] + (sys_.d,)
+    x = [np.random.default_rng(seed + i).uniform(size=size) for i in range(math.prod(lead))]
+    return _estimate(sys_, "rg", np.reshape(x, sys_.batch + (sys_.d,)))
 
 
 def attack_ls(sys_: LinearSystem) -> AttackEstimate:
@@ -414,27 +418,27 @@ def _gia_row(log_c, offset, m, x, max_iter: int) -> tuple[np.ndarray, float, int
 
 
 def attack_gia(sys_: LinearSystem, init: str = "half", max_iter: int = 5000,
-               rng: np.random.Generator | None = None) -> AttackEstimate:
+               seed: int = 0) -> AttackEstimate:
     """Gradient-inversion baseline: projected descent on D(c_hat || c) over the box.
 
     The model enters only through the system: with r = A x - b', the logits
     at x are log c + [0, cumsum(r)] up to a constant that softmax ignores,
-    that is offset + M x with M = [0; cumsum(A)] shared by every row and
-    offset = log c - [0, cumsum(b')] per row. So gia needs the system's
-    log_c (ValueError without them); the rows are solved one after another.
-    init selects the starting point: "zeros", "half" or "random" (drawn per
-    row, in row order, from rng). Steps start at 0.05. A step is accepted
-    when its objective is at most the largest of the last 10 accepted
-    objective values, the current one included (Grippo, Lampariello & Lucidi
-    1986), so the objective may rise for a while, but never above that
-    maximum; a rejected step halves the step size. After an accepted step
-    s, with gradient change y, the next step size is the Barzilai-Borwein
-    value s.s / s.y (Barzilai & Borwein 1988; with the projection and this
-    acceptance test, the spectral projected gradient of Birgin, Martinez &
-    Raydan 2000), or twice the last one where s.y <= 0, never above 1e30.
-    A row stops when the step size falls below 1e-16, and returns its last
-    accepted point.
-    diagnostics["iterations"] is the total over all rows, and
+    that is offset + M x with M = [0; cumsum(A)] shared by a system's rows
+    (one per system of a stack) and offset = log c - [0, cumsum(b')] per
+    row. So gia needs the system's log_c (ValueError without them); the
+    rows are solved one after another. init selects the starting point:
+    "zeros", "half" or "random" (attack_random's draw from seed). Steps
+    start at 0.05. A step is accepted when its objective is at most the
+    largest of the last 10 accepted objective values, the current one
+    included (Grippo, Lampariello & Lucidi 1986), so the objective may rise
+    for a while, but never above that maximum; a rejected step halves the
+    step size. After an accepted step s, with gradient change y, the next
+    step size is the Barzilai-Borwein value s.s / s.y (Barzilai & Borwein
+    1988; with the projection and this acceptance test, the spectral
+    projected gradient of Birgin, Martinez & Raydan 2000), or twice the last
+    one where s.y <= 0, never above 1e30. A row stops when the step size
+    falls below 1e-16, and returns its last accepted point.
+    diagnostics["iterations"] is the total over all rows of the stack, and
     diagnostics["converged"] says per row whether its last step moved it by
     less than 1e-12 (False at the max_iter cap or on step underflow); if any
     row is False, one GiaConvergenceWarning gives their count and their
@@ -444,19 +448,16 @@ def attack_gia(sys_: LinearSystem, init: str = "half", max_iter: int = 5000,
         raise ValueError(f"unknown init mode {init!r}")
     if sys_.log_c is None:
         raise ValueError("gia needs the released scores: this system has no log_c")
-    if init == "random" and rng is None:
-        raise ValueError("gia's random init needs an RNG")
-    d, batch = sys_.d, sys_.batch
-    m = np.vstack([np.zeros(d), np.cumsum(sys_.a, axis=0)])
+    d, batch, lead = sys_.d, sys_.batch, sys_.a.shape[:-2]
+    m = np.concatenate([np.zeros(lead + (1, d)), np.cumsum(sys_.a, axis=-2)], axis=-2)
     offset = sys_.log_c.copy()
     offset[..., 1:] -= np.cumsum(sys_.b, axis=-1)
-    x, kl_bits, converged = np.empty(batch + (d,)), np.empty(batch), np.empty(batch, bool)
-    iterations = 0
+    x = (attack_random(sys_, seed).x_hat if init == "random"
+         else np.full(batch + (d,), 0.5 if init == "half" else 0.0))
+    kl_bits, converged, iterations = np.empty(batch), np.empty(batch, bool), 0
     for i in np.ndindex(batch):
-        x0 = (rng.uniform(0.0, 1.0, size=d) if init == "random"
-              else np.full(d, 0.5 if init == "half" else 0.0))
         x[i], kl_bits[i], iters, converged[i] = _gia_row(
-            sys_.log_c[i], offset[i], m, x0, max_iter)
+            sys_.log_c[i], offset[i], m[i[:len(lead)]], x[i], max_iter)
         iterations += iters
     if not converged.all():
         stuck = ~converged
@@ -473,10 +474,9 @@ def attack_gia(sys_: LinearSystem, init: str = "half", max_iter: int = 5000,
 WHITEBOX_ATTACKS = ("half", "half_star", "ls", "clamped_ls", "cls", "rcc1", "rcc2")
 # every name run_attack accepts
 ATTACKS = WHITEBOX_ATTACKS + ("zero", "rg", "gia")
-# the closed forms, which take a stack of systems in one call; the others run
-# on one system at a time, as rg and gia draw from a generator and the
-# iterative solvers vectorize over rows that share one A
-STACKED = ("half", "zero", "ls", "clamped_ls", "half_star")
+# the solvers that take one system at a time, as they vectorize over rows
+# that share one A; the other estimators take a stack of systems in one call
+PER_SYSTEM = ("cls", "rcc1", "rcc2")
 # the estimators that take nothing but the system
 _ON_SYSTEM = {"half": attack_half, "zero": attack_zero,
               "half_star": attack_half_star, "ls": attack_ls,
@@ -485,21 +485,19 @@ _ON_SYSTEM = {"half": attack_half, "zero": attack_zero,
 
 
 def run_attack(name: str, sys_: LinearSystem, *, init: str = "half",
-               rng: np.random.Generator | None = None) -> AttackEstimate:
+               seed: int = 0) -> AttackEstimate:
     """Dispatch an attack by name over every row of sys_.
 
-    rg additionally needs rng; gia takes init (rng for its random start) and
-    needs the system's log_c. Only the names in STACKED take a stack of
-    systems.
+    rg draws from seed; gia takes init (seed for its random start) and needs
+    the system's log_c. The names in PER_SYSTEM take one system, not a
+    stack.
     """
     if name not in ATTACKS:
         raise ValueError(f"unknown attack {name!r}")
-    if sys_.a.ndim > 2 and name not in STACKED:
+    if sys_.a.ndim > 2 and name in PER_SYSTEM:
         raise ValueError(f"{name} takes one system, not a stack of {sys_.a.shape[:-2]}")
     if name in _ON_SYSTEM:
         return _ON_SYSTEM[name](sys_)
     if name == "rg":
-        if rng is None:
-            raise ValueError("rg needs an RNG")
-        return attack_random(sys_, rng)
-    return attack_gia(sys_, init=init, rng=rng)
+        return attack_random(sys_, seed)
+    return attack_gia(sys_, init=init, seed=seed)

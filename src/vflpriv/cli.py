@@ -257,11 +257,10 @@ def _defense_sweep(model: VflModel, ds: Dataset, rows, settings, attack: str,
     pps1 comes alone and releases new weights with the scores; they go only
     to build_system, as every estimator reads the system alone. The S noisy
     settings release one S*N x k batch: one build_system, run_attack and
-    kl_divergence call, so the one generator, np.random.default_rng(seed),
-    draws setting by setting, in row order. A failure there is raised again
-    by metrics.rows_named, each row named by setting and row.
+    kl_divergence call, so rg's one system draws from default_rng(seed)
+    setting by setting, in row order. A failure there is raised again by
+    metrics.rows_named, each row named by setting and row.
     """
-    rng = np.random.default_rng(seed)
     pas = list(model.split.passive)
     y_act, x_pas = ds.x[np.ix_(rows, model.split.active)], ds.x[np.ix_(rows, pas)]
     c = predict(model, y_act, x_pas)
@@ -270,7 +269,7 @@ def _defense_sweep(model: VflModel, ds: Dataset, rows, settings, attack: str,
         h = defense.pps1_optimal_h(clean, metrics.moments(ds, pas).k0)
         released = defense.pps1_reveal_params(model, h)
         est = run_attack(attack, build_system(released, y_act, c, source="defended"),
-                         rng=rng)
+                         seed=seed)
         return [(metrics.empirical_mse(x_pas, est.x_hat), 0.0, True)]
     z, v1, c_out = model.logits(y_act, x_pas), None, []
     for scheme, param in settings:
@@ -284,8 +283,8 @@ def _defense_sweep(model: VflModel, ds: Dataset, rows, settings, attack: str,
     # before the KL's temporaries are made
     try:
         x_hat = run_attack(attack, build_system(model, y_all, flat, source="noisy"),
-                           rng=rng).x_hat
-    except (SystemError_, AttackError, numerics.ConvergenceError) as exc:
+                           seed=seed).x_hat
+    except metrics._ROW_ERRORS as exc:
         raise metrics.rows_named(exc, ["{} alpha={}".format(*setting) for setting in settings],
                                  n) from exc
     kl = metrics.kl_divergence(np.tile(c, (s, 1)), flat).reshape(s, n)

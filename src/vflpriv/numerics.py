@@ -96,19 +96,15 @@ class SvdFactors:
     def pinv(self) -> np.ndarray:
         """Moore-Penrose pseudoinverse V Sigma^+ U^T of the factored matrix.
 
-        A stack whose matrices share one rank takes one product; where the
-        ranks differ, each matrix is inverted alone. Either way every matrix
-        gets the bits it gets alone.
+        A singular value at or below EPS_RANK times the largest leaves its
+        column of V Sigma^+ zero, so one product inverts one matrix or a
+        stack of any ranks, rank 0 included; every matrix of a stack gets
+        the bits it gets alone.
         """
-        r = self.rank()
-        if not isinstance(r, int):
-            if np.any(r != r.flat[0]):
-                return np.stack([self[i].pinv() for i in np.ndindex(r.shape)]).reshape(
-                    self.v.shape[:-1] + self.u.shape[-1:])
-            r = int(r.flat[0])
-        if r == 0:
-            return np.zeros(self.v.shape[:-1] + self.u.shape[-1:])
-        return (self.v[..., :r] / self.s[..., None, :r]) @ self.u[..., :r].swapaxes(-1, -2)
+        q, s = self.s.shape[-1], self.s[..., None, :]
+        vs = np.divide(self.v[..., :q], s, where=s > EPS_RANK * s[..., :1],
+                       out=np.zeros(self.v.shape[:-1] + (q,)))
+        return vs @ self.u[..., :q].swapaxes(-1, -2)
 
     def nullspace(self) -> np.ndarray:
         """Orthonormal basis of the nullspace: the last d - rank right singular

@@ -19,11 +19,10 @@ def _system_with_truth(seed, d=4, m=2):
 
 class TestBaselines:
     def test_half_zero_rg(self):
-        rng = np.random.default_rng(0)
         sys_ = LinearSystem(a=np.ones((1, 3)), b=[1.5])
         assert np.array_equal(attacks.attack_half(sys_).x_hat, [0.5, 0.5, 0.5])
         assert np.array_equal(attacks.attack_zero(sys_).x_hat, [0.0, 0.0, 0.0])
-        r = attacks.attack_random(sys_, rng).x_hat
+        r = attacks.attack_random(sys_, 0).x_hat
         assert np.all(r >= 0.0) and np.all(r <= 1.0)
 
     def test_ls_min_norm(self):
@@ -51,7 +50,7 @@ class TestBaselineFeasibility:
                              ids=["meets", "misses"])
     def test_feasible_iff_the_plane_meets_the_point(self, name, shift, feasible):
         sys_ = LinearSystem(a=self.A, b=self.A @ self.POINTS[name] + shift)
-        est = attacks.run_attack(name, sys_, rng=np.random.default_rng(5))
+        est = attacks.run_attack(name, sys_, seed=5)
         assert np.array_equal(est.x_hat, self.POINTS[name])
         assert est.feasible is feasible
 
@@ -247,7 +246,7 @@ class TestGia:
         x_pas = rng.uniform(size=5)
         sys_ = build_system(small_model, y_act, predict(small_model, y_act, x_pas))
         for init in ("zeros", "half", "random"):
-            est = attacks.attack_gia(sys_, init=init, rng=np.random.default_rng(0))
+            est = attacks.attack_gia(sys_, init=init, seed=0)
             assert est.feasible
             assert est.diagnostics["kl_bits"] < 1e-8
 
@@ -258,14 +257,6 @@ class TestGia:
         sys_ = build_system(small_model, y_act, predict(small_model, y_act, x_pas))
         est = attacks.attack_gia(sys_)
         assert np.linalg.norm(sys_.a @ est.x_hat - sys_.b) < 1e-4
-
-    def test_random_init_needs_rng(self, small_model):
-        sys_ = build_system(small_model, np.full(5, 0.4),
-                            predict(small_model, np.full(5, 0.4), np.full(5, 0.6)))
-        with pytest.raises(ValueError, match="needs an RNG"):
-            attacks.attack_gia(sys_, init="random")
-        with pytest.raises(ValueError, match="needs an RNG"):
-            attacks.run_attack("gia", sys_, init="random")
 
     def test_zero_truth_zero_init_immediate(self, small_model):
         c = predict(small_model, np.full(5, 0.4), np.zeros(5))
@@ -339,11 +330,10 @@ class TestGia:
                 model, defense.pps1_optimal_h(clean, x_pas.T @ x_pas / len(x_pas)))
         sys_ = build_system(model, y_act, c, source="noisy")
         for init in ("zeros", "half", "random"):
-            start = attacks.attack_gia(sys_, init=init, max_iter=0,
-                                       rng=np.random.default_rng(0))
-            est = attacks.attack_gia(sys_, init=init, rng=np.random.default_rng(0))
+            start = attacks.attack_gia(sys_, init=init, max_iter=0, seed=0)
+            est = attacks.attack_gia(sys_, init=init, seed=0)
             for i in range(4):
-                # random starts: the row's own draw from the shared generator
+                # random starts: the row's own draw from seed 0
                 x0 = start.x_hat[i]
                 objective = oracles.gia_model_objective(model, y_act[i], c[i])
                 want0 = oracles.gia_row(objective, x0, 0.05, 0, 1e-12)[1]
@@ -389,8 +379,7 @@ class TestGia:
             iters = {"bb": 0, "halving": 0}
             for i in range(3):
                 sys_ = build_system(model, y_act[i], c[i])
-                got = attacks.attack_gia(sys_, init=init,
-                                         rng=np.random.default_rng(0)).diagnostics
+                got = attacks.attack_gia(sys_, init=init, seed=0).diagnostics
                 old = oracles.gia_row_halving(oracles.gia_system_objective(sys_), x0,
                                               0.05, 5000, 1e-12)
                 assert got["kl_bits"] <= old[1] + 1e-12, (init, i)
@@ -425,7 +414,7 @@ class TestGia:
         at_start = oracles.gia_row(oracles.gia_system_objective(sys_), x0, 0.05, 0,
                                    1e-12)[1]
         with np.errstate(over="raise", invalid="raise", divide="raise"):
-            est = attacks.attack_gia(sys_, init=init, rng=np.random.default_rng(seed))
+            est = attacks.attack_gia(sys_, init=init, seed=seed)
         assert np.all(np.isfinite(est.x_hat))
         assert np.all((est.x_hat >= 0.0) & (est.x_hat <= 1.0))
         assert est.diagnostics["kl_bits"] <= at_start
@@ -472,9 +461,8 @@ class TestGiaWarning:
 class TestDispatch:
     def test_all_names(self):
         sys_, _ = _system_with_truth(9)
-        rng = np.random.default_rng(0)
         for name in attacks.WHITEBOX_ATTACKS + ("zero", "rg"):
-            est = attacks.run_attack(name, sys_, rng=rng)
+            est = attacks.run_attack(name, sys_, seed=0)
             assert est.name == name
             assert est.x_hat.shape == (sys_.d,)
 
@@ -482,11 +470,6 @@ class TestDispatch:
         sys_, _ = _system_with_truth(10)
         with pytest.raises(ValueError):
             attacks.run_attack("nope", sys_)
-
-    def test_rg_needs_rng(self):
-        sys_, _ = _system_with_truth(11)
-        with pytest.raises(ValueError):
-            attacks.run_attack("rg", sys_)
 
     def test_gia_needs_context(self):
         # a system built by hand carries no scores, and gia needs them
@@ -517,8 +500,7 @@ def _assert_gia_matches(model, oracle):
         sys_ = build_system(model, y_act[i], c[i])
         for init, x0 in _gia_starts(model.split.d).items():
             for max_iter in (5000, 3):
-                est = attacks.attack_gia(sys_, init=init, max_iter=max_iter,
-                                         rng=np.random.default_rng(0))
+                est = attacks.attack_gia(sys_, init=init, max_iter=max_iter, seed=0)
                 got = (est.x_hat, est.diagnostics["kl_bits"],
                        est.diagnostics["iterations"], est.diagnostics["converged"])
                 want = oracle(oracles.gia_system_objective(sys_), x0, 0.05,
@@ -589,12 +571,11 @@ class TestBatch:
                 assert np.max(np.abs(est.x_hat[i] - one.x_hat)) <= BATCH_TOL[name]
 
     def test_rg_matches_row_by_row_draws(self):
+        # numpy alone: the 5 rows are default_rng(3)'s draws, one row after another
         sys_ = LinearSystem(a=np.ones((1, 3)), b=np.full((5, 1), 1.5))
-        batched = attacks.run_attack("rg", sys_, rng=np.random.default_rng(3))
+        batched = attacks.run_attack("rg", sys_, seed=3)
         rng = np.random.default_rng(3)
-        rows = [attacks.run_attack("rg", LinearSystem(a=sys_.a, b=b), rng=rng).x_hat
-                for b in sys_.b]
-        assert np.array_equal(batched.x_hat, np.array(rows))
+        assert np.array_equal(batched.x_hat, [rng.uniform(size=3) for _ in range(5)])
 
     def test_gia_iterations_stay_an_int(self, small_model):
         y_act, c = _predictions(small_model, 3, seed=5)
@@ -661,7 +642,7 @@ class TestLazyFeasible:
             for kind, sys_ in self._systems().items():
                 for name in attacks.ATTACKS:
                     try:
-                        est = attacks.run_attack(name, sys_, rng=np.random.default_rng(0))
+                        est = attacks.run_attack(name, sys_, seed=0)
                     except (attacks.AttackError, numerics.NumericsError):
                         continue            # an empty set under noise
                     assert est.feasible is _eager_feasible(est, sys_), (kind, name)
@@ -674,7 +655,7 @@ class TestLazyFeasible:
         sys_ = self._systems()["clean"]
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", attacks.GiaConvergenceWarning)
-            est = attacks.run_attack(name, sys_, rng=np.random.default_rng(0))
+            est = attacks.run_attack(name, sys_, seed=0)
         assert not contains_calls
         assert est.feasible is est.feasible
         assert len(contains_calls) == (0 if name == "gia" else 1)

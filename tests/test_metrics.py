@@ -266,7 +266,7 @@ class TestStackedSweep:
             avg = metrics.average_over_space(model, ds, d, names, n_pred=n, seed=seed)
             assert avg == {name: float(np.mean(got[name])) for name in names}
 
-    # gia from its random start draws after rg, from the same generator
+    # gia from its random start draws from the seed, as rg does
     @pytest.mark.parametrize("init", ["half", "random"])
     @pytest.mark.parametrize("k,d_t", [(2, 5), (4, 5), (9, 4)])
     def test_every_attack_and_d(self, k, d_t, init):
@@ -308,8 +308,8 @@ class TestStackedSweep:
         metrics.average_over_space(model, ds, 2, ["half", "rg", "ls", "cls"], n_pred=5)
         assert [m.w_pas.shape for m in calls["predict"]] == [(4, 3, 2)]
         assert [m.w_pas.shape for m in calls["build_system"]] == [(4, 3, 2)]
-        # the closed forms once on the stack, rg and cls once per window
-        assert calls["run_attack"] == ["half", "ls"] + ["rg", "cls"] * 4
+        # half, rg and ls once on the stack, cls once per window
+        assert calls["run_attack"] == ["half", "rg", "ls"] + ["cls"] * 4
 
     def test_one_window_call_per_stack(self, monkeypatch):
         # the weights go to column order once per call; the windows are
@@ -361,6 +361,18 @@ class TestWindowFailures:
                            match=r"^rcc1 rows \[0, 1, 2, 3, 4\] of window start=2 end "):
             metrics.average_over_space(model, ds, 2, ["half", "rcc1"], n_pred=5)
 
+    def test_stacked_attack_names_the_window(self, setup, monkeypatch):
+        # gia runs once on the stack of 5-row windows: its flat row 7 is
+        # row 2 of the second window
+        from vflpriv import attacks
+
+        def fail(sys_, **kw):
+            raise AttackError("gia rows [7] did not converge")
+        monkeypatch.setattr(attacks, "attack_gia", fail)
+        ds, model, rows = setup
+        with pytest.raises(AttackError, match=r"^gia rows \[2\] of window start=1 did "):
+            metrics.average_over_space(model, ds, 2, ["half", "gia"], n_pred=5)
+
     # ROADMAP item 2: rcc1 needs the row's face, not only b*
     @pytest.mark.xfail(strict=True, raises=AttackError,
                        reason="rcc1 fails a clean row whose set is a segment on a box face")
@@ -406,7 +418,7 @@ class TestAttackMseOnRows:
             real = getattr(metrics, name)
             monkeypatch.setattr(metrics, name, lambda *a, real=real, seen=seen, **kw:
                                 seen.append(1) or real(*a, **kw))
-        # gia starts from random draws, so it must follow rg on one generator
+        # rg and gia's random starts each draw from the seed
         got = metrics.attack_mse_on_rows(model, [model.split], ds, rows, self.NAMES, 7,
                                          init="random")
         assert {name: len(seen) for name, seen in calls.items()} == {
@@ -418,10 +430,24 @@ class TestAttackMseOnRows:
         x_pas = ds.x[np.ix_(rows, model.split.passive)]
         c = predict(model, y_act, x_pas)
         sys_ = build_system(model, y_act, c)
-        rng = np.random.default_rng(7)
         for name in self.NAMES:
-            est = run_attack(name, sys_, rng=rng, init="random")
+            est = run_attack(name, sys_, seed=7, init="random")
             assert got[name][0] == metrics.empirical_mse(x_pas, est.x_hat), name
+
+    def test_drawing_estimators_ignore_their_neighbours(self, setup):
+        # rg and random-start gia on every d = 3 window read the same in any
+        # order and beside any estimator as when listed alone
+        ds, model, rows = setup
+        splits = [VflSplit.contiguous(6, s, 3) for s in range(6)]
+
+        def score(names):
+            return metrics.attack_mse_on_rows(model, splits, ds, rows, names, 7,
+                                              init="random")
+        solo = {name: score([name])[name] for name in ("rg", "gia")}
+        for names in (["rg", "gia"], ["gia", "rg"], ["half", "gia", "cls", "rg"]):
+            got = score(names)
+            for name in solo:
+                assert np.array_equal(got[name], solo[name]), (names, name)
 
     @pytest.mark.parametrize("splits, named", [
         ([], "[]"),

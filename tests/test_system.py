@@ -1,5 +1,6 @@
 import inspect
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -7,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from vflpriv.attacks import STACKED, run_attack
+from vflpriv.attacks import (ATTACKS, PER_SYSTEM, GiaConvergenceWarning,
+                             run_attack)
 from vflpriv.model import predict, softmax
 from vflpriv.system import (LinearSystem, SystemError_, build_system,
                             difference_matrix)
@@ -298,7 +300,7 @@ class TestStack:
             assert np.array_equal(part.log_c, alone.log_c)
             assert np.array_equal(stack.residual(x)[i], alone.residual(x[i]))
             assert np.array_equal(stack.contains(x)[i], alone.contains(x[i]))
-            for name in STACKED:
+            for name in [n for n in ATTACKS if n not in PER_SYSTEM + ("rg", "gia")]:
                 got = run_attack(name, stack).x_hat[i]
                 assert np.array_equal(got, run_attack(name, alone).x_hat), name
 
@@ -312,8 +314,26 @@ class TestStack:
         with pytest.raises(ValueError, match="non-finite"):
             LinearSystem(a=a, b=stack.b)
 
-    @pytest.mark.parametrize("name", ["rg", "cls", "rcc1", "rcc2", "gia"])
+    @pytest.mark.parametrize("name", PER_SYSTEM)
     def test_one_system_estimators_reject_a_stack(self, name):
         stack, _ = self._stack([3, 3])
         with pytest.raises(ValueError, match=f"{name} takes one system"):
-            run_attack(name, stack, rng=np.random.default_rng(0))
+            run_attack(name, stack)
+
+    @pytest.mark.parametrize("name, init", [("rg", "half"), ("gia", "zeros"),
+                                            ("gia", "half"), ("gia", "random")])
+    def test_system_i_draws_from_seed_plus_i(self, name, init):
+        # every output of system i of the stack is that of system i alone at seed 11 + i
+        stack, _ = self._stack([3, 1, 0, 3])
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", GiaConvergenceWarning)
+            got = run_attack(name, stack, init=init, seed=11)
+            alone = [run_attack(name, stack[i], init=init, seed=11 + i) for i in range(4)]
+        for i, one in enumerate(alone):
+            assert np.array_equal(got.x_hat[i], one.x_hat), i
+            for key in ("kl_bits", "converged") if name == "gia" else ():
+                assert np.array_equal(got.diagnostics[key][i], one.diagnostics[key]), (key, i)
+        if name == "gia":
+            assert got.diagnostics["iterations"] == sum(
+                one.diagnostics["iterations"] for one in alone)
+            assert type(got.diagnostics["iterations"]) is int
