@@ -2,21 +2,22 @@
 
 All attacks are pure functions of (system, config) and take a batch: a
 system of N predictions gives N x d estimates in one call, and a one-row
-system gives a d-vector. All but the solvers in PER_SYSTEM also take a
-stack of systems whole. rg and gia's random start draw from a seed: system
-i of a stack (its flat index over the leading axes) draws its rows in
-order from np.random.default_rng(seed + i), one system from
-default_rng(seed). Every estimator reads only A, b' and, for gia, the
-released scores' logs that the system carries; none needs the model. The
-iterative solvers (the exact dual Newton projection for rcc2, FISTA for
-cls, a primal-dual interior point on rcc1's relaxation as a linear SDP)
-make one call per batch on the shared factors of A, vectorized over the
+system gives a d-vector. Every estimator also takes a stack of systems
+whole, and gives each system's rows the bits they get alone. rg and gia's
+random start draw from a seed: system i of a stack (its flat index over
+the leading axes) draws its rows in order from
+np.random.default_rng(seed + i), one system from default_rng(seed). Every
+estimator reads only A, b' and, for gia, the released scores' logs that
+the system carries; none needs the model. The iterative solvers (the exact
+dual Newton projection for rcc2, FISTA for cls, a primal-dual interior
+point on rcc1's relaxation as a linear SDP) make one call per stack (rcc1
+one per nullity in it) on each system's factors of A, vectorized over the
 rows not yet converged; gia descends on its KL objective one row at a time,
 with Barzilai-Borwein step sizes (the secant step s.s / s.y after each
 accepted step) and the nonmonotone acceptance test of Grippo, Lampariello &
-Lucidi (1986) against the last 10 accepted objective values. When the
-system is determined (trivial nullspace) every estimator but half, zero, rg
-and gia short-circuits to the unique solution A^+ b'.
+Lucidi (1986) against the last 10 accepted objective values. The rows of a
+determined system (trivial nullspace) take the unique solution A^+ b' in
+cls, rcc1 and rcc2, as they do in ls.
 """
 
 from __future__ import annotations
@@ -31,11 +32,12 @@ from functools import cached_property
 import numpy as np
 
 from . import numerics
-from .system import LinearSystem
+from .system import LinearSystem, _rowwise
 
 
 class AttackError(Exception):
-    """Raised when an attack's solver fails to converge."""
+    """Raised when an attack's solver fails to converge (rcc1's also sets
+    rows, the failed rows' indices in the batch it was given)."""
 
 
 class GiaConvergenceWarning(UserWarning):
@@ -78,8 +80,11 @@ def _estimate(sys_: LinearSystem, name: str, x: np.ndarray,
     return AttackEstimate(x_hat=x, name=name, system=sys_, diagnostics=diagnostics)
 
 
-def _determined(sys_: LinearSystem, name: str) -> AttackEstimate:
-    return _estimate(sys_, name, sys_.min_norm_solution.copy(), determined=True)
+def _per_system(sys_: LinearSystem) -> tuple[np.ndarray, np.ndarray]:
+    """A^+ b' as (S, N, d), the rows of each of S systems (one system is a
+    stack of one), and each system's nullity, (S,)."""
+    q = sys_.min_norm_solution
+    return q.reshape(math.prod(sys_.a.shape[:-2]), -1, sys_.d), np.reshape(sys_.nullity, -1)
 
 
 def attack_half(sys_: LinearSystem) -> AttackEstimate:
@@ -114,10 +119,11 @@ def attack_clamped_ls(sys_: LinearSystem) -> AttackEstimate:
 
 def attack_cls(sys_: LinearSystem) -> AttackEstimate:
     """Box-constrained least squares from the box center; the output depends
-    on that starting point."""
-    if sys_.nullity == 0:
-        return _determined(sys_, "cls")
-    x = numerics.box_least_squares(sys_)
+    on that starting point. diagnostics["residual"] is each row's ||A x - b'||."""
+    q, nullity = _per_system(sys_)
+    x = q.copy() if not nullity.any() else np.where(
+        nullity[:, None, None] == 0, q, numerics.box_least_squares(sys_).reshape(q.shape))
+    x = x.reshape(sys_.batch + (sys_.d,))
     return _estimate(sys_, "cls", x, residual=sys_.residual(x))
 
 
@@ -135,26 +141,25 @@ def attack_rcc2(sys_: LinearSystem) -> AttackEstimate:
 
     Computed as the exact Euclidean projection of the box center onto the
     feasible set; unique, in the box and on the plane to rounding. Where
-    half_star lies in the box it is that projection; the other rows take
-    numerics.dykstra_project's dual Newton solve together in one call.
-    diagnostics["projection"] is "closed_form" or "newton" per row,
-    diagnostics["residual"] each row's ||A x - b'||, and
+    half_star lies in the box it is that projection; the other rows of the
+    whole stack take numerics.dykstra_project's dual Newton solve together
+    in one call. diagnostics["projection"] is "closed_form" or "newton" per
+    row, diagnostics["residual"] each row's ||A x - b'||, and
     diagnostics["iterations"] its Newton steps (0 on closed-form rows).
     """
-    if sys_.nullity == 0:
-        return _determined(sys_, "rcc2")
-    x = attack_half_star(sys_).x_hat
-    closed = np.all((x >= 0.0) & (x <= 1.0), axis=-1)
-    flat = x.reshape(-1, sys_.d)
+    q, nullity = _per_system(sys_)
+    det = nullity[:, None] == 0
+    x = np.where(det[..., None], q, attack_half_star(sys_).x_hat.reshape(q.shape))
+    closed = det | np.all((x >= 0.0) & (x <= 1.0), axis=-1)
+    flat, batch = x.reshape(-1, sys_.d), sys_.batch
     iterations = np.zeros(len(flat), dtype=int)
     todo = np.flatnonzero(~closed)
     if todo.size:
         flat[todo], iterations[todo] = numerics.dykstra_project(sys_, todo)
-    x = flat.reshape(x.shape)
+    x = flat.reshape(batch + (sys_.d,))
     return _estimate(sys_, "rcc2", x,
-                     projection=np.where(closed, "closed_form", "newton")[()],
-                     residual=sys_.residual(x),
-                     iterations=iterations.reshape(sys_.batch)[()])
+                     projection=np.where(closed, "closed_form", "newton").reshape(batch)[()],
+                     residual=sys_.residual(x), iterations=iterations.reshape(batch)[()])
 
 
 # --- RCC1: search-space relaxation solved as a small SDP ------------------
@@ -165,8 +170,9 @@ _RCC1_GAP, _RCC1_FLOOR, _RCC1_DIVERGE = 1e-9, 1e-8, 1e3
 def _rcc1_pd_solve(w, c, max_iter=50):
     """Primal-dual interior point on each row's rcc1 relaxation, a linear SDP.
 
-    w (d x p, orthonormal columns) holds the nullspace-basis rows a_i shared
-    by every row, c (N x d) each row's c_i = q_i - 1/2. The primal, with X =
+    w (lead + (d, p), orthonormal columns) holds the nullspace-basis rows
+    a_i of each of a stack's systems of nullity p (lead = () for one), c
+    (lead + (N, d)) each row's c_i = q_i - 1/2. The primal, with X =
     diag([[Z, z], [z^T, 1]], X_W), is attack_rcc1's relaxation in Delta =
     Z + X_W (Z = z z^T at the optimum): max tr(X_W) s.t. a_i^T Delta a_i +
     2 c_i a_i^T z + c_i^2 <= 1/4. With V = [W, c] and e the last unit vector,
@@ -189,11 +195,18 @@ def _rcc1_pd_solve(w, c, max_iter=50):
     step is not finite, or whose Schur matrix is singular, stops where it
     is. Steps run on a working set that holds only the live rows: a row goes
     back to the full state when it stops, and the set is gathered anew only
-    when it shrinks. Returns per row z (N x p), the dual value, <X, S> and
-    Mehrotra steps; AttackError names the rows above _RCC1_FLOOR at the end.
+    when it shrinks. Products with w go through system._rowwise, so a row's
+    z, <X, S> and steps do not depend on the other systems of a stack, nor
+    (at nullity 2 or more) on how many rows its system has. Returns per row
+    (lead + (N,)) z, the dual value, <X, S> and Mehrotra steps; AttackError
+    names the rows above _RCC1_FLOOR at the end, and holds their flat
+    indices as rows.
     """
-    (n, d), p = c.shape, w.shape[1]
-    k = 2 * p + 1                       # X and S hold the V block, then the W block
+    lead, (m, d), p = c.shape[:-2], c.shape[-2:], w.shape[-1]
+    wc = _rowwise(w.swapaxes(-1, -2), c).reshape(-1, p)
+    w = np.broadcast_to(w[..., None, :, :], lead + (m, d, p)).reshape(-1, d, p)
+    c = c.reshape(-1, d)
+    n, k = len(c), 2 * p + 1            # X and S hold the V block, then the W block
     # A_j sums u u^T over row j of both blocks of u, plus e_j e_j^T for alpha_j
     u = np.zeros((n, 2 * d + 2, k))
     u[:, :d, :p], u[:, :d, p], u[:, d, p] = w, c, 1.0
@@ -217,7 +230,7 @@ def _rcc1_pd_solve(w, c, max_iter=50):
     # v[:, :, :d]) and y = v[:, 1]. alpha = 1.5 and sigma put M(alpha) - I and
     # the lifted block's Schur complement at I / 2: the one S ever factored
     # is well inside the cone
-    wc, v = c @ w, np.zeros((n, 2, d + 1))
+    v = np.zeros((n, 2, d + 1))
     v[:, 0, :d], v[:, 1, :d] = 0.5, 1.5
     v[:, 1, d] = 0.5 + 1.5 * ((wc * wc).sum(-1) - (c * c).sum(-1))
     xs = np.zeros((n, 2, k, k))         # X, then S^-1 (rewritten by every step)
@@ -320,32 +333,46 @@ def _rcc1_pd_solve(w, c, max_iter=50):
         else:
             for a, nv in zip(state, new):
                 a[go] = nv[go]
-    gap = state[-1]
+    z, y = (a.reshape(lead + (m, -1)) for a in (state[2][:, 0, :p, p], state[4][:, 1]))
+    gap, steps = state[-1].reshape(lead + (m,)), steps.reshape(lead + (m,))
     bad = np.flatnonzero(~(gap <= _RCC1_FLOOR))
     if bad.size:
-        gaps = " ".join(f"{v:.3e}" for v in gap[bad])
-        raise AttackError(f"rcc1 rows {bad.tolist()} end with gaps {gaps} above "
+        gaps = " ".join(f"{v:.3e}" for v in gap.reshape(-1)[bad])
+        err = AttackError(f"rcc1 rows {bad.tolist()} end with gaps {gaps} above "
                           f"{_RCC1_FLOOR:g} in at most {max_iter} steps")
-    return state[2][:, 0, :p, p], state[4][:, 1] @ b, gap, steps
+        err.rows = bad
+        raise err
+    return z, y @ b, gap, steps
 
 
 def attack_rcc1(sys_: LinearSystem) -> AttackEstimate:
-    """Search-space-relaxed Chebyshev center (SDP route), one SDP solve per batch.
+    """Search-space-relaxed Chebyshev center (SDP route), one SDP solve per nullity.
 
     In nullspace coordinates x = q + W z, _rcc1_pd_solve solves Beck & Eldar's
     relaxation to a gap <X, S> (diagnostics["gap"]; ["iterations"] counts
     steps) of 1e-10, or 1e-8 where rounding stalls. x comes from its primal
-    iterate's z, the radius (above the exact one) from its dual value.
+    iterate's z, the radius (above the exact one) from its dual value. The
+    SDP has size 2p + 1 for nullity p: the systems of a stack of one nullity
+    share one solve, each row on its system's basis W, and a determined
+    system's rows take A^+ b' (radius, gap and steps 0).
     """
-    if sys_.nullity == 0:
-        return _determined(sys_, "rcc1")
-    w = sys_.nullspace                  # d x p, orthonormal columns; a_i^T are its rows
-    q = sys_.min_norm_solution.reshape(-1, sys_.d)
-    z, value, gap, steps = _rcc1_pd_solve(w, q - 0.5)
-    x = (q + z @ w.T).reshape(sys_.batch + (sys_.d,))
-    return _estimate(sys_, "rcc1", x, radius=np.sqrt(value).reshape(sys_.batch)[()],
-                     gap=gap.reshape(sys_.batch)[()],
-                     iterations=steps.reshape(sys_.batch)[()])
+    q, nullity = _per_system(sys_)
+    v, x, batch = sys_.svd.v.reshape(-1, sys_.d, sys_.d), q.copy(), sys_.batch
+    (radius, gap), steps = np.zeros((2,) + q.shape[:2]), np.zeros(q.shape[:2], dtype=int)
+    for p in sorted(set(nullity.tolist()) - {0}):
+        of = nullity == p
+        w = v[of, :, -p:]               # the nullspace bases; a_i^T are their rows
+        try:
+            z, value, gap[of], steps[of] = _rcc1_pd_solve(w, q[of] - 0.5)
+        except AttackError as exc:      # its rows, named by their index in the batch
+            rows = np.arange(gap.size).reshape(gap.shape)[of].ravel()[exc.rows]
+            raise AttackError(str(exc).replace(str(exc.rows.tolist()), str(rows.tolist()),
+                                               1)) from exc
+        x[of] += _rowwise(w, z)
+        radius[of] = np.sqrt(value)
+    return _estimate(sys_, "rcc1", x.reshape(batch + (sys_.d,)),
+                     radius=radius.reshape(batch)[()], gap=gap.reshape(batch)[()],
+                     iterations=steps.reshape(batch)[()])
 
 
 # the largest step gia takes, so that x - step * grad never forms inf * 0
@@ -474,9 +501,6 @@ def attack_gia(sys_: LinearSystem, init: str = "half", max_iter: int = 5000,
 WHITEBOX_ATTACKS = ("half", "half_star", "ls", "clamped_ls", "cls", "rcc1", "rcc2")
 # every name run_attack accepts
 ATTACKS = WHITEBOX_ATTACKS + ("zero", "rg", "gia")
-# the solvers that take one system at a time, as they vectorize over rows
-# that share one A; the other estimators take a stack of systems in one call
-PER_SYSTEM = ("cls", "rcc1", "rcc2")
 # the estimators that take nothing but the system
 _ON_SYSTEM = {"half": attack_half, "zero": attack_zero,
               "half_star": attack_half_star, "ls": attack_ls,
@@ -486,16 +510,14 @@ _ON_SYSTEM = {"half": attack_half, "zero": attack_zero,
 
 def run_attack(name: str, sys_: LinearSystem, *, init: str = "half",
                seed: int = 0) -> AttackEstimate:
-    """Dispatch an attack by name over every row of sys_.
+    """Dispatch an attack by name over every row of sys_, one system or a
+    stack of them.
 
     rg draws from seed; gia takes init (seed for its random start) and needs
-    the system's log_c. The names in PER_SYSTEM take one system, not a
-    stack.
+    the system's log_c.
     """
     if name not in ATTACKS:
         raise ValueError(f"unknown attack {name!r}")
-    if sys_.a.ndim > 2 and name in PER_SYSTEM:
-        raise ValueError(f"{name} takes one system, not a stack of {sys_.a.shape[:-2]}")
     if name in _ON_SYSTEM:
         return _ON_SYSTEM[name](sys_)
     if name == "rg":

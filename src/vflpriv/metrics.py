@@ -16,7 +16,7 @@ from . import numerics
 from .dataset import Dataset
 from .model import VflModel, VflSplit, predict
 from .system import LinearSystem, SystemError_, build_system
-from .attacks import PER_SYSTEM, AttackError, run_attack
+from .attacks import AttackError, run_attack
 
 _PSD_SLACK = -1e-8
 EPS_CLIP = 1e-12
@@ -164,11 +164,10 @@ def attack_mse_on_rows(model: VflModel, splits, ds: Dataset, rows, attacks, seed
     The weights, put in column order by one VflModel.window call, and the
     rows gather onto a leading window axis (y_act S x N x (d_t - d), the
     weights S x k x .) for one predict and one build_system. Every estimator
-    but those in attacks.PER_SYSTEM runs once on the stack, with seed, so
-    split i's rg and random gia starts draw from their own
-    np.random.default_rng(seed + i) whatever else is listed; the others run
-    window by window. Every window gets the bits it gets alone. A failure
-    names its rows as rows of "window start=<its first passive feature>".
+    runs once on the stack, with seed, so split i's rg and random gia starts
+    draw from their own np.random.default_rng(seed + i) whatever else is
+    listed. Every window gets the bits it gets alone. A failure names its
+    rows as rows of "window start=<its first passive feature>".
     """
     rows = np.asarray(rows, dtype=int)
     if rows.ndim != 1 or rows.size == 0:
@@ -190,19 +189,11 @@ def attack_mse_on_rows(model: VflModel, splits, ds: Dataset, rows, attacks, seed
     try:
         sys_ = build_system(stack, y_act, predict(stack, y_act, x_pas))
         x_hat = {name: run_attack(name, sys_, init=init, seed=seed).x_hat
-                 for name in attacks if name not in PER_SYSTEM}
+                 for name in attacks}
     except _ROW_ERRORS as exc:
         raise rows_named(exc, labels, rows.size) from exc
-    alone = [name for name in attacks if name in PER_SYSTEM]
-    for i, label in enumerate(labels):
-        window = sys_[i]
-        for name in alone:
-            try:
-                x_hat.setdefault(name, []).append(run_attack(name, window).x_hat)
-            except _ROW_ERRORS as exc:
-                raise rows_named(exc, [label], rows.size) from exc
-    return {name: np.sum((x_pas - np.asarray(x_hat[name])) ** 2, axis=(-2, -1))
-            / x_pas[0].size for name in attacks}
+    return {name: np.sum((x_pas - x_hat[name]) ** 2, axis=(-2, -1)) / x_pas[0].size
+            for name in attacks}
 
 
 def average_over_space(model: VflModel, ds: Dataset, d: int, attacks,

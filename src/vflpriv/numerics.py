@@ -77,15 +77,12 @@ class SvdFactors:
     U is m-by-m orthonormal, V is d-by-d orthonormal (columns are right
     singular vectors), and s holds the min(m, d) singular values in
     non-increasing order. The factors of a stack of matrices (A with leading
-    axes) carry the same leading axes, and factors[i] is matrix i's.
+    axes) carry the same leading axes.
     """
 
     u: np.ndarray
     s: np.ndarray
     v: np.ndarray
-
-    def __getitem__(self, i) -> "SvdFactors":
-        return SvdFactors(u=self.u[i], s=self.s[i], v=self.v[i])
 
     def rank(self):
         """The rank, or for a stack an int array of each matrix's rank."""
@@ -141,73 +138,84 @@ def dykstra_project(sys_: LinearSystem, rows, max_iter: int = 100
     """Euclidean projection of the box center c onto {x in [0,1]^d : Ax = b}, per row.
 
     c = (1/2, ..., 1/2) is the only point projected, as rcc2 needs; rows
-    picks rows of the system's flattened batch, and the result has shape
-    (len(rows), d). The projection is exact, where Dykstra's alternating
-    method only approximates it. On the r = rank(A) equations U_r^T A x =
-    U_r^T b the dual has r variables lam, and the projection is x(lam) =
-    clip(c - A^T lam, 0, 1) at its maximizer. A semismooth Newton method
-    (Qi & Sun, Math. Programming 58, 1993) finds it: with lam scaled by the
-    singular values s, each step solves (V_r^T D V_r + mu I) delta = g,
-    where D masks the unclipped coordinates, g = diag(1/s) U_r^T (A x(lam) -
-    b) and mu = 1e-6 ||g|| + 1e-12, then halves until the dual value rises
-    by an Armijo fraction of the predicted rise. A row stops once
-    max|Ax - b| <= 1e-12 (1 + max|A| + max|b|), so a row that meets this at
-    c returns c after 0 steps. Every set must be nonempty. Each step is
-    vectorized over the rows still live, and a row's result does not depend
-    on the batch. Returns the projections and each row's Newton steps.
+    picks rows of the system's flattened batch (a stack's included, each row
+    on its system's A), and the result has shape (len(rows), d). The
+    projection is exact, where Dykstra's alternating method only
+    approximates it. On the r = rank(A) equations
+    U_r^T A x = U_r^T b the dual has r variables lam, and the projection is
+    x(lam) = clip(c - A^T lam, 0, 1) at its maximizer. A semismooth Newton
+    method (Qi & Sun, Math. Programming 58, 1993) finds it: with lam scaled
+    by the singular values s, each step solves (V_r^T D V_r + mu I) delta =
+    g, where D masks the unclipped coordinates, g = diag(1/s) U_r^T (A x(lam)
+    - b) and mu = 1e-6 ||g|| + 1e-12, then halves until the dual value rises
+    by an Armijo fraction of the predicted rise; the singular pairs past a
+    system's rank are zeroed, as in SvdFactors.pinv, so one path takes any
+    mix of ranks. A row stops once max|Ax - b| <= 1e-12 (1 + max|A| +
+    max|b|), so a row that meets this at c returns c after 0 steps. Every
+    set must be nonempty. Each step is vectorized over the rows still live,
+    and a row's result does not depend on the batch. Returns the
+    projections and each row's Newton steps.
 
     Raises ConvergenceError naming, by their index in the flattened batch,
     the rows that fail the stop test after max_iter steps.
     """
-    a, f = sys_.a, sys_.svd
-    r = f.rank()
+    f, (m, d) = sys_.svd, sys_.a.shape[-2:]
+    a, q = sys_.a.reshape(-1, m, d), min(m, d)
+    s = f.s.reshape(-1, q)
+    rank = (s > EPS_RANK * s[:, :1])[:, None, :]
     # scaled by s, the Newton matrix V_r^T D V_r has its eigenvalues in
     # [0, 1] whatever A's conditioning
-    vr, us = f.v[:, :r], f.u[:, :r] / f.s[:r]
+    vr = f.v.reshape(-1, d, d)[..., :q] * rank
+    us = np.divide(f.u.reshape(-1, m, m)[..., :q], s[:, None, :], where=rank,
+                   out=np.zeros((len(a), m, q)))
     index = np.asarray(rows, dtype=int).ravel()
-    b = sys_.b.reshape(-1, a.shape[0])[index]
+    b = sys_.b.reshape(-1, m)
+    own = index // (len(b) // len(a))       # each row's system
+    b = b[index]
     flat = np.full((index.size, sys_.d), 0.5)
     steps = np.zeros(index.size, dtype=int)
 
     # row products use einsum, not BLAS, whose kernel (and so its rounding)
     # changes with the row count: a row gets the same bits in any batch
-    def point(u, b):
+    def point(u, b, own):
         """x = clip(u, 0, 1) and its residual A x - b."""
         x = np.minimum(np.maximum(u, 0.0), 1.0)
-        return x, np.einsum("nd,md->nm", x, a) - b
+        return x, np.einsum("nd,nmd->nm", x, a[own]) - b
 
-    # per live row: b, stop bound, u = c - A^T lam, x(lam) and its residual
+    # per live row: its system, b, stop bound, u = c - A^T lam, x(lam) and
+    # its residual
     live, bs, u = np.arange(len(b)), b, flat.copy()
-    bound = 1e-12 * (1.0 + np.max(np.abs(a)) + np.max(np.abs(b), axis=1))
-    x, res = point(u, bs)
+    bound = 1e-12 * (1.0 + np.max(np.abs(a), axis=(1, 2))[own] + np.max(np.abs(b), axis=1))
+    x, res = point(u, bs, own)
     for it in range(max_iter + 1):
         done = np.max(np.abs(res), axis=1) <= bound
         if np.count_nonzero(done):
             flat[live[done]] = x[done]
             steps[live[done]] = it
-            live, bs, bound, u, x, res = (
-                arr[~done] for arr in (live, bs, bound, u, x, res))
+            live, own, bs, bound, u, x, res = (
+                arr[~done] for arr in (live, own, bs, bound, u, x, res))
         if not live.size or it == max_iter:
             break
-        g = np.einsum("nm,mr->nr", res, us)
+        g = np.einsum("nm,nmr->nr", res, us[own])
+        v_own = vr[own]
         free = (u > 0.0) & (u < 1.0)
-        w, v = np.linalg.eigh((vr.T * free[:, None, :]) @ vr)
+        w, v = np.linalg.eigh((v_own.swapaxes(-1, -2) * free[:, None, :]) @ v_own)
         gv = np.einsum("nji,nj->ni", v, g)
         # In the null space of V_r^T D V_r the step is g/mu. Where g's part
         # there stands for a residual under half the stop bound (s_1 times
         # its norm bounds that residual) it is rounding, which would only
         # knock the clipped coordinates about, so it is dropped.
         null = w <= 1e-12
-        gv[null & (f.s[0] * np.linalg.norm(np.where(null, gv, 0.0), axis=1)
+        gv[null & (s[own, 0] * np.linalg.norm(np.where(null, gv, 0.0), axis=1)
                    <= 0.5 * bound)[:, None]] = 0.0
         c = gv / (w + (1e-6 * np.linalg.norm(g, axis=1) + 1e-12)[:, None])
         ascent = np.einsum("ij,ij->i", gv, c)
-        du = np.einsum("ni,di->nd", np.einsum("nij,nj->ni", v, c), vr)
+        du = np.einsum("ni,ndi->nd", np.einsum("nij,nj->ni", v, c), v_own)
         t = np.ones(live.size)
         p = np.arange(live.size)            # rows still backtracking
         for _ in range(50):
             cu = u[p] - t[p, None] * du[p]
-            cx, cres = point(cu, bs[p])
+            cx, cres = point(cu, bs[p], own[p])
             # the dual value's rise, summed from differences so that it
             # stays exact to rounding near the optimum
             rise = (np.einsum("ij,ij->i", cx - x[p], 0.5 * (cx + x[p]) - cu)
@@ -226,31 +234,49 @@ def dykstra_project(sys_: LinearSystem, rows, max_iter: int = 100
     return flat, steps
 
 
+def _by_system(x, own, mats) -> np.ndarray:
+    """Each row of x times its system's matrix, mats[own[i]] for row i, with
+    the rows in system order. A system's rows go in as one 2-D product:
+    BLAS picks its kernel, and so its rounding, by the row count, so they
+    get the bits they get in their system alone."""
+    if len(mats) == 1:
+        return x.dot(mats[0])
+    cut = (np.flatnonzero(own[1:] != own[:-1]) + 1).tolist()
+    out = np.empty((len(x), mats[0].shape[1]))
+    for lo, hi in zip([0, *cut], [*cut, len(x)]):
+        out[lo:hi] = x[lo:hi].dot(mats[own[lo]])
+    return out
+
+
 def box_least_squares(sys_: LinearSystem, max_iter: int = 50_000) -> np.ndarray:
     """Minimize ||Ax - b|| over the unit box by accelerated projected gradient.
 
-    Solves every row of sys_: the result has shape batch + (d,). The
-    minimizer is not unique for underdetermined systems: every row starts
-    at the box center, and the output depends on that starting point.
-    For satisfiable systems the residual at the output is driven to ~0.
-    The step comes from the largest singular value in sys_'s SVD. One
+    Solves every row of sys_, a stack's on their systems' A: the result has
+    shape batch + (d,). The minimizer is not unique for underdetermined
+    systems: every row starts at the box center, and the output depends on
+    that starting point. For satisfiable systems the residual at the output
+    is driven to ~0. The step comes from the largest singular value of the
+    row's system in sys_'s SVD (a row of A = 0 stays at the center). One
     vectorized FISTA iteration runs over the rows not yet stationary (a
     projected gradient step and the last move both under 1e-12), with
-    momentum restarted per row.
+    momentum restarted per row; products with A go in by system, so each
+    system of a stack gets the bits it gets alone.
 
     Raises ConvergenceError naming, by their index in the flattened batch,
     the rows not stationary after max_iter iterations.
     """
-    a, at = sys_.a, sys_.a.T
-    shape = sys_.batch + (sys_.d,)
-    x = np.full(shape, 0.5)
-    s1 = sys_.svd.s[0]
-    if s1 == 0.0:
-        return x
+    m, d = sys_.a.shape[-2:]
+    stack = sys_.a.reshape(-1, m, d)
+    a, at = list(stack), list(stack.swapaxes(-1, -2))      # each system's A and A^T
+    shape, bs = sys_.batch + (d,), sys_.b.reshape(-1, m)
+    own = np.repeat(np.arange(len(a)), len(bs) // len(a))   # each row's system
+    flat = np.full((len(bs), d), 0.5)
+    s1 = sys_.svd.s.reshape(len(a), -1)[own, 0]
+    live = np.flatnonzero(s1 > 0.0)
+    if not live.size:
+        return flat.reshape(shape)
+    own, bs, s1 = own[live], bs[live], s1[live, None]
     step = 1.0 / (s1 * s1)
-    flat = x.reshape(-1, sys_.d)
-    bs = sys_.b.reshape(-1, a.shape[0])
-    live = np.arange(len(bs))
 
     # np.clip(u, 0, 1), in place on a temporary, and np.linalg.norm(r, axis=1):
     # the same float operations in fewer numpy calls, so the same bits
@@ -264,47 +290,47 @@ def box_least_squares(sys_: LinearSystem, max_iter: int = 50_000) -> np.ndarray:
     # depends only on its steps since the last restart, j: t_0 = 1,
     # t_j+1 = (1 + sqrt(1 + 4 t_j^2)) / 2 and weight[j] = (t_j - 1) / t_j+1,
     # filled in at iteration j, the first at which a row can reach j
-    xs = flat.copy()
-    since = np.zeros(len(bs), dtype=int)
+    xs = flat[live]
+    since = np.zeros(len(live), dtype=int)
     weight, t = np.empty(max_iter), 1.0
-    r = xs.dot(at) - bs
+    r = _by_system(xs, own, at) - bs
     fx = 0.5 * norm(r) ** 2
-    gx = r.dot(a)  # gradient at x
+    gx = _by_system(r, own, a)  # gradient at x
     y = xs
     for it in range(max_iter):
-        x_new = clip(y - step * (y.dot(at) - bs).dot(a))
-        r = x_new.dot(at) - bs
+        x_new = clip(y - step * _by_system(_by_system(y, own, at) - bs, own, a))
+        r = _by_system(x_new, own, at) - bs
         f_new = 0.5 * norm(r) ** 2
         restart = f_new > fx  # restart momentum from x
         if np.count_nonzero(restart):
             since[restart] = 0
-            x_new[restart] = clip(xs[restart] - step * gx[restart])
-            r[restart] = x_new[restart].dot(at) - bs[restart]
+            x_new[restart] = clip(xs[restart] - step[restart] * gx[restart])
+            r[restart] = _by_system(x_new[restart], own[restart], at) - bs[restart]
             f_new[restart] = 0.5 * norm(r[restart]) ** 2
         t_new = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
         weight[it], t = (t - 1.0) / t_new, t_new
         dx = x_new - xs
         y = x_new + weight[since, None] * dx
         since += 1
-        xs, fx, gx = x_new, f_new, r.dot(a)
+        xs, fx, gx = x_new, f_new, _by_system(r, own, a)
         # stationarity: the last move and a projected gradient step both
         # under 1e-12; the step is taken only on rows whose move passed
         near = norm(dx) < 1e-12
         if np.count_nonzero(near):
             near = np.flatnonzero(near)
             u = xs[near]
-            done = near[norm(u - clip(u - step * gx[near])) < 1e-12]
+            done = near[norm(u - clip(u - step[near] * gx[near])) < 1e-12]
             if done.size:
                 flat[live[done]] = xs[done]
                 keep = np.ones(live.size, dtype=bool)
                 keep[done] = False
-                live, xs, bs, since, fx, gx, y = (
-                    v[keep] for v in (live, xs, bs, since, fx, gx, y))
+                live, own, step, xs, bs, since, fx, gx, y = (
+                    v[keep] for v in (live, own, step, xs, bs, since, fx, gx, y))
                 if not live.size:
                     return flat.reshape(shape)
     flat[live] = xs
     raise _cap_error("box least squares", flat.reshape(shape), live, len(flat),
-                     {"residual": norm(xs.dot(at) - bs)})
+                     {"residual": norm(_by_system(xs, own, at) - bs)})
 
 
 def von_neumann_bounds(m, p) -> tuple[float, float]:

@@ -35,12 +35,15 @@ def _rowwise(m: np.ndarray, x: np.ndarray) -> np.ndarray:
     """m @ r for every row r of x; a 1-D x is one row, and m and x may carry
     matching leading axes (a stack).
 
-    Written as (m x^T)^T; a lone row goes in as the first of two copies, as
-    a matrix-vector product would give it other bits than it gets in a batch.
+    Written as (m x^T)^T. Where there is one row (per system of a stack), it
+    goes in as the first of four copies: a matrix-vector product, or at k = 2
+    one over fewer than four rows, would give it other bits than it gets in
+    a larger batch.
     """
-    if x.ndim == 1:
-        return (m @ np.stack([x, x], axis=1))[:, 0]
-    return (m @ x.swapaxes(-1, -2)).swapaxes(-1, -2)
+    if x.ndim > 1 and x.shape[-2] > 1:
+        return (m @ x.swapaxes(-1, -2)).swapaxes(-1, -2)
+    y = (m @ np.repeat(np.atleast_2d(x), 4, axis=-2).swapaxes(-1, -2)).swapaxes(-1, -2)
+    return y[..., 0, :] if x.ndim == 1 else y[..., :1, :]
 
 
 @dataclass
@@ -48,18 +51,20 @@ class LinearSystem:
     """A x = b' for one prediction (b of length k-1) or N of them (b N x (k-1)).
 
     Every row shares A, so the pseudoinverse, nullspace projector and
-    nullspace basis all come from one SVD of A, taken at construction and
-    kept as the attribute svd. A 1-D b is the one-row case: per-row results
-    then drop the row axis. log_c holds the logs of the released scores
-    (batch + (k,)) that b' came from; gia needs them, the other estimators
-    read only (A, b'), and a system built by hand may leave them out.
+    nullity all come from one SVD of A, taken at construction and kept as
+    the attribute svd (svd.nullspace() is one system's nullspace basis). A
+    1-D b is the one-row case: per-row results then drop the row axis.
+    log_c holds the logs of the released scores (batch + (k,)) that b' came
+    from; gia needs them, the other estimators read only (A, b'), and a
+    system built by hand may leave them out.
 
     A stack of S systems has a of shape (S, k-1, d) and b of (S, N, k-1),
     more leading axes allowed. One np.linalg.svd call factors every A, and
     pinv, projector, min_norm_solution, contains and residual work on all
-    of them at once, each system getting the bits it gets alone; stack[i]
-    is system i, on its slice of the SVD, and alone has a nullspace.
-    Immutable after construction by convention.
+    of them at once, each system getting the bits it gets alone, and
+    nullity gives each system's. System i alone is LinearSystem(a=stack.a[i],
+    b=stack.b[i], log_c=stack.log_c[i]). Immutable after construction by
+    convention.
     """
 
     a: np.ndarray
@@ -89,13 +94,6 @@ class LinearSystem:
                 raise ValueError("log_c must be finite")
         self.svd = numerics.svd(self.a)
 
-    def __getitem__(self, i) -> "LinearSystem":
-        """System i of a stack, on its slice of the stack's SVD (no new SVD)."""
-        sys_ = object.__new__(LinearSystem)
-        sys_.a, sys_.b, sys_.svd = self.a[i], self.b[i], self.svd[i]
-        sys_.log_c = None if self.log_c is None else self.log_c[i]
-        return sys_
-
     @property
     def d(self) -> int:
         return self.a.shape[-1]
@@ -115,13 +113,10 @@ class LinearSystem:
         p = np.eye(self.d) - self.pinv @ self.a
         return 0.5 * (p + p.swapaxes(-1, -2))
 
-    @cached_property
-    def nullspace(self) -> np.ndarray:
-        return self.svd.nullspace()
-
     @property
-    def nullity(self) -> int:
-        return self.nullspace.shape[1]
+    def nullity(self):
+        """d - rank(A), or for a stack an int array of each system's."""
+        return self.d - self.svd.rank()
 
     @cached_property
     def min_norm_solution(self) -> np.ndarray:

@@ -581,7 +581,7 @@ def rcc1_row(sys_: LinearSystem, mu0=1.0, mu_factor=0.2, mu_min=1e-9,
     With value=True, also the dual objective at the barrier's multipliers
     (its squared radius).
     """
-    rows = sys_.nullspace
+    rows = sys_.svd.nullspace()
     d, p = rows.shape
     q = sys_.min_norm_solution
     g = (q - 0.5)[:, None] * rows

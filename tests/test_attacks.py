@@ -30,7 +30,7 @@ class TestBaselines:
         est = attacks.attack_ls(sys_)
         assert np.allclose(sys_.a @ est.x_hat, sys_.b, atol=1e-9)
         # min-norm: orthogonal to the nullspace
-        assert np.allclose(sys_.nullspace.T @ est.x_hat, 0.0, atol=1e-9)
+        assert np.allclose(sys_.svd.nullspace().T @ est.x_hat, 0.0, atol=1e-9)
 
     def test_clamped_ls_in_box(self):
         sys_, _ = _system_with_truth(2, d=6, m=1)
@@ -760,7 +760,7 @@ def _rcc1_outcomes(sys_, before=lambda: None):
     """_rcc1_pd_solve and the loop it replaced (oracles.rcc1_pd_solve_batch)
     on one system, each after a call of before: each gives (z, value, gap,
     steps) or its AttackError text."""
-    w, c = sys_.nullspace, sys_.min_norm_solution.reshape(-1, sys_.d) - 0.5
+    w, c = sys_.svd.nullspace(), sys_.min_norm_solution.reshape(-1, sys_.d) - 0.5
     out = []
     for solve in (attacks._rcc1_pd_solve, oracles.rcc1_pd_solve_batch):
         before()
@@ -982,6 +982,21 @@ class TestRcc1PrimalDual:
             f"solver failure: rcc1 rows {list(range(100))} end with gaps")
         assert batches[0] == 100 and batches[-2:] == [100, 100]     # the two closing steps
         assert len(batches) - 2 <= 10
+
+    def test_lone_row_gets_the_bits_of_its_row_in_a_batch(self):
+        # bench-shaped rows (k = 4, d = 6) solved as one-row systems, 1-D or
+        # 2-D, give the x, gap and steps of their row in a 20-row solve
+        model = _k4_model()
+        for seed in range(3):
+            sys_ = build_system(model, *_predictions(model, 20, seed))
+            big = attacks.attack_rcc1(sys_)
+            for i in range(20):
+                for b in (sys_.b[i], sys_.b[i:i + 1]):
+                    one = attacks.attack_rcc1(LinearSystem(a=sys_.a, b=b))
+                    assert np.array_equal(one.x_hat.ravel(), big.x_hat[i]), (seed, i)
+                    for key in ("gap", "iterations"):
+                        assert np.array_equal(one.diagnostics[key], big.diagnostics[key][i]
+                                              .reshape(np.shape(one.diagnostics[key])))
 
     @pytest.mark.parametrize("k, d, scale, bimodal", [
         (2, 4, 3.0, False),         # p = 3

@@ -762,14 +762,16 @@ class TestFigure1Failures:
         real = attacks._rcc1_pd_solve
         monkeypatch.setattr(attacks, "_rcc1_pd_solve",
                             lambda *a, **kw: real(*a, max_iter=2, **kw))
+        # one solve on the stack: every window's rows are named, by window
         line = self._fail(capsys)
-        assert re.fullmatch(r"solver failure: rcc1 rows \[0, 1, 2, 3, 4\] of window "
-                            r"start=0 end with gaps( \S+){5} above 1e-08 in at most "
-                            r"2 steps", line), line
+        windows = ", ".join(rf"\[0, 1, 2, 3, 4\] of window start={s}" for s in range(6))
+        assert re.fullmatch(rf"solver failure: rcc1 rows {windows} end with gaps( \S+){{30}} "
+                            r"above 1e-08 in at most 2 steps", line), line
 
     def test_capped_rcc2_projection(self, monkeypatch, capsys):
-        # one row of window 2 needs rcc2's Newton projection; a one-step cap
-        # stops it, and the capped rows and residuals keep their window
+        # one row each of windows 2, 3 and 6 needs rcc2's Newton projection;
+        # one call on the stack projects them, a one-step cap stops them, and
+        # the capped rows and residuals keep their windows
         real = numerics.dykstra_project
         monkeypatch.setattr(numerics, "dykstra_project",
                             lambda *a, **kw: real(*a, max_iter=1, **kw))
@@ -777,8 +779,9 @@ class TestFigure1Failures:
                      "--d-grid", "6", "--n", "60", "--attacks", "half,rcc2"]) == 3
         line = capsys.readouterr().err.strip()
         assert re.fullmatch(r"solver failure: box-affine projection hit the iteration "
-                            r"cap on 1 of 1 rows; rows \[5\] of window start=2; "
-                            r"affine \S+", line), line
+                            r"cap on 3 of 3 rows; rows \[5\] of window start=2, \[5\] of "
+                            r"window start=3, \[32\] of window start=6; affine( \S+){3}",
+                            line), line
 
     def test_subnormal_score(self, monkeypatch, capsys):
         # weights 1e4 times the trained ones put some scores at 0.0 in every

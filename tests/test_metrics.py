@@ -308,8 +308,8 @@ class TestStackedSweep:
         metrics.average_over_space(model, ds, 2, ["half", "rg", "ls", "cls"], n_pred=5)
         assert [m.w_pas.shape for m in calls["predict"]] == [(4, 3, 2)]
         assert [m.w_pas.shape for m in calls["build_system"]] == [(4, 3, 2)]
-        # half, rg and ls once on the stack, cls once per window
-        assert calls["run_attack"] == ["half", "rg", "ls"] + ["cls"] * 4
+        # every estimator once on the stack
+        assert calls["run_attack"] == ["half", "rg", "ls", "cls"]
 
     def test_one_window_call_per_stack(self, monkeypatch):
         # the weights go to column order once per call; the windows are
@@ -347,19 +347,33 @@ class TestWindowFailures:
         with pytest.raises(SystemError_, match=f"^row {low[0]} of window start=2 has "):
             metrics.attack_mse_on_rows(steep, splits, ds, rows, ["half"], 0)
 
-    def test_per_window_attack_names_the_window(self, setup, monkeypatch):
-        # rcc1 capped at 2 steps in the third window only
+    def test_stacked_solvers_name_the_window(self, monkeypatch):
+        # cls and rcc1 each run once on the stack of six d = 4 windows.
+        # Features 2 and 3 weigh every class alike, so the windows holding
+        # both (starts 0, 1 and 2) have nullity 2 and the others 1: rcc1
+        # solves the two nullities apart, the nullity-1 windows first, and
+        # still names a failed row by its window
         from vflpriv import attacks
-        ds, model, rows = setup
-        real, calls = attacks._rcc1_pd_solve, []
+        ds = synthesize(SyntheticSpec(n=120, d_t=6, k=4, seed=9))
+        model = _random_model(4, 6, seed=9)
+        model.w_pas[:, 2:4] = model.w_pas[0, 2:4]
+        real_ls, real_sdp, bases = numerics.box_least_squares, attacks._rcc1_pd_solve, []
+        monkeypatch.setattr(numerics, "box_least_squares",
+                            lambda sys_: real_ls(sys_, max_iter=186))
 
-        def third_capped(*a, **kw):
-            calls.append(1)
-            return real(*a, **kw, **({"max_iter": 2} if len(calls) == 3 else {}))
-        monkeypatch.setattr(attacks, "_rcc1_pd_solve", third_capped)
-        with pytest.raises(AttackError,
-                           match=r"^rcc1 rows \[0, 1, 2, 3, 4\] of window start=2 end "):
-            metrics.average_over_space(model, ds, 2, ["half", "rcc1"], n_pred=5)
+        def capped(w, c):
+            bases.append(w.shape)
+            return real_sdp(w, c, max_iter=8)
+        monkeypatch.setattr(attacks, "_rcc1_pd_solve", capped)
+        with pytest.raises(numerics.NumericsError, match=(
+                r"^box least squares hit the iteration cap on 1 of 30 rows; rows \[4\] of "
+                r"window start=3; residual \S+$")):
+            metrics.average_over_space(model, ds, 4, ["half", "cls"], n_pred=5)
+        with pytest.raises(AttackError, match=(
+                r"^rcc1 rows \[2\] of window start=4 end with gaps \S+ above 1e-08 in at "
+                r"most 8 steps$")):
+            metrics.average_over_space(model, ds, 4, ["half", "rcc1"], n_pred=5)
+        assert bases == [(3, 4, 1)]     # the three nullity-1 windows' bases
 
     def test_stacked_attack_names_the_window(self, setup, monkeypatch):
         # gia runs once on the stack of 5-row windows: its flat row 7 is

@@ -8,8 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from vflpriv.attacks import (ATTACKS, PER_SYSTEM, GiaConvergenceWarning,
-                             run_attack)
+from vflpriv.attacks import ATTACKS, GiaConvergenceWarning, run_attack
 from vflpriv.model import predict, softmax
 from vflpriv.system import (LinearSystem, SystemError_, build_system,
                             difference_matrix)
@@ -180,7 +179,7 @@ class TestBatchSystem:
         rng = np.random.default_rng(42)
         y_act, x_pas = rng.uniform(size=(20, 5)), rng.uniform(size=(20, 5))
         sys_ = build_system(small_model, y_act, predict(small_model, y_act, x_pas))
-        sys_.pinv, sys_.projector, sys_.nullspace
+        sys_.pinv, sys_.projector, sys_.nullity
         assert len(calls) == 1
 
     def test_corrupted_row_named(self):
@@ -270,6 +269,33 @@ class TestBatchSystem:
             build_system(small_model, np.full((3, 5), 0.5), np.full((4, 2), 0.5))
 
 
+class TestLoneRow:
+    """One row, in a batch of one or as the one row of each system of a
+    stack, gets the bits it gets as row 0 of a larger batch."""
+
+    @pytest.mark.parametrize("lead", [(), (3,)], ids=["batch", "stack"])
+    def test_row_0_of_a_larger_batch(self, lead):
+        from vflpriv.model import VflModel, VflSplit
+        rng = np.random.default_rng(5)
+        for _ in range(40):
+            k, d = int(rng.integers(2, 8)), int(rng.integers(1, 12))
+            model = VflModel(w_act=rng.standard_normal(lead + (k, 4)),
+                             w_pas=rng.standard_normal(lead + (k, d)),
+                             b=rng.standard_normal(k), k=k,
+                             split=VflSplit.contiguous(d + 4, 0, d))
+            y, x = rng.uniform(size=lead + (17, 4)), rng.uniform(size=lead + (17, d))
+            c = predict(model, y, x)
+            big, one = build_system(model, y, c), build_system(model, y[..., :1, :],
+                                                               c[..., :1, :])
+            for name, got, want in (
+                    ("b", one.b, big.b[..., :1, :]),
+                    ("min_norm_solution", one.min_norm_solution,
+                     big.min_norm_solution[..., :1, :]),
+                    ("residual", one.residual(x[..., :1, :]), big.residual(x)[..., :1]),
+                    ("contains", one.contains(x[..., :1, :]), big.contains(x)[..., :1])):
+                assert np.array_equal(got, want), (name, k, d)
+
+
 class TestStack:
     """A stack of systems (a with a leading axis) gives each system the bits
     it gets alone, from one SVD."""
@@ -279,30 +305,38 @@ class TestStack:
         a = np.zeros((len(ranks), m, d))
         for i, r in enumerate(ranks):
             a[i] = rng.standard_normal((m, r)) @ rng.standard_normal((r, d))
-        x = rng.uniform(size=(len(ranks), n, d))
+        # features near 0 and 1, where half_star often leaves the box
+        shape = (len(ranks), n, d)
+        x = np.abs(rng.integers(0, 2, shape) - rng.uniform(0.0, 0.1, shape))
         b = np.einsum("smd,snd->snm", a, x)
         log_c = rng.standard_normal((len(ranks), n, m + 1))
         return LinearSystem(a=a, b=b, log_c=log_c), x
 
-    @pytest.mark.parametrize("ranks", [[3, 3, 3], [2, 2], [3, 1, 0, 3], [0, 0]])
-    def test_each_system_as_alone(self, ranks):
-        stack, x = self._stack(ranks)
+    # at d = 3, determined systems (rank 3) beside nullities 1 and 2
+    @pytest.mark.parametrize("ranks, d", [([3, 3, 3], 5), ([2, 2], 5), ([3, 1, 0, 3], 5),
+                                          ([0, 0], 5), ([3, 2, 3], 3), ([2, 3, 1, 3], 3)],
+                             ids=["ranks0", "ranks1", "ranks2", "ranks3", "determined",
+                                  "determined_two_nullities"])
+    def test_each_system_as_alone(self, ranks, d):
+        # every estimator but rg and gia (see the next test), diagnostics included
+        stack, x = self._stack(ranks, d=d)
         assert stack.svd.rank().tolist() == ranks
+        assert stack.nullity.tolist() == [d - r for r in ranks]
+        got = {name: run_attack(name, stack) for name in ATTACKS if name not in ("rg", "gia")}
         for i in range(len(ranks)):
             alone = LinearSystem(a=stack.a[i], b=stack.b[i], log_c=stack.log_c[i])
-            part = stack[i]
             for f in ("u", "s", "v"):
-                assert np.array_equal(getattr(part.svd, f), getattr(alone.svd, f))
+                assert np.array_equal(getattr(stack.svd, f)[i], getattr(alone.svd, f))
             for name in ("pinv", "projector", "min_norm_solution"):
                 assert np.array_equal(getattr(stack, name)[i], getattr(alone, name)), name
-                assert np.array_equal(getattr(part, name), getattr(alone, name)), name
-            assert np.array_equal(part.nullspace, alone.nullspace)
-            assert np.array_equal(part.log_c, alone.log_c)
             assert np.array_equal(stack.residual(x)[i], alone.residual(x[i]))
             assert np.array_equal(stack.contains(x)[i], alone.contains(x[i]))
-            for name in [n for n in ATTACKS if n not in PER_SYSTEM + ("rg", "gia")]:
-                got = run_attack(name, stack).x_hat[i]
-                assert np.array_equal(got, run_attack(name, alone).x_hat), name
+            for name, est in got.items():
+                one = run_attack(name, alone)
+                assert np.array_equal(est.x_hat[i], one.x_hat), name
+                assert est.diagnostics.keys() == one.diagnostics.keys(), name
+                for key, value in one.diagnostics.items():
+                    assert np.array_equal(est.diagnostics[key][i], value), (name, key)
 
     def test_bad_shapes_rejected(self):
         stack, _ = self._stack([3, 3])
@@ -314,12 +348,6 @@ class TestStack:
         with pytest.raises(ValueError, match="non-finite"):
             LinearSystem(a=a, b=stack.b)
 
-    @pytest.mark.parametrize("name", PER_SYSTEM)
-    def test_one_system_estimators_reject_a_stack(self, name):
-        stack, _ = self._stack([3, 3])
-        with pytest.raises(ValueError, match=f"{name} takes one system"):
-            run_attack(name, stack)
-
     @pytest.mark.parametrize("name, init", [("rg", "half"), ("gia", "zeros"),
                                             ("gia", "half"), ("gia", "random")])
     def test_system_i_draws_from_seed_plus_i(self, name, init):
@@ -328,7 +356,9 @@ class TestStack:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", GiaConvergenceWarning)
             got = run_attack(name, stack, init=init, seed=11)
-            alone = [run_attack(name, stack[i], init=init, seed=11 + i) for i in range(4)]
+            alone = [run_attack(name, LinearSystem(a=stack.a[i], b=stack.b[i],
+                                                   log_c=stack.log_c[i]),
+                                init=init, seed=11 + i) for i in range(4)]
         for i, one in enumerate(alone):
             assert np.array_equal(got.x_hat[i], one.x_hat), i
             for key in ("kl_bits", "converged") if name == "gia" else ():
