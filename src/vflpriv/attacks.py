@@ -195,12 +195,12 @@ def _rcc1_pd_solve(w, c, max_iter=50):
     step is not finite, or whose Schur matrix is singular, stops where it
     is. Steps run on a working set that holds only the live rows: a row goes
     back to the full state when it stops, and the set is gathered anew only
-    when it shrinks. Products with w go through system._rowwise, so a row's
-    z, <X, S> and steps do not depend on the other systems of a stack, nor
-    (at nullity 2 or more) on how many rows its system has. Returns per row
-    (lead + (N,)) z, the dual value, <X, S> and Mehrotra steps; AttackError
-    names the rows above _RCC1_FLOOR at the end, and holds their flat
-    indices as rows.
+    when it shrinks. Products with w go through system._rowwise and sums
+    over c and W^T c run column by column, so a row's z, <X, S> and steps
+    depend neither on the other systems of a stack nor on how many rows its
+    system has. Returns per row (lead + (N,)) z, the dual value, <X, S>
+    and Mehrotra steps; AttackError names the rows above _RCC1_FLOOR at the
+    end, and holds their flat indices as rows.
     """
     lead, (m, d), p = c.shape[:-2], c.shape[-2:], w.shape[-1]
     wc = _rowwise(w.swapaxes(-1, -2), c).reshape(-1, p)
@@ -232,7 +232,8 @@ def _rcc1_pd_solve(w, c, max_iter=50):
     # is well inside the cone
     v = np.zeros((n, 2, d + 1))
     v[:, 0, :d], v[:, 1, :d] = 0.5, 1.5
-    v[:, 1, d] = 0.5 + 1.5 * ((wc * wc).sum(-1) - (c * c).sum(-1))
+    sq = [sum(a[:, j] ** 2 for j in range(a.shape[1])) for a in (wc, c)]   # by column
+    v[:, 1, d] = 0.5 + 1.5 * (sq[0] - sq[1])
     xs = np.zeros((n, 2, k, k))         # X, then S^-1 (rewritten by every step)
     xs[:, 0] = np.eye(k) / 2
     s = slack(u, v)

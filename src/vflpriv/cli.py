@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from . import blackbox, dataset, defense, metrics, numerics
-from .attacks import ATTACKS, AttackError, run_attack
+from .attacks import ATTACKS, AttackError
 from .dataset import DataError, Dataset, SyntheticSpec, load_dataset, synthesize
 from .model import (TrainConfig, TrainingError, VflModel, VflSplit, accuracy,
                     predict, train)
@@ -241,58 +241,48 @@ def cmd_blackbox(args) -> int:
     return 0
 
 
-def _check_settings(settings, k: int) -> None:
-    """Each noisy (scheme, param) setting in its scheme's range on a k-class
-    table, checked after the table is read and before training."""
-    for scheme, param in settings:
-        defense.check_scheme_param(scheme, param, k)
-
-
 def _defense_sweep(model: VflModel, ds: Dataset, rows, settings, attack: str,
                    seed: int) -> list[tuple[float, float, bool]]:
     """(MSE, mean KL bits, label kept) of one attack per (scheme, param) setting.
 
     One predict and one clean build_system (checking every row) cover the N
     rows, and the pps1 transform or the one s1/s2 direction comes from it.
-    pps1 comes alone and releases new weights with the scores; they go only
-    to build_system, as every estimator reads the system alone. The S noisy
-    settings release one S*N x k batch: one build_system, run_attack and
-    kl_divergence call, so rg's one system draws from default_rng(seed)
-    setting by setting, in row order. A failure there is raised again by
-    metrics.rows_named, each row named by setting and row.
+    Setting i is system i of one stack that metrics.stack_mse scores (rg
+    draws from default_rng(seed + i)): the model's weights with the scheme's
+    scores, or pps1's released weights with the clean scores, at KL 0. A
+    failure names its rows as rows of "pps1" or "<scheme> alpha=<param>".
     """
     pas = list(model.split.passive)
     y_act, x_pas = ds.x[np.ix_(rows, model.split.active)], ds.x[np.ix_(rows, pas)]
     c = predict(model, y_act, x_pas)
     clean = build_system(model, y_act, c)
-    if [scheme for scheme, _ in settings] == ["pps1"]:
-        h = defense.pps1_optimal_h(clean, metrics.moments(ds, pas).k0)
-        released = defense.pps1_reveal_params(model, h)
-        est = run_attack(attack, build_system(released, y_act, c, source="defended"),
-                         seed=seed)
-        return [(metrics.empirical_mse(x_pas, est.x_hat), 0.0, True)]
-    z, v1, c_out = model.logits(y_act, x_pas), None, []
+    z, v1, w_pas, c_out = model.logits(y_act, x_pas), None, [], []
     for scheme, param in settings:
+        if scheme == "pps1":
+            h = defense.pps1_optimal_h(clean, metrics.moments(ds, pas).k0)
+            w_pas.append(defense.pps1_reveal_params(model, h).w_pas)
+            c_out.append(c)
+            continue
         if scheme in ("s1", "s2"):
             v1 = defense.pps2_optimal_direction(clean, param).v1 if v1 is None else v1
             param = defense.NoisePlan(float(param), v1)
+        w_pas.append(model.w_pas)
         c_out.append(defense.apply_scheme(z, param, scheme))
     c_out, s, n = np.stack(c_out), len(settings), len(rows)     # c_out: S x N x k
-    flat, y_all = c_out.reshape(s * n, -1), np.tile(y_act, (s, 1))
-    # the system and its estimate go with the call, so their arrays are freed
-    # before the KL's temporaries are made
-    try:
-        x_hat = run_attack(attack, build_system(model, y_all, flat, source="noisy"),
-                           seed=seed).x_hat
-    except metrics._ROW_ERRORS as exc:
-        raise metrics.rows_named(exc, ["{} alpha={}".format(*setting) for setting in settings],
-                                 n) from exc
-    kl = metrics.kl_divergence(np.tile(c, (s, 1)), flat).reshape(s, n)
+    stack = VflModel(np.broadcast_to(model.w_act, (s,) + model.w_act.shape), np.stack(w_pas),
+                     model.b, model.k, model.split)
+    mse = metrics.stack_mse(stack, np.broadcast_to(y_act, (s,) + y_act.shape), c_out, x_pas,
+                            [attack], [sc if sc == "pps1" else f"{sc} alpha={p}"
+                                       for sc, p in settings], seed, "half", "noisy")[attack]
+    noisy = [i for i, (scheme, _) in enumerate(settings) if scheme != "pps1"]
+    kl = np.zeros((s, n))
+    if noisy:
+        kl[noisy] = metrics.kl_divergence(np.tile(c, (len(noisy), 1)),
+                                          c_out[noisy].reshape(-1, model.k)).reshape(-1, n)
     # the original label must attain the maximal released score
     top = np.take_along_axis(c_out, np.argmax(c, axis=-1)[None, :, None], axis=-1)
     kept = (top == c_out.max(axis=-1, keepdims=True)).all(axis=(1, 2))
-    return [(metrics.empirical_mse(x_pas, x), float(np.mean(k)), bool(ok))
-            for x, k, ok in zip(x_hat.reshape(s, n, -1), kl, kept)]
+    return [(float(m), float(np.mean(k)), bool(ok)) for m, k, ok in zip(mse, kl, kept)]
 
 
 def cmd_defend(args) -> int:
@@ -311,7 +301,8 @@ def cmd_defend(args) -> int:
     n = _check_n(args.n, "--n")
     ds = _load_data(args)
     if args.scheme != "pps1":   # class_label's range depends on the class count
-        _check_settings(settings, ds.k)
+        for alpha in alphas:
+            defense.check_scheme_param(args.scheme, alpha, ds.k)
     model = _model(args, ds)
     rows = np.flatnonzero(ds.test_mask)[:n]
     results = _defense_sweep(model, ds, rows, settings, attacks[0], args.seed)
@@ -361,7 +352,8 @@ def cmd_tradeoff(args) -> int:
              + [("s2", a) for a in (0.1, 1.0, 10.0)]
              + [("s3", a) for a in (0.1, 0.5, 0.9)]
              + [("class_label", e) for e in (0.01, 0.1)])
-    _check_settings(sweep, ds.k)
+    for scheme, param in sweep:     # before training
+        defense.check_scheme_param(scheme, param, ds.k)
     model = _model(args, ds)
     base_acc = accuracy(model, ds)
     rows = np.flatnonzero(ds.test_mask)[:n]

@@ -152,8 +152,21 @@ def rows_named(exc: Exception, labels: list[str], n: int) -> Exception:
     return kind(re.sub(r"\b(rows? )(\d+|\[[\d, ]*\])", name, str(exc)))
 
 
-# the failures rows_named names by window
-_ROW_ERRORS = (SystemError_, AttackError, numerics.ConvergenceError)
+def stack_mse(stack: VflModel, y_act, c, x_pas, attacks, labels: list[str], seed: int,
+              init: str, source: str) -> dict[str, np.ndarray]:
+    """{attack: its mean per-feature MSE on each system of one stack}: one
+    build_system (checked as source says) on the rows y_act and released
+    scores c (S x N x .), one run_attack per estimator (system i draws from
+    default_rng(seed + i)), truths x_pas (S x N x d, or N x d for all), and
+    a failure's rows named as rows of labels[i]."""
+    try:
+        sys_ = build_system(stack, y_act, c, source=source)
+        x_hat = {name: run_attack(name, sys_, init=init, seed=seed).x_hat
+                 for name in attacks}
+    except (SystemError_, AttackError, numerics.ConvergenceError) as exc:
+        raise rows_named(exc, labels, c.shape[-2]) from exc
+    size = c.shape[-2] * x_pas.shape[-1]
+    return {name: np.sum((x_pas - x_hat[name]) ** 2, axis=(-2, -1)) / size for name in attacks}
 
 
 def attack_mse_on_rows(model: VflModel, splits, ds: Dataset, rows, attacks, seed: int,
@@ -163,11 +176,10 @@ def attack_mse_on_rows(model: VflModel, splits, ds: Dataset, rows, attacks, seed
     splits are S >= 1 passive windows of one d over the model's d_t features.
     The weights, put in column order by one VflModel.window call, and the
     rows gather onto a leading window axis (y_act S x N x (d_t - d), the
-    weights S x k x .) for one predict and one build_system. Every estimator
-    runs once on the stack, with seed, so split i's rg and random gia starts
-    draw from their own np.random.default_rng(seed + i) whatever else is
-    listed. Every window gets the bits it gets alone. A failure names its
-    rows as rows of "window start=<its first passive feature>".
+    weights S x k x .) for one predict, and stack_mse scores the stack of
+    their clean systems: split i draws from default_rng(seed + i), and every
+    window gets the bits it gets alone. A failure names its rows as rows of
+    "window start=<its first passive feature>".
     """
     rows = np.asarray(rows, dtype=int)
     if rows.ndim != 1 or rows.size == 0:
@@ -185,15 +197,8 @@ def attack_mse_on_rows(model: VflModel, splits, ds: Dataset, rows, attacks, seed
     at, classes = rows[None, :, None], np.arange(model.k)[:, None]
     y_act, x_pas = ds.x[at, act], ds.x[at, pas]
     stack = VflModel(w[classes, act], w[classes, pas], model.b, model.k, splits[0])
-    labels = [f"window start={s.passive[0]}" for s in splits]
-    try:
-        sys_ = build_system(stack, y_act, predict(stack, y_act, x_pas))
-        x_hat = {name: run_attack(name, sys_, init=init, seed=seed).x_hat
-                 for name in attacks}
-    except _ROW_ERRORS as exc:
-        raise rows_named(exc, labels, rows.size) from exc
-    return {name: np.sum((x_pas - x_hat[name]) ** 2, axis=(-2, -1)) / x_pas[0].size
-            for name in attacks}
+    return stack_mse(stack, y_act, predict(stack, y_act, x_pas), x_pas, attacks,
+                     [f"window start={s.passive[0]}" for s in splits], seed, init, "clean")
 
 
 def average_over_space(model: VflModel, ds: Dataset, d: int, attacks,

@@ -35,15 +35,16 @@ def _rowwise(m: np.ndarray, x: np.ndarray) -> np.ndarray:
     """m @ r for every row r of x; a 1-D x is one row, and m and x may carry
     matching leading axes (a stack).
 
-    Written as (m x^T)^T. Where there is one row (per system of a stack), it
-    goes in as the first of four copies: a matrix-vector product, or at k = 2
-    one over fewer than four rows, would give it other bits than it gets in
-    a larger batch.
+    Written as (m x^T)^T over the rows (per system), padded with copies of
+    row 0 to a multiple of four and in row order: BLAS blocks a product by
+    four rows, and where m is one row its bits follow the rows' memory
+    order, so a row gets the bits it gets in any batch.
     """
-    if x.ndim > 1 and x.shape[-2] > 1:
-        return (m @ x.swapaxes(-1, -2)).swapaxes(-1, -2)
-    y = (m @ np.repeat(np.atleast_2d(x), 4, axis=-2).swapaxes(-1, -2)).swapaxes(-1, -2)
-    return y[..., 0, :] if x.ndim == 1 else y[..., :1, :]
+    x2 = x if x.ndim > 1 else x[None]
+    n = x2.shape[-2]
+    x2 = np.concatenate([x2] + [x2[..., :1, :]] * (-n % 4), axis=-2) if n % 4 else x2
+    y = (m @ np.ascontiguousarray(x2).swapaxes(-1, -2)).swapaxes(-1, -2)[..., :n, :]
+    return y[..., 0, :] if x.ndim == 1 else y
 
 
 @dataclass
@@ -140,14 +141,14 @@ def build_system(model: VflModel, y_act, c, source: str = "clean") -> LinearSyst
     y_act is one row of active features (d_t - d) or N rows (N x (d_t - d))
     and c the matching scores (k or N x k); b' then has shape (k-1) or
     N x (k-1), and the system keeps log c as log_c. A model whose weights
-    carry leading axes (a stack of windows) takes N rows of y_act and c
-    with the same leading axes and gives the stack of their systems, with
-    one SVD. Logs are taken once, of the scores as they are, so a score
-    below np.finfo(float).tiny (zero or subnormal) raises SystemError_
-    naming its row, clean or noisy. For clean scores, the min-norm solution
-    of each row must predict that row's scores to 1e-6 relative; a failed
-    row indicates a dimension bug and raises. A row is named by its index
-    in the flattened batch, stack axes included.
+    carry leading axes (a stack) takes N rows of y_act and c with the same
+    leading axes and gives the stack of their systems, with one SVD. Logs
+    are taken once, of the scores as they are, so a score below
+    np.finfo(float).tiny (zero or subnormal) raises SystemError_ naming its
+    row. With source "clean", each row's min-norm solution must predict its
+    scores to 1e-6 relative (a failed row indicates a dimension bug and
+    raises); another source, such as "noisy" for released scores, skips
+    that check. A row is named by its index in the flattened batch.
     """
     y_act = np.asarray(y_act, dtype=float)
     c = np.asarray(c, dtype=float)

@@ -979,7 +979,7 @@ class TestRcc1PrimalDual:
                          "--d", "6", "--scheme", "pps1", "--attack", "rcc1", "--n", "100",
                          "--seed", "0"]) == 3
         assert capsys.readouterr().err.startswith(
-            f"solver failure: rcc1 rows {list(range(100))} end with gaps")
+            f"solver failure: rcc1 rows {list(range(100))} of pps1 end with gaps")
         assert batches[0] == 100 and batches[-2:] == [100, 100]     # the two closing steps
         assert len(batches) - 2 <= 10
 
@@ -997,6 +997,28 @@ class TestRcc1PrimalDual:
                     for key in ("gap", "iterations"):
                         assert np.array_equal(one.diagnostics[key], big.diagnostics[key][i]
                                               .reshape(np.shape(one.diagnostics[key])))
+
+    @pytest.mark.parametrize("k, d", [(8, 8), (4, 9)], ids=["nullity1", "nullity6"])
+    def test_rows_at_d8_get_their_batch_bits(self, k, d):
+        # at d >= 8 numpy sums a row of a batch (a column-order array) and a
+        # lone or stacked row (row order) in other orders; a row's x, gap
+        # and steps are those of its row in the batch all the same
+        from vflpriv.model import VflModel, VflSplit
+        rng = np.random.default_rng(k * 100 + d)
+        model = VflModel(w_act=rng.standard_normal((k, 3)), w_pas=rng.standard_normal((k, d)),
+                         b=rng.standard_normal(k), k=k, split=VflSplit.contiguous(d + 3, 0, d))
+        sys_ = build_system(model, *_predictions(model, 20, 1))
+        big = attacks.attack_rcc1(sys_)
+        stack = attacks.attack_rcc1(LinearSystem(a=np.stack([sys_.a] * 2),
+                                                 b=np.stack([sys_.b, sys_.b[::-1]])))
+        ones = [attacks.attack_rcc1(LinearSystem(a=sys_.a, b=sys_.b[i:i + 1]))
+                for i in range(20)]
+        for key in ("gap", "iterations"):
+            want = big.diagnostics[key]
+            assert np.array_equal(stack.diagnostics[key], [want, want[::-1]]), key
+            assert np.array_equal([one.diagnostics[key][0] for one in ones], want), key
+        assert np.array_equal(stack.x_hat, [big.x_hat, big.x_hat[::-1]])
+        assert np.array_equal([one.x_hat[0] for one in ones], big.x_hat)
 
     @pytest.mark.parametrize("k, d, scale, bimodal", [
         (2, 4, 3.0, False),         # p = 3

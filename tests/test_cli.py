@@ -1076,25 +1076,26 @@ class TestMatchesRowByRowReference:
             self._close(row[3], kl)
 
     def test_defend_rg_draws_setting_by_setting(self, setup, tmp_path):
-        # the stacked release draws one (S*N) x d block: the same stream as
-        # one N x d draw per setting, in setting order, from one generator
+        # setting i is system i of the stack, so it draws one N x d block
+        # from its own generator, default_rng(seed + i)
         ds, model, rows = setup
         out_path = tmp_path / "defend.csv"
         assert _run(["defend", *self.ARGS, "--scheme", "s3", "--alpha", "0.1,0.5,0.9",
                      "--attack", "rg", "--out", str(out_path)]) == 0
         x_pas = ds.x[np.ix_(rows, model.split.passive)]
-        rng = np.random.default_rng(5)
-        want = [cli.metrics.empirical_mse(x_pas, rng.uniform(size=x_pas.shape))
-                for _ in range(3)]
+        want = [cli.metrics.empirical_mse(
+            x_pas, np.random.default_rng(5 + i).uniform(size=x_pas.shape)) for i in range(3)]
         assert [float(r[2]) for r in _read_rows(out_path)[1:]] == want
         assert len(set(want)) == 3
 
 
 @pytest.fixture()
 def sweep_calls(monkeypatch):
-    """Calls per layer that a defense sweep reaches through cli's own bindings."""
+    """Calls per layer that a defense sweep reaches through the bindings of
+    cli and of metrics, whose stack_mse scores the settings."""
     calls = {}
-    for owner, name in ((cli, "build_system"), (cli, "run_attack"),
+    for owner, name in ((cli, "build_system"), (cli.metrics, "build_system"),
+                        (cli.metrics, "run_attack"),
                         (cli.metrics, "kl_divergence"),
                         (cli.defense, "pps2_optimal_direction"),
                         (cli.defense, "apply_scheme")):
@@ -1105,7 +1106,7 @@ def sweep_calls(monkeypatch):
 
 
 class TestOneReleaseBatch:
-    """defend and tradeoff release every noisy setting as one stacked batch."""
+    """defend and tradeoff score every setting as a system of one stack."""
 
     ARGS = TestMatchesRowByRowReference.ARGS
 
@@ -1115,7 +1116,7 @@ class TestOneReleaseBatch:
         return ds, _window_model(ds), np.flatnonzero(ds.test_mask)[:25]
 
     def test_tradeoff_calls_each_layer_once(self, tmp_path, sweep_calls):
-        # the clean check and the release batch; one direction for s1 and s2
+        # the clean check and the release stack; one direction for s1 and s2
         assert _run(["tradeoff", *self.ARGS, "--out", str(tmp_path / "t.csv")]) == 0
         assert sweep_calls == {"build_system": 2, "run_attack": 1, "kl_divergence": 1,
                                "pps2_optimal_direction": 1, "apply_scheme": 11}
@@ -1124,6 +1125,25 @@ class TestOneReleaseBatch:
         assert _run(["defend", *self.ARGS, "--scheme", "pps1",
                      "--out", str(tmp_path / "d.csv")]) == 0
         assert sweep_calls == {"build_system": 2, "run_attack": 1}
+
+    @pytest.mark.parametrize("k", [2, 4])
+    def test_each_setting_writes_its_solo_cell(self, k, tmp_path):
+        # setting i of the stack gets the bits it gets alone, on 39 rows (not
+        # a multiple of four)
+        base = ["defend", "--synth-n", "1500", "--synth-dt", "10", "--synth-k", str(k),
+                "--d", "6", "--n", "39", "--seed", "2", "--out", str(tmp_path / "d.csv")]
+
+        def cells(*argv):
+            assert _run([*base, *argv]) == 0
+            return _read_rows(tmp_path / "d.csv")[1:]
+
+        for attack in ("cls", "rcc1", "rcc2", "half_star", "gia"):
+            got = cells("--scheme", "s3", "--alpha", "0.1,0.5,0.9", "--attack", attack)
+            assert got == [row for a in ("0.1", "0.5", "0.9")
+                           for row in cells("--scheme", "s3", "--alpha", a, "--attack", attack)]
+        # pps1 releases the clean scores: 0.0 bits, where kl_divergence of
+        # these scores with themselves reads -1.5e-14 at k = 4
+        assert cells("--scheme", "pps1")[0][3] == "0.0"
 
     def _fail(self, capsys, *argv):
         assert _run(["defend", *self.ARGS, *argv]) == 3
@@ -1149,7 +1169,7 @@ class TestOneReleaseBatch:
     @pytest.mark.parametrize("attack", ["rcc2", "rcc1"])
     def test_solver_failure_names_setting_and_rows(self, attack, capsys):
         # at alpha = 10 five planes miss the box: rcc2's projection caps and
-        # rcc1 diverges on them; the stacked batch holds them at 53 to 74
+        # rcc1 diverges on them; the stack holds them at flat rows 53 to 74
         line = self._fail(capsys, "--scheme", "s1", "--alpha", "0.1,1.0,10.0",
                           "--attack", attack)
         assert "rows [3, 6, 19, 23, 24] of s1 alpha=10.0" in line

@@ -271,7 +271,8 @@ class TestBatchSystem:
 
 class TestLoneRow:
     """One row, in a batch of one or as the one row of each system of a
-    stack, gets the bits it gets as row 0 of a larger batch."""
+    stack, gets the bits it gets as row 0 of a larger batch, and so do the
+    first rows of a batch of any count."""
 
     @pytest.mark.parametrize("lead", [(), (3,)], ids=["batch", "stack"])
     def test_row_0_of_a_larger_batch(self, lead):
@@ -284,16 +285,32 @@ class TestLoneRow:
                              b=rng.standard_normal(k), k=k,
                              split=VflSplit.contiguous(d + 4, 0, d))
             y, x = rng.uniform(size=lead + (17, 4)), rng.uniform(size=lead + (17, d))
-            c = predict(model, y, x)
-            big, one = build_system(model, y, c), build_system(model, y[..., :1, :],
-                                                               c[..., :1, :])
-            for name, got, want in (
-                    ("b", one.b, big.b[..., :1, :]),
-                    ("min_norm_solution", one.min_norm_solution,
-                     big.min_norm_solution[..., :1, :]),
-                    ("residual", one.residual(x[..., :1, :]), big.residual(x)[..., :1]),
-                    ("contains", one.contains(x[..., :1, :]), big.contains(x)[..., :1])):
-                assert np.array_equal(got, want), (name, k, d)
+            self._assert_first_rows(model, y, x, 1)
+
+    @pytest.mark.parametrize("d", [8, 9, 10])
+    def test_every_count_at_k2(self, d):
+        # at k = 2, A is one row of d >= 8 columns, a product that BLAS
+        # blocks by four rows: 1 to 9 rows get their bits in a larger batch
+        from vflpriv.model import VflModel, VflSplit
+        rng = np.random.default_rng(d)
+        model = VflModel(w_act=rng.standard_normal((2, 4)), w_pas=rng.standard_normal((2, d)),
+                         b=rng.standard_normal(2), k=2, split=VflSplit.contiguous(d + 4, 0, d))
+        y, x = rng.uniform(size=(64, 4)), rng.uniform(size=(64, d))
+        for n in range(1, 10):
+            self._assert_first_rows(model, y, x, n)
+
+    @staticmethod
+    def _assert_first_rows(model, y, x, n):
+        """b', min_norm_solution, residual and contains of the first n rows
+        (per system) equal those rows' in the batch of all of them."""
+        c = predict(model, y, x)
+        big, few = build_system(model, y, c), build_system(model, y[..., :n, :], c[..., :n, :])
+        for name, got, want in (
+                ("b", few.b, big.b[..., :n, :]),
+                ("min_norm_solution", few.min_norm_solution, big.min_norm_solution[..., :n, :]),
+                ("residual", few.residual(x[..., :n, :]), big.residual(x)[..., :n]),
+                ("contains", few.contains(x[..., :n, :]), big.contains(x)[..., :n])):
+            assert np.array_equal(got, want), (name, model.k, model.split.d, n)
 
 
 class TestStack:
