@@ -36,8 +36,8 @@ from .system import LinearSystem, _rowwise
 
 
 class AttackError(Exception):
-    """Raised when an attack's solver fails to converge (rcc1's also sets
-    rows, the failed rows' indices in the batch it was given)."""
+    """Raised when an attack's solver fails to converge; its text names the
+    failed rows by their index in the flattened batch of the system."""
 
 
 class GiaConvergenceWarning(UserWarning):
@@ -119,10 +119,13 @@ def attack_clamped_ls(sys_: LinearSystem) -> AttackEstimate:
 
 def attack_cls(sys_: LinearSystem) -> AttackEstimate:
     """Box-constrained least squares from the box center; the output depends
-    on that starting point. diagnostics["residual"] is each row's ||A x - b'||."""
+    on that starting point. Only rows of systems with a nullspace reach
+    FISTA (numerics.box_least_squares); a determined system's take A^+ b'.
+    diagnostics["residual"] is each row's ||A x - b'||."""
     q, nullity = _per_system(sys_)
-    x = q.copy() if not nullity.any() else np.where(
-        nullity[:, None, None] == 0, q, numerics.box_least_squares(sys_).reshape(q.shape))
+    x, todo = q.reshape(-1, sys_.d).copy(), np.flatnonzero(np.repeat(nullity > 0, q.shape[1]))
+    if todo.size:
+        x[todo] = numerics.box_least_squares(sys_, todo)
     x = x.reshape(sys_.batch + (sys_.d,))
     return _estimate(sys_, "cls", x, residual=sys_.residual(x))
 
@@ -167,16 +170,17 @@ def attack_rcc2(sys_: LinearSystem) -> AttackEstimate:
 _RCC1_GAP, _RCC1_FLOOR, _RCC1_DIVERGE = 1e-9, 1e-8, 1e3
 
 
-def _rcc1_pd_solve(w, c, max_iter=50):
+def _rcc1_pd_solve(w, c, rows, max_iter=50):
     """Primal-dual interior point on each row's rcc1 relaxation, a linear SDP.
 
     w (lead + (d, p), orthonormal columns) holds the nullspace-basis rows
     a_i of each of a stack's systems of nullity p (lead = () for one), c
-    (lead + (N, d)) each row's c_i = q_i - 1/2. The primal, with X =
-    diag([[Z, z], [z^T, 1]], X_W), is attack_rcc1's relaxation in Delta =
-    Z + X_W (Z = z z^T at the optimum): max tr(X_W) s.t. a_i^T Delta a_i +
-    2 c_i a_i^T z + c_i^2 <= 1/4. With V = [W, c] and e the last unit vector,
-    its dual is
+    (lead + (N, d)) each row's c_i = q_i - 1/2, and rows (lead + (N,), or
+    flat) each row's index in the stack, by which a failure names it. The
+    primal, with X = diag([[Z, z], [z^T, 1]], X_W), is attack_rcc1's
+    relaxation in Delta = Z + X_W (Z = z z^T at the optimum): max tr(X_W)
+    s.t. a_i^T Delta a_i + 2 c_i a_i^T z + c_i^2 <= 1/4. With V = [W, c] and
+    e the last unit vector, its dual is
 
         min sigma + sum(alpha) / 4  s.t.  V^T diag(alpha) V + sigma e e^T >= 0,
                                           W^T diag(alpha) W >= I,  alpha >= 0.
@@ -199,8 +203,8 @@ def _rcc1_pd_solve(w, c, max_iter=50):
     over c and W^T c run column by column, so a row's z, <X, S> and steps
     depend neither on the other systems of a stack nor on how many rows its
     system has. Returns per row (lead + (N,)) z, the dual value, <X, S>
-    and Mehrotra steps; AttackError names the rows above _RCC1_FLOOR at the
-    end, and holds their flat indices as rows.
+    and Mehrotra steps; AttackError names, by their entries of rows, the
+    rows above _RCC1_FLOOR at the end.
     """
     lead, (m, d), p = c.shape[:-2], c.shape[-2:], w.shape[-1]
     wc = _rowwise(w.swapaxes(-1, -2), c).reshape(-1, p)
@@ -336,13 +340,11 @@ def _rcc1_pd_solve(w, c, max_iter=50):
                 a[go] = nv[go]
     z, y = (a.reshape(lead + (m, -1)) for a in (state[2][:, 0, :p, p], state[4][:, 1]))
     gap, steps = state[-1].reshape(lead + (m,)), steps.reshape(lead + (m,))
-    bad = np.flatnonzero(~(gap <= _RCC1_FLOOR))
-    if bad.size:
-        gaps = " ".join(f"{v:.3e}" for v in gap.reshape(-1)[bad])
-        err = AttackError(f"rcc1 rows {bad.tolist()} end with gaps {gaps} above "
-                          f"{_RCC1_FLOOR:g} in at most {max_iter} steps")
-        err.rows = bad
-        raise err
+    bad = ~(gap <= _RCC1_FLOOR)
+    if bad.any():
+        gaps = " ".join(f"{v:.3e}" for v in gap[bad])
+        raise AttackError(f"rcc1 rows {np.reshape(rows, bad.shape)[bad].tolist()} end with "
+                          f"gaps {gaps} above {_RCC1_FLOOR:g} in at most {max_iter} steps")
     return z, y @ b, gap, steps
 
 
@@ -355,20 +357,18 @@ def attack_rcc1(sys_: LinearSystem) -> AttackEstimate:
     iterate's z, the radius (above the exact one) from its dual value. The
     SDP has size 2p + 1 for nullity p: the systems of a stack of one nullity
     share one solve, each row on its system's basis W, and a determined
-    system's rows take A^+ b' (radius, gap and steps 0).
+    system's rows take A^+ b' (radius, gap and steps 0). AttackError names
+    rows by their index in the flattened batch, those of the first nullity
+    that fails.
     """
     q, nullity = _per_system(sys_)
     v, x, batch = sys_.svd.v.reshape(-1, sys_.d, sys_.d), q.copy(), sys_.batch
     (radius, gap), steps = np.zeros((2,) + q.shape[:2]), np.zeros(q.shape[:2], dtype=int)
+    index = np.arange(gap.size).reshape(gap.shape)      # each row's index in the batch
     for p in sorted(set(nullity.tolist()) - {0}):
         of = nullity == p
         w = v[of, :, -p:]               # the nullspace bases; a_i^T are their rows
-        try:
-            z, value, gap[of], steps[of] = _rcc1_pd_solve(w, q[of] - 0.5)
-        except AttackError as exc:      # its rows, named by their index in the batch
-            rows = np.arange(gap.size).reshape(gap.shape)[of].ravel()[exc.rows]
-            raise AttackError(str(exc).replace(str(exc.rows.tolist()), str(rows.tolist()),
-                                               1)) from exc
+        z, value, gap[of], steps[of] = _rcc1_pd_solve(w, q[of] - 0.5, index[of])
         x[of] += _rowwise(w, z)
         radius[of] = np.sqrt(value)
     return _estimate(sys_, "rcc1", x.reshape(batch + (sys_.d,)),

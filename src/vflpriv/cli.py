@@ -249,8 +249,9 @@ def _defense_sweep(model: VflModel, ds: Dataset, rows, settings, attack: str,
     rows, and the pps1 transform or the one s1/s2 direction comes from it.
     Setting i is system i of one stack that metrics.stack_mse scores (rg
     draws from default_rng(seed + i)): the model's weights with the scheme's
-    scores, or pps1's released weights with the clean scores, at KL 0. A
-    failure names its rows as rows of "pps1" or "<scheme> alpha=<param>".
+    scores, or pps1's released weights with the clean scores. One
+    kl_divergence call scores every setting, pps1 at exactly 0. A failure
+    names its rows as rows of "pps1" or "<scheme> alpha=<param>".
     """
     pas = list(model.split.passive)
     y_act, x_pas = ds.x[np.ix_(rows, model.split.active)], ds.x[np.ix_(rows, pas)]
@@ -274,11 +275,7 @@ def _defense_sweep(model: VflModel, ds: Dataset, rows, settings, attack: str,
     mse = metrics.stack_mse(stack, np.broadcast_to(y_act, (s,) + y_act.shape), c_out, x_pas,
                             [attack], [sc if sc == "pps1" else f"{sc} alpha={p}"
                                        for sc, p in settings], seed, "half", "noisy")[attack]
-    noisy = [i for i, (scheme, _) in enumerate(settings) if scheme != "pps1"]
-    kl = np.zeros((s, n))
-    if noisy:
-        kl[noisy] = metrics.kl_divergence(np.tile(c, (len(noisy), 1)),
-                                          c_out[noisy].reshape(-1, model.k)).reshape(-1, n)
+    kl = metrics.kl_divergence(np.tile(c, (s, 1)), c_out.reshape(-1, model.k)).reshape(s, n)
     # the original label must attain the maximal released score
     top = np.take_along_axis(c_out, np.argmax(c, axis=-1)[None, :, None], axis=-1)
     kept = (top == c_out.max(axis=-1, keepdims=True)).all(axis=(1, 2))

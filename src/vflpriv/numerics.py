@@ -32,8 +32,8 @@ class ConvergenceError(NumericsError):
 
     rows holds the indices of the rows that hit the cap in the system's
     flattened batch, residuals maps each residual's name to one value per
-    such row, and last_iterate is the solver's output with those rows left
-    at their last iterate.
+    such row, and last_iterate is the solver's output, one row per row it
+    was given, with those rows left at their last iterate.
     """
 
     def __init__(self, message, last_iterate, residuals, rows):
@@ -139,9 +139,9 @@ def dykstra_project(sys_: LinearSystem, rows, max_iter: int = 100
 
     c = (1/2, ..., 1/2) is the only point projected, as rcc2 needs; rows
     picks rows of the system's flattened batch (a stack's included, each row
-    on its system's A), and the result has shape (len(rows), d). The
-    projection is exact, where Dykstra's alternating method only
-    approximates it. On the r = rank(A) equations
+    on its system's A), and the result has shape (len(rows), d), the row
+    interface box_least_squares shares. The projection is exact, where
+    Dykstra's alternating method only approximates it. On the r = rank(A) equations
     U_r^T A x = U_r^T b the dual has r variables lam, and the projection is
     x(lam) = clip(c - A^T lam, 0, 1) at its maximizer. A semismooth Newton
     method (Qi & Sun, Math. Programming 58, 1993) finds it: with lam scaled
@@ -248,19 +248,20 @@ def _by_system(x, own, mats) -> np.ndarray:
     return out
 
 
-def box_least_squares(sys_: LinearSystem, max_iter: int = 50_000) -> np.ndarray:
+def box_least_squares(sys_: LinearSystem, rows, max_iter: int = 50_000) -> np.ndarray:
     """Minimize ||Ax - b|| over the unit box by accelerated projected gradient.
 
-    Solves every row of sys_, a stack's on their systems' A: the result has
-    shape batch + (d,). The minimizer is not unique for underdetermined
-    systems: every row starts at the box center, and the output depends on
-    that starting point. For satisfiable systems the residual at the output
-    is driven to ~0. The step comes from the largest singular value of the
-    row's system in sys_'s SVD (a row of A = 0 stays at the center). One
-    vectorized FISTA iteration runs over the rows not yet stationary (a
-    projected gradient step and the last move both under 1e-12), with
-    momentum restarted per row; products with A go in by system, so each
-    system of a stack gets the bits it gets alone.
+    rows picks rows of the system's flattened batch (each row on its
+    system's A), as in dykstra_project: the result has shape (len(rows), d).
+    Rows in increasing order keep each system's rows in one 2-D product, so
+    each system keeps the bits it gets alone. The minimizer is not unique
+    for underdetermined systems: every row starts at the box center, and the
+    output depends on that starting point. For satisfiable systems the
+    residual at the output is driven to ~0. The step comes from the largest
+    singular value of the row's system in sys_'s SVD (a row of A = 0 stays
+    at the center). One vectorized FISTA iteration runs over the rows not
+    yet stationary (a projected gradient step and the last move both under
+    1e-12), with momentum restarted per row.
 
     Raises ConvergenceError naming, by their index in the flattened batch,
     the rows not stationary after max_iter iterations.
@@ -268,13 +269,13 @@ def box_least_squares(sys_: LinearSystem, max_iter: int = 50_000) -> np.ndarray:
     m, d = sys_.a.shape[-2:]
     stack = sys_.a.reshape(-1, m, d)
     a, at = list(stack), list(stack.swapaxes(-1, -2))      # each system's A and A^T
-    shape, bs = sys_.batch + (d,), sys_.b.reshape(-1, m)
-    own = np.repeat(np.arange(len(a)), len(bs) // len(a))   # each row's system
-    flat = np.full((len(bs), d), 0.5)
+    index, bs = np.asarray(rows, dtype=int).ravel(), sys_.b.reshape(-1, m)
+    own, bs = index // (len(bs) // len(a)), bs[index]      # each row's system and b
+    flat = np.full((index.size, d), 0.5)
     s1 = sys_.svd.s.reshape(len(a), -1)[own, 0]
     live = np.flatnonzero(s1 > 0.0)
     if not live.size:
-        return flat.reshape(shape)
+        return flat
     own, bs, s1 = own[live], bs[live], s1[live, None]
     step = 1.0 / (s1 * s1)
 
@@ -327,9 +328,9 @@ def box_least_squares(sys_: LinearSystem, max_iter: int = 50_000) -> np.ndarray:
                 live, own, step, xs, bs, since, fx, gx, y = (
                     v[keep] for v in (live, own, step, xs, bs, since, fx, gx, y))
                 if not live.size:
-                    return flat.reshape(shape)
+                    return flat
     flat[live] = xs
-    raise _cap_error("box least squares", flat.reshape(shape), live, len(flat),
+    raise _cap_error("box least squares", flat, index[live], len(flat),
                      {"residual": norm(_by_system(xs, own, at) - bs)})
 
 

@@ -233,10 +233,40 @@ class TestRcc1:
         assert np.max(dists) <= est.diagnostics["radius"] + 1e-6
 
 
+def test_non_finite_estimate_rejected():
+    sys_, _ = _system_with_truth(0)
+    with pytest.raises(attacks.AttackError, match="^ls produced non-finite estimates$"):
+        attacks.AttackEstimate(x_hat=[0.5, np.nan, 0.5, 0.5], name="ls", system=sys_)
+
+
 class TestCls:
     def test_residual_zero(self):
         sys_, _ = _system_with_truth(6, d=5, m=2)
         assert attacks.attack_cls(sys_).diagnostics["residual"] < 1e-8
+
+    def test_mixed_stack_solves_only_rows_with_a_nullspace(self, monkeypatch):
+        # a determined 3 x 3 system with singular values 1, 1e-3 and 1e-5,
+        # on whose rows FISTA hits its cap, beside a nullity-1 one, 4 rows
+        # each: only the nullity-1 system's rows, 4 to 7, reach FISTA
+        rng = np.random.default_rng(0)
+        u, v = (np.linalg.qr(rng.standard_normal((3, 3)))[0] for _ in range(2))
+        a = np.stack([(u * [1.0, 1e-3, 1e-5]) @ v.T,
+                      rng.standard_normal((3, 2)) @ rng.standard_normal((2, 3))])
+        stack = LinearSystem(a=a, b=np.einsum("smd,snd->snm", a, rng.uniform(size=(2, 4, 3))))
+        assert stack.nullity.tolist() == [0, 1]
+        real, given = numerics.box_least_squares, []
+        monkeypatch.setattr(numerics, "box_least_squares", lambda sys_, rows, **kw: (
+            given.append(rows.tolist()) or real(sys_, rows, **kw)))
+        est = attacks.attack_cls(stack)
+        assert given == [[4, 5, 6, 7]]
+        for i in range(2):
+            one = attacks.attack_cls(LinearSystem(a=a[i], b=stack.b[i]))
+            assert np.array_equal(est.x_hat[i], one.x_hat)
+            assert np.array_equal(est.diagnostics["residual"][i], one.diagnostics["residual"])
+        # the determined system's rows, handed to FISTA, hit the cap
+        with pytest.raises(numerics.ConvergenceError,
+                           match=r"on 4 of 4 rows; rows \[0, 1, 2, 3\]"):
+            real(stack, np.arange(4), max_iter=500)
 
 
 class TestGia:
@@ -700,7 +730,7 @@ class TestBatchedSolvers:
         assert np.max(np.abs(got - want)) <= BATCH_TOL[name]
 
     def test_cls_matches_the_earlier_iteration_bit_for_bit(self, sys_):
-        assert np.array_equal(numerics.box_least_squares(sys_),
+        assert np.array_equal(numerics.box_least_squares(sys_, np.arange(12)),
                               oracles.box_least_squares_batch(sys_))
 
     def test_rcc2_diagnostics_per_row(self, sys_):
@@ -762,7 +792,8 @@ def _rcc1_outcomes(sys_, before=lambda: None):
     steps) or its AttackError text."""
     w, c = sys_.svd.nullspace(), sys_.min_norm_solution.reshape(-1, sys_.d) - 0.5
     out = []
-    for solve in (attacks._rcc1_pd_solve, oracles.rcc1_pd_solve_batch):
+    for solve in (lambda w, c: attacks._rcc1_pd_solve(w, c, np.arange(len(c))),
+                  oracles.rcc1_pd_solve_batch):
         before()
         try:
             out.append(solve(w, c))

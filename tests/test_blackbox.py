@@ -23,6 +23,8 @@ class TestCase1:
     def test_all_zero_rejected(self):
         with pytest.raises(blackbox.BlackboxError):
             blackbox.bb_case1([0.0, 0.0])
+        with pytest.raises(blackbox.BlackboxError, match="^need at least one observation$"):
+            blackbox.bb_case1([])
 
     def test_error_bound_from_extreme_sample(self):
         # empirical MSE is at most (x_max - 1)^2 for exact observations
@@ -121,6 +123,14 @@ class TestCase3:
         mse = float(np.mean((est.x_hat - x) ** 2))
         half_mse = float(np.mean((0.5 - x) ** 2))
         assert mse < half_mse
+
+    @pytest.mark.parametrize("v, message", [
+        ([0.3], "population refinement needs at least two observations"),
+        # both orientations fit w = 0
+        ([0.0, 0.0], "degenerate observations; cannot fit the affine map")])
+    def test_population_refinement_rejects(self, v, message):
+        with pytest.raises(blackbox.BlackboxError, match=f"^{message}$"):
+            blackbox.bb_case3_population(v, 0.5)
 
 
 class TestProperties:

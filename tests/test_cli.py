@@ -46,6 +46,8 @@ class TestConfigFile:
         overridden = capsys.readouterr().out
         assert len(base.strip().splitlines()) == 3     # header + 2 rows
         assert len(overridden.strip().splitlines()) == 4
+        assert _run(["blackbox", f"--config={cfg}"]) == 0      # the one-token form
+        assert capsys.readouterr().out == base
 
     def test_unknown_config_key_exit_2(self, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -940,6 +942,12 @@ class TestDefendArguments:
         assert "nosuch" in capsys.readouterr().err
         assert not train_calls
 
+    def test_one_attack_name_before_training(self, capsys, train_calls):
+        assert _run(self.BASE + ["--attack", "half,cls"]) == 2
+        assert capsys.readouterr().err == (
+            "config error: --attack takes one name, got 'half,cls'\n")
+        assert not train_calls
+
     def test_bad_alpha_before_training(self, capsys, train_calls):
         assert _run(self.BASE + ["--alpha", "0.5,lots"]) == 2
         assert "lots" in capsys.readouterr().err
@@ -1124,7 +1132,7 @@ class TestOneReleaseBatch:
     def test_pps1_builds_two_systems(self, tmp_path, sweep_calls):
         assert _run(["defend", *self.ARGS, "--scheme", "pps1",
                      "--out", str(tmp_path / "d.csv")]) == 0
-        assert sweep_calls == {"build_system": 2, "run_attack": 1}
+        assert sweep_calls == {"build_system": 2, "run_attack": 1, "kl_divergence": 1}
 
     @pytest.mark.parametrize("k", [2, 4])
     def test_each_setting_writes_its_solo_cell(self, k, tmp_path):
@@ -1141,8 +1149,9 @@ class TestOneReleaseBatch:
             got = cells("--scheme", "s3", "--alpha", "0.1,0.5,0.9", "--attack", attack)
             assert got == [row for a in ("0.1", "0.5", "0.9")
                            for row in cells("--scheme", "s3", "--alpha", a, "--attack", attack)]
-        # pps1 releases the clean scores: 0.0 bits, where kl_divergence of
-        # these scores with themselves reads -1.5e-14 at k = 4
+        # pps1 releases the clean scores: its KL, from the sweep's one
+        # kl_divergence call, is 0.0 bits (some of these scores are under
+        # EPS_CLIP at k = 4)
         assert cells("--scheme", "pps1")[0][3] == "0.0"
 
     def _fail(self, capsys, *argv):

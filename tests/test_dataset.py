@@ -356,6 +356,18 @@ class TestSynthesize:
 
 
 class TestDatasetValidation:
+    @pytest.mark.parametrize("x, y", [(np.zeros((3, 2)), np.zeros(2)), (np.zeros(3), np.zeros(3))])
+    def test_rejects_mismatched_samples(self, x, y):
+        with pytest.raises(dataset.DataError,
+                           match="^feature matrix and labels disagree on sample count$"):
+            dataset.Dataset(x=x, y=y, k=2, feature_names=["f0", "f1"])
+
+    @pytest.mark.parametrize("n, d_t, message", [
+        (1, 1, "need at least one sample per class"), (4, 0, "need at least one feature")])
+    def test_synthetic_spec_bounds(self, n, d_t, message):
+        with pytest.raises(dataset.DataError, match=f"^{message}$"):
+            dataset.SyntheticSpec(n=n, d_t=d_t, k=2)
+
     def test_rejects_out_of_range_features(self):
         with pytest.raises(dataset.DataError):
             dataset.Dataset(x=np.array([[1.5]]), y=np.array([0]), k=2,

@@ -61,6 +61,11 @@ class TestPps1:
         assert np.allclose(res.scale, 1.0)
         assert np.allclose(res.offset, -1.0)
 
+    def test_passive_block_must_match_h(self):
+        ds = Dataset(x=np.full((4, 3), 0.5), y=np.arange(4) % 2, k=2, feature_names=list("abc"))
+        with pytest.raises(ValueError, match="^H size must match the passive feature count$"):
+            defense.pps1_transform(ds, defense.OrthonormalTransform.neg_identity(3), (0, 1))
+
     def test_renormalized_reveal_consistent(self):
         model = _random_model(3, d_t=4, d=4)
         rng = np.random.default_rng(4)
@@ -123,6 +128,11 @@ class TestPps2Direction:
         sigma1 = np.linalg.svd(apj, compute_uv=False)[0]
         val = oracles.pps2_objective(sys_, np.outer(plan.v1, plan.v1))
         assert val == pytest.approx(sigma1 ** 2, abs=1e-10)
+
+    @pytest.mark.parametrize("v1", [[1.0, 1.0], [0.6, 0.8 + 1e-9]])
+    def test_plan_direction_must_be_unit(self, v1):
+        with pytest.raises(ValueError, match="^v1 must be unit norm$"):
+            defense.NoisePlan(1.0, np.array(v1))
 
     def test_dominates_random_psd(self):
         model = _random_model(13)

@@ -50,6 +50,18 @@ class TestMoments:
         mom = metrics.moments(ds)
         assert mom.k_half[0, 0] == pytest.approx(0.0, abs=1e-15)
 
+    def test_empty_dataset_rejected(self):
+        ds = Dataset(x=np.zeros((0, 2)), y=np.zeros(0, dtype=int), k=2, feature_names=["a", "b"])
+        with pytest.raises(metrics.MetricsError, match="^empty dataset$"):
+            metrics.moments(ds)
+
+    @pytest.mark.parametrize("name", ["k0", "k_half", "k_mu"])
+    def test_moment_matrix_must_be_psd(self, name):
+        given = {"k0": np.eye(2), "k_half": np.eye(2), "k_mu": np.eye(2), "mu": [0.5, 0.5]}
+        given[name] = np.diag([1.0, -1e-6])
+        with pytest.raises(metrics.MetricsError, match=f"^{name} is not positive semidefinite$"):
+            metrics.MomentMatrices(**given)
+
     def test_feature_subset(self):
         rng = np.random.default_rng(3)
         x = rng.uniform(size=(40, 4))
@@ -109,6 +121,12 @@ class TestClosedForms:
         for r in reports.values():
             assert abs(r.closed_form) < 1e-12
 
+    def test_closed_form_outside_its_bracket_rejected(self):
+        with pytest.raises(metrics.MetricsError,
+                           match=r"^ls: closed form 2.0 escapes \[0.0, 1.0\]$"):
+            metrics.MseReport(attack="ls", d=2, closed_form=2.0, lower=0.0, upper=1.0,
+                              mu_lower=0.0)
+
     def test_zero_matrix_traces(self):
         x = np.random.default_rng(21).uniform(size=(50, 3))
         ds = Dataset(x=x, y=np.zeros(50, dtype=int), k=2,
@@ -154,6 +172,30 @@ class TestDivergences:
         with pytest.raises(metrics.MetricsError):
             metrics.kl_divergence([0.5, 0.9], [0.5, 0.5])
 
+    def test_a_release_of_the_clean_scores_reads_exactly_zero(self):
+        # the first 39 test rows of window 0 at d = 6 of the CLI's k = 4 model
+        # (--synth-n 1500 --seed 2): two scores lie under EPS_CLIP, and with
+        # only q clipped their mean KL read -1.47e-14 bits
+        ds = synthesize(SyntheticSpec(n=1500, d_t=10, k=4, seed=2))
+        model = train(ds, VflSplit.contiguous(10, 0, 10), TrainConfig(seed=2)).window(
+            VflSplit.contiguous(10, 0, 6))
+        rows = np.flatnonzero(ds.test_mask)[:39]
+        c = predict(model, ds.x[np.ix_(rows, model.split.active)],
+                    ds.x[np.ix_(rows, model.split.passive)])
+        assert np.count_nonzero(c < metrics.EPS_CLIP) == 2
+        assert np.array_equal(metrics.kl_divergence(c, c), np.zeros(39))
+        zeros = np.array([[0.5, 0.5, 0.0], [1.0, 0.0, 0.0], [0.3, 1e-300, 0.7]])
+        assert np.array_equal(metrics.kl_divergence(zeros, zeros), np.zeros(3))
+        assert metrics.kl_divergence(zeros[2], zeros[2]) == 0.0
+
+    def test_the_clip_makes_no_term_negative(self):
+        # q under p, both under EPS_CLIP: q rises to p, not above it
+        p, q = np.array([1.0 - 1e-13, 1e-13]), np.array([1.0 - 1e-13, 0.0])
+        assert metrics.kl_divergence(p, q) == 0.0
+        # a q at or above EPS_CLIP keeps its plain term
+        assert metrics.kl_divergence([0.5, 0.5], [0.75, 0.25]) == 0.5 * np.log2(0.5 / 0.75) + (
+            0.5 * np.log2(0.5 / 0.25))
+
 
 class TestBatchedDivergences:
     def _pairs(self):
@@ -190,6 +232,14 @@ class TestBatchedDivergences:
         p, q = self._pairs()
         with pytest.raises(metrics.MetricsError):
             metrics.kl_divergence(p, q[0])
+
+    @pytest.mark.parametrize("p, q, message", [
+        ([1.0], [1.0], r"p must be k or N x k with k >= 2, got \(1,\)"),
+        ([0.5, 0.5], np.full((1, 1, 2), 0.5),
+         r"q must be k or N x k with k >= 2, got \(1, 1, 2\)")])
+    def test_not_k_or_n_by_k_raises(self, p, q, message):
+        with pytest.raises(metrics.MetricsError, match=f"^{message}$"):
+            metrics.kl_divergence(p, q)
 
 
 class TestAverageOverSpace:
@@ -359,11 +409,11 @@ class TestWindowFailures:
         model.w_pas[:, 2:4] = model.w_pas[0, 2:4]
         real_ls, real_sdp, bases = numerics.box_least_squares, attacks._rcc1_pd_solve, []
         monkeypatch.setattr(numerics, "box_least_squares",
-                            lambda sys_: real_ls(sys_, max_iter=186))
+                            lambda sys_, rows: real_ls(sys_, rows, max_iter=186))
 
-        def capped(w, c):
+        def capped(w, c, rows):
             bases.append(w.shape)
-            return real_sdp(w, c, max_iter=8)
+            return real_sdp(w, c, rows, max_iter=8)
         monkeypatch.setattr(attacks, "_rcc1_pd_solve", capped)
         with pytest.raises(numerics.NumericsError, match=(
                 r"^box least squares hit the iteration cap on 1 of 30 rows; rows \[4\] of "
@@ -481,6 +531,12 @@ class TestAttackMseOnRows:
         with pytest.raises(metrics.MetricsError, match="repeat"):
             metrics.attack_mse_on_rows(model, [model.split], ds, rows, ["half", "ls", "half"],
                                        0)
+
+    @pytest.mark.parametrize("rows", [[], [[0, 1]]])
+    def test_rows_must_be_a_non_empty_list(self, setup, rows):
+        ds, model, _ = setup
+        with pytest.raises(metrics.MetricsError, match="^need a non-empty list of sample rows$"):
+            metrics.attack_mse_on_rows(model, [model.split], ds, rows, ["half"], 0)
 
 
 class TestEmission:

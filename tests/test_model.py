@@ -179,6 +179,8 @@ class TestTraining:
         seen = Dataset(x=x, y=y, k=2, feature_names=list("abcd"), train_mask=~train_mask)
         assert accuracy(model, seen) >= 0.99
         assert accuracy(model, ds) >= 0.99
+        with pytest.raises(ValueError, match="^empty evaluation mask$"):
+            accuracy(model, Dataset(x=x, y=y, k=2, feature_names=list("abcd")))
 
     def test_empty_dataset_rejected(self, small_dataset):
         from vflpriv.dataset import Dataset
@@ -186,6 +188,10 @@ class TestTraining:
                         feature_names=["a", "b"])
         with pytest.raises(TrainingError):
             train(empty, VflSplit.contiguous(2, 0, 1), TrainConfig())
+        one = Dataset(x=np.zeros((3, 2)), y=np.array([0, 1, 0]), k=2, feature_names=["a", "b"],
+                      train_mask=np.array([True, False, False]))
+        with pytest.raises(TrainingError, match="^need at least two training samples$"):
+            train(one, VflSplit.contiguous(2, 0, 1), TrainConfig())
 
 
 class TestModelObject:
@@ -237,6 +243,18 @@ class TestModelObject:
         with pytest.raises(ValueError):
             VflModel(w_act=np.zeros((2, 2)), w_pas=np.zeros((2, 3)),
                      b=np.zeros(2), k=2, split=split)
+        for act, pas, k, message in (
+                ((1, 2), (1, 2), 1, "need at least two classes"),
+                ((2, 3), (2, 2), 2, "w_act shape disagrees with the split"),
+                ((3, 2, 2), (2, 2, 2), 2, r"w_act stacks \(3,\) views, w_pas \(2,\)")):
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                VflModel(w_act=np.zeros(act), w_pas=np.zeros(pas),
+                         b=np.zeros(k), k=k, split=split)
+
+    @pytest.mark.parametrize("y_act, x_pas", [(5, 4), (4, 5)])
+    def test_logits_check_feature_counts(self, small_model, y_act, x_pas):
+        with pytest.raises(ValueError, match="^feature dimensions do not match the model$"):
+            small_model.logits(np.zeros(y_act), np.zeros(x_pas))
 
     def test_nonfinite_rejected(self):
         split = VflSplit.contiguous(4, 0, 2)

@@ -51,6 +51,24 @@ class TestPinv:
         with pytest.raises(ValueError):
             numerics.svd(np.array([[1.0, np.nan]])).pinv()
 
+    def test_rejects_an_empty_matrix(self):
+        with pytest.raises(ValueError, match=r"^expected a 2-D matrix, got shape \(0, 3\)$"):
+            numerics.svd(np.zeros((0, 3)))
+
+    def test_lapack_failure_is_named(self, monkeypatch):
+        def fail(a, full_matrices):
+            raise np.linalg.LinAlgError("no convergence")
+        monkeypatch.setattr(np.linalg, "svd", fail)
+        with pytest.raises(numerics.NumericsError, match="^SVD did not converge: no convergence$"):
+            numerics.svd(np.eye(2))
+
+    @pytest.mark.parametrize("x, message", [
+        ([], "expected a non-empty vector"),
+        ([0.5, np.inf], "vector contains non-finite entries")])
+    def test_as_vector_rejects(self, x, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            numerics.as_vector(x)
+
 
 class TestNullspace:
     def test_projector_idempotent_symmetric(self):
@@ -237,7 +255,7 @@ class TestBoxLeastSquares:
     def test_satisfiable_residual_zero(self):
         rng = np.random.default_rng(2)
         a, b, _ = oracles.random_satisfiable_system(rng, 5, 3)
-        x = numerics.box_least_squares(LinearSystem(a=a, b=b))
+        [x] = numerics.box_least_squares(LinearSystem(a=a, b=b), [0])
         assert np.linalg.norm(a @ x - b) < 1e-8
         assert np.all(x >= 0.0) and np.all(x <= 1.0)
 
@@ -245,7 +263,7 @@ class TestBoxLeastSquares:
         rng = np.random.default_rng(3)
         a = rng.standard_normal((8, 4))
         b = rng.standard_normal(8)
-        got = numerics.box_least_squares(LinearSystem(a=a, b=b))
+        [got] = numerics.box_least_squares(LinearSystem(a=a, b=b), [0])
         want = oracles.box_least_squares_ref(a, b)
         assert np.allclose(got, want, atol=1e-6)
 
@@ -254,10 +272,10 @@ class TestBoxLeastSquares:
         a, _, _ = oracles.random_satisfiable_system(rng, 5, 2)
         b = rng.uniform(0.0, 1.0, size=(6, 5)) @ a.T
         sys_ = LinearSystem(a=a, b=b)
-        got = numerics.box_least_squares(sys_)
+        got = numerics.box_least_squares(sys_, np.arange(6))
         assert got.shape == (6, 5)
         for i in range(6):
-            one = numerics.box_least_squares(LinearSystem(a=a, b=b[i]))
+            [one] = numerics.box_least_squares(LinearSystem(a=a, b=b[i]), [0])
             assert np.max(np.abs(got[i] - one)) <= 1e-9
             assert np.max(np.abs(got[i] - oracles.box_least_squares_row(a, b[i]))) <= 1e-8
 
@@ -281,14 +299,14 @@ class TestBoxLeastSquares:
             assert any(restarts)
             iterations.append(len(restarts))
         assert len(set(iterations)) == len(sys_.b)
-        assert np.array_equal(numerics.box_least_squares(sys_),
+        assert np.array_equal(numerics.box_least_squares(sys_, np.arange(6)),
                               oracles.box_least_squares_batch(sys_))
 
     @pytest.mark.parametrize("max_iter", [1, 40, 100])
     def test_cap_matches_the_earlier_iteration_bit_for_bit(self, max_iter):
         sys_ = self._staggered()
         with pytest.raises(numerics.ConvergenceError) as got:
-            numerics.box_least_squares(sys_, max_iter=max_iter)
+            numerics.box_least_squares(sys_, np.arange(6), max_iter=max_iter)
         with pytest.raises(numerics.ConvergenceError) as want:
             oracles.box_least_squares_batch(sys_, max_iter=max_iter)
         got, want = got.value, want.value
@@ -303,7 +321,7 @@ class TestBoxLeastSquares:
         a = np.array([[1.0, 2.0, 0.5]])
         b = np.array([[0.7], [4.0], [-0.4]])
         with pytest.raises(numerics.ConvergenceError) as err:
-            numerics.box_least_squares(LinearSystem(a=a, b=b), max_iter=1)
+            numerics.box_least_squares(LinearSystem(a=a, b=b), [0, 1, 2], max_iter=1)
         assert err.value.rows.tolist() == [0, 1, 2]
         assert err.value.residuals["residual"].shape == (3,)
         assert err.value.last_iterate.shape == (3, 3)
@@ -410,10 +428,11 @@ class TestWorkedExamples:
                            [[0.2, 0.2]], atol=1e-8)
 
     def test_box_least_squares_values(self):
-        got = numerics.box_least_squares(LinearSystem(a=[[1.0, -1.0]], b=[1.0]))
+        [got] = numerics.box_least_squares(LinearSystem(a=[[1.0, -1.0]], b=[1.0]), [0])
         assert np.allclose(got, [1.0, 0.0], atol=1e-6)
         sys2 = LinearSystem(a=np.eye(2), b=[0.3, 0.7])
-        assert np.allclose(numerics.box_least_squares(sys2), [0.3, 0.7], atol=1e-8)
+        [got] = numerics.box_least_squares(sys2, [0])
+        assert np.allclose(got, [0.3, 0.7], atol=1e-8)
 
     def test_chebyshev_values(self):
         c, r = oracles.chebyshev_center_exact(

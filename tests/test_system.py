@@ -318,10 +318,17 @@ class TestStack:
     it gets alone, from one SVD."""
 
     def _stack(self, ranks, seed=0, m=3, d=5, n=4):
+        """A stack of systems of these ranks; a rank given as a tuple of
+        singular values makes its system U diag(s) V^T, U and V random with
+        orthonormal columns."""
         rng = np.random.default_rng(seed)
         a = np.zeros((len(ranks), m, d))
         for i, r in enumerate(ranks):
-            a[i] = rng.standard_normal((m, r)) @ rng.standard_normal((r, d))
+            if isinstance(r, tuple):
+                u, v = (np.linalg.qr(rng.standard_normal((k, len(r))))[0] for k in (m, d))
+                a[i] = (u * r) @ v.T
+            else:
+                a[i] = rng.standard_normal((m, r)) @ rng.standard_normal((r, d))
         # features near 0 and 1, where half_star often leaves the box
         shape = (len(ranks), n, d)
         x = np.abs(rng.integers(0, 2, shape) - rng.uniform(0.0, 0.1, shape))
@@ -329,14 +336,17 @@ class TestStack:
         log_c = rng.standard_normal((len(ranks), n, m + 1))
         return LinearSystem(a=a, b=b, log_c=log_c), x
 
-    # at d = 3, determined systems (rank 3) beside nullities 1 and 2
+    # at d = 3, determined systems (rank 3) beside nullities 1 and 2; in
+    # "ill_conditioned", FISTA would stall on the determined system's rows
     @pytest.mark.parametrize("ranks, d", [([3, 3, 3], 5), ([2, 2], 5), ([3, 1, 0, 3], 5),
-                                          ([0, 0], 5), ([3, 2, 3], 3), ([2, 3, 1, 3], 3)],
+                                          ([0, 0], 5), ([3, 2, 3], 3), ([2, 3, 1, 3], 3),
+                                          ([(1.0, 1e-3, 1e-5), 2], 3)],
                              ids=["ranks0", "ranks1", "ranks2", "ranks3", "determined",
-                                  "determined_two_nullities"])
+                                  "determined_two_nullities", "ill_conditioned"])
     def test_each_system_as_alone(self, ranks, d):
         # every estimator but rg and gia (see the next test), diagnostics included
         stack, x = self._stack(ranks, d=d)
+        ranks = [len(r) if isinstance(r, tuple) else r for r in ranks]
         assert stack.svd.rank().tolist() == ranks
         assert stack.nullity.tolist() == [d - r for r in ranks]
         got = {name: run_attack(name, stack) for name in ATTACKS if name not in ("rg", "gia")}
@@ -360,6 +370,14 @@ class TestStack:
         for b in (stack.b[0], stack.b[:, 0], stack.b[None]):
             with pytest.raises(ValueError, match="b of a stack"):
                 LinearSystem(a=stack.a, b=b)
+        # one system: b is (m,) or (N, m), non-empty and finite
+        shape = r"b must have shape \(3,\) or \(N, 3\), got "
+        for b, message in ((stack.b[0, 0, :2], shape + r"\(2,\)"),
+                           (stack.b, shape + r"\(2, 4, 3\)"),
+                           (np.zeros((0, 3)), "b must be non-empty and finite"),
+                           ([0.5, np.nan, 0.5], "b must be non-empty and finite")):
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                LinearSystem(a=stack.a[0], b=b)
         a = stack.a.copy()
         a[1, 2, 0] = np.inf
         with pytest.raises(ValueError, match="non-finite"):
