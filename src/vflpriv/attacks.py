@@ -11,13 +11,14 @@ estimator reads only A, b' and, for gia, the released scores' logs that
 the system carries; none needs the model. The iterative solvers (the exact
 dual Newton projection for rcc2, FISTA for cls, a primal-dual interior
 point on rcc1's relaxation as a linear SDP) make one call per stack (rcc1
-one per nullity in it) on each system's factors of A, vectorized over the
-rows not yet converged; gia descends on its KL objective one row at a time,
-with Barzilai-Borwein step sizes (the secant step s.s / s.y after each
-accepted step) and the nonmonotone acceptance test of Grippo, Lampariello &
-Lucidi (1986) against the last 10 accepted objective values. The rows of a
-determined system (trivial nullspace) take the unique solution A^+ b' in
-cls, rcc1 and rcc2, as they do in ls.
+one per nullity in it) on the rows they solve, vectorized over those not
+yet converged, and one failure names every failing row of the stack; gia
+descends on its KL objective one row at a time, with Barzilai-Borwein step
+sizes (the secant step s.s / s.y after each accepted step) and the
+nonmonotone acceptance test of Grippo, Lampariello & Lucidi (1986) against
+the last 10 accepted objective values. The rows of a determined system
+(trivial nullspace) take the unique solution A^+ b' in cls, rcc1 and rcc2,
+as they do in ls.
 """
 
 from __future__ import annotations
@@ -80,11 +81,14 @@ def _estimate(sys_: LinearSystem, name: str, x: np.ndarray,
     return AttackEstimate(x_hat=x, name=name, system=sys_, diagnostics=diagnostics)
 
 
-def _per_system(sys_: LinearSystem) -> tuple[np.ndarray, np.ndarray]:
-    """A^+ b' as (S, N, d), the rows of each of S systems (one system is a
-    stack of one), and each system's nullity, (S,)."""
-    q = sys_.min_norm_solution
-    return q.reshape(math.prod(sys_.a.shape[:-2]), -1, sys_.d), np.reshape(sys_.nullity, -1)
+def _per_row(sys_: LinearSystem) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A flat copy of A^+ b', (R, d) over the R rows of the flattened batch,
+    with each row's system (its flat index in a stack, 0 for one system) and
+    each row's nullity, both (R,)."""
+    q = sys_.min_norm_solution.reshape(-1, sys_.d).copy()
+    nullity = np.reshape(sys_.nullity, -1)
+    own = np.repeat(np.arange(nullity.size), len(q) // nullity.size)
+    return q, own, nullity[own]
 
 
 def attack_half(sys_: LinearSystem) -> AttackEstimate:
@@ -122,8 +126,8 @@ def attack_cls(sys_: LinearSystem) -> AttackEstimate:
     on that starting point. Only rows of systems with a nullspace reach
     FISTA (numerics.box_least_squares); a determined system's take A^+ b'.
     diagnostics["residual"] is each row's ||A x - b'||."""
-    q, nullity = _per_system(sys_)
-    x, todo = q.reshape(-1, sys_.d).copy(), np.flatnonzero(np.repeat(nullity > 0, q.shape[1]))
+    x, _, nullity = _per_row(sys_)
+    todo = np.flatnonzero(nullity > 0)
     if todo.size:
         x[todo] = numerics.box_least_squares(sys_, todo)
     x = x.reshape(sys_.batch + (sys_.d,))
@@ -150,16 +154,15 @@ def attack_rcc2(sys_: LinearSystem) -> AttackEstimate:
     row, diagnostics["residual"] each row's ||A x - b'||, and
     diagnostics["iterations"] its Newton steps (0 on closed-form rows).
     """
-    q, nullity = _per_system(sys_)
-    det = nullity[:, None] == 0
-    x = np.where(det[..., None], q, attack_half_star(sys_).x_hat.reshape(q.shape))
+    x, _, nullity = _per_row(sys_)
+    det, batch = nullity == 0, sys_.batch
+    x[~det] = attack_half_star(sys_).x_hat.reshape(x.shape)[~det]
     closed = det | np.all((x >= 0.0) & (x <= 1.0), axis=-1)
-    flat, batch = x.reshape(-1, sys_.d), sys_.batch
-    iterations = np.zeros(len(flat), dtype=int)
+    iterations = np.zeros(len(x), dtype=int)
     todo = np.flatnonzero(~closed)
     if todo.size:
-        flat[todo], iterations[todo] = numerics.dykstra_project(sys_, todo)
-    x = flat.reshape(batch + (sys_.d,))
+        x[todo], iterations[todo] = numerics.dykstra_project(sys_, todo)
+    x = x.reshape(batch + (sys_.d,))
     return _estimate(sys_, "rcc2", x,
                      projection=np.where(closed, "closed_form", "newton").reshape(batch)[()],
                      residual=sys_.residual(x), iterations=iterations.reshape(batch)[()])
@@ -167,17 +170,15 @@ def attack_rcc2(sys_: LinearSystem) -> AttackEstimate:
 
 # --- RCC1: search-space relaxation solved as a small SDP ------------------
 
-_RCC1_GAP, _RCC1_FLOOR, _RCC1_DIVERGE = 1e-9, 1e-8, 1e3
+_RCC1_GAP, _RCC1_FLOOR, _RCC1_DIVERGE, _RCC1_MAX_ITER = 1e-9, 1e-8, 1e3, 50
 
 
-def _rcc1_pd_solve(w, c, rows, max_iter=50):
+def _rcc1_pd_solve(w, c):
     """Primal-dual interior point on each row's rcc1 relaxation, a linear SDP.
 
-    w (lead + (d, p), orthonormal columns) holds the nullspace-basis rows
-    a_i of each of a stack's systems of nullity p (lead = () for one), c
-    (lead + (N, d)) each row's c_i = q_i - 1/2, and rows (lead + (N,), or
-    flat) each row's index in the stack, by which a failure names it. The
-    primal, with X = diag([[Z, z], [z^T, 1]], X_W), is attack_rcc1's
+    w (n, d, p) holds each of n rows' own nullspace basis (orthonormal
+    columns, whose rows are the a_i), and c (n, d) each row's c_i = q_i -
+    1/2. The primal, with X = diag([[Z, z], [z^T, 1]], X_W), is attack_rcc1's
     relaxation in Delta = Z + X_W (Z = z z^T at the optimum): max tr(X_W)
     s.t. a_i^T Delta a_i + 2 c_i a_i^T z + c_i^2 <= 1/4. With V = [W, c] and
     e the last unit vector, its dual is
@@ -197,20 +198,17 @@ def _rcc1_pd_solve(w, c, rows, max_iter=50):
     with (lam, Q) the eigenpairs of F^-1 dX F^-T that give the step t, F
     becomes F Q (1 + t lam)^(1/2), so no iterate is factored. A row whose
     step is not finite, or whose Schur matrix is singular, stops where it
-    is. Steps run on a working set that holds only the live rows: a row goes
-    back to the full state when it stops, and the set is gathered anew only
-    when it shrinks. Products with w go through system._rowwise and sums
+    is; every row stops after at most _RCC1_MAX_ITER steps. Steps run on a
+    working set that holds only the live rows: a row goes back to the full
+    state when it stops, and the set is gathered anew only when it shrinks.
+    Products with w go through system._rowwise one row at a time and sums
     over c and W^T c run column by column, so a row's z, <X, S> and steps
-    depend neither on the other systems of a stack nor on how many rows its
-    system has. Returns per row (lead + (N,)) z, the dual value, <X, S>
-    and Mehrotra steps; AttackError names, by their entries of rows, the
-    rows above _RCC1_FLOOR at the end.
+    depend on no other row. Returns per row z, the dual value, <X, S> and
+    Mehrotra steps, and raises nothing: the caller judges <X, S>.
     """
-    lead, (m, d), p = c.shape[:-2], c.shape[-2:], w.shape[-1]
-    wc = _rowwise(w.swapaxes(-1, -2), c).reshape(-1, p)
-    w = np.broadcast_to(w[..., None, :, :], lead + (m, d, p)).reshape(-1, d, p)
-    c = c.reshape(-1, d)
-    n, k = len(c), 2 * p + 1            # X and S hold the V block, then the W block
+    n, d, p = w.shape
+    wc = _rowwise(w.swapaxes(-1, -2), c[:, None])[:, 0]
+    k = 2 * p + 1                       # X and S hold the V block, then the W block
     # A_j sums u u^T over row j of both blocks of u, plus e_j e_j^T for alpha_j
     u = np.zeros((n, 2 * d + 2, k))
     u[:, :d, :p], u[:, :d, p], u[:, d, p] = w, c, 1.0
@@ -312,9 +310,9 @@ def _rcc1_pd_solve(w, c, rows, max_iter=50):
 
     # live rows step on their own arrays (cur); a row that stops, or fails
     # to step, goes back to the full state, and cur shrinks to the rest
-    gap, steps = state[-1], np.full(n, max_iter)
+    gap, steps = state[-1], np.full(n, _RCC1_MAX_ITER)
     live, cur, ur, limit = np.arange(n), state, u, _RCC1_DIVERGE * gap
-    for i in range(max_iter):
+    for i in range(_RCC1_MAX_ITER):
         if not live.size:
             break
         new, ok = step(ur, cur, None)
@@ -338,14 +336,7 @@ def _rcc1_pd_solve(w, c, rows, max_iter=50):
         else:
             for a, nv in zip(state, new):
                 a[go] = nv[go]
-    z, y = (a.reshape(lead + (m, -1)) for a in (state[2][:, 0, :p, p], state[4][:, 1]))
-    gap, steps = state[-1].reshape(lead + (m,)), steps.reshape(lead + (m,))
-    bad = ~(gap <= _RCC1_FLOOR)
-    if bad.any():
-        gaps = " ".join(f"{v:.3e}" for v in gap[bad])
-        raise AttackError(f"rcc1 rows {np.reshape(rows, bad.shape)[bad].tolist()} end with "
-                          f"gaps {gaps} above {_RCC1_FLOOR:g} in at most {max_iter} steps")
-    return z, y @ b, gap, steps
+    return state[2][:, 0, :p, p], state[4][:, 1] @ b, state[-1], steps
 
 
 def attack_rcc1(sys_: LinearSystem) -> AttackEstimate:
@@ -355,24 +346,27 @@ def attack_rcc1(sys_: LinearSystem) -> AttackEstimate:
     relaxation to a gap <X, S> (diagnostics["gap"]; ["iterations"] counts
     steps) of 1e-10, or 1e-8 where rounding stalls. x comes from its primal
     iterate's z, the radius (above the exact one) from its dual value. The
-    SDP has size 2p + 1 for nullity p: the systems of a stack of one nullity
-    share one solve, each row on its system's basis W, and a determined
-    system's rows take A^+ b' (radius, gap and steps 0). AttackError names
-    rows by their index in the flattened batch, those of the first nullity
-    that fails.
+    SDP has size 2p + 1 for nullity p: the rows of a stack's systems of one
+    nullity share one solve, each row on its own system's basis W, and a
+    determined system's rows take A^+ b' (radius, gap and steps 0). Once
+    every nullity is solved, one AttackError names every row of the stack
+    whose gap ends above 1e-8, by its index in the flattened batch.
     """
-    q, nullity = _per_system(sys_)
-    v, x, batch = sys_.svd.v.reshape(-1, sys_.d, sys_.d), q.copy(), sys_.batch
-    (radius, gap), steps = np.zeros((2,) + q.shape[:2]), np.zeros(q.shape[:2], dtype=int)
-    index = np.arange(gap.size).reshape(gap.shape)      # each row's index in the batch
+    x, own, nullity = _per_row(sys_)
+    v, batch = sys_.svd.v.reshape(-1, sys_.d, sys_.d), sys_.batch
+    (value, gap), steps = np.zeros((2, len(x))), np.zeros(len(x), dtype=int)
     for p in sorted(set(nullity.tolist()) - {0}):
         of = nullity == p
-        w = v[of, :, -p:]               # the nullspace bases; a_i^T are their rows
-        z, value, gap[of], steps[of] = _rcc1_pd_solve(w, q[of] - 0.5, index[of])
-        x[of] += _rowwise(w, z)
-        radius[of] = np.sqrt(value)
+        w = v[own[of], :, -p:]          # each row's nullspace basis; a_i^T are its rows
+        z, value[of], gap[of], steps[of] = _rcc1_pd_solve(w, x[of] - 0.5)
+        x[of] += _rowwise(w, z[:, None])[:, 0]
+    bad = np.flatnonzero(~(gap <= _RCC1_FLOOR))
+    if bad.size:
+        gaps = " ".join(f"{g:.3e}" for g in gap[bad])
+        raise AttackError(f"rcc1 rows {bad.tolist()} end with gaps {gaps} above "
+                          f"{_RCC1_FLOOR:g} in at most {_RCC1_MAX_ITER} steps")
     return _estimate(sys_, "rcc1", x.reshape(batch + (sys_.d,)),
-                     radius=radius.reshape(batch)[()], gap=gap.reshape(batch)[()],
+                     radius=np.sqrt(value).reshape(batch)[()], gap=gap.reshape(batch)[()],
                      iterations=steps.reshape(batch)[()])
 
 

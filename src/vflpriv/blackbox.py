@@ -103,6 +103,7 @@ def bb_case3_population(v, population_mean: float) -> BlackboxEstimate:
     Fits (w, b) by least squares to three anchor equations: the extreme
     observations mapped to x = 1 and x = 0, and w mean(x) + b = mean(v).
     Both orientations of the extremes are tried; the lower-residual fit wins.
+    Constant observations leave x unidentifiable and raise BlackboxError.
     """
     v = _as_obs(v)
     if v.size < 2:
@@ -119,7 +120,7 @@ def bb_case3_population(v, population_mean: float) -> BlackboxEstimate:
             continue
         if best is None or resid < best[0]:
             best = (resid, w, b, orient)
-    if best is None:
+    if best is None or v_lo == v_hi:
         raise BlackboxError("degenerate observations; cannot fit the affine map")
     _, w, b, orient = best
     x_hat = np.clip((v - b) / w, 0.0, 1.0)

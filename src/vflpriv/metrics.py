@@ -127,12 +127,14 @@ def _per_row(values: np.ndarray) -> float | np.ndarray:
 def kl_divergence(p, q) -> float | np.ndarray:
     """D(p || q) in bits, each q_j raised to EPS_CLIP, or to p_j where p_j is
     smaller: a float, or N for N x k rows. So D(p || p) is exactly 0, and the
-    floor never makes a term negative."""
+    floor never makes a term negative; a sum below 0 reads 0, as the floor
+    only lowers terms and D is at least 0."""
     p, q = _check_prob(p, "p"), _check_prob(q, "q")
     if p.shape != q.shape:
         raise MetricsError(f"p {p.shape} and q {q.shape} differ in shape")
     p1 = np.where(p > 0.0, p, 1.0)      # terms with p = 0 contribute exactly 0
-    return _per_row(np.sum(p * np.log2(p1 / np.maximum(q, np.minimum(p1, EPS_CLIP))), axis=-1))
+    terms = p * np.log2(p1 / np.maximum(q, np.minimum(p1, EPS_CLIP)))
+    return _per_row(np.maximum(np.sum(terms, axis=-1), 0.0))
 
 
 def rows_named(exc: Exception, labels: list[str], n: int) -> Exception:

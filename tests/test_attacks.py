@@ -781,9 +781,20 @@ RCC1_STALL_B = np.array([
 
 
 def _capped_rcc1(monkeypatch, max_iter):
-    real = attacks._rcc1_pd_solve
-    monkeypatch.setattr(attacks, "_rcc1_pd_solve",
-                        lambda *args, **kw: real(*args, max_iter=max_iter, **kw))
+    monkeypatch.setattr(attacks, "_RCC1_MAX_ITER", max_iter)
+
+
+def _rcc1_rows(w, c):
+    """_rcc1_pd_solve on one system's rows, each handed the system's basis
+    w, raising where a gap ends above the floor as the oracle does."""
+    out = attacks._rcc1_pd_solve(np.broadcast_to(w, (len(c),) + w.shape), c)
+    bad = np.flatnonzero(~(out[2] <= attacks._RCC1_FLOOR))
+    if bad.size:
+        gaps = " ".join(f"{v:.3e}" for v in out[2][bad])
+        raise attacks.AttackError(
+            f"rcc1 rows {bad.tolist()} end with gaps {gaps} above {attacks._RCC1_FLOOR:g} "
+            f"in at most {attacks._RCC1_MAX_ITER} steps")
+    return out
 
 
 def _rcc1_outcomes(sys_, before=lambda: None):
@@ -792,8 +803,7 @@ def _rcc1_outcomes(sys_, before=lambda: None):
     steps) or its AttackError text."""
     w, c = sys_.svd.nullspace(), sys_.min_norm_solution.reshape(-1, sys_.d) - 0.5
     out = []
-    for solve in (lambda w, c: attacks._rcc1_pd_solve(w, c, np.arange(len(c))),
-                  oracles.rcc1_pd_solve_batch):
+    for solve in (_rcc1_rows, oracles.rcc1_pd_solve_batch):
         before()
         try:
             out.append(solve(w, c))

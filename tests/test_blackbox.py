@@ -127,7 +127,9 @@ class TestCase3:
     @pytest.mark.parametrize("v, message", [
         ([0.3], "population refinement needs at least two observations"),
         # both orientations fit w = 0
-        ([0.0, 0.0], "degenerate observations; cannot fit the affine map")])
+        ([0.0, 0.0], "degenerate observations; cannot fit the affine map"),
+        # constant but non-zero: rounding fits w = 1.4e-16, not 0
+        ([2.0, 2.0, 2.0], "degenerate observations; cannot fit the affine map")])
     def test_population_refinement_rejects(self, v, message):
         with pytest.raises(blackbox.BlackboxError, match=f"^{message}$"):
             blackbox.bb_case3_population(v, 0.5)

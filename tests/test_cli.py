@@ -761,9 +761,7 @@ class TestFigure1Failures:
 
     def test_capped_rcc1(self, monkeypatch, capsys):
         from vflpriv import attacks
-        real = attacks._rcc1_pd_solve
-        monkeypatch.setattr(attacks, "_rcc1_pd_solve",
-                            lambda *a, **kw: real(*a, max_iter=2, **kw))
+        monkeypatch.setattr(attacks, "_RCC1_MAX_ITER", 2)
         # one solve on the stack: every window's rows are named, by window
         line = self._fail(capsys)
         windows = ", ".join(rf"\[0, 1, 2, 3, 4\] of window start={s}" for s in range(6))

@@ -192,6 +192,11 @@ class TestDivergences:
         # q under p, both under EPS_CLIP: q rises to p, not above it
         p, q = np.array([1.0 - 1e-13, 1e-13]), np.array([1.0 - 1e-13, 0.0])
         assert metrics.kl_divergence(p, q) == 0.0
+        # q_j < p_j < EPS_CLIP: the floor drops the last term's positive part
+        # while the middle one stays negative; the sum, -7.2e-14 unraised,
+        # reads 0 (the exact D is +2.8e-14)
+        p = np.array([0.5, 0.5 - 1e-13, 1e-13])
+        assert metrics.kl_divergence(p, [0.5, 0.5 - 0.5e-13, 0.5e-13]) == 0.0
         # a q at or above EPS_CLIP keeps its plain term
         assert metrics.kl_divergence([0.5, 0.5], [0.75, 0.25]) == 0.5 * np.log2(0.5 / 0.75) + (
             0.5 * np.log2(0.5 / 0.25))
@@ -401,8 +406,8 @@ class TestWindowFailures:
         # cls and rcc1 each run once on the stack of six d = 4 windows.
         # Features 2 and 3 weigh every class alike, so the windows holding
         # both (starts 0, 1 and 2) have nullity 2 and the others 1: rcc1
-        # solves the two nullities apart, the nullity-1 windows first, and
-        # still names a failed row by its window
+        # solves the two nullities apart, each on the flat rows of its
+        # windows, and names a failed row by its window
         from vflpriv import attacks
         ds = synthesize(SyntheticSpec(n=120, d_t=6, k=4, seed=9))
         model = _random_model(4, 6, seed=9)
@@ -411,10 +416,11 @@ class TestWindowFailures:
         monkeypatch.setattr(numerics, "box_least_squares",
                             lambda sys_, rows: real_ls(sys_, rows, max_iter=186))
 
-        def capped(w, c, rows):
+        def recorded(w, c):
             bases.append(w.shape)
-            return real_sdp(w, c, rows, max_iter=8)
-        monkeypatch.setattr(attacks, "_rcc1_pd_solve", capped)
+            return real_sdp(w, c)
+        monkeypatch.setattr(attacks, "_rcc1_pd_solve", recorded)
+        monkeypatch.setattr(attacks, "_RCC1_MAX_ITER", 8)
         with pytest.raises(numerics.NumericsError, match=(
                 r"^box least squares hit the iteration cap on 1 of 30 rows; rows \[4\] of "
                 r"window start=3; residual \S+$")):
@@ -423,7 +429,32 @@ class TestWindowFailures:
                 r"^rcc1 rows \[2\] of window start=4 end with gaps \S+ above 1e-08 in at "
                 r"most 8 steps$")):
             metrics.average_over_space(model, ds, 4, ["half", "rcc1"], n_pred=5)
-        assert bases == [(3, 4, 1)]     # the three nullity-1 windows' bases
+        # each row's basis: the 15 rows of the three windows of each nullity
+        assert bases == [(15, 4, 1), (15, 4, 2)]
+
+    def test_rcc1_names_the_failing_rows_of_every_nullity(self):
+        # a full-rank 2 x 3 system (nullity 1) stacked with a rank-1 one
+        # (nullity 2), row 1 of each taken off the box: both planes miss the
+        # box, and the one failure names both rows, each by its window
+        w_pas = np.array([[[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [1.0, 1.0, 0.0]],
+                          [[0.0, 0.0, 0.0], [1.0, 1.0, 1.0], [1.0, 1.0, 1.0]]])
+        stack = VflModel(w_act=np.zeros((2, 3, 0)), w_pas=w_pas, b=np.zeros(3), k=3,
+                         split=VflSplit.contiguous(3, 0, 3))
+        x_pas = np.random.default_rng(0).uniform(size=(2, 4, 3))
+        x_pas[:, 1] = 5.0
+        y_act = np.zeros((2, 4, 0))
+        c = predict(stack, y_act, x_pas)
+        sys_ = build_system(stack, y_act, c)
+        assert sys_.nullity.tolist() == [1, 2]
+        with pytest.raises(AttackError, match=(
+                r"^rcc1 rows \[1, 5\] end with gaps \S+ \S+ above 1e-08 in at most 50 "
+                r"steps$")):
+            run_attack("rcc1", sys_)
+        with pytest.raises(AttackError, match=(
+                r"^rcc1 rows \[1\] of full rank, \[1\] of rank 1 end with gaps \S+ \S+ "
+                r"above 1e-08 in at most 50 steps$")):
+            metrics.stack_mse(stack, y_act, c, x_pas, ["rcc1"], ["full rank", "rank 1"], 0,
+                              "half", "clean")
 
     def test_stacked_attack_names_the_window(self, setup, monkeypatch):
         # gia runs once on the stack of 5-row windows: its flat row 7 is
