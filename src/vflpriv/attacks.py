@@ -122,10 +122,10 @@ def attack_clamped_ls(sys_: LinearSystem) -> AttackEstimate:
 
 
 def attack_cls(sys_: LinearSystem) -> AttackEstimate:
-    """Box-constrained least squares from the box center; the output depends
-    on that starting point. Only rows of systems with a nullspace reach
-    FISTA (numerics.box_least_squares); a determined system's take A^+ b'.
-    diagnostics["residual"] is each row's ||A x - b'||."""
+    """Box-constrained least squares from the box center, on which the output
+    depends; a row gets the bits it gets alone. Only rows of systems with a
+    nullspace reach FISTA (numerics.box_least_squares); a determined
+    system's take A^+ b'. diagnostics["residual"] is each row's ||A x - b'||."""
     x, _, nullity = _per_row(sys_)
     todo = np.flatnonzero(nullity > 0)
     if todo.size:
@@ -201,10 +201,10 @@ def _rcc1_pd_solve(w, c):
     is; every row stops after at most _RCC1_MAX_ITER steps. Steps run on a
     working set that holds only the live rows: a row goes back to the full
     state when it stops, and the set is gathered anew only when it shrinks.
-    Products with w go through system._rowwise one row at a time and sums
-    over c and W^T c run column by column, so a row's z, <X, S> and steps
-    depend on no other row. Returns per row z, the dual value, <X, S> and
-    Mehrotra steps, and raises nothing: the caller judges <X, S>.
+    Products with w go through system._rowwise one row at a time, sums over
+    c and W^T c run column by column and the dual value y^T b is summed per
+    row, so a row's z, dual value, <X, S> and steps depend on no other row.
+    Returns them per row, and raises nothing: the caller judges <X, S>.
     """
     n, d, p = w.shape
     wc = _rowwise(w.swapaxes(-1, -2), c[:, None])[:, 0]
@@ -336,7 +336,7 @@ def _rcc1_pd_solve(w, c):
         else:
             for a, nv in zip(state, new):
                 a[go] = nv[go]
-    return state[2][:, 0, :p, p], state[4][:, 1] @ b, state[-1], steps
+    return state[2][:, 0, :p, p], (state[4][:, 1] * b).sum(-1), state[-1], steps
 
 
 def attack_rcc1(sys_: LinearSystem) -> AttackEstimate:

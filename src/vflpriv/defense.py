@@ -136,6 +136,7 @@ def pps1_optimal_h(sys_: LinearSystem, k0) -> OrthonormalTransform:
     With USV^T an SVD of A^+A K0, the maximizer is -VU^T; when A^+A = I
     (fewer passive features than classes) this collapses to -I.
     """
+    numerics.reject_stack(sys_.a, "pps1_optimal_h takes one system")
     k0 = numerics.as_matrix(k0)
     proj = sys_.pinv @ sys_.a
     f = numerics.svd(proj @ k0)
@@ -148,6 +149,7 @@ def pps2_optimal_direction(sys_: LinearSystem, alpha: float) -> NoisePlan:
     The achievable MSE inflation under trace budget alpha is sigma_1^2 alpha,
     attained by the correlation matrix alpha v1 v1^T.
     """
+    numerics.reject_stack(sys_.a, "pps2_optimal_direction takes one system")
     k = sys_.a.shape[0] + 1
     apj = sys_.pinv @ difference_matrix(k)
     f = numerics.svd(apj)
@@ -159,8 +161,8 @@ def pps2_optimal_direction(sys_: LinearSystem, alpha: float) -> NoisePlan:
 
 
 def _as_logits(z) -> np.ndarray:
-    """Finite logits of one prediction (k) or N of them (N x k)."""
-    return numerics.as_matrix(z) if np.ndim(z) == 2 else numerics.as_vector(z)
+    """Finite logits of one prediction (k) or N of them (N x k), and no more axes."""
+    return numerics.as_vector(z) if np.ndim(z) < 2 else numerics.as_matrix(z)
 
 
 def _argmax_set(z: np.ndarray) -> np.ndarray:

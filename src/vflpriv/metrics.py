@@ -93,6 +93,7 @@ def closed_form_mse(sys_: LinearSystem, mom: MomentMatrices
     Each is bracketed by sums of the smallest/largest nul(A) eigenvalues of
     the moment matrix, and lower-bounded by Tr((I - A^+A) K_mu) / d.
     """
+    numerics.reject_stack(sys_.a, "closed_form_mse takes one system")
     d = sys_.d
     proj = sys_.projector
     mu_lower = float(np.trace(proj @ mom.k_mu)) / d

@@ -18,6 +18,7 @@ from functools import reduce
 
 import numpy as np
 
+from . import numerics
 from .dataset import DataError, Dataset
 
 
@@ -103,6 +104,7 @@ class VflModel:
     def window(self, split: VflSplit) -> "VflModel":
         """The same weights and bias, their columns regrouped into split's two
         parties; the view's arrays are new, so writing into them leaves self alone."""
+        numerics.reject_stack(self.w_pas, "VflModel.window takes one model")
         if split.d_t != self.split.d_t:
             raise ValueError(f"a split of {split.d_t} features cannot view a model "
                              f"of {self.split.d_t}")
@@ -112,6 +114,7 @@ class VflModel:
                         b=self.b.copy(), k=self.k, split=split, lam=self.lam)
 
     def save(self, path) -> None:
+        numerics.reject_stack(self.w_pas, "VflModel.save takes one model")
         doc = {
             "k": self.k,
             "lam": self.lam,

@@ -70,6 +70,12 @@ def as_vector(x) -> np.ndarray:
     return x
 
 
+def reject_stack(a, what: str) -> None:
+    """Raise ValueError, naming what (as "save takes one model"), if a is a stack."""
+    if np.ndim(a) > 2:
+        raise ValueError(f"{what}, not a stack of shape {np.shape(a)}")
+
+
 @dataclass(frozen=True)
 class SvdFactors:
     """Full singular value decomposition A = U diag(S) V^T.
@@ -234,58 +240,49 @@ def dykstra_project(sys_: LinearSystem, rows, max_iter: int = 100
     return flat, steps
 
 
-def _by_system(x, own, mats) -> np.ndarray:
-    """Each row of x times its system's matrix, mats[own[i]] for row i, with
-    the rows in system order. A system's rows go in as one 2-D product:
-    BLAS picks its kernel, and so its rounding, by the row count, so they
-    get the bits they get in their system alone."""
-    if len(mats) == 1:
-        return x.dot(mats[0])
-    cut = (np.flatnonzero(own[1:] != own[:-1]) + 1).tolist()
-    out = np.empty((len(x), mats[0].shape[1]))
-    for lo, hi in zip([0, *cut], [*cut, len(x)]):
-        out[lo:hi] = x[lo:hi].dot(mats[own[lo]])
-    return out
-
-
 def box_least_squares(sys_: LinearSystem, rows, max_iter: int = 50_000) -> np.ndarray:
     """Minimize ||Ax - b|| over the unit box by accelerated projected gradient.
 
     rows picks rows of the system's flattened batch (each row on its
     system's A), as in dykstra_project: the result has shape (len(rows), d).
-    Rows in increasing order keep each system's rows in one 2-D product, so
-    each system keeps the bits it gets alone. The minimizer is not unique
-    for underdetermined systems: every row starts at the box center, and the
-    output depends on that starting point. For satisfiable systems the
-    residual at the output is driven to ~0. The step comes from the largest
-    singular value of the row's system in sys_'s SVD (a row of A = 0 stays
-    at the center). One vectorized FISTA iteration runs over the rows not
-    yet stationary (a projected gradient step and the last move both under
-    1e-12), with momentum restarted per row.
+    The minimizer is not unique for underdetermined systems: every row
+    starts at the box center, and the output depends on that start. For
+    satisfiable systems the residual at the output is driven to ~0. The
+    step 1/s_1^2 (s_1 of the row's system in sys_'s SVD; a row of A = 0
+    stays at the center) is folded into each row's G = I - step A^T A and
+    q = step A^T b', so a gradient step is the one product x G + q. FISTA
+    runs vectorized over the rows not yet stationary (a projected gradient
+    step and the last move both under 1e-12), with momentum restarted per
+    row. Each row product is one batched matmul of the rows against their
+    own matrices, so a row's result does not depend on the batch.
 
     Raises ConvergenceError naming, by their index in the flattened batch,
     the rows not stationary after max_iter iterations.
     """
     m, d = sys_.a.shape[-2:]
     stack = sys_.a.reshape(-1, m, d)
-    a, at = list(stack), list(stack.swapaxes(-1, -2))      # each system's A and A^T
     index, bs = np.asarray(rows, dtype=int).ravel(), sys_.b.reshape(-1, m)
-    own, bs = index // (len(bs) // len(a)), bs[index]      # each row's system and b
+    own, bs = index // (len(bs) // len(stack)), bs[index]   # each row's system and b
     flat = np.full((index.size, d), 0.5)
-    s1 = sys_.svd.s.reshape(len(a), -1)[own, 0]
+    s1 = sys_.svd.s.reshape(len(stack), -1)[own, 0]
     live = np.flatnonzero(s1 > 0.0)
     if not live.size:
         return flat
-    own, bs, s1 = own[live], bs[live], s1[live, None]
-    step = 1.0 / (s1 * s1)
+    a, bs, step = stack[own[live]], bs[live], 1.0 / s1[live, None] ** 2
+    at = np.ascontiguousarray(a.swapaxes(-1, -2))
 
-    # np.clip(u, 0, 1), in place on a temporary, and np.linalg.norm(r, axis=1):
-    # the same float operations in fewer numpy calls, so the same bits
+    def times(x, mats):             # row i of x times mats[i]
+        return np.matmul(x[:, None], mats)[:, 0]
+
+    g = np.eye(d) - step[..., None] * (at @ a)
+    q = step * times(bs, a)
+
+    # np.clip(u, 0, 1), in place on a temporary
     def clip(u):
         return np.minimum(np.maximum(u, 0.0, out=u), 1.0, out=u)
 
-    def norm(r):
-        return np.sqrt((r * r).sum(1))
+    def sq(r):
+        return (r * r).sum(1)
 
     # FISTA with restart on non-monotone objective. A row's momentum weight
     # depends only on its steps since the last restart, j: t_0 = 1,
@@ -294,44 +291,40 @@ def box_least_squares(sys_: LinearSystem, rows, max_iter: int = 50_000) -> np.nd
     xs = flat[live]
     since = np.zeros(len(live), dtype=int)
     weight, t = np.empty(max_iter), 1.0
-    r = _by_system(xs, own, at) - bs
-    fx = 0.5 * norm(r) ** 2
-    gx = _by_system(r, own, a)  # gradient at x
+    fx = sq(times(xs, at) - bs)
     y = xs
     for it in range(max_iter):
-        x_new = clip(y - step * _by_system(_by_system(y, own, at) - bs, own, a))
-        r = _by_system(x_new, own, at) - bs
-        f_new = 0.5 * norm(r) ** 2
+        x_new = clip(times(y, g) + q)
+        f_new = sq(times(x_new, at) - bs)
         restart = f_new > fx  # restart momentum from x
         if np.count_nonzero(restart):
             since[restart] = 0
-            x_new[restart] = clip(xs[restart] - step[restart] * gx[restart])
-            r[restart] = _by_system(x_new[restart], own[restart], at) - bs[restart]
-            f_new[restart] = 0.5 * norm(r[restart]) ** 2
+            x_new[restart] = u = clip(times(xs[restart], g[restart]) + q[restart])
+            f_new[restart] = sq(times(u, at[restart]) - bs[restart])
         t_new = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
         weight[it], t = (t - 1.0) / t_new, t_new
         dx = x_new - xs
         y = x_new + weight[since, None] * dx
         since += 1
-        xs, fx, gx = x_new, f_new, _by_system(r, own, a)
+        xs, fx = x_new, f_new
         # stationarity: the last move and a projected gradient step both
         # under 1e-12; the step is taken only on rows whose move passed
-        near = norm(dx) < 1e-12
+        near = sq(dx) < 1e-24
         if np.count_nonzero(near):
             near = np.flatnonzero(near)
             u = xs[near]
-            done = near[norm(u - clip(u - step[near] * gx[near])) < 1e-12]
+            done = near[sq(u - clip(times(u, g[near]) + q[near])) < 1e-24]
             if done.size:
                 flat[live[done]] = xs[done]
                 keep = np.ones(live.size, dtype=bool)
                 keep[done] = False
-                live, own, step, xs, bs, since, fx, gx, y = (
-                    v[keep] for v in (live, own, step, xs, bs, since, fx, gx, y))
+                live, at, g, q, xs, bs, since, fx, y = (
+                    v[keep] for v in (live, at, g, q, xs, bs, since, fx, y))
                 if not live.size:
                     return flat
     flat[live] = xs
     raise _cap_error("box least squares", flat, index[live], len(flat),
-                     {"residual": norm(_by_system(xs, own, at) - bs)})
+                     {"residual": np.sqrt(sq(times(xs, at) - bs))})
 
 
 def von_neumann_bounds(m, p) -> tuple[float, float]:

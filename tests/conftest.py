@@ -6,8 +6,26 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
+import oracles
+from vflpriv import numerics
 from vflpriv.dataset import SyntheticSpec, synthesize
 from vflpriv.model import TrainConfig, VflSplit, train
+
+
+@pytest.fixture(autouse=True)
+def box_least_squares_certified(monkeypatch):
+    """Every answer numerics.box_least_squares gives in a test (cls's included)
+    passes the box least squares KKT certificate, checked once the test ends."""
+    real, failed = numerics.box_least_squares, []
+
+    def certified(sys_, rows, *args, **kwargs):
+        x = real(sys_, rows, *args, **kwargs)
+        failed.extend(oracles.box_kkt_failures(sys_, rows, x))
+        return x
+
+    monkeypatch.setattr(numerics, "box_least_squares", certified)
+    yield
+    assert not failed, f"box least squares rows {failed} fail the KKT certificate"
 
 
 @pytest.fixture(scope="session")

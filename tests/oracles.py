@@ -19,7 +19,7 @@ from vflpriv import defense, metrics
 from vflpriv.attacks import _RCC1_FLOOR, _RCC1_GAP, AttackError, run_attack
 from vflpriv.metrics import EPS_CLIP, _check_prob, _per_row
 from vflpriv.model import TrainingError, VflModel, predict, softmax
-from vflpriv.numerics import NumericsError, _cap_error, as_matrix, svd
+from vflpriv.numerics import NumericsError, as_matrix, svd
 from vflpriv.system import LinearSystem, build_system, difference_matrix
 
 
@@ -395,56 +395,28 @@ def box_least_squares_row(a, b, max_iter: int = 50_000,
     raise NumericsError("one-row box least squares hit the iteration cap")
 
 
-def box_least_squares_batch(sys_: LinearSystem, max_iter: int = 50_000) -> np.ndarray:
-    """numerics.box_least_squares as it was before its iteration was cut to
-    fewer numpy calls, kept verbatim: the package must match it bit for bit,
-    ConvergenceError included."""
-    a = sys_.a
-    shape = sys_.batch + (sys_.d,)
-    x = np.full(shape, 0.5)
-    s1 = sys_.svd.s[0]
-    if s1 == 0.0:
-        return x
-    step = 1.0 / (s1 * s1)
-    flat = x.reshape(-1, sys_.d)
-    bs = sys_.b.reshape(-1, a.shape[0])
-    live = np.arange(len(bs))
+def box_kkt_failures(sys_: LinearSystem, rows, x) -> list[int]:
+    """The rows of x that fail the KKT conditions of min ||A x - b'|| over
+    the unit box; rows picks rows of sys_'s flattened batch, each on its
+    system's A, as numerics.box_least_squares takes them.
 
-    # FISTA with restart on non-monotone objective
-    xs = flat.copy()
-    t = np.ones(len(bs))
-    r = xs @ a.T - bs
-    fx = 0.5 * np.linalg.norm(r, axis=1) ** 2
-    gx = r @ a  # gradient at x
-    y = xs
-    for _ in range(max_iter):
-        grad = (y @ a.T - bs) @ a
-        x_new = np.clip(y - step * grad, 0.0, 1.0)
-        r = x_new @ a.T - bs
-        f_new = 0.5 * np.linalg.norm(r, axis=1) ** 2
-        restart = f_new > fx  # restart momentum from x
-        if np.count_nonzero(restart):
-            t[restart] = 1.0
-            x_new[restart] = np.clip(xs[restart] - step * gx[restart], 0.0, 1.0)
-            r[restart] = x_new[restart] @ a.T - bs[restart]
-            f_new[restart] = 0.5 * np.linalg.norm(r[restart], axis=1) ** 2
-        t_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
-        y = x_new + ((t - 1.0) / t_new)[:, None] * (x_new - xs)
-        move = np.linalg.norm(x_new - xs, axis=1)
-        xs, t, fx, gx = x_new, t_new, f_new, r @ a
-        # stationarity: projected gradient step does not move the iterate
-        pg = np.linalg.norm(xs - np.clip(xs - step * gx, 0.0, 1.0), axis=1)
-        done = (pg < 1e-12) & (move < 1e-12)
-        if np.count_nonzero(done):
-            flat[live[done]] = xs[done]
-            keep = ~done
-            live, xs, bs, t, fx, gx, y = (live[keep], xs[keep], bs[keep],
-                                          t[keep], fx[keep], gx[keep], y[keep])
-            if not live.size:
-                return flat.reshape(shape)
-    flat[live] = xs
-    raise _cap_error("box least squares", flat.reshape(shape), live, len(flat),
-                     {"residual": np.linalg.norm(xs @ a.T - bs, axis=1)})
+    A row passes when x lies in the box and, with g = A^T (A x - b') over
+    ||A||_2^2 (in units of box_least_squares' step, where its stop rule
+    leaves |g_j| under 1e-12) and tol = 1e-9, g_j >= -tol where x_j <= tol,
+    g_j <= tol where x_j >= 1 - tol, and |g_j| <= tol at every other
+    coordinate. This checks the answer, not the arithmetic that found it.
+    """
+    tol, (m, d) = 1e-9, sys_.a.shape[-2:]
+    a = sys_.a.reshape(-1, m, d)
+    index = np.asarray(rows, dtype=int).ravel()
+    b = sys_.b.reshape(-1, m)
+    own = index // (len(b) // len(a))
+    s1 = sys_.svd.s.reshape(len(a), -1)[own, :1]
+    r = np.einsum("nmd,nd->nm", a[own], x) - b[index]
+    g = np.einsum("nmd,nm->nd", a[own], r) / np.where(s1 > 0.0, s1 * s1, 1.0)
+    ok = np.where(x <= tol, g >= -tol, np.where(x >= 1.0 - tol, g <= tol, np.abs(g) <= tol))
+    ok = ok.all(1) & ((x >= 0.0) & (x <= 1.0)).all(1)
+    return index[~ok].tolist()
 
 
 def rcc1_pd_solve_batch(w, c, max_iter=50):

@@ -729,9 +729,12 @@ class TestBatchedSolvers:
         assert got.shape == want.shape == (12, sys_.d)
         assert np.max(np.abs(got - want)) <= BATCH_TOL[name]
 
-    def test_cls_matches_the_earlier_iteration_bit_for_bit(self, sys_):
-        assert np.array_equal(numerics.box_least_squares(sys_, np.arange(12)),
-                              oracles.box_least_squares_batch(sys_))
+    def test_cls_rows_get_their_lone_bits(self, sys_):
+        got = numerics.box_least_squares(sys_, np.arange(12))
+        assert not oracles.box_kkt_failures(sys_, np.arange(12), got)
+        for i, b in enumerate(sys_.b):
+            [one] = numerics.box_least_squares(LinearSystem(a=sys_.a, b=b), [0])
+            assert np.array_equal(got[i], one), i
 
     def test_rcc2_diagnostics_per_row(self, sys_):
         est = attacks.attack_rcc2(sys_)
@@ -799,14 +802,16 @@ def _rcc1_rows(w, c):
 
 def _rcc1_outcomes(sys_, before=lambda: None):
     """_rcc1_pd_solve and the loop it replaced (oracles.rcc1_pd_solve_batch)
-    on one system, each after a call of before: each gives (z, value, gap,
-    steps) or its AttackError text."""
+    on one system, each after a call of before: each gives (z, gap, steps)
+    or its AttackError text. The dual value is left out: the loop formed it
+    in one product over the rows, which rounds by the batch."""
     w, c = sys_.svd.nullspace(), sys_.min_norm_solution.reshape(-1, sys_.d) - 0.5
     out = []
     for solve in (_rcc1_rows, oracles.rcc1_pd_solve_batch):
         before()
         try:
-            out.append(solve(w, c))
+            z, _, gap, steps = solve(w, c)
+            out.append((z, gap, steps))
         except attacks.AttackError as err:
             out.append(str(err))
     return out
@@ -957,9 +962,9 @@ class TestRcc1PrimalDual:
                 "stall": lambda: LinearSystem(a=RCC1_STALL_A, b=RCC1_STALL_B)}[batch]()
         got, want = _rcc1_outcomes(sys_)
         _assert_same_bits(got, want)
-        assert np.all(got[2] <= attacks._RCC1_FLOOR)
+        assert np.all(got[1] <= attacks._RCC1_FLOOR)
         if batch == "staggered":
-            assert len(np.unique(got[3])) >= 3
+            assert len(np.unique(got[2])) >= 3
 
     @pytest.mark.parametrize("fault", ["singular", "overflow", "closing"])
     @pytest.mark.parametrize("floor", ["kept", "lifted"])
@@ -1026,7 +1031,7 @@ class TestRcc1PrimalDual:
 
     def test_lone_row_gets_the_bits_of_its_row_in_a_batch(self):
         # bench-shaped rows (k = 4, d = 6) solved as one-row systems, 1-D or
-        # 2-D, give the x, gap and steps of their row in a 20-row solve
+        # 2-D, give the x, radius, gap and steps of their row in a 20-row solve
         model = _k4_model()
         for seed in range(3):
             sys_ = build_system(model, *_predictions(model, 20, seed))
@@ -1035,15 +1040,15 @@ class TestRcc1PrimalDual:
                 for b in (sys_.b[i], sys_.b[i:i + 1]):
                     one = attacks.attack_rcc1(LinearSystem(a=sys_.a, b=b))
                     assert np.array_equal(one.x_hat.ravel(), big.x_hat[i]), (seed, i)
-                    for key in ("gap", "iterations"):
+                    for key in ("radius", "gap", "iterations"):
                         assert np.array_equal(one.diagnostics[key], big.diagnostics[key][i]
                                               .reshape(np.shape(one.diagnostics[key])))
 
     @pytest.mark.parametrize("k, d", [(8, 8), (4, 9)], ids=["nullity1", "nullity6"])
     def test_rows_at_d8_get_their_batch_bits(self, k, d):
         # at d >= 8 numpy sums a row of a batch (a column-order array) and a
-        # lone or stacked row (row order) in other orders; a row's x, gap
-        # and steps are those of its row in the batch all the same
+        # lone or stacked row (row order) in other orders; a row's x, radius,
+        # gap and steps are those of its row in the batch all the same
         from vflpriv.model import VflModel, VflSplit
         rng = np.random.default_rng(k * 100 + d)
         model = VflModel(w_act=rng.standard_normal((k, 3)), w_pas=rng.standard_normal((k, d)),
@@ -1054,7 +1059,7 @@ class TestRcc1PrimalDual:
                                                  b=np.stack([sys_.b, sys_.b[::-1]])))
         ones = [attacks.attack_rcc1(LinearSystem(a=sys_.a, b=sys_.b[i:i + 1]))
                 for i in range(20)]
-        for key in ("gap", "iterations"):
+        for key in ("radius", "gap", "iterations"):
             want = big.diagnostics[key]
             assert np.array_equal(stack.diagnostics[key], [want, want[::-1]]), key
             assert np.array_equal([one.diagnostics[key][0] for one in ones], want), key
@@ -1083,6 +1088,36 @@ class TestRcc1PrimalDual:
             if d <= 3:
                 _, r_exact = oracles.chebyshev_center_exact(one)
                 assert est.diagnostics["radius"][i] >= r_exact - 1e-6
+
+
+@pytest.mark.parametrize("k, d", [(4, 6), (2, 4), (3, 4)])
+def test_rows_and_windows_get_their_lone_bits(k, d):
+    # 40 test rows of a synthesize table, on its windows at 0 and 4: cls's
+    # x and rcc1's x and radius give every row of a batch the bits of its
+    # one-row call, and each window of a stack the bits of its lone batch
+    from vflpriv.dataset import SyntheticSpec, synthesize
+    from vflpriv.model import TrainConfig, VflSplit, train
+    ds = synthesize(SyntheticSpec(n=400, d_t=10, k=k, seed=1))
+    full = train(ds, VflSplit.contiguous(10, 0, 10), TrainConfig(seed=1))
+    rows = np.flatnonzero(ds.test_mask)[:40]
+    systems = []
+    for start in (0, 4):
+        model = full.window(VflSplit.contiguous(10, start, d))
+        y_act = ds.x[rows][:, list(model.split.active)]
+        x_pas = ds.x[rows][:, list(model.split.passive)]
+        systems.append(build_system(model, y_act, predict(model, y_act, x_pas)))
+    stack = LinearSystem(a=np.stack([s.a for s in systems]), b=np.stack([s.b for s in systems]))
+    for attack in (attacks.attack_cls, attacks.attack_rcc1):
+        both = attack(stack)
+        for w, sys_ in enumerate(systems):
+            big = attack(sys_)
+            assert np.array_equal(both.x_hat[w], big.x_hat), (attack, w)
+            for i, b in enumerate(sys_.b):
+                one = attack(LinearSystem(a=sys_.a, b=b))
+                assert np.array_equal(one.x_hat, big.x_hat[i]), (attack, w, i)
+                if attack is attacks.attack_rcc1:
+                    assert one.diagnostics["radius"] == big.diagnostics["radius"][i]
+                    assert big.diagnostics["radius"][i] == both.diagnostics["radius"][w, i]
 
 
 def test_cls_takes_the_spectral_norm_from_the_shared_svd(monkeypatch):

@@ -321,3 +321,24 @@ class TestBatchedSchemes:
         z[5, 1] = np.nan
         with pytest.raises(ValueError):
             defense.apply_scheme(z, 0.5, "s3")
+
+    @pytest.mark.parametrize("scheme", ["s1", "s2", "s3", "class_label"])
+    def test_rejects_logits_with_three_axes(self, scheme, plans):
+        # not one softmax over all 24 entries
+        with pytest.raises(ValueError, match=r"^expected a 2-D matrix, got shape \(2, 3, 4\)$"):
+            defense.apply_scheme(np.zeros((2, 3, 4)), plans[scheme], scheme)
+
+
+@pytest.mark.parametrize("helper", ["pps1_optimal_h", "pps2_optimal_direction",
+                                    "closed_form_mse"])
+def test_one_system_helpers_reject_a_stack(helper):
+    from vflpriv import metrics
+    rng = np.random.default_rng(34)
+    stack = LinearSystem(a=rng.standard_normal((2, 2, 4)), b=rng.standard_normal((2, 3, 2)))
+    mom = metrics.MomentMatrices(k0=np.eye(4), k_half=np.eye(4), k_mu=np.eye(4), mu=np.zeros(4))
+    call = {"pps1_optimal_h": lambda: defense.pps1_optimal_h(stack, np.eye(4)),
+            "pps2_optimal_direction": lambda: defense.pps2_optimal_direction(stack, 1.0),
+            "closed_form_mse": lambda: metrics.closed_form_mse(stack, mom)}[helper]
+    with pytest.raises(ValueError, match=rf"^{helper} takes one system, not a stack of "
+                                         rf"shape \(2, 2, 4\)$"):
+        call()

@@ -229,6 +229,20 @@ class TestModelObject:
         assert np.allclose(reparam.logits(y, h @ x), model.logits(y, x),
                            atol=1e-10)
 
+    def test_save_and_window_reject_a_stack(self, tmp_path):
+        # a stack's save would write a file that load rejects
+        split = VflSplit.contiguous(5, 0, 2)
+        stack = VflModel(w_act=np.zeros((2, 3, 3)), w_pas=np.zeros((2, 3, 2)),
+                         b=np.zeros(3), k=3, split=split)
+        path = tmp_path / "model.json"
+        with pytest.raises(ValueError, match=r"^VflModel.save takes one model, not a stack "
+                                             r"of shape \(2, 3, 2\)$"):
+            stack.save(path)
+        assert not path.exists()
+        with pytest.raises(ValueError, match=r"^VflModel.window takes one model, not a stack "
+                                             r"of shape \(2, 3, 2\)$"):
+            stack.window(VflSplit.contiguous(5, 3, 2))
+
     def test_save_load_roundtrip(self, small_model, tmp_path):
         path = tmp_path / "model.json"
         small_model.save(path)

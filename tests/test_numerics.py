@@ -290,7 +290,7 @@ class TestBoxLeastSquares:
                        2.0 * rng.standard_normal((3, 3))])
         return LinearSystem(a=a, b=b)
 
-    def test_staggered_rows_match_the_earlier_iteration_bit_for_bit(self):
+    def test_staggered_rows_get_their_lone_bits(self):
         sys_ = self._staggered()
         iterations = []
         for b in sys_.b:
@@ -299,23 +299,56 @@ class TestBoxLeastSquares:
             assert any(restarts)
             iterations.append(len(restarts))
         assert len(set(iterations)) == len(sys_.b)
-        assert np.array_equal(numerics.box_least_squares(sys_, np.arange(6)),
-                              oracles.box_least_squares_batch(sys_))
+        got = numerics.box_least_squares(sys_, np.arange(6))
+        assert not oracles.box_kkt_failures(sys_, np.arange(6), got)
+        for i, b in enumerate(sys_.b):
+            [one] = numerics.box_least_squares(LinearSystem(a=sys_.a, b=b), [0])
+            assert np.array_equal(got[i], one), i
+        assert np.array_equal(numerics.box_least_squares(sys_, [5, 0, 3]), got[[5, 0, 3]])
+        # stacked with its rows reversed, each system gets its lone bits
+        stack = LinearSystem(a=np.stack([sys_.a] * 2), b=np.stack([sys_.b, sys_.b[::-1]]))
+        assert np.array_equal(numerics.box_least_squares(stack, np.arange(12)),
+                              np.vstack([got, got[::-1]]))
 
     @pytest.mark.parametrize("max_iter", [1, 40, 100])
-    def test_cap_matches_the_earlier_iteration_bit_for_bit(self, max_iter):
+    def test_cap_gives_each_row_its_lone_bits(self, max_iter):
         sys_ = self._staggered()
-        with pytest.raises(numerics.ConvergenceError) as got:
+        with pytest.raises(numerics.ConvergenceError) as err:
             numerics.box_least_squares(sys_, np.arange(6), max_iter=max_iter)
-        with pytest.raises(numerics.ConvergenceError) as want:
-            oracles.box_least_squares_batch(sys_, max_iter=max_iter)
-        got, want = got.value, want.value
+        got = err.value
         assert got.rows.size == {1: 6, 40: 3, 100: 1}[max_iter]
-        assert str(got) == str(want)
-        assert np.array_equal(got.rows, want.rows)
-        assert np.array_equal(got.last_iterate, want.last_iterate)
-        assert got.residuals.keys() == want.residuals.keys() == {"residual"}
-        assert np.array_equal(got.residuals["residual"], want.residuals["residual"])
+        assert got.residuals.keys() == {"residual"}
+        assert str(got).startswith(f"box least squares hit the iteration cap on "
+                                   f"{got.rows.size} of 6 rows; rows {got.rows.tolist()}; "
+                                   f"residual ")
+        for i, b in enumerate(sys_.b):
+            one = LinearSystem(a=sys_.a, b=b)
+            if i in got.rows:
+                with pytest.raises(numerics.ConvergenceError) as lone:
+                    numerics.box_least_squares(one, [0], max_iter=max_iter)
+                assert np.array_equal(lone.value.residuals["residual"],
+                                      got.residuals["residual"][got.rows == i])
+                [want] = lone.value.last_iterate
+            else:
+                [want] = numerics.box_least_squares(one, [0], max_iter=max_iter)
+            assert np.array_equal(got.last_iterate[i], want), i
+
+    def test_kkt_certificate_fails_on_wrong_answers(self):
+        # the certificate that every box_least_squares answer of the suite
+        # passes: it rejects a point off the box, a point short of the
+        # minimizer and a bound coordinate whose gradient points into the box
+        sys_ = self._staggered()
+        rows = np.arange(6)
+        x = numerics.box_least_squares(sys_, rows)
+        assert not oracles.box_kkt_failures(sys_, rows, x)
+        # rows 3 to 5 have no solution in the box, so A^+ b' lies off it
+        assert {3, 4, 5} <= set(oracles.box_kkt_failures(sys_, rows, sys_.min_norm_solution))
+        assert oracles.box_kkt_failures(sys_, rows, np.full((6, 6), 0.5)) == rows.tolist()
+        bound = np.flatnonzero((x == 0.0) | (x == 1.0))
+        assert bound.size
+        y = x.copy()
+        y.flat[bound[0]] = 0.5
+        assert oracles.box_kkt_failures(sys_, rows, y) == [bound[0] // 6]
 
     def test_cap_names_rows_and_residuals(self):
         a = np.array([[1.0, 2.0, 0.5]])
