@@ -246,15 +246,15 @@ def box_least_squares(sys_: LinearSystem, rows, max_iter: int = 50_000) -> np.nd
     rows picks rows of the system's flattened batch (each row on its
     system's A), as in dykstra_project: the result has shape (len(rows), d).
     The minimizer is not unique for underdetermined systems: every row
-    starts at the box center, and the output depends on that start. For
-    satisfiable systems the residual at the output is driven to ~0. The
+    starts at the box center, and the output depends on that start. The
     step 1/s_1^2 (s_1 of the row's system in sys_'s SVD; a row of A = 0
-    stays at the center) is folded into each row's G = I - step A^T A and
-    q = step A^T b', so a gradient step is the one product x G + q. FISTA
-    runs vectorized over the rows not yet stationary (a projected gradient
-    step and the last move both under 1e-12), with momentum restarted per
-    row. Each row product is one batched matmul of the rows against their
-    own matrices, so a row's result does not depend on the batch.
+    stays at the center) is folded into each system's G = I - step A^T A
+    and each row's q = step A^T b', so a gradient step is x G + q. FISTA
+    runs over the rows not yet stationary (a projected gradient step and
+    the last move both under 1e-12); a row's momentum restarts where its
+    objective does not fall (a row at residual 0 stops, where momentum
+    would carry it along its solution set). Batched matmuls against each
+    row's system's matrices give a row the same bits in any batch.
 
     Raises ConvergenceError naming, by their index in the flattened batch,
     the rows not stationary after max_iter iterations.
@@ -264,18 +264,18 @@ def box_least_squares(sys_: LinearSystem, rows, max_iter: int = 50_000) -> np.nd
     index, bs = np.asarray(rows, dtype=int).ravel(), sys_.b.reshape(-1, m)
     own, bs = index // (len(bs) // len(stack)), bs[index]   # each row's system and b
     flat = np.full((index.size, d), 0.5)
-    s1 = sys_.svd.s.reshape(len(stack), -1)[own, 0]
-    live = np.flatnonzero(s1 > 0.0)
+    s1 = sys_.svd.s.reshape(len(stack), -1)[:, 0]
+    live = np.flatnonzero(s1[own] > 0.0)
     if not live.size:
         return flat
-    a, bs, step = stack[own[live]], bs[live], 1.0 / s1[live, None] ** 2
-    at = np.ascontiguousarray(a.swapaxes(-1, -2))
+    own, bs, step = own[live], bs[live], 1.0 / np.where(s1 > 0.0, s1, 1.0) ** 2
+    at = np.ascontiguousarray(stack.swapaxes(-1, -2))      # each system's A^T
 
-    def times(x, mats):             # row i of x times mats[i]
-        return np.matmul(x[:, None], mats)[:, 0]
+    def times(x, mats, own):        # row i of x times mats[own[i]]
+        return np.matmul(x[:, None], mats[own])[:, 0]
 
-    g = np.eye(d) - step[..., None] * (at @ a)
-    q = step * times(bs, a)
+    g = np.eye(d) - step[:, None, None] * (at @ stack)
+    q = step[own, None] * times(bs, stack, own)
 
     # np.clip(u, 0, 1), in place on a temporary
     def clip(u):
@@ -284,23 +284,23 @@ def box_least_squares(sys_: LinearSystem, rows, max_iter: int = 50_000) -> np.nd
     def sq(r):
         return (r * r).sum(1)
 
-    # FISTA with restart on non-monotone objective. A row's momentum weight
-    # depends only on its steps since the last restart, j: t_0 = 1,
+    # FISTA with restart where the objective does not fall. A row's momentum
+    # weight depends only on its steps since the last restart, j: t_0 = 1,
     # t_j+1 = (1 + sqrt(1 + 4 t_j^2)) / 2 and weight[j] = (t_j - 1) / t_j+1,
     # filled in at iteration j, the first at which a row can reach j
     xs = flat[live]
     since = np.zeros(len(live), dtype=int)
     weight, t = np.empty(max_iter), 1.0
-    fx = sq(times(xs, at) - bs)
+    fx = sq(times(xs, at, own) - bs)
     y = xs
     for it in range(max_iter):
-        x_new = clip(times(y, g) + q)
-        f_new = sq(times(x_new, at) - bs)
-        restart = f_new > fx  # restart momentum from x
+        x_new = clip(times(y, g, own) + q)
+        f_new = sq(times(x_new, at, own) - bs)
+        restart = f_new >= fx  # restart momentum from x
         if np.count_nonzero(restart):
             since[restart] = 0
-            x_new[restart] = u = clip(times(xs[restart], g[restart]) + q[restart])
-            f_new[restart] = sq(times(u, at[restart]) - bs[restart])
+            x_new[restart] = u = clip(times(xs[restart], g, own[restart]) + q[restart])
+            f_new[restart] = sq(times(u, at, own[restart]) - bs[restart])
         t_new = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
         weight[it], t = (t - 1.0) / t_new, t_new
         dx = x_new - xs
@@ -313,18 +313,18 @@ def box_least_squares(sys_: LinearSystem, rows, max_iter: int = 50_000) -> np.nd
         if np.count_nonzero(near):
             near = np.flatnonzero(near)
             u = xs[near]
-            done = near[sq(u - clip(times(u, g[near]) + q[near])) < 1e-24]
+            done = near[sq(u - clip(times(u, g, own[near]) + q[near])) < 1e-24]
             if done.size:
                 flat[live[done]] = xs[done]
                 keep = np.ones(live.size, dtype=bool)
                 keep[done] = False
-                live, at, g, q, xs, bs, since, fx, y = (
-                    v[keep] for v in (live, at, g, q, xs, bs, since, fx, y))
+                live, own, q, xs, bs, since, fx, y = (
+                    v[keep] for v in (live, own, q, xs, bs, since, fx, y))
                 if not live.size:
                     return flat
     flat[live] = xs
     raise _cap_error("box least squares", flat, index[live], len(flat),
-                     {"residual": np.sqrt(sq(times(xs, at) - bs))})
+                     {"residual": np.sqrt(sq(times(xs, at, own) - bs))})
 
 
 def von_neumann_bounds(m, p) -> tuple[float, float]:

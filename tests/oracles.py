@@ -367,9 +367,9 @@ def dykstra_row(x0, sys_: LinearSystem, max_iter: int = 10_000,
 
 def box_least_squares_row(a, b, max_iter: int = 50_000,
                           tol: float = 1e-12, restarts=None) -> np.ndarray:
-    """FISTA with momentum restart for min ||Ax - b|| over the box, one row,
-    from the box center. A list given as restarts gets one entry per
-    iteration: whether it restarted the momentum."""
+    """FISTA for min ||Ax - b|| over the box, one row, from the box center,
+    restarting its momentum where the objective does not fall. A list given
+    as restarts gets one entry per iteration: whether it restarted."""
     x = np.full(a.shape[1], 0.5)
     step = 1.0 / np.linalg.norm(a, 2) ** 2
     y = x.copy()
@@ -379,8 +379,8 @@ def box_least_squares_row(a, b, max_iter: int = 50_000,
         x_new = np.clip(y - step * (a.T @ (a @ y - b)), 0.0, 1.0)
         f_new = 0.5 * np.linalg.norm(a @ x_new - b) ** 2
         if restarts is not None:
-            restarts.append(bool(f_new > fx))
-        if f_new > fx:
+            restarts.append(bool(f_new >= fx))
+        if f_new >= fx:
             y = x.copy()
             t = 1.0
             x_new = np.clip(y - step * (a.T @ (a @ y - b)), 0.0, 1.0)

@@ -283,7 +283,7 @@ class TestBoxLeastSquares:
     def _staggered():
         """Six rows of one 3 x 6 system, three with a solution in the box and
         three without. Every row restarts its momentum and the rows stop
-        apart: a cap of 1 names all six rows, 40 three and 100 one."""
+        apart: a cap of 1 names all six rows, 40 three and 100 two."""
         rng = np.random.default_rng(15)
         a = rng.standard_normal((3, 6))
         b = np.vstack([rng.uniform(0.0, 1.0, (3, 6)) @ a.T,
@@ -316,7 +316,7 @@ class TestBoxLeastSquares:
         with pytest.raises(numerics.ConvergenceError) as err:
             numerics.box_least_squares(sys_, np.arange(6), max_iter=max_iter)
         got = err.value
-        assert got.rows.size == {1: 6, 40: 3, 100: 1}[max_iter]
+        assert got.rows.size == {1: 6, 40: 3, 100: 2}[max_iter]
         assert got.residuals.keys() == {"residual"}
         assert str(got).startswith(f"box least squares hit the iteration cap on "
                                    f"{got.rows.size} of 6 rows; rows {got.rows.tolist()}; "
@@ -349,6 +349,16 @@ class TestBoxLeastSquares:
         y = x.copy()
         y.flat[bound[0]] = 0.5
         assert oracles.box_kkt_failures(sys_, rows, y) == [bound[0] // 6]
+
+    def test_a_row_at_residual_zero_stops(self):
+        # the residual reaches exactly 0 and stays there, so the objective
+        # never rises; unless a flat objective restarts the momentum, the
+        # row drifts along its solution set until the cap
+        sys_ = LinearSystem(a=np.array([[-0.2745256659226494, -2.0112024155759203]]),
+                            b=np.array([-2.233053527480698]))
+        [x] = numerics.box_least_squares(sys_, [0], max_iter=1000)
+        assert abs(sys_.a @ x - sys_.b) <= 1e-12
+        assert np.max(np.abs(x - oracles.box_least_squares_row(sys_.a, sys_.b))) <= 1e-8
 
     def test_cap_names_rows_and_residuals(self):
         a = np.array([[1.0, 2.0, 0.5]])
