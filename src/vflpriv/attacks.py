@@ -3,7 +3,8 @@
 All attacks are pure functions of (system, config) and take a batch: a
 system of N predictions gives N x d estimates in one call, and a one-row
 system gives a d-vector. Every estimator also takes a stack of systems
-whole, and gives each system's rows the bits they get alone. rg and gia's
+whole, and gives each row the bits it gets alone: a row's products are its
+own, in one batched np.matmul per product (numerics._rowwise). rg and gia's
 random start draw from a seed: system i of a stack (its flat index over
 the leading axes) draws its rows in order from
 np.random.default_rng(seed + i), one system from default_rng(seed). Every
@@ -33,7 +34,7 @@ from functools import cached_property
 import numpy as np
 
 from . import numerics
-from .system import LinearSystem, _rowwise
+from .system import LinearSystem
 
 
 class AttackError(Exception):
@@ -201,13 +202,12 @@ def _rcc1_pd_solve(w, c):
     is; every row stops after at most _RCC1_MAX_ITER steps. Steps run on a
     working set that holds only the live rows: a row goes back to the full
     state when it stops, and the set is gathered anew only when it shrinks.
-    Products with w go through system._rowwise one row at a time, sums over
-    c and W^T c run column by column and the dual value y^T b is summed per
-    row, so a row's z, dual value, <X, S> and steps depend on no other row.
+    Every product (with w through numerics._rowwise) and sum is a row's own,
+    so a row's z, dual value, <X, S> and steps depend on no other row.
     Returns them per row, and raises nothing: the caller judges <X, S>.
     """
     n, d, p = w.shape
-    wc = _rowwise(w.swapaxes(-1, -2), c[:, None])[:, 0]
+    wc = numerics._rowwise(w.swapaxes(-1, -2), c)
     k = 2 * p + 1                       # X and S hold the V block, then the W block
     # A_j sums u u^T over row j of both blocks of u, plus e_j e_j^T for alpha_j
     u = np.zeros((n, 2 * d + 2, k))
@@ -234,8 +234,7 @@ def _rcc1_pd_solve(w, c):
     # is well inside the cone
     v = np.zeros((n, 2, d + 1))
     v[:, 0, :d], v[:, 1, :d] = 0.5, 1.5
-    sq = [sum(a[:, j] ** 2 for j in range(a.shape[1])) for a in (wc, c)]   # by column
-    v[:, 1, d] = 0.5 + 1.5 * (sq[0] - sq[1])
+    v[:, 1, d] = 0.5 + 1.5 * ((wc * wc).sum(-1) - (c * c).sum(-1))
     xs = np.zeros((n, 2, k, k))         # X, then S^-1 (rewritten by every step)
     xs[:, 0] = np.eye(k) / 2
     s = slack(u, v)
@@ -359,7 +358,7 @@ def attack_rcc1(sys_: LinearSystem) -> AttackEstimate:
         of = nullity == p
         w = v[own[of], :, -p:]          # each row's nullspace basis; a_i^T are its rows
         z, value[of], gap[of], steps[of] = _rcc1_pd_solve(w, x[of] - 0.5)
-        x[of] += _rowwise(w, z[:, None])[:, 0]
+        x[of] += numerics._rowwise(w, z)
     bad = np.flatnonzero(~(gap <= _RCC1_FLOOR))
     if bad.size:
         gaps = " ".join(f"{g:.3e}" for g in gap[bad])

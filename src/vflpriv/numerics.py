@@ -2,7 +2,9 @@
 
 Everything here is deterministic: the same inputs always produce the same
 outputs, there are no randomized restarts, and no shared mutable state.
-Matrices are plain float64 numpy arrays; vectors are 1-D arrays.
+Matrices are plain float64 numpy arrays; vectors are 1-D arrays. A row's
+products are its own in one batched np.matmul (_rowwise), so a row gets the
+same bits in any batch.
 """
 
 from __future__ import annotations
@@ -70,6 +72,15 @@ def as_vector(x) -> np.ndarray:
     return x
 
 
+def _rowwise(m: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """m @ r for every row r of x (..., q), each row its own 1 x q product in
+    one batched np.matmul, so a row's bits do not depend on its batch. m is
+    one (p, q) matrix for every row, a stack's (leading axes matching x's
+    before its row axis), or one per row (x.shape[:-1] + (p, q))."""
+    mt = m.swapaxes(-1, -2)
+    return np.matmul(x[..., None, :], mt[..., None, :, :] if m.ndim <= x.ndim else mt)[..., 0, :]
+
+
 def reject_stack(a, what: str) -> None:
     """Raise ValueError, naming what (as "save takes one model"), if a is a stack."""
     if np.ndim(a) > 2:
@@ -111,7 +122,8 @@ class SvdFactors:
 
     def nullspace(self) -> np.ndarray:
         """Orthonormal basis of the nullspace: the last d - rank right singular
-        vectors (of one matrix)."""
+        vectors (of one matrix; a stack's factors raise ValueError)."""
+        reject_stack(self.v, "nullspace takes one matrix's factors")
         return self.v[:, self.rank():]
 
 
@@ -139,6 +151,18 @@ def _cap_error(solver: str, x: np.ndarray, rows: np.ndarray, total: int,
         last_iterate=x, residuals=residuals, rows=rows)
 
 
+def _row_setup(sys_: LinearSystem, rows):
+    """sys_'s stack (S, m, d), the rows' flat indices, each row's system and
+    b' row; ValueError names the rows outside the R rows of the flat batch."""
+    m, d = sys_.a.shape[-2:]
+    stack, b = sys_.a.reshape(-1, m, d), sys_.b.reshape(-1, m)
+    index = np.asarray(rows, dtype=int).ravel()
+    out = index[(index < 0) | (index >= len(b))]
+    if out.size:
+        raise ValueError(f"rows {out.tolist()} are outside the {len(b)} rows of the batch")
+    return stack, index, index // (len(b) // len(stack)), b[index]
+
+
 def dykstra_project(sys_: LinearSystem, rows, max_iter: int = 100
                     ) -> tuple[np.ndarray, np.ndarray]:
     """Euclidean projection of the box center c onto {x in [0,1]^d : Ax = b}, per row.
@@ -159,14 +183,15 @@ def dykstra_project(sys_: LinearSystem, rows, max_iter: int = 100
     mix of ranks. A row stops once max|Ax - b| <= 1e-12 (1 + max|A| +
     max|b|), so a row that meets this at c returns c after 0 steps. Every
     set must be nonempty. Each step is vectorized over the rows still live,
-    and a row's result does not depend on the batch. Returns the
-    projections and each row's Newton steps.
+    each row multiplied by its own system's factors through _rowwise, so a
+    row's result does not depend on the batch. Returns the projections and
+    each row's Newton steps.
 
     Raises ConvergenceError naming, by their index in the flattened batch,
     the rows that fail the stop test after max_iter steps.
     """
-    f, (m, d) = sys_.svd, sys_.a.shape[-2:]
-    a, q = sys_.a.reshape(-1, m, d), min(m, d)
+    a, index, own, b = _row_setup(sys_, rows)
+    f, (m, d), q = sys_.svd, a.shape[1:], min(a.shape[1:])
     s = f.s.reshape(-1, q)
     rank = (s > EPS_RANK * s[:, :1])[:, None, :]
     # scaled by s, the Newton matrix V_r^T D V_r has its eigenvalues in
@@ -174,19 +199,13 @@ def dykstra_project(sys_: LinearSystem, rows, max_iter: int = 100
     vr = f.v.reshape(-1, d, d)[..., :q] * rank
     us = np.divide(f.u.reshape(-1, m, m)[..., :q], s[:, None, :], where=rank,
                    out=np.zeros((len(a), m, q)))
-    index = np.asarray(rows, dtype=int).ravel()
-    b = sys_.b.reshape(-1, m)
-    own = index // (len(b) // len(a))       # each row's system
-    b = b[index]
-    flat = np.full((index.size, sys_.d), 0.5)
+    flat = np.full((index.size, d), 0.5)
     steps = np.zeros(index.size, dtype=int)
 
-    # row products use einsum, not BLAS, whose kernel (and so its rounding)
-    # changes with the row count: a row gets the same bits in any batch
     def point(u, b, own):
         """x = clip(u, 0, 1) and its residual A x - b."""
         x = np.minimum(np.maximum(u, 0.0), 1.0)
-        return x, np.einsum("nd,nmd->nm", x, a[own]) - b
+        return x, _rowwise(a[own], x) - b
 
     # per live row: its system, b, stop bound, u = c - A^T lam, x(lam) and
     # its residual
@@ -202,11 +221,11 @@ def dykstra_project(sys_: LinearSystem, rows, max_iter: int = 100
                 arr[~done] for arr in (live, own, bs, bound, u, x, res))
         if not live.size or it == max_iter:
             break
-        g = np.einsum("nm,nmr->nr", res, us[own])
+        g = _rowwise(us[own].swapaxes(-1, -2), res)
         v_own = vr[own]
         free = (u > 0.0) & (u < 1.0)
         w, v = np.linalg.eigh((v_own.swapaxes(-1, -2) * free[:, None, :]) @ v_own)
-        gv = np.einsum("nji,nj->ni", v, g)
+        gv = _rowwise(v.swapaxes(-1, -2), g)
         # In the null space of V_r^T D V_r the step is g/mu. Where g's part
         # there stands for a residual under half the stop bound (s_1 times
         # its norm bounds that residual) it is rounding, which would only
@@ -215,8 +234,8 @@ def dykstra_project(sys_: LinearSystem, rows, max_iter: int = 100
         gv[null & (s[own, 0] * np.linalg.norm(np.where(null, gv, 0.0), axis=1)
                    <= 0.5 * bound)[:, None]] = 0.0
         c = gv / (w + (1e-6 * np.linalg.norm(g, axis=1) + 1e-12)[:, None])
-        ascent = np.einsum("ij,ij->i", gv, c)
-        du = np.einsum("ni,ndi->nd", np.einsum("nij,nj->ni", v, c), v_own)
+        ascent = (gv * c).sum(1)
+        du = _rowwise(v_own, _rowwise(v, c))
         t = np.ones(live.size)
         p = np.arange(live.size)            # rows still backtracking
         for _ in range(50):
@@ -224,8 +243,7 @@ def dykstra_project(sys_: LinearSystem, rows, max_iter: int = 100
             cx, cres = point(cu, bs[p], own[p])
             # the dual value's rise, summed from differences so that it
             # stays exact to rounding near the optimum
-            rise = (np.einsum("ij,ij->i", cx - x[p], 0.5 * (cx + x[p]) - cu)
-                    + t[p] * ascent[p])
+            rise = ((cx - x[p]) * (0.5 * (cx + x[p]) - cu)).sum(1) + t[p] * ascent[p]
             ok = rise >= 1e-4 * t[p] * ascent[p]
             k = p[ok]
             u[k], x[k], res[k] = cu[ok], cx[ok], cres[ok]
@@ -253,17 +271,14 @@ def box_least_squares(sys_: LinearSystem, rows, max_iter: int = 50_000) -> np.nd
     runs over the rows not yet stationary (a projected gradient step and
     the last move both under 1e-12); a row's momentum restarts where its
     objective does not fall (a row at residual 0 stops, where momentum
-    would carry it along its solution set). Batched matmuls against each
-    row's system's matrices give a row the same bits in any batch.
+    would carry it along its solution set). Each row product is its own,
+    as in _rowwise, so a row gets the same bits in any batch.
 
     Raises ConvergenceError naming, by their index in the flattened batch,
     the rows not stationary after max_iter iterations.
     """
-    m, d = sys_.a.shape[-2:]
-    stack = sys_.a.reshape(-1, m, d)
-    index, bs = np.asarray(rows, dtype=int).ravel(), sys_.b.reshape(-1, m)
-    own, bs = index // (len(bs) // len(stack)), bs[index]   # each row's system and b
-    flat = np.full((index.size, d), 0.5)
+    stack, index, own, bs = _row_setup(sys_, rows)
+    flat = np.full((index.size, sys_.d), 0.5)
     s1 = sys_.svd.s.reshape(len(stack), -1)[:, 0]
     live = np.flatnonzero(s1[own] > 0.0)
     if not live.size:
@@ -271,10 +286,10 @@ def box_least_squares(sys_: LinearSystem, rows, max_iter: int = 50_000) -> np.nd
     own, bs, step = own[live], bs[live], 1.0 / np.where(s1 > 0.0, s1, 1.0) ** 2
     at = np.ascontiguousarray(stack.swapaxes(-1, -2))      # each system's A^T
 
-    def times(x, mats, own):        # row i of x times mats[own[i]]
+    def times(x, mats, own):    # x[i] mats[own[i]]: _rowwise's rule, without its call
         return np.matmul(x[:, None], mats[own])[:, 0]
 
-    g = np.eye(d) - step[:, None, None] * (at @ stack)
+    g = np.eye(sys_.d) - step[:, None, None] * (at @ stack)
     q = step[own, None] * times(bs, stack, own)
 
     # np.clip(u, 0, 1), in place on a temporary

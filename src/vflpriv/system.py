@@ -14,6 +14,7 @@ import numpy as np
 
 from . import numerics
 from .model import VflModel, predict
+from .numerics import _rowwise
 
 
 class SystemError_(Exception):
@@ -29,22 +30,6 @@ def difference_matrix(k: int) -> np.ndarray:
     j[idx, idx] = -1.0
     j[idx, idx + 1] = 1.0
     return j
-
-
-def _rowwise(m: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """m @ r for every row r of x; a 1-D x is one row, and m and x may carry
-    matching leading axes (a stack).
-
-    Written as (m x^T)^T over the rows (per system), padded with copies of
-    row 0 to a multiple of four and in row order: BLAS blocks a product by
-    four rows, and where m is one row its bits follow the rows' memory
-    order, so a row gets the bits it gets in any batch.
-    """
-    x2 = x if x.ndim > 1 else x[None]
-    n = x2.shape[-2]
-    x2 = np.concatenate([x2] + [x2[..., :1, :]] * (-n % 4), axis=-2) if n % 4 else x2
-    y = (m @ np.ascontiguousarray(x2).swapaxes(-1, -2)).swapaxes(-1, -2)[..., :n, :]
-    return y[..., 0, :] if x.ndim == 1 else y
 
 
 @dataclass
@@ -73,11 +58,11 @@ class LinearSystem:
     log_c: np.ndarray | None = None
 
     def __post_init__(self):
-        a = np.asarray(self.a, dtype=float)
+        a = np.asarray(self.a, dtype=float, order="C")     # C order: strides pick BLAS kernels
         # a stack is checked as one tall matrix
         self.a = (numerics.as_matrix(a) if a.ndim < 3 else
                   numerics.as_matrix(a.reshape(-1, a.shape[-1])).reshape(a.shape))
-        self.b = np.asarray(self.b, dtype=float)
+        self.b = np.asarray(self.b, dtype=float, order="C")
         lead, m = self.a.shape[:-2], self.a.shape[-2]
         if not lead and (self.b.ndim not in (1, 2) or self.b.shape[-1] != m):
             raise ValueError(f"b must have shape ({m},) or (N, {m}), got {self.b.shape}")

@@ -444,7 +444,7 @@ def rcc1_pd_solve_batch(w, c, max_iter=50):
 
     # alpha = 1.5 and sigma put M(alpha) - I and the lifted block's Schur
     # complement at I / 2: the one S ever factored is well inside the cone
-    wc = c @ w
+    wc = np.matmul(c[:, None], w)[:, 0]
     y = np.column_stack([np.full((n, d), 1.5),
                          0.5 + 1.5 * ((wc * wc).sum(-1) - (c * c).sum(-1))])
     s, x, xl = slack(u, y), np.tile(np.eye(k) / 2, (n, 1, 1)), np.full((n, d), 0.5)

@@ -1090,11 +1090,8 @@ class TestRcc1PrimalDual:
                 assert est.diagnostics["radius"][i] >= r_exact - 1e-6
 
 
-@pytest.mark.parametrize("k, d", [(4, 6), (2, 4), (3, 4)])
-def test_rows_and_windows_get_their_lone_bits(k, d):
-    # 40 test rows of a synthesize table, on its windows at 0 and 4: cls's
-    # x and rcc1's x and radius give every row of a batch the bits of its
-    # one-row call, and each window of a stack the bits of its lone batch
+def _window_systems(k, d):
+    """40 test rows of a synthesize table, on its windows at 0 and 4."""
     from vflpriv.dataset import SyntheticSpec, synthesize
     from vflpriv.model import TrainConfig, VflSplit, train
     ds = synthesize(SyntheticSpec(n=400, d_t=10, k=k, seed=1))
@@ -1106,8 +1103,38 @@ def test_rows_and_windows_get_their_lone_bits(k, d):
         y_act = ds.x[rows][:, list(model.split.active)]
         x_pas = ds.x[rows][:, list(model.split.passive)]
         systems.append(build_system(model, y_act, predict(model, y_act, x_pas)))
+    return systems
+
+
+def _bench_rows():
+    """12 bench-shaped rows of one model: k = 4, d = 6, d_t = 12, weights x 3."""
+    from vflpriv.model import VflModel, VflSplit
+    rng = np.random.default_rng(0)
+    model = VflModel(w_act=3.0 * rng.standard_normal((4, 6)),
+                     w_pas=3.0 * rng.standard_normal((4, 6)),
+                     b=rng.standard_normal(4), k=4, split=VflSplit.contiguous(12, 3, 6))
+    y = rng.uniform(size=(12, 6))
+    return [build_system(model, y, predict(model, y, rng.uniform(size=(12, 6))))]
+
+
+@pytest.mark.parametrize("systems, newton", [
+    pytest.param(lambda: _window_systems(4, 6), False, id="4-6"),
+    pytest.param(lambda: _window_systems(2, 4), False, id="2-4"),
+    pytest.param(lambda: _window_systems(3, 4), False, id="3-4"),
+    pytest.param(_bench_rows, True, id="bench_rows"),
+    pytest.param(lambda: [build_system(_k4_model(), *_bimodal_predictions(_k4_model(), 20, s))
+                          for s in (3, 4)], True, id="bimodal"),
+])
+def test_rows_and_windows_get_their_lone_bits(systems, newton):
+    # cls's x, rcc1's x and radius and rcc2's x, residual and iterations give
+    # every row of a batch the bits of its one-row call, and each system of a
+    # stack the bits of its lone batch. rcc2 keeps the synthesize tables'
+    # rows in its closed form; some bench-shaped and bimodal rows take Newton
+    systems = systems()
     stack = LinearSystem(a=np.stack([s.a for s in systems]), b=np.stack([s.b for s in systems]))
-    for attack in (attacks.attack_cls, attacks.attack_rcc1):
+    keys = {attacks.attack_cls: (), attacks.attack_rcc1: ("radius",),
+            attacks.attack_rcc2: ("residual", "iterations")}
+    for attack, names in keys.items():
         both = attack(stack)
         for w, sys_ in enumerate(systems):
             big = attack(sys_)
@@ -1115,9 +1142,27 @@ def test_rows_and_windows_get_their_lone_bits(k, d):
             for i, b in enumerate(sys_.b):
                 one = attack(LinearSystem(a=sys_.a, b=b))
                 assert np.array_equal(one.x_hat, big.x_hat[i]), (attack, w, i)
-                if attack is attacks.attack_rcc1:
-                    assert one.diagnostics["radius"] == big.diagnostics["radius"][i]
-                    assert big.diagnostics["radius"][i] == both.diagnostics["radius"][w, i]
+                for key in names:
+                    assert one.diagnostics[key] == big.diagnostics[key][i], (key, w, i)
+                    assert big.diagnostics[key][i] == both.diagnostics[key][w, i], (key, w, i)
+    projection = attacks.attack_rcc2(stack).diagnostics["projection"]
+    assert np.any(projection == "newton") == newton
+
+
+@pytest.mark.parametrize("name", attacks.ATTACKS)
+def test_a_fortran_ordered_system_gets_the_bits_of_a_c_ordered_one(name):
+    # the same values in either memory order reach BLAS with the same strides
+    model = _k4_model()
+    sys_ = build_system(model, *_bimodal_predictions(model, 40, 5))
+    fortran = LinearSystem(a=np.asfortranarray(sys_.a), b=np.asfortranarray(sys_.b),
+                           log_c=np.asfortranarray(sys_.log_c))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", attacks.GiaConvergenceWarning)
+        want, got = (attacks.run_attack(name, s) for s in (sys_, fortran))
+    assert np.array_equal(got.x_hat, want.x_hat)
+    assert got.diagnostics.keys() == want.diagnostics.keys()
+    for key, value in want.diagnostics.items():
+        assert np.array_equal(got.diagnostics[key], value), key
 
 
 def test_cls_takes_the_spectral_norm_from_the_shared_svd(monkeypatch):

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -93,6 +95,12 @@ class TestNullspace:
     def test_trivial_nullspace(self):
         a = np.eye(3)
         assert numerics.svd(a).nullspace().shape == (3, 0)
+
+    def test_a_stack_raises(self):
+        factors = numerics.svd(np.ones((2, 3, 4)))
+        with pytest.raises(ValueError, match=re.escape(
+                "nullspace takes one matrix's factors, not a stack of shape (2, 4, 4)")):
+            factors.nullspace()
 
 
 CENTER = 0.5     # dykstra_project projects the box center, and only it
@@ -370,6 +378,18 @@ class TestBoxLeastSquares:
         assert err.value.last_iterate.shape == (3, 3)
         # rows 1 and 2 have no solution in the box: their residual stays positive
         assert np.all(err.value.residuals["residual"][1:] > 0.1)
+
+
+@pytest.mark.parametrize("solver", [numerics.box_least_squares, numerics.dykstra_project])
+@pytest.mark.parametrize("rows, out", [([7], [7]), ([4], [4]), ([-1], [-1]),
+                                       ([0, 5, 3, -2], [5, -2])],
+                         ids=["past_the_end", "at_the_end", "negative", "mixed"])
+def test_rows_outside_the_batch_are_named(solver, rows, out):
+    # no row wraps around or reaches past the R rows of the flattened batch
+    sys_ = LinearSystem(a=np.array([[1.0, 1.0, 0.0]]), b=np.array([[0.2], [1.7], [3.0], [0.9]]))
+    with pytest.raises(ValueError, match=re.escape(
+            f"rows {out} are outside the 4 rows of the batch")):
+        solver(sys_, rows)
 
 
 class TestVertices:

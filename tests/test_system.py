@@ -91,7 +91,8 @@ class TestBuildSystem:
         assert np.array_equal(batch.log_c, np.log(c))
         # b' keeps the bits of the consecutive log ratios less the model's terms
         assert np.array_equal(batch.b, oracles.log_ratio_scores(c)
-                              - (j @ (small_model.w_act @ y_act.T)).T - j @ small_model.b)
+                              - np.matmul(np.matmul(y_act[:, None], small_model.w_act.T), j.T)[:, 0]
+                              - j @ small_model.b)
         for i in range(20):     # a row alone gets the bits it gets in the batch
             one = build_system(small_model, y_act[i], c[i])
             assert np.array_equal(one.log_c, batch.log_c[i]), i
