@@ -2,18 +2,18 @@
 
 All attacks are pure functions of (system, config) and take a batch: a
 system of N predictions gives N x d estimates in one call, and a one-row
-system gives a d-vector. Every estimator also takes a stack of systems
-whole, and gives each row the bits it gets alone: a row's products are its
-own, in one batched np.matmul per product (numerics._rowwise). rg and gia's
-random start draw from a seed: system i of a stack (its flat index over
-the leading axes) draws its rows in order from
-np.random.default_rng(seed + i), one system from default_rng(seed). Every
+system gives a d-vector. Every estimator also takes a batch of systems
+whole, on one shared A or one A each, and gives each row the bits it gets
+alone: a row's products are its own, in one batched np.matmul per product
+(numerics._rowwise). rg and gia's random start draw from a seed: system i
+(its flat index over b's axes before its last two) draws its rows in order
+from np.random.default_rng(seed + i), one system from default_rng(seed). Every
 estimator reads only A, b' and, for gia, the released scores' logs that
 the system carries; none needs the model. The iterative solvers (the exact
 dual Newton projection for rcc2, FISTA for cls, a primal-dual interior
-point on rcc1's relaxation as a linear SDP) make one call per stack (rcc1
+point on rcc1's relaxation as a linear SDP) make one call per batch (rcc1
 one per nullity in it) on the rows they solve, vectorized over those not
-yet converged, and one failure names every failing row of the stack; gia
+yet converged, and one failure names every failing row of the batch; gia
 descends on its KL objective one row at a time, with Barzilai-Borwein step
 sizes (the secant step s.s / s.y after each accepted step) and the
 nonmonotone acceptance test of Grippo, Lampariello & Lucidi (1986) against
@@ -38,8 +38,9 @@ from .system import LinearSystem
 
 
 class AttackError(Exception):
-    """Raised when an attack's solver fails to converge; its text names the
-    failed rows by their index in the flattened batch of the system."""
+    """Raised for non-finite estimates, and by rcc1 naming the rows (by their
+    index in the system's flattened batch) whose gap ends above its floor.
+    cls's and rcc2's capped solves raise numerics.ConvergenceError."""
 
 
 class GiaConvergenceWarning(UserWarning):
@@ -84,7 +85,7 @@ def _estimate(sys_: LinearSystem, name: str, x: np.ndarray,
 
 def _per_row(sys_: LinearSystem) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """A flat copy of A^+ b', (R, d) over the R rows of the flattened batch,
-    with each row's system (its flat index in a stack, 0 for one system) and
+    with each row's A (its flat index in a stacked a, 0 for a 2-D a) and
     each row's nullity, both (R,)."""
     q = sys_.min_norm_solution.reshape(-1, sys_.d).copy()
     nullity = np.reshape(sys_.nullity, -1)
@@ -106,9 +107,8 @@ def attack_random(sys_: LinearSystem, seed: int) -> AttackEstimate:
     """Random-guess baseline: uniform over the unit box, drawn from seed by
     the module's rule. One draw of a system's N x d rows yields the numbers
     that drawing them one after another would."""
-    lead = sys_.a.shape[:-2]
-    size = sys_.batch[len(lead):] + (sys_.d,)
-    x = [np.random.default_rng(seed + i).uniform(size=size) for i in range(math.prod(lead))]
+    size, systems = sys_.b.shape[-2:-1] + (sys_.d,), math.prod(sys_.b.shape[:-2])
+    x = [np.random.default_rng(seed + i).uniform(size=size) for i in range(systems)]
     return _estimate(sys_, "rg", np.reshape(x, sys_.batch + (sys_.d,)))
 
 
@@ -137,7 +137,7 @@ def attack_cls(sys_: LinearSystem) -> AttackEstimate:
 
 def attack_half_star(sys_: LinearSystem) -> AttackEstimate:
     """Closest point of the solution space to the box center (closed form)."""
-    center = sys_.projector @ np.ones(sys_.d)       # one per system of a stack
+    center = sys_.projector @ np.ones(sys_.d)       # one per A of a stacked a
     if sys_.a.ndim > 2:
         center = center[..., None, :]
     x = sys_.min_norm_solution + 0.5 * center
@@ -150,7 +150,7 @@ def attack_rcc2(sys_: LinearSystem) -> AttackEstimate:
     Computed as the exact Euclidean projection of the box center onto the
     feasible set; unique, in the box and on the plane to rounding. Where
     half_star lies in the box it is that projection; the other rows of the
-    whole stack take numerics.dykstra_project's dual Newton solve together
+    whole batch take numerics.dykstra_project's dual Newton solve together
     in one call. diagnostics["projection"] is "closed_form" or "newton" per
     row, diagnostics["residual"] each row's ||A x - b'||, and
     diagnostics["iterations"] its Newton steps (0 on closed-form rows).
@@ -345,10 +345,10 @@ def attack_rcc1(sys_: LinearSystem) -> AttackEstimate:
     relaxation to a gap <X, S> (diagnostics["gap"]; ["iterations"] counts
     steps) of 1e-10, or 1e-8 where rounding stalls. x comes from its primal
     iterate's z, the radius (above the exact one) from its dual value. The
-    SDP has size 2p + 1 for nullity p: the rows of a stack's systems of one
-    nullity share one solve, each row on its own system's basis W, and a
+    SDP has size 2p + 1 for nullity p: the rows of a batch's systems of one
+    nullity share one solve, each row on its own A's basis W, and a
     determined system's rows take A^+ b' (radius, gap and steps 0). Once
-    every nullity is solved, one AttackError names every row of the stack
+    every nullity is solved, one AttackError names every row of the batch
     whose gap ends above 1e-8, by its index in the flattened batch.
     """
     x, own, nullity = _per_row(sys_)
@@ -445,7 +445,7 @@ def attack_gia(sys_: LinearSystem, init: str = "half", max_iter: int = 5000,
     The model enters only through the system: with r = A x - b', the logits
     at x are log c + [0, cumsum(r)] up to a constant that softmax ignores,
     that is offset + M x with M = [0; cumsum(A)] shared by a system's rows
-    (one per system of a stack) and offset = log c - [0, cumsum(b')] per
+    (one per A of a stacked a) and offset = log c - [0, cumsum(b')] per
     row. So gia needs the system's log_c (ValueError without them); the
     rows are solved one after another. init selects the starting point:
     "zeros", "half" or "random" (attack_random's draw from seed). Steps
@@ -459,7 +459,7 @@ def attack_gia(sys_: LinearSystem, init: str = "half", max_iter: int = 5000,
     projected gradient of Birgin, Martinez & Raydan 2000), or twice the last
     one where s.y <= 0, never above 1e30. A row stops when the step size
     falls below 1e-16, and returns its last accepted point.
-    diagnostics["iterations"] is the total over all rows of the stack, and
+    diagnostics["iterations"] is the total over all rows of the batch, and
     diagnostics["converged"] says per row whether its last step moved it by
     less than 1e-12 (False at the max_iter cap or on step underflow); if any
     row is False, one GiaConvergenceWarning gives their count and their
@@ -505,7 +505,7 @@ _ON_SYSTEM = {"half": attack_half, "zero": attack_zero,
 def run_attack(name: str, sys_: LinearSystem, *, init: str = "half",
                seed: int = 0) -> AttackEstimate:
     """Dispatch an attack by name over every row of sys_, one system or a
-    stack of them.
+    batch of them.
 
     rg draws from seed; gia takes init (seed for its random start) and needs
     the system's log_c.

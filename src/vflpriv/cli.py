@@ -247,39 +247,36 @@ def _defense_sweep(model: VflModel, ds: Dataset, rows, settings, attack: str,
 
     One predict and one clean build_system (checking every row) cover the N
     rows, and the pps1 transform or the one s1/s2 direction comes from it.
-    Setting i is system i of one stack that metrics.stack_mse scores (rg
-    draws from default_rng(seed + i)): the model's weights with the scheme's
-    scores, or pps1's released weights with the clean scores. One
-    kl_divergence call scores every setting, pps1 at exactly 0. A failure
-    names its rows as rows of "pps1" or "<scheme> alpha=<param>".
+    pps1 comes alone, releasing the clean scores on new weights; the other
+    schemes' settings release scores on the model's one A. Setting i is
+    system i that metrics.stack_mse scores (rg draws from default_rng(seed
+    + i)). One kl_divergence call scores every setting, pps1 at exactly 0.
+    A failure names its rows as rows of "pps1" or "<scheme> alpha=<param>".
     """
     pas = list(model.split.passive)
     y_act, x_pas = ds.x[np.ix_(rows, model.split.active)], ds.x[np.ix_(rows, pas)]
     c = predict(model, y_act, x_pas)
     clean = build_system(model, y_act, c)
-    z, v1, w_pas, c_out = model.logits(y_act, x_pas), None, [], []
-    for scheme, param in settings:
-        if scheme == "pps1":
-            h = defense.pps1_optimal_h(clean, metrics.moments(ds, pas).k0)
-            w_pas.append(defense.pps1_reveal_params(model, h).w_pas)
-            c_out.append(c)
-            continue
-        if scheme in ("s1", "s2"):
-            v1 = defense.pps2_optimal_direction(clean, param).v1 if v1 is None else v1
-            param = defense.NoisePlan(float(param), v1)
-        w_pas.append(model.w_pas)
-        c_out.append(defense.apply_scheme(z, param, scheme))
-    c_out, s, n = np.stack(c_out), len(settings), len(rows)     # c_out: S x N x k
-    stack = VflModel(np.broadcast_to(model.w_act, (s,) + model.w_act.shape), np.stack(w_pas),
-                     model.b, model.k, model.split)
-    mse = metrics.stack_mse(stack, np.broadcast_to(y_act, (s,) + y_act.shape), c_out, x_pas,
-                            [attack], [sc if sc == "pps1" else f"{sc} alpha={p}"
-                                       for sc, p in settings], seed, "half", "noisy")[attack]
-    kl = metrics.kl_divergence(np.tile(c, (s, 1)), c_out.reshape(-1, model.k)).reshape(s, n)
+    if settings[0][0] == "pps1":
+        h = defense.pps1_optimal_h(clean, metrics.moments(ds, pas).k0)
+        released, c_out = defense.pps1_reveal_params(model, h), c[None]
+    else:
+        z, v1, c_out = model.logits(y_act, x_pas), None, []
+        for scheme, param in settings:
+            if scheme in ("s1", "s2"):
+                v1 = defense.pps2_optimal_direction(clean, param).v1 if v1 is None else v1
+                param = defense.NoisePlan(float(param), v1)
+            c_out.append(defense.apply_scheme(z, param, scheme))
+        released, c_out = model, np.stack(c_out)        # c_out: S x N x k
+    mse = metrics.stack_mse(released, y_act, c_out, x_pas, [attack],
+                            [sc if sc == "pps1" else f"{sc} alpha={p}" for sc, p in settings],
+                            seed, "half", "noisy")[attack]
+    kl = metrics.kl_divergence(np.tile(c, (len(c_out), 1)), c_out.reshape(-1, model.k))
     # the original label must attain the maximal released score
     top = np.take_along_axis(c_out, np.argmax(c, axis=-1)[None, :, None], axis=-1)
     kept = (top == c_out.max(axis=-1, keepdims=True)).all(axis=(1, 2))
-    return [(float(m), float(np.mean(k)), bool(ok)) for m, k, ok in zip(mse, kl, kept)]
+    return [(float(m), float(np.mean(k)), bool(ok))
+            for m, k, ok in zip(mse, kl.reshape(len(mse), -1), kept)]
 
 
 def cmd_defend(args) -> int:

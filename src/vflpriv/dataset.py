@@ -238,14 +238,11 @@ def encode_categoricals(table: RawTable, y, train_mask) -> np.ndarray:
         if not table.categorical[j]:
             out[:, j] = col
             continue
-        sums: dict[str, float] = {}
-        counts: dict[str, int] = {}
-        for i in np.flatnonzero(train_mask):
-            key = col[i]
-            sums[key] = sums.get(key, 0.0) + float(y[i])
-            counts[key] = counts.get(key, 0) + 1
-        means = {key: sums[key] / counts[key] for key in sums}
-        out[:, j] = [means.get(c, global_mean) for c in col]
+        keys, code = np.unique(np.asarray(col, dtype=object), return_inverse=True)
+        # bincount adds in row order: the counts, then each category's label sum
+        counts, sums = (np.bincount(code[train_mask], w, keys.size) for w in (None, y_train))
+        means = np.divide(sums, counts, out=np.full(keys.size, global_mean), where=counts > 0)
+        out[:, j] = means[code]
     return out
 
 

@@ -156,15 +156,16 @@ def rows_named(exc: Exception, labels: list[str], n: int) -> Exception:
     return kind(re.sub(r"\b(rows? )(\d+|\[[\d, ]*\])", name, str(exc)))
 
 
-def stack_mse(stack: VflModel, y_act, c, x_pas, attacks, labels: list[str], seed: int,
+def stack_mse(model: VflModel, y_act, c, x_pas, attacks, labels: list[str], seed: int,
               init: str, source: str) -> dict[str, np.ndarray]:
-    """{attack: its mean per-feature MSE on each system of one stack}: one
-    build_system (checked as source says) on the rows y_act and released
-    scores c (S x N x .), one run_attack per estimator (system i draws from
-    default_rng(seed + i)), truths x_pas (S x N x d, or N x d for all), and
-    a failure's rows named as rows of labels[i]."""
+    """{attack: its mean per-feature MSE on each system of a batch}: one
+    build_system (checked as source says) of model, shared or a stack, on
+    the rows y_act and released scores c (S x N x .), one run_attack per
+    estimator (system i draws from default_rng(seed + i)), truths x_pas
+    (S x N x d, or N x d for all), and a failure's rows named as rows of
+    labels[i]."""
     try:
-        sys_ = build_system(stack, y_act, c, source=source)
+        sys_ = build_system(model, y_act, c, source=source)
         x_hat = {name: run_attack(name, sys_, init=init, seed=seed).x_hat
                  for name in attacks}
     except (SystemError_, AttackError, numerics.ConvergenceError) as exc:

@@ -183,17 +183,21 @@ class TrainConfig:
 
 
 def softmax(z) -> np.ndarray:
-    """Shift-invariant softmax along the last axis.
-
-    The max and the sum run over columns, a few whole-column numpy calls in
-    place of one short reduction per row, and the sum adds the columns in
-    numpy's pairwise order, so the bits equal z.max(-1) and e.sum(-1).
-    """
+    """Shift-invariant softmax along the last axis: _softmax_columns on a
+    class-major copy of z, whose bits equal a row-wise z.max(-1), exp and
+    e.sum(-1). The result is row-major, as z is."""
     z = np.asarray(z, dtype=float)
-    rows = z.reshape(-1, z.shape[-1])
-    e = np.exp(rows - _pairwise(np.maximum, rows.T)[:, None])
-    e /= _pairwise(np.add, e.T)[:, None]
-    return e.reshape(z.shape)
+    cols = z.reshape(-1, z.shape[-1]).T.copy()     # a copy: the kernel writes into it
+    return np.ascontiguousarray(_softmax_columns(cols).T).reshape(z.shape)
+
+
+def _softmax_columns(scores: np.ndarray) -> np.ndarray:
+    """Softmax of each column of class-major scores (k x N), in place: a few
+    whole-row numpy calls, the max and the sum in numpy's pairwise order."""
+    scores -= _pairwise(np.maximum, scores)
+    np.exp(scores, out=scores)
+    scores /= _pairwise(np.add, scores)
+    return scores
 
 
 def _pairwise(op, cols):
@@ -231,9 +235,7 @@ def loss_and_grads(w: np.ndarray, b: np.ndarray, x: np.ndarray,
     validate and the rest fit: one forward pass returns (validation loss,
     fit loss, grad_w, grad_b), the gradients of the fit loss alone.
 
-    The softmax runs class-major, k x n: the bias, the shift and the divide
-    each take one numpy call whose inner loop runs along the rows, and the
-    max and the sum over the classes take numpy's order through _pairwise.
+    The bias and the softmax (_softmax_columns) run class-major, k x n.
     Everything else keeps the row-major n x k layout, whose bits the
     reference fixes: the product x W^T (BLAS gives others for W x^T at some
     k), the cross-entropy, summed pairwise over the n x k terms, and
@@ -244,10 +246,7 @@ def loss_and_grads(w: np.ndarray, b: np.ndarray, x: np.ndarray,
     rows = x @ w.T
     scores = np.ascontiguousarray(rows.T)   # one contiguous row per class
     scores += b[:, None]
-    scores -= _pairwise(np.maximum, scores)
-    np.exp(scores, out=scores)
-    scores /= _pairwise(np.add, scores)
-    np.copyto(rows, scores.T)
+    np.copyto(rows, _softmax_columns(scores).T)
     del scores
     terms = rows + 1e-300
     np.log(terms, out=terms)

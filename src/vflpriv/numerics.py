@@ -152,7 +152,7 @@ def _cap_error(solver: str, x: np.ndarray, rows: np.ndarray, total: int,
 
 
 def _row_setup(sys_: LinearSystem, rows):
-    """sys_'s stack (S, m, d), the rows' flat indices, each row's system and
+    """sys_'s A as a stack (S, m, d), the rows' flat indices, each row's A and
     b' row; ValueError names the rows outside the R rows of the flat batch."""
     m, d = sys_.a.shape[-2:]
     stack, b = sys_.a.reshape(-1, m, d), sys_.b.reshape(-1, m)

@@ -34,23 +34,22 @@ def difference_matrix(k: int) -> np.ndarray:
 
 @dataclass
 class LinearSystem:
-    """A x = b' for one prediction (b of length k-1) or N of them (b N x (k-1)).
+    """A x = b' for one prediction (b of length k-1), N of them (b N x (k-1))
+    or a batch of systems: the axes of b before its last two.
 
-    Every row shares A, so the pseudoinverse, nullspace projector and
-    nullity all come from one SVD of A, taken at construction and kept as
-    the attribute svd (svd.nullspace() is one system's nullspace basis). A
-    1-D b is the one-row case: per-row results then drop the row axis.
-    log_c holds the logs of the released scores (batch + (k,)) that b' came
-    from; gia needs them, the other estimators read only (A, b'), and a
-    system built by hand may leave them out.
-
-    A stack of S systems has a of shape (S, k-1, d) and b of (S, N, k-1),
-    more leading axes allowed. One np.linalg.svd call factors every A, and
-    pinv, projector, min_norm_solution, contains and residual work on all
-    of them at once, each system getting the bits it gets alone, and
-    nullity gives each system's. System i alone is LinearSystem(a=stack.a[i],
-    b=stack.b[i], log_c=stack.log_c[i]). Immutable after construction by
-    convention.
+    A 2-D a is one A that every system shares, as the settings of a
+    score-release defense do (they move only b'): b has shape (k-1,),
+    (N, k-1) or S + (N, k-1), and system i is LinearSystem(a, b[i]). A
+    stacked a (S + (k-1, d)) holds one A per system, b has shape
+    S + (N, k-1), and system i is LinearSystem(a[i], b[i], log_c[i]). One
+    SVD call factors every A at construction (the attribute svd;
+    svd.nullspace() is one A's basis); pinv, projector, min_norm_solution,
+    contains and residual work on every system at once, each getting the
+    bits it gets alone, and nullity gives each A's. A 1-D b is the one-row
+    case: per-row results then drop the row axis. log_c holds the logs of
+    the released scores (batch + (k,)) that b' came from; gia needs them,
+    the other estimators read only (A, b'), and a system built by hand may
+    leave them out. Immutable after construction by convention.
     """
 
     a: np.ndarray
@@ -64,11 +63,11 @@ class LinearSystem:
                   numerics.as_matrix(a.reshape(-1, a.shape[-1])).reshape(a.shape))
         self.b = np.asarray(self.b, dtype=float, order="C")
         lead, m = self.a.shape[:-2], self.a.shape[-2]
-        if not lead and (self.b.ndim not in (1, 2) or self.b.shape[-1] != m):
-            raise ValueError(f"b must have shape ({m},) or (N, {m}), got {self.b.shape}")
         if lead and self.b.shape[:-2] + self.b.shape[-1:] != lead + (m,):
             raise ValueError(f"b of a stack of {lead} systems must have shape "
                              f"{lead} + (N, {m}), got {self.b.shape}")
+        if self.b.shape[-1:] != (m,):   # after any axes of systems
+            raise ValueError(f"b must have shape ({m},) or (N, {m}), got {self.b.shape}")
         if self.b.size == 0 or not np.all(np.isfinite(self.b)):
             raise ValueError("b must be non-empty and finite")
         if self.log_c is not None:
@@ -87,7 +86,7 @@ class LinearSystem:
     @property
     def batch(self) -> tuple:
         """Leading shape of per-row results: () for one row, (N,) for N rows,
-        and a stack's leading axes before those."""
+        and the axes of systems before those."""
         return self.b.shape[:-1]
 
     @cached_property
@@ -101,7 +100,7 @@ class LinearSystem:
 
     @property
     def nullity(self):
-        """d - rank(A), or for a stack an int array of each system's."""
+        """d - rank(A), or for a stacked a an int array of each A's."""
         return self.d - self.svd.rank()
 
     @cached_property
@@ -123,12 +122,13 @@ class LinearSystem:
 def build_system(model: VflModel, y_act, c, source: str = "clean") -> LinearSystem:
     """Assemble A = J W_pas and b' = J log c - J W_act y - J b from predictions.
 
-    y_act is one row of active features (d_t - d) or N rows (N x (d_t - d))
-    and c the matching scores (k or N x k); b' then has shape (k-1) or
-    N x (k-1), and the system keeps log c as log_c. A model whose weights
-    carry leading axes (a stack) takes N rows of y_act and c with the same
-    leading axes and gives the stack of their systems, with one SVD. Logs
-    are taken once, of the scores as they are, so a score below
+    c holds one prediction's scores (k), N of them (N x k) or a batch of
+    systems' (S + (N, k)); b' has c's shape with k-1 for k, and the system
+    keeps log c as log_c. y_act holds each prediction's active features, or
+    one N x (d_t - d) set that every system shares (its J W_act y formed
+    once). A model gives one A that every system shares; a stack (weights
+    with leading axes S) takes scores S + (N, k) and gives one A per system.
+    Logs are taken once, of the scores as they are, so a score below
     np.finfo(float).tiny (zero or subnormal) raises SystemError_ naming its
     row. With source "clean", each row's min-norm solution must predict its
     scores to 1e-6 relative (a failed row indicates a dimension bug and
@@ -137,12 +137,17 @@ def build_system(model: VflModel, y_act, c, source: str = "clean") -> LinearSyst
     """
     y_act = np.asarray(y_act, dtype=float)
     c = np.asarray(c, dtype=float)
-    if (c.ndim not in ((1, 2) if model.w_pas.ndim == 2 else (model.w_pas.ndim,))
-            or c.shape[-1] != model.k):
+    lead, d_act = model.w_pas.shape[:-2], model.w_act.shape[-1]
+    if c.shape[-1:] != (model.k,):
         raise ValueError("confidence vector length must equal the class count")
-    if y_act.shape != c.shape[:-1] + (model.w_act.shape[-1],):
-        raise ValueError(f"active features of shape {y_act.shape} do not match "
-                         f"{c.shape[:-1]} predictions of this model")
+    if lead and c.shape[:-2] != lead:
+        raise ValueError(f"a stack of {lead} models takes scores {lead} + (N, k), got {c.shape}")
+    if y_act.shape not in (c.shape[:-1] + (d_act,), c.shape[-2:-1] + (d_act,)):
+        raise ValueError(f"active features of shape {y_act.shape} match neither the "
+                         f"{c.shape[:-1]} predictions nor the {c.shape[-2:-1]} rows of "
+                         f"these scores")
+    # shared rows meet each system's weights through singleton axes of systems
+    y_act = y_act.reshape((1,) * (c.ndim - y_act.ndim) + y_act.shape)
     rows = c.reshape(-1, model.k)
     low = np.argwhere(rows < np.finfo(float).tiny)
     if low.size:

@@ -53,21 +53,6 @@ def project_box_affine(x0, a, b):
     return res.x
 
 
-def project_hull(x0, vertices, rho: float = 1e6):
-    """Projection of x0 onto the convex hull of the given vertices.
-
-    Solves min ||V^T lam - x0|| over lam >= 0 with the sum-to-one constraint
-    enforced through a heavily weighted penalty row fed to NNLS.
-    """
-    x0 = np.asarray(x0, dtype=float)
-    v = np.asarray(vertices, dtype=float)   # one vertex per row
-    design = np.vstack([v.T, rho * np.ones(v.shape[0])])
-    rhs = np.concatenate([x0, [rho]])
-    lam, _ = optimize.nnls(design, rhs)
-    lam = lam / lam.sum()
-    return v.T @ lam
-
-
 def _circumsphere(points: np.ndarray) -> tuple[np.ndarray, float]:
     """Smallest sphere passing through all given points (<= d+1 of them).
 

@@ -1112,7 +1112,8 @@ def sweep_calls(monkeypatch):
 
 
 class TestOneReleaseBatch:
-    """defend and tradeoff score every setting as a system of one stack."""
+    """defend and tradeoff score every setting as a system of one batch on
+    the released model's one A."""
 
     ARGS = TestMatchesRowByRowReference.ARGS
 
@@ -1131,6 +1132,18 @@ class TestOneReleaseBatch:
         assert _run(["defend", *self.ARGS, "--scheme", "pps1",
                      "--out", str(tmp_path / "d.csv")]) == 0
         assert sweep_calls == {"build_system": 2, "run_attack": 1, "kl_divergence": 1}
+
+    @pytest.mark.parametrize("argv", [["tradeoff"],
+                                      ["defend", "--scheme", "s1", "--alpha", "0.1,1,10"]],
+                             ids=["tradeoff", "defend"])
+    def test_settings_share_one_factored_a(self, argv, tmp_path, monkeypatch):
+        # every setting releases scores of the model's one A (2 x 3 here): the
+        # clean check and the sweep factor it once each, and no stack of
+        # copies reaches the SVD; the third SVD is s1's direction, of A^+ J
+        shapes, real = [], numerics.svd
+        monkeypatch.setattr(numerics, "svd", lambda a: shapes.append(np.shape(a)) or real(a))
+        assert _run([argv[0], *self.ARGS, *argv[1:], "--out", str(tmp_path / "s.csv")]) == 0
+        assert shapes == [(2, 3), (3, 3), (2, 3)]
 
     @pytest.mark.parametrize("k", [2, 4])
     def test_each_setting_writes_its_solo_cell(self, k, tmp_path):

@@ -315,17 +315,21 @@ class TestLoneRow:
 
 
 class TestStack:
-    """A stack of systems (a with a leading axis) gives each system the bits
-    it gets alone, from one SVD."""
+    """A batch of systems, on one A each (a with a leading axis) or on one
+    shared A (b with a leading axis), gives each system the bits it gets
+    alone, from one SVD."""
 
-    def _stack(self, ranks, seed=0, m=3, d=5, n=4):
+    def _stack(self, ranks, seed=0, m=3, d=5, n=4, shared=False):
         """A stack of systems of these ranks; a rank given as a tuple of
         singular values makes its system U diag(s) V^T, U and V random with
-        orthonormal columns."""
+        orthonormal columns. shared puts every system on the first one's A,
+        held once as a 2-D a."""
         rng = np.random.default_rng(seed)
         a = np.zeros((len(ranks), m, d))
         for i, r in enumerate(ranks):
-            if isinstance(r, tuple):
+            if shared and i:
+                a[i] = a[0]
+            elif isinstance(r, tuple):
                 u, v = (np.linalg.qr(rng.standard_normal((k, len(r))))[0] for k in (m, d))
                 a[i] = (u * r) @ v.T
             else:
@@ -335,28 +339,39 @@ class TestStack:
         x = np.abs(rng.integers(0, 2, shape) - rng.uniform(0.0, 0.1, shape))
         b = np.einsum("smd,snd->snm", a, x)
         log_c = rng.standard_normal((len(ranks), n, m + 1))
-        return LinearSystem(a=a, b=b, log_c=log_c), x
+        return LinearSystem(a=a[0] if shared else a, b=b, log_c=log_c), x
+
+    @staticmethod
+    def _own(stack, value, i):
+        """System i's part of a value with one entry per A: all of it where
+        every system shares the one A."""
+        return value if stack.a.ndim == 2 else value[i]
 
     # at d = 3, determined systems (rank 3) beside nullities 1 and 2; in
-    # "ill_conditioned", FISTA would stall on the determined system's rows
-    @pytest.mark.parametrize("ranks, d", [([3, 3, 3], 5), ([2, 2], 5), ([3, 1, 0, 3], 5),
-                                          ([0, 0], 5), ([3, 2, 3], 3), ([2, 3, 1, 3], 3),
-                                          ([(1.0, 1e-3, 1e-5), 2], 3)],
-                             ids=["ranks0", "ranks1", "ranks2", "ranks3", "determined",
-                                  "determined_two_nullities", "ill_conditioned"])
-    def test_each_system_as_alone(self, ranks, d):
+    # "ill_conditioned", FISTA would stall on the determined system's rows;
+    # the shared cases hold one 2-D A under b of shape (S, N, m)
+    @pytest.mark.parametrize("ranks, d, shared", [
+        ([3, 3, 3], 5, False), ([2, 2], 5, False), ([3, 1, 0, 3], 5, False),
+        ([0, 0], 5, False), ([3, 2, 3], 3, False), ([2, 3, 1, 3], 3, False),
+        ([(1.0, 1e-3, 1e-5), 2], 3, False), ([2, 2, 2], 5, True), ([2, 2, 2, 2], 3, True),
+        ([3, 3], 3, True)],
+        ids=["ranks0", "ranks1", "ranks2", "ranks3", "determined", "determined_two_nullities",
+             "ill_conditioned", "shared", "shared_nullity_1", "shared_determined"])
+    def test_each_system_as_alone(self, ranks, d, shared):
         # every estimator but rg and gia (see the next test), diagnostics included
-        stack, x = self._stack(ranks, d=d)
+        stack, x = self._stack(ranks, d=d, shared=shared)
         ranks = [len(r) if isinstance(r, tuple) else r for r in ranks]
-        assert stack.svd.rank().tolist() == ranks
-        assert stack.nullity.tolist() == [d - r for r in ranks]
+        systems, own = range(len(ranks)), self._own
+        assert [own(stack, stack.svd.rank(), i) for i in systems] == ranks
+        assert [own(stack, stack.nullity, i) for i in systems] == [d - r for r in ranks]
         got = {name: run_attack(name, stack) for name in ATTACKS if name not in ("rg", "gia")}
-        for i in range(len(ranks)):
-            alone = LinearSystem(a=stack.a[i], b=stack.b[i], log_c=stack.log_c[i])
+        for i in systems:
+            alone = LinearSystem(a=own(stack, stack.a, i), b=stack.b[i], log_c=stack.log_c[i])
             for f in ("u", "s", "v"):
-                assert np.array_equal(getattr(stack.svd, f)[i], getattr(alone.svd, f))
-            for name in ("pinv", "projector", "min_norm_solution"):
-                assert np.array_equal(getattr(stack, name)[i], getattr(alone, name)), name
+                assert np.array_equal(own(stack, getattr(stack.svd, f), i), getattr(alone.svd, f))
+            for name in ("pinv", "projector"):
+                assert np.array_equal(own(stack, getattr(stack, name), i), getattr(alone, name))
+            assert np.array_equal(stack.min_norm_solution[i], alone.min_norm_solution)
             assert np.array_equal(stack.residual(x)[i], alone.residual(x[i]))
             assert np.array_equal(stack.contains(x)[i], alone.contains(x[i]))
             for name, est in got.items():
@@ -371,28 +386,54 @@ class TestStack:
         for b in (stack.b[0], stack.b[:, 0], stack.b[None]):
             with pytest.raises(ValueError, match="b of a stack"):
                 LinearSystem(a=stack.a, b=b)
-        # one system: b is (m,) or (N, m), non-empty and finite
+        # one A: b is (m,) or (N, m) after any axes of systems, non-empty and finite
         shape = r"b must have shape \(3,\) or \(N, 3\), got "
         for b, message in ((stack.b[0, 0, :2], shape + r"\(2,\)"),
-                           (stack.b, shape + r"\(2, 4, 3\)"),
                            (np.zeros((0, 3)), "b must be non-empty and finite"),
                            ([0.5, np.nan, 0.5], "b must be non-empty and finite")):
             with pytest.raises(ValueError, match=f"^{message}$"):
                 LinearSystem(a=stack.a[0], b=b)
+        assert LinearSystem(a=stack.a[0], b=stack.b).batch == (2, 4)
         a = stack.a.copy()
         a[1, 2, 0] = np.inf
         with pytest.raises(ValueError, match="non-finite"):
             LinearSystem(a=a, b=stack.b)
+        # build_system: a stacked model's scores carry its leading axes, and
+        # y_act holds every prediction's rows or one set that all systems share
+        from vflpriv.model import VflModel, VflSplit
+        rng = np.random.default_rng(46)
+        w_act, w_pas = rng.standard_normal((2, 3, 2)), rng.standard_normal((2, 3, 4))
+        windows = VflModel(w_act=w_act, w_pas=w_pas, b=rng.standard_normal(3), k=3,
+                           split=VflSplit.contiguous(6, 0, 4))
+        y_act, x_pas = rng.uniform(size=(2, 5, 2)), rng.uniform(size=(2, 5, 4))
+        c = predict(windows, y_act, x_pas)
+        for scores in (c[0], c[None]):
+            with pytest.raises(ValueError, match=re.escape(
+                    f"a stack of (2,) models takes scores (2,) + (N, k), got {scores.shape}")):
+                build_system(windows, y_act, scores)
+        one = VflModel(w_act=w_act[0], w_pas=w_pas[0], b=windows.b, k=3, split=windows.split)
+        for rows in (y_act[:, :4], y_act[:, :, :1], y_act[None]):
+            with pytest.raises(ValueError, match=re.escape(
+                    f"active features of shape {rows.shape} match neither the (2, 5) "
+                    "predictions nor the (5,) rows of these scores")):
+                build_system(one, rows, c)
+        for model, a_shape in ((windows, (2, 2, 4)), (one, (2, 4))):
+            shared = build_system(model, y_act[0], c, source="noisy")
+            each = build_system(model, np.stack([y_act[0]] * 2), c, source="noisy")
+            assert shared.a.shape == a_shape and np.array_equal(shared.b, each.b)
 
-    @pytest.mark.parametrize("name, init", [("rg", "half"), ("gia", "zeros"),
-                                            ("gia", "half"), ("gia", "random")])
-    def test_system_i_draws_from_seed_plus_i(self, name, init):
-        # every output of system i of the stack is that of system i alone at seed 11 + i
-        stack, _ = self._stack([3, 1, 0, 3])
+    @pytest.mark.parametrize("name, init, shared", [
+        pytest.param(name, init, shared, id=f"{name}-{init}" + "-shared" * shared)
+        for shared in (False, True)
+        for name, init in (("rg", "half"), ("gia", "zeros"), ("gia", "half"), ("gia", "random"))])
+    def test_system_i_draws_from_seed_plus_i(self, name, init, shared):
+        # every output of system i of the stack is that of system i alone at
+        # seed 11 + i, system i being b's system i where the systems share A
+        stack, _ = self._stack([2] * 4 if shared else [3, 1, 0, 3], shared=shared)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", GiaConvergenceWarning)
             got = run_attack(name, stack, init=init, seed=11)
-            alone = [run_attack(name, LinearSystem(a=stack.a[i], b=stack.b[i],
+            alone = [run_attack(name, LinearSystem(a=self._own(stack, stack.a, i), b=stack.b[i],
                                                    log_c=stack.log_c[i]),
                                 init=init, seed=11 + i) for i in range(4)]
         for i, one in enumerate(alone):
