@@ -19,7 +19,7 @@ sizes (the secant step s.s / s.y after each accepted step) and the
 nonmonotone acceptance test of Grippo, Lampariello & Lucidi (1986) against
 the last 10 accepted objective values. The rows of a determined system
 (trivial nullspace) take the unique solution A^+ b' in cls, rcc1 and rcc2,
-as they do in ls.
+as they do in ls; rcc2's projection starts every other row at half_star.
 """
 
 from __future__ import annotations
@@ -136,37 +136,30 @@ def attack_cls(sys_: LinearSystem) -> AttackEstimate:
 
 
 def attack_half_star(sys_: LinearSystem) -> AttackEstimate:
-    """Closest point of the solution space to the box center (closed form)."""
-    center = sys_.projector @ np.ones(sys_.d)       # one per A of a stacked a
-    if sys_.a.ndim > 2:
-        center = center[..., None, :]
-    x = sys_.min_norm_solution + 0.5 * center
-    return _estimate(sys_, "half_star", x)
+    """Closest point of the solution space to the box center: sys_.plane_center."""
+    return _estimate(sys_, "half_star", sys_.plane_center.copy())
 
 
 def attack_rcc2(sys_: LinearSystem) -> AttackEstimate:
     """Objective-relaxed Chebyshev center: the feasible point closest to the box center.
 
     Computed as the exact Euclidean projection of the box center onto the
-    feasible set; unique, in the box and on the plane to rounding. Where
-    half_star lies in the box it is that projection; the other rows of the
-    whole batch take numerics.dykstra_project's dual Newton solve together
-    in one call. diagnostics["projection"] is "closed_form" or "newton" per
-    row, diagnostics["residual"] each row's ||A x - b'||, and
-    diagnostics["iterations"] its Newton steps (0 on closed-form rows).
+    feasible set; unique, in the box and on the plane to rounding. Every
+    row with a nullspace takes numerics.dykstra_project's dual Newton solve
+    from half_star, in one call. diagnostics["projection"] is "closed_form"
+    on rows of 0 steps (half_star in the box; A^+ b' for a determined
+    system) and "newton" on the others, diagnostics["residual"] each row's
+    ||A x - b'||, and diagnostics["iterations"] its Newton steps.
     """
     x, _, nullity = _per_row(sys_)
-    det, batch = nullity == 0, sys_.batch
-    x[~det] = attack_half_star(sys_).x_hat.reshape(x.shape)[~det]
-    closed = det | np.all((x >= 0.0) & (x <= 1.0), axis=-1)
-    iterations = np.zeros(len(x), dtype=int)
-    todo = np.flatnonzero(~closed)
+    steps, batch = np.zeros(len(x), dtype=int), sys_.batch
+    todo = np.flatnonzero(nullity > 0)
     if todo.size:
-        x[todo], iterations[todo] = numerics.dykstra_project(sys_, todo)
+        x[todo], steps[todo] = numerics.dykstra_project(sys_, todo)
     x = x.reshape(batch + (sys_.d,))
     return _estimate(sys_, "rcc2", x,
-                     projection=np.where(closed, "closed_form", "newton").reshape(batch)[()],
-                     residual=sys_.residual(x), iterations=iterations.reshape(batch)[()])
+                     projection=np.where(steps, "newton", "closed_form").reshape(batch)[()],
+                     residual=sys_.residual(x), iterations=steps.reshape(batch)[()])
 
 
 # --- RCC1: search-space relaxation solved as a small SDP ------------------

@@ -20,6 +20,8 @@ runs, so a handler replaced after the parser was built still runs.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import csv
 import sys
 from pathlib import Path
 
@@ -176,12 +178,10 @@ def _load_data(args) -> Dataset:
 
 
 def _emit(rows, header, out_path):
-    if out_path:
-        metrics.write_csv(out_path, header, rows)
-    else:
-        print(",".join(header))
-        for row in rows:
-            print(",".join(str(c) for c in row))
+    """Write the header and rows as CSV with LF line ends, to out_path or stdout."""
+    with (open(out_path, "w", newline="", encoding="utf-8") if out_path
+          else contextlib.nullcontext(sys.stdout)) as fh:
+        csv.writer(fh, lineterminator="\n").writerows([header, *rows])
 
 
 def cmd_train(args) -> int:

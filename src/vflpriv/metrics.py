@@ -222,14 +222,3 @@ def average_over_space(model: VflModel, ds: Dataset, d: int, attacks,
     splits = [VflSplit.contiguous(ds.d_t, s, d) for s in range(ds.d_t)]
     mse = attack_mse_on_rows(model, splits, ds, rows, attacks, seed)
     return {name: float(np.mean(mse[name])) for name in attacks}
-
-
-def write_csv(path, header: list[str], rows: list[list]) -> None:
-    """Write one result table; every cell is rendered with repr-round-trip floats."""
-    import csv
-
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow(row)

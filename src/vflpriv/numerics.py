@@ -180,12 +180,14 @@ def dykstra_project(sys_: LinearSystem, rows, max_iter: int = 100
     - b) and mu = 1e-6 ||g|| + 1e-12, then halves until the dual value rises
     by an Armijo fraction of the predicted rise; the singular pairs past a
     system's rank are zeroed, as in SvdFactors.pinv, so one path takes any
-    mix of ranks. A row stops once max|Ax - b| <= 1e-12 (1 + max|A| +
-    max|b|), so a row that meets this at c returns c after 0 steps. Every
-    set must be nonempty. Each step is vectorized over the rows still live,
-    each row multiplied by its own system's factors through _rowwise, so a
-    row's result does not depend on the batch. Returns the projections and
-    each row's Newton steps.
+    mix of ranks. A row starts at sys_.plane_center (where the first step
+    from lam = 0 would land) and stops once max|Ax - b| <= 1e-12 (1 +
+    max|A| + max|b|), so a plane_center in the box that meets this is
+    returned bit for bit after 0 steps. Every set must be nonempty. Each
+    step is vectorized over the rows still live, each row multiplied by its
+    own system's factors through _rowwise, so a row's result does not
+    depend on the batch. Returns the projections and each row's Newton
+    steps.
 
     Raises ConvergenceError naming, by their index in the flattened batch,
     the rows that fail the stop test after max_iter steps.
@@ -199,7 +201,7 @@ def dykstra_project(sys_: LinearSystem, rows, max_iter: int = 100
     vr = f.v.reshape(-1, d, d)[..., :q] * rank
     us = np.divide(f.u.reshape(-1, m, m)[..., :q], s[:, None, :], where=rank,
                    out=np.zeros((len(a), m, q)))
-    flat = np.full((index.size, d), 0.5)
+    flat = sys_.plane_center.reshape(-1, d)[index]
     steps = np.zeros(index.size, dtype=int)
 
     def point(u, b, own):

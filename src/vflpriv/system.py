@@ -18,7 +18,7 @@ from .numerics import _rowwise
 
 
 class SystemError_(Exception):
-    """Raised for a zero or subnormal score or a system that fails its checks."""
+    """Raised for a score that is not a finite normal float or a failed system check."""
 
 
 def difference_matrix(k: int) -> np.ndarray:
@@ -44,12 +44,13 @@ class LinearSystem:
     S + (N, k-1), and system i is LinearSystem(a[i], b[i], log_c[i]). One
     SVD call factors every A at construction (the attribute svd;
     svd.nullspace() is one A's basis); pinv, projector, min_norm_solution,
-    contains and residual work on every system at once, each getting the
-    bits it gets alone, and nullity gives each A's. A 1-D b is the one-row
-    case: per-row results then drop the row axis. log_c holds the logs of
-    the released scores (batch + (k,)) that b' came from; gia needs them,
-    the other estimators read only (A, b'), and a system built by hand may
-    leave them out. Immutable after construction by convention.
+    plane_center (half_star, where rcc2's projection starts), contains and
+    residual work on every system at once, each getting the bits it gets
+    alone, and nullity gives each A's. A 1-D b is the one-row case: per-row
+    results then drop the row axis. log_c holds the logs of the released
+    scores (batch + (k,)) that b' came from; gia needs them, the other
+    estimators read only (A, b'), and a system built by hand may leave them
+    out. Immutable after construction by convention.
     """
 
     a: np.ndarray
@@ -67,7 +68,8 @@ class LinearSystem:
             raise ValueError(f"b of a stack of {lead} systems must have shape "
                              f"{lead} + (N, {m}), got {self.b.shape}")
         if self.b.shape[-1:] != (m,):   # after any axes of systems
-            raise ValueError(f"b must have shape ({m},) or (N, {m}), got {self.b.shape}")
+            raise ValueError(f"b must have shape ({m},), (N, {m}) or S + (N, {m}), "
+                             f"got {self.b.shape}")
         if self.b.size == 0 or not np.all(np.isfinite(self.b)):
             raise ValueError("b must be non-empty and finite")
         if self.log_c is not None:
@@ -108,6 +110,12 @@ class LinearSystem:
         """A^+ b' per row, computed once; callers that return it copy it."""
         return _rowwise(self.pinv, self.b)
 
+    @cached_property
+    def plane_center(self) -> np.ndarray:
+        """A^+ b' + (I - A^+ A) 1/2 per row: the plane's point nearest the box center."""
+        center = 0.5 * (self.projector @ np.ones(self.d))   # one per A of a stacked a
+        return self.min_norm_solution + (center[..., None, :] if self.a.ndim > 2 else center)
+
     def residual(self, x) -> np.ndarray:
         """Per-row Euclidean residual ||A x - b'|| of estimates x (batch + (d,))."""
         return np.linalg.norm(_rowwise(self.a, x) - self.b, axis=-1)
@@ -129,11 +137,12 @@ def build_system(model: VflModel, y_act, c, source: str = "clean") -> LinearSyst
     once). A model gives one A that every system shares; a stack (weights
     with leading axes S) takes scores S + (N, k) and gives one A per system.
     Logs are taken once, of the scores as they are, so a score below
-    np.finfo(float).tiny (zero or subnormal) raises SystemError_ naming its
-    row. With source "clean", each row's min-norm solution must predict its
-    scores to 1e-6 relative (a failed row indicates a dimension bug and
-    raises); another source, such as "noisy" for released scores, skips
-    that check. A row is named by its index in the flattened batch.
+    np.finfo(float).tiny (zero or subnormal) or not finite raises
+    SystemError_ naming its row. With source "clean", each row's min-norm
+    solution must predict its scores to 1e-6 relative (a failed row
+    indicates a dimension bug and raises); another source, such as "noisy"
+    for released scores, skips that check. A row is named by its index in
+    the flattened batch.
     """
     y_act = np.asarray(y_act, dtype=float)
     c = np.asarray(c, dtype=float)
@@ -149,10 +158,12 @@ def build_system(model: VflModel, y_act, c, source: str = "clean") -> LinearSyst
     # shared rows meet each system's weights through singleton axes of systems
     y_act = y_act.reshape((1,) * (c.ndim - y_act.ndim) + y_act.shape)
     rows = c.reshape(-1, model.k)
-    low = np.argwhere(rows < np.finfo(float).tiny)
-    if low.size:
-        raise SystemError_(f"row {low[0, 0]} has score {rows[tuple(low[0])]},"
-                           " below the smallest normal float, so its log is not exact")
+    bad = np.argwhere(~((rows >= np.finfo(float).tiny) & (rows < np.inf)))  # NaN fails both
+    if bad.size:
+        score = rows[tuple(bad[0])]
+        raise SystemError_(f"row {bad[0, 0]} has score {score}, " + (
+            "below the smallest normal float, so its log is not exact"
+            if np.isfinite(score) else "not a finite float"))
     j = difference_matrix(model.k)
     log_c = np.log(c)
     bprime = (np.diff(log_c, axis=-1) - _rowwise(j, _rowwise(model.w_act, y_act))

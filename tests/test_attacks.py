@@ -202,6 +202,37 @@ class TestRcc2:
         assert est.feasible
         assert np.allclose(sys_.a @ est.x_hat, sys_.b, atol=1e-6)
 
+    @pytest.mark.parametrize("stacked", [False, True], ids=["shared_a", "stacked_a"])
+    def test_half_star_in_the_box_is_returned_after_no_step(self, stacked):
+        # truths near the center and at vertices mix rows whose half_star
+        # lies in the box with rows whose half_star does not, in each of
+        # two systems; the projection starts every row at half_star
+        rng = np.random.default_rng(47)
+        a = rng.standard_normal((2, 2, 4) if stacked else (2, 4))
+        truths = np.concatenate([rng.uniform(0.4, 0.6, (2, 3, 4)),
+                                 rng.integers(0, 2, (2, 3, 4))], axis=1)
+        sys_ = LinearSystem(a=a, b=truths @ a.swapaxes(-1, -2))
+        est = attacks.attack_rcc2(sys_)
+        half_star = attacks.attack_half_star(sys_).x_hat
+        inside = np.all((half_star >= 0.0) & (half_star <= 1.0), axis=-1)
+        assert np.all(inside.any(axis=1)) and not np.any(inside.all(axis=1))
+        steps = est.diagnostics["iterations"]
+        assert np.array_equal(est.x_hat[inside], half_star[inside])
+        assert np.all(steps[inside] == 0) and np.all(steps[~inside] > 0)
+        assert np.array_equal(est.diagnostics["projection"] == "closed_form", inside)
+
+    def test_half_star_off_the_plane_is_not_returned(self):
+        # the two equal rows of A ask x1 + x2 to be 0.8 and 0.9 in row 0: its
+        # half_star lies in the box, 0.0707 off the plane, and the projection
+        # never passes its stop test there
+        sys_ = LinearSystem(a=[[1.0, 1.0, 0.0], [1.0, 1.0, 0.0]],
+                            b=[[0.8, 0.9], [0.8, 0.8]])
+        half_star = attacks.attack_half_star(sys_).x_hat
+        assert np.all((half_star >= 0.0) & (half_star <= 1.0))
+        with pytest.raises(numerics.ConvergenceError) as err:
+            attacks.attack_rcc2(sys_)
+        assert err.value.rows.tolist() == [0]
+
 
 class TestRcc1:
     def test_radius_upper_bounds_exact(self):

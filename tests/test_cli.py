@@ -233,6 +233,17 @@ class TestSubcommands:
                          "--trials", "3", "--seed", "42", "--out", str(p)]) == 0
         assert p1.read_text() == p2.read_text()
 
+    @pytest.mark.parametrize("argv", [
+        ["attack", *SYNTH, "--d", "2", "--attacks", "half,ls", "--n", "5"],
+        ["blackbox", "--case", "2", "--n-grid", "1..3", "--trials", "2"],
+        ["tradeoff", *SYNTH, "--d", "2", "--n", "5"]], ids=["attack", "blackbox", "tradeoff"])
+    def test_out_file_holds_the_stdout_bytes(self, tmp_path, capsys, argv):
+        # one CSV writer, LF line ends, whether the table goes to --out or stdout
+        assert _run(argv) == 0
+        printed = capsys.readouterr().out
+        assert _run([*argv, "--out", str(tmp_path / "o.csv")]) == 0
+        assert (tmp_path / "o.csv").read_bytes() == printed.encode()
+
     def test_evaluate(self, tmp_path):
         out_path = tmp_path / "eval.csv"
         assert _run(["evaluate", "--synth-n", "200", "--synth-dt", "6",
@@ -769,9 +780,10 @@ class TestFigure1Failures:
                             r"above 1e-08 in at most 2 steps", line), line
 
     def test_capped_rcc2_projection(self, monkeypatch, capsys):
-        # one row each of windows 2, 3 and 6 needs rcc2's Newton projection;
-        # one call on the stack projects them, a one-step cap stops them, and
-        # the capped rows and residuals keep their windows
+        # one call projects all 480 rows, 60 in each of 8 windows; one row
+        # each of windows 2, 3 and 6 needs more than one Newton step, a
+        # one-step cap stops them, and the capped rows and residuals keep
+        # their windows
         real = numerics.dykstra_project
         monkeypatch.setattr(numerics, "dykstra_project",
                             lambda *a, **kw: real(*a, max_iter=1, **kw))
@@ -779,7 +791,7 @@ class TestFigure1Failures:
                      "--d-grid", "6", "--n", "60", "--attacks", "half,rcc2"]) == 3
         line = capsys.readouterr().err.strip()
         assert re.fullmatch(r"solver failure: box-affine projection hit the iteration "
-                            r"cap on 3 of 3 rows; rows \[5\] of window start=2, \[5\] of "
+                            r"cap on 3 of 480 rows; rows \[5\] of window start=2, \[5\] of "
                             r"window start=3, \[32\] of window start=6; affine( \S+){3}",
                             line), line
 

@@ -571,13 +571,6 @@ class TestAttackMseOnRows:
 
 
 class TestEmission:
-    def test_csv_roundtrip(self, tmp_path):
-        path = tmp_path / "out.csv"
-        metrics.write_csv(path, ["a", "b"], [[1, repr(0.5)], [2, repr(0.25)]])
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "a,b"
-        assert lines[1].startswith("1,")
-
     def test_json(self, tmp_path):
         import json
         path = tmp_path / "out.json"

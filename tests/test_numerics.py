@@ -127,14 +127,17 @@ class TestProjections:
         assert 3 <= clipped <= 7
 
     def test_dykstra_noop_inside(self):
-        # the plane x1 + x2 = 1 passes through the center
-        sys_ = LinearSystem(a=np.array([[1.0, 1.0]]), b=np.array([1.0]))
+        # the point of x1 + 2 x2 = 2.6 nearest the center, (0.72, 0.94), is
+        # in the box: the projection starts there and takes no step
+        sys_ = LinearSystem(a=np.array([[1.0, 2.0]]), b=np.array([2.6]))
         got, iters = numerics.dykstra_project(sys_, [0])
-        assert np.array_equal(got, [[CENTER, CENTER]]) and iters.tolist() == [0]
+        assert np.array_equal(got, [sys_.plane_center]) and iters.tolist() == [0]
 
     def test_dykstra_iteration_cap(self):
-        a = np.array([[1.0, 1.0]])
-        sys_ = LinearSystem(a=a, b=np.array([0.4]))  # takes 2 Newton steps
+        a = np.array([[1.0, 3.0]])
+        # its nearest point to the center, (0.69, 1.07), is outside the box;
+        # the projection takes 2 Newton steps
+        sys_ = LinearSystem(a=a, b=np.array([3.9]))
         with pytest.raises(numerics.ConvergenceError) as err:
             numerics.dykstra_project(sys_, [0], max_iter=1)
         assert err.value.last_iterate is not None
@@ -142,7 +145,11 @@ class TestProjections:
     def test_dykstra_n_rows_equal_n_one_row_calls(self):
         rng = np.random.default_rng(11)
         a, _, _ = oracles.random_satisfiable_system(rng, 5, 2)
-        truths = np.where(rng.random((6, 5)) < 0.5, 0.98, 0.02)
+        truths = np.where(rng.random((30, 5)) < 0.5, 0.98, 0.02)
+        # the first 6 rows whose half_star lies outside the box, so that
+        # each takes Newton steps
+        start = LinearSystem(a=a, b=truths @ a.T).plane_center
+        truths = truths[np.any((start < 0.0) | (start > 1.0), axis=1)][:6]
         sys_ = LinearSystem(a=a, b=truths @ a.T)
         got, iters = numerics.dykstra_project(sys_, np.arange(6))
         assert got.shape == (6, 5) and iters.shape == (6,)
@@ -165,16 +172,17 @@ class TestProjections:
         assert np.max(np.abs(sub - got[[4, 1]])) <= 1e-12
 
     def test_dykstra_cap_names_rows_and_residuals(self):
-        # the center lies on row 0's plane; rows 1 and 2 take 2 steps
-        sys_ = LinearSystem(a=np.array([[1.0, 1.0]]),
-                            b=np.array([[1.0], [0.4], [1.2]]))
+        # row 0's half_star (0.54, 0.62) is in the box; rows 1 and 2's,
+        # (0.69, 1.07) and (0.33, -0.01), are not, and they take 2 steps
+        sys_ = LinearSystem(a=np.array([[1.0, 3.0]]),
+                            b=np.array([[2.4], [3.9], [0.3]]))
         with pytest.raises(numerics.ConvergenceError) as err:
             numerics.dykstra_project(sys_, [0, 1, 2], max_iter=1)
         assert err.value.rows.tolist() == [1, 2]
         assert set(err.value.residuals) == {"affine"}
         assert all(v.shape == (2,) for v in err.value.residuals.values())
         assert np.all(err.value.residuals["affine"] > 0.0)
-        assert np.array_equal(err.value.last_iterate[0], [CENTER, CENTER])
+        assert np.array_equal(err.value.last_iterate[0], sys_.plane_center[0])
         # rows are named by their index in the system, not in the sub-batch
         with pytest.raises(numerics.ConvergenceError) as err:
             numerics.dykstra_project(sys_, [2, 0], max_iter=1)

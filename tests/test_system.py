@@ -241,6 +241,17 @@ class TestBatchSystem:
         c[2] = [1.0 - np.finfo(float).tiny, np.finfo(float).tiny]
         build_system(small_model, y_act, c, source="noisy")
 
+    @pytest.mark.parametrize("score", [np.nan, np.inf, -np.inf])
+    def test_non_finite_score_raises(self, small_model, score):
+        # released scores are not checked before they reach build_system
+        rng = np.random.default_rng(44)
+        y_act, x_pas = rng.uniform(size=(3, 5)), rng.uniform(size=(3, 5))
+        c = predict(small_model, y_act, x_pas)
+        c[2, 1] = score
+        with pytest.raises(SystemError_,
+                           match=re.escape(f"row 2 has score {score}, not a finite float")):
+            build_system(small_model, y_act, c, source="noisy")
+
     @given(seed=st.integers(0, 2**32 - 1), k=st.integers(2, 6),
            scale=st.floats(0.1, 50.0))
     @settings(max_examples=40, deadline=None)
@@ -387,7 +398,7 @@ class TestStack:
             with pytest.raises(ValueError, match="b of a stack"):
                 LinearSystem(a=stack.a, b=b)
         # one A: b is (m,) or (N, m) after any axes of systems, non-empty and finite
-        shape = r"b must have shape \(3,\) or \(N, 3\), got "
+        shape = r"b must have shape \(3,\), \(N, 3\) or S \+ \(N, 3\), got "
         for b, message in ((stack.b[0, 0, :2], shape + r"\(2,\)"),
                            (np.zeros((0, 3)), "b must be non-empty and finite"),
                            ([0.5, np.nan, 0.5], "b must be non-empty and finite")):
