@@ -12,8 +12,9 @@ estimator reads only A, b' and, for gia, the released scores' logs that
 the system carries; none needs the model. The iterative solvers (the exact
 dual Newton projection for rcc2, FISTA for cls, a primal-dual interior
 point on rcc1's relaxation as a linear SDP) make one call per batch (rcc1
-one per nullity in it) on the rows they solve, vectorized over those not
-yet converged, and one failure names every failing row of the batch; gia
+one per nullity in it) on the rows they solve, each on its A (row_a),
+vectorized over those not yet converged, and one numerics.RowsError holds
+every failing row of the batch; gia
 descends on its KL objective one row at a time, with Barzilai-Borwein step
 sizes (the secant step s.s / s.y after each accepted step) and the
 nonmonotone acceptance test of Grippo, Lampariello & Lucidi (1986) against
@@ -37,10 +38,10 @@ from . import numerics
 from .system import LinearSystem
 
 
-class AttackError(Exception):
-    """Raised for non-finite estimates, and by rcc1 naming the rows (by their
-    index in the system's flattened batch) whose gap ends above its floor.
-    cls's and rcc2's capped solves raise numerics.ConvergenceError."""
+class AttackError(numerics.RowsError):
+    """Raised for non-finite estimates, and by rcc1 naming, as
+    numerics.RowsError does, the rows whose gap ends above its floor. cls's
+    and rcc2's capped solves raise numerics.ConvergenceError."""
 
 
 class GiaConvergenceWarning(UserWarning):
@@ -83,16 +84,6 @@ def _estimate(sys_: LinearSystem, name: str, x: np.ndarray,
     return AttackEstimate(x_hat=x, name=name, system=sys_, diagnostics=diagnostics)
 
 
-def _per_row(sys_: LinearSystem) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """A flat copy of A^+ b', (R, d) over the R rows of the flattened batch,
-    with each row's A (its flat index in a stacked a, 0 for a 2-D a) and
-    each row's nullity, both (R,)."""
-    q = sys_.min_norm_solution.reshape(-1, sys_.d).copy()
-    nullity = np.reshape(sys_.nullity, -1)
-    own = np.repeat(np.arange(nullity.size), len(q) // nullity.size)
-    return q, own, nullity[own]
-
-
 def attack_half(sys_: LinearSystem) -> AttackEstimate:
     """Blind estimate: the center of the unit box, for every row."""
     return _estimate(sys_, "half", np.full(sys_.batch + (sys_.d,), 0.5))
@@ -127,8 +118,8 @@ def attack_cls(sys_: LinearSystem) -> AttackEstimate:
     depends; a row gets the bits it gets alone. Only rows of systems with a
     nullspace reach FISTA (numerics.box_least_squares); a determined
     system's take A^+ b'. diagnostics["residual"] is each row's ||A x - b'||."""
-    x, _, nullity = _per_row(sys_)
-    todo = np.flatnonzero(nullity > 0)
+    x = sys_.min_norm_solution.reshape(-1, sys_.d).copy()
+    todo = np.flatnonzero(np.reshape(sys_.nullity, -1)[sys_.row_a])
     if todo.size:
         x[todo] = numerics.box_least_squares(sys_, todo)
     x = x.reshape(sys_.batch + (sys_.d,))
@@ -151,9 +142,9 @@ def attack_rcc2(sys_: LinearSystem) -> AttackEstimate:
     system) and "newton" on the others, diagnostics["residual"] each row's
     ||A x - b'||, and diagnostics["iterations"] its Newton steps.
     """
-    x, _, nullity = _per_row(sys_)
+    x = sys_.min_norm_solution.reshape(-1, sys_.d).copy()
     steps, batch = np.zeros(len(x), dtype=int), sys_.batch
-    todo = np.flatnonzero(nullity > 0)
+    todo = np.flatnonzero(np.reshape(sys_.nullity, -1)[sys_.row_a])
     if todo.size:
         x[todo], steps[todo] = numerics.dykstra_project(sys_, todo)
     x = x.reshape(batch + (sys_.d,))
@@ -344,8 +335,8 @@ def attack_rcc1(sys_: LinearSystem) -> AttackEstimate:
     every nullity is solved, one AttackError names every row of the batch
     whose gap ends above 1e-8, by its index in the flattened batch.
     """
-    x, own, nullity = _per_row(sys_)
-    v, batch = sys_.svd.v.reshape(-1, sys_.d, sys_.d), sys_.batch
+    x, own, batch = sys_.min_norm_solution.reshape(-1, sys_.d).copy(), sys_.row_a, sys_.batch
+    nullity, v = np.reshape(sys_.nullity, -1)[own], sys_.svd.v.reshape(-1, sys_.d, sys_.d)
     (value, gap), steps = np.zeros((2, len(x))), np.zeros(len(x), dtype=int)
     for p in sorted(set(nullity.tolist()) - {0}):
         of = nullity == p
@@ -355,8 +346,8 @@ def attack_rcc1(sys_: LinearSystem) -> AttackEstimate:
     bad = np.flatnonzero(~(gap <= _RCC1_FLOOR))
     if bad.size:
         gaps = " ".join(f"{g:.3e}" for g in gap[bad])
-        raise AttackError(f"rcc1 rows {bad.tolist()} end with gaps {gaps} above "
-                          f"{_RCC1_FLOOR:g} in at most {_RCC1_MAX_ITER} steps")
+        raise AttackError(f"rcc1 {{rows}} end with gaps {gaps} above "
+                          f"{_RCC1_FLOOR:g} in at most {_RCC1_MAX_ITER} steps", bad)
     return _estimate(sys_, "rcc1", x.reshape(batch + (sys_.d,)),
                      radius=np.sqrt(value).reshape(batch)[()], gap=gap.reshape(batch)[()],
                      iterations=steps.reshape(batch)[()])
@@ -439,19 +430,20 @@ def attack_gia(sys_: LinearSystem, init: str = "half", max_iter: int = 5000,
     at x are log c + [0, cumsum(r)] up to a constant that softmax ignores,
     that is offset + M x with M = [0; cumsum(A)] shared by a system's rows
     (one per A of a stacked a) and offset = log c - [0, cumsum(b')] per
-    row. So gia needs the system's log_c (ValueError without them); the
-    rows are solved one after another. init selects the starting point:
-    "zeros", "half" or "random" (attack_random's draw from seed). Steps
-    start at 0.05. A step is accepted when its objective is at most the
-    largest of the last 10 accepted objective values, the current one
-    included (Grippo, Lampariello & Lucidi 1986), so the objective may rise
-    for a while, but never above that maximum; a rejected step halves the
-    step size. After an accepted step s, with gradient change y, the next
-    step size is the Barzilai-Borwein value s.s / s.y (Barzilai & Borwein
-    1988; with the projection and this acceptance test, the spectral
-    projected gradient of Birgin, Martinez & Raydan 2000), or twice the last
-    one where s.y <= 0, never above 1e30. A row stops when the step size
-    falls below 1e-16, and returns its last accepted point.
+    row. So gia needs the system's log_c (ValueError without them); the rows
+    are solved one after another, each on its A's M (sys_.row_a). init
+    selects the starting point: "zeros", "half" or "random" (attack_random's
+    draw from seed). Steps start at 0.05. A step is accepted when its
+    objective is at most the largest of the last 10 accepted objective
+    values, the current one included (Grippo, Lampariello & Lucidi 1986), so
+    the objective may rise for a while, but never above that maximum; a
+    rejected step halves the step size. After an accepted step s, with
+    gradient change y, the next step size is the Barzilai-Borwein value s.s
+    / s.y (Barzilai & Borwein 1988; with the projection and this acceptance
+    test, the spectral projected gradient of Birgin, Martinez & Raydan
+    2000), or twice the last one where s.y <= 0, never above 1e30. A row
+    stops when the step size falls below 1e-16, and returns its last
+    accepted point.
     diagnostics["iterations"] is the total over all rows of the batch, and
     diagnostics["converged"] says per row whether its last step moved it by
     less than 1e-12 (False at the max_iter cap or on step underflow); if any
@@ -462,16 +454,18 @@ def attack_gia(sys_: LinearSystem, init: str = "half", max_iter: int = 5000,
         raise ValueError(f"unknown init mode {init!r}")
     if sys_.log_c is None:
         raise ValueError("gia needs the released scores: this system has no log_c")
-    d, batch, lead = sys_.d, sys_.batch, sys_.a.shape[:-2]
-    m = np.concatenate([np.zeros(lead + (1, d)), np.cumsum(sys_.a, axis=-2)], axis=-2)
-    offset = sys_.log_c.copy()
-    offset[..., 1:] -= np.cumsum(sys_.b, axis=-1)
+    d, batch, k = sys_.d, sys_.batch, sys_.log_c.shape[-1]
+    m = np.concatenate([np.zeros(sys_.a.shape[:-2] + (1, d)), np.cumsum(sys_.a, axis=-2)],
+                       axis=-2).reshape(-1, k, d)
+    log_c = sys_.log_c.reshape(-1, k)
+    offset = log_c.copy()
+    offset[:, 1:] -= np.cumsum(sys_.b.reshape(-1, k - 1), axis=-1)
     x = (attack_random(sys_, seed).x_hat if init == "random"
-         else np.full(batch + (d,), 0.5 if init == "half" else 0.0))
-    kl_bits, converged, iterations = np.empty(batch), np.empty(batch, bool), 0
-    for i in np.ndindex(batch):
-        x[i], kl_bits[i], iters, converged[i] = _gia_row(
-            sys_.log_c[i], offset[i], m[i[:len(lead)]], x[i], max_iter)
+         else np.full(batch + (d,), 0.5 if init == "half" else 0.0)).reshape(-1, d)
+    kl_bits, converged, iterations = np.empty(len(x)), np.empty(len(x), bool), 0
+    for r, own in enumerate(sys_.row_a):
+        x[r], kl_bits[r], iters, converged[r] = _gia_row(
+            log_c[r], offset[r], m[own], x[r], max_iter)
         iterations += iters
     if not converged.all():
         stuck = ~converged
@@ -479,20 +473,23 @@ def attack_gia(sys_: LinearSystem, init: str = "half", max_iter: int = 5000,
                       f"({max_iter}-iteration cap or step underflow); the largest "
                       f"final KL among them is {kl_bits[stuck].max():.3e} bits",
                       GiaConvergenceWarning, stacklevel=2)
-    return AttackEstimate(
-        x_hat=x, name="gia", system=sys_,
-        diagnostics={"kl_bits": kl_bits[()], "iterations": iterations,
-                     "converged": converged[()], "init": init})
+    return _estimate(sys_, "gia", x.reshape(batch + (d,)), kl_bits=kl_bits.reshape(batch)[()],
+                     iterations=iterations, converged=converged.reshape(batch)[()], init=init)
 
 
-WHITEBOX_ATTACKS = ("half", "half_star", "ls", "clamped_ls", "cls", "rcc1", "rcc2")
-# every name run_attack accepts
-ATTACKS = WHITEBOX_ATTACKS + ("zero", "rg", "gia")
-# the estimators that take nothing but the system
-_ON_SYSTEM = {"half": attack_half, "zero": attack_zero,
-              "half_star": attack_half_star, "ls": attack_ls,
-              "clamped_ls": attack_clamped_ls, "cls": attack_cls,
-              "rcc1": attack_rcc1, "rcc2": attack_rcc2}
+def _alone(attack):
+    """attack, which takes the system alone, as an entry of _BY_NAME."""
+    return lambda sys_, init, seed: attack(sys_)
+
+
+# every name run_attack accepts, each with its call on (system, init, seed)
+_BY_NAME = {"half": _alone(attack_half), "half_star": _alone(attack_half_star),
+            "ls": _alone(attack_ls), "clamped_ls": _alone(attack_clamped_ls),
+            "cls": _alone(attack_cls), "rcc1": _alone(attack_rcc1),
+            "rcc2": _alone(attack_rcc2), "zero": _alone(attack_zero),
+            "rg": lambda sys_, init, seed: attack_random(sys_, seed),
+            "gia": lambda sys_, init, seed: attack_gia(sys_, init=init, seed=seed)}
+ATTACKS = tuple(_BY_NAME)
 
 
 def run_attack(name: str, sys_: LinearSystem, *, init: str = "half",
@@ -503,10 +500,6 @@ def run_attack(name: str, sys_: LinearSystem, *, init: str = "half",
     rg draws from seed; gia takes init (seed for its random start) and needs
     the system's log_c.
     """
-    if name not in ATTACKS:
+    if name not in _BY_NAME:
         raise ValueError(f"unknown attack {name!r}")
-    if name in _ON_SYSTEM:
-        return _ON_SYSTEM[name](sys_)
-    if name == "rg":
-        return attack_random(sys_, seed)
-    return attack_gia(sys_, init=init, seed=seed)
+    return _BY_NAME[name](sys_, init, seed)

@@ -28,16 +28,15 @@ from pathlib import Path
 import numpy as np
 
 from . import blackbox, dataset, defense, metrics, numerics
-from .attacks import ATTACKS, AttackError
+from .attacks import ATTACKS
 from .dataset import DataError, Dataset, SyntheticSpec, load_dataset, synthesize
 from .model import (TrainConfig, TrainingError, VflModel, VflSplit, accuracy,
                     predict, train)
-from .system import SystemError_, build_system
+from .system import build_system
 
 _CONFIG_ERRORS = (DataError, metrics.MetricsError, blackbox.BlackboxError,
                   ValueError, OSError, KeyError)
-_SOLVER_ERRORS = (AttackError, TrainingError, SystemError_,
-                  numerics.NumericsError, np.linalg.LinAlgError)
+_SOLVER_ERRORS = (numerics.RowsError, TrainingError, np.linalg.LinAlgError)
 
 DESK_N = 200
 DESK_TRIALS = 20

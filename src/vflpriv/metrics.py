@@ -7,7 +7,6 @@ knowing the nullspace orientation.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -15,8 +14,8 @@ import numpy as np
 from . import numerics
 from .dataset import Dataset
 from .model import VflModel, VflSplit, predict
-from .system import LinearSystem, SystemError_, build_system
-from .attacks import AttackError, run_attack
+from .system import LinearSystem, build_system
+from .attacks import run_attack
 
 _PSD_SLACK = -1e-8
 EPS_CLIP = 1e-12
@@ -138,38 +137,21 @@ def kl_divergence(p, q) -> float | np.ndarray:
     return _per_row(np.maximum(np.sum(terms, axis=-1), 0.0))
 
 
-def rows_named(exc: Exception, labels: list[str], n: int) -> Exception:
-    """exc again, of its kind, each row its text names put in its group.
-
-    The rows are those of a batch stacked from len(labels) groups of n rows:
-    row i becomes row i % n of labels[i // n], and a list of rows is split
-    by group. A ConvergenceError comes back a NumericsError, its rows and
-    residuals in the text.
-    """
-    def name(match):
-        at = {}
-        for i in map(int, re.findall(r"\d+", match[2])):
-            at.setdefault(labels[i // n], []).append(i % n)
-        return match[1] + ", ".join(f"{r if '[' in match[2] else r[0]} of {label}"
-                                    for label, r in at.items())
-    kind = numerics.NumericsError if type(exc) is numerics.ConvergenceError else type(exc)
-    return kind(re.sub(r"\b(rows? )(\d+|\[[\d, ]*\])", name, str(exc)))
-
-
 def stack_mse(model: VflModel, y_act, c, x_pas, attacks, labels: list[str], seed: int,
               init: str, source: str) -> dict[str, np.ndarray]:
     """{attack: its mean per-feature MSE on each system of a batch}: one
     build_system (checked as source says) of model, shared or a stack, on
     the rows y_act and released scores c (S x N x .), one run_attack per
     estimator (system i draws from default_rng(seed + i)), truths x_pas
-    (S x N x d, or N x d for all), and a failure's rows named as rows of
-    labels[i]."""
+    (S x N x d, or N x d for all). A numerics.RowsError comes back as
+    raised, its labels set so that it names row i as a row of labels[i // N]."""
     try:
         sys_ = build_system(model, y_act, c, source=source)
         x_hat = {name: run_attack(name, sys_, init=init, seed=seed).x_hat
                  for name in attacks}
-    except (SystemError_, AttackError, numerics.ConvergenceError) as exc:
-        raise rows_named(exc, labels, c.shape[-2]) from exc
+    except numerics.RowsError as exc:
+        exc.labels = (labels, c.shape[-2])
+        raise
     size = c.shape[-2] * x_pas.shape[-1]
     return {name: np.sum((x_pas - x_hat[name]) ** 2, axis=(-2, -1)) / size for name in attacks}
 

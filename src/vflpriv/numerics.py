@@ -4,7 +4,7 @@ Everything here is deterministic: the same inputs always produce the same
 outputs, there are no randomized restarts, and no shared mutable state.
 Matrices are plain float64 numpy arrays; vectors are 1-D arrays. A row's
 products are its own in one batched np.matmul (_rowwise), so a row gets the
-same bits in any batch.
+same bits in any batch. A failure that names rows is a RowsError.
 """
 
 from __future__ import annotations
@@ -25,7 +25,33 @@ EPS_RANK = 1e-10
 TAU_FEAS = 1e-6
 
 
-class NumericsError(Exception):
+class RowsError(Exception):
+    """An error naming rows of a flattened batch: RowsError(text, rows), rows
+    their indices there. The text's "{rows}" slot reads "row 6" for one row
+    (rows an int) or "rows [1, 5]" for several. Once labels is (names, n),
+    for groups of n rows, row i reads as row i % n of names[i // n]: "row 2
+    of b", "rows [1] of a, [2, 3] of b". RowsError(text) reads as written."""
+
+    labels = None
+
+    @property
+    def rows(self):
+        return self.args[1] if len(self.args) > 1 else None
+
+    def __str__(self):
+        if self.rows is None:
+            return self.args[0]
+        names, n = self.labels or ([""], int(np.max(self.rows, initial=0)) + 1)
+        groups = {}
+        for i in np.ravel(self.rows).tolist():
+            groups.setdefault(names[i // n], []).append(i % n)
+        one = np.ndim(self.rows) == 0
+        return self.args[0].replace("{rows}", ("row " if one else "rows ") + ", ".join(
+            f"{r[0] if one else r}" + (f" of {name}" if name else "")
+            for name, r in groups.items()))
+
+
+class NumericsError(RowsError):
     """Raised when a numerical routine fails to produce a valid result."""
 
 
@@ -35,21 +61,15 @@ class ConvergenceError(NumericsError):
     rows holds the indices of the rows that hit the cap in the system's
     flattened batch, residuals maps each residual's name to one value per
     such row, and last_iterate is the solver's output, one row per row it
-    was given, with those rows left at their last iterate.
+    was given, with those rows left at their last iterate. The text is the
+    message, then the rows and each residual's values per row.
     """
 
     def __init__(self, message, last_iterate, residuals, rows):
-        super().__init__(message)
-        self.last_iterate = last_iterate
-        self.residuals = residuals
-        self.rows = rows
-
-    def __str__(self):
-        """The message, then the rows and each residual's values per row."""
-        text = f"{super().__str__()}; rows {self.rows.tolist()}"
-        for name, values in self.residuals.items():
-            text += f"; {name} " + " ".join(f"{v:.3e}" for v in values)
-        return text
+        super().__init__(message + "; {rows}" + "".join(
+            f"; {name} " + " ".join(f"{v:.3e}" for v in values)
+            for name, values in residuals.items()), rows)
+        self.last_iterate, self.residuals = last_iterate, residuals
 
 
 def as_matrix(a) -> np.ndarray:
@@ -144,23 +164,16 @@ def svd(a) -> SvdFactors:
     return SvdFactors(u=u, s=s, v=vt.swapaxes(-1, -2))
 
 
-def _cap_error(solver: str, x: np.ndarray, rows: np.ndarray, total: int,
-               residuals: dict) -> ConvergenceError:
-    return ConvergenceError(
-        f"{solver} hit the iteration cap on {rows.size} of {total} rows",
-        last_iterate=x, residuals=residuals, rows=rows)
-
-
 def _row_setup(sys_: LinearSystem, rows):
-    """sys_'s A as a stack (S, m, d), the rows' flat indices, each row's A and
-    b' row; ValueError names the rows outside the R rows of the flat batch."""
+    """sys_'s A as a stack (S, m, d), the rows' flat indices, their row_a and
+    b' rows; ValueError names the rows outside the R rows of the flat batch."""
     m, d = sys_.a.shape[-2:]
     stack, b = sys_.a.reshape(-1, m, d), sys_.b.reshape(-1, m)
     index = np.asarray(rows, dtype=int).ravel()
     out = index[(index < 0) | (index >= len(b))]
     if out.size:
         raise ValueError(f"rows {out.tolist()} are outside the {len(b)} rows of the batch")
-    return stack, index, index // (len(b) // len(stack)), b[index]
+    return stack, index, sys_.row_a[index], b[index]
 
 
 def dykstra_project(sys_: LinearSystem, rows, max_iter: int = 100
@@ -255,8 +268,9 @@ def dykstra_project(sys_: LinearSystem, rows, max_iter: int = 100
             t[p] *= 0.5
     if live.size:
         flat[live] = x
-        raise _cap_error("box-affine projection", flat, index[live],
-                         len(b), {"affine": np.max(np.abs(res), axis=1)})
+        raise ConvergenceError(
+            f"box-affine projection hit the iteration cap on {live.size} of {len(b)} rows",
+            flat, {"affine": np.max(np.abs(res), axis=1)}, index[live])
     return flat, steps
 
 
@@ -340,8 +354,9 @@ def box_least_squares(sys_: LinearSystem, rows, max_iter: int = 50_000) -> np.nd
                 if not live.size:
                     return flat
     flat[live] = xs
-    raise _cap_error("box least squares", flat, index[live], len(flat),
-                     {"residual": np.sqrt(sq(times(xs, at, own) - bs))})
+    raise ConvergenceError(
+        f"box least squares hit the iteration cap on {live.size} of {len(flat)} rows",
+        flat, {"residual": np.sqrt(sq(times(xs, at, own) - bs))}, index[live])
 
 
 def von_neumann_bounds(m, p) -> tuple[float, float]:

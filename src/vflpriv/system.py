@@ -17,7 +17,7 @@ from .model import VflModel, predict
 from .numerics import _rowwise
 
 
-class SystemError_(Exception):
+class SystemError_(numerics.RowsError):
     """Raised for a score that is not a finite normal float or a failed system check."""
 
 
@@ -46,11 +46,12 @@ class LinearSystem:
     svd.nullspace() is one A's basis); pinv, projector, min_norm_solution,
     plane_center (half_star, where rcc2's projection starts), contains and
     residual work on every system at once, each getting the bits it gets
-    alone, and nullity gives each A's. A 1-D b is the one-row case: per-row
-    results then drop the row axis. log_c holds the logs of the released
-    scores (batch + (k,)) that b' came from; gia needs them, the other
-    estimators read only (A, b'), and a system built by hand may leave them
-    out. Immutable after construction by convention.
+    alone, nullity gives each A's and row_a each row's A, the one map from a
+    row to its system. A 1-D b is the one-row case: per-row results then
+    drop the row axis. log_c holds the logs of the released scores (batch +
+    (k,)) that b' came from; gia needs them, the other estimators read only
+    (A, b'), and a system built by hand may leave them out. Immutable after
+    construction by convention.
     """
 
     a: np.ndarray
@@ -90,6 +91,13 @@ class LinearSystem:
         """Leading shape of per-row results: () for one row, (N,) for N rows,
         and the axes of systems before those."""
         return self.b.shape[:-1]
+
+    @cached_property
+    def row_a(self) -> np.ndarray:
+        """Each row of the flattened batch's index into the stack of A's
+        (0 for a 2-D a); nullity read at it gives each row's nullity."""
+        systems = self.a[..., 0, 0].size
+        return np.repeat(np.arange(systems), self.b[..., 0].size // systems)
 
     @cached_property
     def pinv(self) -> np.ndarray:
@@ -161,9 +169,9 @@ def build_system(model: VflModel, y_act, c, source: str = "clean") -> LinearSyst
     bad = np.argwhere(~((rows >= np.finfo(float).tiny) & (rows < np.inf)))  # NaN fails both
     if bad.size:
         score = rows[tuple(bad[0])]
-        raise SystemError_(f"row {bad[0, 0]} has score {score}, " + (
+        raise SystemError_(f"{{rows}} has score {score}, " + (
             "below the smallest normal float, so its log is not exact"
-            if np.isfinite(score) else "not a finite float"))
+            if np.isfinite(score) else "not a finite float"), bad[0, 0])
     j = difference_matrix(model.k)
     log_c = np.log(c)
     bprime = (np.diff(log_c, axis=-1) - _rowwise(j, _rowwise(model.w_act, y_act))
@@ -176,7 +184,7 @@ def build_system(model: VflModel, y_act, c, source: str = "clean") -> LinearSyst
         bad = np.flatnonzero(err > 1e-6)
         if bad.size:
             raise SystemError_(
-                f"clean-score system is not satisfiable at row {bad[0]} (its min-norm "
+                f"clean-score system is not satisfiable at {{rows}} (its min-norm "
                 f"solution predicts scores off by {err[bad[0]]:.3e} relative; "
-                f"{bad.size} of {err.size} rows fail); check dimensions")
+                f"{bad.size} of {err.size} rows fail); check dimensions", bad[0])
     return sys_

@@ -183,6 +183,35 @@ class TestHalfStar:
         assert e_hs <= e_half + 1e-9
         assert e_r2 <= e_hs + 1e-7
 
+    @pytest.mark.parametrize("stacked", [False, True], ids=["shared_a", "window_stack"])
+    @pytest.mark.parametrize("features", ["binary", "jittered"])
+    @pytest.mark.parametrize("k", [2, 3, 4, 6])
+    def test_per_sample_dominance_on_model_batches(self, k, features, stacked):
+        # half, half_star and rcc2 each project the box center onto a convex
+        # set that holds the truth (the box, the plane, their meet), each set
+        # inside the last, so the chain can fail only on a wrong projection.
+        # The batches are build_system's, from a model whose W_pas repeats a
+        # column, on features exactly 0 or 1 or jittered off them, with one A
+        # or a stack of three windows' A's
+        from vflpriv.model import VflModel, VflSplit
+        rng = np.random.default_rng(k)
+        d, d_t, n = 5, 8, 20
+        lead = (3,) if stacked else ()
+        w_pas = rng.standard_normal(lead + (k, d))
+        w_pas[..., 3] = w_pas[..., 1]
+        model = VflModel(w_act=rng.standard_normal(lead + (k, d_t - d)), w_pas=w_pas,
+                         b=rng.standard_normal(k), k=k, split=VflSplit.contiguous(d_t, 0, d))
+        x = rng.integers(0, 2, lead + (n, d_t)).astype(float)
+        if features == "jittered":
+            x = np.abs(x - 0.05 * np.abs(rng.standard_normal(x.shape)))
+        y_act, x_pas = x[..., d:], x[..., :d]
+        sys_ = build_system(model, y_act, predict(model, y_act, x_pas))
+        assert np.all(np.reshape(sys_.nullity, -1) > 0)
+        err = {name: np.sum((x_pas - attacks.run_attack(name, sys_).x_hat) ** 2, axis=-1)
+               for name in ("half", "half_star", "rcc2")}
+        assert np.all(err["half_star"] <= err["half"] + 1e-9)
+        assert np.all(err["rcc2"] <= err["half_star"] + 1e-7)
+
 
 class TestRcc2:
     def test_matches_projection_oracle(self):
@@ -521,8 +550,11 @@ class TestGiaWarning:
 
 class TestDispatch:
     def test_all_names(self):
+        # the table's order is the CLI's "choose from" list and the test ids'
+        assert attacks.ATTACKS == ("half", "half_star", "ls", "clamped_ls", "cls", "rcc1",
+                                   "rcc2", "zero", "rg", "gia")
         sys_, _ = _system_with_truth(9)
-        for name in attacks.WHITEBOX_ATTACKS + ("zero", "rg"):
+        for name in attacks.ATTACKS[:-1]:     # all but gia, which needs log_c
             est = attacks.run_attack(name, sys_, seed=0)
             assert est.name == name
             assert est.x_hat.shape == (sys_.d,)

@@ -7,9 +7,10 @@ import pytest
 
 import oracles
 from vflpriv import cli, numerics
-from vflpriv.attacks import ATTACKS
+from vflpriv.attacks import ATTACKS, AttackError
 from vflpriv.dataset import SyntheticSpec, synthesize
 from vflpriv.model import TrainConfig, VflModel, VflSplit, accuracy, train
+from vflpriv.system import SystemError_
 
 
 def _run(argv):
@@ -1220,19 +1221,88 @@ class TestOneReleaseBatch:
                 in line)
 
     def test_failure_keeps_its_kind(self, setup):
-        # a capped solve's rows and residuals go into the text of a NumericsError
+        # the solver's own exception comes back, its rows in batch order: the
+        # second setting's rows 3 to 24 are flat rows 28 to 49
         ds, model, rows = setup
         settings = [("s1", 0.1), ("s1", 10.0)]
-        with pytest.raises(cli.AttackError,
-                           match=re.escape("rcc1 rows [3, 6, 19, 23, 24] of s1 alpha=10.0")):
+        with pytest.raises(AttackError,
+                           match=re.escape("rcc1 rows [3, 6, 19, 23, 24] of s1 alpha=10.0")
+                           ) as err:
             cli._defense_sweep(model, ds, rows, settings, "rcc1", 0)
-        with pytest.raises(numerics.NumericsError,
+        assert err.value.rows.tolist() == [28, 31, 44, 48, 49]
+        with pytest.raises(numerics.ConvergenceError,
                            match=re.escape("; rows [3, 6, 19, 23, 24] of s1 alpha=10.0; affine ")
                            ) as err:
             cli._defense_sweep(model, ds, rows, settings, "rcc2", 0)
-        assert not isinstance(err.value, numerics.ConvergenceError)
-        with pytest.raises(cli.SystemError_, match="^row 0 of s1 alpha=1000000.0 has score"):
+        assert err.value.rows.tolist() == [28, 31, 44, 48, 49]
+        with pytest.raises(SystemError_, match="^row 0 of s1 alpha=1000000.0 has score"):
             cli._defense_sweep(model, ds, rows, [("s1", 1e6)], "half_star", 0)
+
+
+class TestFailureRows:
+    """A failure carries its rows as data: the exception a solver raised, its
+    rows in the flattened batch's order, named in its text by their setting
+    once stack_mse has set its labels."""
+
+    SETTINGS = [("s1", 0.1), ("s1", 1.0), ("s1", 10.0)]
+
+    @pytest.fixture(scope="class")
+    def setup(self):
+        # defend --synth-n 2000 --synth-dt 10 --synth-k 4 --d 6 --n 100 --seed 0
+        ds = synthesize(SyntheticSpec(n=2000, d_t=10, k=4, seed=0))
+        model = train(ds, VflSplit.contiguous(10, 0, 10), TrainConfig(seed=0)).window(
+            VflSplit.contiguous(10, 0, 6))
+        return model, ds, np.flatnonzero(ds.test_mask)[:100]
+
+    def test_capped_projection(self, setup):
+        # at alpha = 10 five planes miss the box and rcc2's projection caps
+        with pytest.raises(numerics.ConvergenceError) as err:
+            cli._defense_sweep(*setup, self.SETTINGS, "rcc2", 0)
+        exc = err.value
+        assert exc.rows.tolist() == [236, 243, 257, 273, 285]
+        assert exc.labels == (["s1 alpha=0.1", "s1 alpha=1.0", "s1 alpha=10.0"], 100)
+        assert list(exc.residuals) == ["affine"] and exc.residuals["affine"].shape == (5,)
+        assert exc.last_iterate.shape == (300, 6)
+        assert str(exc) == (
+            "box-affine projection hit the iteration cap on 5 of 300 rows; rows [36, 43, "
+            "57, 73, 85] of s1 alpha=10.0; affine 2.131e+00 6.614e-01 4.885e+00 1.482e+00 "
+            "5.586e-01")
+
+    def test_rcc1_gaps(self, setup):
+        with pytest.raises(AttackError) as err:
+            cli._defense_sweep(*setup, self.SETTINGS, "rcc1", 0)
+        assert err.value.rows.tolist() == [236, 243, 257, 273, 285]
+        assert re.fullmatch(r"rcc1 rows \[36, 43, 57, 73, 85\] of s1 alpha=10\.0 end with "
+                            r"gaps( \S+){5} above 1e-08 in at most 50 steps", str(err.value))
+
+    def test_underflow(self, setup):
+        # the second setting's row 0 is the batch's row 100
+        with pytest.raises(SystemError_) as err:
+            cli._defense_sweep(*setup, [("s1", 0.1), ("s1", 1e6)], "half_star", 0)
+        assert err.value.rows == 100
+        assert str(err.value) == ("row 0 of s1 alpha=1000000.0 has score 0.0, below the "
+                                  "smallest normal float, so its log is not exact")
+
+    def test_rows_named(self):
+        exc = numerics.ConvergenceError("hit the cap on 3 of 12 rows", None,
+                                        {"affine": np.array([1.0, 2.0, 3.0])},
+                                        np.array([1, 5, 9]))
+        exc.labels = (["a", "b", "c"], 4)
+        assert str(exc) == ("hit the cap on 3 of 12 rows; rows [1] of a, [1] of b, "
+                            "[1] of c; affine 1.000e+00 2.000e+00 3.000e+00")
+        exc = SystemError_("{rows} has score 0.0", 6)
+        assert str(exc) == "row 6 has score 0.0"
+        exc.labels = (["a", "b"], 4)
+        assert str(exc) == "row 2 of b has score 0.0"
+
+    @pytest.mark.parametrize("text", ["ls produced non-finite estimates",
+                                      "the set {x in [0, 1]^d : A x = b'} is empty"],
+                             ids=["no_rows", "braces"])
+    def test_text_without_rows_comes_back_as_written(self, text):
+        exc = AttackError(text)
+        assert str(exc) == text
+        exc.labels = (["a", "b"], 4)
+        assert str(exc) == text and exc.rows is None
 
 
 def test_solver_cap_prints_rows_and_residuals(tmp_path, monkeypatch, capsys):

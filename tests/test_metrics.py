@@ -462,7 +462,7 @@ class TestWindowFailures:
         from vflpriv import attacks
 
         def fail(sys_, **kw):
-            raise AttackError("gia rows [7] did not converge")
+            raise AttackError("gia {rows} did not converge", [7])
         monkeypatch.setattr(attacks, "attack_gia", fail)
         ds, model, rows = setup
         with pytest.raises(AttackError, match=r"^gia rows \[2\] of window start=1 did "):
@@ -484,17 +484,6 @@ class TestWindowFailures:
         mse = metrics.attack_mse_on_rows(model, [VflSplit.contiguous(4, 1, 2)], ds, rows,
                                          ["rcc1"], 0)
         assert np.isfinite(mse["rcc1"][0])
-
-    def test_rows_named(self):
-        exc = numerics.ConvergenceError("hit the cap on 3 of 12 rows", None,
-                                        {"affine": np.array([1.0, 2.0, 3.0])},
-                                        np.array([1, 5, 9]))
-        got = metrics.rows_named(exc, ["a", "b", "c"], 4)
-        assert type(got) is numerics.NumericsError
-        assert str(got) == ("hit the cap on 3 of 12 rows; rows [1] of a, [1] of b, "
-                            "[1] of c; affine 1.000e+00 2.000e+00 3.000e+00")
-        got = metrics.rows_named(SystemError_("row 6 has score 0.0"), ["a", "b"], 4)
-        assert type(got) is SystemError_ and str(got) == "row 2 of b has score 0.0"
 
 
 class TestAttackMseOnRows:
