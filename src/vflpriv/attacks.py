@@ -358,18 +358,19 @@ _GIA_MAX_STEP = 1e30
 # a step is accepted against the largest of the last _GIA_MEMORY accepted
 # objective values, the current one included; 1 is the monotone rule
 _GIA_MEMORY = 10
-# gia's first step size, and the move under which a row has converged
-_GIA_STEP, _GIA_TOL = 0.05, 1e-12
+# gia's first step size, the move under which a row has converged, and its
+# iteration cap per row, which tests patch to reach GiaConvergenceWarning
+_GIA_STEP, _GIA_TOL, _GIA_MAX_ITER = 0.05, 1e-12, 5000
 
 
-def _gia_row(log_c, offset, m, x, max_iter: int) -> tuple[np.ndarray, float, int, bool]:
+def _gia_row(log_c, offset, m, x) -> tuple[np.ndarray, float, int, bool]:
     """Projected descent from x on one row's D(c_hat || c), with the step
     and acceptance rules of attack_gia; the logits at x are offset + m x.
 
     A candidate's gradient is formed only once the candidate is accepted.
     Returns (x, KL bits, iterations, converged) at the last accepted point;
     converged is True when a step moved x by less than _GIA_TOL, False at
-    the iteration cap or once the step size underflows.
+    the _GIA_MAX_ITER cap or once the step size underflows.
     """
     ln2, m_t = np.log(2.0), m.T
 
@@ -394,7 +395,7 @@ def _gia_row(log_c, offset, m, x, max_iter: int) -> tuple[np.ndarray, float, int
     grad = gradient(c_hat, ell, s)
     recent = collections.deque([obj], maxlen=_GIA_MEMORY)
     ref, cur_step, iters = obj, _GIA_STEP, 0
-    for iters in range(1, max_iter + 1):
+    for iters in range(1, _GIA_MAX_ITER + 1):
         cand = x - cur_step * grad
         np.maximum(cand, 0.0, out=cand)
         np.minimum(cand, 1.0, out=cand)
@@ -422,8 +423,7 @@ def _gia_row(log_c, offset, m, x, max_iter: int) -> tuple[np.ndarray, float, int
     return x, obj, iters, False
 
 
-def attack_gia(sys_: LinearSystem, init: str = "half", max_iter: int = 5000,
-               seed: int = 0) -> AttackEstimate:
+def attack_gia(sys_: LinearSystem, init: str = "half", seed: int = 0) -> AttackEstimate:
     """Gradient-inversion baseline: projected descent on D(c_hat || c) over the box.
 
     The model enters only through the system: with r = A x - b', the logits
@@ -446,9 +446,9 @@ def attack_gia(sys_: LinearSystem, init: str = "half", max_iter: int = 5000,
     accepted point.
     diagnostics["iterations"] is the total over all rows of the batch, and
     diagnostics["converged"] says per row whether its last step moved it by
-    less than 1e-12 (False at the max_iter cap or on step underflow); if any
-    row is False, one GiaConvergenceWarning gives their count and their
-    largest final KL in bits.
+    less than 1e-12 (False at the _GIA_MAX_ITER cap, 5,000 steps per row, or
+    on step underflow); if any row is False, one GiaConvergenceWarning gives
+    their count and their largest final KL in bits.
     """
     if init not in ("zeros", "half", "random"):
         raise ValueError(f"unknown init mode {init!r}")
@@ -464,13 +464,12 @@ def attack_gia(sys_: LinearSystem, init: str = "half", max_iter: int = 5000,
          else np.full(batch + (d,), 0.5 if init == "half" else 0.0)).reshape(-1, d)
     kl_bits, converged, iterations = np.empty(len(x)), np.empty(len(x), bool), 0
     for r, own in enumerate(sys_.row_a):
-        x[r], kl_bits[r], iters, converged[r] = _gia_row(
-            log_c[r], offset[r], m[own], x[r], max_iter)
+        x[r], kl_bits[r], iters, converged[r] = _gia_row(log_c[r], offset[r], m[own], x[r])
         iterations += iters
     if not converged.all():
         stuck = ~converged
         warnings.warn(f"gia: {stuck.sum()} of {stuck.size} rows did not converge "
-                      f"({max_iter}-iteration cap or step underflow); the largest "
+                      f"({_GIA_MAX_ITER}-iteration cap or step underflow); the largest "
                       f"final KL among them is {kl_bits[stuck].max():.3e} bits",
                       GiaConvergenceWarning, stacklevel=2)
     return _estimate(sys_, "gia", x.reshape(batch + (d,)), kl_bits=kl_bits.reshape(batch)[()],

@@ -31,11 +31,10 @@ from . import blackbox, dataset, defense, metrics, numerics
 from .attacks import ATTACKS
 from .dataset import DataError, Dataset, SyntheticSpec, load_dataset, synthesize
 from .model import (TrainConfig, TrainingError, VflModel, VflSplit, accuracy,
-                    predict, train)
+                    predict, softmax, train)
 from .system import build_system
 
-_CONFIG_ERRORS = (DataError, metrics.MetricsError, blackbox.BlackboxError,
-                  ValueError, OSError, KeyError)
+_CONFIG_ERRORS = (DataError, metrics.MetricsError, blackbox.BlackboxError, ValueError, OSError)
 _SOLVER_ERRORS = (numerics.RowsError, TrainingError, np.linalg.LinAlgError)
 
 DESK_N = 200
@@ -244,8 +243,8 @@ def _defense_sweep(model: VflModel, ds: Dataset, rows, settings, attack: str,
                    seed: int) -> list[tuple[float, float, bool]]:
     """(MSE, mean KL bits, label kept) of one attack per (scheme, param) setting.
 
-    One predict and one clean build_system (checking every row) cover the N
-    rows, and the pps1 transform or the one s1/s2 direction comes from it.
+    One logits call, its softmax (the clean scores) and one clean build_system
+    cover the N rows, and the pps1 transform or the one s1/s2 direction comes from it.
     pps1 comes alone, releasing the clean scores on new weights; the other
     schemes' settings release scores on the model's one A. Setting i is
     system i that metrics.stack_mse scores (rg draws from default_rng(seed
@@ -254,13 +253,13 @@ def _defense_sweep(model: VflModel, ds: Dataset, rows, settings, attack: str,
     """
     pas = list(model.split.passive)
     y_act, x_pas = ds.x[np.ix_(rows, model.split.active)], ds.x[np.ix_(rows, pas)]
-    c = predict(model, y_act, x_pas)
+    c = softmax(z := model.logits(y_act, x_pas))
     clean = build_system(model, y_act, c)
     if settings[0][0] == "pps1":
         h = defense.pps1_optimal_h(clean, metrics.moments(ds, pas).k0)
         released, c_out = defense.pps1_reveal_params(model, h), c[None]
     else:
-        z, v1, c_out = model.logits(y_act, x_pas), None, []
+        v1, c_out = None, []
         for scheme, param in settings:
             if scheme in ("s1", "s2"):
                 v1 = defense.pps2_optimal_direction(clean, param).v1 if v1 is None else v1

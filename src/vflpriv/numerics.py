@@ -24,6 +24,9 @@ EPS_RANK = 1e-10
 # Slack for membership tests of the affine-slice-of-box polytope.
 TAU_FEAS = 1e-6
 
+# Caps of dykstra_project's Newton steps and box_least_squares' FISTA; tests patch them.
+_PROJECT_MAX_ITER, _FISTA_MAX_ITER = 100, 50_000
+
 
 class RowsError(Exception):
     """An error naming rows of a flattened batch: RowsError(text, rows), rows
@@ -33,6 +36,9 @@ class RowsError(Exception):
     of b", "rows [1] of a, [2, 3] of b". RowsError(text) reads as written."""
 
     labels = None
+
+    def __reduce__(self):   # for pickle: args, (text, rows), need not fit __init__
+        return Exception.__new__, (type(self),), {**self.__dict__, "args": self.args}
 
     @property
     def rows(self):
@@ -176,8 +182,7 @@ def _row_setup(sys_: LinearSystem, rows):
     return stack, index, sys_.row_a[index], b[index]
 
 
-def dykstra_project(sys_: LinearSystem, rows, max_iter: int = 100
-                    ) -> tuple[np.ndarray, np.ndarray]:
+def dykstra_project(sys_: LinearSystem, rows) -> tuple[np.ndarray, np.ndarray]:
     """Euclidean projection of the box center c onto {x in [0,1]^d : Ax = b}, per row.
 
     c = (1/2, ..., 1/2) is the only point projected, as rcc2 needs; rows
@@ -203,7 +208,7 @@ def dykstra_project(sys_: LinearSystem, rows, max_iter: int = 100
     steps.
 
     Raises ConvergenceError naming, by their index in the flattened batch,
-    the rows that fail the stop test after max_iter steps.
+    the rows that fail the stop test after _PROJECT_MAX_ITER steps.
     """
     a, index, own, b = _row_setup(sys_, rows)
     f, (m, d), q = sys_.svd, a.shape[1:], min(a.shape[1:])
@@ -227,14 +232,14 @@ def dykstra_project(sys_: LinearSystem, rows, max_iter: int = 100
     live, bs, u = np.arange(len(b)), b, flat.copy()
     bound = 1e-12 * (1.0 + np.max(np.abs(a), axis=(1, 2))[own] + np.max(np.abs(b), axis=1))
     x, res = point(u, bs, own)
-    for it in range(max_iter + 1):
+    for it in range(_PROJECT_MAX_ITER + 1):
         done = np.max(np.abs(res), axis=1) <= bound
         if np.count_nonzero(done):
             flat[live[done]] = x[done]
             steps[live[done]] = it
             live, own, bs, bound, u, x, res = (
                 arr[~done] for arr in (live, own, bs, bound, u, x, res))
-        if not live.size or it == max_iter:
+        if not live.size or it == _PROJECT_MAX_ITER:
             break
         g = _rowwise(us[own].swapaxes(-1, -2), res)
         v_own = vr[own]
@@ -274,7 +279,7 @@ def dykstra_project(sys_: LinearSystem, rows, max_iter: int = 100
     return flat, steps
 
 
-def box_least_squares(sys_: LinearSystem, rows, max_iter: int = 50_000) -> np.ndarray:
+def box_least_squares(sys_: LinearSystem, rows) -> np.ndarray:
     """Minimize ||Ax - b|| over the unit box by accelerated projected gradient.
 
     rows picks rows of the system's flattened batch (each row on its
@@ -291,7 +296,7 @@ def box_least_squares(sys_: LinearSystem, rows, max_iter: int = 50_000) -> np.nd
     as in _rowwise, so a row gets the same bits in any batch.
 
     Raises ConvergenceError naming, by their index in the flattened batch,
-    the rows not stationary after max_iter iterations.
+    the rows not stationary after _FISTA_MAX_ITER iterations.
     """
     stack, index, own, bs = _row_setup(sys_, rows)
     flat = np.full((index.size, sys_.d), 0.5)
@@ -321,10 +326,10 @@ def box_least_squares(sys_: LinearSystem, rows, max_iter: int = 50_000) -> np.nd
     # filled in at iteration j, the first at which a row can reach j
     xs = flat[live]
     since = np.zeros(len(live), dtype=int)
-    weight, t = np.empty(max_iter), 1.0
+    weight, t = np.empty(_FISTA_MAX_ITER), 1.0
     fx = sq(times(xs, at, own) - bs)
     y = xs
-    for it in range(max_iter):
+    for it in range(_FISTA_MAX_ITER):
         x_new = clip(times(y, g, own) + q)
         f_new = sq(times(x_new, at, own) - bs)
         restart = f_new >= fx  # restart momentum from x

@@ -148,10 +148,12 @@ def build_system(model: VflModel, y_act, c, source: str = "clean") -> LinearSyst
     np.finfo(float).tiny (zero or subnormal) or not finite raises
     SystemError_ naming its row. With source "clean", each row's min-norm
     solution must predict its scores to 1e-6 relative (a failed row
-    indicates a dimension bug and raises); another source, such as "noisy"
-    for released scores, skips that check. A row is named by its index in
-    the flattened batch.
+    indicates a dimension bug and raises); "noisy", for released scores,
+    skips that check, and any other source raises ValueError. A row is
+    named by its index in the flattened batch.
     """
+    if source not in ("clean", "noisy"):
+        raise ValueError(f"source must be 'clean' or 'noisy', got {source!r}")
     y_act = np.asarray(y_act, dtype=float)
     c = np.asarray(c, dtype=float)
     lead, d_act = model.w_pas.shape[:-2], model.w_act.shape[-1]

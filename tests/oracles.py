@@ -296,7 +296,7 @@ def defense_sweep_rows(model, ds, rows, settings, attack="half_star"):
             c = predict(model, y_act, x_pas)
             if scheme == "pps1":
                 c_out = c
-                sys_ = build_system(revealed, y_act, c, source="defended")
+                sys_ = build_system(revealed, y_act, c, source="noisy")
             else:
                 plan = param
                 if scheme in ("s1", "s2"):

@@ -324,9 +324,10 @@ class TestCls:
             assert np.array_equal(est.x_hat[i], one.x_hat)
             assert np.array_equal(est.diagnostics["residual"][i], one.diagnostics["residual"])
         # the determined system's rows, handed to FISTA, hit the cap
+        monkeypatch.setattr(numerics, "_FISTA_MAX_ITER", 500)
         with pytest.raises(numerics.ConvergenceError,
                            match=r"on 4 of 4 rows; rows \[0, 1, 2, 3\]"):
-            real(stack, np.arange(4), max_iter=500)
+            real(stack, np.arange(4))
 
 
 class TestGia:
@@ -364,17 +365,21 @@ class TestGia:
         est = attacks.attack_gia(build_system(small_model, y_act, c), init="half")
         assert est.diagnostics["kl_bits"] <= at_init + 1e-12
 
-    def test_reports_convergence(self, small_model):
+    def test_reports_convergence(self, small_model, monkeypatch):
         y_act, c = _predictions(small_model, 3, seed=10)
         # from the half start the rows stop after 18, 10 and 18 steps, so a
         # 14-step cap stops rows 0 and 2
-        est = attacks.attack_gia(build_system(small_model, y_act, c), max_iter=14)
-        one = [attacks.attack_gia(build_system(small_model, y_act[i], c[i]),
-                                  max_iter=14).diagnostics for i in range(3)]
+        monkeypatch.setattr(attacks, "_GIA_MAX_ITER", 14)
+        with pytest.warns(attacks.GiaConvergenceWarning):
+            est = attacks.attack_gia(build_system(small_model, y_act, c))
+        one = [_gia_warns_if_stuck(build_system(small_model, y_act[i], c[i])).diagnostics
+               for i in range(3)]
         assert est.diagnostics["converged"].tolist() == [False, True, False]
         assert [d["converged"] for d in one] == [False, True, False]
         assert one[2]["iterations"] == 14 and one[1]["iterations"] < 14
-        capped = attacks.attack_gia(build_system(small_model, y_act[0], c[0]), max_iter=3)
+        monkeypatch.setattr(attacks, "_GIA_MAX_ITER", 3)
+        with pytest.warns(attacks.GiaConvergenceWarning):
+            capped = attacks.attack_gia(build_system(small_model, y_act[0], c[0]))
         assert capped.diagnostics["iterations"] == 3
         assert not capped.diagnostics["converged"]
 
@@ -420,8 +425,11 @@ class TestGia:
                 model, defense.pps1_optimal_h(clean, x_pas.T @ x_pas / len(x_pas)))
         sys_ = build_system(model, y_act, c, source="noisy")
         for init in ("zeros", "half", "random"):
-            start = attacks.attack_gia(sys_, init=init, max_iter=0, seed=0)
-            est = attacks.attack_gia(sys_, init=init, seed=0)
+            with pytest.MonkeyPatch.context() as capped:
+                capped.setattr(attacks, "_GIA_MAX_ITER", 0)
+                with pytest.warns(attacks.GiaConvergenceWarning):
+                    start = attacks.attack_gia(sys_, init=init, seed=0)
+            est = _gia_warns_if_stuck(sys_, init=init, seed=0)
             for i in range(4):
                 # random starts: the row's own draw from seed 0
                 x0 = start.x_hat[i]
@@ -504,7 +512,7 @@ class TestGia:
         at_start = oracles.gia_row(oracles.gia_system_objective(sys_), x0, 0.05, 0,
                                    1e-12)[1]
         with np.errstate(over="raise", invalid="raise", divide="raise"):
-            est = attacks.attack_gia(sys_, init=init, seed=seed)
+            est = _gia_warns_if_stuck(sys_, init=init, seed=seed)
         assert np.all(np.isfinite(est.x_hat))
         assert np.all((est.x_hat >= 0.0) & (est.x_hat <= 1.0))
         assert est.diagnostics["kl_bits"] <= at_start
@@ -519,10 +527,11 @@ class TestGia:
 class TestGiaWarning:
     """gia warns once per call when rows end unconverged, and only then."""
 
-    def test_unconverged_rows_warn_once(self):
+    def test_unconverged_rows_warn_once(self, monkeypatch):
         sys_ = build_system(_k4_model(), *_predictions(_k4_model(), 5, seed=10))
+        monkeypatch.setattr(attacks, "_GIA_MAX_ITER", 30)
         with pytest.warns(attacks.GiaConvergenceWarning) as record:
-            est = attacks.attack_gia(sys_, max_iter=30)
+            est = attacks.attack_gia(sys_)
         stuck = ~est.diagnostics["converged"]
         assert len(record) == 1 and stuck.any()
         message = str(record[0].message)
@@ -540,8 +549,7 @@ class TestGiaWarning:
 
     def test_command_still_exits_0(self, tmp_path, monkeypatch):
         from vflpriv import cli
-        real = attacks._gia_row
-        monkeypatch.setattr(attacks, "_gia_row", lambda *a: real(*a[:4], 30))
+        monkeypatch.setattr(attacks, "_GIA_MAX_ITER", 30)
         with pytest.warns(attacks.GiaConvergenceWarning, match="did not converge"):
             assert cli.main(["attack", "--synth-n", "300", "--synth-dt", "6", "--d", "3",
                              "--attacks", "gia", "--n", "5",
@@ -593,13 +601,26 @@ def _assert_gia_matches(model, oracle):
         sys_ = build_system(model, y_act[i], c[i])
         for init, x0 in _gia_starts(model.split.d).items():
             for max_iter in (5000, 3):
-                est = attacks.attack_gia(sys_, init=init, max_iter=max_iter, seed=0)
+                with pytest.MonkeyPatch.context() as capped:
+                    capped.setattr(attacks, "_GIA_MAX_ITER", max_iter)
+                    est = _gia_warns_if_stuck(sys_, init=init, seed=0)
                 got = (est.x_hat, est.diagnostics["kl_bits"],
                        est.diagnostics["iterations"], est.diagnostics["converged"])
                 want = oracle(oracles.gia_system_objective(sys_), x0, 0.05,
                               max_iter, 1e-12)
                 for g, w in zip(got, want):
                     assert np.array_equal(g, w), (init, i, max_iter)
+
+
+def _gia_warns_if_stuck(sys_, **kw):
+    """attack_gia(sys_, **kw), asserting that it gives one GiaConvergenceWarning
+    where a row ends unconverged and none where every row converges."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", attacks.GiaConvergenceWarning)
+        est = attacks.attack_gia(sys_, **kw)
+    stuck = not np.all(est.diagnostics["converged"])
+    assert [w.category for w in caught] == [attacks.GiaConvergenceWarning] * stuck
+    return est
 
 
 def _gia_starts(d, seed=0):
@@ -816,9 +837,7 @@ class TestBatchedSolvers:
         sys_ = build_system(_k4_model(), *_bimodal_predictions(_k4_model(), 12, 0))
         newton = np.flatnonzero(attacks.attack_rcc2(sys_).diagnostics["projection"]
                                 == "newton")
-        real = numerics.dykstra_project
-        monkeypatch.setattr(numerics, "dykstra_project",
-                            lambda *args, **kw: real(*args, max_iter=1, **kw))
+        monkeypatch.setattr(numerics, "_PROJECT_MAX_ITER", 1)
         with pytest.raises(numerics.ConvergenceError) as err:
             attacks.attack_rcc2(sys_)
         # every projected row hits a one-step cap; rows are named in the

@@ -1,5 +1,6 @@
 import csv
 import json
+import pickle
 import re
 
 import numpy as np
@@ -10,7 +11,7 @@ from vflpriv import cli, numerics
 from vflpriv.attacks import ATTACKS, AttackError
 from vflpriv.dataset import SyntheticSpec, synthesize
 from vflpriv.model import TrainConfig, VflModel, VflSplit, accuracy, train
-from vflpriv.system import SystemError_
+from vflpriv.system import LinearSystem, SystemError_
 
 
 def _run(argv):
@@ -161,6 +162,14 @@ class TestConfigFile:
 class TestExitCodes:
     def test_missing_data_file(self):
         assert _run(["train", "--data", "/nonexistent.csv"]) == 2
+
+    def test_key_error_is_a_bug(self, monkeypatch):
+        # no user input reaches a KeyError, so one is not a config error
+        def broken(args):
+            raise KeyError("x")
+        monkeypatch.setattr(cli, "cmd_train", broken)
+        with pytest.raises(KeyError, match="'x'"):
+            _run(["train", "--synth-n", "100"])
 
     def test_success(self, capsys):
         assert _run(["blackbox", "--case", "1", "--n-grid", "1..2",
@@ -785,9 +794,7 @@ class TestFigure1Failures:
         # each of windows 2, 3 and 6 needs more than one Newton step, a
         # one-step cap stops them, and the capped rows and residuals keep
         # their windows
-        real = numerics.dykstra_project
-        monkeypatch.setattr(numerics, "dykstra_project",
-                            lambda *a, **kw: real(*a, max_iter=1, **kw))
+        monkeypatch.setattr(numerics, "_PROJECT_MAX_ITER", 1)
         assert _run(["figure1", "--synth-n", "600", "--synth-dt", "8", "--synth-k", "4",
                      "--d-grid", "6", "--n", "60", "--attacks", "half,rcc2"]) == 3
         line = capsys.readouterr().err.strip()
@@ -1295,6 +1302,34 @@ class TestFailureRows:
         exc.labels = (["a", "b"], 4)
         assert str(exc) == "row 2 of b has score 0.0"
 
+    @pytest.mark.parametrize("case", ["fista", "relabelled", "rcc1", "underflow"])
+    def test_survives_pickle(self, setup, monkeypatch, case):
+        # so that a failure can cross a process boundary
+        monkeypatch.setattr(numerics, "_FISTA_MAX_ITER", 1)
+        with pytest.raises(numerics.RowsError) as err:
+            if case == "fista":
+                sys_ = LinearSystem(a=np.array([[1.0, 2.0, 0.5]]),
+                                    b=np.array([[0.7], [4.0], [-0.4]]))
+                numerics.box_least_squares(sys_, [0, 1, 2])
+            elif case == "underflow":
+                cli._defense_sweep(*setup, [("s1", 0.1), ("s1", 1e6)], "half_star", 0)
+            else:
+                cli._defense_sweep(*setup, self.SETTINGS,
+                                   "cls" if case == "relabelled" else "rcc1", 0)
+        exc = err.value
+        assert type(exc) is {"fista": numerics.ConvergenceError,
+                             "relabelled": numerics.ConvergenceError,
+                             "rcc1": AttackError, "underflow": SystemError_}[case]
+        assert (exc.labels is None) == (case == "fista")
+        back = pickle.loads(pickle.dumps(exc))
+        assert type(back) is type(exc) and str(back) == str(exc)
+        assert np.array_equal(back.rows, exc.rows) and back.labels == exc.labels
+        if isinstance(exc, numerics.ConvergenceError):
+            assert np.array_equal(back.last_iterate, exc.last_iterate)
+            assert back.residuals.keys() == exc.residuals.keys()
+            for name, values in exc.residuals.items():
+                assert np.array_equal(back.residuals[name], values)
+
     @pytest.mark.parametrize("text", ["ls produced non-finite estimates",
                                       "the set {x in [0, 1]^d : A x = b'} is empty"],
                              ids=["no_rows", "braces"])
@@ -1323,9 +1358,7 @@ def test_solver_cap_prints_rows_and_residuals(tmp_path, monkeypatch, capsys):
         writer.writerow([f"f{j}" for j in range(10)] + ["label"])
         writer.writerows([*map(repr, row), f"c{i % 4}"]
                          for i, row in enumerate(x.tolist()))
-    real = numerics.dykstra_project
-    monkeypatch.setattr(numerics, "dykstra_project",
-                        lambda *args, **kw: real(*args, max_iter=1, **kw))
+    monkeypatch.setattr(numerics, "_PROJECT_MAX_ITER", 1)
     assert _run(["attack", "--data", str(path), "--model", str(tmp_path / "model.json"),
                  "--d", "6", "--start", "4", "--attacks", "rcc2", "--n", "20"]) == 3
     line = capsys.readouterr().err.strip()

@@ -412,9 +412,8 @@ class TestWindowFailures:
         ds = synthesize(SyntheticSpec(n=120, d_t=6, k=4, seed=9))
         model = _random_model(4, 6, seed=9)
         model.w_pas[:, 2:4] = model.w_pas[0, 2:4]
-        real_ls, real_sdp, bases = numerics.box_least_squares, attacks._rcc1_pd_solve, []
-        monkeypatch.setattr(numerics, "box_least_squares",
-                            lambda sys_, rows: real_ls(sys_, rows, max_iter=186))
+        real_sdp, bases = attacks._rcc1_pd_solve, []
+        monkeypatch.setattr(numerics, "_FISTA_MAX_ITER", 186)
 
         def recorded(w, c):
             bases.append(w.shape)

@@ -133,13 +133,14 @@ class TestProjections:
         got, iters = numerics.dykstra_project(sys_, [0])
         assert np.array_equal(got, [sys_.plane_center]) and iters.tolist() == [0]
 
-    def test_dykstra_iteration_cap(self):
+    def test_dykstra_iteration_cap(self, monkeypatch):
         a = np.array([[1.0, 3.0]])
         # its nearest point to the center, (0.69, 1.07), is outside the box;
         # the projection takes 2 Newton steps
         sys_ = LinearSystem(a=a, b=np.array([3.9]))
+        monkeypatch.setattr(numerics, "_PROJECT_MAX_ITER", 1)
         with pytest.raises(numerics.ConvergenceError) as err:
-            numerics.dykstra_project(sys_, [0], max_iter=1)
+            numerics.dykstra_project(sys_, [0])
         assert err.value.last_iterate is not None
 
     def test_dykstra_n_rows_equal_n_one_row_calls(self):
@@ -171,13 +172,14 @@ class TestProjections:
         sub, _ = numerics.dykstra_project(sys_, [4, 1])
         assert np.max(np.abs(sub - got[[4, 1]])) <= 1e-12
 
-    def test_dykstra_cap_names_rows_and_residuals(self):
+    def test_dykstra_cap_names_rows_and_residuals(self, monkeypatch):
         # row 0's half_star (0.54, 0.62) is in the box; rows 1 and 2's,
         # (0.69, 1.07) and (0.33, -0.01), are not, and they take 2 steps
         sys_ = LinearSystem(a=np.array([[1.0, 3.0]]),
                             b=np.array([[2.4], [3.9], [0.3]]))
+        monkeypatch.setattr(numerics, "_PROJECT_MAX_ITER", 1)
         with pytest.raises(numerics.ConvergenceError) as err:
-            numerics.dykstra_project(sys_, [0, 1, 2], max_iter=1)
+            numerics.dykstra_project(sys_, [0, 1, 2])
         assert err.value.rows.tolist() == [1, 2]
         assert set(err.value.residuals) == {"affine"}
         assert all(v.shape == (2,) for v in err.value.residuals.values())
@@ -185,7 +187,7 @@ class TestProjections:
         assert np.array_equal(err.value.last_iterate[0], sys_.plane_center[0])
         # rows are named by their index in the system, not in the sub-batch
         with pytest.raises(numerics.ConvergenceError) as err:
-            numerics.dykstra_project(sys_, [2, 0], max_iter=1)
+            numerics.dykstra_project(sys_, [2, 0])
         assert err.value.rows.tolist() == [2]
 
     def test_rows_alone_equal_rows_in_a_batch(self):
@@ -327,10 +329,11 @@ class TestBoxLeastSquares:
                               np.vstack([got, got[::-1]]))
 
     @pytest.mark.parametrize("max_iter", [1, 40, 100])
-    def test_cap_gives_each_row_its_lone_bits(self, max_iter):
+    def test_cap_gives_each_row_its_lone_bits(self, monkeypatch, max_iter):
         sys_ = self._staggered()
+        monkeypatch.setattr(numerics, "_FISTA_MAX_ITER", max_iter)
         with pytest.raises(numerics.ConvergenceError) as err:
-            numerics.box_least_squares(sys_, np.arange(6), max_iter=max_iter)
+            numerics.box_least_squares(sys_, np.arange(6))
         got = err.value
         assert got.rows.size == {1: 6, 40: 3, 100: 2}[max_iter]
         assert got.residuals.keys() == {"residual"}
@@ -341,12 +344,12 @@ class TestBoxLeastSquares:
             one = LinearSystem(a=sys_.a, b=b)
             if i in got.rows:
                 with pytest.raises(numerics.ConvergenceError) as lone:
-                    numerics.box_least_squares(one, [0], max_iter=max_iter)
+                    numerics.box_least_squares(one, [0])
                 assert np.array_equal(lone.value.residuals["residual"],
                                       got.residuals["residual"][got.rows == i])
                 [want] = lone.value.last_iterate
             else:
-                [want] = numerics.box_least_squares(one, [0], max_iter=max_iter)
+                [want] = numerics.box_least_squares(one, [0])
             assert np.array_equal(got.last_iterate[i], want), i
 
     def test_kkt_certificate_fails_on_wrong_answers(self):
@@ -366,21 +369,23 @@ class TestBoxLeastSquares:
         y.flat[bound[0]] = 0.5
         assert oracles.box_kkt_failures(sys_, rows, y) == [bound[0] // 6]
 
-    def test_a_row_at_residual_zero_stops(self):
+    def test_a_row_at_residual_zero_stops(self, monkeypatch):
         # the residual reaches exactly 0 and stays there, so the objective
         # never rises; unless a flat objective restarts the momentum, the
         # row drifts along its solution set until the cap
         sys_ = LinearSystem(a=np.array([[-0.2745256659226494, -2.0112024155759203]]),
                             b=np.array([-2.233053527480698]))
-        [x] = numerics.box_least_squares(sys_, [0], max_iter=1000)
+        monkeypatch.setattr(numerics, "_FISTA_MAX_ITER", 1000)
+        [x] = numerics.box_least_squares(sys_, [0])
         assert abs(sys_.a @ x - sys_.b) <= 1e-12
         assert np.max(np.abs(x - oracles.box_least_squares_row(sys_.a, sys_.b))) <= 1e-8
 
-    def test_cap_names_rows_and_residuals(self):
+    def test_cap_names_rows_and_residuals(self, monkeypatch):
         a = np.array([[1.0, 2.0, 0.5]])
         b = np.array([[0.7], [4.0], [-0.4]])
+        monkeypatch.setattr(numerics, "_FISTA_MAX_ITER", 1)
         with pytest.raises(numerics.ConvergenceError) as err:
-            numerics.box_least_squares(LinearSystem(a=a, b=b), [0, 1, 2], max_iter=1)
+            numerics.box_least_squares(LinearSystem(a=a, b=b), [0, 1, 2])
         assert err.value.rows.tolist() == [0, 1, 2]
         assert err.value.residuals["residual"].shape == (3,)
         assert err.value.last_iterate.shape == (3, 3)

@@ -118,6 +118,13 @@ class TestBuildSystem:
         c = predict(small_model, y_act, np.full(5, 0.9))
         build_system(crippled, y_act, c, source="noisy")
 
+    def test_unknown_source_raises(self, small_model):
+        # a misspelt source must not skip the clean check silently
+        y_act = np.full(5, 0.5)
+        c = predict(small_model, y_act, np.full(5, 0.9))
+        with pytest.raises(ValueError, match="source must be 'clean' or 'noisy', got 'nosiy'"):
+            build_system(small_model, y_act, c, source="nosiy")
+
 
 class TestTransformSystem:
     def test_solution_space_preserved(self, small_model):
