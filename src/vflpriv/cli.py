@@ -162,12 +162,19 @@ def _comma_list(text: str, flag: str, kind: type) -> list:
 
 
 def _load_data(args) -> Dataset:
+    """The --data table or the synthetic one. An option of the other source
+    (given, so not None) would be read by nothing: it exits 2 before any load."""
+    for name in ("synth_n", "synth_dt", "synth_k") if args.data else ("label_col",):
+        if (value := getattr(args, name)) is not None:
+            raise DataError(f"--{name.replace('_', '-')} {value} does not apply: " + (
+                f"--data {args.data} is the table" if args.data else "it needs --data"))
     if args.data:
-        ds = load_dataset(args.data, label_col=args.label_col,
-                          train_fraction=args.train_frac, seed=args.seed)
+        ds = load_dataset(args.data, train_fraction=args.train_frac, seed=args.seed,
+                          label_col=-1 if args.label_col is None else args.label_col)
     else:  # synthesize splits 0.8 with the same seed, so the default keeps its masks
-        ds = synthesize(SyntheticSpec(n=args.synth_n, d_t=args.synth_dt,
-                                      k=args.synth_k, seed=args.seed))
+        n, d_t, k = (default if v is None else v for v, default in
+                     ((args.synth_n, 2000), (args.synth_dt, 10), (args.synth_k, 2)))
+        ds = synthesize(SyntheticSpec(n=n, d_t=d_t, k=k, seed=args.seed))
         ds.train_mask = dataset.split_mask(ds.n, args.train_frac, args.seed)
     if not 2 <= ds.train_mask.sum() < ds.n:
         raise DataError(f"--train-frac {args.train_frac} leaves {ds.train_mask.sum()} "
@@ -231,6 +238,8 @@ def cmd_blackbox(args) -> int:
             raise DataError(f"{flag} must be finite, got {value}")
     # the map at x = 0 and x = 1: a (w, b) that the estimator rejects fails here
     blackbox.run_blackbox(knowledge, [b, w + b])
+    if w == 0:
+        raise DataError(f"--w {w} maps every x to --b {b}: no case can invert the map")
     out = []
     for n in range(lo, hi + 1):
         vals = [_blackbox_trial_mse(knowledge, n, rng, w, b) for _ in range(trials)]
@@ -371,11 +380,12 @@ def build_parser() -> argparse.ArgumentParser:
     every.add_argument("--seed", type=int, default=0)
     every.add_argument("--out", help="output CSV path (default: stdout)")
     data.add_argument("--data", help="CSV path; omitted means synthetic data")
-    data.add_argument("--label-col", type=int, default=-1)
+    # None: not given (the defaults -1 and 2000, 10, 2 apply in _load_data)
+    data.add_argument("--label-col", type=int)
     data.add_argument("--train-frac", type=float, default=0.8)
-    data.add_argument("--synth-n", type=int, default=2000)
-    data.add_argument("--synth-dt", type=int, default=10)
-    data.add_argument("--synth-k", type=int, default=2)
+    data.add_argument("--synth-n", type=int)
+    data.add_argument("--synth-dt", type=int)
+    data.add_argument("--synth-k", type=int)
     data.add_argument("--lam", "--lambda", dest="lam", type=float, default=0.0)
     window.add_argument("--d", type=int, default=4, help="passive feature count")
     window.add_argument("--start", type=int, default=0, help="passive window start")

@@ -86,6 +86,8 @@ class SyntheticSpec:
             raise DataError("need at least one sample per class")
         if self.d_t < 1:
             raise DataError("need at least one feature")
+        if self.k < 2:
+            raise DataError(f"need at least two classes, got k={self.k}")
 
 
 def _parse_column(cells: list[str], name: str) -> tuple[np.ndarray | list, bool]:

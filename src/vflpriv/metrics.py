@@ -91,14 +91,18 @@ def closed_form_mse(sys_: LinearSystem, mom: MomentMatrices
     MSE(ls) = Tr((I - A^+A) K0) / d and likewise with K_half for half_star.
     Each is bracketed by sums of the smallest/largest nul(A) eigenvalues of
     the moment matrix, and lower-bounded by Tr((I - A^+A) K_mu) / d.
+    I - A^+A is W W^T for the nullspace basis W, and each trace is taken on
+    W: a determined system (W is d x 0) gets exactly 0.0 in every field,
+    where I - A^+A holds rounding noise of either sign.
     """
     numerics.reject_stack(sys_.a, "closed_form_mse takes one system")
     d = sys_.d
-    proj = sys_.projector
-    mu_lower = float(np.trace(proj @ mom.k_mu)) / d
+    w = sys_.svd.nullspace()
+    proj = w @ w.T
+    mu_lower = float(np.trace(w.T @ mom.k_mu @ w)) / d
     out = {}
     for attack, km in (("ls", mom.k0), ("half_star", mom.k_half)):
-        closed = float(np.trace(proj @ km)) / d
+        closed = float(np.trace(w.T @ km @ w)) / d
         lower, upper = numerics.von_neumann_bounds(proj, km)
         out[attack] = MseReport(attack=attack, d=d, closed_form=closed,
                                 lower=lower / d, upper=upper / d,

@@ -365,14 +365,16 @@ def box_least_squares(sys_: LinearSystem, rows) -> np.ndarray:
 
 
 def von_neumann_bounds(m, p) -> tuple[float, float]:
-    """Eigenvalue-product bounds bracketing Tr(MP) for symmetric (to 1e-8) PSD M, P."""
+    """Eigenvalue-product bounds bracketing Tr(MP) for symmetric (to 1e-8) PSD M, P.
+
+    An eigenvalue below 0 is rounding noise of a PSD matrix and counts as 0,
+    so neither bound is below 0."""
     m = as_matrix(m)
     p = as_matrix(p)
     for name, mat in (("M", m), ("P", p)):
         if mat.shape[0] != mat.shape[1] or np.max(np.abs(mat - mat.T)) > 1e-8:
             raise ValueError(f"{name} must be symmetric")
-    ev_m = np.sort(np.linalg.eigvalsh(m))[::-1]
-    ev_p = np.sort(np.linalg.eigvalsh(p))[::-1]
+    ev_m, ev_p = (np.sort(np.maximum(np.linalg.eigvalsh(x), 0.0))[::-1] for x in (m, p))
     lower = float(np.dot(ev_m, ev_p[::-1]))
     upper = float(np.dot(ev_m, ev_p))
     return lower, upper

@@ -537,7 +537,7 @@ class TestGiaWarning:
         message = str(record[0].message)
         assert f"gia: {stuck.sum()} of 5 rows did not converge" in message
         assert f"{est.diagnostics['kl_bits'][stuck].max():.3e} bits" in message
-        # the numpy-only CI job turns RuntimeWarnings into errors
+        # tier-1 and the numpy-only CI job make a RuntimeWarning an error
         assert not issubclass(attacks.GiaConvergenceWarning, RuntimeWarning)
 
     def test_converged_batch_is_silent(self, small_model):
@@ -997,10 +997,8 @@ class TestRcc1PrimalDual:
             return x
 
         monkeypatch.setattr(np.linalg, "solve", solve)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", RuntimeWarning)
-            with pytest.raises(attacks.AttackError) as err:
-                attacks.attack_rcc1(LinearSystem(a=RCC1_STALL_A, b=RCC1_STALL_B))
+        with pytest.raises(attacks.AttackError) as err:    # numpy does not warn either
+            attacks.attack_rcc1(LinearSystem(a=RCC1_STALL_A, b=RCC1_STALL_B))
         assert str(err.value).startswith("rcc1 rows [2] end with gaps")
 
     def test_singular_schur_row_ends_only_its_row(self, monkeypatch):
@@ -1084,11 +1082,9 @@ class TestRcc1PrimalDual:
         # under s1); those rows' gaps diverge and each stops on its own,
         # without aborting the batch, and numpy does not warn
         from vflpriv import cli
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", RuntimeWarning)
-            assert cli.main(["defend", "--synth-n", "2000", "--synth-dt", "10",
-                             "--synth-k", "4", "--d", "6", "--scheme", *scheme,
-                             "--attack", "rcc1", "--n", "100"]) == 3
+        assert cli.main(["defend", "--synth-n", "2000", "--synth-dt", "10",
+                         "--synth-k", "4", "--d", "6", "--scheme", *scheme,
+                         "--attack", "rcc1", "--n", "100"]) == 3
         assert capsys.readouterr().err.startswith("solver failure: rcc1 rows [")
 
     def test_diverging_rows_stop_early(self, monkeypatch, capsys):
@@ -1106,8 +1102,10 @@ class TestRcc1PrimalDual:
         assert cli.main(["defend", "--synth-n", "2000", "--synth-dt", "10", "--synth-k", "4",
                          "--d", "6", "--scheme", "pps1", "--attack", "rcc1", "--n", "100",
                          "--seed", "0"]) == 3
-        assert capsys.readouterr().err.startswith(
+        err = capsys.readouterr().err       # one line
+        assert err.startswith(
             f"solver failure: rcc1 rows {list(range(100))} of pps1 end with gaps")
+        assert err.count("\n") == 1
         assert batches[0] == 100 and batches[-2:] == [100, 100]     # the two closing steps
         assert len(batches) - 2 <= 10
 

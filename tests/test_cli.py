@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import oracles
-from vflpriv import cli, numerics
+from vflpriv import attacks, cli, metrics, numerics
 from vflpriv.attacks import ATTACKS, AttackError
 from vflpriv.dataset import SyntheticSpec, synthesize
 from vflpriv.model import TrainConfig, VflModel, VflSplit, accuracy, train
@@ -263,6 +263,28 @@ class TestSubcommands:
         for row in rows[1:]:
             lo, val, hi = float(row[2]), float(row[1]), float(row[3])
             assert lo - 1e-9 <= val <= hi + 1e-9
+
+    @pytest.mark.parametrize("table", [
+        # plain numbers take numpy.loadtxt's path
+        "a,b,label\n0.1,0.9,x\n0.8,0.2,y\n0.3,0.7,x\n0.9,0.1,y\n0.2,0.6,x\n0.7,0.4,y\n",
+        # a categorical column whose quoted cells hold a comma takes the csv module's
+        'a,color,label\n0.1,"red, dark",x\n0.8,blue,y\n0.3,"red, dark",x\n0.9,blue,y\n'
+        "0.2,green,x\n0.7,blue,y\n"], ids=["plain", "quoted_categorical"])
+    def test_train_on_a_csv_table(self, table, tmp_path, capsys, train_calls):
+        path = tmp_path / "t.csv"
+        path.write_text(table, encoding="utf-8")
+        assert _run(["train", "--data", str(path), "--d", "1", "--train-frac", "0.5"]) == 0
+        assert capsys.readouterr().out.startswith("accuracy=")
+        assert train_calls == [VflSplit.contiguous(2, 0, 2)]
+
+    @pytest.mark.parametrize("d", ["1", "4"])
+    def test_evaluate_on_a_determined_system_writes_exact_zeros(self, d, capsys):
+        # k = 5 classes give A 4 rows, so d <= 4 leaves no nullspace: every
+        # MSE and bound is 0.0, not rounding noise of either sign
+        assert _run(["evaluate", "--synth-n", "300", "--synth-dt", "6", "--synth-k", "5",
+                     "--d", d]) == 0
+        rows = [row.split(",") for row in capsys.readouterr().out.splitlines()[1:]]
+        assert rows == [["ls", *["0.0"] * 4], ["half_star", *["0.0"] * 4]]
 
     def test_defend_scheme3(self, tmp_path):
         out_path = tmp_path / "defend.csv"
@@ -527,6 +549,10 @@ class TestBadArguments:
         (["--case", "2", "--w", "nan"], "--w must be finite, got nan"),
         (["--case", "2", "--b", "inf"], "--b must be finite, got inf"),
         (["--case", "1", "--w=-inf"], "--w must be finite, got -inf"),
+        # w = 0 maps every x to b, which no case can invert
+        (["--case", "2", "--w", "0", "--b", "1"], "--w 0.0 maps every x to --b 1.0"),
+        (["--case", "3", "--w", "0", "--b", "-2"], "--w 0.0 maps every x to --b -2.0"),
+        (["--case", "3", "--w", "0", "--b", "0"], "--w 0.0 maps every x to --b 0.0"),
     ])
     def test_blackbox_bad_input_exit_2_before_any_trial(self, argv, message, capsys,
                                                         monkeypatch):
@@ -544,6 +570,14 @@ class TestBadArguments:
         out, err = capsys.readouterr()
         assert err == ("config error: class_label eps must be in (0, 1/k) for k = 10 "
                        "classes, got 0.1\n")
+        assert out == "" and not train_calls
+
+    @pytest.mark.parametrize("command", ["train", "figure1"])
+    @pytest.mark.parametrize("k", ["-1", "0", "1"])
+    def test_synth_k_below_2_before_training(self, command, k, capsys, train_calls):
+        assert _run([command, "--synth-n", "300", "--synth-dt", "6", "--synth-k", k]) == 2
+        out, err = capsys.readouterr()
+        assert err == f"config error: need at least two classes, got k={k}\n"
         assert out == "" and not train_calls
 
     def test_full_ignores_trials(self, capsys):
@@ -680,6 +714,32 @@ class TestOptionsPerSubcommand:
         assert err.startswith("config error: ") and named in err
         assert not work and not train_calls
 
+    @pytest.mark.parametrize("given", ["flag", "config"])
+    @pytest.mark.parametrize("name, data", [("label_col", None), ("synth_n", "t.csv"),
+                                            ("synth_dt", "t.csv"), ("synth_k", "t.csv")])
+    @pytest.mark.parametrize("command", [c for c in READS if "data" in READS[c]])
+    def test_option_of_the_other_data_source_before_loading(
+            self, command, name, data, given, tmp_path, capsys, monkeypatch, train_calls):
+        # --label-col picks a column of a --data table and the --synth-*
+        # options shape the synthetic one: an option of the source not in use
+        # would be read by nothing
+        loads = []
+        monkeypatch.setattr(cli, "load_dataset", lambda *a, **kw: loads.append(a))
+        monkeypatch.setattr(cli, "synthesize", lambda *a, **kw: loads.append(a))
+        key = name.replace("_", "-")
+        argv = [command, *(["--data", str(tmp_path / data)] if data else [])]
+        if given == "flag":
+            argv += [f"--{key}", "7"]
+        else:
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text(f"{key}=7\n", encoding="utf-8")
+            argv += ["--config", str(cfg)]
+        assert _run(argv) == 2
+        reason = f"--data {tmp_path / data} is the table" if data else "it needs --data"
+        assert capsys.readouterr().err == (f"config error: --{key} 7 does not apply: "
+                                           f"{reason}\n")
+        assert not loads and not train_calls
+
 
 class TestSeedingRule:
     """rg's draws against numpy's generators, not through the library: the
@@ -714,6 +774,16 @@ class TestSeedingRule:
         [row] = _read_rows(out)[1:]
         assert row[:2] == ["3", "rg"]
         assert abs(float(row[2]) - want) <= 1e-15
+
+    def test_listing_order_moves_no_draw(self, capsys):
+        # rg and random-start gia each draw from the seed, whichever is listed first
+        argv = ["attack", "--synth-n", "300", "--synth-dt", "6", "--d", "3", "--n", "5",
+                "--seed", "3", "--init", "random", "--attacks"]
+        rows = []
+        for order in ("rg,gia", "gia,rg"):
+            assert _run([*argv, order]) == 0
+            rows.append(sorted(capsys.readouterr().out.splitlines()[1:]))
+        assert rows[0] == rows[1] and [r[:3] for r in rows[0]] == ["gia", "rg,"]
 
 
 @pytest.fixture()
@@ -912,6 +982,82 @@ def test_figure1_cells_do_not_depend_on_the_grid_order(tmp_path):
     assert set(tables["3"]) < set(tables["1,3"])
 
 
+def test_figure1_cell_is_the_mean_of_attack_over_the_starts(tmp_path, monkeypatch,
+                                                             train_calls):
+    # the stack gives every window the bits it gets alone: figure1's cell is
+    # exactly the mean of attack's at the ten starts; each command trains the
+    # table model anew, as a fresh process would
+    table = ["--synth-n", "2000", "--synth-dt", "10", "--synth-k", "4", "--n", "20",
+             "--attacks", "cls,rcc1,rcc2", "--out", str(tmp_path / "o.csv")]
+
+    def cells(*argv):
+        monkeypatch.setattr(cli, "_last_model", (None, None))
+        assert _run([*argv, *table]) == 0
+        return _read_rows(tmp_path / "o.csv")[1:]
+
+    starts = [cells("attack", "--d", "4", "--start", str(s)) for s in range(10)]
+    want = {name: float(np.mean([float(rows[i][3]) for rows in starts]))
+            for i, name in enumerate(("cls", "rcc1", "rcc2"))}
+    assert {name: float(mse) for _, name, mse in cells("figure1", "--d-grid", "4")} == want
+    assert len(train_calls) == 11
+
+
+class TestTableShapes:
+    """Whole commands on tables whose shape takes a numeric path of its own."""
+
+    def test_one_dimensional_nullspace(self, monkeypatch, capsys):
+        # k = 6 classes give A 5 rows: at d = 6 each row's solution set is a
+        # segment, through rcc1, rcc2 and cls
+        systems, real = [], metrics.build_system
+        monkeypatch.setattr(metrics, "build_system",
+                            lambda *a, **kw: systems.append(real(*a, **kw)) or systems[-1])
+        assert _run(["attack", "--synth-n", "400", "--synth-dt", "8", "--synth-k", "6",
+                     "--d", "6", "--attacks", "rcc1,rcc2,cls", "--n", "20"]) == 0
+        [sys_] = systems    # one stacked system of the one window
+        assert sys_.nullity.tolist() == [1] and sys_.b.shape == (1, 20, 5)
+        rows = [row.split(",") for row in capsys.readouterr().out.splitlines()[1:]]
+        assert [r[0] for r in rows] == ["rcc1", "rcc2", "cls"]
+        assert all(0.0 <= float(r[3]) < 1.0 for r in rows)
+
+    def test_rcc1_rows_stop_at_different_steps(self, monkeypatch):
+        # 180 of these 200 rows stop at step 11 and 20 at step 12: the last
+        # step runs on a shrunk working set, and each stopped row is written
+        # back with the z, gap and steps of the loop that had no working set
+        # (whose dual value rounds by the batch)
+        real, seen = attacks._rcc1_pd_solve, []
+        monkeypatch.setattr(attacks, "_rcc1_pd_solve",
+                            lambda w, c: seen.append((w, c, real(w, c))) or seen[-1][2])
+        assert _run(["attack", "--synth-n", "2000", "--synth-dt", "10", "--synth-k", "4",
+                     "--d", "6", "--attacks", "rcc1", "--n", "200"]) == 0
+        [(w, c, (z, _, gap, steps))] = seen
+        assert np.unique(steps).tolist() == [11, 12]
+        assert np.unique(steps, return_counts=True)[1].tolist() == [180, 20]
+        want_z, _, want_gap, want_steps = oracles.rcc1_pd_solve_batch(w[0], c)
+        assert np.array_equal(z, want_z) and np.array_equal(gap, want_gap)
+        assert np.array_equal(steps, want_steps)
+
+    @pytest.mark.filterwarnings("error::vflpriv.attacks.GiaConvergenceWarning")
+    def test_every_gia_row_of_the_probe_converges(self, capsys):
+        # with gia's nonmonotone acceptance every one of these 200 rows
+        # converges; a GiaConvergenceWarning is made an error here
+        assert _run(["attack", "--synth-n", "2000", "--synth-dt", "10", "--synth-k", "4",
+                     "--d", "6", "--attacks", "gia", "--n", "200", "--seed", "0"]) == 0
+        assert capsys.readouterr().out.startswith("attack,d,n,mse\ngia,6,200,")
+
+    @pytest.mark.parametrize("argv, cells", [
+        # k = 9: softmax's column sum takes numpy's 8-accumulator order
+        (["--synth-n", "300", "--synth-dt", "9", "--synth-k", "9", "--d-grid", "1,3"], 14),
+        # k = 130: training's sum over the class slices takes numpy's
+        # recursive split past 128 terms
+        (["--synth-n", "1400", "--synth-dt", "6", "--synth-k", "130", "--d-grid", "3",
+          "--attacks", "half,ls,half_star"], 3)], ids=["k9", "k130"])
+    def test_figure1_past_numpys_summation_blocks(self, argv, cells, capsys):
+        assert _run(["figure1", *argv, "--n", "5"]) == 0
+        rows = [row.split(",") for row in capsys.readouterr().out.splitlines()[1:]]
+        assert len(rows) == cells
+        assert all(0.0 <= float(mse) < 1.0 for _, _, mse in rows)
+
+
 class TestModelMustMatchWindow:
     @pytest.fixture()
     def model_path(self, tmp_path):
@@ -1101,6 +1247,21 @@ class TestMatchesRowByRowReference:
             self._close(row[2], mse)
             self._close(row[3], kl)
 
+    def test_defend_gia_reads_the_pps1_release(self, setup, tmp_path):
+        # gia reads only the system: pps1's released weights reach it through
+        # build_system alone; one row of the 25 ends unconverged, and says so
+        ds, model, rows = setup
+        out_path = tmp_path / "defend.csv"
+        with pytest.warns(attacks.GiaConvergenceWarning, match="1 of 25 rows"):
+            assert _run(["defend", *self.ARGS, "--scheme", "pps1", "--attack", "gia",
+                         "--out", str(out_path)]) == 0
+        [row] = _read_rows(out_path)[1:]
+        with pytest.warns(attacks.GiaConvergenceWarning, match="1 of 1 rows"):
+            [(mse, _, _)] = oracles.defense_sweep_rows(model, ds, rows, [("pps1", "")],
+                                                       "gia")
+        self._close(row[2], mse)
+        assert row[3] == "0.0"
+
     def test_defend_rg_draws_setting_by_setting(self, setup, tmp_path):
         # setting i is system i of the stack, so it draws one N x d block
         # from its own generator, default_rng(seed + i)
@@ -1184,6 +1345,22 @@ class TestOneReleaseBatch:
         # kl_divergence call, is 0.0 bits (some of these scores are under
         # EPS_CLIP at k = 4)
         assert cells("--scheme", "pps1")[0][3] == "0.0"
+
+    @pytest.mark.parametrize("attack", ["cls", "rcc1", "rcc2"])
+    def test_each_s1_setting_writes_its_solo_cell(self, attack, tmp_path):
+        # s1's settings share the one noise direction: each setting's row is,
+        # string for string, the row of its one-alpha run
+        base = ["defend", "--synth-n", "2000", "--synth-dt", "10", "--synth-k", "4",
+                "--d", "6", "--n", "20", "--scheme", "s1", "--attack", attack,
+                "--out", str(tmp_path / "d.csv")]
+
+        def cells(alpha):
+            assert _run([*base, "--alpha", alpha]) == 0
+            return _read_rows(tmp_path / "d.csv")[1:]
+
+        got = cells("0.1,1,10")
+        assert len(got) == 3
+        assert got == [row for a in ("0.1", "1", "10") for row in cells(a)]
 
     def _fail(self, capsys, *argv):
         assert _run(["defend", *self.ARGS, *argv]) == 3

@@ -558,3 +558,10 @@ class TestVonNeumannBounds:
     def test_rejects_asymmetric(self):
         with pytest.raises(ValueError):
             numerics.von_neumann_bounds(np.array([[0.0, 1.0], [0.0, 0.0]]), np.eye(2))
+
+    def test_rounding_never_makes_a_bound_negative(self):
+        # a projector's zero eigenvalue can come out of eigvalsh as -1e-17
+        # (the rank-one w w^T of a unit w drawn from default_rng(0) gives
+        # -7.2e-18); where M weighs only that direction, the lower bound is 0
+        p = np.diag([-1e-17, 0.0, 1.0])
+        assert numerics.von_neumann_bounds(np.diag([1.0, 0.0, 0.0]), p) == (0.0, 1.0)
