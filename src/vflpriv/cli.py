@@ -39,8 +39,6 @@ _SOLVER_ERRORS = (numerics.RowsError, TrainingError, np.linalg.LinAlgError)
 
 DESK_N = 200
 DESK_TRIALS = 20
-FULL_N = 1000
-FULL_TRIALS = 100
 
 
 def read_config(path) -> dict:
@@ -58,30 +56,12 @@ def read_config(path) -> dict:
     return out
 
 
-def _int_range(text: str, flag: str) -> tuple[int, int]:
-    """Parse an inclusive I..J range with I <= J."""
-    try:
-        lo, hi = (int(s) for s in text.split(".."))
-    except ValueError:
-        raise DataError(f"{flag} must look like I..J, got {text!r}") from None
-    if hi < lo:
-        raise DataError(f"{flag} range must be non-decreasing, got {text!r}")
-    return lo, hi
-
-
 def _check_out(path) -> None:
     """--out names a file in an existing directory, checked before any work."""
     if path and Path(path).is_dir():
         raise DataError(f"--out {path} is a directory")
     if path and not Path(path).parent.is_dir():
         raise DataError(f"--out {path}: directory {Path(path).parent} does not exist")
-
-
-def _resolve_window(args) -> None:
-    """Translate --passive-features I..J into the (start, d) window."""
-    if getattr(args, "passive_features", None):
-        lo, hi = _int_range(args.passive_features, "--passive-features")
-        args.start, args.d = lo, hi - lo + 1
 
 
 def _check_d(d: int, d_t: int, flag: str = "--d") -> None:
@@ -93,13 +73,15 @@ def _check_d(d: int, d_t: int, flag: str = "--d") -> None:
 _last_model: tuple = (None, None)   # (key, VflModel) of the last table model
 
 
-def _table_model(ds: Dataset, cfg: TrainConfig) -> VflModel:
-    """The model trained on all of ds's features in column order, kept for the process.
+def _table_model(ds: Dataset, args) -> VflModel:
+    """The model trained on all of ds's features in column order under --lam
+    (not given: 0.0) and --seed, kept for the process.
 
     The key holds the trainer (so a wrapped cli.train trains its own), the
-    bytes themselves of ds.x, ds.y and ds.train_mask, ds.k and cfg. The kept
-    arrays are read-only; callers take a VflModel.window of it, which copies."""
+    bytes themselves of ds.x, ds.y and ds.train_mask, ds.k and the config. The
+    kept arrays are read-only; callers take a VflModel.window of it, which copies."""
     global _last_model
+    cfg = TrainConfig(lam=0.0 if args.lam is None else args.lam, seed=args.seed)
     key = (train, ds.x.tobytes(), ds.y.tobytes(), ds.train_mask.tobytes(), ds.k, cfg)
     last_key, model = _last_model   # one read, so a concurrent call cannot pair
     if last_key != key:             # this key with another model
@@ -113,14 +95,13 @@ def _table_model(ds: Dataset, cfg: TrainConfig) -> VflModel:
 def _model(args, ds: Dataset) -> VflModel:
     """The --start/--d window's view of the table model, or the --model file
     that must hold that window."""
-    flag = args.passive_features and f"--passive-features {args.passive_features}"
-    if not 0 <= args.start < ds.d_t or flag and args.start + args.d > ds.d_t:
-        raise DataError(f"{flag or f'--start {args.start}'} is out of range: the "
-                        f"table has features 0 to {ds.d_t - 1}")
+    if not 0 <= args.start < ds.d_t:
+        raise DataError(f"--start {args.start} is out of range: the table has "
+                        f"features 0 to {ds.d_t - 1}")
     _check_d(args.d, ds.d_t)
     split_cfg = VflSplit.contiguous(ds.d_t, args.start, args.d)
     if not getattr(args, "model", None):
-        return _table_model(ds, TrainConfig(lam=args.lam, seed=args.seed)).window(split_cfg)
+        return _table_model(ds, args).window(split_cfg)
     model = VflModel.load(args.model)
     if model.split != split_cfg:
         raise DataError(f"--model {args.model} holds passive features "
@@ -171,14 +152,18 @@ def _load_data(args) -> Dataset:
     if args.data:
         ds = load_dataset(args.data, train_fraction=args.train_frac, seed=args.seed,
                           label_col=-1 if args.label_col is None else args.label_col)
-    else:  # synthesize splits 0.8 with the same seed, so the default keeps its masks
+        mask = ds.train_mask
+    else:
         n, d_t, k = (default if v is None else v for v, default in
                      ((args.synth_n, 2000), (args.synth_dt, 10), (args.synth_k, 2)))
-        ds = synthesize(SyntheticSpec(n=n, d_t=d_t, k=k, seed=args.seed))
-        ds.train_mask = dataset.split_mask(ds.n, args.train_frac, args.seed)
-    if not 2 <= ds.train_mask.sum() < ds.n:
-        raise DataError(f"--train-frac {args.train_frac} leaves {ds.train_mask.sum()} "
-                        f"of {ds.n} rows for training; training needs 2, testing 1")
+        spec = SyntheticSpec(n=n, d_t=d_t, k=k, seed=args.seed)
+        mask = dataset.split_mask(n, args.train_frac, args.seed)
+    if not 2 <= mask.sum() < mask.size:
+        raise DataError(f"--train-frac {args.train_frac} leaves {mask.sum()} of "
+                        f"{mask.size} rows for training; training needs 2, testing 1")
+    if not args.data:   # drawn after the check; this split replaces its own 0.8 one
+        ds = synthesize(spec)
+        ds.train_mask = mask
     return ds
 
 
@@ -201,6 +186,9 @@ def cmd_train(args) -> int:
 def cmd_attack(args) -> int:
     names = _attack_names(args.attacks)
     n = _check_n(args.n, "--n")
+    if args.model and args.lam is not None:
+        raise DataError(f"--lam {args.lam} does not apply: --model {args.model} "
+                        "is not retrained")
     ds = _load_data(args)
     model = _model(args, ds)
     rows = np.flatnonzero(ds.test_mask)[:n]
@@ -225,11 +213,14 @@ def _blackbox_trial_mse(knowledge: blackbox.SignKnowledge, n: int,
 
 
 def cmd_blackbox(args) -> int:
-    trials = FULL_TRIALS if args.full else _check_n(args.trials, "--trials")
+    trials = _check_n(args.trials, "--trials")
     rng = np.random.default_rng(args.seed)
-    lo, hi = _int_range(args.n_grid, "--n-grid")
-    if lo < 1:
-        raise DataError(f"--n-grid sample counts start at 1, got {args.n_grid!r}")
+    try:    # the inclusive range I..J of sample counts, 1 <= I <= J
+        lo, hi = (int(s) for s in args.n_grid.split(".."))
+    except ValueError:
+        raise DataError(f"--n-grid must look like I..J, got {args.n_grid!r}") from None
+    if not 1 <= lo <= hi:
+        raise DataError(f"--n-grid must run from 1 up, got {args.n_grid!r}")
     knowledge, w, b = _BLACKBOX_CASES[args.case]
     w = w if args.w is None else args.w
     b = b if args.b is None else args.b
@@ -330,12 +321,12 @@ def cmd_evaluate(args) -> int:
 
 def cmd_figure1(args) -> int:
     names = _attack_names(args.attacks)
-    n_pred = FULL_N if args.full else _check_n(args.n, "--n")
+    n_pred = _check_n(args.n, "--n")
     grid = _comma_list(args.d_grid, "--d-grid", int)
     ds = _load_data(args)
     for d in grid:
         _check_d(d, ds.d_t, "--d-grid")
-    model = _table_model(ds, TrainConfig(lam=args.lam, seed=args.seed))
+    model = _table_model(ds, args)
     out = []
     for d in grid:
         mse = metrics.average_over_space(model, ds, d, names, n_pred=n_pred,
@@ -374,8 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     # each subcommand takes only the options it reads, unabbreviated (figure1's
     # --d is no --d-grid), from these parents
-    every, data, window, n, full = (argparse.ArgumentParser(add_help=False)
-                                    for _ in range(5))
+    every, data, window, n = (argparse.ArgumentParser(add_help=False) for _ in range(4))
     every.add_argument("--config", help="key=value config file; flags override")
     every.add_argument("--seed", type=int, default=0)
     every.add_argument("--out", help="output CSV path (default: stdout)")
@@ -386,13 +376,10 @@ def build_parser() -> argparse.ArgumentParser:
     data.add_argument("--synth-n", type=int)
     data.add_argument("--synth-dt", type=int)
     data.add_argument("--synth-k", type=int)
-    data.add_argument("--lam", "--lambda", dest="lam", type=float, default=0.0)
+    data.add_argument("--lam", type=float)     # None: not given, trained as 0.0
     window.add_argument("--d", type=int, default=4, help="passive feature count")
     window.add_argument("--start", type=int, default=0, help="passive window start")
-    window.add_argument("--passive-features", metavar="I..J",
-                        help="inclusive index range; overrides --start/--d")
     n.add_argument("--n", type=int, default=DESK_N, help="prediction count")
-    full.add_argument("--full", action="store_true", help="full-scale run sizes")
 
     def add(name, summary, *parents, aliases=()):
         p = sub.add_parser(name, help=summary, aliases=list(aliases),
@@ -404,13 +391,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("attack", "score-based reconstruction attacks", data, window, n)
     p.add_argument("--model", help="trained model JSON (skips training)")
-    p.add_argument("--attacks", "--method", dest="attacks",
-                   default="half,ls,half_star,rcc2")
+    p.add_argument("--attacks", default="half,ls,half_star,rcc2")
     p.add_argument("--init", choices=("zeros", "half", "random"),
                    default="half")
 
     p = add("blackbox", "single-feature black-box MSE vs sample count",
-            full, aliases=["figure12"])
+            aliases=["figure12"])
     p.add_argument("--case", type=int, default=2, choices=(1, 2, 3))
     p.add_argument("--n-grid", default="1..100")
     p.add_argument("--trials", type=int, default=DESK_TRIALS)
@@ -426,7 +412,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     add("evaluate", "closed-form MSE values and bounds", data, window)
 
-    p = add("figure1", "MSE-vs-d sweep over attacks", data, n, full)
+    p = add("figure1", "MSE-vs-d sweep over attacks", data, n)
     p.add_argument("--d-grid", default="1,2,4,6")
     p.add_argument("--attacks", default="rg,zero,half,ls,clamped_ls,half_star,rcc2")
 
@@ -435,12 +421,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _with_config(parser: argparse.ArgumentParser, argv: list) -> tuple[list, dict]:
+def _with_config(argv: list) -> tuple[list, dict]:
     """argv with each --config line as a --key=value token before the user's own.
 
-    A flag (a bool default) takes true, the bare --key, or false, no token;
-    a config= line is an error.
-    Returns the new argv and the config key of each token.
+    A config= line is an error. Returns the new argv and the config key of
+    each token.
     """
     path = None
     for token, after in zip(argv[1:], argv[2:] + [None]):   # the last one wins
@@ -450,18 +435,11 @@ def _with_config(parser: argparse.ArgumentParser, argv: list) -> tuple[list, dic
             path = token.partition("=")[2]
     if path is None:
         return argv, {}
-    defaults = vars(parser.parse_args(argv[:1]))
     tokens = {}
     for key, value in read_config(path).items():
         if key == "config":
             raise DataError(f"{path}: a config file cannot name another (config={value})")
-        option = "--" + key.replace("_", "-")
-        if not isinstance(defaults.get(key), bool):
-            tokens[f"{option}={value}"] = key
-        elif value not in ("true", "false"):
-            raise DataError(f"config key {key} takes true or false, got {value!r}")
-        elif value == "true":
-            tokens[option] = key
+        tokens[f"--{key.replace('_', '-')}={value}"] = key
     return [argv[0], *tokens, *argv[1:]], tokens
 
 
@@ -472,11 +450,10 @@ def main(argv=None) -> int:
     global _parser
     if _parser is None:
         _parser = build_parser()
-    parser = _parser
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        argv, from_config = _with_config(parser, argv)
-        args, remaining = parser.parse_known_args(argv)
+        argv, from_config = _with_config(argv)
+        args, remaining = _parser.parse_known_args(argv)
         unknown = sorted({from_config[t] for t in remaining if t in from_config})
         if unknown:
             raise DataError(f"unknown config keys: {unknown}")
@@ -485,7 +462,6 @@ def main(argv=None) -> int:
         _check_out(args.out)
         if args.seed < 0:
             raise DataError(f"--seed must be a non-negative integer, got {args.seed}")
-        _resolve_window(args)
         return globals()[args.func](args)
     except SystemExit as exc:   # argparse's own exit: 2 for a bad value, 0 for --help
         return exc.code

@@ -89,8 +89,10 @@ def closed_form_mse(sys_: LinearSystem, mom: MomentMatrices
     """Closed-form MSE of the min-norm (ls) and box-center (half_star) estimators.
 
     MSE(ls) = Tr((I - A^+A) K0) / d and likewise with K_half for half_star.
-    Each is bracketed by sums of the smallest/largest nul(A) eigenvalues of
-    the moment matrix, and lower-bounded by Tr((I - A^+A) K_mu) / d.
+    Each is bracketed by the sums of the moment matrix's p smallest and p
+    largest eigenvalues, p = nul(A) (von Neumann's trace inequality, as
+    I - A^+A has p eigenvalues 1 and d - p eigenvalues 0), and lower-bounded
+    by Tr((I - A^+A) K_mu) / d.
     I - A^+A is W W^T for the nullspace basis W, and each trace is taken on
     W: a determined system (W is d x 0) gets exactly 0.0 in every field,
     where I - A^+A holds rounding noise of either sign.
@@ -98,14 +100,16 @@ def closed_form_mse(sys_: LinearSystem, mom: MomentMatrices
     numerics.reject_stack(sys_.a, "closed_form_mse takes one system")
     d = sys_.d
     w = sys_.svd.nullspace()
-    proj = w @ w.T
+    p = w.shape[1]
     mu_lower = float(np.trace(w.T @ mom.k_mu @ w)) / d
     out = {}
     for attack, km in (("ls", mom.k0), ("half_star", mom.k_half)):
         closed = float(np.trace(w.T @ km @ w)) / d
-        lower, upper = numerics.von_neumann_bounds(proj, km)
+        # ascending; K is PSD, so an eigenvalue below 0 is rounding noise
+        ev = np.maximum(np.linalg.eigvalsh(km), 0.0)
         out[attack] = MseReport(attack=attack, d=d, closed_form=closed,
-                                lower=lower / d, upper=upper / d,
+                                lower=float(np.sum(ev[:p])) / d,
+                                upper=float(np.sum(ev[d - p:])) / d,
                                 mu_lower=mu_lower)
     return out
 

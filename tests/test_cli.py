@@ -2,6 +2,7 @@ import csv
 import json
 import pickle
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -64,16 +65,16 @@ class TestConfigFile:
         assert not train_calls
 
     @pytest.mark.parametrize("command", ["blackbox", "figure12"])
-    @pytest.mark.parametrize("full, trials", [("false", cli.DESK_TRIALS),
-                                              ("true", cli.FULL_TRIALS)])
-    def test_full_flag_from_config(self, command, full, trials, tmp_path,
-                                   monkeypatch, capsys):
+    @pytest.mark.parametrize("line, trials", [("", cli.DESK_TRIALS), ("trials=3\n", 3)])
+    def test_trial_count_from_config(self, command, line, trials, tmp_path,
+                                     monkeypatch):
+        # --trials is the one spelling of the count, from a flag or a key
         calls = []
         real = cli._blackbox_trial_mse
         monkeypatch.setattr(cli, "_blackbox_trial_mse",
                             lambda *a: calls.append(1) or real(*a))
         cfg = tmp_path / "run.cfg"
-        cfg.write_text(f"full={full}\nn-grid=1..1\n", encoding="utf-8")
+        cfg.write_text(f"{line}n-grid=1..1\n", encoding="utf-8")
         assert _run([command, "--config", str(cfg)]) == 0
         assert len(calls) == trials
 
@@ -84,20 +85,14 @@ class TestConfigFile:
         seen = []
         for name in ("cmd_figure1", "cmd_blackbox"):
             monkeypatch.setattr(cli, name, lambda args: seen.append(
-                (args.command, args.seed, args.full)) or 0)
+                (args.command, args.seed, args.out)) or 0)
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("seed=5\nfull=true\n", encoding="utf-8")
+        cfg.write_text("seed=5\nout=o.csv\n", encoding="utf-8")
         assert _run(["figure1", "--config", str(cfg)]) == 0
         assert _run(["figure1"]) == 0
         assert _run(["blackbox"]) == 0
-        assert seen == [("figure1", 5, True), ("figure1", 0, False),
-                        ("blackbox", 0, False)]
-
-    def test_bad_boolean_exit_2(self, tmp_path, capsys):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("full=no\n", encoding="utf-8")
-        assert _run(["figure12", "--config", str(cfg)]) == 2
-        assert "full" in capsys.readouterr().err
+        assert seen == [("figure1", 5, "o.csv"), ("figure1", 0, None),
+                        ("blackbox", 0, None)]
 
     @pytest.mark.parametrize("argv, line, named", [
         (["defend", "--d", "2", "--n", "5", *SYNTH], "scheme=bogus", "--scheme"),
@@ -116,20 +111,8 @@ class TestConfigFile:
         assert f"argument {named}: invalid" in err and line.split("=")[1] in err
         assert not train_calls
 
-    @pytest.mark.parametrize("command, line, name, want", [
-        ("attack", "method=ls", "attacks", "ls"),
-        ("train", "lambda=0.01", "lam", 0.01),
-    ])
-    def test_alias_keys(self, command, line, name, want, tmp_path, monkeypatch):
-        seen = []
-        monkeypatch.setattr(cli, f"cmd_{command}", lambda args: seen.append(args) or 0)
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text(line + "\n", encoding="utf-8")
-        assert _run([command, "--config", str(cfg)]) == 0
-        assert getattr(seen[0], name) == want
-
     def test_option_value_false_is_text(self, tmp_path, monkeypatch):
-        # only a flag reads true/false; out=false names the file "false"
+        # a value is the flag's text: out=false names the file "false"
         monkeypatch.chdir(tmp_path)
         cfg = tmp_path / "run.cfg"
         cfg.write_text("out=false\nn-grid=1..2\ntrials=1\n", encoding="utf-8")
@@ -223,18 +206,13 @@ class TestSubcommands:
         assert rows[0] == ["attack", "d", "n", "mse"]
         assert len(rows) == 3
 
-    def test_passive_features_range_and_lambda_alias(self, tmp_path, capsys):
+    def test_window_and_lam_reach_the_model_file(self, tmp_path, capsys):
         model_path = tmp_path / "model.json"
         assert _run(["train", "--synth-n", "200", "--synth-dt", "6",
-                     "--passive-features", "2..4", "--lambda", "0.001",
+                     "--start", "2", "--d", "3", "--lam", "0.001",
                      "--out", str(model_path)]) == 0
-        from vflpriv.model import VflModel
         loaded = VflModel.load(model_path)
-        assert loaded.split.passive == (2, 3, 4)
-
-    def test_passive_features_bad_range_exit_2(self):
-        assert _run(["train", "--synth-n", "100", "--synth-dt", "4",
-                     "--passive-features", "3..1"]) == 2
+        assert loaded.split.passive == (2, 3, 4) and loaded.lam == 0.001
 
     def test_blackbox_deterministic(self, tmp_path):
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -320,16 +298,16 @@ class TestSubcommands:
         assert np.array_equal(default.train_mask, want.train_mask)
         assert np.array_equal(default.x, want.x)
 
-    def test_figure1_full_ignores_n(self, monkeypatch, capsys):
-        from vflpriv import metrics
+    @pytest.mark.parametrize("flags, n_pred", [([], cli.DESK_N), (["--n", "1000"], 1000)])
+    def test_figure1_scores_n_predictions(self, flags, n_pred, monkeypatch):
+        # the paper's 1,000 predictions are --n 1000; omitted, the desk count
         seen = []
         monkeypatch.setattr(metrics, "average_over_space",
                             lambda model, ds, d, names, n_pred, **kw:
                             seen.append(n_pred) or dict.fromkeys(names, 0.0))
         assert _run(["figure1", "--synth-n", "100", "--synth-dt", "4",
-                     "--d-grid", "1", "--attacks", "half", "--full",
-                     "--n", "-3"]) == 0
-        assert seen == [cli.FULL_N]
+                     "--d-grid", "1", "--attacks", "half", *flags]) == 0
+        assert seen == [n_pred]
 
     def test_tradeoff_accuracy_preserved(self, tmp_path):
         out_path = tmp_path / "tradeoff.csv"
@@ -364,24 +342,26 @@ class TestBadArguments:
     @pytest.mark.parametrize("window, flag", [
         (["--d", "3", "--start", "7"], "--start 7"),
         (["--d", "3", "--start", "-5"], "--start -5"),
-        (["--passive-features", "7..9"], "--passive-features 7..9"),
-        (["--passive-features=-1..1"], "--passive-features -1..1"),
-        (["--passive-features", "4..6"], "--passive-features 4..6"),
-        (["--passive-features", "0..6"], "--passive-features 0..6"),
+        (["--d", "3", "--start", "6"], "--start 6"),
+        (["--d", "3", "--start", "-1"], "--start -1"),
+        (["--d", "7", "--start", "0"], "--d 7"),
     ])
     @pytest.mark.parametrize("command", [["train"], ["attack", "--model", "missing.json"]],
                              ids=["train", "attack_model"])
     def test_window_outside_the_table(self, command, window, flag, capsys, train_calls):
-        # start 7 and -5 are start 1 modulo 6: the same rows, had they run
+        # start 7 and -5 are start 1 modulo 6: the same rows, had they run;
+        # 6 and -1 are the first starts past either end of the 6 features
         assert _run(command + ["--synth-n", "100", "--synth-dt", "6", *window]) == 2
         err = capsys.readouterr().err
         assert flag in err and "missing.json" not in err
         assert not train_calls
 
     @pytest.mark.parametrize("window", [["--d", "6", "--start", "9"],
-                                        ["--passive-features", "9..11"]])
+                                        ["--d", "1", "--start", "11"],
+                                        ["--d", "12", "--start", "0"]])
     def test_window_inside_the_table_runs(self, window, train_calls):
-        # a window may wrap past the last feature when --start names it
+        # a window may wrap past the last feature when --start names it, and
+        # may hold from one to every feature
         assert _run(["train", "--synth-n", "100", "--synth-dt", "12", *window]) == 0
         assert len(train_calls) == 1
 
@@ -510,6 +490,37 @@ class TestBadArguments:
         assert message in capsys.readouterr().err
         assert not train_calls
 
+    def test_train_frac_on_a_tiny_synthetic_table_before_the_draw(self, capsys,
+                                                                 monkeypatch, train_calls):
+        # the message names the --train-frac split, not the generator's own 0.8 one
+        draws = []
+        monkeypatch.setattr(cli, "synthesize", lambda *a: draws.append(a))
+        assert _run(["train", "--synth-n", "2", "--synth-dt", "3", "--d", "1",
+                     "--train-frac", "0.5"]) == 2
+        assert capsys.readouterr().err == ("config error: --train-frac 0.5 leaves 1 of 2 "
+                                           "rows for training; training needs 2, testing 1\n")
+        assert not draws and not train_calls
+
+    @pytest.mark.parametrize("given", ["flag", "config"])
+    def test_attack_model_rejects_lam_before_any_load(self, given, tmp_path, capsys,
+                                                      monkeypatch, train_calls):
+        # the --model file is never retrained, so nothing would read --lam
+        loads = []
+        monkeypatch.setattr(cli, "_load_data", lambda args: loads.append("table"))
+        monkeypatch.setattr(VflModel, "load", lambda path: loads.append("model"))
+        argv = ["attack", "--synth-n", "300", "--synth-dt", "6", "--d", "3", "--model",
+                "m.json", "--n", "3", "--attacks", "half"]
+        if given == "flag":
+            argv += ["--lam", "5"]
+        else:
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text("lam=5\n", encoding="utf-8")
+            argv += ["--config", str(cfg)]
+        assert _run(argv) == 2
+        assert capsys.readouterr().err == ("config error: --lam 5.0 does not apply: "
+                                           "--model m.json is not retrained\n")
+        assert not loads and not train_calls
+
     @pytest.mark.parametrize("frac", ["0", "1", "1.5"])
     def test_train_frac_on_synthetic_data(self, frac, capsys, train_calls):
         assert _run(["train", "--synth-n", "200", "--d", "2",
@@ -580,26 +591,21 @@ class TestBadArguments:
         assert err == f"config error: need at least two classes, got k={k}\n"
         assert out == "" and not train_calls
 
-    def test_full_ignores_trials(self, capsys):
-        assert _run(["blackbox", "--full", "--trials", "0", "--n-grid", "1..1"]) == 0
-        assert len(capsys.readouterr().out.strip().splitlines()) == 2
-
 
 # the options that every subcommand took when they all shared one parent
 FORMERLY_SHARED = ["config", "seed", "data", "label_col", "train_frac", "synth_n",
-                   "synth_dt", "synth_k", "d", "start", "passive_features", "lam",
-                   "n", "full", "out"]
+                   "synth_dt", "synth_k", "d", "start", "lam", "n", "out"]
 _EVERY = {"config", "seed", "out"}
 _DATA = {"data", "label_col", "train_frac", "synth_n", "synth_dt", "synth_k", "lam"}
-_WINDOW = {"d", "start", "passive_features"}
+_WINDOW = {"d", "start"}
 # the options each subcommand reads, through its own code or the helpers it calls
 READS = {
     "train": _EVERY | _DATA | _WINDOW,
     "attack": _EVERY | _DATA | _WINDOW | {"n", "model", "attacks", "init"},
-    "blackbox": _EVERY | {"full", "case", "n_grid", "trials", "w", "b"},
+    "blackbox": _EVERY | {"case", "n_grid", "trials", "w", "b"},
     "defend": _EVERY | _DATA | _WINDOW | {"n", "scheme", "alpha", "attack"},
     "evaluate": _EVERY | _DATA | _WINDOW,
-    "figure1": _EVERY | _DATA | {"n", "full", "d_grid", "attacks"},
+    "figure1": _EVERY | _DATA | {"n", "d_grid", "attacks"},
     "tradeoff": _EVERY | _DATA | _WINDOW | {"n"},
 }
 # (flag and value, parsed value) of every option
@@ -608,10 +614,9 @@ SAMPLES = {
     "out": (["--out", "o.csv"], "o.csv"), "data": (["--data", "t.csv"], "t.csv"),
     "label_col": (["--label-col", "0"], 0), "train_frac": (["--train-frac", "0.5"], 0.5),
     "synth_n": (["--synth-n", "300"], 300), "synth_dt": (["--synth-dt", "7"], 7),
-    "synth_k": (["--synth-k", "3"], 3), "lam": (["--lambda", "0.1"], 0.1),
+    "synth_k": (["--synth-k", "3"], 3), "lam": (["--lam", "0.1"], 0.1),
     "d": (["--d", "3"], 3), "start": (["--start", "2"], 2),
-    "passive_features": (["--passive-features", "2..4"], "2..4"),
-    "n": (["--n", "5"], 5), "full": (["--full"], True),
+    "n": (["--n", "5"], 5),
     "model": (["--model", "m.json"], "m.json"), "attacks": (["--attacks", "ls"], "ls"),
     "init": (["--init", "zeros"], "zeros"), "case": (["--case", "3"], 3),
     "n_grid": (["--n-grid", "1..5"], "1..5"), "trials": (["--trials", "4"], 4),
@@ -636,8 +641,8 @@ class TestOptionsPerSubcommand:
         assert _options(command) == READS[command.replace("figure12", "blackbox")]
 
     def test_pair_counts(self):
-        assert sum(len(_options(c)) for c in READS) == 97
-        assert len(UNREAD) == 21
+        assert sum(len(_options(c)) for c in READS) == 90
+        assert len(UNREAD) == 14
 
     @pytest.mark.parametrize("command, name",
                              [(c, n) for c in READS for n in sorted(READS[c])])
@@ -649,8 +654,7 @@ class TestOptionsPerSubcommand:
             seen = []
             monkeypatch.setattr(cli, f"cmd_{command}", lambda args: seen.append(args) or 0)
             cfg = tmp_path / "run.cfg"
-            cfg.write_text(f"{name}={'true' if want is True else argv[-1]}\n",
-                           encoding="utf-8")
+            cfg.write_text(f"{name}={argv[-1]}\n", encoding="utf-8")
             assert _run([command, "--config", str(cfg)]) == 0
             assert getattr(seen[0], name) == want
 
@@ -706,13 +710,70 @@ class TestOptionsPerSubcommand:
             argv, named = [command, flag, "1"], f"unrecognized arguments: ['{flag}'"
         else:
             cfg = tmp_path / "run.cfg"
-            cfg.write_text(f"{name.replace('_', '-')}={'true' if name == 'full' else '1'}\n",
-                           encoding="utf-8")
+            cfg.write_text(f"{name.replace('_', '-')}=1\n", encoding="utf-8")
             argv, named = [command, "--config", str(cfg)], f"config keys: [{name!r}]"
         assert _run(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and named in err
         assert not work and not train_calls
+
+    @pytest.mark.parametrize("given", ["flag", "config"])
+    @pytest.mark.parametrize("argv, key, value", [
+        (["figure1", "--n", "5"], "full", None),
+        (["blackbox", "--trials", "2"], "full", None),
+        (["figure12"], "full", None),
+        (["attack", "--start", "3", "--d", "4"], "passive_features", "0..1"),
+        (["train"], "passive_features", "2..4"),
+        (["train"], "lambda", "0.1"),
+        (["figure1"], "lambda", "0"),
+        (["attack"], "method", "ls"),
+        (["defend"], "passive_features", "0..1"),
+        (["evaluate"], "passive_features", "1..3"),
+        (["tradeoff"], "passive_features", "0..2"),
+        (["attack"], "lambda", "0.01"),
+        (["defend"], "lambda", "0.1"),
+        (["evaluate"], "lambda", "1"),
+        (["tradeoff"], "lambda", "0.5"),
+    ])
+    def test_removed_spelling_exit_2_before_any_work(self, argv, key, value, given,
+                                                     tmp_path, capsys, monkeypatch,
+                                                     train_calls):
+        # each setting has one spelling: --n 1000 and --trials 100 for the old
+        # preset, --start/--d for the range, --lam and --attacks for the aliases;
+        # the table holds every subcommand that once took each removed spelling
+        work = []
+        monkeypatch.setattr(cli, "_load_data", lambda args: work.append("load"))
+        monkeypatch.setattr(cli, "_blackbox_trial_mse", lambda *a: work.append("trial"))
+        flag = "--" + key.replace("_", "-")
+        if given == "flag":
+            argv = [*argv, flag, *([value] if value else [])]
+            named = f"unrecognized arguments: ['{flag}'"
+        else:
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text(f"{key}={value or 'true'}\n", encoding="utf-8")
+            argv, named = [*argv, "--config", str(cfg)], f"unknown config keys: [{key!r}]"
+        assert _run(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and named in err
+        assert not work and not train_calls
+
+    def test_readme_option_table_matches_the_parser(self):
+        # each row names options and the subcommands that take them: "all",
+        # "all but `x`", or a list; per subcommand the rows hold its options
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        table = readme.split("| options | subcommands |\n|---|---|\n")[1].split("\n\n")[0]
+        listed = {command: set() for command in READS}
+        for row in table.splitlines():
+            options, commands = row.strip("|").split("|")
+            commands = commands.split("(")[0]
+            named = set(re.findall(r"`(\w+)`", commands))
+            if commands.strip().startswith("all"):
+                named = set(READS) - named
+            assert named and named <= set(READS), row
+            for command in named:
+                listed[command] |= {o[2:].replace("-", "_")
+                                    for o in options.strip(" `").split()}
+        assert listed == {command: _options(command) for command in READS}
 
     @pytest.mark.parametrize("given", ["flag", "config"])
     @pytest.mark.parametrize("name, data", [("label_col", None), ("synth_n", "t.csv"),

@@ -139,6 +139,75 @@ class TestClosedForms:
         assert reports["ls"].lower == pytest.approx(reports["ls"].upper)
 
 
+def _one_moment(k):
+    """Moment matrices holding the one PSD matrix k in every slot."""
+    return metrics.MomentMatrices(k0=k, k_half=k, k_mu=k, mu=np.zeros(len(k)))
+
+
+class TestClosedFormBounds:
+    """closed_form_mse's bounds, over d: the sums of K's p smallest and p
+    largest eigenvalues, p the nullity of A (von Neumann's trace inequality
+    on the nullspace projector, whose eigenvalues are p ones and d - p zeros)."""
+
+    @staticmethod
+    def _draw(seed):
+        """(rng, d, K) with d in 2..7 and K = B B^T of a random rank."""
+        rng = np.random.default_rng(seed)
+        d = int(rng.integers(2, 8))
+        b = rng.standard_normal((d, int(rng.integers(1, d + 1))))
+        return rng, d, b @ b.T
+
+    @pytest.mark.parametrize("a, k, want", [
+        # (closed form, lower, upper) over d = 2, nullspace e2, e1, (1, -1)/sqrt 2, none
+        ([[1.0, 0.0]], [2.0, 1.0], (0.5, 0.5, 1.0)),
+        ([[0.0, 1.0]], [2.0, 1.0], (1.0, 0.5, 1.0)),
+        ([[1.0, 1.0]], [3.0, 0.0], (0.75, 0.0, 1.5)),
+        ([[1.0, 0.0], [0.0, 1.0]], [2.0, 1.0], (0.0, 0.0, 0.0)),
+    ])
+    def test_worked_values(self, a, k, want):
+        a = np.array(a)
+        r = metrics.closed_form_mse(LinearSystem(a=a, b=np.zeros(len(a))),
+                                    _one_moment(np.diag(k)))["ls"]
+        assert r.closed_form == pytest.approx(want[0], rel=1e-15)
+        assert (r.lower, r.upper) == want[1:]
+
+    @given(st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_bounds_bracket_the_closed_form(self, seed):
+        rng, d, k = self._draw(seed)
+        a = rng.standard_normal((int(rng.integers(1, d + 2)), d))
+        for r in metrics.closed_form_mse(LinearSystem(a=a, b=a @ rng.uniform(size=d)),
+                                         _one_moment(k)).values():
+            assert r.lower - 1e-12 <= r.closed_form <= r.upper + 1e-12
+
+    @given(st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_tight_where_k_is_diagonal_in_the_nullspace_basis(self, seed):
+        # K = Q diag(ev) Q^T with ev ascending; a nullspace spanned by Q's
+        # first (last) p columns attains the lower (upper) bound
+        rng, d, _ = self._draw(seed)
+        p = int(rng.integers(1, d))
+        q = np.linalg.qr(rng.standard_normal((d, d)))[0]
+        ev = np.sort(rng.uniform(0.0, 2.0, size=d))
+        mom = _one_moment((q * ev) @ q.T)
+        for rows, bound in ((q[:, p:], "lower"), (q[:, :d - p], "upper")):
+            a = rng.standard_normal((d - p, d - p)) @ rows.T
+            r = metrics.closed_form_mse(LinearSystem(a=a, b=np.zeros(d - p)), mom)["ls"]
+            assert r.closed_form == pytest.approx(getattr(r, bound), rel=1e-12, abs=1e-15)
+
+    @given(st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_no_bound_is_below_zero(self, seed):
+        # a singular K's zero eigenvalues come out of eigvalsh as noise of
+        # either sign; a nullspace of at most that many directions sums them
+        rng, d, _ = self._draw(seed)
+        v = rng.standard_normal((d, 1))
+        a = rng.standard_normal((int(rng.integers(1, d + 1)), d))
+        for r in metrics.closed_form_mse(LinearSystem(a=a, b=np.zeros(len(a))),
+                                         _one_moment(v @ v.T)).values():
+            assert r.lower >= 0.0 and r.upper >= 0.0
+
+
 class TestDivergences:
     def test_identical_distributions(self):
         p = np.array([0.2, 0.3, 0.5])

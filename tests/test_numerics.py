@@ -518,50 +518,9 @@ class TestWorkedExamples:
             LinearSystem(a=np.array([[1.0, 0.0]]), b=np.array([0.4])))
         assert np.allclose(c2, [0.4, 0.5]) and abs(r2 - 0.5) < 1e-9
 
-    def test_von_neumann_values(self):
-        assert numerics.von_neumann_bounds(np.eye(2), np.eye(2)) == (2.0, 2.0)
-        lo, hi = numerics.von_neumann_bounds(np.diag([2.0, 1.0]),
-                                             np.diag([3.0, 0.0]))
-        assert (lo, hi) == (3.0, 6.0)
-        lo, hi = numerics.von_neumann_bounds(np.diag([1.0, 0.0]),
-                                             np.diag([0.0, 1.0]))
-        assert (lo, hi) == (0.0, 1.0)
-
     def test_projector_annihilates_min_norm_shift(self):
         rng = np.random.default_rng(6)
         a = rng.standard_normal((2, 5))
         b = rng.standard_normal(2)
         p = _projector(a)
         assert np.allclose(p @ (numerics.svd(a).pinv() @ b), 0.0, atol=1e-8)
-
-
-class TestVonNeumannBounds:
-    @given(st.integers(0, 100))
-    @settings(max_examples=30, deadline=None)
-    def test_brackets_trace(self, seed):
-        rng = np.random.default_rng(seed)
-        b1 = rng.standard_normal((4, 4))
-        b2 = rng.standard_normal((4, 4))
-        m = b1 @ b1.T
-        p = b2 @ b2.T
-        lo, hi = numerics.von_neumann_bounds(m, p)
-        tr = float(np.trace(m @ p))
-        assert lo - 1e-8 <= tr <= hi + 1e-8
-
-    def test_commuting_case_is_tight(self):
-        m = np.diag([3.0, 2.0, 1.0])
-        p = np.diag([1.0, 2.0, 3.0])
-        lo, hi = numerics.von_neumann_bounds(m, p)
-        assert abs(lo - np.trace(m @ p)) < 1e-12
-        assert hi >= lo
-
-    def test_rejects_asymmetric(self):
-        with pytest.raises(ValueError):
-            numerics.von_neumann_bounds(np.array([[0.0, 1.0], [0.0, 0.0]]), np.eye(2))
-
-    def test_rounding_never_makes_a_bound_negative(self):
-        # a projector's zero eigenvalue can come out of eigvalsh as -1e-17
-        # (the rank-one w w^T of a unit w drawn from default_rng(0) gives
-        # -7.2e-18); where M weighs only that direction, the lower bound is 0
-        p = np.diag([-1e-17, 0.0, 1.0])
-        assert numerics.von_neumann_bounds(np.diag([1.0, 0.0, 0.0]), p) == (0.0, 1.0)
