@@ -156,6 +156,7 @@ def attack_rcc2(sys_: LinearSystem) -> AttackEstimate:
 # --- RCC1: search-space relaxation solved as a small SDP ------------------
 
 _RCC1_GAP, _RCC1_FLOOR, _RCC1_DIVERGE, _RCC1_MAX_ITER = 1e-9, 1e-8, 1e3, 50
+_RCC1_BLOCK = 1024      # the most rows one _rcc1_pd_solve call holds
 
 
 def _rcc1_pd_solve(w, c):
@@ -323,26 +324,30 @@ def _rcc1_pd_solve(w, c):
 
 
 def attack_rcc1(sys_: LinearSystem) -> AttackEstimate:
-    """Search-space-relaxed Chebyshev center (SDP route), one SDP solve per nullity.
+    """Search-space-relaxed Chebyshev center (SDP route), solved in blocks of
+    at most _RCC1_BLOCK rows of one nullity.
 
     In nullspace coordinates x = q + W z, _rcc1_pd_solve solves Beck & Eldar's
     relaxation to a gap <X, S> (diagnostics["gap"]; ["iterations"] counts
     steps) of 1e-10, or 1e-8 where rounding stalls. x comes from its primal
     iterate's z, the radius (above the exact one) from its dual value. The
     SDP has size 2p + 1 for nullity p: the rows of a batch's systems of one
-    nullity share one solve, each row on its own A's basis W, and a
-    determined system's rows take A^+ b' (radius, gap and steps 0). Once
-    every nullity is solved, one AttackError names every row of the batch
-    whose gap ends above 1e-8, by its index in the flattened batch.
+    nullity share a solve per block of _RCC1_BLOCK rows, each row on its own
+    A's basis W, which bounds the memory a solve holds; a row's results are
+    its own, so the blocks change no bit. A determined system's rows take
+    A^+ b' (radius, gap and steps 0). Once every nullity is solved, one
+    AttackError names every row of the batch whose gap ends above 1e-8, by
+    its index in the flattened batch.
     """
     x, own, batch = sys_.min_norm_solution.reshape(-1, sys_.d).copy(), sys_.row_a, sys_.batch
     nullity, v = np.reshape(sys_.nullity, -1)[own], sys_.svd.v.reshape(-1, sys_.d, sys_.d)
     (value, gap), steps = np.zeros((2, len(x))), np.zeros(len(x), dtype=int)
     for p in sorted(set(nullity.tolist()) - {0}):
-        of = nullity == p
-        w = v[own[of], :, -p:]          # each row's nullspace basis; a_i^T are its rows
-        z, value[of], gap[of], steps[of] = _rcc1_pd_solve(w, x[of] - 0.5)
-        x[of] += numerics._rowwise(w, z)
+        rows = np.flatnonzero(nullity == p)
+        for of in np.split(rows, range(_RCC1_BLOCK, rows.size, _RCC1_BLOCK)):
+            w = v[own[of], :, -p:]      # each row's nullspace basis; a_i^T are its rows
+            z, value[of], gap[of], steps[of] = _rcc1_pd_solve(w, x[of] - 0.5)
+            x[of] += numerics._rowwise(w, z)
     bad = np.flatnonzero(~(gap <= _RCC1_FLOOR))
     if bad.size:
         gaps = " ".join(f"{g:.3e}" for g in gap[bad])

@@ -19,22 +19,13 @@ class DataError(Exception):
 
 @dataclass
 class RawTable:
-    """A rectangular table of mixed numeric/categorical cells plus a label
-    column, as the parsers make it: each caller owns the one it gets."""
+    """A table's features as one float matrix, its label column apart, as
+    the parsers make it: each caller owns the one it gets."""
 
-    columns: list                # per feature: a float array, or the raw
-                                 # strings if categorical; label excluded
+    values: np.ndarray           # n x d features; a text column's entries are 0
     names: list[str]             # feature names (label column excluded)
     labels: list                 # raw label cells
-    categorical: list[bool]      # per-feature flag
-
-    @property
-    def n_rows(self) -> int:
-        return len(self.labels)
-
-    @property
-    def n_features(self) -> int:
-        return len(self.columns)
+    categorical: dict[int, list[str]]   # feature index -> the text column's cells
 
 
 @dataclass
@@ -90,19 +81,6 @@ class SyntheticSpec:
             raise DataError(f"need at least two classes, got k={self.k}")
 
 
-def _parse_column(cells: list[str], name: str) -> tuple[np.ndarray | list, bool]:
-    """(the cells as a float array, False), or (the cells, True) if one cell
-    is not a number; a numeric column with an inf or nan cell raises."""
-    try:
-        col = np.fromiter(map(float, cells), dtype=float, count=len(cells))
-    except ValueError:
-        return cells, True
-    if not np.isfinite(col).all():
-        i = int(np.isfinite(col).argmin())
-        raise DataError(f"column {name!r}, row {i + 2}: {cells[i]!r} is not finite")
-    return col, False
-
-
 _last_load: tuple = (None, None)    # (key, Dataset) of the last load_dataset
 
 
@@ -129,13 +107,13 @@ def _parse_plain(raw: bytes, label_col: int) -> RawTable | None:
     finite floats, or None where the csv module might read it otherwise.
 
     loadtxt tokenizes in C and converts each cell with PyOS_string_to_double,
-    the routine float() uses, so the columns get float()'s bits; the label
-    column is read as text. Lines end in LF or CRLF. None for a quote or a
-    NUL, a CR or LF outside the line endings, text that is not UTF-8, no data rows, a
-    row without one cell per header column (a blank, whitespace-only or
-    ragged line), a line longer than csv.field_size_limit(), fewer than 2
-    distinct labels, a cell loadtxt rejects (such as "abc", "1_000" or an
-    empty cell) and a non-finite value.
+    the routine float() uses, so its n x d matrix, kept as it is for values,
+    gets float()'s bits; the label column is read as text. Lines end in LF or
+    CRLF. None for a quote or a NUL, a CR or LF outside the line endings,
+    text that is not UTF-8, no data rows, a row without one cell per header
+    column (a blank, whitespace-only or ragged line), a line longer than
+    csv.field_size_limit(), fewer than 2 distinct labels, a cell loadtxt
+    rejects (such as "abc", "1_000" or an empty cell) and a non-finite value.
     """
     if b'"' in raw or b"\0" in raw:    # a NUL fails the csv module before 3.11
         return None
@@ -169,9 +147,8 @@ def _parse_plain(raw: bytes, label_col: int) -> RawTable | None:
         return None
     if not np.isfinite(values).all():
         return None
-    return RawTable(columns=list(np.ascontiguousarray(values.T)),
-                    names=[header[i] for i in feat_idx], labels=labels,
-                    categorical=[False] * len(feat_idx))
+    return RawTable(values=values, names=[header[i] for i in feat_idx], labels=labels,
+                    categorical={})
 
 
 def _parse_csv(raw: bytes, label_col: int) -> RawTable:
@@ -179,11 +156,11 @@ def _parse_csv(raw: bytes, label_col: int) -> RawTable:
 
     label_col indexes the header (-1: the last column); a value outside
     [-width, width) for a table of width columns raises DataError. A column
-    with any non-numeric cell keeps its raw strings and is tagged
-    categorical, and an inf or nan cell in a numeric column raises
-    DataError. A table of plain numbers takes _parse_plain's C reader; any
-    other table is read by the csv module, cell by cell with float(), and
-    that path raises every error. Both give the same names, labels and bits.
+    with any non-numeric cell keeps its raw strings in categorical, and an
+    inf or nan cell in a numeric column raises DataError. A table of plain
+    numbers takes _parse_plain's C reader; any other table is read by the csv
+    module, cell by cell with float(), and that path raises every error. Both
+    give the same names, labels and bits.
     Nothing is kept: the caller owns the table.
     """
     plain = _parse_plain(raw, label_col)
@@ -191,7 +168,10 @@ def _parse_csv(raw: bytes, label_col: int) -> RawTable:
 
 
 def _parse_rows(raw: bytes, label_col: int) -> RawTable:
-    """The csv module's RawTable of a CSV file's bytes, each cell read by float()."""
+    """The csv module's RawTable of a CSV file's bytes, each cell read by float().
+
+    Each numeric column goes into values, and each text column's cells into
+    categorical under its feature index (its values column stays 0)."""
     reader = csv.reader(io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8", newline=""))
     try:
         rows = list(reader)
@@ -211,10 +191,20 @@ def _parse_rows(raw: bytes, label_col: int) -> RawTable:
     if len(set(labels)) < 2:
         raise DataError("label column must have at least 2 distinct values")
     feat_idx = [j for j in range(width) if j != label_col]
-    parsed = [_parse_column([row[j] for row in data], header[j]) for j in feat_idx]
-    return RawTable(columns=[col for col, _ in parsed],
-                    names=[header[j] for j in feat_idx], labels=labels,
-                    categorical=[cat for _, cat in parsed])
+    values, categorical = np.zeros((len(data), len(feat_idx))), {}
+    for i, j in enumerate(feat_idx):
+        cells = [row[j] for row in data]
+        try:
+            values[:, i] = np.fromiter(map(float, cells), dtype=float, count=len(cells))
+        except ValueError:      # a cell that is not a number: a text column
+            categorical[i] = cells
+    bad = np.argwhere(~np.isfinite(values.T))   # the first column's first such cell
+    if bad.size:
+        i, r = bad[0]
+        raise DataError(f"column {header[feat_idx[i]]!r}, row {r + 2}: "
+                        f"{data[r][feat_idx[i]]!r} is not finite")
+    return RawTable(values=values, names=[header[j] for j in feat_idx], labels=labels,
+                    categorical=categorical)
 
 
 def encode_labels(raw_labels) -> tuple[np.ndarray, int]:
@@ -229,17 +219,15 @@ def encode_categoricals(table: RawTable, y, train_mask) -> np.ndarray:
     training rows, those where train_mask is true.
 
     y holds the table's encoded labels (see encode_labels). Categories never
-    seen in training fall back to the global training mean. Numeric columns
-    pass through unchanged. Returns an n x d float matrix.
+    seen in training fall back to the global training mean. Returns a copy
+    of table.values, the n x d float matrix, with each column in
+    table.categorical encoded.
     """
     train_mask = np.asarray(train_mask, dtype=bool)
-    out = np.empty((table.n_rows, table.n_features))
+    out = table.values.copy()
     y_train = y[train_mask].astype(float)
     global_mean = float(y_train.mean()) if y_train.size else 0.0
-    for j, col in enumerate(table.columns):
-        if not table.categorical[j]:
-            out[:, j] = col
-            continue
+    for j, col in table.categorical.items():
         keys, code = np.unique(np.asarray(col, dtype=object), return_inverse=True)
         # bincount adds in row order: the counts, then each category's label sum
         counts, sums = (np.bincount(code[train_mask], w, keys.size) for w in (None, y_train))
@@ -314,7 +302,7 @@ def load_dataset(path, label_col: int = -1, train_fraction: float = 0.8,
         table = _parse_csv(raw, label_col)
         y, k = encode_labels(table.labels)
         # the split must be fixed before target-mean encoding (training rows only)
-        train_mask = split_mask(table.n_rows, train_fraction, seed)
+        train_mask = split_mask(len(table.labels), train_fraction, seed)
         values = encode_categoricals(table, y, train_mask)
         ds = normalize(values, y, k=k, feature_names=table.names)
         ds.train_mask = train_mask

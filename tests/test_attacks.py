@@ -1065,6 +1065,42 @@ class TestRcc1PrimalDual:
         else:
             assert isinstance(got, tuple)
 
+    @staticmethod
+    def _two_nullities():
+        """Two 3 x 5 systems of nullity 2 and 3 (rank 3 and 2), 10 rows each."""
+        rng = np.random.default_rng(5)
+        a = np.stack([rng.standard_normal((3, 5)),
+                      rng.standard_normal((3, 2)) @ rng.standard_normal((2, 5))])
+        return LinearSystem(a=a, b=np.einsum("smd,snd->snm", a, rng.uniform(size=(2, 10, 5))))
+
+    @pytest.mark.parametrize("block", [1, 7])
+    def test_row_blocks_keep_every_bit(self, monkeypatch, block):
+        # blocks of 7 split each system's 10 rows 7 + 3; blocks of 1 solve
+        # each row alone: each row's results and failure text are the ones
+        # the one-block solve gives it
+        assert self._two_nullities().nullity.tolist() == [2, 3]
+        one_block = attacks._RCC1_BLOCK
+        assert one_block >= 20
+
+        def run(rows_per_block, max_iter):
+            monkeypatch.setattr(attacks, "_RCC1_BLOCK", rows_per_block)
+            _capped_rcc1(monkeypatch, max_iter)
+            try:
+                est = attacks.attack_rcc1(self._two_nullities())
+            except attacks.AttackError as err:
+                return str(err), err.rows.tolist()
+            return (est.x_hat, *(est.diagnostics[k] for k in ("radius", "gap", "iterations")))
+
+        # at 2 steps every row fails, at 8 some rows of each system
+        for max_iter, failed in ((attacks._RCC1_MAX_ITER, None), (2, list(range(20))),
+                                 (8, [2, 3, 4, 5, 6, 8, 10, 12, 13, 14, 15, 17, 18, 19])):
+            got, want = run(block, max_iter), run(one_block, max_iter)
+            if failed is None:
+                _assert_same_bits(got, want)
+            else:
+                assert want[1] == failed and want[0].startswith(f"rcc1 rows {failed} ")
+                assert got == want
+
     def test_cap_exits_3_through_the_cli(self, monkeypatch, capsys):
         from vflpriv import cli
         _capped_rcc1(monkeypatch, 2)

@@ -22,16 +22,16 @@ class TestLoadCsv:
         table = dataset._parse_csv(dataset._read(path), -1)
         assert table.names == ["a", "b"]
         assert table.labels == ["yes", "no"]
-        assert table.categorical == [False, True]
+        assert table.values[:, 0].tolist() == [1.0, 2.0]
+        assert table.categorical == {1: ["x", "y"]}
 
     def test_numeric_cells_parsed_once_to_exact_floats(self, tmp_path):
         cells = ["0.1", "1e-320", " 2.5", "-0", "1.7976931348623157e308", "3"]
         text = "a,b,label\n" + "".join(f"{c},{c if i else 'x'},{i % 2}\n"
                                        for i, c in enumerate(cells))
         table = dataset._parse_csv(dataset._read(_write_csv(tmp_path, text)), -1)
-        assert table.categorical == [False, True]
-        assert table.columns[0].tolist() == [float(c) for c in cells]
-        assert table.columns[1] == ["x"] + cells[1:]   # raw strings, unparsed
+        assert table.values[:, 0].tolist() == [float(c) for c in cells]
+        assert table.categorical == {1: ["x"] + cells[1:]}   # raw strings, unparsed
         out = dataset.encode_categoricals(
             table, dataset.encode_labels(table.labels)[0], np.ones(6, dtype=bool))
         assert out[:, 0].tolist() == [float(c) for c in cells]
@@ -41,6 +41,31 @@ class TestLoadCsv:
         table = dataset._parse_csv(dataset._read(path), 0)
         assert table.names == ["a"]
         assert table.labels == ["yes", "no"]
+
+    def test_text_column_keeps_its_index(self, tmp_path):
+        # a text column between two numeric ones: the numbers on either side
+        # keep their places in values, the text its feature index (the label
+        # column comes first, so that index is not the header's)
+        path = _write_csv(tmp_path, "label,a,b,c\nyes,1,u,3.5\nno,2,w,-4\nno,5,u,6\n")
+        table = dataset._parse_csv(dataset._read(path), 0)
+        assert table.names == ["a", "b", "c"]
+        assert table.values.tolist() == [[1.0, 0.0, 3.5], [2.0, 0.0, -4.0], [5.0, 0.0, 6.0]]
+        assert table.categorical == {1: ["u", "w", "u"]}
+        y = dataset.encode_labels(table.labels)[0]
+        out = dataset.encode_categoricals(table, y, np.ones(3, dtype=bool))
+        assert out.tolist() == [[1.0, 0.5, 3.5], [2.0, 0.0, -4.0], [5.0, 0.5, 6.0]]
+        assert table.values[:, 1].tolist() == [0.0] * 3     # the table is left as it was
+
+    def test_all_text_features_parse_and_encode(self, tmp_path):
+        path = _write_csv(tmp_path, "a,b,label\nu,p,1\nu,q,0\nw,q,1\nw,p,1\n")
+        table = dataset._parse_csv(dataset._read(path), -1)
+        assert table.values.shape == (4, 2) and not table.values.any()
+        assert table.categorical == {0: ["u", "u", "w", "w"], 1: ["p", "q", "q", "p"]}
+        y = dataset.encode_labels(table.labels)[0]
+        out = dataset.encode_categoricals(table, y, np.ones(4, dtype=bool))
+        assert out.tolist() == [[0.5, 1.0], [0.5, 0.5], [1.0, 0.5], [1.0, 1.0]]
+        ds = dataset.load_dataset(path)
+        assert ds.feature_names == ["a", "b"] and ds.y.tolist() == [1, 0, 1, 1]
 
     def test_ragged_row(self, tmp_path):
         path = _write_csv(tmp_path, "a,label\n1,yes\n2\n")
@@ -154,18 +179,16 @@ class TestParseCache:
         path = _write_csv(tmp_path, "a,b,label\n1,x,yes\n2,y,no\n")
         # every parse makes a table of its own, writable throughout
         table = dataset._parse_csv(dataset._read(path), -1)
-        table.columns[0][0] = 9.0
-        table.columns[1][0] = "z"
-        table.columns.pop()
+        table.values[:] = 9.0
+        table.categorical[1][0] = "z"
+        table.categorical[0] = ["p", "q"]
         table.labels[0] = "maybe"
         table.names[0] = "c"
-        table.categorical[0] = True
         again = dataset._parse_csv(dataset._read(path), -1)
         assert len(parses) == 2
-        assert again.columns[0].tolist() == [1.0, 2.0]
-        assert again.columns[1] == ["x", "y"]
+        assert again.values.tolist() == [[1.0, 0.0], [2.0, 0.0]]
+        assert again.categorical == {1: ["x", "y"]}
         assert (again.names, again.labels) == (["a", "b"], ["yes", "no"])
-        assert again.categorical == [False, True]
         # every Dataset owns fresh, writable arrays
         ds = dataset.load_dataset(path)
         ds.x[:] = 0.0
@@ -250,10 +273,10 @@ class TestEncoding:
 
     def test_categorical_target_mean(self):
         table = dataset.RawTable(
-            columns=[["u", "u", "w", "w"]],
+            values=np.zeros((4, 1)),
             names=["cat"],
             labels=["1", "0", "1", "1"],
-            categorical=[True],
+            categorical={0: ["u", "u", "w", "w"]},
         )
         out = dataset.encode_categoricals(
             table, dataset.encode_labels(table.labels)[0], np.ones(4, dtype=bool))
@@ -261,10 +284,10 @@ class TestEncoding:
 
     def test_unseen_category_falls_back_to_global_mean(self):
         table = dataset.RawTable(
-            columns=[["u", "u", "w", "zz"]],
+            values=np.zeros((4, 1)),
             names=["cat"],
             labels=["1", "0", "1", "0"],
-            categorical=[True],
+            categorical={0: ["u", "u", "w", "zz"]},
         )
         train_mask = np.array([True, True, True, False])
         out = dataset.encode_categoricals(
@@ -272,11 +295,13 @@ class TestEncoding:
         assert out[3, 0] == pytest.approx(2.0 / 3.0)  # mean label of train rows
 
     def test_numeric_passthrough(self):
-        table = dataset.RawTable(columns=[np.array([1.5, 2.5])], names=["n"],
-                                 labels=["a", "b"], categorical=[False])
+        values = np.array([[1.5], [2.5]])
+        table = dataset.RawTable(values=values, names=["n"], labels=["a", "b"],
+                                 categorical={})
         out = dataset.encode_categoricals(
             table, dataset.encode_labels(table.labels)[0], np.ones(2, dtype=bool))
-        assert np.allclose(out[:, 0], [1.5, 2.5])
+        assert out.tolist() == [[1.5], [2.5]]
+        assert not np.shares_memory(out, values)
 
 
 class TestNormalize:
@@ -457,14 +482,14 @@ def _tables(draw):
 
 
 def _outcome(parse, raw, label_col):
-    """A table's names, labels, flags and column bits, or the exception it raised."""
+    """A table's names, labels, text cells and value bits, or the exception it raised."""
     try:
         t = parse(raw, label_col)
     except Exception as exc:
         return type(exc), str(exc)
+    v = t.values
     return (t.names, t.labels, t.categorical,
-            [col if cat else (col.dtype, col.tobytes(), col.flags.writeable)
-             for col, cat in zip(t.columns, t.categorical)])
+            (v.dtype, v.shape, v.tobytes(), v.flags.writeable, v.flags.c_contiguous))
 
 
 def _bench_shaped(n=1000, d_t=12, k=4, seed=0) -> bytes:
