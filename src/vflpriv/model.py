@@ -3,18 +3,19 @@
 Training runs full-batch Adam on the average cross-entropy plus the
 regularizer lam * (Tr(WW^T) + ||b||^2), with early stopping on a validation
 plateau. Each epoch is one forward pass over the validation and fit rows
-together. Its softmax runs on class-major (class, row) scores; its products
-and sums keep the row-major (row, class) order whose bits the reference loop
-fixes. The objective does not depend on which party holds which feature, so
-one trained model serves every passive window through VflModel.window.
-Trained models are immutable and safe to share across threads.
+together. Its softmax runs on class-major (class, row) scores and sums each
+score row's classes in order, a lone row by its running sum. Its products,
+the cross-entropy's total and the bias gradient's running sum keep the
+row-major (row, class) order whose bits the reference loop fixes. The
+objective does not depend on which party holds which feature, so one trained
+model serves every passive window through VflModel.window. Trained models
+are immutable and safe to share across threads.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import reduce
 
 import numpy as np
 
@@ -57,7 +58,7 @@ class VflSplit:
         if not 1 <= d <= d_t:
             raise ValueError(f"passive window size {d} must lie in [1, {d_t}]")
         passive = tuple((start + i) % d_t for i in range(d))
-        active = tuple(i for i in range(d_t) if i not in set(passive))
+        active = tuple(sorted(set(range(d_t)).difference(passive)))
         return VflSplit(passive=passive, active=active)
 
 
@@ -184,42 +185,21 @@ class TrainConfig:
 
 def softmax(z) -> np.ndarray:
     """Shift-invariant softmax along the last axis: _softmax_columns on a
-    class-major copy of z, whose bits equal a row-wise z.max(-1), exp and
-    e.sum(-1). The result is row-major, as z is."""
+    class-major copy of z. Each row sums its classes in order, so a row gets
+    the same bits alone and in a batch. The result is row-major, as z is."""
     z = np.asarray(z, dtype=float)
     cols = z.reshape(-1, z.shape[-1]).T.copy()     # a copy: the kernel writes into it
     return np.ascontiguousarray(_softmax_columns(cols).T).reshape(z.shape)
 
 
 def _softmax_columns(scores: np.ndarray) -> np.ndarray:
-    """Softmax of each column of class-major scores (k x N), in place: a few
-    whole-row numpy calls, the max and the sum in numpy's pairwise order."""
-    scores -= _pairwise(np.maximum, scores)
+    """Softmax of each column of class-major scores (k x N), in place. Each
+    column sums its classes in order; numpy sums a lone column pairwise, so
+    that one takes the last entry of its running sum."""
+    scores -= scores.max(0)
     np.exp(scores, out=scores)
-    scores /= _pairwise(np.add, scores)
+    scores /= scores.sum(0) if scores.shape[1] != 1 else np.add.accumulate(scores)[-1]
     return scores
-
-
-def _pairwise(op, cols):
-    """op over the leading axis in the order of numpy's contiguous add.reduce.
-
-    Fewer than 8 terms go in sequence; up to 128 go to 8 accumulators that
-    combine as a tree, the rest in sequence; longer runs split in two at a
-    multiple of 8. The max does not depend on the order; the sum does.
-    """
-    n = len(cols)
-    if n < 8:
-        return reduce(op, cols)
-    if n > 128:
-        half = n // 2 - n // 2 % 8
-        return op(_pairwise(op, cols[:half]), _pairwise(op, cols[half:]))
-    blocks = n - n % 8
-    acc = cols[:8].copy()
-    for i in range(8, blocks, 8):
-        op(acc, cols[i:i + 8], out=acc)
-    acc = op(acc[0::2], acc[1::2])
-    acc = op(acc[0::2], acc[1::2])
-    return reduce(op, cols[blocks:], op(acc[0], acc[1]))
 
 
 def predict(model: VflModel, y_act, x_pas) -> np.ndarray:
@@ -235,12 +215,12 @@ def loss_and_grads(w: np.ndarray, b: np.ndarray, x: np.ndarray,
     validate and the rest fit: one forward pass returns (validation loss,
     fit loss, grad_w, grad_b), the gradients of the fit loss alone.
 
-    The bias and the softmax (_softmax_columns) run class-major, k x n.
-    Everything else keeps the row-major n x k layout, whose bits the
-    reference fixes: the product x W^T (BLAS gives others for W x^T at some
-    k), the cross-entropy, summed pairwise over the n x k terms, and
-    delta^T x. The bias gradient is the last row of a running sum down the
-    rows, the sequence in which numpy sums over that axis.
+    The bias and the softmax (_softmax_columns) run class-major, k x n, each
+    score row summing its classes in order. The rest keeps the row-major
+    n x k layout, whose bits the reference fixes: the product x W^T (BLAS
+    gives others for W x^T at some k), the cross-entropy, summed pairwise over
+    the n x k terms, and delta^T x. The bias gradient is the last row of a
+    running sum down the rows, the sequence in which numpy sums over that axis.
     """
     n_fit = x.shape[0] - n_val
     rows = x @ w.T

@@ -199,10 +199,14 @@ def finite_difference_grad(fun, x, h: float = 1e-6):
 
 
 def softmax_rows(z) -> np.ndarray:
-    """Softmax by np.max and np.sum along the last axis, one short reduction per row."""
+    """Softmax along the last axis: np.max per row, then each row's classes
+    added one at a time, first to last, by an explicit loop."""
     z = np.asarray(z, dtype=float)
     e = np.exp(z - np.max(z, axis=-1, keepdims=True))
-    return e / np.sum(e, axis=-1, keepdims=True)
+    total = e[..., 0].copy()
+    for j in range(1, e.shape[-1]):
+        total += e[..., j]
+    return e / total[..., None]
 
 
 def _window_loss(w, b, x, y_onehot, lam):

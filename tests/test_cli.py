@@ -1106,10 +1106,11 @@ class TestTableShapes:
         assert capsys.readouterr().out.startswith("attack,d,n,mse\ngia,6,200,")
 
     @pytest.mark.parametrize("argv, cells", [
-        # k = 9: softmax's column sum takes numpy's 8-accumulator order
+        # k = 9: past 7 classes numpy's own sum over a row would go pairwise;
+        # softmax sums each row's classes in order, in training and predict
         (["--synth-n", "300", "--synth-dt", "9", "--synth-k", "9", "--d-grid", "1,3"], 14),
-        # k = 130: training's sum over the class slices takes numpy's
-        # recursive split past 128 terms
+        # k = 130: past 128 classes numpy's pairwise sum would split in two;
+        # the in-order sum runs the same way over all 130
         (["--synth-n", "1400", "--synth-dt", "6", "--synth-k", "130", "--d-grid", "3",
           "--attacks", "half,ls,half_star"], 3)], ids=["k9", "k130"])
     def test_figure1_past_numpys_summation_blocks(self, argv, cells, capsys):

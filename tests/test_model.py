@@ -71,15 +71,36 @@ class TestSoftmax:
            scale=st.sampled_from([1e-3, 1.0, 30.0, 800.0]),
            seed=st.integers(0, 2**32 - 1))
     def test_matches_row_reduction_oracle_bit_for_bit(self, k, rows, scale, seed):
-        # k >= 8 takes numpy's 8-accumulator sum, k > 128 its recursive split
+        # each row sums its classes in order at every k; past 7 classes numpy's
+        # own last-axis sum, or a lone column's, would take its pairwise order
         shape = (k,) if rows is None else (rows, k)
         z = scale * np.random.default_rng(seed).standard_normal(shape)
         assert np.array_equal(softmax(z), oracles.softmax_rows(z))
 
-    @pytest.mark.parametrize("shape", [(3, 7, 9), (8, 136), (2, 129), (1000,), (3, 1001)])
+    @pytest.mark.parametrize("shape", [(3, 7, 9), (8, 136), (2, 129), (1000,), (3, 1001),
+                                       (50,), (1, 130), (1, 1000)])
     def test_stacked_rows_and_long_sums_match_the_oracle(self, shape):
+        # a lone row, 1-D or 1 x k, is one class-major column, which numpy
+        # would sum pairwise; it must keep the in-order bits it gets in a batch
         z = 20.0 * np.random.default_rng(8).standard_normal(shape)
         assert np.array_equal(softmax(z), oracles.softmax_rows(z))
+
+    @pytest.mark.parametrize("k", [8, 50, 130, 1000])
+    def test_a_lone_row_keeps_its_batch_bits(self, k):
+        # 1-D and 1 x k, through softmax and predict. The model has one
+        # feature per party, so a logit is one product per party plus the
+        # bias, the same alone and in a batch: only the softmax could differ
+        rng = np.random.default_rng(k)
+        model = VflModel(w_act=rng.standard_normal((k, 1)), w_pas=rng.standard_normal((k, 1)),
+                         b=rng.standard_normal(k), k=k, split=VflSplit.contiguous(2, 1, 1))
+        z = rng.standard_normal((6, k))
+        y_act, x_pas = rng.uniform(size=(6, 1)), rng.uniform(size=(6, 1))
+        batch, scores = softmax(z), predict(model, y_act, x_pas)
+        for i in range(6):
+            assert np.array_equal(softmax(z[i]), batch[i])
+            assert np.array_equal(softmax(z[i:i + 1]), batch[i:i + 1])
+            assert np.array_equal(predict(model, y_act[i], x_pas[i]), scores[i])
+            assert np.array_equal(predict(model, y_act[i:i + 1], x_pas[i:i + 1]), scores[i:i + 1])
 
 
 class TestGradients:
