@@ -7,7 +7,7 @@ single-feature black-box attacks, and two score-preserving defenses.
 """
 
 from .attacks import AttackError, AttackEstimate, run_attack
-from .blackbox import BlackboxEstimate, SignKnowledge, run_blackbox
+from .blackbox import BlackboxEstimate, bb_case1, bb_case2, bb_case3
 from .dataset import DataError, Dataset, SyntheticSpec, load_dataset, synthesize
 from .defense import NoisePlan, OrthonormalTransform
 from .metrics import MomentMatrices, MseReport, empirical_mse, moments
@@ -16,7 +16,7 @@ from .system import LinearSystem, build_system
 
 __all__ = [
     "AttackError", "AttackEstimate", "run_attack",
-    "BlackboxEstimate", "SignKnowledge", "run_blackbox",
+    "BlackboxEstimate", "bb_case1", "bb_case2", "bb_case3",
     "DataError", "Dataset", "SyntheticSpec", "load_dataset", "synthesize",
     "NoisePlan", "OrthonormalTransform",
     "MomentMatrices", "MseReport", "empirical_mse", "moments",

@@ -12,9 +12,9 @@ estimator reads only A, b' and, for gia, the released scores' logs that
 the system carries; none needs the model. The iterative solvers (the exact
 dual Newton projection for rcc2, FISTA for cls, a primal-dual interior
 point on rcc1's relaxation as a linear SDP) make one call per batch (rcc1
-one per nullity in it) on the rows they solve, each on its A (row_a),
-vectorized over those not yet converged, and one numerics.RowsError holds
-every failing row of the batch; gia
+one per block of at most _RCC1_BLOCK rows of one nullity) on the rows they
+solve, each on its A (row_a), vectorized over those not yet converged, and
+one numerics.RowsError holds every failing row of the batch; gia
 descends on its KL objective one row at a time, with Barzilai-Borwein step
 sizes (the secant step s.s / s.y after each accepted step) and the
 nonmonotone acceptance test of Grippo, Lampariello & Lucidi (1986) against
@@ -380,12 +380,13 @@ def _gia_row(log_c, offset, m, x) -> tuple[np.ndarray, float, int, bool]:
     ln2, m_t = np.log(2.0), m.T
 
     # softmax(z) and c_hat * (ell - s) / ln2 written out in place, each float
-    # operation in its order there, so the iterates match them bit for bit
+    # operation in its order there, so the iterates match them bit for bit;
+    # the classes sum in order, by model._softmax_columns' lone-column rule
     def objective(x):
         z = offset + m.dot(x)
         z -= z.max()
         c_hat = np.exp(z)
-        c_hat /= c_hat.sum()
+        c_hat /= np.add.accumulate(c_hat)[-1]
         ell = np.log(np.maximum(c_hat, 1e-300)) - log_c
         s = (c_hat * ell).sum()
         return float(s / ln2), c_hat, ell, s

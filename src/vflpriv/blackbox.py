@@ -8,21 +8,12 @@ the affine map well enough to invert it per sample.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from enum import Enum
 
 import numpy as np
 
 
 class BlackboxError(Exception):
     """Raised for inputs the estimators cannot handle (e.g. all-zero v in case 1)."""
-
-
-class SignKnowledge(Enum):
-    """What the adversary knows about the signs of (w, b)."""
-
-    B_ZERO = "b_zero"
-    SAME_SIGN = "same_sign"
-    OPPOSITE_SIGN_UNKNOWN = "opposite_sign_unknown"
 
 
 @dataclass
@@ -127,12 +118,3 @@ def bb_case3_population(v, population_mean: float) -> BlackboxEstimate:
     return BlackboxEstimate(x_hat=x_hat, case="3b_population",
                             flags={"w": w, "b": b, "orientation": orient})
 
-
-_BY_KNOWLEDGE = {SignKnowledge.B_ZERO: bb_case1, SignKnowledge.SAME_SIGN: bb_case2,
-                 SignKnowledge.OPPOSITE_SIGN_UNKNOWN: bb_case3}
-
-
-def run_blackbox(knowledge: SignKnowledge, v) -> BlackboxEstimate:
-    """Dispatch the estimator matching the adversary's sign knowledge (case 3's
-    refinement by a known population mean is bb_case3_population's alone)."""
-    return _BY_KNOWLEDGE[knowledge](v)

@@ -199,16 +199,15 @@ def cmd_attack(args) -> int:
     return 0
 
 
-# --case: the adversary's sign knowledge and the default (w, b) of v = w x + b
-_BLACKBOX_CASES = {1: (blackbox.SignKnowledge.B_ZERO, 1.0, 0.0),
-                   2: (blackbox.SignKnowledge.SAME_SIGN, 1.0, 1.0),
-                   3: (blackbox.SignKnowledge.OPPOSITE_SIGN_UNKNOWN, 1.0, -2.0)}
+# --case: the estimator of its sign knowledge and the default (w, b) of v = w x + b
+_BLACKBOX_CASES = {1: (blackbox.bb_case1, 1.0, 0.0), 2: (blackbox.bb_case2, 1.0, 1.0),
+                   3: (blackbox.bb_case3, 1.0, -2.0)}
 
 
-def _blackbox_trial_mse(knowledge: blackbox.SignKnowledge, n: int,
-                        rng: np.random.Generator, w: float, b: float) -> float:
+def _blackbox_trial_mse(estimator, n: int, rng: np.random.Generator, w: float,
+                        b: float) -> float:
     x = rng.uniform(0.0, 1.0, size=n)
-    est = blackbox.run_blackbox(knowledge, w * x + b)
+    est = estimator(w * x + b)
     return metrics.empirical_mse(x[None, :], est.x_hat[None, :])
 
 
@@ -221,19 +220,19 @@ def cmd_blackbox(args) -> int:
         raise DataError(f"--n-grid must look like I..J, got {args.n_grid!r}") from None
     if not 1 <= lo <= hi:
         raise DataError(f"--n-grid must run from 1 up, got {args.n_grid!r}")
-    knowledge, w, b = _BLACKBOX_CASES[args.case]
+    estimator, w, b = _BLACKBOX_CASES[args.case]
     w = w if args.w is None else args.w
     b = b if args.b is None else args.b
     for flag, value in (("--w", w), ("--b", b)):
         if not np.isfinite(value):
             raise DataError(f"{flag} must be finite, got {value}")
     # the map at x = 0 and x = 1: a (w, b) that the estimator rejects fails here
-    blackbox.run_blackbox(knowledge, [b, w + b])
+    estimator([b, w + b])
     if w == 0:
         raise DataError(f"--w {w} maps every x to --b {b}: no case can invert the map")
     out = []
     for n in range(lo, hi + 1):
-        vals = [_blackbox_trial_mse(knowledge, n, rng, w, b) for _ in range(trials)]
+        vals = [_blackbox_trial_mse(estimator, n, rng, w, b) for _ in range(trials)]
         out.append([n, repr(float(np.mean(vals)))])
     _emit(out, ["n", "mse"], args.out)
     return 0

@@ -8,8 +8,9 @@ score row's classes in order, a lone row by its running sum. Its products,
 the cross-entropy's total and the bias gradient's running sum keep the
 row-major (row, class) order whose bits the reference loop fixes. The
 objective does not depend on which party holds which feature, so one trained
-model serves every passive window through VflModel.window. Trained models
-are immutable and safe to share across threads.
+model serves every passive window through VflModel.window. A VflModel's
+fields cannot be reassigned, but the arrays train returns are writable: a
+model is safe to share across threads only while no caller writes into them.
 """
 
 from __future__ import annotations

@@ -383,12 +383,14 @@ class TestGia:
         assert capped.diagnostics["iterations"] == 3
         assert not capped.diagnostics["converged"]
 
-    @pytest.mark.parametrize("model_name", ["small_model", "k4"])
+    @pytest.mark.parametrize("model_name", ["small_model", "k4", "k9", "k16"])
     def test_matches_softmax_oracle_bit_for_bit(self, request, model_name):
         # the library's in-place loop against the plainly written descent on
-        # softmax(offset + M x), every output of a one-row call
+        # softmax(offset + M x), every output of a one-row call. From k = 8 on
+        # numpy sums a lone row's classes pairwise, where softmax sums them
+        # in order
         model = (request.getfixturevalue("small_model")
-                 if model_name == "small_model" else _k4_model())
+                 if model_name == "small_model" else _random_model(int(model_name[1:])))
         _assert_gia_matches(model, oracles.gia_row)
 
     @pytest.mark.parametrize("model_name", ["small_model", "k4"])
@@ -399,7 +401,7 @@ class TestGia:
         # and ndarray.dot change no bits. With k4, row 0 stops at the
         # 5,000-iteration cap from zeros and random
         model = (request.getfixturevalue("small_model")
-                 if model_name == "small_model" else _k4_model())
+                 if model_name == "small_model" else _random_model())
         monkeypatch.setattr(attacks, "_GIA_MEMORY", 1)
         _assert_gia_matches(model, oracles.gia_row_monotone)
 
@@ -411,7 +413,7 @@ class TestGia:
         # point follows the path, so only the objective is compared there
         from vflpriv import defense
         model = (request.getfixturevalue("small_model")
-                 if model_name == "small_model" else _k4_model())
+                 if model_name == "small_model" else _random_model())
         rng = np.random.default_rng(11)
         y_act = rng.uniform(size=(4, model.split.d_t - model.split.d))
         x_pas = rng.uniform(size=(4, model.split.d))
@@ -471,7 +473,7 @@ class TestGia:
     @pytest.mark.parametrize("model_name", ["small_model", "k4"])
     def test_fewer_iterations_than_halving(self, request, model_name):
         model = (request.getfixturevalue("small_model")
-                 if model_name == "small_model" else _k4_model())
+                 if model_name == "small_model" else _random_model())
         y_act, c = _predictions(model, 3, seed=10)
         for init, x0 in _gia_starts(model.split.d).items():
             iters = {"bb": 0, "halving": 0}
@@ -528,7 +530,7 @@ class TestGiaWarning:
     """gia warns once per call when rows end unconverged, and only then."""
 
     def test_unconverged_rows_warn_once(self, monkeypatch):
-        sys_ = build_system(_k4_model(), *_predictions(_k4_model(), 5, seed=10))
+        sys_ = build_system(_random_model(), *_predictions(_random_model(), 5, seed=10))
         monkeypatch.setattr(attacks, "_GIA_MAX_ITER", 30)
         with pytest.warns(attacks.GiaConvergenceWarning) as record:
             est = attacks.attack_gia(sys_)
@@ -582,11 +584,12 @@ class TestDispatch:
             attacks.attack_gia(sys_)
 
 
-def _k4_model():
-    """Random k=4, d=6 model whose half_star leaves the box on some rows."""
+def _random_model(k=4):
+    """Random d=6 model of k classes; at k=4 its half_star leaves the box on
+    some rows."""
     from vflpriv.model import VflModel, VflSplit
     rng = np.random.default_rng(28)
-    k, d, d_t = 4, 6, 10
+    d, d_t = 6, 10
     return VflModel(w_act=3.0 * rng.standard_normal((k, d_t - d)),
                     w_pas=3.0 * rng.standard_normal((k, d)),
                     b=rng.standard_normal(k), k=k,
@@ -646,7 +649,7 @@ class TestBatch:
     @pytest.fixture(params=["small_model", "k4"])
     def batch(self, request):
         model = (request.getfixturevalue("small_model")
-                 if request.param == "small_model" else _k4_model())
+                 if request.param == "small_model" else _random_model())
         y_act, c = _predictions(model, 12, seed=4)
         return model, y_act, c, build_system(model, y_act, c)
 
@@ -737,7 +740,7 @@ class TestLazyFeasible:
     @staticmethod
     def _systems():
         from vflpriv import defense
-        model = _k4_model()
+        model = _random_model()
         rng = np.random.default_rng(12)
         y_act = rng.uniform(size=(8, model.split.d_t - model.split.d))
         x_pas = rng.uniform(size=(8, model.split.d))
@@ -803,8 +806,8 @@ class TestBatchedSolvers:
             model = request.getfixturevalue("small_model")
             return build_system(model, *_predictions(model, 12, seed=4))
         if request.param == "k4":
-            return build_system(_k4_model(), *_predictions(_k4_model(), 12, seed=4))
-        return build_system(_k4_model(), *_bimodal_predictions(_k4_model(), 12, 0))
+            return build_system(_random_model(), *_predictions(_random_model(), 12, seed=4))
+        return build_system(_random_model(), *_bimodal_predictions(_random_model(), 12, 0))
 
     @pytest.mark.parametrize("name", ["rcc2", "cls", "rcc1"])
     def test_matches_one_row_oracle(self, sys_, name):
@@ -829,12 +832,12 @@ class TestBatchedSolvers:
         assert np.array_equal(est.diagnostics["residual"], sys_.residual(est.x_hat))
 
     def test_bimodal_batch_reaches_dykstra(self):
-        sys_ = build_system(_k4_model(), *_bimodal_predictions(_k4_model(), 12, 0))
+        sys_ = build_system(_random_model(), *_bimodal_predictions(_random_model(), 12, 0))
         est = attacks.attack_rcc2(sys_)
         assert np.count_nonzero(est.diagnostics["projection"] == "newton") >= 4
 
     def test_rcc2_cap_names_the_batch_rows(self, monkeypatch):
-        sys_ = build_system(_k4_model(), *_bimodal_predictions(_k4_model(), 12, 0))
+        sys_ = build_system(_random_model(), *_bimodal_predictions(_random_model(), 12, 0))
         newton = np.flatnonzero(attacks.attack_rcc2(sys_).diagnostics["projection"]
                                 == "newton")
         monkeypatch.setattr(numerics, "_PROJECT_MAX_ITER", 1)
@@ -1030,13 +1033,13 @@ class TestRcc1PrimalDual:
     def _bench_batch():
         """5 bench-shaped rows (k = 4, d = 6: 7 x 7 blocks) that stop at steps
         11 and 12, so the last step runs on a shrunk working set."""
-        model = _k4_model()
+        model = _random_model()
         return build_system(model, *_predictions(model, 5, 6))
 
     @pytest.mark.parametrize("batch", ["bench", "staggered", "stall"])
     def test_working_set_keeps_every_bit(self, batch):
         # staggered: 30 rows leaving the working set at four different steps
-        model = _k4_model()
+        model = _random_model()
         sys_ = {"bench": self._bench_batch,
                 "staggered": lambda: build_system(model, *_bimodal_predictions(model, 30, 3)),
                 "stall": lambda: LinearSystem(a=RCC1_STALL_A, b=RCC1_STALL_B)}[batch]()
@@ -1148,7 +1151,7 @@ class TestRcc1PrimalDual:
     def test_lone_row_gets_the_bits_of_its_row_in_a_batch(self):
         # bench-shaped rows (k = 4, d = 6) solved as one-row systems, 1-D or
         # 2-D, give the x, radius, gap and steps of their row in a 20-row solve
-        model = _k4_model()
+        model = _random_model()
         for seed in range(3):
             sys_ = build_system(model, *_predictions(model, 20, seed))
             big = attacks.attack_rcc1(sys_)
@@ -1238,7 +1241,7 @@ def _bench_rows():
     pytest.param(lambda: _window_systems(2, 4), False, id="2-4"),
     pytest.param(lambda: _window_systems(3, 4), False, id="3-4"),
     pytest.param(_bench_rows, True, id="bench_rows"),
-    pytest.param(lambda: [build_system(_k4_model(), *_bimodal_predictions(_k4_model(), 20, s))
+    pytest.param(lambda: [build_system(_random_model(), *_bimodal_predictions(_random_model(), 20, s))
                           for s in (3, 4)], True, id="bimodal"),
 ])
 def test_rows_and_windows_get_their_lone_bits(systems, newton):
@@ -1268,7 +1271,7 @@ def test_rows_and_windows_get_their_lone_bits(systems, newton):
 @pytest.mark.parametrize("name", attacks.ATTACKS)
 def test_a_fortran_ordered_system_gets_the_bits_of_a_c_ordered_one(name):
     # the same values in either memory order reach BLAS with the same strides
-    model = _k4_model()
+    model = _random_model()
     sys_ = build_system(model, *_bimodal_predictions(model, 40, 5))
     fortran = LinearSystem(a=np.asfortranarray(sys_.a), b=np.asfortranarray(sys_.b),
                            log_c=np.asfortranarray(sys_.log_c))
@@ -1283,7 +1286,7 @@ def test_a_fortran_ordered_system_gets_the_bits_of_a_c_ordered_one(name):
 
 def test_cls_takes_the_spectral_norm_from_the_shared_svd(monkeypatch):
     # np.linalg.norm(A, 2) is an SVD; a batch must not pay it once per row
-    model = _k4_model()
+    model = _random_model()
     y_act, c = _predictions(model, 5, seed=6)
     sys_ = build_system(model, y_act, c)
     real = np.linalg.norm

@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vflpriv import blackbox
-from vflpriv.blackbox import SignKnowledge
 
 
 class TestCase1:
@@ -103,6 +102,8 @@ class TestCase3:
         assert est.case == "3b"
         assert est.flags["undecidable"]
         assert np.array_equal(est.x_hat, [0.5, 0.5])
+        # the refinement by a known population mean is bb_case3_population's
+        assert blackbox.bb_case3_population([-1.0, 1.0], 0.5).case == "3b_population"
 
     def test_oriented_estimate_converges(self):
         # as the sample grows the oriented min-max approaches ground truth
@@ -171,16 +172,3 @@ class TestProperties:
         assert m100 < m10
         assert m1000 < m100
 
-
-class TestDispatch:
-    def test_by_knowledge(self):
-        v = [1.0, 2.0, 3.0]
-        assert blackbox.run_blackbox(SignKnowledge.B_ZERO, v).case == "1"
-        assert blackbox.run_blackbox(SignKnowledge.SAME_SIGN, v).case == "2"
-        assert blackbox.run_blackbox(
-            SignKnowledge.OPPOSITE_SIGN_UNKNOWN, v).case == "3a"
-        mixed = [-1.0, 1.0]
-        assert blackbox.run_blackbox(
-            SignKnowledge.OPPOSITE_SIGN_UNKNOWN, mixed).case == "3b"
-        # the population refinement is bb_case3_population's, called directly
-        assert blackbox.bb_case3_population(mixed, 0.5).case == "3b_population"

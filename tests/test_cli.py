@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import oracles
-from vflpriv import attacks, cli, metrics, numerics
+from vflpriv import attacks, blackbox, cli, metrics, numerics
 from vflpriv.attacks import ATTACKS, AttackError
 from vflpriv.dataset import SyntheticSpec, synthesize
 from vflpriv.model import TrainConfig, VflModel, VflSplit, accuracy, train
@@ -220,6 +220,26 @@ class TestSubcommands:
             assert _run(["blackbox", "--case", "2", "--n-grid", "1..5",
                          "--trials", "3", "--seed", "42", "--out", str(p)]) == 0
         assert p1.read_text() == p2.read_text()
+
+    @pytest.mark.parametrize("case, estimator, w, b", [
+        (1, blackbox.bb_case1, 1.0, 0.0), (2, blackbox.bb_case2, 1.0, 1.0),
+        (3, blackbox.bb_case3, 1.0, -2.0)])
+    def test_each_case_scores_its_estimator(self, tmp_path, case, estimator, w, b):
+        # the cell of n is the mean over the trials of empirical_mse of the
+        # case's estimator on v = w x + b at its default (w, b), each trial
+        # drawing its x from the seed's generator in turn
+        out = tmp_path / "bb.csv"
+        assert _run(["blackbox", "--case", str(case), "--n-grid", "3..5", "--trials", "2",
+                     "--seed", "4", "--out", str(out)]) == 0
+        rng, want = np.random.default_rng(4), [["n", "mse"]]
+        for n in (3, 4, 5):
+            vals = []
+            for _ in range(2):
+                x = rng.uniform(0.0, 1.0, size=n)
+                vals.append(metrics.empirical_mse(x[None, :],
+                                                  estimator(w * x + b).x_hat[None, :]))
+            want.append([str(n), repr(float(np.mean(vals)))])
+        assert _read_rows(out) == want
 
     @pytest.mark.parametrize("argv", [
         ["attack", *SYNTH, "--d", "2", "--attacks", "half,ls", "--n", "5"],
