@@ -30,7 +30,9 @@ class RawTable:
 
 @dataclass
 class Dataset:
-    """Normalized feature matrix with labels and a train/test partition."""
+    """Normalized feature matrix with labels and a train/test partition: x is
+    n x d_t in [0, 1] (no NaN), y holds n labels in [0, k-1] and train_mask is
+    a boolean array of shape (n,), all true when omitted; else DataError."""
 
     x: np.ndarray                # n x d_t, entries in [0, 1]
     y: np.ndarray                # n integer labels in [0, k-1]
@@ -43,12 +45,16 @@ class Dataset:
         self.y = np.asarray(self.y, dtype=int)
         if self.x.ndim != 2 or self.x.shape[0] != self.y.shape[0]:
             raise DataError("feature matrix and labels disagree on sample count")
-        if self.x.size and (self.x.min() < 0.0 or self.x.max() > 1.0):
+        # written so that a NaN fails it
+        if self.x.size and not (self.x.min() >= 0.0 and self.x.max() <= 1.0):
             raise DataError("feature values must lie in [0, 1]")
         if self.y.size and (self.y.min() < 0 or self.y.max() >= self.k):
             raise DataError("labels must lie in [0, k-1]")
-        if self.train_mask is None:
-            self.train_mask = np.ones(self.n, dtype=bool)
+        self.train_mask = (np.ones(self.n, dtype=bool) if self.train_mask is None
+                           else np.asarray(self.train_mask))
+        if self.train_mask.dtype != bool or self.train_mask.shape != (self.n,):
+            raise DataError(f"train_mask must be a boolean array of shape ({self.n},), got "
+                            f"{self.train_mask.dtype} of shape {self.train_mask.shape}")
 
     @property
     def test_mask(self) -> np.ndarray:

@@ -16,7 +16,7 @@ model is safe to share across threads only while no caller writes into them.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -30,37 +30,32 @@ class TrainingError(Exception):
 
 @dataclass(frozen=True)
 class VflSplit:
-    """Disjoint passive/active feature index sets covering [0, d_t)."""
+    """Passive feature indices over a table of d_t features, distinct and in
+    [0, d_t) (else ValueError). The active party holds the rest, in increasing
+    order and worked out here, so a split covers [0, d_t) exactly once."""
 
     passive: tuple
-    active: tuple
+    d_t: int = field(repr=False)
+    active: tuple = field(init=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "passive", tuple(int(i) for i in self.passive))
-        object.__setattr__(self, "active", tuple(int(i) for i in self.active))
-        for name, idx in (("passive", self.passive), ("active", self.active)):
-            if len(set(idx)) != len(idx):
-                raise ValueError(f"{name} features repeat an index: {list(idx)}")
-        overlap = set(self.passive) & set(self.active)
-        if overlap:
-            raise ValueError(f"passive/active features overlap: {sorted(overlap)}")
+        passive, d_t = tuple(int(i) for i in self.passive), self.d_t
+        if len(set(passive)) != len(passive) or not all(0 <= i < d_t for i in passive):
+            raise ValueError(f"passive features {list(passive)} must be distinct "
+                             f"indices in [0, {d_t})")
+        object.__setattr__(self, "passive", passive)
+        object.__setattr__(self, "active", tuple(sorted(set(range(d_t)).difference(passive))))
 
     @property
     def d(self) -> int:
         return len(self.passive)
-
-    @property
-    def d_t(self) -> int:
-        return len(self.passive) + len(self.active)
 
     @staticmethod
     def contiguous(d_t: int, start: int, d: int) -> "VflSplit":
         """Passive window {start, ..., start+d-1} modulo d_t; needs 1 <= d <= d_t."""
         if not 1 <= d <= d_t:
             raise ValueError(f"passive window size {d} must lie in [1, {d_t}]")
-        passive = tuple((start + i) % d_t for i in range(d))
-        active = tuple(sorted(set(range(d_t)).difference(passive)))
-        return VflSplit(passive=passive, active=active)
+        return VflSplit(tuple((start + i) % d_t for i in range(d)), d_t)
 
 
 @dataclass(frozen=True)
@@ -132,7 +127,8 @@ class VflModel:
     @staticmethod
     def load(path) -> "VflModel":
         """The model save wrote to path. A file that does not hold one, such
-        as a weight count that disagrees with k and the split, raises
+        as a weight count that disagrees with k and the split or an active
+        list that is not the rest of the features in increasing order, raises
         DataError naming the file and the field."""
         try:
             with open(path, encoding="utf-8") as fh:
@@ -154,8 +150,12 @@ class VflModel:
             return [int(i) for i in v]
 
         k, lam = read("k", int), read("lam", float)
+        passive, active = read("passive", ints), read("active", ints)
         try:
-            split = VflSplit(passive=read("passive", ints), active=read("active", ints))
+            split = VflSplit(passive, len(passive) + len(active))
+            if active != list(split.active):
+                raise DataError(f"{path}: active: {active} is not the rest of the "
+                                f"features in increasing order, {list(split.active)}")
             d_act = split.d_t - split.d
             w = {}
             for key, cols, need in (("w_act", d_act, f"k={k}, d_t-d={d_act} need"),
@@ -262,6 +262,8 @@ def train(ds: Dataset, split_cfg: VflSplit, cfg: TrainConfig) -> VflModel:
     beta1, beta2, eps = 0.9, 0.999, 1e-8
     if ds.n == 0:
         raise TrainingError("empty dataset")
+    if split_cfg.d_t != ds.d_t:
+        raise ValueError(f"a split of {split_cfg.d_t} features cannot view a table of {ds.d_t}")
     train_idx = np.flatnonzero(ds.train_mask)
     if train_idx.size < 2:
         raise TrainingError("need at least two training samples")
@@ -306,6 +308,11 @@ def train(ds: Dataset, split_cfg: VflSplit, cfg: TrainConfig) -> VflModel:
 
 def accuracy(model: VflModel, ds: Dataset) -> float:
     """Fraction of argmax-correct test predictions; ties resolve to the lowest index."""
+    numerics.reject_stack(model.w_pas, "accuracy takes one model")
+    if model.split.d_t != ds.d_t:
+        raise ValueError(f"a split of {model.split.d_t} features cannot view a table of {ds.d_t}")
+    if model.k != ds.k:
+        raise ValueError(f"a model of {model.k} classes cannot score a table of {ds.k}")
     mask = ds.test_mask
     if not mask.any():
         raise ValueError("empty evaluation mask")

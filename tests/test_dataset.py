@@ -1,6 +1,7 @@
 import csv
 import io
 import os
+import re
 
 import numpy as np
 import pytest
@@ -393,10 +394,20 @@ class TestDatasetValidation:
         with pytest.raises(dataset.DataError, match=f"^{message}$"):
             dataset.SyntheticSpec(n=n, d_t=d_t, k=2)
 
-    def test_rejects_out_of_range_features(self):
-        with pytest.raises(dataset.DataError):
-            dataset.Dataset(x=np.array([[1.5]]), y=np.array([0]), k=2,
-                            feature_names=["f0"])
+    @pytest.mark.parametrize("x", [[[1.5], [0.5]], [[-0.5], [0.5]], [[0.5], [np.nan]]])
+    def test_rejects_out_of_range_features(self, x):
+        with pytest.raises(dataset.DataError, match=r"^feature values must lie in \[0, 1\]$"):
+            dataset.Dataset(x=x, y=[0, 1], k=2, feature_names=["f0"])
+
+    @pytest.mark.parametrize("mask, got", [
+        (np.array([1, 0] * 5, dtype=np.int64), "int64 of shape (10,)"),
+        (np.ones(5, dtype=bool), "bool of shape (5,)"),
+        (np.ones((10, 1), dtype=bool), "bool of shape (10, 1)")])
+    def test_rejects_a_malformed_train_mask(self, mask, got):
+        with pytest.raises(dataset.DataError, match=re.escape(
+                f"train_mask must be a boolean array of shape (10,), got {got}")):
+            dataset.Dataset(x=np.zeros((10, 2)), y=np.arange(10) % 2, k=2,
+                            feature_names=["a", "b"], train_mask=mask)
 
     def test_rejects_bad_labels(self):
         with pytest.raises(dataset.DataError):

@@ -20,13 +20,14 @@ class TestSplit:
         assert 18 not in split.active
         assert split.d_t == 19
 
-    def test_overlap_rejected(self):
-        with pytest.raises(ValueError, match="overlap"):
-            VflSplit(passive=(0, 1), active=(1, 2))
-
     def test_covering(self):
-        split = VflSplit.contiguous(6, 2, 3)
-        assert sorted(split.passive + split.active) == list(range(6))
+        for d_t in range(1, 13):
+            for start in range(-d_t, 2 * d_t + 1):
+                for d in range(1, d_t + 1):
+                    split = VflSplit.contiguous(d_t, start, d)
+                    assert sorted(split.passive + split.active) == list(range(d_t))
+                    assert list(split.active) == sorted(split.active)
+                    assert split == VflSplit(split.passive, d_t)
 
     @pytest.mark.parametrize("d", [0, -1, 11, 12])
     def test_contiguous_window_size_checked(self, d):
@@ -37,11 +38,18 @@ class TestSplit:
         split = VflSplit.contiguous(3, 1, 3)
         assert split.passive == (1, 2, 0) and split.active == ()
 
-    def test_repeated_indices_rejected(self):
-        with pytest.raises(ValueError, match="repeat"):
-            VflSplit(passive=(0, 1, 0), active=(2,))
-        with pytest.raises(ValueError, match="repeat"):
-            VflSplit(passive=(0,), active=(1, 2, 2))
+    def test_active_is_worked_out(self):
+        split = VflSplit((3, 0), 5)
+        assert split.active == (1, 2, 4) and split.d_t == 5 and split.d == 2
+        assert repr(split) == "VflSplit(passive=(3, 0), active=(1, 2, 4))"
+        with pytest.raises(TypeError):
+            VflSplit(passive=(0,), active=(1,))
+
+    @pytest.mark.parametrize("passive", [(-1, 0), (0, 5), (0, 1, 0)])
+    def test_bad_passive_rejected(self, passive):
+        with pytest.raises(ValueError, match=re.escape(
+                f"passive features {list(passive)} must be distinct indices in [0, 3)")):
+            VflSplit(passive, 3)
 
 
 class TestSoftmax:
@@ -203,6 +211,21 @@ class TestTraining:
         with pytest.raises(ValueError, match="^empty evaluation mask$"):
             accuracy(model, Dataset(x=x, y=y, k=2, feature_names=list("abcd")))
 
+    def test_a_split_of_another_table_rejected(self, small_dataset):
+        with pytest.raises(ValueError, match="^a split of 6 features cannot view a table of 10$"):
+            train(small_dataset, VflSplit.contiguous(6, 0, 3), TrainConfig())
+
+    @pytest.mark.parametrize("lead, k, d_t, message", [
+        ((), 2, 6, "a split of 6 features cannot view a table of 10"),
+        ((), 3, 10, "a model of 3 classes cannot score a table of 2"),
+        ((2,), 2, 10, r"accuracy takes one model, not a stack of shape \(2, 2, 5\)")])
+    def test_accuracy_rejects_a_model_of_another_table(self, small_dataset, lead, k, d_t,
+                                                       message):
+        model = VflModel(w_act=np.zeros(lead + (k, d_t - 5)), w_pas=np.zeros(lead + (k, 5)),
+                         b=np.zeros(k), k=k, split=VflSplit.contiguous(d_t, 0, 5))
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            accuracy(model, small_dataset)
+
     def test_empty_dataset_rejected(self, small_dataset):
         from vflpriv.dataset import Dataset
         empty = Dataset(x=np.zeros((0, 2)), y=np.zeros(0, dtype=int), k=2,
@@ -325,7 +348,11 @@ class TestModelFile:
         ("k", "two", "k: invalid literal"),
         ("w_pas", ["x"] * 6, "w_pas: could not convert"),
         ("w_pas", [None] * 6, "w_pas contains non-finite entries"),
-        ("passive", [0, 1, 3], "overlap"),
+        ("passive", [0, 1, 3],
+         "active: [3, 4] is not the rest of the features in increasing order, [2, 4]"),
+        ("active", [4, 3],
+         "active: [4, 3] is not the rest of the features in increasing order, [3, 4]"),
+        ("passive", [-1, 1, 2], "passive features [-1, 1, 2] must be distinct indices in [0, 5)"),
         ("active", 3, "active: "),
         ("lam", None, "lam: "),
     ])
@@ -342,6 +369,18 @@ class TestModelFile:
         path = self._write(tmp_path, text)
         with pytest.raises(DataError, match=f"^{re.escape(str(path))}: {message}"):
             VflModel.load(path)
+
+    def test_every_window_round_trips(self, tmp_path):
+        rng = np.random.default_rng(4)
+        full = VflModel(w_act=np.zeros((3, 0)), w_pas=rng.standard_normal((3, 7)),
+                        b=rng.standard_normal(3), k=3, split=VflSplit.contiguous(7, 0, 7),
+                        lam=0.25)
+        path = tmp_path / "m.json"
+        for d in range(1, 8):
+            for start in range(7):
+                view = full.window(VflSplit.contiguous(7, start, d))
+                view.save(path)
+                assert _same_model(VflModel.load(path), view)
 
     def test_bias_shape_checked_on_construction(self):
         with pytest.raises(ValueError, match=r"b of shape \(3,\) disagrees with k=2"):
