@@ -48,7 +48,7 @@ class GiaConvergenceWarning(UserWarning):
     """gia left rows unconverged, at its iteration cap or on step underflow."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class AttackEstimate:
     """Reconstructions x_hat (d, or N x d) with solver diagnostics.
 
@@ -64,7 +64,7 @@ class AttackEstimate:
     diagnostics: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        self.x_hat = np.asarray(self.x_hat, dtype=float)
+        object.__setattr__(self, "x_hat", np.asarray(self.x_hat, dtype=float))
         if not np.all(np.isfinite(self.x_hat)):
             raise AttackError(f"{self.name} produced non-finite estimates")
 

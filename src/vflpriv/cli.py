@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -162,8 +163,7 @@ def _load_data(args) -> Dataset:
         raise DataError(f"--train-frac {args.train_frac} leaves {mask.sum()} of "
                         f"{mask.size} rows for training; training needs 2, testing 1")
     if not args.data:   # drawn after the check; this split replaces its own 0.8 one
-        ds = synthesize(spec)
-        ds.train_mask = mask
+        ds = dataclasses.replace(synthesize(spec), train_mask=mask)
     return ds
 
 

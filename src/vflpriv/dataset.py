@@ -28,11 +28,11 @@ class RawTable:
     categorical: dict[int, list[str]]   # feature index -> the text column's cells
 
 
-@dataclass
+@dataclass(frozen=True)
 class Dataset:
-    """Normalized feature matrix with labels and a train/test partition: x is
-    n x d_t in [0, 1] (no NaN), y holds n labels in [0, k-1] and train_mask is
-    a boolean array of shape (n,), all true when omitted; else DataError."""
+    """Normalized n x d_t features x in [0, 1] (no NaN), n labels y in
+    [0, k-1] and a boolean train_mask of shape (n,), all true when omitted;
+    else DataError. Frozen: dataclasses.replace makes a copy, checked again."""
 
     x: np.ndarray                # n x d_t, entries in [0, 1]
     y: np.ndarray                # n integer labels in [0, k-1]
@@ -41,8 +41,8 @@ class Dataset:
     train_mask: np.ndarray = field(default=None)
 
     def __post_init__(self):
-        self.x = np.asarray(self.x, dtype=float)
-        self.y = np.asarray(self.y, dtype=int)
+        object.__setattr__(self, "x", np.asarray(self.x, dtype=float))
+        object.__setattr__(self, "y", np.asarray(self.y, dtype=int))
         if self.x.ndim != 2 or self.x.shape[0] != self.y.shape[0]:
             raise DataError("feature matrix and labels disagree on sample count")
         # written so that a NaN fails it
@@ -50,11 +50,12 @@ class Dataset:
             raise DataError("feature values must lie in [0, 1]")
         if self.y.size and (self.y.min() < 0 or self.y.max() >= self.k):
             raise DataError("labels must lie in [0, k-1]")
-        self.train_mask = (np.ones(self.n, dtype=bool) if self.train_mask is None
-                           else np.asarray(self.train_mask))
-        if self.train_mask.dtype != bool or self.train_mask.shape != (self.n,):
+        mask = (np.ones(self.n, dtype=bool) if self.train_mask is None
+                else np.asarray(self.train_mask))
+        if mask.dtype != bool or mask.shape != (self.n,):
             raise DataError(f"train_mask must be a boolean array of shape ({self.n},), got "
-                            f"{self.train_mask.dtype} of shape {self.train_mask.shape}")
+                            f"{mask.dtype} of shape {mask.shape}")
+        object.__setattr__(self, "train_mask", mask)
 
     @property
     def test_mask(self) -> np.ndarray:
@@ -242,22 +243,18 @@ def encode_categoricals(table: RawTable, y, train_mask) -> np.ndarray:
     return out
 
 
-def normalize(values: np.ndarray, labels, k: int, feature_names=None) -> Dataset:
-    """Per-feature min-max scaling into [0, 1], computed over the whole table.
+def normalize(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-feature min-max scaling into [0, 1]: ((values - lo) / span, lo, span)
+    with lo each column's minimum and span its range, 1 for a constant column.
 
     The reference procedure scales the entire table, train and test rows
-    alike, so every value lands in [0, 1] without clipping. Constant
-    features map to 0.
+    alike, so every value lands in [0, 1] without clipping.
     """
     values = np.asarray(values, dtype=float)
     lo = values.min(axis=0)
-    hi = values.max(axis=0)
-    span = hi - lo
-    span[span == 0.0] = 1.0  # constant features map to 0
-    x = (values - lo) / span
-    names = list(feature_names) if feature_names is not None else [
-        f"f{j}" for j in range(values.shape[1])]
-    return Dataset(x=x, y=labels, k=k, feature_names=names)
+    span = values.max(axis=0) - lo
+    span[span == 0.0] = 1.0
+    return (values - lo) / span, lo, span
 
 
 def split_mask(n: int, fraction: float, seed: int) -> np.ndarray:
@@ -275,7 +272,7 @@ def synthesize(spec: SyntheticSpec) -> Dataset:
 
     Per-class means sit on random corners of the hypercube {-1, 1}^d_t, with
     unit isotropic covariance before normalization. Labels are balanced, and
-    split_mask(n, 0.8, seed) picks the training rows.
+    the Dataset is built with its split, split_mask(n, 0.8, seed).
     """
     rng = np.random.default_rng(spec.seed)
     # balanced labels: round-robin assignment, then shuffled
@@ -283,16 +280,16 @@ def synthesize(spec: SyntheticSpec) -> Dataset:
     rng.shuffle(y)
     signs = rng.choice([-1.0, 1.0], size=(spec.k, spec.d_t))
     x = signs[y] + rng.standard_normal((spec.n, spec.d_t))
-    ds = normalize(x, y, k=spec.k)
-    ds.train_mask = split_mask(spec.n, 0.8, spec.seed)
-    if ds.train_mask.all():     # 0.8 of n >= 1 rows always trains on one
+    train_mask = split_mask(spec.n, 0.8, spec.seed)
+    if train_mask.all():     # 0.8 of n >= 1 rows always trains on one
         raise DataError("the 0.8 split leaves fewer than one sample on a side")
-    return ds
+    return Dataset(x=normalize(x)[0], y=y, k=spec.k,
+                   feature_names=[f"f{j}" for j in range(spec.d_t)], train_mask=train_mask)
 
 
 def load_dataset(path, label_col: int = -1, train_fraction: float = 0.8,
                  seed: int = 0) -> Dataset:
-    """Full pipeline: CSV -> categorical encoding -> normalize -> split.
+    """Full pipeline: CSV -> split -> categorical encoding -> normalize -> Dataset.
 
     The last Dataset built is the one table a process keeps, keyed on the
     file's bytes themselves, label_col, train_fraction and seed, so repeated
@@ -309,9 +306,8 @@ def load_dataset(path, label_col: int = -1, train_fraction: float = 0.8,
         y, k = encode_labels(table.labels)
         # the split must be fixed before target-mean encoding (training rows only)
         train_mask = split_mask(len(table.labels), train_fraction, seed)
-        values = encode_categoricals(table, y, train_mask)
-        ds = normalize(values, y, k=k, feature_names=table.names)
-        ds.train_mask = train_mask
+        x = normalize(encode_categoricals(table, y, train_mask))[0]
+        ds = Dataset(x=x, y=y, k=k, feature_names=table.names, train_mask=train_mask)
         _last_load = key, ds
     return Dataset(x=ds.x.copy(), y=ds.y.copy(), k=ds.k,
                    feature_names=list(ds.feature_names), train_mask=ds.train_mask.copy())

@@ -10,12 +10,12 @@ of the same shape; the argmax tie set is taken per row.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import numerics
-from .dataset import Dataset
+from .dataset import Dataset, normalize
 from .model import VflModel, softmax
 from .system import LinearSystem, difference_matrix
 
@@ -85,10 +85,9 @@ class Pps1Result:
 
 def pps1_transform(ds: Dataset, transform: OrthonormalTransform,
                    passive: tuple | None = None) -> Pps1Result:
-    """Map the passive feature block x -> Hx, then min-max renormalize to [0, 1].
-
-    For H = -I this reduces to x -> 1 - x. passive defaults to all features.
-    """
+    """Map the passive feature block x -> Hx and renormalize it to [0, 1] in a
+    dataclasses.replace of ds; normalize's lo and span are offset and scale.
+    For H = -I this reduces to x -> 1 - x. passive defaults to all features."""
     h = transform.h
     d = h.shape[0]
     if passive is None:
@@ -96,16 +95,10 @@ def pps1_transform(ds: Dataset, transform: OrthonormalTransform,
     cols = list(passive)
     if len(cols) != d:
         raise ValueError("H size must match the passive feature count")
-    block = ds.x[:, cols] @ h.T
-    lo = block.min(axis=0)
-    hi = block.max(axis=0)
-    span = hi - lo
-    span[span == 0.0] = 1.0
+    block, lo, span = normalize(ds.x[:, cols] @ h.T)
     x_new = ds.x.copy()
-    x_new[:, cols] = (block - lo) / span
-    out = Dataset(x=x_new, y=ds.y, k=ds.k, feature_names=ds.feature_names,
-                  train_mask=ds.train_mask)
-    return Pps1Result(dataset=out, transform=transform, scale=span, offset=lo)
+    x_new[:, cols] = block
+    return Pps1Result(dataset=replace(ds, x=x_new), transform=transform, scale=span, offset=lo)
 
 
 def pps1_reveal_params(model: VflModel, transform: OrthonormalTransform) -> VflModel:

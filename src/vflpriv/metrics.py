@@ -25,7 +25,7 @@ class MetricsError(Exception):
     """Raised for inconsistent shapes or invalid probability vectors."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class MomentMatrices:
     """Second moments of the passive features about 0, the box center and the mean."""
 
@@ -37,13 +37,13 @@ class MomentMatrices:
     def __post_init__(self):
         for name in ("k0", "k_half", "k_mu"):
             m = numerics.as_matrix(getattr(self, name))
-            setattr(self, name, 0.5 * (m + m.T))
+            object.__setattr__(self, name, 0.5 * (m + m.T))
             if float(np.linalg.eigvalsh(getattr(self, name))[0]) < _PSD_SLACK:
                 raise MetricsError(f"{name} is not positive semidefinite")
-        self.mu = numerics.as_vector(self.mu)
+        object.__setattr__(self, "mu", numerics.as_vector(self.mu))
 
 
-@dataclass
+@dataclass(frozen=True)
 class MseReport:
     """Closed-form MSE values for one system with their eigenvalue bracket."""
 

@@ -30,9 +30,9 @@ class TrainingError(Exception):
 
 @dataclass(frozen=True)
 class VflSplit:
-    """Passive feature indices over a table of d_t features, distinct and in
-    [0, d_t) (else ValueError). The active party holds the rest, in increasing
-    order and worked out here, so a split covers [0, d_t) exactly once."""
+    """Passive feature indices, distinct and in [0, d_t), over a table of
+    d_t >= 1 features (else ValueError). The active party holds the rest, in
+    increasing order and worked out here, so a split covers [0, d_t) once."""
 
     passive: tuple
     d_t: int = field(repr=False)
@@ -40,6 +40,8 @@ class VflSplit:
 
     def __post_init__(self):
         passive, d_t = tuple(int(i) for i in self.passive), self.d_t
+        if d_t < 1:
+            raise ValueError(f"a split needs at least one feature, got d_t={d_t}")
         if len(set(passive)) != len(passive) or not all(0 <= i < d_t for i in passive):
             raise ValueError(f"passive features {list(passive)} must be distinct "
                              f"indices in [0, {d_t})")

@@ -32,7 +32,7 @@ def difference_matrix(k: int) -> np.ndarray:
     return j
 
 
-@dataclass
+@dataclass(frozen=True)
 class LinearSystem:
     """A x = b' for one prediction (b of length k-1), N of them (b N x (k-1))
     or a batch of systems: the axes of b before its last two.
@@ -50,8 +50,8 @@ class LinearSystem:
     row to its system. A 1-D b is the one-row case: per-row results then
     drop the row axis. log_c holds the logs of the released scores (batch +
     (k,)) that b' came from; gia needs them, the other estimators read only
-    (A, b'), and a system built by hand may leave them out. Immutable after
-    construction by convention.
+    (A, b'), and a system built by hand may leave them out. Frozen:
+    dataclasses.replace makes a changed copy, checked and factored again.
     """
 
     a: np.ndarray
@@ -61,9 +61,9 @@ class LinearSystem:
     def __post_init__(self):
         a = np.asarray(self.a, dtype=float, order="C")     # C order: strides pick BLAS kernels
         # a stack is checked as one tall matrix
-        self.a = (numerics.as_matrix(a) if a.ndim < 3 else
-                  numerics.as_matrix(a.reshape(-1, a.shape[-1])).reshape(a.shape))
-        self.b = np.asarray(self.b, dtype=float, order="C")
+        object.__setattr__(self, "a", numerics.as_matrix(a) if a.ndim < 3 else
+                           numerics.as_matrix(a.reshape(-1, a.shape[-1])).reshape(a.shape))
+        object.__setattr__(self, "b", np.asarray(self.b, dtype=float, order="C"))
         lead, m = self.a.shape[:-2], self.a.shape[-2]
         if lead and self.b.shape[:-2] + self.b.shape[-1:] != lead + (m,):
             raise ValueError(f"b of a stack of {lead} systems must have shape "
@@ -74,13 +74,13 @@ class LinearSystem:
         if self.b.size == 0 or not np.all(np.isfinite(self.b)):
             raise ValueError("b must be non-empty and finite")
         if self.log_c is not None:
-            self.log_c = np.asarray(self.log_c, dtype=float)
+            object.__setattr__(self, "log_c", np.asarray(self.log_c, dtype=float))
             shape = self.batch + (m + 1,)
             if self.log_c.shape != shape:
                 raise ValueError(f"log_c must have shape {shape}, got {self.log_c.shape}")
             if not np.all(np.isfinite(self.log_c)):
                 raise ValueError("log_c must be finite")
-        self.svd = numerics.svd(self.a)
+        object.__setattr__(self, "svd", numerics.svd(self.a))
 
     @property
     def d(self) -> int:

@@ -1,6 +1,10 @@
 import csv
+import dataclasses
+import importlib
+import inspect
 import io
 import os
+import pkgutil
 import re
 
 import numpy as np
@@ -8,6 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import vflpriv
 from vflpriv import cli, dataset
 
 
@@ -308,21 +313,25 @@ class TestEncoding:
 class TestNormalize:
     def test_range_and_extremes(self):
         values = np.array([[0.0, 10.0], [5.0, 20.0], [10.0, 30.0]])
-        ds = dataset.normalize(values, [0, 1, 0], k=2)
-        assert ds.x.min() == 0.0 and ds.x.max() == 1.0
-        assert np.allclose(ds.x[:, 0], [0.0, 0.5, 1.0])
+        x, lo, span = dataset.normalize(values)
+        assert x.min() == 0.0 and x.max() == 1.0
+        assert np.allclose(x[:, 0], [0.0, 0.5, 1.0])
+        assert lo.tolist() == [0.0, 10.0] and span.tolist() == [10.0, 20.0]
 
     def test_constant_feature_maps_to_zero(self):
-        ds = dataset.normalize(np.array([[7.0], [7.0]]), [0, 1], k=2)
-        assert np.allclose(ds.x, 0.0)
+        x, lo, span = dataset.normalize(np.array([[7.0], [7.0]]))
+        assert np.allclose(x, 0.0)
+        assert lo.tolist() == [7.0] and span.tolist() == [1.0]
 
     def test_values_land_in_unit_interval_unclipped(self):
         # (v - lo) / span is monotone in v, so rounding cannot leave [0, 1]
         values = (np.random.default_rng(4).standard_normal((500, 3))
                   * np.array([1e-300, 1.0, 1e300]))
-        ds = dataset.normalize(values, np.arange(500) % 2, k=2)
-        assert ds.x.min(axis=0).tolist() == [0.0] * 3
-        assert ds.x.max(axis=0).tolist() == [1.0] * 3
+        x, lo, span = dataset.normalize(values)
+        assert x.min(axis=0).tolist() == [0.0] * 3
+        assert x.max(axis=0).tolist() == [1.0] * 3
+        assert np.array_equal(lo, values.min(axis=0))
+        assert np.array_equal(span, values.max(axis=0) - lo)
 
 
 class TestSplit:
@@ -413,6 +422,36 @@ class TestDatasetValidation:
         with pytest.raises(dataset.DataError):
             dataset.Dataset(x=np.array([[0.5]]), y=np.array([2]), k=2,
                             feature_names=["f0"])
+
+    def test_fields_cannot_be_reassigned(self):
+        # an int64 mask assigned after construction would skip the check and
+        # make every row a test row
+        ds = dataset.synthesize(dataset.SyntheticSpec(n=10, d_t=2, seed=0))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            ds.train_mask = np.array([1, 0] * 5, dtype=np.int64)
+        assert ds.train_mask.dtype == bool and ds.train_mask.sum() == 8
+
+    def test_replace_checks_again(self):
+        ds = dataset.synthesize(dataset.SyntheticSpec(n=10, d_t=2, seed=0))
+        with pytest.raises(dataset.DataError, match=re.escape("got int64 of shape (10,)")):
+            dataclasses.replace(ds, train_mask=np.array([1, 0] * 5, dtype=np.int64))
+        mask = np.arange(10) < 3
+        again = dataclasses.replace(ds, train_mask=mask)
+        assert np.array_equal(again.train_mask, mask) and np.array_equal(again.x, ds.x)
+
+
+def test_every_checked_dataclass_is_frozen():
+    """A dataclass whose __post_init__ checks or coerces its fields must be
+    frozen, or a later assignment skips the check."""
+    unfrozen = []
+    for info in pkgutil.iter_modules(vflpriv.__path__):
+        module = importlib.import_module(f"vflpriv.{info.name}")
+        for name, obj in vars(module).items():
+            if (inspect.isclass(obj) and obj.__module__ == module.__name__
+                    and dataclasses.is_dataclass(obj) and "__post_init__" in vars(obj)
+                    and not obj.__dataclass_params__.frozen):
+                unfrozen.append(f"{module.__name__}.{name}")
+    assert unfrozen == []
 
 
 class TestLoadPipeline:

@@ -4,7 +4,7 @@ import pytest
 import oracles
 from vflpriv import defense
 from vflpriv.attacks import attack_half_star, attack_ls
-from vflpriv.dataset import Dataset
+from vflpriv.dataset import Dataset, normalize
 from vflpriv.model import VflModel, VflSplit, predict, softmax
 from vflpriv.system import LinearSystem, build_system, difference_matrix
 
@@ -60,6 +60,19 @@ class TestPps1:
         assert np.allclose(res.dataset.x, 1.0 - x, atol=1e-12)
         assert np.allclose(res.scale, 1.0)
         assert np.allclose(res.offset, -1.0)
+
+    def test_scale_and_offset_are_normalize_of_the_block(self):
+        rng = np.random.default_rng(7)
+        x = rng.uniform(size=(30, 5))
+        ds = Dataset(x=x, y=np.arange(30) % 2, k=2, feature_names=list("abcde"),
+                     train_mask=np.arange(30) < 20)
+        h = defense.OrthonormalTransform(h=np.linalg.qr(rng.standard_normal((3, 3)))[0])
+        res = defense.pps1_transform(ds, h, (4, 0, 2))
+        block, lo, span = normalize(x[:, [4, 0, 2]] @ h.h.T)
+        assert np.array_equal(res.scale, span) and np.array_equal(res.offset, lo)
+        assert np.array_equal(res.dataset.x[:, [4, 0, 2]], block)
+        assert np.array_equal(res.dataset.x[:, [1, 3]], x[:, [1, 3]])
+        assert np.array_equal(res.dataset.train_mask, ds.train_mask)
 
     def test_passive_block_must_match_h(self):
         ds = Dataset(x=np.full((4, 3), 0.5), y=np.arange(4) % 2, k=2, feature_names=list("abc"))

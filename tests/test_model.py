@@ -51,6 +51,12 @@ class TestSplit:
                 f"passive features {list(passive)} must be distinct indices in [0, 3)")):
             VflSplit(passive, 3)
 
+    @pytest.mark.parametrize("d_t", [0, -2])
+    def test_d_t_below_one_rejected(self, d_t):
+        with pytest.raises(ValueError,
+                           match=f"^a split needs at least one feature, got d_t={d_t}$"):
+            VflSplit((), d_t)
+
 
 class TestSoftmax:
     def test_rows_sum_to_one(self):
@@ -361,6 +367,13 @@ class TestModelFile:
         with pytest.raises(DataError) as info:
             VflModel.load(path)
         assert str(info.value).startswith(f"{path}: ") and message in str(info.value)
+
+    def test_no_features_rejected(self, tmp_path):
+        path = self._write(tmp_path, {**self.DOC, "passive": [], "active": [],
+                                      "w_act": [], "w_pas": []})
+        with pytest.raises(DataError, match=f"^{re.escape(str(path))}: a split needs at "
+                                            "least one feature, got d_t=0$"):
+            VflModel.load(path)
 
     @pytest.mark.parametrize("text, message", [
         ("{", "not a JSON model: "), ("[1, 2]", "not a JSON model: expected an object"),

@@ -1,3 +1,4 @@
+import dataclasses
 import inspect
 import re
 import warnings
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from vflpriv.attacks import ATTACKS, GiaConvergenceWarning, run_attack
+from vflpriv.attacks import ATTACKS, GiaConvergenceWarning, attack_ls, run_attack
 from vflpriv.model import predict, softmax
 from vflpriv.system import (LinearSystem, SystemError_, build_system,
                             difference_matrix)
@@ -47,6 +48,17 @@ class TestBuildSystem:
         sys_ = build_system(small_model, y_act, c)
         assert np.allclose(sys_.a @ x_pas, sys_.b, atol=1e-9)
         assert sys_.contains(x_pas)
+
+    def test_b_cannot_be_reassigned(self, small_model):
+        # a new b would leave the cached A^+ b' behind, and attack_ls on it
+        rng = np.random.default_rng(3)
+        y_act = rng.uniform(size=5)
+        sys_ = build_system(small_model, y_act, predict(small_model, y_act, rng.uniform(size=5)))
+        want = attack_ls(sys_).x_hat
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            sys_.b = sys_.b + 1.0
+        assert np.array_equal(attack_ls(sys_).x_hat, want)
+        assert sys_.residual(want) < 1e-12
 
     def test_dimensions(self, small_model):
         y_act = np.full(5, 0.5)
