@@ -14,18 +14,15 @@ dual Newton projection for rcc2, FISTA for cls, a primal-dual interior
 point on rcc1's relaxation as a linear SDP) make one call per batch (rcc1
 one per block of at most _RCC1_BLOCK rows of one nullity) on the rows they
 solve, each on its A (row_a), vectorized over those not yet converged, and
-one numerics.RowsError holds every failing row of the batch; gia
-descends on its KL objective one row at a time, with Barzilai-Borwein step
-sizes (the secant step s.s / s.y after each accepted step) and the
-nonmonotone acceptance test of Grippo, Lampariello & Lucidi (1986) against
-the last 10 accepted objective values. The rows of a determined system
-(trivial nullspace) take the unique solution A^+ b' in cls, rcc1 and rcc2,
-as they do in ls; rcc2's projection starts every other row at half_star.
+one numerics.RowsError holds every failing row of the batch; gia's
+projected Newton method on its KL objective steps every row at once too.
+The rows of a determined system (trivial nullspace) take the unique
+solution A^+ b' in cls, rcc1 and rcc2, as they do in ls; rcc2's
+projection starts every other row at half_star.
 """
 
 from __future__ import annotations
 
-import collections
 import contextlib
 import math
 import warnings
@@ -45,7 +42,7 @@ class AttackError(numerics.RowsError):
 
 
 class GiaConvergenceWarning(UserWarning):
-    """gia left rows unconverged, at its iteration cap or on step underflow."""
+    """gia left rows unconverged at its Newton step cap."""
 
 
 @dataclass(frozen=True)
@@ -358,128 +355,128 @@ def attack_rcc1(sys_: LinearSystem) -> AttackEstimate:
                      iterations=steps.reshape(batch)[()])
 
 
-# the largest step gia takes, so that x - step * grad never forms inf * 0
-_GIA_MAX_STEP = 1e30
-# a step is accepted against the largest of the last _GIA_MEMORY accepted
-# objective values, the current one included; 1 is the monotone rule
-_GIA_MEMORY = 10
-# gia's first step size, the move under which a row has converged, and its
-# iteration cap per row, which tests patch to reach GiaConvergenceWarning
-_GIA_STEP, _GIA_TOL, _GIA_MAX_ITER = 0.05, 1e-12, 5000
-
-
-def _gia_row(log_c, offset, m, x) -> tuple[np.ndarray, float, int, bool]:
-    """Projected descent from x on one row's D(c_hat || c), with the step
-    and acceptance rules of attack_gia; the logits at x are offset + m x.
-
-    A candidate's gradient is formed only once the candidate is accepted.
-    Returns (x, KL bits, iterations, converged) at the last accepted point;
-    converged is True when a step moved x by less than _GIA_TOL, False at
-    the _GIA_MAX_ITER cap or once the step size underflows.
-    """
-    ln2, m_t = np.log(2.0), m.T
-
-    # softmax(z) and c_hat * (ell - s) / ln2 written out in place, each float
-    # operation in its order there, so the iterates match them bit for bit;
-    # the classes sum in order, by model._softmax_columns' lone-column rule
-    def objective(x):
-        z = offset + m.dot(x)
-        z -= z.max()
-        c_hat = np.exp(z)
-        c_hat /= np.add.accumulate(c_hat)[-1]
-        ell = np.log(np.maximum(c_hat, 1e-300)) - log_c
-        s = (c_hat * ell).sum()
-        return float(s / ln2), c_hat, ell, s
-
-    def gradient(c_hat, ell, s):
-        ell -= s
-        ell *= c_hat
-        ell /= ln2
-        return m_t.dot(ell)
-
-    obj, c_hat, ell, s = objective(x)
-    grad = gradient(c_hat, ell, s)
-    recent = collections.deque([obj], maxlen=_GIA_MEMORY)
-    ref, cur_step, iters = obj, _GIA_STEP, 0
-    for iters in range(1, _GIA_MAX_ITER + 1):
-        cand = x - cur_step * grad
-        np.maximum(cand, 0.0, out=cand)
-        np.minimum(cand, 1.0, out=cand)
-        cand_obj, c_hat, ell, s = objective(cand)
-        if cand_obj <= ref:
-            cand_grad = gradient(c_hat, ell, s)
-            dx, dg = cand - x, cand_grad - grad
-            x, obj, grad = cand, cand_obj, cand_grad
-            recent.append(obj)
-            ref = max(recent)
-            ss = float(dx.dot(dx))
-            if math.sqrt(ss) < _GIA_TOL:
-                return x, obj, iters, True
-            # Barzilai-Borwein: the secant step s.s / s.y, or twice the last
-            # step where the curvature along s is not positive
-            sy = float(dx.dot(dg))
-            if sy <= 0.0:
-                cur_step = min(2.0 * cur_step, _GIA_MAX_STEP)
-            else:   # the cap is tested first, so a tiny s.y cannot overflow
-                cur_step = ss / sy if ss < _GIA_MAX_STEP * sy else _GIA_MAX_STEP
-        else:
-            cur_step *= 0.5
-            if cur_step < 1e-16:
-                break
-    return x, obj, iters, False
+# gia's move under which a row has converged, and its Newton step cap per
+# row, which tests patch to reach GiaConvergenceWarning
+_GIA_TOL, _GIA_MAX_ITER = 1e-12, 500
 
 
 def attack_gia(sys_: LinearSystem, init: str = "half", seed: int = 0) -> AttackEstimate:
-    """Gradient-inversion baseline: projected descent on D(c_hat || c) over the box.
+    """Gradient-inversion baseline: projected Newton on D(c_hat || c) over the box.
 
     The model enters only through the system: with r = A x - b', the logits
     at x are log c + [0, cumsum(r)] up to a constant that softmax ignores,
-    that is offset + M x with M = [0; cumsum(A)] shared by a system's rows
-    (one per A of a stacked a) and offset = log c - [0, cumsum(b')] per
-    row. So gia needs the system's log_c (ValueError without them); the rows
-    are solved one after another, each on its A's M (sys_.row_a). init
-    selects the starting point: "zeros", "half" or "random" (attack_random's
-    draw from seed). Steps start at 0.05. A step is accepted when its
-    objective is at most the largest of the last 10 accepted objective
-    values, the current one included (Grippo, Lampariello & Lucidi 1986), so
-    the objective may rise for a while, but never above that maximum; a
-    rejected step halves the step size. After an accepted step s, with
-    gradient change y, the next step size is the Barzilai-Borwein value s.s
-    / s.y (Barzilai & Borwein 1988; with the projection and this acceptance
-    test, the spectral projected gradient of Birgin, Martinez & Raydan
-    2000), or twice the last one where s.y <= 0, never above 1e30. A row
-    stops when the step size falls below 1e-16, and returns its last
-    accepted point.
-    diagnostics["iterations"] is the total over all rows of the batch, and
-    diagnostics["converged"] says per row whether its last step moved it by
-    less than 1e-12 (False at the _GIA_MAX_ITER cap, 5,000 steps per row, or
-    on step underflow); if any row is False, one GiaConvergenceWarning gives
+    that is log c + M x - [0, cumsum(b')] with M = [0; cumsum(A)], one per
+    A (sys_.row_a). So gia needs the system's log_c (ValueError without
+    them). init selects the start: "zeros", "half" or "random" (attack_random's
+    draw from seed). Every row takes Bertsekas's projected Newton steps (SIAM
+    J. Control Optim. 20, 1982) at once. A coordinate within eps = min(1e-3,
+    ||x - clip(x - grad, 0, 1)||) of a bound that its gradient or its Newton
+    step pushes against moves by -grad over its Gauss-Newton curvature. The
+    rest take the Newton step of R^T diag(c_hat) R, R = M - 1 (M^T c_hat)^T,
+    on its eigenvalues above 1e-12 of the largest, so from "half" a clean
+    row moves in 1/2 + range(A^T). The step halves along the projected arc
+    until Armijo's test holds, whose KL takes its logs from each row's top
+    class with expm1 and log1p; no step raises a row's KL. A row has
+    converged once its search reaches a move under 1e-12. A row's products
+    are its own (numerics._rowwise, stacked eigh) and its classes sum in
+    order, so it gets its lone bits. diagnostics: "kl_bits" and "converged"
+    per row and "iterations", the rows' total Newton steps; if a row did not
+    converge within _GIA_MAX_ITER steps, one GiaConvergenceWarning gives
     their count and their largest final KL in bits.
     """
     if init not in ("zeros", "half", "random"):
         raise ValueError(f"unknown init mode {init!r}")
     if sys_.log_c is None:
         raise ValueError("gia needs the released scores: this system has no log_c")
-    d, batch, k = sys_.d, sys_.batch, sys_.log_c.shape[-1]
-    m = np.concatenate([np.zeros(sys_.a.shape[:-2] + (1, d)), np.cumsum(sys_.a, axis=-2)],
-                       axis=-2).reshape(-1, k, d)
+    d, batch, k, ln2 = sys_.d, sys_.batch, sys_.log_c.shape[-1], math.log(2.0)
+    rowwise = numerics._rowwise
     log_c = sys_.log_c.reshape(-1, k)
-    offset = log_c.copy()
-    offset[:, 1:] -= np.cumsum(sys_.b.reshape(-1, k - 1), axis=-1)
-    x = (attack_random(sys_, seed).x_hat if init == "random"
-         else np.full(batch + (d,), 0.5 if init == "half" else 0.0)).reshape(-1, d)
-    kl_bits, converged, iterations = np.empty(len(x)), np.empty(len(x), bool), 0
-    for r, own in enumerate(sys_.row_a):
-        x[r], kl_bits[r], iters, converged[r] = _gia_row(log_c[r], offset[r], m[own], x[r])
-        iterations += iters
-    if not converged.all():
-        stuck = ~converged
-        warnings.warn(f"gia: {stuck.sum()} of {stuck.size} rows did not converge "
-                      f"({_GIA_MAX_ITER}-iteration cap or step underflow); the largest "
-                      f"final KL among them is {kl_bits[stuck].max():.3e} bits",
-                      GiaConvergenceWarning, stacklevel=2)
-    return _estimate(sys_, "gia", x.reshape(batch + (d,)), kl_bits=kl_bits.reshape(batch)[()],
-                     iterations=iterations, converged=converged.reshape(batch)[()], init=init)
+    c = np.exp(log_c)
+    m = np.cumsum(np.insert(sys_.a, 0, 0.0, axis=-2), axis=-2).reshape(-1, k, d)[sys_.row_a]
+    mt = m.swapaxes(-1, -2)
+    shift = np.cumsum(np.insert(sys_.b.reshape(-1, k - 1), 0, 0.0, axis=1), axis=1)
+    x = (attack_random(sys_, seed).x_hat.reshape(-1, d) if init == "random"
+         else np.full((len(c), d), 0.5 if init == "half" else 0.0))
+
+    def total(v):       # each row's sum over the last axis, in order
+        return np.add.accumulate(v, axis=-1)[..., -1]
+
+    def kl(x, rows):
+        """c_hat, log(c_hat / c) = r - log sum c e^r and D(c_hat || c) in nats
+        of rows at x, whose logits are log c + r, r = M x - [0, cumsum(b')]."""
+        cr = c[rows]
+        r = rowwise(m[rows], x) - shift[rows]
+        top = np.argmax(log_c[rows] + r, axis=-1)[:, None]
+        rel = r - np.take_along_axis(r, top, -1)
+        q = total(cr * np.exp(rel))
+        q_minus_1 = total(cr * np.expm1(rel)) + (total(cr) - 1.0)
+        log_q = np.where(q > 0.5, np.log1p(np.maximum(q_minus_1, -0.5)), np.log(q))
+        ell = rel - log_q[:, None]
+        c_hat = cr * np.exp(ell)
+        return c_hat, ell, total(c_hat * ell)
+
+    def direction(i, free):
+        """The steps of live rows i: Newton's on the free coordinates, the
+        scaled gradient's on the rest."""
+        rf = rt[i] * free[..., None]
+        lam, vec = np.linalg.eigh(rf * ch[i, None] @ rf.swapaxes(-1, -2))
+        kept = lam > 1e-12 * np.maximum(lam[:, -1:], 0.0)
+        gv = rowwise(vec.swapaxes(-1, -2), grad[i] * free)
+        coef = np.divide(gv, lam / ln2, where=kept, out=np.zeros_like(lam))
+        return np.where(free, -rowwise(vec, coef), -scaled[i])
+
+    live = np.arange(len(x))
+    c_hat, ell, f = kl(x, live)
+    steps = np.zeros(len(x), dtype=int)
+    converged = np.zeros(len(x), dtype=bool)
+    for _ in range(_GIA_MAX_ITER):
+        if not live.size:
+            break
+        steps[live] += 1
+        xl, ch, mtl = x[live], c_hat[live], mt[live]
+        grad = rowwise(mtl, ch * (ell[live] - f[live, None])) / ln2
+        eps = np.minimum(np.sqrt(total((xl - np.clip(xl - grad, 0.0, 1.0)) ** 2)), 1e-3)
+        low = xl <= eps[:, None]
+        high = xl >= 1.0 - eps[:, None]
+        free = ~((low & (grad > 0.0)) | (high & (grad < 0.0)))
+        rt = mtl - rowwise(mtl, ch)[..., None]              # R^T per row
+        diag = total(rt * rt * ch[:, None]) / ln2           # its Gauss-Newton curvature
+        scaled = np.divide(grad, diag, where=diag > 0.0, out=np.zeros_like(grad))
+        p = direction(np.arange(live.size), free)
+        held = free & ((low & (p < 0.0)) | (high & (p > 0.0)))
+        redo = np.flatnonzero(held.any(-1))
+        if redo.size:
+            free &= ~held
+            p[redo] = direction(redo, free[redo])
+        # halve t along the projected arc, on the rows still searching
+        t = np.ones(live.size)
+        todo = np.arange(live.size)
+        for _ in range(100):
+            rows = live[todo]
+            xt = np.clip(xl[todo] + t[todo, None] * p[todo], 0.0, 1.0)
+            step = xt - xl[todo]
+            cand = kl(xt, rows)
+            f_t = cand[2]
+            decrease = -total(np.where(free[todo], t[todo, None] * p[todo], step) * grad[todo])
+            armijo = f[rows] - f_t >= 1e-4 * ln2 * decrease
+            done = np.sqrt(total(step * step)) < _GIA_TOL
+            ok = (armijo | done) & (f_t <= f[rows])
+            for have, new in zip((x, c_hat, ell, f), (xt, *cand)):
+                have[rows[ok]] = new[ok]
+            converged[rows[done]] = True
+            todo = todo[~(ok | done)]
+            if not todo.size:
+                break
+            t[todo] *= 0.5
+        live = live[~converged[live]]
+    stuck = ~converged
+    if stuck.any():
+        warnings.warn(f"gia: {stuck.sum()} of {stuck.size} rows did not converge in "
+                      f"{_GIA_MAX_ITER} steps; the largest final KL among them is "
+                      f"{f[stuck].max() / ln2:.3e} bits", GiaConvergenceWarning, stacklevel=2)
+    return _estimate(sys_, "gia", x.reshape(batch + (d,)), kl_bits=(f / ln2).reshape(batch)[()],
+                     iterations=int(steps.sum()), converged=converged.reshape(batch)[()],
+                     init=init)
 
 
 def _alone(attack):

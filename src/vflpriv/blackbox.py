@@ -86,35 +86,3 @@ def bb_case3(v) -> BlackboxEstimate:
                    "constant_input": est.flags["constant_input"]})
     return BlackboxEstimate(x_hat=np.full(v.size, 0.5), case="3b",
                             flags={"undecidable": True})
-
-
-def bb_case3_population(v, population_mean: float) -> BlackboxEstimate:
-    """Mixed-sign refinement using a known population mean of x.
-
-    Fits (w, b) by least squares to three anchor equations: the extreme
-    observations mapped to x = 1 and x = 0, and w mean(x) + b = mean(v).
-    Both orientations of the extremes are tried; the lower-residual fit wins.
-    Constant observations leave x unidentifiable and raise BlackboxError.
-    """
-    v = _as_obs(v)
-    if v.size < 2:
-        raise BlackboxError("population refinement needs at least two observations")
-    v_lo, v_hi = float(v.min()), float(v.max())
-    v_bar = float(v.mean())
-    design = np.array([[1.0, 1.0], [0.0, 1.0], [population_mean, 1.0]])
-    best = None
-    for rhs, orient in ((np.array([v_hi, v_lo, v_bar]), 1.0),
-                        (np.array([v_lo, v_hi, v_bar]), -1.0)):
-        (w, b), res, *_ = np.linalg.lstsq(design, rhs, rcond=None)
-        resid = float(res[0]) if res.size else 0.0
-        if w == 0.0:
-            continue
-        if best is None or resid < best[0]:
-            best = (resid, w, b, orient)
-    if best is None or v_lo == v_hi:
-        raise BlackboxError("degenerate observations; cannot fit the affine map")
-    _, w, b, orient = best
-    x_hat = np.clip((v - b) / w, 0.0, 1.0)
-    return BlackboxEstimate(x_hat=x_hat, case="3b_population",
-                            flags={"w": w, "b": b, "orientation": orient})
-

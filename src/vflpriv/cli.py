@@ -189,11 +189,14 @@ def cmd_attack(args) -> int:
     if args.model and args.lam is not None:
         raise DataError(f"--lam {args.lam} does not apply: --model {args.model} "
                         "is not retrained")
+    if args.init is not None and "gia" not in names:
+        raise DataError(f"--init {args.init} does not apply: --attacks {args.attacks} "
+                        "has no gia")
     ds = _load_data(args)
     model = _model(args, ds)
     rows = np.flatnonzero(ds.test_mask)[:n]
     mse = metrics.attack_mse_on_rows(model, [model.split], ds, rows, names, args.seed,
-                                     init=args.init)
+                                     init=args.init or "half")
     out = [[name, args.d, len(rows), repr(float(mse[name][0]))] for name in names]
     _emit(out, ["attack", "d", "n", "mse"], args.out)
     return 0
@@ -391,8 +394,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("attack", "score-based reconstruction attacks", data, window, n)
     p.add_argument("--model", help="trained model JSON (skips training)")
     p.add_argument("--attacks", default="half,ls,half_star,rcc2")
-    p.add_argument("--init", choices=("zeros", "half", "random"),
-                   default="half")
+    p.add_argument("--init", choices=("zeros", "half", "random"))  # None: not given, half
 
     p = add("blackbox", "single-feature black-box MSE vs sample count",
             aliases=["figure12"])

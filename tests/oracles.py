@@ -648,64 +648,37 @@ def _gia_objective(logits, log_c, m):
 
 def gia_row(objective_and_grad, x, step: float, max_iter: int,
             tol: float) -> tuple[np.ndarray, float, int, bool]:
-    """gia's projected descent from x for one prediction, on either form.
+    """A first-order projected descent on D(c_hat || c) over the box from x,
+    for one prediction, on either form of the objective: a reference that
+    shares no step with attack_gia's projected Newton method.
 
     A step is accepted when its objective is at most the largest of the last
-    10 accepted ones (Grippo, Lampariello & Lucidi 1986). After each
-    accepted step s (gradient change y) the next step is the Barzilai-Borwein
-    value s.s / s.y, or twice the last one where s.y <= 0, at most 1e30.
-    Returns (x, KL bits, iterations, converged) as the library's one-row
-    loop does, whose in-place arithmetic on the system form must match this
-    bit for bit.
+    10 accepted ones, the start's included (Grippo, Lampariello & Lucidi
+    1986), and a rejected one halves the step size. After each accepted step
+    s (gradient change y) the next step size is the Barzilai-Borwein value
+    s.s / s.y, or twice the last one where s.y <= 0, at most 1e30. Returns
+    (x, KL bits, iterations, converged): converged once an accepted step
+    moves x by less than tol, not at the max_iter cap or once the step size
+    falls below 1e-16.
     """
-    return _gia_descent(objective_and_grad, x, step, max_iter, tol, _bb_step, 10)
-
-
-def gia_row_monotone(objective_and_grad, x, step: float, max_iter: int,
-                     tol: float) -> tuple[np.ndarray, float, int, bool]:
-    """gia_row with the earlier acceptance rule: a step is accepted only when
-    it does not raise the objective."""
-    return _gia_descent(objective_and_grad, x, step, max_iter, tol, _bb_step, 1)
-
-
-def gia_row_halving(objective_and_grad, x, step: float, max_iter: int,
-                    tol: float) -> tuple[np.ndarray, float, int, bool]:
-    """gia's first descent: monotone, and the step only ever halves, on each
-    rejection."""
-    return _gia_descent(objective_and_grad, x, step, max_iter, tol,
-                        lambda s, y, cur_step: cur_step, 1)
-
-
-def _bb_step(s, y, cur_step):
-    ss, sy = np.dot(s, s), np.dot(s, y)
-    if sy <= 0.0:
-        return min(2.0 * cur_step, 1e30)
-    # the cap is tested before dividing, so a tiny s.y cannot overflow
-    return ss / sy if ss < 1e30 * sy else 1e30
-
-
-def _gia_descent(objective_and_grad, x, step, max_iter, tol, next_step, memory):
-    """Projected descent on D(c_hat || c) over the box; a step is accepted
-    when its objective is at most the largest of the last `memory` accepted
-    objectives (the start's included), next_step(s, y, step) then sets the
-    step size, and a rejection halves it."""
     obj, grad = objective_and_grad(x)
     accepted = [obj]
-    cur_step = step
     iters = 0
     for iters in range(1, max_iter + 1):
-        cand = np.minimum(np.maximum(x - cur_step * grad, 0.0), 1.0)
+        cand = np.minimum(np.maximum(x - step * grad, 0.0), 1.0)
         cand_obj, cand_grad = objective_and_grad(cand)
-        if cand_obj <= max(accepted[-memory:]):
+        if cand_obj <= max(accepted[-10:]):
             dx, dg = cand - x, cand_grad - grad
             x, obj, grad = cand, cand_obj, cand_grad
             accepted.append(obj)
             if np.sqrt(dx.dot(dx)) < tol:
                 return x, obj, iters, True
-            cur_step = next_step(dx, dg, cur_step)
+            ss, sy = dx.dot(dx), dx.dot(dg)
+            # the cap is tested before dividing, so a tiny s.y cannot overflow
+            step = min(2.0 * step, 1e30) if sy <= 0.0 else ss / sy if ss < 1e30 * sy else 1e30
         else:
-            cur_step *= 0.5
-            if cur_step < 1e-16:
+            step *= 0.5
+            if step < 1e-16:
                 break
     return x, obj, iters, False
 

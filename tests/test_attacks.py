@@ -365,67 +365,33 @@ class TestGia:
         est = attacks.attack_gia(build_system(small_model, y_act, c), init="half")
         assert est.diagnostics["kl_bits"] <= at_init + 1e-12
 
-    def test_reports_convergence(self, small_model, monkeypatch):
-        y_act, c = _predictions(small_model, 3, seed=10)
-        # from the half start the rows stop after 18, 10 and 18 steps, so a
-        # 14-step cap stops rows 0 and 2
-        monkeypatch.setattr(attacks, "_GIA_MAX_ITER", 14)
+    def test_reports_convergence(self, monkeypatch):
+        model = _random_model()
+        y_act, c = _predictions(model, 3, seed=10)
+        # from zeros the rows stop after 4, 2 and 3 Newton steps, so a 2-step
+        # cap stops rows 0 and 2
+        monkeypatch.setattr(attacks, "_GIA_MAX_ITER", 2)
         with pytest.warns(attacks.GiaConvergenceWarning):
-            est = attacks.attack_gia(build_system(small_model, y_act, c))
-        one = [_gia_warns_if_stuck(build_system(small_model, y_act[i], c[i])).diagnostics
-               for i in range(3)]
+            est = attacks.attack_gia(build_system(model, y_act, c), init="zeros")
+        one = [_gia_warns_if_stuck(build_system(model, y_act[i], c[i]), init="zeros")
+               .diagnostics for i in range(3)]
         assert est.diagnostics["converged"].tolist() == [False, True, False]
         assert [d["converged"] for d in one] == [False, True, False]
-        assert one[2]["iterations"] == 14 and one[1]["iterations"] < 14
-        monkeypatch.setattr(attacks, "_GIA_MAX_ITER", 3)
+        assert [d["iterations"] for d in one] == [2, 2, 2]
+        monkeypatch.setattr(attacks, "_GIA_MAX_ITER", 1)
         with pytest.warns(attacks.GiaConvergenceWarning):
-            capped = attacks.attack_gia(build_system(small_model, y_act[0], c[0]))
-        assert capped.diagnostics["iterations"] == 3
+            capped = attacks.attack_gia(build_system(model, y_act[0], c[0]), init="zeros")
+        assert capped.diagnostics["iterations"] == 1
         assert not capped.diagnostics["converged"]
-
-    @pytest.mark.parametrize("model_name", ["small_model", "k4", "k9", "k16"])
-    def test_matches_softmax_oracle_bit_for_bit(self, request, model_name):
-        # the library's in-place loop against the plainly written descent on
-        # softmax(offset + M x), every output of a one-row call. From k = 8 on
-        # numpy sums a lone row's classes pairwise, where softmax sums them
-        # in order
-        model = (request.getfixturevalue("small_model")
-                 if model_name == "small_model" else _random_model(int(model_name[1:])))
-        _assert_gia_matches(model, oracles.gia_row)
-
-    @pytest.mark.parametrize("model_name", ["small_model", "k4"])
-    def test_memory_1_is_the_monotone_descent(self, request, monkeypatch, model_name):
-        # with one objective value remembered, the acceptance test is the
-        # monotone cand_obj <= obj; reproducing that descent bit for bit
-        # shows that splitting off the gradient, the Python-float bookkeeping
-        # and ndarray.dot change no bits. With k4, row 0 stops at the
-        # 5,000-iteration cap from zeros and random
-        model = (request.getfixturevalue("small_model")
-                 if model_name == "small_model" else _random_model())
-        monkeypatch.setattr(attacks, "_GIA_MEMORY", 1)
-        _assert_gia_matches(model, oracles.gia_row_monotone)
 
     @pytest.mark.parametrize("release", ["clean", "s1", "pps1"])
     @pytest.mark.parametrize("model_name", ["small_model", "k4"])
     def test_system_form_matches_model_form(self, request, model_name, release):
         # the logits offset + M x differ from W_act y + W_pas x + b by a
-        # constant per row, which softmax ignores. Where a row caps, its end
-        # point follows the path, so only the objective is compared there
-        from vflpriv import defense
+        # constant per row, which softmax ignores, so both forms give one KL
         model = (request.getfixturevalue("small_model")
                  if model_name == "small_model" else _random_model())
-        rng = np.random.default_rng(11)
-        y_act = rng.uniform(size=(4, model.split.d_t - model.split.d))
-        x_pas = rng.uniform(size=(4, model.split.d))
-        c = predict(model, y_act, x_pas)
-        clean = build_system(model, y_act, c)
-        if release == "s1":
-            plan = defense.NoisePlan(10.0, defense.pps2_optimal_direction(clean, 10.0).v1)
-            c = defense.apply_scheme(model.logits(y_act, x_pas), plan, "s1")
-        elif release == "pps1":
-            model = defense.pps1_reveal_params(
-                model, defense.pps1_optimal_h(clean, x_pas.T @ x_pas / len(x_pas)))
-        sys_ = build_system(model, y_act, c, source="noisy")
+        model, y_act, c, sys_ = _release(model, release, 4, seed=11)
         for init in ("zeros", "half", "random"):
             with pytest.MonkeyPatch.context() as capped:
                 capped.setattr(attacks, "_GIA_MAX_ITER", 0)
@@ -433,62 +399,16 @@ class TestGia:
                     start = attacks.attack_gia(sys_, init=init, seed=0)
             est = _gia_warns_if_stuck(sys_, init=init, seed=0)
             for i in range(4):
-                # random starts: the row's own draw from seed 0
-                x0 = start.x_hat[i]
+                # start.x_hat[i] is row i's start, from seed 0 when random
                 objective = oracles.gia_model_objective(model, y_act[i], c[i])
-                want0 = oracles.gia_row(objective, x0, 0.05, 0, 1e-12)[1]
-                want = oracles.gia_row(objective, x0, 0.05, 5000, 1e-12)
+                got = start.diagnostics["kl_bits"][i]
+                assert abs(objective(start.x_hat[i])[0] - got) <= 1e-12, (init, i)
                 got = est.diagnostics["kl_bits"][i]
-                assert abs(start.diagnostics["kl_bits"][i] - want0) <= 1e-12, (init, i)
                 assert abs(objective(est.x_hat[i])[0] - got) <= 1e-12, (init, i)
+                want = oracles.gia_row(objective, start.x_hat[i], 0.05, 5000, 1e-12)
                 if want[3]:
                     assert est.diagnostics["converged"][i], (init, i)
                     assert got <= want[1] + 1e-12, (init, i)
-
-    def test_memory_10_on_the_probe_rows(self, monkeypatch, tmp_path):
-        # the first 40 rows of `attack --synth-n 2000 --synth-dt 10 --synth-k 4
-        # --d 6 --attacks gia --n 200 --seed 0`, taken from the command's own
-        # system (the command itself gets half's cheap answer); with the
-        # memory at 1, rows 9, 11, 12, 15 and 28 cap
-        from vflpriv import cli
-        seen, real = [], attacks.attack_gia
-        monkeypatch.setattr(attacks, "attack_gia", lambda sys_, **kw:
-                            seen.append(sys_) or attacks.attack_half(sys_))
-        assert cli.main(["attack", "--synth-n", "2000", "--synth-dt", "10",
-                         "--synth-k", "4", "--d", "6", "--attacks", "gia",
-                         "--n", "40", "--seed", "0",
-                         "--out", str(tmp_path / "out.csv")]) == 0
-        monkeypatch.setattr(attacks, "_GIA_MEMORY", 1)
-        with pytest.warns(attacks.GiaConvergenceWarning, match="5 of 40 rows"):
-            monotone = real(seen[0]).diagnostics
-        assert np.flatnonzero(~monotone["converged"]).tolist() == [9, 11, 12, 15, 28]
-        monkeypatch.setattr(attacks, "_GIA_MEMORY", 10)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", attacks.GiaConvergenceWarning)
-            gll = real(seen[0]).diagnostics
-        assert gll["converged"].all()
-        assert gll["iterations"] < monotone["iterations"]
-        assert np.all(gll["kl_bits"] <= monotone["kl_bits"] + 1e-12)
-
-    @pytest.mark.parametrize("model_name", ["small_model", "k4"])
-    def test_fewer_iterations_than_halving(self, request, model_name):
-        model = (request.getfixturevalue("small_model")
-                 if model_name == "small_model" else _random_model())
-        y_act, c = _predictions(model, 3, seed=10)
-        for init, x0 in _gia_starts(model.split.d).items():
-            iters = {"bb": 0, "halving": 0}
-            for i in range(3):
-                sys_ = build_system(model, y_act[i], c[i])
-                got = attacks.attack_gia(sys_, init=init, seed=0).diagnostics
-                old = oracles.gia_row_halving(oracles.gia_system_objective(sys_), x0,
-                                              0.05, 5000, 1e-12)
-                assert got["kl_bits"] <= old[1] + 1e-12, (init, i)
-                # every row converges, k4's row 0 from zeros and random too,
-                # which caps under the halving rule
-                assert got["converged"], (init, i)
-                iters["bb"] += got["iterations"]
-                iters["halving"] += old[2]
-            assert iters["bb"] < iters["halving"], init
 
     @given(seed=st.integers(0, 2**32 - 1), k=st.integers(2, 6),
            d=st.integers(1, 8), scale=st.floats(0.1, 50.0),
@@ -510,14 +430,32 @@ class TestGia:
                 build_system(model, y_act, c)
             return
         sys_ = build_system(model, y_act, c)
-        x0 = _gia_starts(d, seed)[init]
-        at_start = oracles.gia_row(oracles.gia_system_objective(sys_), x0, 0.05, 0,
-                                   1e-12)[1]
+        with pytest.MonkeyPatch.context() as capped:
+            capped.setattr(attacks, "_GIA_MAX_ITER", 0)
+            with pytest.warns(attacks.GiaConvergenceWarning):
+                at_start = attacks.attack_gia(sys_, init=init, seed=seed).diagnostics["kl_bits"]
         with np.errstate(over="raise", invalid="raise", divide="raise"):
             est = _gia_warns_if_stuck(sys_, init=init, seed=seed)
         assert np.all(np.isfinite(est.x_hat))
         assert np.all((est.x_hat >= 0.0) & (est.x_hat <= 1.0))
         assert est.diagnostics["kl_bits"] <= at_start
+
+    @pytest.mark.parametrize("k", [2, 4, 9])
+    def test_a_row_that_starts_at_its_answer_does_not_rise(self, k):
+        # passive features of exactly 1/2 put the half start at KL 0 up to
+        # rounding, where a move under 1e-12 can round the KL up; gia takes
+        # no such move, so no row ends above its start
+        model = _random_model(k)
+        y_act = np.random.default_rng(7).uniform(size=(40, model.split.d_t - model.split.d))
+        c = predict(model, y_act, np.full((40, model.split.d), 0.5))
+        sys_ = build_system(model, y_act, c)
+        with pytest.MonkeyPatch.context() as capped:
+            capped.setattr(attacks, "_GIA_MAX_ITER", 0)
+            with pytest.warns(attacks.GiaConvergenceWarning):
+                at_start = attacks.attack_gia(sys_).diagnostics["kl_bits"]
+        est = attacks.attack_gia(sys_).diagnostics
+        assert est["converged"].all()
+        assert np.all(est["kl_bits"] <= at_start)
 
     def test_unknown_init_rejected(self, small_model):
         c = predict(small_model, np.full(5, 0.5), np.full(5, 0.5))
@@ -526,12 +464,73 @@ class TestGia:
                                init="bogus")
 
 
+class TestGiaCertificates:
+    """Properties of gia's answer that hold whatever its steps: every row
+    converges to a point that the reference objective finds stationary, a
+    clean row goes from the box center to half_star, and no clean row ends
+    above the first-order descent of oracles.gia_row."""
+
+    MODELS = [2, 4, 9, 16]
+
+    @staticmethod
+    def _model(request, k):
+        return request.getfixturevalue("small_model") if k == 2 else _random_model(k)
+
+    @pytest.mark.parametrize("release", ["clean", "bimodal", "s1", "pps1"])
+    @pytest.mark.parametrize("k", MODELS)
+    def test_every_row_converges_to_a_stationary_point(self, request, k, release):
+        # the projected gradient x - clip(x - grad f) of the reference
+        # objective, to its rounding on clean rows; a released row stops at
+        # Armijo's resolution of a KL that is not 0
+        model = self._model(request, k)
+        model, y_act, c, sys_ = _release(model, release, 12, seed=4)
+        tol = 1e-10 if release in ("clean", "bimodal") else 1e-6
+        for init in ("zeros", "half", "random"):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", attacks.GiaConvergenceWarning)
+                est = attacks.attack_gia(sys_, init=init, seed=0)
+            for i in range(12):
+                x = est.x_hat[i]
+                grad = oracles.gia_model_objective(model, y_act[i], c[i])(x)[1]
+                assert np.linalg.norm(x - np.clip(x - grad, 0.0, 1.0)) <= tol, (init, i)
+
+    @pytest.mark.parametrize("bimodal", [False, True])
+    @pytest.mark.parametrize("k", MODELS)
+    def test_half_start_ends_at_half_star(self, request, k, bimodal):
+        # on clean scores grad f = M^T g lies in range(A^T), and so does each
+        # Newton step, so from the box center gia stays in 1/2 + range(A^T),
+        # whose one point of KL 0 is half_star, while the box clips nothing
+        model = self._model(request, k)
+        _, _, _, sys_ = _release(model, "bimodal" if bimodal else "clean", 40, seed=6)
+        x = attacks.attack_gia(sys_).x_hat
+        star = attacks.attack_half_star(sys_).x_hat
+        inside = np.all((star > 0.0) & (star < 1.0), axis=1)
+        assert inside.sum() >= 10
+        assert np.max(np.abs(x - star)[inside]) <= 1e-9
+        assert np.max(np.abs((x - 0.5) @ sys_.projector)[inside]) <= 1e-9
+
+    @pytest.mark.parametrize("k", MODELS)
+    def test_kl_no_higher_than_the_descent(self, request, k):
+        model = self._model(request, k)
+        y_act, c = _predictions(model, 4, seed=12)
+        sys_ = build_system(model, y_act, c)
+        start = attacks.attack_random(sys_, 0).x_hat
+        for init in ("zeros", "half", "random"):
+            est = attacks.attack_gia(sys_, init=init, seed=0)
+            for i in range(4):
+                x0 = start[i] if init == "random" else _gia_starts(model.split.d)[init]
+                want = oracles.gia_row(oracles.gia_model_objective(model, y_act[i], c[i]),
+                                       x0, 0.05, 5000, 1e-12)
+                if want[3]:
+                    assert est.diagnostics["kl_bits"][i] <= want[1] + 1e-12, (init, i)
+
+
 class TestGiaWarning:
     """gia warns once per call when rows end unconverged, and only then."""
 
     def test_unconverged_rows_warn_once(self, monkeypatch):
         sys_ = build_system(_random_model(), *_predictions(_random_model(), 5, seed=10))
-        monkeypatch.setattr(attacks, "_GIA_MAX_ITER", 30)
+        monkeypatch.setattr(attacks, "_GIA_MAX_ITER", 1)
         with pytest.warns(attacks.GiaConvergenceWarning) as record:
             est = attacks.attack_gia(sys_)
         stuck = ~est.diagnostics["converged"]
@@ -551,7 +550,7 @@ class TestGiaWarning:
 
     def test_command_still_exits_0(self, tmp_path, monkeypatch):
         from vflpriv import cli
-        monkeypatch.setattr(attacks, "_GIA_MAX_ITER", 30)
+        monkeypatch.setattr(attacks, "_GIA_MAX_ITER", 1)
         with pytest.warns(attacks.GiaConvergenceWarning, match="did not converge"):
             assert cli.main(["attack", "--synth-n", "300", "--synth-dt", "6", "--d", "3",
                              "--attacks", "gia", "--n", "5",
@@ -596,25 +595,6 @@ def _random_model(k=4):
                     split=VflSplit.contiguous(d_t, 0, d))
 
 
-def _assert_gia_matches(model, oracle):
-    """Every output of one-row attack_gia calls equals oracle's, bit for bit,
-    from every start, at the default cap and at 3 iterations."""
-    y_act, c = _predictions(model, 3, seed=10)
-    for i in range(3):
-        sys_ = build_system(model, y_act[i], c[i])
-        for init, x0 in _gia_starts(model.split.d).items():
-            for max_iter in (5000, 3):
-                with pytest.MonkeyPatch.context() as capped:
-                    capped.setattr(attacks, "_GIA_MAX_ITER", max_iter)
-                    est = _gia_warns_if_stuck(sys_, init=init, seed=0)
-                got = (est.x_hat, est.diagnostics["kl_bits"],
-                       est.diagnostics["iterations"], est.diagnostics["converged"])
-                want = oracle(oracles.gia_system_objective(sys_), x0, 0.05,
-                              max_iter, 1e-12)
-                for g, w in zip(got, want):
-                    assert np.array_equal(g, w), (init, i, max_iter)
-
-
 def _gia_warns_if_stuck(sys_, **kw):
     """attack_gia(sys_, **kw), asserting that it gives one GiaConvergenceWarning
     where a row ends unconverged and none where every row converges."""
@@ -637,6 +617,30 @@ def _predictions(model, n, seed):
     y_act = rng.uniform(size=(n, model.split.d_t - model.split.d))
     x_pas = rng.uniform(size=(n, model.split.d))
     return y_act, predict(model, y_act, x_pas)
+
+
+def _release(model, release, n, seed):
+    """n predictions of model, their scores (clean; "bimodal", clean on
+    features piled near 0 and 1; or released under s1 at alpha 10 or pps1),
+    the model that released them and their system."""
+    from vflpriv import defense
+    if release == "bimodal":
+        y_act, c = _bimodal_predictions(model, n, seed)
+        return model, y_act, c, build_system(model, y_act, c)
+    rng = np.random.default_rng(seed)
+    y_act = rng.uniform(size=(n, model.split.d_t - model.split.d))
+    x_pas = rng.uniform(size=(n, model.split.d))
+    c = predict(model, y_act, x_pas)
+    clean = build_system(model, y_act, c)
+    if release == "s1":
+        plan = defense.NoisePlan(10.0, defense.pps2_optimal_direction(clean, 10.0).v1)
+        c = defense.apply_scheme(model.logits(y_act, x_pas), plan, "s1")
+    elif release == "pps1":
+        model = defense.pps1_reveal_params(
+            model, defense.pps1_optimal_h(clean, x_pas.T @ x_pas / n))
+    elif release == "clean":
+        return model, y_act, c, clean
+    return model, y_act, c, build_system(model, y_act, c, source="noisy")
 
 
 # batched x_hat against the one-row path: closed forms to 1e-12, iterative
@@ -693,6 +697,20 @@ class TestBatch:
         batched = attacks.run_attack("rg", sys_, seed=3)
         rng = np.random.default_rng(3)
         assert np.array_equal(batched.x_hat, [rng.uniform(size=3) for _ in range(5)])
+
+    @pytest.mark.parametrize("k", [9, 16])
+    def test_gia_rows_keep_their_lone_bits(self, k):
+        # gia sums a row's classes in order and steps each row on its own
+        # products and eigenvectors, so a batch changes no row's bits
+        model = _random_model(k)
+        y_act, c = _predictions(model, 12, seed=4)
+        for init in ("zeros", "half"):
+            est = attacks.attack_gia(build_system(model, y_act, c), init=init)
+            for i in range(12):
+                one = attacks.attack_gia(build_system(model, y_act[i], c[i]), init=init)
+                assert np.array_equal(est.x_hat[i], one.x_hat), (init, i)
+                for key in ("kl_bits", "converged"):
+                    assert np.array_equal(est.diagnostics[key][i], one.diagnostics[key])
 
     def test_gia_iterations_stay_an_int(self, small_model):
         y_act, c = _predictions(small_model, 3, seed=5)

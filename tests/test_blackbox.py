@@ -102,8 +102,6 @@ class TestCase3:
         assert est.case == "3b"
         assert est.flags["undecidable"]
         assert np.array_equal(est.x_hat, [0.5, 0.5])
-        # the refinement by a known population mean is bb_case3_population's
-        assert blackbox.bb_case3_population([-1.0, 1.0], 0.5).case == "3b_population"
 
     def test_oriented_estimate_converges(self):
         # as the sample grows the oriented min-max approaches ground truth
@@ -115,25 +113,6 @@ class TestCase3:
             errs.append(float(np.mean((est.x_hat - x) ** 2)))
         assert errs[1] < errs[0]
         assert errs[1] < 1e-3
-
-    def test_population_refinement_beats_half(self):
-        rng = np.random.default_rng(3)
-        x = rng.uniform(0.0, 1.0, size=500)
-        v = 2.0 * x - 1.0                              # mixed signs
-        est = blackbox.bb_case3_population(v, float(x.mean()))
-        mse = float(np.mean((est.x_hat - x) ** 2))
-        half_mse = float(np.mean((0.5 - x) ** 2))
-        assert mse < half_mse
-
-    @pytest.mark.parametrize("v, message", [
-        ([0.3], "population refinement needs at least two observations"),
-        # both orientations fit w = 0
-        ([0.0, 0.0], "degenerate observations; cannot fit the affine map"),
-        # constant but non-zero: rounding fits w = 1.4e-16, not 0
-        ([2.0, 2.0, 2.0], "degenerate observations; cannot fit the affine map")])
-    def test_population_refinement_rejects(self, v, message):
-        with pytest.raises(blackbox.BlackboxError, match=f"^{message}$"):
-            blackbox.bb_case3_population(v, 0.5)
 
 
 class TestProperties:

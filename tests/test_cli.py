@@ -522,23 +522,29 @@ class TestBadArguments:
         assert not draws and not train_calls
 
     @pytest.mark.parametrize("given", ["flag", "config"])
-    def test_attack_model_rejects_lam_before_any_load(self, given, tmp_path, capsys,
-                                                      monkeypatch, train_calls):
+    @pytest.mark.parametrize("key, value, extra, message", [
         # the --model file is never retrained, so nothing would read --lam
+        ("lam", "5", ["--model", "m.json", "--attacks", "half"],
+         "--lam 5.0 does not apply: --model m.json is not retrained"),
+        # only gia reads a starting point
+        ("init", "random", ["--attacks", "half,rcc2"],
+         "--init random does not apply: --attacks half,rcc2 has no gia")], ids=["lam", "init"])
+    def test_attack_option_that_does_not_apply_before_any_load(
+            self, key, value, extra, message, given, tmp_path, capsys, monkeypatch,
+            train_calls):
         loads = []
         monkeypatch.setattr(cli, "_load_data", lambda args: loads.append("table"))
         monkeypatch.setattr(VflModel, "load", lambda path: loads.append("model"))
-        argv = ["attack", "--synth-n", "300", "--synth-dt", "6", "--d", "3", "--model",
-                "m.json", "--n", "3", "--attacks", "half"]
+        argv = ["attack", "--synth-n", "300", "--synth-dt", "6", "--d", "3", "--n", "3",
+                *extra]
         if given == "flag":
-            argv += ["--lam", "5"]
+            argv += [f"--{key}", value]
         else:
             cfg = tmp_path / "run.cfg"
-            cfg.write_text("lam=5\n", encoding="utf-8")
+            cfg.write_text(f"{key}={value}\n", encoding="utf-8")
             argv += ["--config", str(cfg)]
         assert _run(argv) == 2
-        assert capsys.readouterr().err == ("config error: --lam 5.0 does not apply: "
-                                           "--model m.json is not retrained\n")
+        assert capsys.readouterr().err == f"config error: {message}\n"
         assert not loads and not train_calls
 
     @pytest.mark.parametrize("frac", ["0", "1", "1.5"])
@@ -1119,11 +1125,27 @@ class TestTableShapes:
 
     @pytest.mark.filterwarnings("error::vflpriv.attacks.GiaConvergenceWarning")
     def test_every_gia_row_of_the_probe_converges(self, capsys):
-        # with gia's nonmonotone acceptance every one of these 200 rows
-        # converges; a GiaConvergenceWarning is made an error here
+        # every one of these 200 rows converges within gia's Newton step cap;
+        # a GiaConvergenceWarning is made an error here
         assert _run(["attack", "--synth-n", "2000", "--synth-dt", "10", "--synth-k", "4",
                      "--d", "6", "--attacks", "gia", "--n", "200", "--seed", "0"]) == 0
         assert capsys.readouterr().out.startswith("attack,d,n,mse\ngia,6,200,")
+
+    @pytest.mark.filterwarnings("error::UserWarning")
+    def test_gia_converges_at_nine_classes(self, capsys):
+        # every row of this k = 9 window converges (a UserWarning is an
+        # error here); on clean scores gia from the box center ends at
+        # half_star wherever that lies inside the box, as it does on every
+        # row here, so the two cells agree
+        argv = ["attack", "--synth-n", "2000", "--synth-dt", "12", "--synth-k", "9",
+                "--d", "10", "--n", "20", "--seed", "3", "--attacks"]
+        cells = []
+        for name in ("gia", "half_star"):
+            assert _run(argv + [name]) == 0
+            cells.append(capsys.readouterr().out.splitlines()[1].split(","))
+        (gia, *_, mse), (star, *_, star_mse) = cells
+        assert (gia, star, star_mse) == ("gia", "half_star", "0.002416709722018335")
+        assert abs(float(mse) - float(star_mse)) <= 1e-9
 
     @pytest.mark.parametrize("argv, cells", [
         # k = 9: past 7 classes numpy's own sum over a row would go pairwise;
@@ -1329,18 +1351,16 @@ class TestMatchesRowByRowReference:
             self._close(row[2], mse)
             self._close(row[3], kl)
 
+    @pytest.mark.filterwarnings("error::vflpriv.attacks.GiaConvergenceWarning")
     def test_defend_gia_reads_the_pps1_release(self, setup, tmp_path):
         # gia reads only the system: pps1's released weights reach it through
-        # build_system alone; one row of the 25 ends unconverged, and says so
+        # build_system alone; every row of the 25 converges, in the batch and alone
         ds, model, rows = setup
         out_path = tmp_path / "defend.csv"
-        with pytest.warns(attacks.GiaConvergenceWarning, match="1 of 25 rows"):
-            assert _run(["defend", *self.ARGS, "--scheme", "pps1", "--attack", "gia",
-                         "--out", str(out_path)]) == 0
+        assert _run(["defend", *self.ARGS, "--scheme", "pps1", "--attack", "gia",
+                     "--out", str(out_path)]) == 0
         [row] = _read_rows(out_path)[1:]
-        with pytest.warns(attacks.GiaConvergenceWarning, match="1 of 1 rows"):
-            [(mse, _, _)] = oracles.defense_sweep_rows(model, ds, rows, [("pps1", "")],
-                                                       "gia")
+        [(mse, _, _)] = oracles.defense_sweep_rows(model, ds, rows, [("pps1", "")], "gia")
         self._close(row[2], mse)
         assert row[3] == "0.0"
 
