@@ -10,12 +10,12 @@ alone: a row's products are its own, in one batched np.matmul per product
 from np.random.default_rng(seed + i), one system from default_rng(seed). Every
 estimator reads only A, b' and, for gia, the released scores' logs that
 the system carries; none needs the model. The iterative solvers (the exact
-dual Newton projection for rcc2, FISTA for cls, a primal-dual interior
-point on rcc1's relaxation as a linear SDP) make one call per batch (rcc1
-one per block of at most _RCC1_BLOCK rows of one nullity) on the rows they
-solve, each on its A (row_a), vectorized over those not yet converged, and
-one numerics.RowsError holds every failing row of the batch; gia's
-projected Newton method on its KL objective steps every row at once too.
+dual Newton projection for rcc2, projected Newton for cls and gia, a
+primal-dual interior point on rcc1's relaxation as a linear SDP) make one
+call per batch (rcc1 one per block of at most _RCC1_BLOCK rows of one
+nullity) on the rows they solve, each on its A (row_a), vectorized over
+those not yet converged; one numerics.RowsError holds every failing row of
+the batch, where gia warns.
 The rows of a determined system (trivial nullspace) take the unique
 solution A^+ b' in cls, rcc1 and rcc2, as they do in ls; rcc2's
 projection starts every other row at half_star.
@@ -113,7 +113,7 @@ def attack_clamped_ls(sys_: LinearSystem) -> AttackEstimate:
 def attack_cls(sys_: LinearSystem) -> AttackEstimate:
     """Box-constrained least squares from the box center, on which the output
     depends; a row gets the bits it gets alone. Only rows of systems with a
-    nullspace reach FISTA (numerics.box_least_squares); a determined
+    nullspace reach numerics.box_least_squares' Newton steps; a determined
     system's take A^+ b'. diagnostics["residual"] is each row's ||A x - b'||."""
     x = sys_.min_norm_solution.reshape(-1, sys_.d).copy()
     todo = np.flatnonzero(np.reshape(sys_.nullity, -1)[sys_.row_a])

@@ -155,10 +155,9 @@ def _load_data(args) -> Dataset:
                           label_col=-1 if args.label_col is None else args.label_col)
         mask = ds.train_mask
     else:
-        n, d_t, k = (default if v is None else v for v, default in
-                     ((args.synth_n, 2000), (args.synth_dt, 10), (args.synth_k, 2)))
-        spec = SyntheticSpec(n=n, d_t=d_t, k=k, seed=args.seed)
-        mask = dataset.split_mask(n, args.train_frac, args.seed)
+        given = {"n": args.synth_n, "d_t": args.synth_dt, "k": args.synth_k}
+        spec = SyntheticSpec(seed=args.seed, **{f: v for f, v in given.items() if v is not None})
+        mask = dataset.split_mask(spec.n, args.train_frac, args.seed)
     if not 2 <= mask.sum() < mask.size:
         raise DataError(f"--train-frac {args.train_frac} leaves {mask.sum()} of "
                         f"{mask.size} rows for training; training needs 2, testing 1")
@@ -372,7 +371,7 @@ def build_parser() -> argparse.ArgumentParser:
     every.add_argument("--seed", type=int, default=0)
     every.add_argument("--out", help="output CSV path (default: stdout)")
     data.add_argument("--data", help="CSV path; omitted means synthetic data")
-    # None: not given (the defaults -1 and 2000, 10, 2 apply in _load_data)
+    # None: not given (-1 and SyntheticSpec's defaults apply in _load_data)
     data.add_argument("--label-col", type=int)
     data.add_argument("--train-frac", type=float, default=0.8)
     data.add_argument("--synth-n", type=int)

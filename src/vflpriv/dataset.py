@@ -72,9 +72,9 @@ class Dataset:
 
 @dataclass(frozen=True)
 class SyntheticSpec:
-    """Parameters for the class-conditional Gaussian synthetic generator."""
+    """Parameters of the class-conditional Gaussian generator, with the CLI's defaults."""
 
-    n: int = 50_000
+    n: int = 2000
     d_t: int = 10
     k: int = 2
     seed: int = 0

@@ -9,7 +9,6 @@ same bits in any batch. A failure that names rows is a RowsError.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -24,8 +23,8 @@ EPS_RANK = 1e-10
 # Slack for membership tests of the affine-slice-of-box polytope.
 TAU_FEAS = 1e-6
 
-# Caps of dykstra_project's Newton steps and box_least_squares' FISTA; tests patch them.
-_PROJECT_MAX_ITER, _FISTA_MAX_ITER = 100, 50_000
+# Caps of dykstra_project's and box_least_squares' Newton steps; tests patch them.
+_PROJECT_MAX_ITER, _LSQ_MAX_ITER = 100, 500
 
 
 class RowsError(Exception):
@@ -280,85 +279,86 @@ def dykstra_project(sys_: LinearSystem, rows) -> tuple[np.ndarray, np.ndarray]:
 
 
 def box_least_squares(sys_: LinearSystem, rows) -> np.ndarray:
-    """Minimize ||Ax - b|| over the unit box by accelerated projected gradient.
+    """Minimize ||Ax - b|| over the unit box by projected Newton steps.
 
     rows picks rows of the system's flattened batch (each row on its
     system's A), as in dykstra_project: the result has shape (len(rows), d).
     The minimizer is not unique for underdetermined systems: every row
-    starts at the box center, and the output depends on that start. The
-    step 1/s_1^2 (s_1 of the row's system in sys_'s SVD; a row of A = 0
-    stays at the center) is folded into each system's G = I - step A^T A
-    and each row's q = step A^T b', so a gradient step is x G + q. FISTA
-    runs over the rows not yet stationary (a projected gradient step and
-    the last move both under 1e-12); a row's momentum restarts where its
-    objective does not fall (a row at residual 0 stops, where momentum
-    would carry it along its solution set). Each row product is its own,
-    as in _rowwise, so a row gets the same bits in any batch.
+    starts at the box center, and the output depends on that start. With g =
+    A^T (A x - b') and H = A^T A over s_1^2 (s_1 of the row's system), each
+    live row steps as attacks.attack_gia does (Bertsekas, SIAM J. Control
+    Optim. 20, 1982): by -g over H's diagonal on coordinates held at a
+    bound, by H's Newton step (on its eigenvalues above 1e-12 of the
+    largest) on the rest, so a row whose half_star lies in the box lands on
+    it in one step. The step halves along the projected arc until Armijo's
+    test holds on the change that A times the move makes, so no step raises
+    a row's objective. A row stops once ||x - clip(x - g, 0, 1)|| < 1e-12
+    (a row of A = 0 after 0 steps). Row products are their own (_rowwise, a
+    stacked eigh), so a row gets the same bits in any batch.
 
     Raises ConvergenceError naming, by their index in the flattened batch,
-    the rows not stationary after _FISTA_MAX_ITER iterations.
+    the rows not stationary after _LSQ_MAX_ITER steps.
     """
     stack, index, own, bs = _row_setup(sys_, rows)
-    flat = np.full((index.size, sys_.d), 0.5)
     s1 = sys_.svd.s.reshape(len(stack), -1)[:, 0]
-    live = np.flatnonzero(s1[own] > 0.0)
-    if not live.size:
-        return flat
-    own, bs, step = own[live], bs[live], 1.0 / np.where(s1 > 0.0, s1, 1.0) ** 2
-    at = np.ascontiguousarray(stack.swapaxes(-1, -2))      # each system's A^T
+    s1 = np.where(s1 > 0.0, s1, 1.0)
+    a = stack / s1[:, None, None]                   # each system's A / s_1
+    hess = a.swapaxes(-1, -2) @ a
+    b = bs / s1[own, None]
+    x = np.full((index.size, sys_.d), 0.5)
+    flat = x.copy()
+    live = np.arange(index.size)
 
-    def times(x, mats, own):    # x[i] mats[own[i]]: _rowwise's rule, without its call
-        return np.matmul(x[:, None], mats[own])[:, 0]
+    def direction(i, free):
+        """Live rows i's steps: Newton's on the free coordinates, -g / diag H on the rest."""
+        both = free[:, :, None] & free[:, None, :]
+        lam, vec = np.linalg.eigh(hess[own[i]] * both)
+        kept = lam > 1e-12 * np.maximum(lam[:, -1:], 0.0)
+        gv = _rowwise(vec.swapaxes(-1, -2), g[i] * free)
+        coef = np.divide(gv, lam, where=kept, out=np.zeros_like(lam))
+        return np.where(free, -_rowwise(vec, coef), -scaled[i])
 
-    g = np.eye(sys_.d) - step[:, None, None] * (at @ stack)
-    q = step[own, None] * times(bs, stack, own)
-
-    # np.clip(u, 0, 1), in place on a temporary
-    def clip(u):
-        return np.minimum(np.maximum(u, 0.0, out=u), 1.0, out=u)
-
-    def sq(r):
-        return (r * r).sum(1)
-
-    # FISTA with restart where the objective does not fall. A row's momentum
-    # weight depends only on its steps since the last restart, j: t_0 = 1,
-    # t_j+1 = (1 + sqrt(1 + 4 t_j^2)) / 2 and weight[j] = (t_j - 1) / t_j+1,
-    # filled in at iteration j, the first at which a row can reach j
-    xs = flat[live]
-    since = np.zeros(len(live), dtype=int)
-    weight, t = np.empty(_FISTA_MAX_ITER), 1.0
-    fx = sq(times(xs, at, own) - bs)
-    y = xs
-    for it in range(_FISTA_MAX_ITER):
-        x_new = clip(times(y, g, own) + q)
-        f_new = sq(times(x_new, at, own) - bs)
-        restart = f_new >= fx  # restart momentum from x
-        if np.count_nonzero(restart):
-            since[restart] = 0
-            x_new[restart] = u = clip(times(xs[restart], g, own[restart]) + q[restart])
-            f_new[restart] = sq(times(u, at, own[restart]) - bs[restart])
-        t_new = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
-        weight[it], t = (t - 1.0) / t_new, t_new
-        dx = x_new - xs
-        y = x_new + weight[since, None] * dx
-        since += 1
-        xs, fx = x_new, f_new
-        # stationarity: the last move and a projected gradient step both
-        # under 1e-12; the step is taken only on rows whose move passed
-        near = sq(dx) < 1e-24
-        if np.count_nonzero(near):
-            near = np.flatnonzero(near)
-            u = xs[near]
-            done = near[sq(u - clip(times(u, g, own[near]) + q[near])) < 1e-24]
-            if done.size:
-                flat[live[done]] = xs[done]
-                keep = np.ones(live.size, dtype=bool)
-                keep[done] = False
-                live, own, q, xs, bs, since, fx, y = (
-                    v[keep] for v in (live, own, q, xs, bs, since, fx, y))
-                if not live.size:
-                    return flat
-    flat[live] = xs
-    raise ConvergenceError(
-        f"box least squares hit the iteration cap on {live.size} of {len(flat)} rows",
-        flat, {"residual": np.sqrt(sq(times(xs, at, own) - bs))}, index[live])
+    for it in range(_LSQ_MAX_ITER + 1):
+        r = _rowwise(a[own], x) - b
+        g = _rowwise(a[own].swapaxes(-1, -2), r)
+        pg = x - np.clip(x - g, 0.0, 1.0)
+        gap = (pg * pg).sum(1)
+        done = gap < 1e-24
+        if np.count_nonzero(done):
+            flat[live[done]] = x[done]
+            live, own, b, x, r, g, gap = (v[~done] for v in (live, own, b, x, r, g, gap))
+        if not live.size or it == _LSQ_MAX_ITER:
+            break
+        eps = np.minimum(np.sqrt(gap), 1e-3)[:, None]
+        low = x <= eps
+        high = x >= 1.0 - eps
+        free = ~((low & (g > 0.0)) | (high & (g < 0.0)))
+        diag = np.diagonal(hess, axis1=1, axis2=2)[own]
+        scaled = np.divide(g, diag, where=diag > 0.0, out=np.zeros_like(g))
+        p = direction(np.arange(live.size), free)
+        held = free & ((low & (p < 0.0)) | (high & (p > 0.0)))
+        redo = np.flatnonzero(held.any(-1))
+        if redo.size:
+            free &= ~held
+            p[redo] = direction(redo, free[redo])
+        # halve t along the projected arc, on the rows still searching
+        t = np.ones(live.size)
+        todo = np.arange(live.size)
+        for _ in range(100):
+            xt = np.clip(x[todo] + t[todo, None] * p[todo], 0.0, 1.0)
+            step = xt - x[todo]
+            ap = _rowwise(a[own[todo]], step)
+            change = (ap * (r[todo] + 0.5 * ap)).sum(1)
+            decrease = -(np.where(free[todo], t[todo, None] * p[todo], step) * g[todo]).sum(1)
+            ok = (change <= 0.0) & (-change >= 1e-4 * decrease)
+            x[todo[ok]] = xt[ok]
+            todo = todo[~ok]
+            if not todo.size:
+                break
+            t[todo] *= 0.5
+    if live.size:
+        flat[live] = x
+        raise ConvergenceError(
+            f"box least squares hit the iteration cap on {live.size} of {len(flat)} rows",
+            flat, {"residual": s1[own] * np.linalg.norm(r, axis=1)}, index[live])
+    return flat

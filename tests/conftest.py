@@ -15,17 +15,20 @@ from vflpriv.model import TrainConfig, VflSplit, train
 @pytest.fixture(autouse=True)
 def box_least_squares_certified(monkeypatch):
     """Every answer numerics.box_least_squares gives in a test (cls's included)
-    passes the box least squares KKT certificate, checked once the test ends."""
-    real, failed = numerics.box_least_squares, []
+    passes the box least squares KKT certificate, and every row whose
+    half_star lies in the box returns it; checked once the test ends."""
+    real, failed, off = numerics.box_least_squares, [], []
 
     def certified(sys_, rows, *args, **kwargs):
         x = real(sys_, rows, *args, **kwargs)
         failed.extend(oracles.box_kkt_failures(sys_, rows, x))
+        off.extend(oracles.box_center_failures(sys_, rows, x))
         return x
 
     monkeypatch.setattr(numerics, "box_least_squares", certified)
     yield
     assert not failed, f"box least squares rows {failed} fail the KKT certificate"
+    assert not off, f"box least squares rows {off} miss their half_star in the box"
 
 
 @pytest.fixture(scope="session")

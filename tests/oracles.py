@@ -354,11 +354,9 @@ def dykstra_row(x0, sys_: LinearSystem, max_iter: int = 10_000,
     raise NumericsError("one-row Dykstra hit the iteration cap")
 
 
-def box_least_squares_row(a, b, max_iter: int = 50_000,
-                          tol: float = 1e-12, restarts=None) -> np.ndarray:
+def box_least_squares_row(a, b, max_iter: int = 50_000, tol: float = 1e-12) -> np.ndarray:
     """FISTA for min ||Ax - b|| over the box, one row, from the box center,
-    restarting its momentum where the objective does not fall. A list given
-    as restarts gets one entry per iteration: whether it restarted."""
+    restarting its momentum where the objective does not fall."""
     x = np.full(a.shape[1], 0.5)
     step = 1.0 / np.linalg.norm(a, 2) ** 2
     y = x.copy()
@@ -367,8 +365,6 @@ def box_least_squares_row(a, b, max_iter: int = 50_000,
     for _ in range(max_iter):
         x_new = np.clip(y - step * (a.T @ (a @ y - b)), 0.0, 1.0)
         f_new = 0.5 * np.linalg.norm(a @ x_new - b) ** 2
-        if restarts is not None:
-            restarts.append(bool(f_new >= fx))
         if f_new >= fx:
             y = x.copy()
             t = 1.0
@@ -406,6 +402,18 @@ def box_kkt_failures(sys_: LinearSystem, rows, x) -> list[int]:
     ok = np.where(x <= tol, g >= -tol, np.where(x >= 1.0 - tol, g <= tol, np.abs(g) <= tol))
     ok = ok.all(1) & ((x >= 0.0) & (x <= 1.0)).all(1)
     return index[~ok].tolist()
+
+
+def box_center_failures(sys_: LinearSystem, rows, x) -> list[int]:
+    """The rows of x, taken as in box_kkt_failures, whose half_star (the
+    point of the solution space nearest the box center, sys_.plane_center)
+    lies in the box and that end more than 1e-9 from it: from the center,
+    box least squares must land on that point."""
+    index = np.asarray(rows, dtype=int).ravel()
+    half_star = sys_.plane_center.reshape(-1, sys_.d)[index]
+    inside = np.all((half_star >= 0.0) & (half_star <= 1.0), axis=1)
+    off = np.max(np.abs(x - half_star), axis=1) > 1e-9
+    return index[inside & off].tolist()
 
 
 def rcc1_pd_solve_batch(w, c, max_iter=50):

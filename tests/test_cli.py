@@ -1329,7 +1329,7 @@ class TestMatchesRowByRowReference:
             assert row[4] == repr(accuracy(model, ds) if kept else float("nan"))
 
     # the iterative estimators run on every row of the stacked release; cls's
-    # FISTA products go through BLAS, whose rounding may follow the row count
+    # Newton products go through BLAS, whose rounding may follow the row count
     @pytest.mark.parametrize("scheme, alpha, attack", [
         pytest.param("pps1", "", "ls", id="pps1-"),
         pytest.param("s1", "0.1,1.0,10.0", "ls", id="s1-0.1,1.0,10.0"),
@@ -1581,12 +1581,13 @@ class TestFailureRows:
         exc.labels = (["a", "b"], 4)
         assert str(exc) == "row 2 of b has score 0.0"
 
-    @pytest.mark.parametrize("case", ["fista", "relabelled", "rcc1", "underflow"])
+    @pytest.mark.parametrize("case", ["lsq", "relabelled", "rcc1", "underflow"])
     def test_survives_pickle(self, setup, monkeypatch, case):
         # so that a failure can cross a process boundary
-        monkeypatch.setattr(numerics, "_FISTA_MAX_ITER", 1)
+        monkeypatch.setattr(numerics, "_LSQ_MAX_ITER", 1)
         with pytest.raises(numerics.RowsError) as err:
-            if case == "fista":
+            if case == "lsq":
+                # rows 1 and 2 miss the box and need more than one step
                 sys_ = LinearSystem(a=np.array([[1.0, 2.0, 0.5]]),
                                     b=np.array([[0.7], [4.0], [-0.4]]))
                 numerics.box_least_squares(sys_, [0, 1, 2])
@@ -1596,10 +1597,10 @@ class TestFailureRows:
                 cli._defense_sweep(*setup, self.SETTINGS,
                                    "cls" if case == "relabelled" else "rcc1", 0)
         exc = err.value
-        assert type(exc) is {"fista": numerics.ConvergenceError,
+        assert type(exc) is {"lsq": numerics.ConvergenceError,
                              "relabelled": numerics.ConvergenceError,
                              "rcc1": AttackError, "underflow": SystemError_}[case]
-        assert (exc.labels is None) == (case == "fista")
+        assert (exc.labels is None) == (case == "lsq")
         back = pickle.loads(pickle.dumps(exc))
         assert type(back) is type(exc) and str(back) == str(exc)
         assert np.array_equal(back.rows, exc.rows) and back.labels == exc.labels

@@ -482,16 +482,18 @@ class TestWindowFailures:
         model = _random_model(4, 6, seed=9)
         model.w_pas[:, 2:4] = model.w_pas[0, 2:4]
         real_sdp, bases = attacks._rcc1_pd_solve, []
-        monkeypatch.setattr(numerics, "_FISTA_MAX_ITER", 186)
+        monkeypatch.setattr(numerics, "_LSQ_MAX_ITER", 0)
 
         def recorded(w, c):
             bases.append(w.shape)
             return real_sdp(w, c)
         monkeypatch.setattr(attacks, "_rcc1_pd_solve", recorded)
         monkeypatch.setattr(attacks, "_RCC1_MAX_ITER", 8)
+        # every row takes one Newton step, so a cap of 0 names all 30
+        windows = ", ".join(rf"\[0, 1, 2, 3, 4\] of window start={s}" for s in range(6))
         with pytest.raises(numerics.NumericsError, match=(
-                r"^box least squares hit the iteration cap on 1 of 30 rows; rows \[4\] of "
-                r"window start=3; residual \S+$")):
+                rf"^box least squares hit the iteration cap on 30 of 30 rows; rows {windows}; "
+                r"residual( \S+){30}$")):
             metrics.average_over_space(model, ds, 4, ["half", "cls"], n_pred=5)
         with pytest.raises(AttackError, match=(
                 r"^rcc1 rows \[2\] of window start=4 end with gaps \S+ above 1e-08 in at "

@@ -378,8 +378,8 @@ class TestStack:
         return value if stack.a.ndim == 2 else value[i]
 
     # at d = 3, determined systems (rank 3) beside nullities 1 and 2; in
-    # "ill_conditioned", FISTA would stall on the determined system's rows;
-    # the shared cases hold one 2-D A under b of shape (S, N, m)
+    # "ill_conditioned", the determined system's singular values are 1, 1e-3
+    # and 1e-5; the shared cases hold one 2-D A under b of shape (S, N, m)
     @pytest.mark.parametrize("ranks, d, shared", [
         ([3, 3, 3], 5, False), ([2, 2], 5, False), ([3, 1, 0, 3], 5, False),
         ([0, 0], 5, False), ([3, 2, 3], 3, False), ([2, 3, 1, 3], 3, False),
