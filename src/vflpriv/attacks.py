@@ -10,15 +10,16 @@ alone: a row's products are its own, in one batched np.matmul per product
 from np.random.default_rng(seed + i), one system from default_rng(seed). Every
 estimator reads only A, b' and, for gia, the released scores' logs that
 the system carries; none needs the model. The iterative solvers (the exact
-dual Newton projection for rcc2, projected Newton for cls and gia, a
-primal-dual interior point on rcc1's relaxation as a linear SDP) make one
+dual Newton projection for rcc2, numerics.projected_newton for cls and gia,
+a primal-dual interior point on rcc1's relaxation as a linear SDP) make one
 call per batch (rcc1 one per block of at most _RCC1_BLOCK rows of one
 nullity) on the rows they solve, each on its A (row_a), vectorized over
 those not yet converged; one numerics.RowsError holds every failing row of
 the batch, where gia warns.
 The rows of a determined system (trivial nullspace) take the unique
-solution A^+ b' in cls, rcc1 and rcc2, as they do in ls; rcc2's
-projection starts every other row at half_star.
+solution A^+ b' in rcc1 and rcc2, as they do in ls; rcc2's projection
+starts every other row at half_star. cls solves every row, so its answer
+stays in the box where A^+ b' does not.
 """
 
 from __future__ import annotations
@@ -112,13 +113,10 @@ def attack_clamped_ls(sys_: LinearSystem) -> AttackEstimate:
 
 def attack_cls(sys_: LinearSystem) -> AttackEstimate:
     """Box-constrained least squares from the box center, on which the output
-    depends; a row gets the bits it gets alone. Only rows of systems with a
-    nullspace reach numerics.box_least_squares' Newton steps; a determined
-    system's take A^+ b'. diagnostics["residual"] is each row's ||A x - b'||."""
-    x = sys_.min_norm_solution.reshape(-1, sys_.d).copy()
-    todo = np.flatnonzero(np.reshape(sys_.nullity, -1)[sys_.row_a])
-    if todo.size:
-        x[todo] = numerics.box_least_squares(sys_, todo)
+    depends: every row, a determined system's included, takes
+    numerics.box_least_squares' Newton steps in one call, and gets the bits
+    it gets alone. diagnostics["residual"] is each row's ||A x - b'||."""
+    x = numerics.box_least_squares(sys_, np.arange(sys_.row_a.size))
     x = x.reshape(sys_.batch + (sys_.d,))
     return _estimate(sys_, "cls", x, residual=sys_.residual(x))
 
@@ -355,9 +353,8 @@ def attack_rcc1(sys_: LinearSystem) -> AttackEstimate:
                      iterations=steps.reshape(batch)[()])
 
 
-# gia's move under which a row has converged, and its Newton step cap per
-# row, which tests patch to reach GiaConvergenceWarning
-_GIA_TOL, _GIA_MAX_ITER = 1e-12, 500
+# gia's Newton step cap per row, which tests patch to reach GiaConvergenceWarning
+_GIA_MAX_ITER = 500
 
 
 def attack_gia(sys_: LinearSystem, init: str = "half", seed: int = 0) -> AttackEstimate:
@@ -368,21 +365,17 @@ def attack_gia(sys_: LinearSystem, init: str = "half", seed: int = 0) -> AttackE
     that is log c + M x - [0, cumsum(b')] with M = [0; cumsum(A)], one per
     A (sys_.row_a). So gia needs the system's log_c (ValueError without
     them). init selects the start: "zeros", "half" or "random" (attack_random's
-    draw from seed). Every row takes Bertsekas's projected Newton steps (SIAM
-    J. Control Optim. 20, 1982) at once. A coordinate within eps = min(1e-3,
-    ||x - clip(x - grad, 0, 1)||) of a bound that its gradient or its Newton
-    step pushes against moves by -grad over its Gauss-Newton curvature. The
-    rest take the Newton step of R^T diag(c_hat) R, R = M - 1 (M^T c_hat)^T,
-    on its eigenvalues above 1e-12 of the largest, so from "half" a clean
-    row moves in 1/2 + range(A^T). The step halves along the projected arc
-    until Armijo's test holds, whose KL takes its logs from each row's top
-    class with expm1 and log1p; no step raises a row's KL. A row has
-    converged once its search reaches a move under 1e-12. A row's products
-    are its own (numerics._rowwise, stacked eigh) and its classes sum in
-    order, so it gets its lone bits. diagnostics: "kl_bits" and "converged"
-    per row and "iterations", the rows' total Newton steps; if a row did not
-    converge within _GIA_MAX_ITER steps, one GiaConvergenceWarning gives
-    their count and their largest final KL in bits.
+    draw from seed). Every row takes numerics.projected_newton's steps at
+    once on the KL in bits, with the Gauss-Newton curvature R^T diag(c_hat)
+    R / ln 2, R = M - 1 (M^T c_hat)^T, so from "half" a clean row moves in
+    1/2 + range(A^T). The KL takes its logs from each row's top class with
+    expm1 and log1p, and sums a row's classes in order, so a row gets its
+    lone bits and no step raises its KL. A row has converged once its
+    search reaches a move under 1e-12. diagnostics: "kl_bits" and
+    "converged" per row and "iterations", the rows' total Newton steps; if
+    a row did not converge within _GIA_MAX_ITER steps, one
+    GiaConvergenceWarning gives their count and their largest final KL in
+    bits.
     """
     if init not in ("zeros", "half", "random"):
         raise ValueError(f"unknown init mode {init!r}")
@@ -398,8 +391,7 @@ def attack_gia(sys_: LinearSystem, init: str = "half", seed: int = 0) -> AttackE
     x = (attack_random(sys_, seed).x_hat.reshape(-1, d) if init == "random"
          else np.full((len(c), d), 0.5 if init == "half" else 0.0))
 
-    def total(v):       # each row's sum over the last axis, in order
-        return np.add.accumulate(v, axis=-1)[..., -1]
+    total = numerics._total
 
     def kl(x, rows):
         """c_hat, log(c_hat / c) = r - log sum c e^r and D(c_hat || c) in nats
@@ -415,66 +407,23 @@ def attack_gia(sys_: LinearSystem, init: str = "half", seed: int = 0) -> AttackE
         c_hat = cr * np.exp(ell)
         return c_hat, ell, total(c_hat * ell)
 
-    def direction(i, free):
-        """The steps of live rows i: Newton's on the free coordinates, the
-        scaled gradient's on the rest."""
-        rf = rt[i] * free[..., None]
-        lam, vec = np.linalg.eigh(rf * ch[i, None] @ rf.swapaxes(-1, -2))
-        kept = lam > 1e-12 * np.maximum(lam[:, -1:], 0.0)
-        gv = rowwise(vec.swapaxes(-1, -2), grad[i] * free)
-        coef = np.divide(gv, lam / ln2, where=kept, out=np.zeros_like(lam))
-        return np.where(free, -rowwise(vec, coef), -scaled[i])
+    def model(i, x):
+        """The KL's gradient in bits, R^T diag(c_hat) R / ln 2 and the KL's change."""
+        c_hat, ell, f = kl(x, i)
+        mti = mt[i]
+        rt = mti - rowwise(mti, c_hat)[..., None]           # R^T per row
+        return (rowwise(mti, c_hat * (ell - f[:, None])) / ln2,
+                (rt * c_hat[:, None, :]) @ rt.swapaxes(-1, -2) / ln2,
+                lambda j, xt: (kl(xt, i[j])[2] - f[j]) / ln2)
 
-    live = np.arange(len(x))
-    c_hat, ell, f = kl(x, live)
-    steps = np.zeros(len(x), dtype=int)
-    converged = np.zeros(len(x), dtype=bool)
-    for _ in range(_GIA_MAX_ITER):
-        if not live.size:
-            break
-        steps[live] += 1
-        xl, ch, mtl = x[live], c_hat[live], mt[live]
-        grad = rowwise(mtl, ch * (ell[live] - f[live, None])) / ln2
-        eps = np.minimum(np.sqrt(total((xl - np.clip(xl - grad, 0.0, 1.0)) ** 2)), 1e-3)
-        low = xl <= eps[:, None]
-        high = xl >= 1.0 - eps[:, None]
-        free = ~((low & (grad > 0.0)) | (high & (grad < 0.0)))
-        rt = mtl - rowwise(mtl, ch)[..., None]              # R^T per row
-        diag = total(rt * rt * ch[:, None]) / ln2           # its Gauss-Newton curvature
-        scaled = np.divide(grad, diag, where=diag > 0.0, out=np.zeros_like(grad))
-        p = direction(np.arange(live.size), free)
-        held = free & ((low & (p < 0.0)) | (high & (p > 0.0)))
-        redo = np.flatnonzero(held.any(-1))
-        if redo.size:
-            free &= ~held
-            p[redo] = direction(redo, free[redo])
-        # halve t along the projected arc, on the rows still searching
-        t = np.ones(live.size)
-        todo = np.arange(live.size)
-        for _ in range(100):
-            rows = live[todo]
-            xt = np.clip(xl[todo] + t[todo, None] * p[todo], 0.0, 1.0)
-            step = xt - xl[todo]
-            cand = kl(xt, rows)
-            f_t = cand[2]
-            decrease = -total(np.where(free[todo], t[todo, None] * p[todo], step) * grad[todo])
-            armijo = f[rows] - f_t >= 1e-4 * ln2 * decrease
-            done = np.sqrt(total(step * step)) < _GIA_TOL
-            ok = (armijo | done) & (f_t <= f[rows])
-            for have, new in zip((x, c_hat, ell, f), (xt, *cand)):
-                have[rows[ok]] = new[ok]
-            converged[rows[done]] = True
-            todo = todo[~(ok | done)]
-            if not todo.size:
-                break
-            t[todo] *= 0.5
-        live = live[~converged[live]]
-    stuck = ~converged
-    if stuck.any():
-        warnings.warn(f"gia: {stuck.sum()} of {stuck.size} rows did not converge in "
+    x, steps, stuck = numerics.projected_newton(x, model, _GIA_MAX_ITER)
+    f = kl(x, np.arange(len(x)))[2] / ln2
+    converged = np.isin(np.arange(len(x)), stuck, invert=True)
+    if stuck.size:
+        warnings.warn(f"gia: {stuck.size} of {len(x)} rows did not converge in "
                       f"{_GIA_MAX_ITER} steps; the largest final KL among them is "
-                      f"{f[stuck].max() / ln2:.3e} bits", GiaConvergenceWarning, stacklevel=2)
-    return _estimate(sys_, "gia", x.reshape(batch + (d,)), kl_bits=(f / ln2).reshape(batch)[()],
+                      f"{f[stuck].max():.3e} bits", GiaConvergenceWarning, stacklevel=2)
+    return _estimate(sys_, "gia", x.reshape(batch + (d,)), kl_bits=f.reshape(batch)[()],
                      iterations=int(steps.sum()), converged=converged.reshape(batch)[()],
                      init=init)
 

@@ -5,6 +5,8 @@ outputs, there are no randomized restarts, and no shared mutable state.
 Matrices are plain float64 numpy arrays; vectors are 1-D arrays. A row's
 products are its own in one batched np.matmul (_rowwise), so a row gets the
 same bits in any batch. A failure that names rows is a RowsError.
+projected_newton is the one box-constrained Newton loop: box_least_squares
+(cls) and attacks.attack_gia each hand it their objective.
 """
 
 from __future__ import annotations
@@ -278,63 +280,51 @@ def dykstra_project(sys_: LinearSystem, rows) -> tuple[np.ndarray, np.ndarray]:
     return flat, steps
 
 
-def box_least_squares(sys_: LinearSystem, rows) -> np.ndarray:
-    """Minimize ||Ax - b|| over the unit box by projected Newton steps.
+def _total(v):
+    """Each row's sum over the last axis, added in order, so its bits are its own."""
+    return np.add.accumulate(v, axis=-1)[..., -1]
 
-    rows picks rows of the system's flattened batch (each row on its
-    system's A), as in dykstra_project: the result has shape (len(rows), d).
-    The minimizer is not unique for underdetermined systems: every row
-    starts at the box center, and the output depends on that start. With g =
-    A^T (A x - b') and H = A^T A over s_1^2 (s_1 of the row's system), each
-    live row steps as attacks.attack_gia does (Bertsekas, SIAM J. Control
-    Optim. 20, 1982): by -g over H's diagonal on coordinates held at a
-    bound, by H's Newton step (on its eigenvalues above 1e-12 of the
-    largest) on the rest, so a row whose half_star lies in the box lands on
-    it in one step. The step halves along the projected arc until Armijo's
-    test holds on the change that A times the move makes, so no step raises
-    a row's objective. A row stops once ||x - clip(x - g, 0, 1)|| < 1e-12
-    (a row of A = 0 after 0 steps). Row products are their own (_rowwise, a
-    stacked eigh), so a row gets the same bits in any batch.
 
-    Raises ConvergenceError naming, by their index in the flattened batch,
-    the rows not stationary after _LSQ_MAX_ITER steps.
+def projected_newton(x, model, max_iter):
+    """Bertsekas's projected Newton method (SIAM J. Control Optim. 20, 1982)
+    on a smooth f per row over the unit box, every live row stepping at once.
+
+    x (n, d) holds the starts. model(i, x) takes the flat indices i of the
+    live rows and their iterates, and returns f's gradient at them, its
+    curvature (a d x d matrix per row, in the gradient's units) and a
+    closure change(j, xt) giving f(xt) - f(x) for the rows at positions j
+    of i. A coordinate within eps = min(1e-3, ||x - clip(x - grad, 0, 1)||)
+    of a bound that its gradient or its Newton step pushes against moves by
+    -grad over its curvature's diagonal; the rest take the curvature's
+    Newton step on its eigenvalues above 1e-12 of the largest. The step
+    halves along the projected arc until Armijo's test holds, so no step
+    raises f. A row stops once its search reaches a move under 1e-12, a move
+    it takes only if f does not rise. A row's products are its own
+    (_rowwise, a stacked eigh), so it gets its lone bits. Returns the
+    iterates, each row's steps and the rows still live after max_iter
+    steps.
     """
-    stack, index, own, bs = _row_setup(sys_, rows)
-    s1 = sys_.svd.s.reshape(len(stack), -1)[:, 0]
-    s1 = np.where(s1 > 0.0, s1, 1.0)
-    a = stack / s1[:, None, None]                   # each system's A / s_1
-    hess = a.swapaxes(-1, -2) @ a
-    b = bs / s1[own, None]
-    x = np.full((index.size, sys_.d), 0.5)
-    flat = x.copy()
-    live = np.arange(index.size)
-
-    def direction(i, free):
-        """Live rows i's steps: Newton's on the free coordinates, -g / diag H on the rest."""
-        both = free[:, :, None] & free[:, None, :]
-        lam, vec = np.linalg.eigh(hess[own[i]] * both)
-        kept = lam > 1e-12 * np.maximum(lam[:, -1:], 0.0)
-        gv = _rowwise(vec.swapaxes(-1, -2), g[i] * free)
-        coef = np.divide(gv, lam, where=kept, out=np.zeros_like(lam))
-        return np.where(free, -_rowwise(vec, coef), -scaled[i])
-
-    for it in range(_LSQ_MAX_ITER + 1):
-        r = _rowwise(a[own], x) - b
-        g = _rowwise(a[own].swapaxes(-1, -2), r)
-        pg = x - np.clip(x - g, 0.0, 1.0)
-        gap = (pg * pg).sum(1)
-        done = gap < 1e-24
-        if np.count_nonzero(done):
-            flat[live[done]] = x[done]
-            live, own, b, x, r, g, gap = (v[~done] for v in (live, own, b, x, r, g, gap))
-        if not live.size or it == _LSQ_MAX_ITER:
+    x, steps, live = x.copy(), np.zeros(len(x), dtype=int), np.arange(len(x))
+    for _ in range(max_iter):
+        if not live.size:
             break
-        eps = np.minimum(np.sqrt(gap), 1e-3)[:, None]
-        low = x <= eps
-        high = x >= 1.0 - eps
-        free = ~((low & (g > 0.0)) | (high & (g < 0.0)))
-        diag = np.diagonal(hess, axis1=1, axis2=2)[own]
-        scaled = np.divide(g, diag, where=diag > 0.0, out=np.zeros_like(g))
+        steps[live] += 1
+        xl = x[live]
+        grad, curv, change = model(live, xl)
+        eps = np.minimum(np.sqrt(_total((xl - np.clip(xl - grad, 0.0, 1.0)) ** 2)), 1e-3)
+        low, high = xl <= eps[:, None], xl >= 1.0 - eps[:, None]
+        free = ~((low & (grad > 0.0)) | (high & (grad < 0.0)))
+        diag = np.diagonal(curv, axis1=1, axis2=2)
+        scaled = np.divide(grad, diag, where=diag > 0.0, out=np.zeros_like(grad))
+
+        def direction(j, free):
+            """Rows j's steps: Newton's on the free coordinates, -grad / diag on the rest."""
+            lam, vec = np.linalg.eigh(curv[j] * (free[:, :, None] & free[:, None, :]))
+            kept = lam > 1e-12 * np.maximum(lam[:, -1:], 0.0)
+            gv = _rowwise(vec.swapaxes(-1, -2), grad[j] * free)
+            coef = np.divide(gv, lam, where=kept, out=np.zeros_like(lam))
+            return np.where(free, -_rowwise(vec, coef), -scaled[j])
+
         p = direction(np.arange(live.size), free)
         held = free & ((low & (p < 0.0)) | (high & (p > 0.0)))
         redo = np.flatnonzero(held.any(-1))
@@ -342,23 +332,59 @@ def box_least_squares(sys_: LinearSystem, rows) -> np.ndarray:
             free &= ~held
             p[redo] = direction(redo, free[redo])
         # halve t along the projected arc, on the rows still searching
-        t = np.ones(live.size)
-        todo = np.arange(live.size)
+        t, todo, stop = np.ones(live.size), np.arange(live.size), np.zeros(live.size, dtype=bool)
         for _ in range(100):
-            xt = np.clip(x[todo] + t[todo, None] * p[todo], 0.0, 1.0)
-            step = xt - x[todo]
-            ap = _rowwise(a[own[todo]], step)
-            change = (ap * (r[todo] + 0.5 * ap)).sum(1)
-            decrease = -(np.where(free[todo], t[todo, None] * p[todo], step) * g[todo]).sum(1)
-            ok = (change <= 0.0) & (-change >= 1e-4 * decrease)
-            x[todo[ok]] = xt[ok]
-            todo = todo[~ok]
+            xt = np.clip(xl[todo] + t[todo, None] * p[todo], 0.0, 1.0)
+            move = xt - xl[todo]
+            rise = change(todo, xt)
+            decrease = -_total(np.where(free[todo], t[todo, None] * p[todo], move) * grad[todo])
+            done = np.sqrt(_total(move * move)) < 1e-12
+            ok = (rise <= 0.0) & ((-rise >= 1e-4 * decrease) | done)
+            x[live[todo[ok]]] = xt[ok]
+            stop[todo[done]] = True
+            todo = todo[~(ok | done)]
             if not todo.size:
                 break
             t[todo] *= 0.5
+        live = live[~stop]
+    return x, steps, live
+
+
+def box_least_squares(sys_: LinearSystem, rows) -> np.ndarray:
+    """Minimize ||Ax - b|| over the unit box by projected_newton.
+
+    rows picks rows of the system's flattened batch (each row on its
+    system's A), as in dykstra_project: the result has shape (len(rows), d).
+    The minimizer is not unique for underdetermined systems: every row
+    starts at the box center, and the output depends on that start. f is
+    ||A x - b'||^2 / (2 s_1^2) (s_1 of the row's system), with gradient
+    A^T (A x - b') / s_1^2 and curvature A^T A / s_1^2, so a row whose
+    half_star lies in the box lands on it in one step; f's change is summed
+    exactly from A times the move.
+
+    Raises ConvergenceError naming, by their index in the flattened batch,
+    the rows still live after _LSQ_MAX_ITER steps.
+    """
+    stack, index, own, bs = _row_setup(sys_, rows)
+    s1 = sys_.svd.s.reshape(len(stack), -1)[:, 0]
+    s1 = np.where(s1 > 0.0, s1, 1.0)
+    a = stack / s1[:, None, None]                   # each system's A / s_1
+    hess = a.swapaxes(-1, -2) @ a
+    b = bs / s1[own, None]
+
+    def model(i, x):
+        ai = a[own[i]]
+        r = _rowwise(ai, x) - b[i]
+
+        def change(j, xt):
+            ap = _rowwise(ai[j], xt - x[j])
+            return (ap * (r[j] + 0.5 * ap)).sum(1)
+        return _rowwise(ai.swapaxes(-1, -2), r), hess[own[i]], change
+
+    flat, _, live = projected_newton(np.full((index.size, sys_.d), 0.5), model, _LSQ_MAX_ITER)
     if live.size:
-        flat[live] = x
+        r = _rowwise(a[own[live]], flat[live]) - b[live]
         raise ConvergenceError(
             f"box least squares hit the iteration cap on {live.size} of {len(flat)} rows",
-            flat, {"residual": s1[own] * np.linalg.norm(r, axis=1)}, index[live])
+            flat, {"residual": s1[own[live]] * np.linalg.norm(r, axis=1)}, index[live])
     return flat

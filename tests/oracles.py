@@ -386,10 +386,10 @@ def box_kkt_failures(sys_: LinearSystem, rows, x) -> list[int]:
     system's A, as numerics.box_least_squares takes them.
 
     A row passes when x lies in the box and, with g = A^T (A x - b') over
-    ||A||_2^2 (in units of box_least_squares' step, where its stop rule
-    leaves |g_j| under 1e-12) and tol = 1e-9, g_j >= -tol where x_j <= tol,
-    g_j <= tol where x_j >= 1 - tol, and |g_j| <= tol at every other
-    coordinate. This checks the answer, not the arithmetic that found it.
+    ||A||_2^2 (the gradient box_least_squares steps on) and tol = 1e-9,
+    g_j >= -tol where x_j <= tol, g_j <= tol where x_j >= 1 - tol, and
+    |g_j| <= tol at every other coordinate. This checks the answer, not the
+    arithmetic that found it.
     """
     tol, (m, d) = 1e-9, sys_.a.shape[-2:]
     a = sys_.a.reshape(-1, m, d)

@@ -141,7 +141,8 @@ class TestMinNormCache:
     @pytest.mark.parametrize("name,a", [("ls", None), ("cls", "tall"), ("rcc1", "tall"),
                                         ("rcc2", "tall")])
     def test_writing_an_estimate_leaves_the_cache(self, name, a):
-        # a tall A is determined: cls, rcc1 and rcc2 return the min-norm solution
+        # a tall A is determined: rcc1 and rcc2 return the min-norm solution,
+        # cls its box least squares point
         sys_ = (_system_with_truth(5)[0] if a is None else
                 LinearSystem(a=np.random.default_rng(6).standard_normal((5, 3)),
                              b=np.ones(5)))
@@ -304,10 +305,10 @@ class TestCls:
         sys_, _ = _system_with_truth(6, d=5, m=2)
         assert attacks.attack_cls(sys_).diagnostics["residual"] < 1e-8
 
-    def test_mixed_stack_solves_only_rows_with_a_nullspace(self, monkeypatch):
+    def test_mixed_stack_sends_every_row_to_box_least_squares_once(self, monkeypatch):
         # a determined 3 x 3 system with singular values 1, 1e-3 and 1e-5
-        # beside a nullity-1 one, 4 rows each: only the nullity-1 system's
-        # rows, 4 to 7, reach numerics.box_least_squares
+        # beside a nullity-1 one, 4 rows each: all eight rows reach
+        # numerics.box_least_squares, in one call
         rng = np.random.default_rng(0)
         u, v = (np.linalg.qr(rng.standard_normal((3, 3)))[0] for _ in range(2))
         a = np.stack([(u * [1.0, 1e-3, 1e-5]) @ v.T,
@@ -318,11 +319,31 @@ class TestCls:
         monkeypatch.setattr(numerics, "box_least_squares", lambda sys_, rows, **kw: (
             given.append(rows.tolist()) or real(sys_, rows, **kw)))
         est = attacks.attack_cls(stack)
-        assert given == [[4, 5, 6, 7]]
+        assert given == [list(range(8))]
         for i in range(2):
             one = attacks.attack_cls(LinearSystem(a=a[i], b=stack.b[i]))
             assert np.array_equal(est.x_hat[i], one.x_hat)
             assert np.array_equal(est.diagnostics["residual"][i], one.diagnostics["residual"])
+
+
+    def test_determined_rows_off_the_box_take_box_least_squares(self):
+        # two determined 3 x 3 systems whose rows' A^+ b' all lie outside the
+        # box: cls answers with box_least_squares' point, inside the box and
+        # with a residual no higher than scipy's box least squares
+        rng = np.random.default_rng(4)
+        a = rng.standard_normal((2, 3, 3))
+        stack = LinearSystem(a=a, b=np.einsum("smd,snd->snm", a,
+                                              rng.uniform(1.2, 2.0, size=(2, 4, 3))))
+        assert stack.nullity.tolist() == [0, 0]
+        assert not np.any(stack.contains(stack.min_norm_solution))
+        est = attacks.attack_cls(stack)
+        assert np.array_equal(est.x_hat.reshape(8, 3),
+                              numerics.box_least_squares(stack, np.arange(8)))
+        assert np.all((est.x_hat >= 0.0) & (est.x_hat <= 1.0))
+        for i, j in np.ndindex(2, 4):
+            want = oracles.box_least_squares_ref(a[i], stack.b[i, j])
+            assert est.diagnostics["residual"][i, j] <= (
+                np.linalg.norm(a[i] @ want - stack.b[i, j]) + 1e-12)
 
 
 class TestGia:

@@ -1587,7 +1587,8 @@ class TestFailureRows:
         monkeypatch.setattr(numerics, "_LSQ_MAX_ITER", 1)
         with pytest.raises(numerics.RowsError) as err:
             if case == "lsq":
-                # rows 1 and 2 miss the box and need more than one step
+                # no row stops within one step: row 0 lands on its
+                # half_star, and rows 1 and 2 miss the box
                 sys_ = LinearSystem(a=np.array([[1.0, 2.0, 0.5]]),
                                     b=np.array([[0.7], [4.0], [-0.4]]))
                 numerics.box_least_squares(sys_, [0, 1, 2])

@@ -300,8 +300,9 @@ class TestBoxLeastSquares:
     @staticmethod
     def _staggered():
         """Six rows of one 3 x 6 system, three with a solution in the box and
-        three without. The rows stop apart, after 2, 1, 1, 3, 3 and 3 Newton
-        steps: a cap of 0 names all six rows, 1 four and 2 three."""
+        three without. The rows stop apart, after 3, 2, 2, 4, 4 and 4 Newton
+        steps (the last a move under 1e-12): a cap of 1 names all six rows,
+        2 four and 3 three."""
         rng = np.random.default_rng(15)
         a = rng.standard_normal((3, 6))
         b = np.vstack([rng.uniform(0.0, 1.0, (3, 6)) @ a.T,
@@ -321,15 +322,15 @@ class TestBoxLeastSquares:
         assert np.array_equal(numerics.box_least_squares(stack, np.arange(12)),
                               np.vstack([got, got[::-1]]))
 
-    @pytest.mark.parametrize("max_iter", [0, 1, 2])
+    @pytest.mark.parametrize("max_iter", [1, 2, 3])
     def test_cap_gives_each_row_its_lone_bits(self, monkeypatch, max_iter):
         sys_ = self._staggered()
         monkeypatch.setattr(numerics, "_LSQ_MAX_ITER", max_iter)
         with pytest.raises(numerics.ConvergenceError) as err:
             numerics.box_least_squares(sys_, np.arange(6))
         got = err.value
-        assert got.rows.tolist() == {0: [0, 1, 2, 3, 4, 5], 1: [0, 3, 4, 5],
-                                     2: [3, 4, 5]}[max_iter]
+        assert got.rows.tolist() == {1: [0, 1, 2, 3, 4, 5], 2: [0, 3, 4, 5],
+                                     3: [3, 4, 5]}[max_iter]
         assert got.residuals.keys() == {"residual"}
         assert str(got).startswith(f"box least squares hit the iteration cap on "
                                    f"{got.rows.size} of 6 rows; rows {got.rows.tolist()}; "
@@ -397,12 +398,12 @@ class TestBoxLeastSquares:
     def test_cap_names_rows_and_residuals(self, monkeypatch):
         a = np.array([[1.0, 2.0, 0.5]])
         b = np.array([[0.7], [4.0], [-0.4]])
-        monkeypatch.setattr(numerics, "_LSQ_MAX_ITER", 1)
+        monkeypatch.setattr(numerics, "_LSQ_MAX_ITER", 2)
         with pytest.raises(numerics.ConvergenceError) as err:
             numerics.box_least_squares(LinearSystem(a=a, b=b), [0, 1, 2])
         # row 0's first step from the center lands on its half_star, which
-        # lies in the box; rows 1 and 2 have no solution in the box, and
-        # their residual stays positive
+        # lies in the box, and its second stops there; rows 1 and 2 have no
+        # solution in the box, and their residual stays positive
         assert err.value.rows.tolist() == [1, 2]
         assert err.value.residuals["residual"].shape == (2,)
         assert err.value.last_iterate.shape == (3, 3)
