@@ -11,7 +11,7 @@ from np.random.default_rng(seed + i), one system from default_rng(seed). Every
 estimator reads only A, b' and, for gia, the released scores' logs that
 the system carries; none needs the model. The iterative solvers (the exact
 dual Newton projection for rcc2, numerics.projected_newton for cls and gia,
-a primal-dual interior point on rcc1's relaxation as a linear SDP) make one
+a primal-dual interior point on the dual of rcc1's relaxation) make one
 call per batch (rcc1 one per block of at most _RCC1_BLOCK rows of one
 nullity) on the rows they solve, each on its A (row_a), vectorized over
 those not yet converged; one numerics.RowsError holds every failing row of
@@ -148,153 +148,132 @@ def attack_rcc2(sys_: LinearSystem) -> AttackEstimate:
                      residual=sys_.residual(x), iterations=steps.reshape(batch)[()])
 
 
-# --- RCC1: search-space relaxation solved as a small SDP ------------------
+# --- RCC1: search-space relaxation solved through its dual ---------------
 
 _RCC1_GAP, _RCC1_FLOOR, _RCC1_DIVERGE, _RCC1_MAX_ITER = 1e-9, 1e-8, 1e3, 50
 _RCC1_BLOCK = 1024      # the most rows one _rcc1_pd_solve call holds
 
 
 def _rcc1_pd_solve(w, c):
-    """Primal-dual interior point on each row's rcc1 relaxation, a linear SDP.
+    """Primal-dual interior point on Beck & Eldar's dual of each row's rcc1
+    relaxation, its lifted block eliminated.
 
-    w (n, d, p) holds each of n rows' own nullspace basis (orthonormal
-    columns, whose rows are the a_i), and c (n, d) each row's c_i = q_i -
-    1/2. The primal, with X = diag([[Z, z], [z^T, 1]], X_W), is attack_rcc1's
-    relaxation in Delta = Z + X_W (Z = z z^T at the optimum): max tr(X_W)
-    s.t. a_i^T Delta a_i + 2 c_i a_i^T z + c_i^2 <= 1/4. With V = [W, c] and
-    e the last unit vector, its dual is
-
-        min sigma + sum(alpha) / 4  s.t.  V^T diag(alpha) V + sigma e e^T >= 0,
-                                          W^T diag(alpha) W >= I,  alpha >= 0.
-
-    Each constraint matrix is rank one per block, so an HKM step (Helmberg,
-    Rendl, Vanderbei & Wolkowicz 1996) solves a (d+1) x (d+1) Schur system
-    per row. Mehrotra's steps, 0.95 of the way to the boundary, center by at
-    least 0.1 (x is accurate to the gap on the central path, to its square
-    root off it); a row stops at <X, S> <= _RCC1_GAP, or once a step fails
-    to halve an <X, S> <= _RCC1_FLOOR, or once <X, S> passes _RCC1_DIVERGE
-    times its first value (a plane off the box: the set is empty and the
-    gap only grows); two Newton steps to the central point at _RCC1_GAP / 10
-    of every row end the solve. X = F F^T and S = G G^T are kept as factors:
-    with (lam, Q) the eigenpairs of F^-1 dX F^-T that give the step t, F
+    w (n, d, p) holds each of n rows' own nullspace basis W (orthonormal
+    columns, whose rows are the a_i), c (n, d) each row's c = q - 1/2. In x
+    = q + W z the relaxation is max tr(Z) s.t. r_i^2 + a_i^T Z a_i <= 1/4, r
+    = c + W z, Z >= 0; with M = W^T diag(alpha) W its dual, z = -M^-1 W^T
+    diag(alpha) c, is min f(alpha) = sum(alpha (1/4 - r^2)) s.t. S = M - I
+    >= 0, alpha >= 0, with multipliers Z and lambda (the constraints' slack)
+    and gap alpha^T lambda + <Z, S>. An HKM step (Helmberg, Rendl, Vanderbei
+    & Wolkowicz 1996) solves one d x d system per row: K dalpha = mu (1 /
+    alpha + diag(W S^-1 W^T)) - (1/4 - r^2) less Mehrotra's corrections, K
+    = 2 D_r W M^-1 W^T D_r + diag(lambda / alpha) + (W Z W^T) o (W S^-1
+    W^T). Mehrotra's steps, 0.95 of the way to the boundary, center by at
+    least 0.1 (z is accurate to the gap on the central path, to its square
+    root off it); a row stops at a gap <= _RCC1_GAP, or once a step fails to
+    halve a gap <= _RCC1_FLOOR, or once the gap passes _RCC1_DIVERGE times
+    its first value (a plane off the box: the set is empty and the gap only
+    grows); two Newton steps to the central point at _RCC1_GAP / 100 of
+    every row end the solve. Z = F F^T and S = G G^T are kept as factors:
+    with (lam, Q) the eigenpairs of F^-1 dZ F^-T that give the step t, F
     becomes F Q (1 + t lam)^(1/2), so no iterate is factored. A row whose
-    step is not finite, or whose Schur matrix is singular, stops where it
+    step is not finite, or whose Newton matrix is singular, stops where it
     is; every row stops after at most _RCC1_MAX_ITER steps. Steps run on a
-    working set that holds only the live rows: a row goes back to the full
-    state when it stops, and the set is gathered anew only when it shrinks.
-    Every product (with w through numerics._rowwise) and sum is a row's own,
-    so a row's z, dual value, <X, S> and steps depend on no other row.
-    Returns them per row, and raises nothing: the caller judges <X, S>.
+    working set of the live rows: a row goes back to the full state when it
+    stops, and the set is gathered anew only when it shrinks. Every product
+    (with w through numerics._rowwise) and sum is a row's own, so a row's z,
+    dual value f(alpha), gap and steps depend on no other row. Returns them
+    per row, and raises nothing: the caller judges the gap.
     """
     n, d, p = w.shape
-    wc = numerics._rowwise(w.swapaxes(-1, -2), c)
-    k = 2 * p + 1                       # X and S hold the V block, then the W block
-    # A_j sums u u^T over row j of both blocks of u, plus e_j e_j^T for alpha_j
-    u = np.zeros((n, 2 * d + 2, k))
-    u[:, :d, :p], u[:, :d, p], u[:, d, p] = w, c, 1.0
-    u[:, d + 1:-1, p + 1:] = w
-    cmat = np.diag(np.repeat([0.0, 1.0], [p + 1, p]))
-    b = np.append(np.full(d, 0.25), 1.0)
+    rowwise, eye = numerics._rowwise, np.eye(p)
 
     def tr(z):
         return z.swapaxes(-1, -2)
 
-    def weigh(y, ur):                   # y_j times both rows j of ur
-        return (y[:, None, :, None] * ur.reshape(len(ur), 2, d + 1, k)).reshape(ur.shape)
+    def slack(w, al):                   # S = M - I
+        return tr(w) @ (al[..., None] * w) - eye
 
-    def slack(ur, v):                   # S = sum_j y_j A_j - C, less alpha's block
-        return tr(ur) @ weigh(v[:, 1], ur) - cmat
+    def inner(zs, v):                   # <Z, S> + lambda^T alpha per row
+        return (zs[:, 0] * zs[:, 1]).sum((1, 2)) + (v[:, 0] * v[:, 1]).sum(-1)
 
-    def inner(x, s, la):                # <X, S> per row, alpha's block included
-        return (x * s).sum((1, 2)) + (la[:, 0] * la[:, 1]).sum(-1)
-
-    # v = [[xl, 0], [alpha, sigma]] per row: alpha's slack beside alpha (la =
-    # v[:, :, :d]) and y = v[:, 1]. alpha = 1.5 and sigma put M(alpha) - I and
-    # the lifted block's Schur complement at I / 2: the one S ever factored
-    # is well inside the cone
-    v = np.zeros((n, 2, d + 1))
-    v[:, 0, :d], v[:, 1, :d] = 0.5, 1.5
-    v[:, 1, d] = 0.5 + 1.5 * ((wc * wc).sum(-1) - (c * c).sum(-1))
-    xs = np.zeros((n, 2, k, k))         # X, then S^-1 (rewritten by every step)
-    xs[:, 0] = np.eye(k) / 2
-    s = slack(u, v)
-    fac = np.stack([np.sqrt(xs[:, 0]), np.linalg.cholesky(s)], axis=1)
-    # per row: the factors of X and S, their inverses, [X, S^-1], S, v, <X, S>
-    state = [fac, np.linalg.inv(fac), xs, s, v, inner(xs[:, 0], s, v[:, :, :d])]
+    # v = [lambda, alpha] per row. alpha = 1.5 puts S at I / 2, the one S
+    # ever factored, well inside the cone; Z starts at I / 2 and lambda at 1/2
+    v = np.broadcast_to([[0.5], [1.5]], (n, 2, d)).copy()
+    zs = np.stack([np.broadcast_to(eye / 2, (n, p, p)), slack(w, v[:, 1])], 1)    # [Z, S]
+    fac = np.stack([np.sqrt(zs[:, 0]), np.linalg.cholesky(zs[:, 1])], axis=1)
+    # per row: the factors of Z and S, their inverses, [Z, S], v and the gap
+    state = [fac, np.linalg.inv(fac), zs, v, inner(zs, v)]
 
     # a row that overflows fails ok and stops; numpy need not warn of it
     @np.errstate(over="ignore", invalid="ignore")
-    def step(ur, cur, mu):
-        """Mehrotra's step of rows, or Newton's to X S = mu I; ok: finite rows."""
-        fr, fir, xs, s, v, gap = cur
-        x, s_inv, urt, firt = xs[:, 0], xs[:, 1], tr(ur), tr(fir)
-        la, xl, al = v[:, :, :d], v[:, 0, :d], v[:, 1, :d]
-        np.matmul(firt[:, 1], fir[:, 1], out=s_inv)
-        ux, us = (ur[:, None] @ xs @ urt[:, None]).swapaxes(0, 1)
-        schur = (ux * us).reshape(-1, 2, d + 1, 2, d + 1).sum(axis=(1, 3))
-        schur.reshape(len(v), -1)[:, :d * (d + 2):d + 2] += xl / al  # alpha's diagonal
-        a_s = us.diagonal(0, 1, 2).reshape(-1, 2, d + 1).sum(1)     # A(S^-1)
-        dxs, dv = np.empty_like(xs), np.zeros_like(v)   # [dX, dS], [[dxl, 0], dy]
-        dla, dy = dv[:, :, :d], dv[:, 1]
+    def step(w, c, cur, mu):
+        """Mehrotra's step of rows, or Newton's to Z S = mu I; ok: finite rows."""
+        fr, fir, zs, v, gap = cur
+        zz, s, la, al = zs[:, 0], zs[:, 1], v[:, 0], v[:, 1]
+        wt, s_inv = tr(w), tr(fir[:, 1]) @ fir[:, 1]
+        mats = np.stack([np.linalg.inv(s + eye), zz, s_inv], 1)
+        wmw, wzw, wsw = (w[:, None] @ mats @ wt[:, None]).swapaxes(0, 1)    # W M^-1 W^T, ...
+        r = c - rowwise(wmw, al * c)    # c + W z
+        schur = 2.0 * r[:, :, None] * wmw * r[:, None, :] + wzw * wsw
+        la_al = la / al
+        schur.reshape(len(v), -1)[:, ::d + 1] += la_al
+        barrier, grad = 1.0 / al + wsw.diagonal(0, 1, 2), 0.25 - r * r
+        dzs, dv = np.empty_like(zs), np.empty_like(v)   # [dZ, dS], [dlambda, dalpha]
 
         def direction(target, corr, corr_l):
-            """The HKM direction plus a correction, written to dxs and dv; ok is
+            """The HKM direction plus a correction, written to dzs and dv; ok is
             False where not finite. target has one row, or one per row."""
-            t_al = target / al
-            rhs = target * a_s - b      # A(X + dX) + xl + dxl = b; A(X) cancels
-            rhs[:, :d] += t_al - corr_l
+            rhs = target * barrier - grad
             if np.ndim(corr):
-                rhs -= ((ur @ corr) * ur).sum(-1).reshape(-1, 2, d + 1).sum(1)
+                rhs -= corr_l / al + ((w @ corr) * w).sum(-1)
             try:
-                dy[:] = np.linalg.solve(schur, rhs[..., None])[..., 0]
+                dv[:, 1] = np.linalg.solve(schur, rhs[..., None])[..., 0]
             except np.linalg.LinAlgError:   # row by row: a singular row gets NaN
-                dy[:] = np.nan
+                dv[:, 1] = np.nan
                 for i in range(len(v)):
                     with contextlib.suppress(np.linalg.LinAlgError):
-                        dy[i] = np.linalg.solve(schur[i], rhs[i])
-            ok = np.isfinite(dy).all(-1)
-            if not ok.all():
-                dy[~ok] = 0.0
-            ds = np.matmul(urt, weigh(dy, ur), out=dxs[:, 1])
-            h = x @ ds @ s_inv + corr
-            np.subtract(target[..., None] * s_inv - x, 0.5 * (h + tr(h)), out=dxs[:, 0])
-            np.subtract(t_al - xl - xl * dy[:, :d] / al, corr_l, out=dla[:, 0])
-            scaled = fir @ dxs @ firt
-            # a non-finite correction (an overflowing row) ends its row too
-            ok &= np.isfinite(scaled).all((1, 2, 3)) & np.isfinite(dla[:, 0]).all(-1)
-            if not ok.all():
-                scaled[~ok] = 0.0
+                        dv[i, 1] = np.linalg.solve(schur[i], rhs[i])
+            da = dv[:, 1]
+            ds = np.matmul(wt, da[..., None] * w, out=dzs[:, 1])
+            h = zz @ ds @ s_inv + corr
+            np.subtract(target[..., None] * s_inv - zz, 0.5 * (h + tr(h)), out=dzs[:, 0])
+            np.subtract((target - corr_l) / al - la, la_al * da, out=dv[:, 0])
+            scaled = fir @ dzs @ tr(fir)
+            # a non-finite dalpha or correction (an overflowing row) ends its row
+            ok = np.isfinite(scaled).all((1, 2, 3)) & np.isfinite(dv[:, 0]).all(-1)
+            scaled[~ok] = 0.0
             return scaled, ok
 
         def length(lam):                # primal and dual steps 0.95 of the way
-            low = np.minimum(lam[..., 0], (dla / la).min(-1))
+            low = np.minimum(lam[..., 0], (dv / v).min(-1))
             return -0.95 / np.minimum(low, -0.95)
 
         corr = corr_l = 0.0
         if mu is None:
             t = length(np.linalg.eigvalsh(direction(np.zeros((1, 1)), 0.0, 0.0)[0]))
-            mu = gap[:, None] / (k + d)
-            mu_aff = inner(x + t[:, :1, None] * dxs[:, 0], s + t[:, 1:, None] * dxs[:, 1],
-                           la + t[..., None] * dla)[:, None] / (k + d)
+            mu = gap[:, None] / (p + d)
+            mu_aff = inner(zs + t[..., None, None] * dzs, v + t[..., None] * dv)[:, None] / (p + d)
             mu *= np.maximum((mu_aff / mu) ** 3, 0.1)
-            corr, corr_l = dxs[:, 0] @ dxs[:, 1] @ s_inv, dla[:, 0] * dla[:, 1] / al
+            corr, corr_l = dzs[:, 0] @ dzs[:, 1] @ s_inv, dv[:, 0] * dv[:, 1]
         scaled, ok = direction(mu, corr, corr_l)
         lam, vec = np.linalg.eigh(scaled)
         t = length(lam)
         root = np.sqrt(1.0 + t[..., None] * lam)
         fr, fir = fr @ vec * root[..., None, :], tr(vec) @ fir / root[..., None]
-        v, xs = v + t[..., None] * dv, np.empty_like(xs)
-        x, s = np.matmul(fr[:, 0], tr(fr[:, 0]), out=xs[:, 0]), slack(ur, v)
-        return [fr, fir, xs, s, v, inner(x, s, v[:, :, :d])], ok
+        v, zs = v + t[..., None] * dv, np.empty_like(zs)
+        np.matmul(fr[:, 0], tr(fr[:, 0]), out=zs[:, 0])
+        zs[:, 1] = slack(w, v[:, 1])
+        return [fr, fir, zs, v, inner(zs, v)], ok
 
     # live rows step on their own arrays (cur); a row that stops, or fails
     # to step, goes back to the full state, and cur shrinks to the rest
     gap, steps = state[-1], np.full(n, _RCC1_MAX_ITER)
-    live, cur, ur, limit = np.arange(n), state, u, _RCC1_DIVERGE * gap
+    live, cur, wr, cr, limit = np.arange(n), state, w, c, _RCC1_DIVERGE * gap
     for i in range(_RCC1_MAX_ITER):
         if not live.size:
             break
-        new, ok = step(ur, cur, None)
+        new, ok = step(wr, cr, cur, None)
         moved = ok & ~((cur[-1] <= _RCC1_FLOOR) & ~(new[-1] <= 0.5 * cur[-1]))
         keep = moved & (new[-1] > _RCC1_GAP) & ~(new[-1] > limit)
         if not keep.all():              # a row that failed to step keeps its iterate
@@ -303,19 +282,22 @@ def _rcc1_pd_solve(w, c):
                     steps[live[sel]] = took
                     for a, sv in zip(state, src):
                         a[live[sel]] = sv[sel]
-            new, ur, limit, live = [nv[keep] for nv in new], ur[keep], limit[keep], live[keep]
+            new, wr, cr, limit, live = ([nv[keep] for nv in new], wr[keep], cr[keep],
+                                        limit[keep], live[keep])
         cur = new
     for a, nv in zip(state, cur):       # rows at the step cap
         a[live] = nv
     for _ in range(2):
-        new, ok = step(u, state, np.full((1, 1), 0.1 * _RCC1_GAP / (k + d)))
+        new, ok = step(w, c, state, np.full((1, 1), 0.01 * _RCC1_GAP / (p + d)))
         go = ok & (new[-1] <= _RCC1_FLOOR)
-        if go.all():
-            state = new
-        else:
-            for a, nv in zip(state, new):
-                a[go] = nv[go]
-    return state[2][:, 0, :p, p], (state[4][:, 1] * b).sum(-1), state[-1], steps
+        for a, nv in zip(state, new):
+            a[go] = nv[go]
+    al = state[3][:, 1]
+    z = -rowwise(np.linalg.inv(state[2][:, 1] + eye), rowwise(tr(w), al * c))
+    r = c + rowwise(w, z)
+    # f(alpha) is at least the optimum, 0 or more; rounding takes it below 0
+    # on rows whose set is one point
+    return z, np.maximum((al * (0.25 - r * r)).sum(-1), 0.0), state[-1], steps
 
 
 def attack_rcc1(sys_: LinearSystem) -> AttackEstimate:
@@ -323,14 +305,13 @@ def attack_rcc1(sys_: LinearSystem) -> AttackEstimate:
     at most _RCC1_BLOCK rows of one nullity.
 
     In nullspace coordinates x = q + W z, _rcc1_pd_solve solves Beck & Eldar's
-    relaxation to a gap <X, S> (diagnostics["gap"]; ["iterations"] counts
-    steps) of 1e-10, or 1e-8 where rounding stalls. x comes from its primal
-    iterate's z, the radius (above the exact one) from its dual value. The
-    SDP has size 2p + 1 for nullity p: the rows of a batch's systems of one
-    nullity share a solve per block of _RCC1_BLOCK rows, each row on its own
-    A's basis W, which bounds the memory a solve holds; a row's results are
-    its own, so the blocks change no bit. A determined system's rows take
-    A^+ b' (radius, gap and steps 0). Once every nullity is solved, one
+    relaxation to a gap (diagnostics["gap"]; ["iterations"] counts steps) of
+    about 1e-11, or 1e-8 where rounding stalls: x from its dual iterate's z,
+    the radius (above the exact one) from its dual value. The rows of a
+    batch's systems of one nullity share a solve per block, each row on its
+    own A's basis W, which bounds the memory a solve holds; a row's results
+    are its own, so the blocks change no bit. A determined system's rows
+    take A^+ b' (radius, gap and steps 0). Once every nullity is solved, one
     AttackError names every row of the batch whose gap ends above 1e-8, by
     its index in the flattened batch.
     """
@@ -392,6 +373,8 @@ def attack_gia(sys_: LinearSystem, init: str = "half", seed: int = 0) -> AttackE
          else np.full((len(c), d), 0.5 if init == "half" else 0.0))
 
     total = numerics._total
+    # each row's last point kl saw, with its c_hat, ell and KL there
+    seen, memo = np.full_like(x, np.nan), (np.empty_like(c), np.empty_like(c), np.empty(len(c)))
 
     def kl(x, rows):
         """c_hat, log(c_hat / c) = r - log sum c e^r and D(c_hat || c) in nats
@@ -405,11 +388,22 @@ def attack_gia(sys_: LinearSystem, init: str = "half", seed: int = 0) -> AttackE
         log_q = np.where(q > 0.5, np.log1p(np.maximum(q_minus_1, -0.5)), np.log(q))
         ell = rel - log_q[:, None]
         c_hat = cr * np.exp(ell)
-        return c_hat, ell, total(c_hat * ell)
+        seen[rows], out = x, (c_hat, ell, total(c_hat * ell))
+        for keep, value in zip(memo, out):
+            keep[rows] = value
+        return out
+
+    def at(x, rows):
+        """kl of rows at x, computed afresh only for the rows whose last kl
+        was at another point: a line search ends at the point it accepted."""
+        stale = np.flatnonzero(~(seen[rows] == x).all(1))
+        if stale.size:
+            kl(x[stale], rows[stale])
+        return [keep[rows] for keep in memo]
 
     def model(i, x):
         """The KL's gradient in bits, R^T diag(c_hat) R / ln 2 and the KL's change."""
-        c_hat, ell, f = kl(x, i)
+        c_hat, ell, f = at(x, i)
         mti = mt[i]
         rt = mti - rowwise(mti, c_hat)[..., None]           # R^T per row
         return (rowwise(mti, c_hat * (ell - f[:, None])) / ln2,
@@ -417,7 +411,7 @@ def attack_gia(sys_: LinearSystem, init: str = "half", seed: int = 0) -> AttackE
                 lambda j, xt: (kl(xt, i[j])[2] - f[j]) / ln2)
 
     x, steps, stuck = numerics.projected_newton(x, model, _GIA_MAX_ITER)
-    f = kl(x, np.arange(len(x)))[2] / ln2
+    f = at(x, np.arange(len(x)))[2] / ln2
     converged = np.isin(np.arange(len(x)), stuck, invert=True)
     if stuck.size:
         warnings.warn(f"gia: {stuck.size} of {len(x)} rows did not converge in "

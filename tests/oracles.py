@@ -417,9 +417,10 @@ def box_center_failures(sys_: LinearSystem, rows, x) -> list[int]:
 
 
 def rcc1_pd_solve_batch(w, c, max_iter=50):
-    """attacks._rcc1_pd_solve as it was before its steps ran on a working
-    set of live rows, kept verbatim: the package must match it bit for bit
-    on every row that does not diverge, its failures included."""
+    """rcc1's earlier interior point, on the lifted (2p+1)-square SDP with no
+    working set, kept verbatim as an independent reference: where both
+    converge, attacks._rcc1_pd_solve's x agrees with it within 1e-8 and its
+    dual value within 1e-9."""
     (n, d), p = c.shape, w.shape[1]
     k = 2 * p + 1                       # X and S hold the V block, then the W block
     # A_j sums u u^T over row j of both blocks of u, plus e_j e_j^T for alpha_j

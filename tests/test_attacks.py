@@ -902,8 +902,9 @@ class TestBatchedSolvers:
 
 # the first 5 test rows of a benchmark attack table (datagen seed [105, 1],
 # passive window 3..8 of a k=4, d_t=12 model), as build_system gives them.
-# Solved together, row 0 can stall at <X, S> ~ 1.6e-9 while its X nears
-# singularity: a solver that factors every row's X in one stacked call fails
+# Solved together on the lifted SDP, row 0 stalled at a gap of about 1.6e-9
+# with its iterate near singular: a solver that factors every row's iterate
+# in one stacked call fails there
 RCC1_STALL_A = np.array([
     [-0.8220631356168173, 0.644280869514529, 0.12141748455740575,
      -0.45231168442231046, 1.352891273220431, 0.43520359405971715],
@@ -925,7 +926,7 @@ def _capped_rcc1(monkeypatch, max_iter):
 
 def _rcc1_rows(w, c):
     """_rcc1_pd_solve on one system's rows, each handed the system's basis
-    w, raising where a gap ends above the floor as the oracle does."""
+    w, raising where a gap ends above the floor as attack_rcc1 does."""
     out = attacks._rcc1_pd_solve(np.broadcast_to(w, (len(c),) + w.shape), c)
     bad = np.flatnonzero(~(out[2] <= attacks._RCC1_FLOOR))
     if bad.size:
@@ -936,21 +937,16 @@ def _rcc1_rows(w, c):
     return out
 
 
-def _rcc1_outcomes(sys_, before=lambda: None):
-    """_rcc1_pd_solve and the loop it replaced (oracles.rcc1_pd_solve_batch)
-    on one system, each after a call of before: each gives (z, gap, steps)
-    or its AttackError text. The dual value is left out: the loop formed it
-    in one product over the rows, which rounds by the batch."""
-    w, c = sys_.svd.nullspace(), sys_.min_norm_solution.reshape(-1, sys_.d) - 0.5
-    out = []
-    for solve in (_rcc1_rows, oracles.rcc1_pd_solve_batch):
-        before()
-        try:
-            z, _, gap, steps = solve(w, c)
-            out.append((z, gap, steps))
-        except attacks.AttackError as err:
-            out.append(str(err))
-    return out
+def _rcc1_alone(w, c):
+    """_rcc1_pd_solve on each row of one system alone: the z, dual value, gap
+    and steps that every row must get in any batch."""
+    outs = [attacks._rcc1_pd_solve(w[None], c[i:i + 1]) for i in range(len(c))]
+    return tuple(np.concatenate(out) for out in zip(*outs))
+
+
+def _rcc1_inputs(sys_):
+    """One system's nullspace basis and its rows' c = q - 1/2."""
+    return sys_.svd.nullspace(), sys_.min_norm_solution.reshape(-1, sys_.d) - 0.5
 
 
 def _assert_same_bits(got, want):
@@ -963,18 +959,20 @@ def _assert_same_bits(got, want):
 
 
 _SOLVE = np.linalg.solve
+# the shape of rcc1's stacked d x d Newton solve on 5 rows at d = 6
+_SCHUR = (5, 6, 6)
 
 
 def _spoiled_solve(monkeypatch, fault):
-    """np.linalg.solve with row 2 of each 5-row stacked Schur solve spoiled:
-    singular, overflowing (a finite dy whose step overflows), or NaN in the
-    closing Newton steps only (the 5-row solves after the batch shrank)."""
+    """np.linalg.solve with row 2 of each 5-row stacked Newton solve spoiled:
+    singular, overflowing (a finite dalpha whose step overflows), or NaN in
+    the closing Newton steps only (the 5-row solves after the batch shrank)."""
     spoiled, shrunk = [], []
 
     def solve(a, b):
         if a.ndim == 3 and len(a) < 5:
             shrunk.append(len(a))
-        if a.shape == (5, 7, 7) and (fault != "closing" or shrunk):
+        if a.shape == _SCHUR and (fault != "closing" or shrunk):
             spoiled.append(a[2])
             if fault == "singular":
                 raise np.linalg.LinAlgError("Singular matrix")
@@ -1030,9 +1028,9 @@ class TestRcc1PrimalDual:
     def test_non_finite_step_ends_only_its_row(self, monkeypatch):
         real = np.linalg.solve
 
-        def solve(a, b):                # row 2's Schur solve fails while all 5 step
+        def solve(a, b):                # row 2's Newton solve fails while all 5 step
             x = real(a, b)
-            if a.shape == (5, 7, 7):
+            if a.shape == _SCHUR:
                 x[2] = np.nan
             return x
 
@@ -1044,9 +1042,9 @@ class TestRcc1PrimalDual:
     def test_overflowing_step_ends_only_its_row(self, monkeypatch):
         real = np.linalg.solve
 
-        def solve(a, b):                # row 2's dy is finite, its step overflows
+        def solve(a, b):                # row 2's dalpha is finite, its step overflows
             x = real(a, b)
-            if a.shape == (5, 7, 7):
+            if a.shape == _SCHUR:
                 x[2] = 1e300
             return x
 
@@ -1059,8 +1057,8 @@ class TestRcc1PrimalDual:
         real = np.linalg.solve
         calls = []      # each failed stacked solve: its (matrices, rhs, row solves)
 
-        def solve(a, b):                # row 2's Schur matrix is singular
-            if a.shape == (5, 7, 7):
+        def solve(a, b):                # row 2's Newton matrix is singular
+            if a.shape == _SCHUR:
                 calls.append((a, b, []))
                 raise np.linalg.LinAlgError("Singular matrix")
             if a.ndim == 2 and calls and np.array_equal(a, calls[-1][0][2]):
@@ -1082,42 +1080,92 @@ class TestRcc1PrimalDual:
 
     @staticmethod
     def _bench_batch():
-        """5 bench-shaped rows (k = 4, d = 6: 7 x 7 blocks) that stop at steps
-        11 and 12, so the last step runs on a shrunk working set."""
+        """5 bench-shaped rows (k = 4, d = 6: a 6 x 6 Newton system each) that
+        stop at steps 10 and 11, so the last step runs on a shrunk working set."""
         model = _random_model()
-        return build_system(model, *_predictions(model, 5, 6))
+        return build_system(model, *_predictions(model, 5, 0))
 
     @pytest.mark.parametrize("batch", ["bench", "staggered", "stall"])
     def test_working_set_keeps_every_bit(self, batch):
-        # staggered: 30 rows leaving the working set at four different steps
+        # staggered: 30 rows leaving the working set at three different
+        # steps; every row of the batch gets the z, dual value, gap and steps
+        # it gets alone
         model = _random_model()
         sys_ = {"bench": self._bench_batch,
                 "staggered": lambda: build_system(model, *_bimodal_predictions(model, 30, 3)),
                 "stall": lambda: LinearSystem(a=RCC1_STALL_A, b=RCC1_STALL_B)}[batch]()
-        got, want = _rcc1_outcomes(sys_)
-        _assert_same_bits(got, want)
-        assert np.all(got[1] <= attacks._RCC1_FLOOR)
-        if batch == "staggered":
-            assert len(np.unique(got[2])) >= 3
+        w, c = _rcc1_inputs(sys_)
+        got = _rcc1_rows(w, c)
+        _assert_same_bits(got, _rcc1_alone(w, c))
+        assert np.all(got[2] <= attacks._RCC1_FLOOR)
+        assert len(np.unique(got[3])) >= {"bench": 2, "staggered": 3, "stall": 1}[batch]
 
     @pytest.mark.parametrize("fault", ["singular", "overflow", "closing"])
     @pytest.mark.parametrize("floor", ["kept", "lifted"])
     def test_failed_rows_keep_every_bit(self, monkeypatch, fault, floor):
-        # with the floor lifted no row is named, so the solves return their
-        # iterates, the spoiled row's frozen one included; "closing" spoils
-        # row 2 in the closing Newton steps only, which it then skips
+        # row 2's Newton solves are spoiled: the other rows keep the bits of
+        # the clean solve. With the floor lifted no row is named, so the
+        # solve returns its iterates: a row spoiled from its first step stays
+        # at its start, 0 steps, and "closing" spoils row 2 in the closing
+        # Newton steps only, which it then skips, ending at its loop's gap
+        w, c = _rcc1_inputs(self._bench_batch())
+        clean = _rcc1_rows(w, c)
         if floor == "lifted":
             monkeypatch.setattr(attacks, "_RCC1_FLOOR", np.inf)
-            monkeypatch.setattr(oracles, "_RCC1_FLOOR", np.inf)
-        spoiled = []
-        got, want = _rcc1_outcomes(
-            self._bench_batch(), lambda: spoiled.append(_spoiled_solve(monkeypatch, fault)))
-        assert all(spoiled)
-        _assert_same_bits(got, want)
+        spoiled = _spoiled_solve(monkeypatch, fault)
+        try:
+            got = _rcc1_rows(w, c)
+        except attacks.AttackError as err:
+            got = str(err)
+        assert spoiled
         if floor == "kept" and fault != "closing":
             assert got.startswith("rcc1 rows [2] end with gaps")
+            return
+        others = [0, 1, 3, 4]
+        _assert_same_bits(tuple(v[others] for v in got), tuple(v[others] for v in clean))
+        if fault == "closing":
+            assert got[3][2] == clean[3][2]
+            assert clean[2][2] != got[2][2] <= attacks._RCC1_GAP
         else:
-            assert isinstance(got, tuple)
+            assert got[3][2] == 0 and got[2][2] > 1.0
+
+    @pytest.mark.parametrize("k, p", [(2, 1), (2, 7), (3, 4), (4, 3), (5, 6), (7, 2),
+                                      (9, 5), (12, 1), (12, 7)])
+    def test_matches_both_reference_solvers(self, monkeypatch, k, p):
+        # two independent solvers of the same relaxation: the lifted SDP's
+        # interior point (oracles.rcc1_pd_solve_batch) and a log-barrier
+        # Newton method on the dual (oracles.rcc1_row). Where both converge,
+        # x agrees within 1e-8 and the squared radius within 1e-9
+        d = k - 1 + p
+        model = _regime_model(k, d, d + 4, 3.0, seed=10 * k + p)
+        sys_ = build_system(model, *_predictions(model, 6, k + p))
+        assert sys_.nullity == p
+        w, c = _rcc1_inputs(sys_)
+        z, value, _, _ = _rcc1_rows(w, c)
+        monkeypatch.setattr(oracles, "_RCC1_FLOOR", np.inf)
+        lifted_z, lifted_value, lifted_gap, _ = oracles.rcc1_pd_solve_batch(w, c)
+        both = lifted_gap <= attacks._RCC1_FLOOR
+        assert np.count_nonzero(both) >= 4
+        assert np.max(np.abs((z - lifted_z)[both] @ w.T)) <= 1e-8
+        assert np.max(np.abs(value - lifted_value)[both]) <= 1e-9
+        x = sys_.min_norm_solution + z @ w.T
+        for i, b in enumerate(sys_.b):
+            want_x, want_value = oracles.rcc1_row(LinearSystem(a=sys_.a, b=b), mu_min=1e-13,
+                                                  newton_tol=1e-14, value=True)
+            assert np.max(np.abs(x[i] - want_x)) <= 1e-8, i
+            assert abs(value[i] - want_value) <= 1e-9, i
+
+    def test_rows_on_a_box_corner(self):
+        # binary features: the sets of many rows are the one corner x, where
+        # the relaxation's optimum is 0 and rounding takes f(alpha) just
+        # below it. Every row converges, no radius is NaN, and each row of
+        # radius 0 returns its corner
+        model, rng = _random_model(), np.random.default_rng(3)
+        y_act, x_pas = ((rng.random((40, n)) < 0.5).astype(float) for n in (4, 6))
+        est = attacks.attack_rcc1(build_system(model, y_act, predict(model, y_act, x_pas)))
+        point = est.diagnostics["radius"] == 0.0
+        assert np.count_nonzero(point) >= 4 and np.all(est.diagnostics["radius"] >= 0.0)
+        assert np.max(np.abs(est.x_hat - x_pas)[point]) <= 1e-9
 
     @staticmethod
     def _two_nullities():
@@ -1147,7 +1195,7 @@ class TestRcc1PrimalDual:
 
         # at 2 steps every row fails, at 8 some rows of each system
         for max_iter, failed in ((attacks._RCC1_MAX_ITER, None), (2, list(range(20))),
-                                 (8, [2, 3, 4, 5, 6, 8, 10, 12, 13, 14, 15, 17, 18, 19])):
+                                 (8, [5, 13, 15])):
             got, want = run(block, max_iter), run(one_block, max_iter)
             if failed is None:
                 _assert_same_bits(got, want)
@@ -1354,8 +1402,9 @@ def test_cls_takes_the_spectral_norm_from_the_shared_svd(monkeypatch):
 
 
 def test_rcc1_reads_center_and_radius_off_its_iterate(monkeypatch):
-    # the interior point's own iterate gives x and the radius: no stacked
-    # p x p solve per row for M(alpha)^-1 g(alpha) after it
+    # x and the radius come off the interior point's own dual iterate
+    # alpha, z = -M(alpha)^-1 g(alpha) through a stacked inverse: no stacked
+    # p x p solve per row after it
     sys_ = LinearSystem(a=RCC1_STALL_A, b=RCC1_STALL_B)
     p = sys_.nullity
     real = np.linalg.solve

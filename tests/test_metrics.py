@@ -488,16 +488,17 @@ class TestWindowFailures:
             bases.append(w.shape)
             return real_sdp(w, c)
         monkeypatch.setattr(attacks, "_rcc1_pd_solve", recorded)
-        monkeypatch.setattr(attacks, "_RCC1_MAX_ITER", 8)
-        # every row takes one Newton step, so a cap of 0 names all 30
+        monkeypatch.setattr(attacks, "_RCC1_MAX_ITER", 7)
+        # every row takes one Newton step, so a cap of 0 names all 30, and
+        # every rcc1 row takes 8 or more steps, so a cap of 7 names all 30
         windows = ", ".join(rf"\[0, 1, 2, 3, 4\] of window start={s}" for s in range(6))
         with pytest.raises(numerics.NumericsError, match=(
                 rf"^box least squares hit the iteration cap on 30 of 30 rows; rows {windows}; "
                 r"residual( \S+){30}$")):
             metrics.average_over_space(model, ds, 4, ["half", "cls"], n_pred=5)
         with pytest.raises(AttackError, match=(
-                r"^rcc1 rows \[2\] of window start=4 end with gaps \S+ above 1e-08 in at "
-                r"most 8 steps$")):
+                rf"^rcc1 rows {windows} end with gaps( \S+){{30}} above 1e-08 in at "
+                r"most 7 steps$")):
             metrics.average_over_space(model, ds, 4, ["half", "rcc1"], n_pred=5)
         # each row's basis: the 15 rows of the three windows of each nullity
         assert bases == [(15, 4, 1), (15, 4, 2)]
@@ -538,22 +539,28 @@ class TestWindowFailures:
         with pytest.raises(AttackError, match=r"^gia rows \[2\] of window start=1 did "):
             metrics.average_over_space(model, ds, 2, ["half", "gia"], n_pred=5)
 
-    # ROADMAP item 2: rcc1 needs the row's face, not only b*
-    @pytest.mark.xfail(strict=True, raises=AttackError,
-                       reason="rcc1 fails a clean row whose set is a segment on a box face")
     def test_rcc1_clean_row_on_a_box_face(self):
         # feature 2 weighs both classes alike, a zero column of A; in the
         # d = 2 window {1, 2}, test row 4 has feature 1 at exactly 0.0, so
-        # its solution set lies on that face of the box and rcc1's
-        # relaxation has no interior there
+        # its solution set is a segment on that face of the box and rcc1's
+        # relaxation has no interior there. rcc1 solves it all the same: the
+        # segment's midpoint, the exact Chebyshev center, radius 1/2
         ds = synthesize(SyntheticSpec(n=60, d_t=4, k=2, seed=5))
         model = _random_model(2, 4, seed=5)
         model.w_pas[1, 2] = model.w_pas[0, 2]
         rows = np.flatnonzero(ds.test_mask)
         assert rows.size == 12 and ds.x[rows[4], 1] == 0.0
-        mse = metrics.attack_mse_on_rows(model, [VflSplit.contiguous(4, 1, 2)], ds, rows,
-                                         ["rcc1"], 0)
+        split = VflSplit.contiguous(4, 1, 2)
+        mse = metrics.attack_mse_on_rows(model, [split], ds, rows, ["rcc1"], 0)
         assert np.isfinite(mse["rcc1"][0])
+        window, row = model.window(split), ds.x[rows[4:5]]
+        y_act, x_pas = row[:, list(split.active)], row[:, list(split.passive)]
+        sys_ = build_system(window, y_act, predict(window, y_act, x_pas))
+        est = run_attack("rcc1", sys_)
+        center, radius = oracles.chebyshev_center_exact(LinearSystem(a=sys_.a, b=sys_.b[0]))
+        assert np.max(np.abs(center - [0.0, 0.5])) <= 1e-9
+        assert np.max(np.abs(est.x_hat[0] - center)) <= 1e-8
+        assert abs(est.diagnostics["radius"][0] - radius) <= 1e-9
 
 
 class TestAttackMseOnRows:
