@@ -168,15 +168,16 @@ def _rcc1_pd_solve(w, c):
     & Wolkowicz 1996) solves one d x d system per row: K dalpha = mu (1 /
     alpha + diag(W S^-1 W^T)) - (1/4 - r^2) less Mehrotra's corrections, K
     = 2 D_r W M^-1 W^T D_r + diag(lambda / alpha) + (W Z W^T) o (W S^-1
-    W^T). Mehrotra's steps, 0.95 of the way to the boundary, center by at
-    least 0.1 (z is accurate to the gap on the central path, to its square
-    root off it); a row stops at a gap <= _RCC1_GAP, or once a step fails to
-    halve a gap <= _RCC1_FLOOR, or once the gap passes _RCC1_DIVERGE times
-    its first value (a plane off the box: the set is empty and the gap only
-    grows); two Newton steps to the central point at _RCC1_GAP / 100 of
-    every row end the solve. Z = F F^T and S = G G^T are kept as factors:
-    with (lam, Q) the eigenpairs of F^-1 dZ F^-T that give the step t, F
-    becomes F Q (1 + t lam)^(1/2), so no iterate is factored. A row whose
+    W^T). Mehrotra's steps, 0.95 of the way to the boundary, center at 0.1,
+    the affine direction only supplying the corrections (z is accurate to
+    the gap on the central path, to its square root off it); a row stops at
+    a gap <= _RCC1_GAP, or once a step fails to halve a gap <= _RCC1_FLOOR,
+    or once the gap passes _RCC1_DIVERGE times its first value (a plane off
+    the box: the set is empty and the gap only grows); two Newton steps to
+    the central point at _RCC1_GAP / 100 of every row end the solve. Z = F
+    F^T and S = G G^T are kept as factors: with (lam, Q) the eigenpairs of
+    F^-1 dZ F^-T that give the step t, F becomes F Q (1 + t lam)^(1/2), so
+    no iterate is factored, and that eigh is a step's only one. A row whose
     step is not finite, or whose Newton matrix is singular, stops where it
     is; every row stops after at most _RCC1_MAX_ITER steps. Steps run on a
     working set of the live rows: a row goes back to the full state when it
@@ -222,8 +223,8 @@ def _rcc1_pd_solve(w, c):
         dzs, dv = np.empty_like(zs), np.empty_like(v)   # [dZ, dS], [dlambda, dalpha]
 
         def direction(target, corr, corr_l):
-            """The HKM direction plus a correction, written to dzs and dv; ok is
-            False where not finite. target has one row, or one per row."""
+            """The HKM direction plus a correction, written to dzs and dv.
+            target has one row, or one per row."""
             rhs = target * barrier - grad
             if np.ndim(corr):
                 rhs -= corr_l / al + ((w @ corr) * w).sum(-1)
@@ -239,26 +240,21 @@ def _rcc1_pd_solve(w, c):
             h = zz @ ds @ s_inv + corr
             np.subtract(target[..., None] * s_inv - zz, 0.5 * (h + tr(h)), out=dzs[:, 0])
             np.subtract((target - corr_l) / al - la, la_al * da, out=dv[:, 0])
-            scaled = fir @ dzs @ tr(fir)
-            # a non-finite dalpha or correction (an overflowing row) ends its row
-            ok = np.isfinite(scaled).all((1, 2, 3)) & np.isfinite(dv[:, 0]).all(-1)
-            scaled[~ok] = 0.0
-            return scaled, ok
-
-        def length(lam):                # primal and dual steps 0.95 of the way
-            low = np.minimum(lam[..., 0], (dv / v).min(-1))
-            return -0.95 / np.minimum(low, -0.95)
 
         corr = corr_l = 0.0
-        if mu is None:
-            t = length(np.linalg.eigvalsh(direction(np.zeros((1, 1)), 0.0, 0.0)[0]))
+        if mu is None:                  # the affine direction gives the corrections
+            direction(np.zeros((1, 1)), 0.0, 0.0)
             mu = gap[:, None] / (p + d)
-            mu_aff = inner(zs + t[..., None, None] * dzs, v + t[..., None] * dv)[:, None] / (p + d)
-            mu *= np.maximum((mu_aff / mu) ** 3, 0.1)
+            mu *= 0.1
             corr, corr_l = dzs[:, 0] @ dzs[:, 1] @ s_inv, dv[:, 0] * dv[:, 1]
-        scaled, ok = direction(mu, corr, corr_l)
+        direction(mu, corr, corr_l)
+        scaled = fir @ dzs @ tr(fir)
+        # a non-finite dalpha or correction (an overflowing row) ends its row
+        ok = np.isfinite(scaled).all((1, 2, 3)) & np.isfinite(dv[:, 0]).all(-1)
+        scaled[~ok] = 0.0
         lam, vec = np.linalg.eigh(scaled)
-        t = length(lam)
+        # primal and dual steps 0.95 of the way to the boundary
+        t = -0.95 / np.minimum(np.minimum(lam[..., 0], (dv / v).min(-1)), -0.95)
         root = np.sqrt(1.0 + t[..., None] * lam)
         fr, fir = fr @ vec * root[..., None, :], tr(vec) @ fir / root[..., None]
         v, zs = v + t[..., None] * dv, np.empty_like(zs)

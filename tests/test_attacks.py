@@ -919,6 +919,21 @@ RCC1_STALL_B = np.array([
     [0.6119034317365669, -1.6606640666328705, 0.6628062197733534],
     [0.5432062029899409, 0.5451036443584751, -1.3029225409169958]])
 
+# row 26 of window start=4 of `figure1 --n 50 --seed 4 --d-grid 6 --attacks
+# rcc1` on bench/datagen.generate(path, 4, 1000, 12, 4) with datagen.JITTER =
+# 0 (binary features), as build_system gives it; its passive features are
+# RCC1_FACE_X, its set that one corner. Centered adaptively by Mehrotra's
+# (mu_aff / mu)^3, its gap grew until the divergence stop
+RCC1_FACE_A = np.array([
+    [0.374954986891333, -0.4106571799452392, -0.05484975497567052,
+     1.7984074606720792, 1.295050631533108, -1.7685338049768715],
+    [-0.3577091002531201, -1.4496287795923255, -1.2705301043832953,
+     -1.0115266049047917, 0.6501167509657249, 1.1286078542420581],
+    [1.9717003279192027, 0.9195061535336971, 1.9977112643032817,
+     -0.8723367661096958, -1.5979235840839796, 0.7637182249734286]])
+RCC1_FACE_B = np.array([0.8843934515878691, -0.7995120286266011, -0.6784174305502826])
+RCC1_FACE_X = np.array([0.0, 1.0, 0.0, 0.0, 1.0, 0.0])
+
 
 def _capped_rcc1(monkeypatch, max_iter):
     monkeypatch.setattr(attacks, "_RCC1_MAX_ITER", max_iter)
@@ -1166,6 +1181,35 @@ class TestRcc1PrimalDual:
         point = est.diagnostics["radius"] == 0.0
         assert np.count_nonzero(point) >= 4 and np.all(est.diagnostics["radius"] >= 0.0)
         assert np.max(np.abs(est.x_hat - x_pas)[point]) <= 1e-9
+
+    def test_binary_face_row_converges(self):
+        # its gap stalls under the floor (about 1.5e-9) with the dual value
+        # rounding to 0, and x ends about 6e-9 from the row's one point
+        sys_ = LinearSystem(a=RCC1_FACE_A, b=RCC1_FACE_B)
+        est = attacks.attack_rcc1(sys_)
+        assert est.diagnostics["gap"] <= 1e-8
+        assert sys_.contains(est.x_hat)
+        assert np.linalg.norm(est.x_hat - RCC1_FACE_X) <= est.diagnostics["radius"] + 1e-8
+
+    def test_one_eigh_per_step(self, monkeypatch):
+        # the centering is fixed at 0.1, so a step spends no eigenvalues on
+        # the affine direction: one stacked eigh per loop step and per
+        # closing step
+        calls = []
+        real = np.linalg.eigh
+
+        def eigh(a, *args, **kwargs):
+            calls.append(len(a))
+            return real(a, *args, **kwargs)
+
+        def eigvalsh(*args, **kwargs):
+            raise AssertionError("rcc1 called eigvalsh")
+
+        monkeypatch.setattr(np.linalg, "eigh", eigh)
+        monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
+        steps = _rcc1_rows(*_rcc1_inputs(self._bench_batch()))[3]
+        assert steps.max() == 11
+        assert len(calls) == steps.max() + 2 and calls[-2:] == [5, 5]
 
     @staticmethod
     def _two_nullities():
