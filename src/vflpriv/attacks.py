@@ -343,12 +343,12 @@ def attack_gia(sys_: LinearSystem, init: str = "half", seed: int = 0) -> AttackE
     A (sys_.row_a). So gia needs the system's log_c (ValueError without
     them). init selects the start: "zeros", "half" or "random" (attack_random's
     draw from seed). Every row takes numerics.projected_newton's steps at
-    once on the KL in bits, with the Gauss-Newton curvature R^T diag(c_hat)
-    R / ln 2, R = M - 1 (M^T c_hat)^T, so from "half" a clean row moves in
-    1/2 + range(A^T). The KL takes its logs from each row's top class with
-    expm1 and log1p, and sums a row's classes in order, so a row gets its
-    lone bits and no step raises its KL. A row has converged once its
-    search reaches a move under 1e-12. diagnostics: "kl_bits" and
+    once on the KL in bits, with the Gauss-Newton factor B = diag(h) R, h =
+    sqrt(c_hat / ln 2) and R = M - 1 (M^T c_hat)^T, so from "half" a clean
+    row moves in 1/2 + range(A^T). The KL takes its logs from each row's top
+    class with expm1 and log1p, and sums a row's classes in order, so a row
+    gets its lone bits and no step raises its KL. A row has converged once
+    its search reaches a move under 1e-12. diagnostics: "kl_bits" and
     "converged" per row and "iterations", the rows' total Newton steps; if
     a row did not converge within _GIA_MAX_ITER steps, one
     GiaConvergenceWarning gives their count and their largest final KL in
@@ -359,11 +359,9 @@ def attack_gia(sys_: LinearSystem, init: str = "half", seed: int = 0) -> AttackE
     if sys_.log_c is None:
         raise ValueError("gia needs the released scores: this system has no log_c")
     d, batch, k, ln2 = sys_.d, sys_.batch, sys_.log_c.shape[-1], math.log(2.0)
-    rowwise = numerics._rowwise
     log_c = sys_.log_c.reshape(-1, k)
     c = np.exp(log_c)
     m = np.cumsum(np.insert(sys_.a, 0, 0.0, axis=-2), axis=-2).reshape(-1, k, d)[sys_.row_a]
-    mt = m.swapaxes(-1, -2)
     shift = np.cumsum(np.insert(sys_.b.reshape(-1, k - 1), 0, 0.0, axis=1), axis=1)
     x = (attack_random(sys_, seed).x_hat.reshape(-1, d) if init == "random"
          else np.full((len(c), d), 0.5 if init == "half" else 0.0))
@@ -376,7 +374,7 @@ def attack_gia(sys_: LinearSystem, init: str = "half", seed: int = 0) -> AttackE
         """c_hat, log(c_hat / c) = r - log sum c e^r and D(c_hat || c) in nats
         of rows at x, whose logits are log c + r, r = M x - [0, cumsum(b')]."""
         cr = c[rows]
-        r = rowwise(m[rows], x) - shift[rows]
+        r = numerics._rowwise(m[rows], x) - shift[rows]
         top = np.argmax(log_c[rows] + r, axis=-1)[:, None]
         rel = r - np.take_along_axis(r, top, -1)
         q = total(cr * np.exp(rel))
@@ -398,13 +396,11 @@ def attack_gia(sys_: LinearSystem, init: str = "half", seed: int = 0) -> AttackE
         return [keep[rows] for keep in memo]
 
     def model(i, x):
-        """The KL's gradient in bits, R^T diag(c_hat) R / ln 2 and the KL's change."""
+        """B, y = h (ell - f) and the KL's change, in bits."""
         c_hat, ell, f = at(x, i)
-        mti = mt[i]
-        rt = mti - rowwise(mti, c_hat)[..., None]           # R^T per row
-        return (rowwise(mti, c_hat * (ell - f[:, None])) / ln2,
-                (rt * c_hat[:, None, :]) @ rt.swapaxes(-1, -2) / ln2,
-                lambda j, xt: (kl(xt, i[j])[2] - f[j]) / ln2)
+        h, mi = np.sqrt(c_hat / ln2), m[i]
+        b = h[:, :, None] * (mi - c_hat[:, None, :] @ mi)   # diag(h) R per row
+        return b, h * (ell - f[:, None]), lambda j, xt: (kl(xt, i[j])[2] - f[j]) / ln2
 
     x, steps, stuck = numerics.projected_newton(x, model, _GIA_MAX_ITER)
     f = at(x, np.arange(len(x)))[2] / ln2

@@ -6,7 +6,7 @@ Matrices are plain float64 numpy arrays; vectors are 1-D arrays. A row's
 products are its own in one batched np.matmul (_rowwise), so a row gets the
 same bits in any batch. A failure that names rows is a RowsError.
 projected_newton is the one box-constrained Newton loop: box_least_squares
-(cls) and attacks.attack_gia each hand it their objective.
+(cls) and attacks.attack_gia each hand it their objective's m-row factor.
 """
 
 from __future__ import annotations
@@ -195,18 +195,18 @@ def dykstra_project(sys_: LinearSystem, rows) -> tuple[np.ndarray, np.ndarray]:
     x(lam) = clip(c - A^T lam, 0, 1) at its maximizer. A semismooth Newton
     method (Qi & Sun, Math. Programming 58, 1993) finds it: with lam scaled
     by the singular values s, each step solves (V_r^T D V_r + mu I) delta =
-    g, where D masks the unclipped coordinates, g = diag(1/s) U_r^T (A x(lam)
-    - b) and mu = 1e-6 ||g|| + 1e-12, then halves until the dual value rises
-    by an Armijo fraction of the predicted rise; the singular pairs past a
-    system's rank are zeroed, as in SvdFactors.pinv, so one path takes any
-    mix of ranks. A row starts at sys_.plane_center (where the first step
-    from lam = 0 would land) and stops once max|Ax - b| <= 1e-12 (1 +
-    max|A| + max|b|), so a plane_center in the box that meets this is
-    returned bit for bit after 0 steps. Every set must be nonempty. Each
-    step is vectorized over the rows still live, each row multiplied by its
-    own system's factors through _rowwise, so a row's result does not
-    depend on the batch. Returns the projections and each row's Newton
-    steps.
+    g, with D masking the unclipped coordinates (V_r^T D V_r is _gram_eigh's
+    Gram), g = diag(1/s) U_r^T (A x(lam) - b) and mu = 1e-6 ||g|| + 1e-12,
+    then halves until the dual value rises by an Armijo fraction of the
+    predicted rise; the singular pairs past a system's rank are zeroed, as
+    in SvdFactors.pinv, so one path takes any mix of ranks. A row starts at
+    sys_.plane_center (where the first step from lam = 0 would land) and
+    stops once max|Ax - b| <= 1e-12 (1 + max|A| + max|b|), so a
+    plane_center in the box that meets this is returned bit for bit after 0
+    steps. Every set must be nonempty. Each step is vectorized over the rows
+    still live, each row multiplied by its own system's factors through
+    _rowwise, so a row's result does not depend on the batch. Returns the
+    projections and each row's Newton steps.
 
     Raises ConvergenceError naming, by their index in the flattened batch,
     the rows that fail the stop test after _PROJECT_MAX_ITER steps.
@@ -244,8 +244,7 @@ def dykstra_project(sys_: LinearSystem, rows) -> tuple[np.ndarray, np.ndarray]:
             break
         g = _rowwise(us[own].swapaxes(-1, -2), res)
         v_own = vr[own]
-        free = (u > 0.0) & (u < 1.0)
-        w, v = np.linalg.eigh((v_own.swapaxes(-1, -2) * free[:, None, :]) @ v_own)
+        w, v = _gram_eigh(v_own.swapaxes(-1, -2), (u > 0.0) & (u < 1.0))
         gv = _rowwise(v.swapaxes(-1, -2), g)
         # In the null space of V_r^T D V_r the step is g/mu. Where g's part
         # there stands for a residual under half the stop bound (s_1 times
@@ -285,24 +284,29 @@ def _total(v):
     return np.add.accumulate(v, axis=-1)[..., -1]
 
 
+def _gram_eigh(b, free):
+    """The stacked eigh of each row's m x m Gram B_F B_F^T, B_F its columns in free."""
+    return np.linalg.eigh((b * free[:, None, :]) @ b.swapaxes(-1, -2))
+
+
 def projected_newton(x, model, max_iter):
     """Bertsekas's projected Newton method (SIAM J. Control Optim. 20, 1982)
     on a smooth f per row over the unit box, every live row stepping at once.
 
     x (n, d) holds the starts. model(i, x) takes the flat indices i of the
-    live rows and their iterates, and returns f's gradient at them, its
-    curvature (a d x d matrix per row, in the gradient's units) and a
-    closure change(j, xt) giving f(xt) - f(x) for the rows at positions j
-    of i. A coordinate within eps = min(1e-3, ||x - clip(x - grad, 0, 1)||)
-    of a bound that its gradient or its Newton step pushes against moves by
-    -grad over its curvature's diagonal; the rest take the curvature's
-    Newton step on its eigenvalues above 1e-12 of the largest. The step
-    halves along the projected arc until Armijo's test holds, so no step
-    raises f. A row stops once its search reaches a move under 1e-12, a move
-    it takes only if f does not rise. A row's products are its own
-    (_rowwise, a stacked eigh), so it gets its lone bits. Returns the
-    iterates, each row's steps and the rows still live after max_iter
-    steps.
+    live rows and their iterates, and returns a factor B and y per row (m x
+    d and m), with f's gradient B^T y and curvature B^T B, and a closure
+    change(j, xt) giving f(xt) - f(x) for the rows at positions j of i. A
+    coordinate within eps = min(1e-3, ||x - clip(x - grad, 0, 1)||) of a
+    bound that its gradient or its Newton step pushes against moves by
+    -grad over the column sum of B * B; the free set F takes the Newton
+    step -B_F^T (B_F B_F^T)^+ y on the m x m Gram's eigenvalues above 1e-12
+    of the largest, the curvature's nonzero ones. The step halves along
+    the projected arc until Armijo's test holds, so no step raises f. A row
+    stops once its search reaches a move under 1e-12, a move it takes only
+    if f does not rise. A row's products are its own (_rowwise, a stacked
+    eigh), so it gets its lone bits. Returns the iterates, each row's steps
+    and the rows still live after max_iter steps.
     """
     x, steps, live = x.copy(), np.zeros(len(x), dtype=int), np.arange(len(x))
     for _ in range(max_iter):
@@ -310,20 +314,22 @@ def projected_newton(x, model, max_iter):
             break
         steps[live] += 1
         xl = x[live]
-        grad, curv, change = model(live, xl)
+        b, y, change = model(live, xl)
+        bt = b.swapaxes(-1, -2)
+        grad = _rowwise(bt, y)
         eps = np.minimum(np.sqrt(_total((xl - np.clip(xl - grad, 0.0, 1.0)) ** 2)), 1e-3)
         low, high = xl <= eps[:, None], xl >= 1.0 - eps[:, None]
         free = ~((low & (grad > 0.0)) | (high & (grad < 0.0)))
-        diag = np.diagonal(curv, axis1=1, axis2=2)
+        diag = (b * b).sum(1)
         scaled = np.divide(grad, diag, where=diag > 0.0, out=np.zeros_like(grad))
 
         def direction(j, free):
             """Rows j's steps: Newton's on the free coordinates, -grad / diag on the rest."""
-            lam, vec = np.linalg.eigh(curv[j] * (free[:, :, None] & free[:, None, :]))
+            lam, vec = _gram_eigh(b[j], free)
             kept = lam > 1e-12 * np.maximum(lam[:, -1:], 0.0)
-            gv = _rowwise(vec.swapaxes(-1, -2), grad[j] * free)
+            gv = _rowwise(vec.swapaxes(-1, -2), y[j])
             coef = np.divide(gv, lam, where=kept, out=np.zeros_like(lam))
-            return np.where(free, -_rowwise(vec, coef), -scaled[j])
+            return np.where(free, -_rowwise(bt[j], _rowwise(vec, coef)), -scaled[j])
 
         p = direction(np.arange(live.size), free)
         held = free & ((low & (p < 0.0)) | (high & (p > 0.0)))
@@ -357,10 +363,9 @@ def box_least_squares(sys_: LinearSystem, rows) -> np.ndarray:
     system's A), as in dykstra_project: the result has shape (len(rows), d).
     The minimizer is not unique for underdetermined systems: every row
     starts at the box center, and the output depends on that start. f is
-    ||A x - b'||^2 / (2 s_1^2) (s_1 of the row's system), with gradient
-    A^T (A x - b') / s_1^2 and curvature A^T A / s_1^2, so a row whose
-    half_star lies in the box lands on it in one step; f's change is summed
-    exactly from A times the move.
+    ||A x - b'||^2 / (2 s_1^2) (s_1 of the row's system), whose factor is B
+    = A / s_1 and y = B x - b' / s_1, so a half_star in the box is reached
+    in one step; f's change is summed exactly from B times the move.
 
     Raises ConvergenceError naming, by their index in the flattened batch,
     the rows still live after _LSQ_MAX_ITER steps.
@@ -369,7 +374,6 @@ def box_least_squares(sys_: LinearSystem, rows) -> np.ndarray:
     s1 = sys_.svd.s.reshape(len(stack), -1)[:, 0]
     s1 = np.where(s1 > 0.0, s1, 1.0)
     a = stack / s1[:, None, None]                   # each system's A / s_1
-    hess = a.swapaxes(-1, -2) @ a
     b = bs / s1[own, None]
 
     def model(i, x):
@@ -379,7 +383,7 @@ def box_least_squares(sys_: LinearSystem, rows) -> np.ndarray:
         def change(j, xt):
             ap = _rowwise(ai[j], xt - x[j])
             return (ap * (r[j] + 0.5 * ap)).sum(1)
-        return _rowwise(ai.swapaxes(-1, -2), r), hess[own[i]], change
+        return ai, r, change
 
     flat, _, live = projected_newton(np.full((index.size, sys_.d), 0.5), model, _LSQ_MAX_ITER)
     if live.size:

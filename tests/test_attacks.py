@@ -768,6 +768,30 @@ def contains_calls(monkeypatch):
     return calls
 
 
+class TestNewtonGram:
+    @pytest.mark.parametrize("name, m", [("cls", 3), ("gia", 4)])
+    def test_eigh_takes_the_m_x_m_gram(self, monkeypatch, name, m):
+        # at k = 4 and d = 30, cls's factor A / s_1 has 3 rows and gia's
+        # diag(h) R 4, so every Newton step's eigh is of an m x m Gram,
+        # never of a 30 x 30 curvature
+        from vflpriv.model import VflModel, VflSplit
+        rng = np.random.default_rng(30)
+        d, d_t = 30, 34
+        model = VflModel(w_act=rng.standard_normal((4, d_t - d)),
+                         w_pas=rng.standard_normal((4, d)), b=rng.standard_normal(4),
+                         k=4, split=VflSplit.contiguous(d_t, 0, d))
+        sys_ = build_system(model, *_predictions(model, 8, seed=3))
+        shapes, real = [], np.linalg.eigh
+
+        def eigh(a, *args, **kwargs):
+            shapes.append(np.shape(a)[-2:])
+            return real(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", eigh)
+        attacks.run_attack(name, sys_)
+        assert shapes and all(max(shape) <= m for shape in shapes)
+
+
 class TestLazyFeasible:
     """feasible is computed on its first read, from the kept system."""
 

@@ -411,6 +411,36 @@ class TestBoxLeastSquares:
         assert np.all(err.value.residuals["residual"] > 0.1)
 
 
+class TestProjectedNewton:
+    def test_rank_deficient_factor_takes_the_minimum_norm_step(self):
+        # gia's factor: k = 4 rows B = diag(h) R, h = sqrt(c_hat / ln 2), whose
+        # h-weighted sum is 0 (R's rows sum to 0 weighted by c_hat), so B has
+        # rank 3 and its 4 x 4 Gram the null vector h. y has a part along h,
+        # which the step drops only if the kept cut drops the zero eigenvalue
+        rng = np.random.default_rng(21)
+        k, d = 4, 7
+        c_hat = rng.dirichlet(np.ones(k))
+        h = np.sqrt(c_hat / np.log(2.0))
+        m = rng.standard_normal((k, d))
+        b = h[:, None] * (m - c_hat @ m)
+        assert np.linalg.matrix_rank(b) == k - 1
+        y = rng.standard_normal(k)
+        assert abs(h @ y) > 0.1 * np.linalg.norm(h) * np.linalg.norm(y)
+        want = np.linalg.lstsq(b, -y, rcond=None)[0]
+        # scaled so that one step from the center stays inside the box
+        y, want = 0.2 * y / np.max(np.abs(want)), 0.2 * want / np.max(np.abs(want))
+
+        def model(i, x):
+            def change(j, xt):
+                bp = (xt - x[j]) @ b.T
+                return (bp * (y + 0.5 * bp)).sum(1)
+            return b[None], y[None], change
+
+        x, steps, live = numerics.projected_newton(np.full((1, d), 0.5), model, 1)
+        assert steps.tolist() == [1] and live.tolist() == [0]
+        assert np.linalg.norm(x[0] - 0.5 - want) <= 1e-12 * np.linalg.norm(want)
+
+
 @pytest.mark.parametrize("solver", [numerics.box_least_squares, numerics.dykstra_project])
 @pytest.mark.parametrize("rows, out", [([7], [7]), ([4], [4]), ([-1], [-1]),
                                        ([0, 5, 3, -2], [5, -2])],
