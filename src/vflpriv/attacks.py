@@ -343,7 +343,8 @@ def attack_gia(sys_: LinearSystem, init: str = "half", seed: int = 0) -> AttackE
     A (sys_.row_a). So gia needs the system's log_c (ValueError without
     them). init selects the start: "zeros", "half" or "random" (attack_random's
     draw from seed). Every row takes numerics.projected_newton's steps at
-    once on the KL in bits, with the Gauss-Newton factor B = diag(h) R, h =
+    once on the KL in bits; each step's model evaluates kl at the row's
+    iterate, with the Gauss-Newton factor B = diag(h) R, h =
     sqrt(c_hat / ln 2) and R = M - 1 (M^T c_hat)^T, so from "half" a clean
     row moves in 1/2 + range(A^T). The KL takes its logs from each row's top
     class with expm1 and log1p, and sums a row's classes in order, so a row
@@ -367,8 +368,6 @@ def attack_gia(sys_: LinearSystem, init: str = "half", seed: int = 0) -> AttackE
          else np.full((len(c), d), 0.5 if init == "half" else 0.0))
 
     total = numerics._total
-    # each row's last point kl saw, with its c_hat, ell and KL there
-    seen, memo = np.full_like(x, np.nan), (np.empty_like(c), np.empty_like(c), np.empty(len(c)))
 
     def kl(x, rows):
         """c_hat, log(c_hat / c) = r - log sum c e^r and D(c_hat || c) in nats
@@ -382,28 +381,17 @@ def attack_gia(sys_: LinearSystem, init: str = "half", seed: int = 0) -> AttackE
         log_q = np.where(q > 0.5, np.log1p(np.maximum(q_minus_1, -0.5)), np.log(q))
         ell = rel - log_q[:, None]
         c_hat = cr * np.exp(ell)
-        seen[rows], out = x, (c_hat, ell, total(c_hat * ell))
-        for keep, value in zip(memo, out):
-            keep[rows] = value
-        return out
-
-    def at(x, rows):
-        """kl of rows at x, computed afresh only for the rows whose last kl
-        was at another point: a line search ends at the point it accepted."""
-        stale = np.flatnonzero(~(seen[rows] == x).all(1))
-        if stale.size:
-            kl(x[stale], rows[stale])
-        return [keep[rows] for keep in memo]
+        return c_hat, ell, total(c_hat * ell)
 
     def model(i, x):
-        """B, y = h (ell - f) and the KL's change, in bits."""
-        c_hat, ell, f = at(x, i)
+        """B, y = h (ell - f) and the KL's change, in bits, from kl at x."""
+        c_hat, ell, f = kl(x, i)
         h, mi = np.sqrt(c_hat / ln2), m[i]
         b = h[:, :, None] * (mi - c_hat[:, None, :] @ mi)   # diag(h) R per row
         return b, h * (ell - f[:, None]), lambda j, xt: (kl(xt, i[j])[2] - f[j]) / ln2
 
     x, steps, stuck = numerics.projected_newton(x, model, _GIA_MAX_ITER)
-    f = at(x, np.arange(len(x)))[2] / ln2
+    f = kl(x, np.arange(len(x)))[2] / ln2
     converged = np.isin(np.arange(len(x)), stuck, invert=True)
     if stuck.size:
         warnings.warn(f"gia: {stuck.size} of {len(x)} rows did not converge in "

@@ -228,6 +228,8 @@ def cmd_blackbox(args) -> int:
     for flag, value in (("--w", w), ("--b", b)):
         if not np.isfinite(value):
             raise DataError(f"{flag} must be finite, got {value}")
+    if not np.isfinite(w + b):
+        raise DataError(f"--w {w} + --b {b} is {w + b} at x = 1: observations must be finite")
     # the map at x = 0 and x = 1: a (w, b) that the estimator rejects fails here
     estimator([b, w + b])
     if w == 0:

@@ -258,7 +258,8 @@ def train(ds: Dataset, split_cfg: VflSplit, cfg: TrainConfig) -> VflModel:
     together at the current parameters: its validation loss scores the last
     step and its fit gradient makes the next, so E epochs take E + 1 calls.
     In an epoch the validation bookkeeping comes first, then the stop check,
-    then the divergence check, then the Adam step.
+    then the Adam step, which raises TrainingError before it moves if the
+    loss, the gradient or Adam's moments are not finite (a huge lam).
     """
     lr, patience, tol, val_fraction = 0.05, 20, 1e-6, 0.1
     beta1, beta2, eps = 0.9, 0.999, 1e-8
@@ -283,25 +284,26 @@ def train(ds: Dataset, split_cfg: VflSplit, cfg: TrainConfig) -> VflModel:
     w, b = theta[:n_w].reshape(ds.k, ds.d_t), theta[n_w:]
     m, v, best = np.zeros_like(theta), np.zeros_like(theta), theta.copy()
     best_loss, last_gain, epoch = np.inf, 0, 0      # last_gain: epoch of the last relative gain
-    while True:
-        # at the parameters after `epoch` steps
-        val_loss, loss, gw, gb = loss_and_grads(w, b, x, y, cfg.lam, n_val)
-        if epoch:                                   # a NaN loss keeps the best
-            if val_loss < best_loss * (1.0 - tol):
-                last_gain = epoch
-            if val_loss < best_loss:
-                best, best_loss = theta.copy(), val_loss
-        if epoch - last_gain >= patience or epoch >= cfg.max_epochs:
-            break
-        epoch += 1
-        if not np.isfinite(loss):
-            raise TrainingError(f"training diverged at epoch {epoch} (loss={loss})")
-        g = np.concatenate((gw.ravel(), gb))
-        m = beta1 * m + (1 - beta1) * g
-        v = beta2 * v + (1 - beta2) * g * g
-        c1 = 1 - beta1 ** epoch
-        c2 = 1 - beta2 ** epoch
-        theta -= lr * (m / c1) / (np.sqrt(v / c2) + eps)
+    with np.errstate(over="ignore", invalid="ignore"):   # a non-finite step raises below
+        while True:
+            # at the parameters after `epoch` steps
+            val_loss, loss, gw, gb = loss_and_grads(w, b, x, y, cfg.lam, n_val)
+            if epoch:                                   # a NaN loss keeps the best
+                if val_loss < best_loss * (1.0 - tol):
+                    last_gain = epoch
+                if val_loss < best_loss:
+                    best, best_loss = theta.copy(), val_loss
+            if epoch - last_gain >= patience or epoch >= cfg.max_epochs:
+                break
+            epoch += 1
+            g = np.concatenate((gw.ravel(), gb))
+            m = beta1 * m + (1 - beta1) * g
+            v = beta2 * v + (1 - beta2) * g * g     # not finite once g or m is not
+            if not (np.isfinite(loss) and np.isfinite(v).all()):
+                raise TrainingError(f"training diverged at epoch {epoch} (loss={loss})")
+            c1 = 1 - beta1 ** epoch
+            c2 = 1 - beta2 ** epoch
+            theta -= lr * (m / c1) / (np.sqrt(v / c2) + eps)
     n_act = split_cfg.d_t - split_cfg.d
     best_w = best[:n_w].reshape(ds.k, ds.d_t)
     return VflModel(w_act=best_w[:, :n_act], w_pas=best_w[:, n_act:], b=best[n_w:],

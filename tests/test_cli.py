@@ -2,6 +2,7 @@ import csv
 import json
 import pickle
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -481,6 +482,16 @@ class TestBadArguments:
         assert f"non-negative, got lam={float(lam)}" in capsys.readouterr().err
         assert not train_calls
 
+    @pytest.mark.parametrize("command", ["train", "attack"])
+    @pytest.mark.parametrize("lam", ["1e160", "1e300", "1.7e308"])
+    def test_overflowing_lam_exit_3_without_a_warning(self, command, lam, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert _run([command, "--synth-n", "300", "--synth-dt", "6", "--d", "3",
+                         f"--lam={lam}"]) == 3
+        out, err = capsys.readouterr()
+        assert "training diverged at epoch 1" in err and out == ""
+
     @pytest.mark.parametrize("lam", ["0", "-0.0"])
     def test_lam_zero_trains(self, lam, train_calls):
         assert _run(["train", *SYNTH, "--d", "2", f"--lam={lam}"]) == 0
@@ -579,8 +590,8 @@ class TestBadArguments:
         (["--case", "1", "--w", "0", "--n-grid", "1..3", "--trials", "2"],
          "all observations are zero"),
         # a finite w and b whose map at x = 1 overflows
-        (["--case", "2", "--w", "1e308", "--b", "1e308"], "observations must be finite"),
-        (["--case", "3", "--w=-1e308", "--b=-1e308"], "observations must be finite"),
+        (["--case", "2", "--w", "1e308", "--b", "1e308"], "--w 1e+308 + --b 1e+308 is inf"),
+        (["--case", "3", "--w=-1e308", "--b=-1e308"], "--w -1e+308 + --b -1e+308 is -inf"),
         (["--trials", "0"], "--trials must be at least 1, got 0"),
         (["--trials", "-1"], "--trials must be at least 1, got -1"),
         (["--case", "2", "--w", "nan"], "--w must be finite, got nan"),

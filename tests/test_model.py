@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -537,3 +538,12 @@ class TestBatchedTraining:
         epochs = self._check(small_dataset, [VflSplit.contiguous(10, 0, 3)],
                              [TrainConfig(seed=0, max_epochs=3)])
         assert epochs == [3] and len(calls) == 4
+
+    @pytest.mark.parametrize("lam", [1e160, 1e300, 1.7e308])
+    def test_overflowing_lam_raises_without_a_warning(self, small_dataset, lam):
+        # Adam's second moment overflows from about lam = 1e156; at 1.7e308
+        # the gradient itself is not finite
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(TrainingError, match="diverged at epoch 1"):
+                train(small_dataset, VflSplit.contiguous(10, 1, 3), TrainConfig(seed=1, lam=lam))
